@@ -82,38 +82,40 @@ fn bench_clock_advance(c: &mut Criterion) {
     group.finish();
 }
 
-/// Grant-path latency with eager vs deferred (background) index updates —
-/// the paper's Section 4.2 suggestion, quantified. Only the `submit` call
-/// is timed; the release and the (deferred) flush run off the clock, the
-/// way a real resource manager would flush during idle time.
-fn bench_deferred_updates(c: &mut Criterion) {
+/// Grant-path latency against grant width, batched vs one update at a
+/// time, on a system whose servers all carry a finite hole: an `n`-server
+/// grant is one batch of `n` removals and `2n` fragments, most of them
+/// bound for the same few canonical trees, so wide grants cross from the
+/// eager onto the deferred secondary-tree path (DESIGN.md §12, "Batched
+/// write path"). Only the `submit` call is timed; the release runs off the
+/// clock.
+fn bench_grant_width(c: &mut Criterion) {
     use std::time::{Duration, Instant};
-    let mut group = c.benchmark_group("grant_latency_update_mode");
-    for (label, deferred) in [("eager", false), ("deferred", true)] {
-        let cfg = SchedulerConfig {
-            deferred_updates: deferred,
-            ..SchedulerConfig::builder()
-                .tau(Dur(600))
-                .horizon(Dur(600 * 64))
-                .delta_t(Dur(600))
-                .build()
-        };
-        let mut s = CoAllocScheduler::new(4096, cfg);
-        group.bench_function(label, |b| {
-            b.iter_custom(|iters| {
-                let mut total = Duration::ZERO;
-                for _ in 0..iters {
-                    let t0 = Instant::now();
-                    let g = s
-                        .submit(&Request::on_demand(Time::ZERO, Dur(1200), 8))
-                        .expect("fits");
-                    total += t0.elapsed();
-                    s.release(black_box(g.job)).unwrap();
-                    s.flush_updates(); // off the clock ("background")
-                }
-                total
+    let mut group = c.benchmark_group("grant_latency_by_width");
+    for (label, eager) in [("batched", false), ("one-by-one", true)] {
+        for width in [1u32, 4, 16, 64] {
+            let n = 256u32;
+            let mut s = CoAllocScheduler::new(n, cfg());
+            if eager {
+                s.force_eager_ring_updates();
+            }
+            s.submit(&Request::advance(Time::ZERO, Time(600 * 32), Dur(600), n))
+                .expect("anchor fits");
+            group.bench_with_input(BenchmarkId::new(label, width), &width, |b, &width| {
+                b.iter_custom(|iters| {
+                    let mut total = Duration::ZERO;
+                    for _ in 0..iters {
+                        let t0 = Instant::now();
+                        let g = s
+                            .submit(&Request::advance(Time::ZERO, Time(600), Dur(600), width))
+                            .expect("hole fits");
+                        total += t0.elapsed();
+                        s.release(black_box(g.job)).unwrap();
+                    }
+                    total
+                });
             });
-        });
+        }
     }
     group.finish();
 }
@@ -123,6 +125,6 @@ criterion_group!(
     bench_commit_release_tail,
     bench_commit_release_hole,
     bench_clock_advance,
-    bench_deferred_updates
+    bench_grant_width
 );
 criterion_main!(benches);

@@ -13,6 +13,15 @@
 //! secondary tree in `O(log n)`, and occasionally flattens and rebuilds the
 //! highest unbalanced subtree, which is `O(k log k)` for a subtree of `k`
 //! leaves and amortizes to `O(log^2 n)` per update.
+//!
+//! A *batch* of updates to one tree ([`SlotTree::apply_ops`]) may instead
+//! run **deferred**: every primary-tree step happens exactly as above (same
+//! descents, same balance triggers, same rebuilds, hence the same shape),
+//! but secondary trees on the touched paths are dropped rather than updated
+//! and rebuilt once, bottom-up, when the batch ends. A treap's shape is a
+//! function of its key set alone (priorities are a hash of the period id),
+//! so the tree the batch leaves behind is the one the eager path builds —
+//! see DESIGN.md §12, "Batched write path".
 
 use crate::idle::{EndKey, IdlePeriod, StartKey};
 use crate::ids::PeriodId;
@@ -49,6 +58,33 @@ enum PNode {
     /// Free-list tombstone.
     Free,
 }
+
+/// One mutation of a batched index update (see [`SlotTree::apply_ops`] and
+/// [`crate::ring::SlotRing::apply_batch`]).
+#[derive(Clone, Copy, Debug)]
+pub enum PeriodOp {
+    /// The idle period no longer exists.
+    Remove(IdlePeriod),
+    /// The idle period now exists.
+    Insert(IdlePeriod),
+}
+
+/// Whether a batch of `k` updates to a tree holding `m` periods is cheaper
+/// deferred than eager. Eager pays `O(log^2 m)` per update plus the
+/// secondary trees of every partial rebuild on the way; deferred pays for
+/// the subtree sizes under the touched paths once, at most `O(m log m)`.
+/// The constants are measured (EXPERIMENTS.md, "Batched write path"); the
+/// inputs are the only two things the choice may depend on.
+pub(crate) fn defer_pays(k: usize, m: usize) -> bool {
+    k >= DEFER_MIN_OPS && k * DEFER_OPS_WEIGHT >= m
+}
+
+const DEFER_MIN_OPS: usize = 4;
+const DEFER_OPS_WEIGHT: usize = 8;
+
+/// See [`SlotTree::fingerprint`].
+#[doc(hidden)]
+pub type TreeFingerprint = Vec<(u32, StartKey, Vec<EndKey>)>;
 
 /// A reference to a subtree marked during Phase 1; all idle periods below a
 /// marked node are *candidates* (`st_i <= s_r`).
@@ -91,8 +127,8 @@ impl SlotTree {
         tree.size = periods.len() as u32;
         tree.max_size_since_rebuild = tree.size;
         ops.periods_inserted += periods.len() as u64;
-        let mut scratch = Scratch::new();
-        tree.root = tree.build_balanced(&periods, &mut scratch.ends, &mut scratch.ends_aux, ops);
+        tree.root = tree.build_balanced(&periods);
+        tree.refresh_secondaries(tree.root, &mut Scratch::new(), ops);
         tree
     }
 
@@ -146,18 +182,25 @@ impl SlotTree {
 
     /// Insert an idle period. Amortized `O(log^2 n)`.
     ///
-    /// Convenience wrapper over [`SlotTree::insert_with`] that allocates its
-    /// own temporaries; the scheduler hot path threads a shared [`Scratch`]
-    /// instead.
+    /// Convenience entry that allocates its own temporaries; the scheduler
+    /// hot path goes through [`SlotTree::apply_ops`] with a shared
+    /// [`Scratch`] instead.
     pub fn insert(&mut self, period: IdlePeriod, ops: &mut OpStats) {
-        let mut scratch = Scratch::new();
-        self.insert_with(period, &mut scratch, ops);
+        self.insert_impl(period, false, &mut Scratch::new(), ops);
     }
 
-    /// Insert an idle period, reusing `scratch` for the update path and any
-    /// rebuild staging. Amortized `O(log^2 n)`, allocation-free once the
-    /// scratch buffers are warm.
-    pub fn insert_with(&mut self, period: IdlePeriod, scratch: &mut Scratch, ops: &mut OpStats) {
+    /// The insert itself, reusing `scratch` for the update path and any
+    /// rebuild staging (allocation-free once the buffers are warm). With
+    /// `defer`, secondary trees are not updated: those of the nodes on the
+    /// update path are dropped (an internal node with an empty secondary is
+    /// *stale*) and left for [`SlotTree::refresh_secondaries`].
+    fn insert_impl(
+        &mut self,
+        period: IdlePeriod,
+        defer: bool,
+        scratch: &mut Scratch,
+        ops: &mut OpStats,
+    ) {
         ops.periods_inserted += 1;
         self.size += 1;
         self.max_size_since_rebuild = self.max_size_since_rebuild.max(self.size);
@@ -186,7 +229,11 @@ impl SlotTree {
                     *size += 1;
                     let (l, r, go_left) = (*left, *right, key <= *split);
                     let mut sec = *secondary;
-                    sec.insert(&mut self.arena, end_key, ops);
+                    if defer {
+                        sec.clear(&mut self.arena);
+                    } else {
+                        sec.insert(&mut self.arena, end_key, ops);
+                    }
                     if let PNode::Internal { secondary, .. } = &mut self.nodes[cur as usize] {
                         *secondary = sec;
                     }
@@ -205,8 +252,10 @@ impl SlotTree {
                         (old_leaf, new_leaf, old.start_key())
                     };
                     let mut secondary = Treap::new();
-                    secondary.insert(&mut self.arena, old.end_key(), ops);
-                    secondary.insert(&mut self.arena, end_key, ops);
+                    if !defer {
+                        secondary.insert(&mut self.arena, old.end_key(), ops);
+                        secondary.insert(&mut self.arena, end_key, ops);
+                    }
                     self.nodes[cur as usize] = PNode::Internal {
                         left: l,
                         right: r,
@@ -220,24 +269,23 @@ impl SlotTree {
                 PNode::Free => unreachable!("descended into freed node"),
             }
         }
-        self.rebalance_path(&path, scratch, ops);
+        self.rebalance_path(&path, defer, scratch, ops);
         scratch.path = path;
     }
 
     /// Remove a period (identified by its full record, so both tree keys are
     /// known). Returns whether it was present. Amortized `O(log^2 n)`.
-    ///
-    /// Convenience wrapper over [`SlotTree::remove_with`].
+    /// Convenience entry, like [`SlotTree::insert`].
     pub fn remove(&mut self, period: &IdlePeriod, ops: &mut OpStats) -> bool {
-        let mut scratch = Scratch::new();
-        self.remove_with(period, &mut scratch, ops)
+        self.remove_impl(period, false, &mut Scratch::new(), ops)
     }
 
-    /// Remove a period, reusing `scratch` for the update path and any rebuild
-    /// staging. Amortized `O(log^2 n)`, allocation-free once warm.
-    pub fn remove_with(
+    /// The removal itself; `scratch` and `defer` as in
+    /// [`SlotTree::insert_impl`].
+    fn remove_impl(
         &mut self,
         period: &IdlePeriod,
+        defer: bool,
         scratch: &mut Scratch,
         ops: &mut OpStats,
     ) -> bool {
@@ -289,8 +337,12 @@ impl SlotTree {
                     *size -= 1;
                     let (l, r, go_left) = (*left, *right, key <= *split);
                     let mut sec = *secondary;
-                    let removed = sec.remove(&mut self.arena, end_key, ops);
-                    debug_assert!(removed, "secondary missing end key during removal");
+                    if defer {
+                        sec.clear(&mut self.arena);
+                    } else {
+                        let removed = sec.remove(&mut self.arena, end_key, ops);
+                        debug_assert!(removed, "secondary missing end key during removal");
+                    }
                     if let PNode::Internal { secondary, .. } = &mut self.nodes[cur as usize] {
                         *secondary = sec;
                     }
@@ -340,40 +392,148 @@ impl SlotTree {
         if self.size > 0
             && (self.size as u64) * ALPHA_DEN < (self.max_size_since_rebuild as u64) * ALPHA_NUM
         {
-            self.rebuild_root(scratch, ops);
+            self.rebuild_root(defer, scratch, ops);
         } else {
-            self.rebalance_path(&path, scratch, ops);
+            self.rebalance_path(&path, defer, scratch, ops);
         }
         scratch.path = path;
         true
     }
 
+    /// Apply a batch of updates in order. With `defer` the primary tree
+    /// goes through exactly the states the one-at-a-time calls produce
+    /// while the secondary trees are brought up to date once, at the end;
+    /// the resulting tree is identical either way (module docs).
+    pub fn apply_ops(
+        &mut self,
+        batch: impl IntoIterator<Item = PeriodOp>,
+        defer: bool,
+        scratch: &mut Scratch,
+        ops: &mut OpStats,
+    ) {
+        for op in batch {
+            match op {
+                PeriodOp::Remove(p) => {
+                    let removed = self.remove_impl(&p, defer, scratch, ops);
+                    debug_assert!(removed, "period {p:?} missing from its slot tree");
+                }
+                PeriodOp::Insert(p) => self.insert_impl(p, defer, scratch, ops),
+            }
+        }
+        if defer {
+            self.refresh_secondaries(self.root, scratch, ops);
+        }
+    }
+
+    /// Rebuild the stale secondary trees at and below `node`, bottom-up in
+    /// merge-sort fashion: a node's end-key list is the `O(k)` merge of its
+    /// children's, and the treap is bulk-built from the sorted list in
+    /// `O(k)`. Staleness is ancestor-closed (every deferred step marks a
+    /// root path or a whole rebuilt subtree), so the walk stops at the first
+    /// fresh node of each branch and reads that node's end keys off its
+    /// secondary tree. All runs share one stack (`scratch.ends`), adjacent
+    /// runs merge through `scratch.ends_aux`, and the treap builder's spine
+    /// is in `scratch` too: nothing is allocated once the buffers are warm.
+    fn refresh_secondaries(&mut self, node: u32, scratch: &mut Scratch, ops: &mut OpStats) {
+        scratch.ends.clear();
+        if node != NIL {
+            self.refresh_rec(node, scratch, ops);
+        }
+    }
+
+    /// On return the subtree's end keys are the top entries of
+    /// `scratch.ends`, ascending.
+    fn refresh_rec(&mut self, node: u32, scratch: &mut Scratch, ops: &mut OpStats) {
+        let (left, right, size) = match &self.nodes[node as usize] {
+            PNode::Leaf { period } => return scratch.ends.push(period.end_key()),
+            PNode::Internal { secondary, .. } if !secondary.is_empty() => {
+                return secondary.append_keys(&self.arena, &mut scratch.ends);
+            }
+            PNode::Internal { left, right, size, .. } => (*left, *right, *size),
+            PNode::Free => unreachable!("refresh reached a freed node"),
+        };
+        ops.update_visits += size as u64;
+        let base = scratch.ends.len();
+        self.refresh_rec(left, scratch, ops);
+        let mid = scratch.ends.len() - base;
+        self.refresh_rec(right, scratch, ops);
+        let rebuilt = self.merged_secondary(base, mid, scratch, ops);
+        if let PNode::Internal { secondary, .. } = &mut self.nodes[node as usize] {
+            *secondary = rebuilt;
+        }
+    }
+
+    /// Merge the two adjacent sorted runs on top of `scratch.ends` — the
+    /// `mid` keys from `base` and everything after them — in place, and
+    /// bulk-build the secondary tree over the result.
+    fn merged_secondary(
+        &mut self,
+        base: usize,
+        mid: usize,
+        scratch: &mut Scratch,
+        ops: &mut OpStats,
+    ) -> Treap {
+        let Scratch { ends, ends_aux: aux, spine, .. } = scratch;
+        aux.clear();
+        {
+            let (l, r) = ends[base..].split_at(mid);
+            let (mut i, mut j) = (0, 0);
+            while i < l.len() && j < r.len() {
+                if l[i] <= r[j] {
+                    aux.push(l[i]);
+                    i += 1;
+                } else {
+                    aux.push(r[j]);
+                    j += 1;
+                }
+            }
+            aux.extend_from_slice(&l[i..]);
+            aux.extend_from_slice(&r[j..]);
+        }
+        ends.truncate(base);
+        ends.extend_from_slice(aux);
+        Treap::from_sorted(&mut self.arena, &ends[base..], spine, ops)
+    }
+
     /// Find the highest weight-unbalanced node on `path` and rebuild it.
-    fn rebalance_path(&mut self, path: &[u32], scratch: &mut Scratch, ops: &mut OpStats) {
+    fn rebalance_path(
+        &mut self,
+        path: &[u32],
+        defer: bool,
+        scratch: &mut Scratch,
+        ops: &mut OpStats,
+    ) {
         for (idx, &n) in path.iter().enumerate() {
             if let PNode::Internal { left, right, size, .. } = &self.nodes[n as usize] {
                 let max_child = self.node_size(*left).max(self.node_size(*right)) as u64;
                 if max_child * ALPHA_DEN > (*size as u64) * ALPHA_NUM {
                     let parent = if idx == 0 { NIL } else { path[idx - 1] };
-                    self.rebuild_at(n, parent, scratch, ops);
+                    self.rebuild_at(n, parent, defer, scratch, ops);
                     return;
                 }
             }
         }
     }
 
-    fn rebuild_root(&mut self, scratch: &mut Scratch, ops: &mut OpStats) {
+    fn rebuild_root(&mut self, defer: bool, scratch: &mut Scratch, ops: &mut OpStats) {
         if self.root != NIL {
-            self.rebuild_at(self.root, NIL, scratch, ops);
+            self.rebuild_at(self.root, NIL, defer, scratch, ops);
         }
         self.max_size_since_rebuild = self.size;
     }
 
     /// Flatten the subtree at `node` and rebuild it perfectly balanced,
-    /// reconstructing every secondary tree. The leaf and end-key staging
-    /// buffers come from `scratch`, so repeated rebuilds reuse one
-    /// allocation each.
-    fn rebuild_at(&mut self, node: u32, parent: u32, scratch: &mut Scratch, ops: &mut OpStats) {
+    /// reconstructing every secondary tree (or, with `defer`, leaving them
+    /// all stale). The leaf staging buffer comes from `scratch`, so
+    /// repeated rebuilds reuse one allocation.
+    fn rebuild_at(
+        &mut self,
+        node: u32,
+        parent: u32,
+        defer: bool,
+        scratch: &mut Scratch,
+        ops: &mut OpStats,
+    ) {
         ops.rebuilds += 1;
         static REBUILD_SIZE: obs::LazyHistogram = obs::LazyHistogram::new("tree_rebuild_size");
         let size = self.node_size(node);
@@ -382,8 +542,11 @@ impl SlotTree {
         let mut leaves = std::mem::take(&mut scratch.leaves);
         leaves.clear();
         self.collect_and_free(node, &mut leaves);
-        let rebuilt = self.build_balanced(&leaves, &mut scratch.ends, &mut scratch.ends_aux, ops);
+        let rebuilt = self.build_balanced(&leaves);
         scratch.leaves = leaves;
+        if !defer {
+            self.refresh_secondaries(rebuilt, scratch, ops);
+        }
         if parent == NIL {
             self.root = rebuilt;
         } else if let PNode::Internal { left, right, .. } = &mut self.nodes[parent as usize] {
@@ -419,76 +582,23 @@ impl SlotTree {
     }
 
     /// Build a perfectly balanced leaf-oriented tree over `sorted` (ascending
-    /// in `StartKey` order, i.e. descending start time). Returns NIL for an
-    /// empty slice.
-    ///
-    /// Secondary trees are built bottom-up in merge-sort fashion: each
-    /// node's end-key list is the `O(k)` merge of its children's lists, and
-    /// the treap itself is bulk-built from the sorted list in `O(k)`, for
-    /// `O(k log k)` per rebuild overall (vs `O(k log^2 k)` with repeated
-    /// inserts). Instead of allocating one end-key vector per internal node,
-    /// the recursion keeps all runs on a single shared stack (`ends`) and
-    /// merges adjacent runs through one auxiliary buffer (`aux`), so a
-    /// rebuild allocates nothing once both buffers are warm.
-    fn build_balanced(
-        &mut self,
-        sorted: &[IdlePeriod],
-        ends: &mut Vec<EndKey>,
-        aux: &mut Vec<EndKey>,
-        ops: &mut OpStats,
-    ) -> u32 {
-        ends.clear();
-        self.build_rec(sorted, ends, aux, ops)
-    }
-
-    /// Builds the subtree over `sorted`; on return, that subtree's end keys
-    /// are the top `sorted.len()` entries of `ends`, in ascending order.
-    fn build_rec(
-        &mut self,
-        sorted: &[IdlePeriod],
-        ends: &mut Vec<EndKey>,
-        aux: &mut Vec<EndKey>,
-        ops: &mut OpStats,
-    ) -> u32 {
+    /// in `StartKey` order, i.e. descending start time), every secondary
+    /// tree left stale for [`SlotTree::refresh_secondaries`]. Returns NIL
+    /// for an empty slice.
+    fn build_balanced(&mut self, sorted: &[IdlePeriod]) -> u32 {
         match sorted.len() {
             0 => NIL,
-            1 => {
-                ends.push(sorted[0].end_key());
-                self.alloc(PNode::Leaf { period: sorted[0] })
-            }
+            1 => self.alloc(PNode::Leaf { period: sorted[0] }),
             len => {
-                ops.update_visits += len as u64;
                 let mid = len / 2; // left gets [0, mid), right [mid, len)
-                let base = ends.len();
-                let left = self.build_rec(&sorted[..mid], ends, aux, ops);
-                let right = self.build_rec(&sorted[mid..], ends, aux, ops);
-                // Merge the two adjacent sorted runs the children left on
-                // the stack: ends[base..base+mid] and ends[base+mid..].
-                aux.clear();
-                {
-                    let (l, r) = ends[base..].split_at(mid);
-                    let (mut i, mut j) = (0, 0);
-                    while i < l.len() && j < r.len() {
-                        if l[i] <= r[j] {
-                            aux.push(l[i]);
-                            i += 1;
-                        } else {
-                            aux.push(r[j]);
-                            j += 1;
-                        }
-                    }
-                    aux.extend_from_slice(&l[i..]);
-                    aux.extend_from_slice(&r[j..]);
-                }
-                ends.truncate(base);
-                ends.extend_from_slice(aux);
-                let secondary = Treap::from_sorted(&mut self.arena, &ends[base..], ops);
+                let left = self.build_balanced(&sorted[..mid]);
+                let right = self.build_balanced(&sorted[mid..]);
                 self.alloc(PNode::Internal {
                     left,
                     right,
                     size: len as u32,
                     split: sorted[mid - 1].start_key(),
-                    secondary,
+                    secondary: Treap::new(),
                 })
             }
         }
@@ -767,6 +877,29 @@ impl SlotTree {
         for w in leaves.windows(2) {
             assert!(w[0].start_key() < w[1].start_key(), "leaf order");
         }
+    }
+
+    /// Pre-order structural fingerprint: `(size, split, secondary keys in
+    /// treap pre-order)` per internal node. Two trees with equal leaf order
+    /// and equal fingerprints answer every search with the same hits in the
+    /// same order at the same visit counts (test helper).
+    #[doc(hidden)]
+    pub fn fingerprint(&self) -> TreeFingerprint {
+        fn rec(tree: &SlotTree, node: u32, out: &mut TreeFingerprint) {
+            if node == NIL {
+                return;
+            }
+            if let PNode::Internal { left, right, size, split, secondary } =
+                &tree.nodes[node as usize]
+            {
+                out.push((*size, *split, secondary.keys_pre_order(&tree.arena)));
+                rec(tree, *left, out);
+                rec(tree, *right, out);
+            }
+        }
+        let mut out = Vec::new();
+        rec(self, self.root, &mut out);
+        out
     }
 
     /// Height of the tree (edges on the longest root-leaf path); used to

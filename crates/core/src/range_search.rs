@@ -70,10 +70,6 @@ impl CoAllocScheduler {
         if end <= start || start >= horizon || end > horizon {
             return Vec::new();
         }
-        // Searches always flush deferred index updates, even when the
-        // profile reject below skips the tree walk (the profile itself is
-        // maintained eagerly, so it never needs the flush).
-        self.flush_updates();
         // Profile fast reject: a zero free upper bound means some server is
         // busy throughout every instant-covering slot of the window, i.e.
         // the exact feasible set is provably empty — skip the tree walk.
@@ -116,8 +112,7 @@ impl CoAllocScheduler {
         if end <= start || start >= horizon || end > horizon {
             return 0;
         }
-        // Same flush-then-fast-reject as `range_search`.
-        self.flush_updates();
+        // Same fast reject as `range_search`.
         if self.capacity_profile().free_upper_bound(start, end) == 0 {
             return 0;
         }

@@ -31,15 +31,58 @@
 //! index, which is what keeps the horizon edge initialization-free (a
 //! brand-new edge slot is covered by exactly the trailing periods,
 //! represented virtually).
+//!
+//! Writes arrive as **batches** ([`SlotRing::apply_batch`]): a grant, a
+//! release or one expired slot's evictions is an ordered list of period
+//! removals and insertions, most of which land in the same few canonical
+//! trees. The batch is regrouped per tree (each tree still sees its updates
+//! in batch order) so that a tree receiving many of them can maintain its
+//! secondary trees once instead of per update — see
+//! [`SlotTree::apply_ops`] and DESIGN.md §12, "Batched write path".
 
 use crate::idle::IdlePeriod;
 use crate::ids::PeriodId;
-use crate::primary::{MarkedNode, SlotTree};
+use crate::primary::{defer_pays, MarkedNode, PeriodOp, SlotTree, TreeFingerprint};
 use crate::scratch::Scratch;
 use crate::stats::OpStats;
 use crate::time::{SlotConfig, SlotIdx, Time};
-use crate::timeline::Timeline;
+use crate::timeline::{PeriodDelta, Timeline};
+use crate::trailing::TrailingSet;
+use obs::{LazyCounter, LazyHistogram};
 use std::collections::{HashMap, VecDeque};
+
+/// Updates one canonical tree received from one batch.
+static BATCH_OPS: LazyHistogram = LazyHistogram::new("ring_batch_ops");
+/// (batch, tree) groups that took the deferred secondary-tree path.
+static BATCHES_DEFERRED: LazyCounter = LazyCounter::new("ring_batches_deferred_total");
+
+/// Route one timeline delta into the two idle-period indexes, the way every
+/// scheduler front-end must: open-ended periods go to `trailing` at once,
+/// finite ones are queued on `scratch.ring_ops` for the caller's next
+/// [`SlotRing::apply_queued`]. The delta must not alias `scratch.delta`
+/// (callers `mem::take` it first).
+pub fn route_delta(
+    delta: &PeriodDelta,
+    trailing: &mut TrailingSet,
+    scratch: &mut Scratch,
+    ops: &mut OpStats,
+) {
+    for p in &delta.removed {
+        if p.end.is_inf() {
+            let removed = trailing.remove(p, ops);
+            debug_assert!(removed, "trailing period {p:?} missing");
+        } else {
+            scratch.ring_ops.push(PeriodOp::Remove(*p));
+        }
+    }
+    for p in &delta.added {
+        if p.end.is_inf() {
+            trailing.insert(p, ops);
+        } else {
+            scratch.ring_ops.push(PeriodOp::Insert(*p));
+        }
+    }
+}
 
 /// Where one finite period is stored: the inclusive live-slot range it was
 /// clamped to at insert time. Removal and eviction re-derive the same
@@ -94,6 +137,8 @@ pub struct SlotRing {
     /// `num_slots` buckets; bucket `i` holds the ids whose last covered
     /// slot is `base + i`, so each advance drains exactly one bucket.
     expiry: VecDeque<Vec<u64>>,
+    /// Test oracle: never defer (see [`SlotRing::force_eager`]).
+    eager_only: bool,
 }
 
 impl SlotRing {
@@ -114,7 +159,16 @@ impl SlotRing {
             nodes,
             cover: HashMap::new(),
             expiry,
+            eager_only: false,
         }
+    }
+
+    /// Make every batch take the one-update-at-a-time path, whatever its
+    /// size. The state is the same either way; differential tests use this
+    /// ring as the reference for the batched one.
+    #[doc(hidden)]
+    pub fn force_eager(&mut self) {
+        self.eager_only = true;
     }
 
     fn node_seed(seed: u64, i: usize) -> u64 {
@@ -188,37 +242,37 @@ impl SlotRing {
         q.0.rem_euclid(self.span as i64) as usize
     }
 
-    /// Append the canonical-node decomposition of the leaf-position range
-    /// `[a, b]` (non-wrapping, inclusive) to `out`.
-    fn push_canonical_range(&self, a: usize, b: usize, out: &mut Vec<u32>) {
+    /// Feed the canonical-node decomposition of the leaf-position range
+    /// `[a, b]` (non-wrapping, inclusive) to `sink`.
+    fn canonical_range(&self, a: usize, b: usize, sink: &mut impl FnMut(u32)) {
         let mut l = a + self.span;
         let mut r = b + self.span + 1;
         while l < r {
             if l & 1 == 1 {
-                out.push(l as u32);
+                sink(l as u32);
                 l += 1;
             }
             if r & 1 == 1 {
                 r -= 1;
-                out.push(r as u32);
+                sink(r as u32);
             }
             l >>= 1;
             r >>= 1;
         }
     }
 
-    /// Append the canonical nodes covering the absolute slot range
+    /// Feed the canonical nodes covering the absolute slot range
     /// `[first, last]` (inclusive, at most `span` slots long — it may wrap
-    /// once around the modulus).
-    fn push_canonical(&self, first: SlotIdx, last: SlotIdx, out: &mut Vec<u32>) {
+    /// once around the modulus) to `sink`.
+    fn canonical(&self, first: SlotIdx, last: SlotIdx, mut sink: impl FnMut(u32)) {
         debug_assert!(first <= last && (last.0 - first.0) < self.span as i64);
         let a = self.pos(first);
         let b = self.pos(last);
         if a <= b {
-            self.push_canonical_range(a, b, out);
+            self.canonical_range(a, b, &mut sink);
         } else {
-            self.push_canonical_range(a, self.span - 1, out);
-            self.push_canonical_range(0, b, out);
+            self.canonical_range(a, self.span - 1, &mut sink);
+            self.canonical_range(0, b, &mut sink);
         }
     }
 
@@ -231,68 +285,84 @@ impl SlotRing {
         (first <= last).then_some((first, last))
     }
 
-    /// Store a new finite idle period in the `O(log Q)` canonical nodes
-    /// covering its live-slot range. Trailing (open-ended) periods belong
-    /// in the trailing index instead.
-    pub fn insert_period(&mut self, p: &IdlePeriod, ops: &mut OpStats) {
-        let mut scratch = Scratch::new();
-        self.insert_period_with(p, &mut scratch, ops);
-    }
-
-    /// [`SlotRing::insert_period`] reusing the caller's scratch buffers
-    /// (allocation-free once warm).
-    pub fn insert_period_with(&mut self, p: &IdlePeriod, scratch: &mut Scratch, ops: &mut OpStats) {
-        debug_assert!(!p.end.is_inf(), "trailing periods live in TrailingSet");
-        let Some((first, last)) = self.live_slots(p) else {
-            return;
-        };
-        ops.ring_period_inserts += 1;
-        let prev = self.cover.insert(
-            p.id.0,
-            Coverage {
-                period: *p,
-                first,
-                last,
-            },
-        );
-        debug_assert!(prev.is_none(), "period {p:?} inserted twice");
-        self.expiry[(last.0 - self.base.0) as usize].push(p.id.0);
-        let mut canon = std::mem::take(&mut scratch.canon);
-        canon.clear();
-        self.push_canonical(first, last, &mut canon);
-        for &n in &canon {
-            self.nodes[n as usize].insert_with(*p, scratch, ops);
+    /// Apply an ordered list of finite-period removals and insertions — the
+    /// one write entry of the ring. An insertion stores the period in the
+    /// `O(log Q)` canonical nodes covering its live-slot range; a removal
+    /// takes it out of exactly those. The cover map and expiry buckets are
+    /// updated update by update; the tree work is regrouped per canonical
+    /// tree, each tree receiving its updates in batch order. Trees share
+    /// nothing, so the ring ends in exactly the state the same updates
+    /// applied one call at a time leave behind.
+    ///
+    /// Insertions outside the live window and removals of unknown periods
+    /// (never stored, or already evicted) are ignored, as ever.
+    pub fn apply_batch(&mut self, batch: &[PeriodOp], scratch: &mut Scratch, ops: &mut OpStats) {
+        debug_assert!(scratch.tree_ops.is_empty());
+        for &op in batch {
+            let (first, last) = match op {
+                PeriodOp::Insert(p) => {
+                    debug_assert!(!p.end.is_inf(), "trailing periods live in TrailingSet");
+                    let Some((first, last)) = self.live_slots(&p) else {
+                        continue;
+                    };
+                    ops.ring_period_inserts += 1;
+                    let prev = self.cover.insert(p.id.0, Coverage { period: p, first, last });
+                    debug_assert!(prev.is_none(), "period {p:?} inserted twice");
+                    self.expiry[(last.0 - self.base.0) as usize].push(p.id.0);
+                    (first, last)
+                }
+                PeriodOp::Remove(p) => {
+                    debug_assert!(!p.end.is_inf(), "trailing periods live in TrailingSet");
+                    // A miss leaves a tombstone id in some expiry bucket;
+                    // advance skips it via its own failed cover lookup.
+                    let Some(cov) = self.cover.remove(&p.id.0) else {
+                        continue;
+                    };
+                    ops.ring_period_removes += 1;
+                    (cov.first, cov.last)
+                }
+            };
+            self.queue_tree_ops(first, last, op, scratch);
         }
-        scratch.canon = canon;
+        self.apply_tree_ops(scratch, ops);
     }
 
-    /// Remove a dead finite idle period from its canonical nodes. Unknown
-    /// periods (never stored, or already evicted because their last slot
-    /// expired) are ignored, mirroring the insert-side clamping.
-    pub fn remove_period(&mut self, p: &IdlePeriod, ops: &mut OpStats) {
-        let mut scratch = Scratch::new();
-        self.remove_period_with(p, &mut scratch, ops);
+    /// [`SlotRing::apply_batch`] over the updates [`route_delta`] queued on
+    /// `scratch.ring_ops`, leaving the queue empty.
+    pub fn apply_queued(&mut self, scratch: &mut Scratch, ops: &mut OpStats) {
+        let mut batch = std::mem::take(&mut scratch.ring_ops);
+        self.apply_batch(&batch, scratch, ops);
+        batch.clear();
+        scratch.ring_ops = batch;
     }
 
-    /// [`SlotRing::remove_period`] reusing the caller's scratch buffers
-    /// (allocation-free once warm).
-    pub fn remove_period_with(&mut self, p: &IdlePeriod, scratch: &mut Scratch, ops: &mut OpStats) {
-        debug_assert!(!p.end.is_inf(), "trailing periods live in TrailingSet");
-        let Some(cov) = self.cover.remove(&p.id.0) else {
-            // Never stored (outside the live window at insert time) or
-            // already evicted. The expiry bucket may still hold a tombstone
-            // id; advance skips it via the failed cover lookup.
-            return;
-        };
-        ops.ring_period_removes += 1;
-        let mut canon = std::mem::take(&mut scratch.canon);
-        canon.clear();
-        self.push_canonical(cov.first, cov.last, &mut canon);
-        for &n in &canon {
-            let removed = self.nodes[n as usize].remove_with(p, scratch, ops);
-            debug_assert!(removed, "period {p:?} missing from canonical node {n}");
+    /// Queue `op` for every canonical tree of the slot range.
+    fn queue_tree_ops(&self, first: SlotIdx, last: SlotIdx, op: PeriodOp, scratch: &mut Scratch) {
+        let routed = &mut scratch.tree_ops;
+        self.canonical(first, last, |n| routed.push((n, routed.len() as u32, op)));
+    }
+
+    /// Run the queued per-tree updates, tree by tree, choosing per tree
+    /// between the eager and the deferred path from the number of updates
+    /// it receives and its size alone.
+    fn apply_tree_ops(&mut self, scratch: &mut Scratch, ops: &mut OpStats) {
+        let mut routed = std::mem::take(&mut scratch.tree_ops);
+        // (tree, position) is unique, so the unstable sort is a stable one
+        // by tree that needs no merge buffer.
+        routed.sort_unstable_by_key(|&(n, seq, _)| (n, seq));
+        let mut deferred = 0u64;
+        for group in routed.chunk_by(|a, b| a.0 == b.0) {
+            let tree = &mut self.nodes[group[0].0 as usize];
+            let defer = !self.eager_only && defer_pays(group.len(), tree.len());
+            BATCH_OPS.observe(group.len() as u64);
+            deferred += defer as u64;
+            tree.apply_ops(group.iter().map(|&(_, _, op)| op), defer, scratch, ops);
         }
-        scratch.canon = canon;
+        if deferred > 0 {
+            BATCHES_DEFERRED.add(deferred);
+        }
+        routed.clear();
+        scratch.tree_ops = routed;
     }
 
     /// Advance the ring so that `now` lies in the first live slot,
@@ -307,7 +377,8 @@ impl SlotRing {
     /// whose last covered slot expired — the amortized-O(1) equivalent of
     /// the paper's discard-and-initialize step (each period is evicted at
     /// most once in its lifetime, and the freshly exposed horizon-edge slot
-    /// needs no initialization at all).
+    /// needs no initialization at all). Each expired slot's evictions are
+    /// one batch, in bucket order.
     pub fn advance_to_with(&mut self, now: Time, scratch: &mut Scratch, ops: &mut OpStats) {
         let target = self.cfg.slot_of(now);
         while self.base < target {
@@ -318,16 +389,10 @@ impl SlotRing {
                     continue; // explicitly removed earlier; stale bucket id
                 };
                 ops.ring_evictions += 1;
-                let mut canon = std::mem::take(&mut scratch.canon);
-                canon.clear();
-                self.push_canonical(cov.first, cov.last, &mut canon);
-                for &n in &canon {
-                    let removed = self.nodes[n as usize].remove_with(&cov.period, scratch, ops);
-                    debug_assert!(removed, "evicted period {:?} missing from node {n}", cov.period);
-                }
-                scratch.canon = canon;
+                self.queue_tree_ops(cov.first, cov.last, PeriodOp::Remove(cov.period), scratch);
             }
             self.expiry.push_back(bucket);
+            self.apply_tree_ops(scratch, ops);
         }
     }
 
@@ -425,6 +490,18 @@ impl SlotRing {
         }
     }
 
+    /// Leaf order and structural fingerprint of every non-empty canonical
+    /// tree (see [`SlotTree::fingerprint`]), for state-identity tests.
+    #[doc(hidden)]
+    pub fn fingerprint(&self) -> Vec<(usize, Vec<IdlePeriod>, TreeFingerprint)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.is_empty())
+            .map(|(i, t)| (i, t.periods_in_order(), t.fingerprint()))
+            .collect()
+    }
+
     /// Check the segment-tree coverage invariants against the timeline.
     /// Test helper; panics on violation. `O(Q * N log Q)` — use on small
     /// systems.
@@ -479,16 +556,13 @@ impl SlotRing {
             }
         }
         let mut want: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
-        let mut canon = Vec::new();
         for (id, cov) in &self.cover {
-            canon.clear();
-            self.push_canonical(cov.first, cov.last, &mut canon);
-            for &n in &canon {
+            self.canonical(cov.first, cov.last, |n| {
                 assert!(
                     want.entry(n).or_default().insert(*id),
                     "canonical decomposition of {cov:?} repeats node {n}"
                 );
-            }
+            });
         }
         assert_eq!(stored, want, "canonical-node storage out of sync");
         // 3. Stabbing unions per live slot.
@@ -562,12 +636,11 @@ mod tests {
         delta: &crate::timeline::PeriodDelta,
         ops: &mut OpStats,
     ) {
-        for p in delta.removed.iter().filter(|p| !p.end.is_inf()) {
-            ring.remove_period(p, ops);
-        }
-        for p in delta.added.iter().filter(|p| !p.end.is_inf()) {
-            ring.insert_period(p, ops);
-        }
+        let finite = |p: &&IdlePeriod| !p.end.is_inf();
+        let batch: Vec<PeriodOp> = (delta.removed.iter().filter(finite).map(|p| PeriodOp::Remove(*p)))
+            .chain(delta.added.iter().filter(finite).map(|p| PeriodOp::Insert(*p)))
+            .collect();
+        ring.apply_batch(&batch, &mut Scratch::new(), ops);
     }
 
     /// The finite fragment created by a reservation (reserving the middle
@@ -709,8 +782,8 @@ mod tests {
             start: Time(0),
             end: Time(29),
         };
-        ring.insert_period(&ghost, &mut ops);
-        ring.remove_period(&ghost, &mut ops);
+        let mut scratch = Scratch::new();
+        ring.apply_batch(&[PeriodOp::Insert(ghost), PeriodOp::Remove(ghost)], &mut scratch, &mut ops);
         assert_eq!(ops.ring_period_inserts, 0);
         assert_eq!(ops.ring_period_removes, 0);
         let beyond = IdlePeriod {
@@ -719,7 +792,7 @@ mod tests {
             start: Time(100),
             end: Time(120),
         };
-        ring2.insert_period(&beyond, &mut ops);
+        ring2.apply_batch(&[PeriodOp::Insert(beyond)], &mut scratch, &mut ops);
         assert_eq!(ring2.slot_len(SlotIdx(3)), Some(0));
     }
 

@@ -18,7 +18,7 @@ use crate::ids::{JobId, ServerId};
 use crate::policy::SelectionPolicy;
 use crate::profile::FreeProfile;
 use crate::request::Request;
-use crate::ring::SlotRing;
+use crate::ring::{route_delta, SlotRing};
 use crate::scratch::Scratch;
 use crate::stats::OpStats;
 use crate::time::{Dur, SlotConfig, Time};
@@ -100,12 +100,6 @@ pub struct SchedulerConfig {
     pub policy: SelectionPolicy,
     /// RNG seed for deterministic tree shapes.
     pub seed: u64,
-    /// Defer index maintenance off the grant path (Section 4.2: "this
-    /// update process may be implemented in the background to minimize its
-    /// impact on the performance of the scheduler"). Pending deltas are
-    /// flushed before the next search touches the indexes, so results are
-    /// always consistent; only the latency profile changes.
-    pub deferred_updates: bool,
     /// Jump the retry loop past attempts the free-capacity profile proves
     /// infeasible (see [`crate::profile`] and DESIGN.md §14). Decisions —
     /// grants, `attempts` counts, error replies — are identical either
@@ -127,7 +121,6 @@ impl Default for SchedulerConfig {
             r_max: None,
             policy: SelectionPolicy::PaperOrder,
             seed: 0x5EED,
-            deferred_updates: false,
             jump_retries: true,
         }
     }
@@ -186,12 +179,6 @@ impl SchedulerConfigBuilder {
         self.0.seed = seed;
         self
     }
-    /// Defer index maintenance off the grant path (see
-    /// [`SchedulerConfig::deferred_updates`]).
-    pub fn deferred_updates(mut self, deferred: bool) -> Self {
-        self.0.deferred_updates = deferred;
-        self
-    }
     /// Enable or disable profile-driven retry jumping (see
     /// [`SchedulerConfig::jump_retries`]).
     pub fn jump_retries(mut self, jump: bool) -> Self {
@@ -222,17 +209,6 @@ pub struct Grant {
     pub waiting: Dur,
 }
 
-/// A single queued index update (deferred mode). Deltas are flattened into
-/// these ops so the pending queue is one flat `Vec` whose capacity is reused
-/// across flushes instead of a `Vec` of freshly allocated `PeriodDelta`s.
-#[derive(Clone, Copy, Debug)]
-enum PendingOp {
-    /// Remove this idle period from the indexes.
-    Remove(IdlePeriod),
-    /// Insert this idle period into the indexes.
-    Add(IdlePeriod),
-}
-
 /// The online co-allocation scheduler.
 #[derive(Clone, Debug)]
 pub struct CoAllocScheduler {
@@ -252,8 +228,6 @@ pub struct CoAllocScheduler {
     stats: OpStats,
     /// Reusable buffers for the per-request hot path.
     scratch: Scratch,
-    /// Index updates committed but not yet applied (deferred mode).
-    pending: Vec<PendingOp>,
     /// Window start at the last history prune.
     last_prune: Time,
 }
@@ -291,7 +265,6 @@ impl CoAllocScheduler {
             profile: FreeProfile::new(slot_cfg, num_servers, origin),
             stats,
             scratch: Scratch::new(),
-            pending: Vec::new(),
             last_prune: origin,
         }
     }
@@ -402,10 +375,14 @@ impl CoAllocScheduler {
         self.ring = SlotRing::new(self.slot_cfg, self.origin, self.cfg.seed);
         self.ring.advance_to(self.now, &mut self.stats);
         self.trailing = TrailingSet::new(self.cfg.seed);
-        self.pending.clear();
-        for p in &idle {
-            self.add_to_indexes(p);
-        }
+        // One batch over the whole idle set: every canonical tree is built
+        // from its periods in snapshot order, as a one-by-one insert would.
+        let all = PeriodDelta {
+            removed: Vec::new(),
+            added: idle,
+        };
+        route_delta(&all, &mut self.trailing, &mut self.scratch, &mut self.stats);
+        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
         self.jobs.clear();
         self.profile.reset(self.now);
         for r in busy {
@@ -606,7 +583,6 @@ impl CoAllocScheduler {
     /// storage lives in [`Scratch`], so a steady-state attempt performs no
     /// heap allocation.
     fn try_once(&mut self, start: Time, end: Time, n: u32) -> bool {
-        self.flush_updates();
         let n = n as usize;
         let q = self.slot_cfg.slot_of(start);
         // Phase 1: count candidates via subtree sizes along the stabbing
@@ -671,83 +647,16 @@ impl CoAllocScheduler {
         true
     }
 
-    /// Route a timeline delta: applied immediately, or queued for the next
-    /// search in deferred mode (the paper's background-update option).
-    ///
-    /// The delta must not alias `self.scratch.delta` (callers `mem::take` it
-    /// first), so the index updates below are free to use the scratch
-    /// buffers.
-    fn apply_delta(&mut self, delta: &PeriodDelta) {
-        if self.cfg.deferred_updates {
-            for p in &delta.removed {
-                self.pending.push(PendingOp::Remove(*p));
-            }
-            for p in &delta.added {
-                self.pending.push(PendingOp::Add(*p));
-            }
-            return;
-        }
-        self.apply_delta_now(delta);
+    /// Force the slot ring down its one-update-at-a-time path (see
+    /// [`SlotRing::force_eager`]): the reference for differential tests of
+    /// the batched write path.
+    #[doc(hidden)]
+    pub fn force_eager_ring_updates(&mut self) {
+        self.ring.force_eager();
     }
 
-    /// Flush every queued index update. Called automatically before any
-    /// search in deferred mode; exposed so embedders can flush during idle
-    /// time ("in the background").
-    pub fn flush_updates(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        for op in pending.drain(..) {
-            match op {
-                PendingOp::Remove(p) => self.remove_from_indexes(&p),
-                PendingOp::Add(p) => self.add_to_indexes(&p),
-            }
-        }
-        // Hand the (now empty) buffer back so its capacity is reused. Any
-        // ops a re-entrant call queued in the meantime are preserved.
-        if self.pending.is_empty() {
-            self.pending = pending;
-        }
-    }
-
-    /// Number of queued index updates (deferred mode diagnostics).
-    pub fn pending_updates(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Route a timeline delta into the two indexes: finite periods to the
-    /// slot-tree ring, open-ended ones to the trailing set.
-    fn apply_delta_now(&mut self, delta: &PeriodDelta) {
-        for p in &delta.removed {
-            self.remove_from_indexes(p);
-        }
-        for p in &delta.added {
-            self.add_to_indexes(p);
-        }
-    }
-
-    fn remove_from_indexes(&mut self, p: &IdlePeriod) {
-        if p.end.is_inf() {
-            let removed = self.trailing.remove(p, &mut self.stats);
-            debug_assert!(removed, "trailing period {p:?} missing");
-        } else {
-            self.ring
-                .remove_period_with(p, &mut self.scratch, &mut self.stats);
-        }
-    }
-
-    fn add_to_indexes(&mut self, p: &IdlePeriod) {
-        if p.end.is_inf() {
-            self.trailing.insert(p, &mut self.stats);
-        } else {
-            self.ring
-                .insert_period_with(p, &mut self.scratch, &mut self.stats);
-        }
-    }
-
-    /// Commit the reservation on the chosen periods, mirroring every
-    /// idle-period change into the slot trees.
+    /// Commit the reservation on the chosen periods; the idle-period
+    /// changes of all of them reach the slot trees as one batch.
     fn commit(
         &mut self,
         chosen: &[IdlePeriod],
@@ -763,7 +672,7 @@ impl CoAllocScheduler {
         let mut delta = std::mem::take(&mut self.scratch.delta);
         for p in chosen {
             self.timeline.reserve_into(p.id, job, start, end, &mut delta);
-            self.apply_delta(&delta);
+            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
             servers.push(p.server);
             reservations.push(Reservation {
                 job,
@@ -773,6 +682,7 @@ impl CoAllocScheduler {
             });
         }
         self.scratch.delta = delta;
+        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
         self.profile.add(start, end, chosen.len() as u32);
         self.jobs.insert(job, reservations);
         Grant {
@@ -877,7 +787,6 @@ impl CoAllocScheduler {
     /// Phase-2 hits). Used by the constrained submission path and available
     /// to applications needing the complete set.
     pub fn enumerate_feasible(&mut self, start: Time, end: Time) -> Vec<IdlePeriod> {
-        self.flush_updates();
         let q = self.slot_cfg.slot_of(start);
         if !self.ring.is_live(q) {
             return Vec::new();
@@ -950,8 +859,9 @@ impl CoAllocScheduler {
         };
         let mut delta = std::mem::take(&mut self.scratch.delta);
         self.timeline.reserve_into(p.id, job, start, end, &mut delta);
-        self.apply_delta(&delta);
+        route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
         self.scratch.delta = delta;
+        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
         self.profile.add(start, end, 1);
         self.jobs.entry(job).or_default().push(Reservation {
             job,
@@ -972,7 +882,6 @@ impl CoAllocScheduler {
         &mut crate::ring::StabMarks,
         &mut OpStats,
     ) {
-        self.flush_updates();
         (
             &self.ring,
             &self.trailing,
@@ -1044,9 +953,10 @@ impl CoAllocScheduler {
             }
             self.timeline
                 .release_into(r.server, r.job, r.start, r.end, &mut delta);
-            self.apply_delta(&delta);
+            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
         }
         self.scratch.delta = delta;
+        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
         Ok(())
     }
 
@@ -1054,10 +964,7 @@ impl CoAllocScheduler {
     /// expensive).
     #[doc(hidden)]
     pub fn check_consistency(&self) {
-        assert!(
-            self.pending.is_empty(),
-            "flush_updates before checking consistency"
-        );
+        assert!(self.scratch.ring_ops.is_empty(), "ring updates left queued");
         self.timeline.check_invariants();
         self.ring.check_mirror(&self.timeline);
         self.trailing.check_invariants();
@@ -1237,57 +1144,6 @@ mod tests {
             s.submit(&Request::on_demand(Time::ZERO, Dur(0), 1)),
             Err(ScheduleError::InvalidRequest(_))
         ));
-    }
-
-    #[test]
-    fn deferred_updates_preserve_semantics() {
-        let eager_cfg = small_cfg();
-        let deferred_cfg = SchedulerConfig {
-            deferred_updates: true,
-            ..small_cfg()
-        };
-        let mut eager = CoAllocScheduler::new(3, eager_cfg);
-        let mut deferred = CoAllocScheduler::new(3, deferred_cfg);
-        let reqs = [
-            Request::on_demand(Time::ZERO, Dur(30), 2),
-            Request::advance(Time::ZERO, Time(40), Dur(20), 3),
-            Request::on_demand(Time::ZERO, Dur(50), 1),
-            Request::on_demand(Time::ZERO, Dur(10), 3),
-        ];
-        for r in &reqs {
-            let a = eager.submit(r);
-            let b = deferred.submit(r);
-            match (a, b) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.start, y.start);
-                    assert_eq!(x.servers.len(), y.servers.len());
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                other => panic!("eager/deferred divergence: {other:?}"),
-            }
-        }
-        // Commits queued after the last grant are still pending...
-        assert!(deferred.pending_updates() > 0);
-        // ...until a search or an explicit flush.
-        deferred.flush_updates();
-        assert_eq!(deferred.pending_updates(), 0);
-        deferred.check_consistency();
-        eager.check_consistency();
-    }
-
-    #[test]
-    fn deferred_flush_is_implicit_before_searches() {
-        let cfg = SchedulerConfig {
-            deferred_updates: true,
-            ..small_cfg()
-        };
-        let mut s = CoAllocScheduler::new(2, cfg);
-        s.submit(&Request::on_demand(Time::ZERO, Dur(50), 2)).unwrap();
-        assert!(s.pending_updates() > 0);
-        // The range search must see the committed reservation.
-        assert_eq!(s.range_search(Time(0), Time(40)).len(), 0);
-        assert_eq!(s.pending_updates(), 0);
-        s.check_consistency();
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::idle::{EndKey, IdlePeriod};
 use crate::ids::PeriodId;
-use crate::primary::MarkedNode;
+use crate::primary::{MarkedNode, PeriodOp};
 use crate::ring::StabMarks;
 use crate::timeline::PeriodDelta;
 
@@ -30,9 +30,14 @@ pub struct Scratch {
     /// Phase-1 output of a stabbing-path query: the per-tree marked
     /// segments along the segment-tree path (see [`StabMarks`]).
     pub stab: StabMarks,
-    /// Canonical segment-tree nodes of the period currently being inserted
-    /// or removed (at most `2 log2(Q) + 2` entries).
-    pub canon: Vec<u32>,
+    /// Finite-period updates queued for the ring's next batch (see
+    /// [`crate::ring::route_delta`] and
+    /// [`crate::ring::SlotRing::apply_queued`]).
+    pub ring_ops: Vec<PeriodOp>,
+    /// The batch being applied, one entry per (canonical tree, update):
+    /// `(tree, position in the batch, update)`, sorted so that each tree's
+    /// updates are contiguous and in batch order.
+    pub tree_ops: Vec<(u32, u32, PeriodOp)>,
     /// Phase-2 output: feasible period ids, retrieval order.
     pub ids: Vec<PeriodId>,
     /// Feasible periods resolved from [`Scratch::ids`], then reduced in
@@ -47,6 +52,8 @@ pub struct Scratch {
     pub ends: Vec<EndKey>,
     /// Merge buffer for combining two adjacent sorted runs of `ends`.
     pub ends_aux: Vec<EndKey>,
+    /// Right spine of the secondary treap being bulk-built.
+    pub spine: Vec<u32>,
     /// Reusable timeline delta (see [`crate::timeline::Timeline::reserve_into`]).
     pub delta: PeriodDelta,
 }

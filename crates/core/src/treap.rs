@@ -259,15 +259,18 @@ impl Treap {
 
     /// Build a treap from keys in **ascending order** in `O(k)` amortized,
     /// using the classic right-spine construction: each new (maximal) key
-    /// is attached after popping spine nodes with smaller priority.
+    /// is attached after popping spine nodes with smaller priority. `spine`
+    /// is caller-owned working storage (cleared here), so a warm caller
+    /// builds without allocating; a node's subtree is final the moment it
+    /// leaves the spine, which is when its size is set.
     pub fn from_sorted<K: TreapKey>(
         arena: &mut TreapArena<K>,
         sorted: &[K],
+        spine: &mut Vec<u32>,
         ops: &mut OpStats,
     ) -> Treap {
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "keys sorted+unique");
-        let mut spine: Vec<u32> = Vec::new();
-        let mut root = NIL;
+        spine.clear();
         for &key in sorted {
             ops.update_visits += 1;
             let node = arena.alloc(key);
@@ -275,6 +278,7 @@ impl Treap {
             let mut detached = NIL;
             while let Some(&top) = spine.last() {
                 if arena.nodes[top as usize].prio < prio {
+                    arena.pull(top);
                     detached = top;
                     spine.pop();
                     ops.update_visits += 1;
@@ -283,27 +287,18 @@ impl Treap {
                 }
             }
             arena.nodes[node as usize].left = detached;
-            match spine.last() {
-                Some(&parent) => arena.nodes[parent as usize].right = node,
-                None => root = node,
+            if let Some(&parent) = spine.last() {
+                arena.nodes[parent as usize].right = node;
             }
             spine.push(node);
         }
-        // Fix sizes bottom-up along the spine structure with one traversal.
-        fn pull_all<K: TreapKey>(arena: &mut TreapArena<K>, node: u32) -> u32 {
-            if node == NIL {
-                return 0;
-            }
-            let (l, r) = {
-                let n = &arena.nodes[node as usize];
-                (n.left, n.right)
-            };
-            let size = 1 + pull_all(arena, l) + pull_all(arena, r);
-            arena.nodes[node as usize].size = size;
-            size
+        // What is left is the right spine, root first: close it bottom-up.
+        for &node in spine.iter().rev() {
+            arena.pull(node);
         }
-        pull_all(arena, root);
-        Treap { root }
+        Treap {
+            root: spine.first().copied().unwrap_or(NIL),
+        }
     }
 
     /// Membership test (mainly for debug assertions and tests).
@@ -392,6 +387,12 @@ impl Treap {
     /// All keys in ascending order (test helper).
     pub fn keys_in_order<K: TreapKey>(&self, arena: &TreapArena<K>) -> Vec<K> {
         let mut out = Vec::with_capacity(self.len(arena));
+        self.append_keys(arena, &mut out);
+        out
+    }
+
+    /// Append all keys to `out` in ascending order.
+    pub fn append_keys<K: TreapKey>(&self, arena: &TreapArena<K>, out: &mut Vec<K>) {
         fn rec<K: TreapKey>(arena: &TreapArena<K>, node: u32, out: &mut Vec<K>) {
             if node == NIL {
                 return;
@@ -401,6 +402,23 @@ impl Treap {
             out.push(n.key);
             rec(arena, n.right, out);
         }
+        rec(arena, self.root, out);
+    }
+
+    /// All keys in pre-order, which together with the key order pins the
+    /// shape (test helper for structural-identity checks).
+    #[doc(hidden)]
+    pub fn keys_pre_order<K: TreapKey>(&self, arena: &TreapArena<K>) -> Vec<K> {
+        fn rec<K: TreapKey>(arena: &TreapArena<K>, node: u32, out: &mut Vec<K>) {
+            if node == NIL {
+                return;
+            }
+            let n = arena.nodes[node as usize];
+            out.push(n.key);
+            rec(arena, n.left, out);
+            rec(arena, n.right, out);
+        }
+        let mut out = Vec::with_capacity(self.len(arena));
         rec(arena, self.root, &mut out);
         out
     }
@@ -544,7 +562,7 @@ mod tests {
         sorted.sort();
         let mut arena_a = TreapArena::new(5);
         let mut ops = OpStats::new();
-        let bulk = Treap::from_sorted(&mut arena_a, &sorted, &mut ops);
+        let bulk = Treap::from_sorted(&mut arena_a, &sorted, &mut Vec::new(), &mut ops);
         bulk.check_invariants(&arena_a);
         let mut arena_b = TreapArena::new(5);
         let mut inc = Treap::new();
@@ -553,6 +571,7 @@ mod tests {
         }
         // Same priorities (hash-derived) → identical shape and contents.
         assert_eq!(bulk.keys_in_order(&arena_a), inc.keys_in_order(&arena_b));
+        assert_eq!(bulk.keys_pre_order(&arena_a), inc.keys_pre_order(&arena_b));
         assert_eq!(bulk.len(&arena_a), 500);
         // Bulk build is usable afterwards.
         let mut bulk = bulk;
@@ -564,9 +583,10 @@ mod tests {
     fn from_sorted_empty_and_single() {
         let mut arena: TreapArena<EndKey> = TreapArena::new(1);
         let mut ops = OpStats::new();
-        let t = Treap::from_sorted(&mut arena, &[], &mut ops);
+        let mut spine = vec![7, 7];
+        let t = Treap::from_sorted(&mut arena, &[], &mut spine, &mut ops);
         assert!(t.is_empty());
-        let t = Treap::from_sorted(&mut arena, &[ekey(5, 1)], &mut ops);
+        let t = Treap::from_sorted(&mut arena, &[ekey(5, 1)], &mut spine, &mut ops);
         assert_eq!(t.len(&arena), 1);
         t.check_invariants(&arena);
     }

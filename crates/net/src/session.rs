@@ -113,6 +113,16 @@ impl Session {
         }
     }
 
+    /// Force the plain scheduler's slot ring down its one-update-at-a-time
+    /// path (no-op before `init` and on the sharded back-end): the
+    /// reference session for differential tests of the batched write path.
+    #[doc(hidden)]
+    pub fn force_eager_ring_updates(&mut self) {
+        if let Some(Sched::Plain(s)) = &mut self.sched {
+            s.force_eager_ring_updates();
+        }
+    }
+
     /// Whether `line` is the session terminator. The caller owns the exit
     /// action (stop reading stdin / close the connection), so `exit` never
     /// reaches [`Session::exec`].

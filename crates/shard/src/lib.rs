@@ -160,9 +160,7 @@ struct JobInfo {
 /// The sharded parallel co-allocation scheduler.
 ///
 /// Drop-in equivalent of [`CoAllocScheduler`] for the submit/advance/release
-/// flow; see the crate docs for the equivalence guarantees. Index updates
-/// are always applied eagerly (the `deferred_updates` knob only shapes the
-/// single scheduler's latency profile, never its decisions).
+/// flow; see the crate docs for the equivalence guarantees.
 #[derive(Debug)]
 pub struct ShardedScheduler {
     cfg: SchedulerConfig,

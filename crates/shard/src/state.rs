@@ -12,12 +12,10 @@
 //! (see DESIGN.md §9).
 
 use coalloc_core::prelude::*;
-use coalloc_core::ring::SlotRing;
+use coalloc_core::ring::{route_delta, SlotRing};
+use coalloc_core::scheduler::PRUNE_EVERY_SLOTS;
 use coalloc_core::trailing::TrailingSet;
 use std::collections::HashMap;
-
-/// Slot advances between history prunes (mirrors the core scheduler).
-const PRUNE_EVERY_SLOTS: i64 = 32;
 
 /// The scheduler state owned by one shard worker.
 #[derive(Debug)]
@@ -179,7 +177,7 @@ impl ShardState {
                 .covering_idle(local, start, end)
                 .expect("coordinator commits only servers it found feasible");
             self.timeline.reserve_into(p.id, job, start, end, &mut delta);
-            self.apply_delta(&delta);
+            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
             self.jobs.entry(job).or_default().push(Reservation {
                 job,
                 server: local,
@@ -188,6 +186,7 @@ impl ShardState {
             });
         }
         self.scratch.delta = delta;
+        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
     }
 
     /// Release this shard's reservations of `job` (no-op if the shard holds
@@ -204,9 +203,10 @@ impl ShardState {
             }
             self.timeline
                 .release_into(r.server, r.job, r.start, r.end, &mut delta);
-            self.apply_delta(&delta);
+            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
         }
         self.scratch.delta = delta;
+        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
     }
 
     /// Advance the shard clock: rotate the slot ring and prune dead history
@@ -253,27 +253,5 @@ impl ShardState {
         let mut got: Vec<u64> = self.trailing.ids_in_order().iter().map(|p| p.0).collect();
         got.sort_unstable();
         assert_eq!(got, expect, "shard trailing set out of sync with timeline");
-    }
-
-    /// Mirror a timeline delta into the slot ring and trailing index. The
-    /// delta must not alias `self.scratch.delta` (callers `mem::take` it).
-    fn apply_delta(&mut self, delta: &PeriodDelta) {
-        for p in &delta.removed {
-            if p.end.is_inf() {
-                let removed = self.trailing.remove(p, &mut self.stats);
-                debug_assert!(removed, "shard trailing period {p:?} missing");
-            } else {
-                self.ring
-                    .remove_period_with(p, &mut self.scratch, &mut self.stats);
-            }
-        }
-        for p in &delta.added {
-            if p.end.is_inf() {
-                self.trailing.insert(p, &mut self.stats);
-            } else {
-                self.ring
-                    .insert_period_with(p, &mut self.scratch, &mut self.stats);
-            }
-        }
     }
 }
