@@ -36,9 +36,9 @@
 //!   stream with `jump_retries` off, and with `--guard R` the gate becomes
 //!   `online >= R × online-linear` (CI uses `1.3`).
 //! * `--pool-min-batch N` — override the sharded schedulers' pool
-//!   threshold (the `COALLOC_POOL_MIN_BATCH` env knob, as a flag): `0`
-//!   forces every batch through the worker pool, a huge value pins the
-//!   inline path. Applied to every sharded row, guard re-trials included.
+//!   threshold (`ShardedScheduler::set_pool_min_batch`): `0` forces every
+//!   batch through the worker pool, a huge value pins the inline path.
+//!   Applied to every sharded row, guard re-trials included.
 //! * `--profile wal` — measure the cost of command durability: one churn
 //!   stream of protocol text commands replayed through a [`Session`] three
 //!   ways — no WAL, WAL with group commit (the server's write path: append

@@ -15,7 +15,12 @@
 //! non-submit operation is a barrier that flushes the pending batch
 //! first), so the three-way differential continuously re-proves the
 //! batched-execution equivalence contract under randomized load, not just
-//! the per-request one.
+//! the per-request one. The batches are short (1 to 8 members), below the
+//! size at which the mirror would hand them to its worker pool by itself,
+//! so every even round forces the pool (`set_pool_min_batch(0)`): those
+//! rounds check the speculative path — repair against in-batch grants, the
+//! sequential fallback, the per-batch commit flush and clock advances on
+//! the workers — and the odd ones the inline path.
 //!
 //! A divergence (any failed equivalence assertion) prints
 //! `INVARIANT VIOLATED: ...` on stderr and exits non-zero instead of
@@ -81,7 +86,7 @@ fn main() {
     let mut total_ops: u64 = 0;
     while Instant::now() < deadline {
         rounds += 1;
-        let round = catch_unwind(AssertUnwindSafe(|| run_round(&mut rng, shards)));
+        let round = catch_unwind(AssertUnwindSafe(|| run_round(&mut rng, shards, rounds)));
         match round {
             Ok(ops) => total_ops += ops,
             Err(payload) => {
@@ -161,8 +166,9 @@ fn flush_mirror(
 }
 
 /// One randomized differential round; returns the tree op count. Panics (via
-/// the assertions) on any divergence — caught and reported by `main`.
-fn run_round(rng: &mut SmallRng, shards: u32) -> u64 {
+/// the assertions) on any divergence — caught and reported by `main`. Even
+/// rounds run the sharded mirror's batches on its worker pool.
+fn run_round(rng: &mut SmallRng, shards: u32, round: u64) -> u64 {
     let _span = obs::obs_span!("soak.round");
     {
         let n = rng.random_range(1..=12u32);
@@ -178,6 +184,11 @@ fn run_round(rng: &mut SmallRng, shards: u32) -> u64 {
         let mut tree = CoAllocScheduler::new(n, cfg);
         let mut naive = NaiveScheduler::new(n, cfg);
         let mut mirror = (shards > 1).then(|| ShardedScheduler::new(n, shards, cfg));
+        if round.is_multiple_of(2) {
+            if let Some(m) = mirror.as_mut() {
+                m.set_pool_min_batch(0);
+            }
+        }
         let mut jobs: Vec<(JobId, JobId, Option<JobId>)> = Vec::new();
         let mut batch = MirrorBatch {
             next_len: rng.random_range(1..=8),

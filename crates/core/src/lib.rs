@@ -50,6 +50,7 @@
 
 pub mod attrs;
 pub mod error;
+pub mod idhash;
 pub mod idle;
 pub mod ids;
 pub mod naive;

@@ -43,25 +43,36 @@ impl SelectionPolicy {
     }
 
     /// In-place variant of [`SelectionPolicy::select`] for the allocation-free
-    /// hot path. Every sort key is total (the period id breaks ties), so the
-    /// unstable in-place sort is deterministic.
+    /// hot path. Every key is total (the period id breaks ties), so the `n`
+    /// best are a well-defined set: they are partitioned to the front in
+    /// `O(len)` and only they are sorted — the same `n` periods in the same
+    /// order as sorting the whole set and truncating, without the
+    /// `O(len log len)` sort of a feasible set that is mostly discarded.
     pub fn select_in_place(&self, feasible: &mut Vec<IdlePeriod>, n: usize, end: Time) {
         match self {
             SelectionPolicy::PaperOrder => {
-                feasible.sort_unstable_by_key(|p| (std::cmp::Reverse(p.start), p.server, p.id));
+                top_n_by_key(feasible, n, |p| (std::cmp::Reverse(p.start), p.server, p.id));
             }
             SelectionPolicy::BestFit => {
-                feasible.sort_unstable_by_key(|p| (p.end - end, p.server, p.id));
+                top_n_by_key(feasible, n, |p| (p.end - end, p.server, p.id));
             }
             SelectionPolicy::WorstFit => {
-                feasible.sort_unstable_by_key(|p| (std::cmp::Reverse(p.end - end), p.server, p.id));
+                top_n_by_key(feasible, n, |p| (std::cmp::Reverse(p.end - end), p.server, p.id));
             }
             SelectionPolicy::ByServerId => {
-                feasible.sort_unstable_by_key(|p| (p.server, p.id));
+                top_n_by_key(feasible, n, |p| (p.server, p.id));
             }
         }
-        feasible.truncate(n);
     }
+}
+
+/// Keep the `n` smallest elements of `v` under the total key `key`, sorted.
+fn top_n_by_key<K: Ord>(v: &mut Vec<IdlePeriod>, n: usize, key: impl Fn(&IdlePeriod) -> K + Copy) {
+    if n < v.len() {
+        v.select_nth_unstable_by_key(n, key);
+        v.truncate(n);
+    }
+    v.sort_unstable_by_key(key);
 }
 
 #[cfg(test)]

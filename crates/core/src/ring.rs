@@ -40,6 +40,7 @@
 //! secondary trees once instead of per update — see
 //! [`SlotTree::apply_ops`] and DESIGN.md §12, "Batched write path".
 
+use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::PeriodId;
 use crate::primary::{defer_pays, MarkedNode, PeriodOp, SlotTree, TreeFingerprint};
@@ -49,7 +50,7 @@ use crate::time::{SlotConfig, SlotIdx, Time};
 use crate::timeline::{PeriodDelta, Timeline};
 use crate::trailing::TrailingSet;
 use obs::{LazyCounter, LazyHistogram};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Updates one canonical tree received from one batch.
 static BATCH_OPS: LazyHistogram = LazyHistogram::new("ring_batch_ops");
@@ -133,7 +134,7 @@ pub struct SlotRing {
     nodes: Vec<SlotTree>,
     /// Periods currently stored, keyed by id, with their insert-time slot
     /// range (`O(N)` — the one copy-independent record of each period).
-    cover: HashMap<u64, Coverage>,
+    cover: IdMap<u64, Coverage>,
     /// `num_slots` buckets; bucket `i` holds the ids whose last covered
     /// slot is `base + i`, so each advance drains exactly one bucket.
     expiry: VecDeque<Vec<u64>>,
@@ -157,7 +158,7 @@ impl SlotRing {
             base,
             span,
             nodes,
-            cover: HashMap::new(),
+            cover: IdMap::default(),
             expiry,
             eager_only: false,
         }

@@ -13,6 +13,7 @@
 
 use crate::attrs::AttrSet;
 use crate::error::ScheduleError;
+use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, ServerId};
 use crate::policy::SelectionPolicy;
@@ -25,7 +26,6 @@ use crate::time::{Dur, SlotConfig, Time};
 use crate::timeline::{PeriodDelta, Reservation, Timeline};
 use crate::trailing::TrailingSet;
 use obs::{obs_span, obs_span_detail, LazyCounter, LazyHistogram};
-use std::collections::HashMap;
 
 /// Slot advances between history prunes (amortizes the O(N) prune scan).
 /// Public because prune timing is observable through
@@ -220,7 +220,7 @@ pub struct CoAllocScheduler {
     ring: SlotRing,
     trailing: TrailingSet,
     attrs: Vec<AttrSet>,
-    jobs: HashMap<JobId, Vec<Reservation>>,
+    jobs: IdMap<JobId, Vec<Reservation>>,
     next_job: u64,
     /// Aggregate busy-count index driving the retry-jump fast reject;
     /// maintained from the same commit/release flow as the ring.
@@ -260,7 +260,7 @@ impl CoAllocScheduler {
             ring,
             trailing,
             attrs: vec![AttrSet::NONE; num_servers as usize],
-            jobs: HashMap::new(),
+            jobs: IdMap::default(),
             next_job: 0,
             profile: FreeProfile::new(slot_cfg, num_servers, origin),
             stats,

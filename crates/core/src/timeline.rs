@@ -7,10 +7,11 @@
 //! created and destroyed so the caller can mirror the change into the slot
 //! trees.
 
+use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, PeriodId, ServerId};
 use crate::time::Time;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A committed reservation of one server for `[start, end)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,7 +49,7 @@ struct ServerTimeline {
 #[derive(Clone, Debug)]
 pub struct Timeline {
     servers: Vec<ServerTimeline>,
-    periods: HashMap<PeriodId, IdlePeriod>,
+    periods: IdMap<PeriodId, IdlePeriod>,
     next_period: u64,
     /// Busy server-seconds already pruned from `busy` maps (for utilization
     /// accounting over long runs).
@@ -60,7 +61,7 @@ impl Timeline {
     pub fn new(num_servers: u32, origin: Time) -> Timeline {
         let mut tl = Timeline {
             servers: vec![ServerTimeline::default(); num_servers as usize],
-            periods: HashMap::new(),
+            periods: IdMap::default(),
             next_period: 0,
             pruned_busy_secs: 0,
         };
@@ -90,7 +91,7 @@ impl Timeline {
     ) -> Timeline {
         let mut tl = Timeline {
             servers: vec![ServerTimeline::default(); num_servers as usize],
-            periods: HashMap::new(),
+            periods: IdMap::default(),
             next_period,
             pruned_busy_secs: 0,
         };

@@ -17,13 +17,17 @@
 //!   Phase-1 count ladders for every batch member are probed speculatively
 //!   against the pre-batch snapshot in staged-doubling rounds (one mailbox
 //!   message per shard per round), Phase-2 feasible sets for every
-//!   speculative winner go out in one more message, and commit deltas are
-//!   pipelined to the owning shards asynchronously with a drain barrier at
-//!   batch end. A speculative decision is *validated* in submission order:
-//!   it is accepted only if its feasible set is disjoint from every server
-//!   committed earlier in the batch, and re-probed sequentially otherwise
-//!   (validate-and-repair), so decisions are bit-identical to sequential
-//!   submission. See DESIGN.md §9 for the full argument.
+//!   speculative winner go out in one more message, and the commits of all
+//!   accepted members reach each shard in one last message. A speculative
+//!   decision is *repaired* in submission order: within a batch capacity
+//!   only shrinks, so the live feasible set at the speculative winner's
+//!   window is the speculative set minus the periods that an earlier
+//!   member's grant overlaps, the rest trimmed to what those grants left
+//!   of them. If at least `n_r` periods survive, selection over the
+//!   survivors *is* the sequential decision; only otherwise is the member
+//!   re-probed sequentially against live state. Decisions are bit-identical
+//!   to sequential submission either way. See DESIGN.md §9 for the full
+//!   argument.
 //!
 //! **Decision equivalence.** Feasible counts are partition sums and every
 //! feasible set holds at most one period per server, so every policy's
@@ -51,25 +55,33 @@ pub mod state;
 
 mod pool;
 
-use crate::pool::{Cmd, ProbeJob, ProbeStage, Reply, MAX_BATCH};
+use crate::pool::{Cmd, CommitBuf, EnumBuf, ProbeJob, ProbeStage, Reply, MAX_BATCH};
 use crate::state::ShardState;
+use coalloc_core::idhash::IdMap;
 use coalloc_core::prelude::*;
 use coalloc_sim::runner::OnlineScheduler;
 use obs::{LazyCounter, LazyHistogram};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Default batch size at which `submit_batch` hands work to the worker
-/// pool instead of running inline. Only reached when the host has more
-/// than one CPU — on a single CPU the pool can only add context switches,
-/// so the bypass threshold defaults to "never". Overridable at
-/// construction with the `COALLOC_POOL_MIN_BATCH` environment variable,
-/// or per instance with [`ShardedScheduler::set_pool_min_batch`].
-const POOL_MIN_BATCH: usize = 16;
+/// Work in a batch — members × servers in the system — from which
+/// `submit_batch` hands it to the worker pool by default instead of running
+/// it inline: 16 members at 8,192 servers, 64 at 2,048. A pooled batch pays
+/// four cross-thread rendezvous whatever its size, while what the workers
+/// save grows with the feasible sets they enumerate and the commits they
+/// apply, so small systems are better off inline (break-even measured in
+/// EXPERIMENTS.md, "Repairing speculative batch decisions"). Only reached
+/// when the host has more than one CPU — on a single CPU the pool can only
+/// add context switches, so the bypass threshold defaults to "never".
+/// Overridable per instance with [`ShardedScheduler::set_pool_min_batch`].
+const POOL_MIN_WORK: u64 = 1 << 17;
 
-// Batched-execution metrics: how work reaches the shards (batch sizes) and
-// how often speculation fails and is re-probed sequentially.
+// Batched-execution metrics: how work reaches the shards (batch sizes), how
+// often a speculative decision had to be repaired against earlier in-batch
+// grants and how much of it that cost, and how often repair was not enough
+// and the member was re-probed sequentially.
 static BATCH_SIZE: LazyHistogram = LazyHistogram::new("shard_batch_size");
+static BATCH_REPAIRED: LazyCounter = LazyCounter::new("shard_batch_repaired_total");
+static BATCH_REPAIR_DROPPED: LazyHistogram = LazyHistogram::new("shard_batch_repair_dropped");
 static BATCH_REPROBES: LazyCounter = LazyCounter::new("shard_batch_repro_probes_total");
 
 /// How the coordinator talks to its shards.
@@ -77,8 +89,8 @@ static BATCH_REPROBES: LazyCounter = LazyCounter::new("shard_batch_repro_probes_
 struct Backend {
     /// The shard states. The coordinator locks them directly for all
     /// sequential work (the load-adaptive bypass); pool workers lock them
-    /// for batch stages. The two never contend: the coordinator only
-    /// touches a state inline when the pool has no outstanding work.
+    /// for batch stages. The two never contend: the coordinator collects
+    /// every reply of a stage before it touches a state inline.
     states: Vec<Arc<Mutex<ShardState>>>,
     /// Worker pool, spawned only for `K > 1`.
     pool: Option<Pool>,
@@ -89,8 +101,6 @@ struct Backend {
 struct Pool {
     cmd: Vec<crossbeam::channel::Sender<Cmd>>,
     reply: crossbeam::channel::Receiver<Reply>,
-    /// Per-shard count of asynchronous commits not yet acknowledged.
-    outstanding: Vec<u32>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -101,13 +111,106 @@ struct Pool {
 struct CoordScratch {
     /// Merged feasible set of the winning attempt.
     feasible: Vec<IdlePeriod>,
-    /// Per-shard staging buffer for inline enumeration.
-    enum_tmp: Vec<IdlePeriod>,
-    /// Chosen servers grouped by owning shard for commit dispatch.
-    per_shard: Vec<Vec<ServerId>>,
-    /// Servers committed earlier in the current batch (validate-and-repair
-    /// conflict set), indexed by global server id.
-    dirty: Vec<bool>,
+    /// Per shard: the commits queued for it, chosen servers grouped by
+    /// owner. Applied inline at once on the sequential path; on the pool
+    /// path they collect over a batch and travel to the worker and back.
+    commits: Vec<CommitBuf>,
+    /// Per shard: the enumerate-stage buffer (travels likewise).
+    enums: Vec<EnumBuf>,
+    /// The winners' windows of the enumerate stage.
+    windows: Vec<(Time, Time)>,
+    /// Every window granted earlier in the current batch, per server.
+    granted: BatchGrants,
+}
+
+/// The windows granted so far in the current pooled batch, per server —
+/// what a later member's speculative feasible set is repaired against.
+/// Fallback grants are logged too: a later member must see every in-batch
+/// commit, however it was decided.
+#[derive(Debug, Default)]
+struct BatchGrants {
+    /// Per global server id: index in `log` of its latest grant, or
+    /// [`BatchGrants::NONE`].
+    head: Vec<u32>,
+    /// One entry per (grant, server), chained per server through `prev`.
+    log: Vec<LoggedGrant>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct LoggedGrant {
+    server: u32,
+    start: Time,
+    end: Time,
+    /// The same server's previous entry in the log.
+    prev: u32,
+}
+
+/// What in-batch grants did to one speculative feasible period.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Repair {
+    /// No in-batch grant touches the period.
+    Intact,
+    /// Grants beside the window shortened the period; it still covers it.
+    Trimmed,
+    /// A grant overlaps the window: the server is no longer feasible.
+    Dropped,
+}
+
+impl BatchGrants {
+    const NONE: u32 = u32::MAX;
+
+    /// Forget the previous batch (touching only the servers it touched).
+    fn reset(&mut self, num_servers: u32) {
+        for g in self.log.drain(..) {
+            self.head[g.server as usize] = Self::NONE;
+        }
+        self.head.resize(num_servers as usize, Self::NONE);
+    }
+
+    fn push(&mut self, server: ServerId, start: Time, end: Time) {
+        let head = &mut self.head[server.0 as usize];
+        self.log.push(LoggedGrant {
+            server: server.0,
+            start,
+            end,
+            prev: *head,
+        });
+        *head = (self.log.len() - 1) as u32;
+    }
+
+    /// Bring `p` — an idle period of the pre-batch snapshot that covers
+    /// `[start, end)` — up to date with the grants logged on its server.
+    ///
+    /// Within a batch the clock stands still and members only commit, so
+    /// the server's live idle periods are the snapshot's minus the logged
+    /// windows. If one of those overlaps `[start, end)`, nothing on the
+    /// server covers the window any more. Otherwise every logged window
+    /// lies wholly left or wholly right of it, and the live period around
+    /// the window starts at the latest logged end on the left and ends at
+    /// the earliest logged start on the right (a trailing period becomes
+    /// finite). Windows logged outside `p` — in another idle period of the
+    /// same server — fall outside `[p.start, p.end)` and change nothing.
+    fn repair(&self, p: &mut IdlePeriod, start: Time, end: Time) -> Repair {
+        let mut outcome = Repair::Intact;
+        let mut at = self.head[p.server.0 as usize];
+        while at != Self::NONE {
+            let g = &self.log[at as usize];
+            if g.start < end && g.end > start {
+                return Repair::Dropped;
+            }
+            if g.end <= start {
+                if g.end > p.start {
+                    p.start = g.end;
+                    outcome = Repair::Trimmed;
+                }
+            } else if g.start < p.end {
+                p.end = g.start;
+                outcome = Repair::Trimmed;
+            }
+            at = g.prev;
+        }
+        outcome
+    }
 }
 
 /// Per-request bookkeeping for the speculative batch path.
@@ -185,7 +288,7 @@ pub struct ShardedScheduler {
     profile: FreeProfile,
     /// Per live job: shard mask plus reservation window, mirrored for
     /// history pruning and profile withdrawal on release.
-    job_shards: HashMap<JobId, JobInfo>,
+    job_shards: IdMap<JobId, JobInfo>,
     /// History boundary of the last amortized prune — mirrors every shard
     /// scheduler's, so `release` of a pruned job reports `UnknownJob`
     /// exactly when the single scheduler would.
@@ -193,6 +296,10 @@ pub struct ShardedScheduler {
     next_job: u64,
     /// Batch size below which `submit_batch` bypasses the pool.
     pool_min_batch: usize,
+    /// Whether the most recent batch ran on the pool. `advance_to` follows
+    /// it: while batches are pooled the shard states stay on their
+    /// workers' cores, and a scheduler that never pools never wakes one.
+    pooled: bool,
     scratch: CoordScratch,
 }
 
@@ -254,24 +361,17 @@ impl ShardedScheduler {
             Some(Pool {
                 cmd,
                 reply,
-                outstanding: vec![0; k as usize],
                 handles,
             })
         };
         // Load-adaptive default: the pool only pays off when batch stages
         // can actually run in parallel, so a single-CPU host keeps every
-        // batch on the inline path. `COALLOC_POOL_MIN_BATCH` overrides the
-        // adaptive choice (benchmarks use it to pin the execution mode).
-        let env_min_batch = std::env::var("COALLOC_POOL_MIN_BATCH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok());
-        let pool_min_batch = match env_min_batch {
-            Some(n) => n,
-            None if pool.is_none() => usize::MAX,
-            None => match std::thread::available_parallelism() {
-                Ok(p) if p.get() > 1 => POOL_MIN_BATCH,
-                _ => usize::MAX,
-            },
+        // batch on the inline path.
+        let pool_min_batch = match std::thread::available_parallelism() {
+            Ok(p) if p.get() > 1 && pool.is_some() => {
+                (POOL_MIN_WORK / u64::from(num_servers)).max(1) as usize
+            }
+            _ => usize::MAX,
         };
         ShardedScheduler {
             cfg,
@@ -285,12 +385,14 @@ impl ShardedScheduler {
             shard_stats: vec![OpStats::new(); k as usize],
             local: OpStats::new(),
             profile: FreeProfile::new(slot_cfg, num_servers, origin),
-            job_shards: HashMap::new(),
+            job_shards: IdMap::default(),
             last_prune: origin,
             next_job: 0,
             pool_min_batch,
+            pooled: false,
             scratch: CoordScratch {
-                per_shard: vec![Vec::new(); k as usize],
+                commits: (0..k).map(|_| CommitBuf::default()).collect(),
+                enums: (0..k).map(|_| EnumBuf::default()).collect(),
                 ..CoordScratch::default()
             },
         }
@@ -333,10 +435,11 @@ impl ShardedScheduler {
     }
 
     /// Override the batch size at which [`Self::submit_batch`] hands work
-    /// to the worker pool (default: adaptive — `16` on multi-CPU hosts
-    /// with `K > 1`, never otherwise). `0` forces every batch through the
-    /// pool; `usize::MAX` forces the inline path. Decisions are identical
-    /// either way; only the execution strategy changes.
+    /// to the worker pool (default: adaptive — `131072 / num_servers` on
+    /// multi-CPU hosts with `K > 1`, never otherwise). `0` forces every
+    /// batch through the pool; `usize::MAX` forces the inline path.
+    /// Decisions are identical either way; only the execution strategy
+    /// changes.
     pub fn set_pool_min_batch(&mut self, n: usize) {
         self.pool_min_batch = n;
     }
@@ -368,6 +471,8 @@ impl ShardedScheduler {
     /// Advance the clock. Shards only hear about it when the live slot
     /// window actually moves (ring rotation and prune cadence depend only on
     /// the slot index, so intra-slot advances are a coordinator-local no-op).
+    /// They advance where the last batch ran: on their workers, in
+    /// parallel, after a pooled batch; inline otherwise.
     pub fn advance_to(&mut self, now: Time) {
         if now <= self.now {
             return;
@@ -379,11 +484,23 @@ impl ShardedScheduler {
         }
         self.base_slot = target;
         self.profile.advance_to(now);
-        self.drain_pool();
-        for i in 0..self.backend.states.len() {
-            let mut st = self.backend.states[i].lock().expect("shard state lock");
-            st.advance_to(now);
-            self.shard_stats[i] = st.stats();
+        if self.pooled {
+            let pool = self.backend.pool.as_ref().expect("pooled implies a pool");
+            for tx in &pool.cmd {
+                tx.send(Cmd::Advance { now }).expect("shard worker alive");
+            }
+            for _ in 0..self.backend.states.len() {
+                match self.recv_reply() {
+                    Reply::Advanced { shard, stats } => self.shard_stats[shard as usize] = stats,
+                    other => panic!("unexpected shard reply {other:?}"),
+                }
+            }
+        } else {
+            for i in 0..self.backend.states.len() {
+                let mut st = self.backend.states[i].lock().expect("shard state lock");
+                st.advance_to(now);
+                self.shard_stats[i] = st.stats();
+            }
         }
         // Mirror the shard schedulers' amortized history prune in the
         // coordinator's job map: once they forget a job, `release` must
@@ -411,7 +528,6 @@ impl ShardedScheduler {
                 available: self.num_servers,
             });
         }
-        self.drain_pool();
         let earliest = req.earliest_start.max(self.now);
         let r_max = self.cfg.effective_r_max();
         let budget = r_max as u64 + 1;
@@ -454,7 +570,8 @@ impl ShardedScheduler {
     ) {
         out.clear();
         BATCH_SIZE.observe(reqs.len() as u64);
-        if self.backend.pool.is_none() || reqs.len() < self.pool_min_batch {
+        self.pooled = self.backend.pool.is_some() && reqs.len() >= self.pool_min_batch;
+        if !self.pooled {
             // Load-adaptive bypass: below the threshold the rendezvous
             // cost of the pool exceeds its parallelism, so run the exact
             // sequential algorithm inline.
@@ -482,7 +599,6 @@ impl ShardedScheduler {
                 available: self.num_servers,
             });
         }
-        self.drain_pool();
         let earliest = req.earliest_start.max(self.now);
         let latest_start = deadline - req.duration;
         if latest_start < earliest {
@@ -506,8 +622,8 @@ impl ShardedScheduler {
     /// / `attempts_jumped`) instead of probed. Decisions are identical to
     /// the exhaustive linear walk; see DESIGN.md §14.
     ///
-    /// Callers must have drained the pool first: this path locks shard
-    /// states directly.
+    /// Locks shard states directly: on the pool path, queued commits must
+    /// have been flushed first.
     fn run_search(
         &mut self,
         req: &Request,
@@ -587,7 +703,8 @@ impl ShardedScheduler {
             debug_assert_eq!(feasible.len(), n as usize, "count/enumerate mismatch");
             let job = JobId(self.next_job);
             self.next_job += 1;
-            let mask = self.sync_commit(job, start, end, &feasible);
+            let mask = self.queue_commit(job, start, end, &feasible);
+            self.apply_commits_inline();
             self.profile.add(start, end, n);
             self.job_shards.insert(
                 job,
@@ -706,9 +823,6 @@ impl ShardedScheduler {
         reqs: &[Request],
         out: &mut Vec<Result<Grant, ScheduleError>>,
     ) {
-        // Any commit still in flight belongs to an earlier batch and must
-        // land before this batch's pre-batch snapshot is probed.
-        self.drain_pool();
         let k = self.backend.states.len();
         let step = self.cfg.delta_t;
         let horizon_end = self.horizon_end();
@@ -868,55 +982,55 @@ impl ShardedScheduler {
         }
 
         // Stage 2 — Phase-2 feasible sets for every speculative winner,
-        // one message per shard.
-        let mut windows: Vec<(Time, Time)> = Vec::new();
+        // one message per shard; each shard fills its own flat buffer.
+        self.scratch.windows.clear();
         let mut enum_idx: Vec<usize> = Vec::new();
         for (i, slot) in slots.iter_mut().enumerate() {
             if let Some((_, start)) = slot.winner {
-                slot.enum_k = windows.len();
-                windows.push((start, start + reqs[i].duration));
+                slot.enum_k = enum_idx.len();
+                self.scratch.windows.push((start, start + reqs[i].duration));
                 enum_idx.push(i);
             }
         }
-        let mut feasible_sets: Vec<Vec<IdlePeriod>> = vec![Vec::new(); windows.len()];
-        if !windows.is_empty() {
-            let windows = Arc::new(windows);
+        if !enum_idx.is_empty() {
             {
                 let pool = self.backend.pool.as_ref().expect("pool path");
-                for tx in &pool.cmd {
-                    tx.send(Cmd::Enumerate {
-                        windows: Arc::clone(&windows),
-                    })
-                    .expect("shard worker alive");
+                for (tx, buf) in pool.cmd.iter().zip(&mut self.scratch.enums) {
+                    let mut buf = std::mem::take(buf);
+                    buf.windows.clone_from(&self.scratch.windows);
+                    tx.send(Cmd::Enumerate { buf }).expect("shard worker alive");
                 }
             }
-            let mut got = 0;
-            while got < k {
+            for _ in 0..k {
                 match self.recv_reply() {
-                    Reply::Enumerated { sets, deltas } => {
-                        for (j, set) in sets.into_iter().enumerate() {
-                            feasible_sets[j].extend(set);
-                        }
-                        for (j, d) in deltas.iter().enumerate() {
+                    Reply::Enumerated { shard, buf } => {
+                        for (j, d) in buf.deltas.iter().enumerate() {
                             slots[enum_idx[j]].delta.accumulate(d);
                         }
-                        got += 1;
+                        self.scratch.enums[shard as usize] = buf;
                     }
                     other => panic!("unexpected shard reply {other:?}"),
                 }
             }
         }
 
-        // Stage 3 — validate and commit in submission order. A speculative
-        // decision survives iff its feasible set avoids every server
-        // committed earlier in the batch: in-batch commits only ever
-        // *remove* capacity, so (a) speculative rejects are always exact,
-        // and (b) an accepted winner's feasible set — and therefore its
-        // attempt count, start, and server selection — is exactly what a
-        // sequential probe would have seen. Anything else is re-probed
-        // sequentially against live state (validate-and-repair).
-        self.scratch.dirty.clear();
-        self.scratch.dirty.resize(self.num_servers as usize, false);
+        // Stage 3 — repair and commit in submission order. In-batch
+        // commits only ever *remove* capacity, so (a) speculative rejects
+        // are always exact, (b) every start before a speculative winner
+        // still fails live, and (c) at the winner's window the live
+        // feasible set is the speculative one repaired against the grants
+        // logged so far (`BatchGrants::repair`). With `n_r` survivors the
+        // live search would stop at the same start and select from exactly
+        // these periods — their ids are the snapshot's, but every policy
+        // key is decided by `server` before it reaches the id, and commits
+        // address periods by server and window. With fewer, the live
+        // winner lies further along the ladder and the member is re-probed
+        // sequentially.
+        let enums = std::mem::take(&mut self.scratch.enums);
+        let mut granted = std::mem::take(&mut self.scratch.granted);
+        let mut feasible = std::mem::take(&mut self.scratch.feasible);
+        granted.reset(self.num_servers);
+        let (mut repaired, mut reprobed) = (0u64, 0u64);
         out.reserve(reqs.len());
         for (i, req) in reqs.iter().enumerate() {
             let slot = &mut slots[i];
@@ -961,28 +1075,49 @@ impl ShardedScheduler {
                 continue;
             }
             let (kw, start) = slot.winner.expect("resolved slot");
-            let set = &mut feasible_sets[slot.enum_k];
-            if set.iter().any(|p| self.scratch.dirty[p.server.0 as usize]) {
-                // Speculation raced an earlier in-batch commit: discard it
-                // and re-run the full sequential search against live state.
-                BATCH_REPROBES.inc();
-                self.drain_pool();
-                let earliest = slot.earliest;
-                let res = self.run_search(req, earliest, budget);
+            let end = start + req.duration;
+            let n = req.servers as usize;
+            feasible.clear();
+            let (mut dropped, mut trimmed) = (0u64, false);
+            for shard in &enums {
+                for p in shard.set(slot.enum_k) {
+                    let mut p = *p;
+                    match granted.repair(&mut p, start, end) {
+                        Repair::Intact => feasible.push(p),
+                        Repair::Trimmed => {
+                            trimmed = true;
+                            feasible.push(p);
+                        }
+                        Repair::Dropped => dropped += 1,
+                    }
+                }
+            }
+            if feasible.len() < n {
+                // Earlier grants took the window: land the queued commits
+                // (per-shard order is submission order) and re-run the
+                // full sequential search against live state.
+                reprobed += 1;
+                self.flush_commits();
+                self.scratch.feasible = feasible;
+                let res = self.run_search(req, slot.earliest, budget);
+                feasible = std::mem::take(&mut self.scratch.feasible);
                 if let Ok(g) = &res {
-                    for s in &g.servers {
-                        self.scratch.dirty[s.0 as usize] = true;
+                    for &s in &g.servers {
+                        granted.push(s, g.start, g.end);
                     }
                 }
                 out.push(res);
                 continue;
             }
-            // Accepted: the winner's feasible set is untouched by earlier
-            // in-batch commits, so the live search would find the same
-            // winner. Replay the live gathering for the accounting (see
-            // the rejected arm), then charge the speculative work and
-            // commit asynchronously to the owning shards. The replay must
-            // precede this member's own profile update.
+            if dropped > 0 || trimmed {
+                repaired += 1;
+                BATCH_REPAIR_DROPPED.observe(dropped);
+            }
+            // Accepted: the live search would find the same winner. Replay
+            // the live gathering for the accounting (see the rejected
+            // arm), then charge the speculative work and queue the commit
+            // for the owning shards. The replay must precede this member's
+            // own profile update.
             let (attempts_live, windows_live) = self.simulate_ladder(
                 req.duration,
                 req.servers,
@@ -1000,13 +1135,10 @@ impl ShardedScheduler {
                 self.local.attempts_jumped += skipped;
                 coalloc_core::scheduler::record_attempts_jumped(skipped);
             }
-            let end = start + req.duration;
-            let n = req.servers as usize;
-            self.cfg.policy.select_in_place(set, n, end);
-            debug_assert_eq!(set.len(), n, "count/enumerate mismatch");
+            self.cfg.policy.select_in_place(&mut feasible, n, end);
             let job = JobId(self.next_job);
             self.next_job += 1;
-            let mask = self.async_commit(job, start, end, set);
+            let mask = self.queue_commit(job, start, end, &feasible);
             self.profile.add(start, end, req.servers);
             self.job_shards.insert(
                 job,
@@ -1017,22 +1149,29 @@ impl ShardedScheduler {
                     servers: req.servers,
                 },
             );
-            for p in set.iter() {
-                self.scratch.dirty[p.server.0 as usize] = true;
+            for p in &feasible {
+                granted.push(p.server, start, end);
             }
             out.push(Ok(Grant {
                 job,
                 start,
                 end,
-                servers: set.iter().map(|p| p.server).collect(),
+                servers: feasible.iter().map(|p| p.server).collect(),
                 attempts: (kw + 1) as u32,
                 waiting: start.saturating_since(slot.earliest),
             }));
         }
-
-        // Batch-end drain barrier: every pipelined commit has landed before
-        // control returns to the caller.
-        self.drain_pool();
+        self.scratch.enums = enums;
+        self.scratch.granted = granted;
+        self.scratch.feasible = feasible;
+        // Every accepted member's commit lands before control returns.
+        self.flush_commits();
+        if repaired > 0 {
+            BATCH_REPAIRED.add(repaired);
+        }
+        if reprobed > 0 {
+            BATCH_REPROBES.add(reprobed);
+        }
     }
 
     /// Cancel a committed job on every shard holding part of it.
@@ -1045,7 +1184,6 @@ impl ShardedScheduler {
         // already partly (or fully) rotated out withdraw exactly what the
         // commit's surviving contribution was.
         self.profile.remove(info.start, info.end, info.servers);
-        self.drain_pool();
         for i in 0..self.backend.states.len() {
             if info.mask & (1 << i) != 0 {
                 let mut st = self.backend.states[i].lock().expect("shard state lock");
@@ -1064,7 +1202,6 @@ impl ShardedScheduler {
         if span <= 0 {
             return 0.0;
         }
-        self.drain_pool();
         let mut busy = 0i64;
         for st in &self.backend.states {
             busy += st.lock().expect("shard state lock").busy_secs_before(until);
@@ -1077,7 +1214,6 @@ impl ShardedScheduler {
     /// reservations (test helper; expensive).
     #[doc(hidden)]
     pub fn check_consistency(&mut self) {
-        self.drain_pool();
         let mut reservations: Vec<(Time, Time)> = Vec::new();
         for st in &self.backend.states {
             let st = st.lock().expect("shard state lock");
@@ -1100,37 +1236,12 @@ impl ShardedScheduler {
         }
     }
 
-    /// Harvest pool acknowledgements until no asynchronous commit is
-    /// outstanding. No-op without a pool or when everything has landed.
-    fn drain_pool(&mut self) {
-        let Some(pool) = &mut self.backend.pool else {
-            return;
-        };
-        while pool.outstanding.iter().any(|&c| c > 0) {
-            match pool.reply.recv().expect("shard worker alive") {
-                Reply::Committed { shard, stats } => {
-                    pool.outstanding[shard as usize] -= 1;
-                    self.shard_stats[shard as usize] = stats;
-                }
-                Reply::Died { shard } => panic!("shard worker {shard} died"),
-                other => panic!("unexpected shard reply {other:?}"),
-            }
-        }
-    }
-
-    /// Receive one pool reply, transparently retiring any interleaved
-    /// commit acknowledgements.
-    fn recv_reply(&mut self) -> Reply {
-        let pool = self.backend.pool.as_mut().expect("pool path");
-        loop {
-            match pool.reply.recv().expect("shard worker alive") {
-                Reply::Committed { shard, stats } => {
-                    pool.outstanding[shard as usize] -= 1;
-                    self.shard_stats[shard as usize] = stats;
-                }
-                Reply::Died { shard } => panic!("shard worker {shard} died"),
-                other => return other,
-            }
+    /// Receive one pool reply; a dead worker is fatal.
+    fn recv_reply(&self) -> Reply {
+        let pool = self.backend.pool.as_ref().expect("pool path");
+        match pool.reply.recv().expect("shard worker alive") {
+            Reply::Died { shard } => panic!("shard worker {shard} died"),
+            other => other,
         }
     }
 
@@ -1154,69 +1265,62 @@ impl ShardedScheduler {
     /// `out` (cleared first).
     fn sync_enumerate_into(&mut self, start: Time, end: Time, out: &mut Vec<IdlePeriod>) {
         out.clear();
-        let mut tmp = std::mem::take(&mut self.scratch.enum_tmp);
         for i in 0..self.backend.states.len() {
             let mut st = self.backend.states[i].lock().expect("shard state lock");
-            st.enumerate(start, end, &mut tmp);
+            st.enumerate(start, end, out);
             self.shard_stats[i] = st.stats();
-            out.extend_from_slice(&tmp);
         }
-        self.scratch.enum_tmp = tmp;
     }
 
-    /// Inline commit to the shards owning the chosen servers; returns the
-    /// shard bitmask for the job.
-    fn sync_commit(&mut self, job: JobId, start: Time, end: Time, chosen: &[IdlePeriod]) -> u64 {
-        let mut per_shard = std::mem::take(&mut self.scratch.per_shard);
-        let mask = self.group_by_shard(chosen, &mut per_shard);
-        for (i, servers) in per_shard.iter().enumerate() {
-            if !servers.is_empty() {
-                let mut st = self.backend.states[i].lock().expect("shard state lock");
-                st.commit(job, start, end, servers);
-                self.shard_stats[i] = st.stats();
-            }
-        }
-        self.scratch.per_shard = per_shard;
-        mask
-    }
-
-    /// Pipelined commit: dispatch the per-shard deltas to the pool and
-    /// return immediately; the acknowledgements are harvested by the next
-    /// drain point (batch end, or any inline operation).
-    fn async_commit(&mut self, job: JobId, start: Time, end: Time, chosen: &[IdlePeriod]) -> u64 {
-        let mut per_shard = std::mem::take(&mut self.scratch.per_shard);
-        let mask = self.group_by_shard(chosen, &mut per_shard);
-        let pool = self.backend.pool.as_mut().expect("pool path");
-        for (i, servers) in per_shard.iter().enumerate() {
-            if !servers.is_empty() {
-                pool.cmd[i]
-                    .send(Cmd::Commit {
-                        job,
-                        start,
-                        end,
-                        servers: servers.clone(),
-                    })
-                    .expect("shard worker alive");
-                pool.outstanding[i] += 1;
-            }
-        }
-        self.scratch.per_shard = per_shard;
-        mask
-    }
-
-    /// Group chosen periods' servers by owning shard into `per_shard`
-    /// (cleared first); returns the shard bitmask.
-    fn group_by_shard(&self, chosen: &[IdlePeriod], per_shard: &mut [Vec<ServerId>]) -> u64 {
-        for v in per_shard.iter_mut() {
-            v.clear();
-        }
+    /// Queue a job's commit with the shards owning the chosen servers;
+    /// returns the shard bitmask for the job. Shards apply their queue in
+    /// order, so queueing in submission order keeps every shard's
+    /// period-id minting identical to sequential submission.
+    fn queue_commit(&mut self, job: JobId, start: Time, end: Time, chosen: &[IdlePeriod]) -> u64 {
         let mut mask = 0u64;
         for p in chosen {
             let s = self.shard_of(p.server);
-            per_shard[s].push(p.server);
-            mask |= 1 << s;
+            if mask & (1 << s) == 0 {
+                mask |= 1 << s;
+                self.scratch.commits[s].begin(job, start, end);
+            }
+            self.scratch.commits[s].add_server(p.server);
         }
         mask
+    }
+
+    /// Apply the queued commits here and now, locking each shard in turn.
+    fn apply_commits_inline(&mut self) {
+        for (i, buf) in self.scratch.commits.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                let mut st = self.backend.states[i].lock().expect("shard state lock");
+                buf.apply_to(&mut st);
+                self.shard_stats[i] = st.stats();
+            }
+        }
+    }
+
+    /// Hand every shard its queued commits in one message and wait until
+    /// all of them have been applied.
+    fn flush_commits(&mut self) {
+        let pool = self.backend.pool.as_ref().expect("pool path");
+        let mut sent = 0;
+        for (tx, buf) in pool.cmd.iter().zip(&mut self.scratch.commits) {
+            if !buf.is_empty() {
+                let buf = std::mem::take(buf);
+                tx.send(Cmd::Commit { buf }).expect("shard worker alive");
+                sent += 1;
+            }
+        }
+        for _ in 0..sent {
+            match self.recv_reply() {
+                Reply::Committed { shard, stats, buf } => {
+                    self.shard_stats[shard as usize] = stats;
+                    self.scratch.commits[shard as usize] = buf;
+                }
+                other => panic!("unexpected shard reply {other:?}"),
+            }
+        }
     }
 }
 
@@ -1252,6 +1356,9 @@ impl OnlineScheduler for ShardedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clock span after which the shards prune their history (tau = 10).
+    const PRUNE_SLOTS_SPAN: i64 = coalloc_core::scheduler::PRUNE_EVERY_SLOTS * 10;
 
     fn small_cfg() -> SchedulerConfig {
         SchedulerConfig::builder()
@@ -1356,13 +1463,127 @@ mod tests {
         }
     }
 
+    fn idle(server: u32, start: i64, end: Time) -> IdlePeriod {
+        IdlePeriod {
+            id: PeriodId(u64::from(server)),
+            server: ServerId(server),
+            start: Time(start),
+            end,
+        }
+    }
+
+    /// The repair rule, case by case, for a member whose window is
+    /// `[40, 60)` and whose speculative set holds `[10, 90)` on server 0
+    /// and the trailing `[10, inf)` on server 1.
+    #[test]
+    fn repair_rule_on_hand_built_cases() {
+        let (s, e) = (Time(40), Time(60));
+        let finite = idle(0, 10, Time(90));
+        let trailing = idle(1, 10, Time::INF);
+        let repaired = |grants: &[(u32, i64, i64)], mut p: IdlePeriod| {
+            let mut g = BatchGrants::default();
+            g.reset(3);
+            for &(srv, a, b) in grants {
+                g.push(ServerId(srv), Time(a), Time(b));
+            }
+            let outcome = g.repair(&mut p, s, e);
+            (outcome, p.start, p.end)
+        };
+        // Nothing granted on the server; grants on other servers only.
+        assert_eq!(repaired(&[], finite), (Repair::Intact, Time(10), Time(90)));
+        assert_eq!(
+            repaired(&[(2, 40, 60), (1, 0, 100)], finite),
+            (Repair::Intact, Time(10), Time(90))
+        );
+        // Left of the window, inside the period: the start moves up — also
+        // when the grant ends exactly where the window starts.
+        assert_eq!(repaired(&[(0, 20, 30)], finite), (Repair::Trimmed, Time(30), Time(90)));
+        assert_eq!(repaired(&[(0, 10, 40)], finite), (Repair::Trimmed, Time(40), Time(90)));
+        // Right of it: the end moves down; a trailing period becomes finite.
+        assert_eq!(repaired(&[(0, 60, 70)], finite), (Repair::Trimmed, Time(10), Time(60)));
+        assert_eq!(repaired(&[(1, 75, 500)], trailing), (Repair::Trimmed, Time(10), Time(75)));
+        // Overlapping the window by any amount: the server is gone.
+        for grant in [(0, 30, 41), (0, 59, 70), (0, 45, 50), (0, 40, 60), (0, 10, 90)] {
+            assert_eq!(repaired(&[grant], finite).0, Repair::Dropped, "{grant:?}");
+        }
+        // On the same server but in another idle period (before 10, or
+        // from 90 on): the period is not the one that was carved.
+        assert_eq!(
+            repaired(&[(0, 0, 10), (0, 90, 120), (0, 200, 300)], finite),
+            (Repair::Intact, Time(10), Time(90))
+        );
+        // Several grants on one server: the nearest on each side decide,
+        // in whatever order they were logged; one overlap drops the lot.
+        let several = [(0, 12, 20), (0, 70, 80), (0, 25, 35), (0, 62, 66), (0, 0, 5)];
+        assert_eq!(repaired(&several, finite), (Repair::Trimmed, Time(35), Time(62)));
+        let mut reversed = several;
+        reversed.reverse();
+        assert_eq!(repaired(&reversed, finite), (Repair::Trimmed, Time(35), Time(62)));
+        let mut with_overlap = several.to_vec();
+        with_overlap.push((0, 55, 58));
+        assert_eq!(repaired(&with_overlap, finite).0, Repair::Dropped);
+    }
+
+    /// `reset` forgets exactly the previous batch.
+    #[test]
+    fn batch_grants_reset_clears_only_what_was_touched() {
+        let mut g = BatchGrants::default();
+        g.reset(4);
+        g.push(ServerId(2), Time(0), Time(50));
+        let mut p = idle(2, 0, Time::INF);
+        assert_eq!(g.repair(&mut p, Time(10), Time(20)), Repair::Dropped);
+        g.reset(4);
+        assert!(g.log.is_empty() && g.head.iter().all(|&h| h == BatchGrants::NONE));
+        assert_eq!(g.repair(&mut p, Time(10), Time(20)), Repair::Intact);
+    }
+
+    /// Pooled and inline `advance_to` must leave the shards in the same
+    /// state. One-member batches keep even the snapshot-visit counters
+    /// equal (the pre-batch snapshot *is* the live state), so the whole
+    /// `stats()` can be compared. Advance reservations leave finite idle
+    /// gaps in front of them; the clock then crosses slots in strides that
+    /// evict those gaps, and runs long enough to reach the history prune.
+    #[test]
+    fn pooled_and_inline_advance_leave_identical_state() {
+        let mut pooled = ShardedScheduler::new(6, 3, small_cfg());
+        pooled.set_pool_min_batch(0);
+        let mut inline = ShardedScheduler::new(6, 3, small_cfg());
+        inline.set_pool_min_batch(usize::MAX);
+        // The coordinator first hears a shard's counters (the seeding of
+        // its trailing index included) when something touches that shard;
+        // an inline advance touches them all, on both sides.
+        let mut now = 10i64;
+        pooled.advance_to(Time(now));
+        inline.advance_to(Time(now));
+        for round in 0..60i64 {
+            let req = Request::advance(
+                Time(now),
+                Time(now + 15 + (round % 4) * 10),
+                Dur(10 + (round % 3) * 15),
+                1 + (round % 5) as u32,
+            );
+            let a = pooled.submit_batch(std::slice::from_ref(&req));
+            let b = inline.submit_batch(std::slice::from_ref(&req));
+            assert_eq!(a, b, "round {round}");
+            assert!(pooled.pooled && !inline.pooled);
+            now += 7 + (round % 3) * 11;
+            pooled.advance_to(Time(now));
+            inline.advance_to(Time(now));
+            assert_eq!(pooled.stats(), inline.stats(), "round {round}");
+            pooled.check_consistency();
+            inline.check_consistency();
+        }
+        assert!(now > PRUNE_SLOTS_SPAN, "the run must reach a history prune");
+        assert!(pooled.stats().periods_removed > 0);
+    }
+
     /// The pool path must agree with the inline path decision-for-decision,
-    /// including the validate-and-repair case where batch members contend
-    /// for the same servers.
+    /// including members that earlier grants leave too few servers for
+    /// (the fallback to a sequential search).
     #[test]
     fn pool_path_matches_inline_path_under_contention() {
         // 2 servers, members asking for both: every later member's
-        // feasible set intersects the earlier commits, forcing repairs.
+        // feasible set is emptied by the earlier commits.
         let reqs: Vec<Request> = (0..8)
             .map(|i| Request::on_demand(Time::ZERO, Dur(10 + (i % 3) * 10), 1 + (i as u32) % 2))
             .collect();

@@ -1,26 +1,33 @@
 //! The persistent worker pool: one thread per shard, fed over channels.
 //!
-//! Since the batched-execution redesign the pool is a *batch-stage engine*,
-//! not a per-request RPC endpoint: shard states live in `Arc<Mutex<_>>`
-//! shared with the coordinator, which locks them directly for all
-//! sequential work (per-request submits, releases, clock advances — the
-//! load-adaptive bypass). Workers are woken only for the three batch
-//! stages, each covering a whole batch in a single mailbox message:
+//! The pool is a *batch-stage engine*, not a per-request RPC endpoint:
+//! shard states live in `Arc<Mutex<_>>` shared with the coordinator, which
+//! locks them directly for all sequential work (per-request submits,
+//! releases, fallback searches — the load-adaptive bypass). Workers are
+//! woken only for whole-batch stages, each a single mailbox message per
+//! shard:
 //!
 //! * [`Cmd::Probe`] — the Phase-1 count ladders of every unresolved batch
 //!   member for one staged-doubling round;
 //! * [`Cmd::Enumerate`] — the Phase-2 feasible sets of every speculative
-//!   winner;
-//! * [`Cmd::Commit`] — one accepted member's reservation delta, applied
-//!   asynchronously while the coordinator moves on (acknowledged with
-//!   [`Reply::Committed`], harvested at the batch-end drain barrier).
+//!   winner, written into one flat buffer;
+//! * [`Cmd::Commit`] — the reservations of **every** member accepted since
+//!   the last flush that touch this shard, applied in submission order (a
+//!   shard mints its period ids in the order it applies commits, so that
+//!   order is part of the decision state);
+//! * [`Cmd::Advance`] — a slot-window advance, so a scheduler that is
+//!   running pooled batches keeps each shard's state on its worker's core.
 //!
-//! Commands to a single shard are FIFO (channel order), so a drain of the
-//! acknowledgements is enough to know a shard has applied every delta sent
-//! to it. Probe and enumerate stages charge their tree-op work into
-//! *per-request deltas* (not the shard's cumulative stats): the coordinator
-//! charges only the deltas of requests whose speculation is accepted, which
-//! keeps the aggregate accounting identical to sequential submission.
+//! Every command is answered by exactly one reply, and the coordinator
+//! collects a stage's replies before it does anything else with the shard
+//! states, so workers and coordinator never contend for a state lock. The
+//! enumerate and commit buffers belong to the coordinator's scratch: they
+//! travel to the worker inside the command and come back inside the reply,
+//! keeping their capacity. Probe and enumerate stages charge their tree-op
+//! work into *per-request deltas* (not the shard's cumulative stats): the
+//! coordinator charges only the deltas of requests whose speculation is
+//! accepted, which keeps the aggregate accounting identical to sequential
+//! submission.
 
 use crate::state::ShardState;
 use coalloc_core::prelude::*;
@@ -52,26 +59,85 @@ pub(crate) struct ProbeStage {
     pub jobs: Vec<ProbeJob>,
 }
 
+/// One shard's half of an enumerate stage. The coordinator fills
+/// `windows`; the worker fills the rest.
+#[derive(Debug, Default)]
+pub(crate) struct EnumBuf {
+    /// The `[start, end)` window of every speculative winner.
+    pub windows: Vec<(Time, Time)>,
+    /// The shard's feasible sets (global server ids), window after window.
+    pub periods: Vec<IdlePeriod>,
+    /// `ends[j]` is where window `j`'s set ends in `periods`.
+    pub ends: Vec<usize>,
+    /// Per-window stat deltas.
+    pub deltas: Vec<OpStats>,
+}
+
+impl EnumBuf {
+    /// This shard's feasible set for window `j`.
+    pub fn set(&self, j: usize) -> &[IdlePeriod] {
+        let from = if j == 0 { 0 } else { self.ends[j - 1] };
+        &self.periods[from..self.ends[j]]
+    }
+}
+
+/// The commits one shard owes to the members accepted since the last
+/// flush, in submission order.
+#[derive(Debug, Default)]
+pub(crate) struct CommitBuf {
+    /// `(job, start, end, number of servers)` per member.
+    pub jobs: Vec<(JobId, Time, Time, u32)>,
+    /// The members' (shard-owned) servers, concatenated.
+    pub servers: Vec<ServerId>,
+}
+
+impl CommitBuf {
+    /// Start a new member; its servers follow through [`Self::add_server`].
+    pub fn begin(&mut self, job: JobId, start: Time, end: Time) {
+        self.jobs.push((job, start, end, 0));
+    }
+
+    /// Add a server to the member opened by the last [`Self::begin`].
+    pub fn add_server(&mut self, server: ServerId) {
+        self.servers.push(server);
+        self.jobs.last_mut().expect("begin precedes add_server").3 += 1;
+    }
+
+    /// Whether no member is queued.
+    pub fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// Apply the queued reservations to their shard, in order, and empty
+    /// the queue.
+    pub fn apply_to(&mut self, st: &mut ShardState) {
+        let mut from = 0usize;
+        for &(job, start, end, n) in &self.jobs {
+            let to = from + n as usize;
+            st.commit(job, start, end, &self.servers[from..to]);
+            from = to;
+        }
+        self.jobs.clear();
+        self.servers.clear();
+    }
+}
+
 /// A command from the coordinator to one shard worker.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum Cmd {
     /// Run one probe round: per-window feasible counts for every job in
     /// the stage, plus a per-job [`OpStats`] delta.
     Probe { stage: Arc<ProbeStage> },
-    /// Enumerate the full feasible set for each `[start, end)` window.
-    Enumerate { windows: Arc<Vec<(Time, Time)>> },
-    /// Reserve `[start, end)` for `job` on these (shard-owned) servers.
-    /// Applied asynchronously; acknowledged with [`Reply::Committed`].
-    Commit {
-        job: JobId,
-        start: Time,
-        end: Time,
-        servers: Vec<ServerId>,
-    },
+    /// Enumerate the full feasible set of each window in `buf.windows`.
+    Enumerate { buf: EnumBuf },
+    /// Apply every queued reservation, in order.
+    Commit { buf: CommitBuf },
+    /// Advance the shard clock (ring rotation and history prune).
+    Advance { now: Time },
 }
 
 /// A reply from a shard worker.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum Reply {
     /// Per-window counts (concatenated in stage-job order) and per-job
     /// stat deltas for one probe round. Carries no shard id: counts are
@@ -80,15 +146,18 @@ pub(crate) enum Reply {
         counts: Vec<u32>,
         deltas: Vec<OpStats>,
     },
-    /// Per-window feasible sets (global server ids) and per-window stat
-    /// deltas.
-    Enumerated {
-        sets: Vec<Vec<IdlePeriod>>,
-        deltas: Vec<OpStats>,
+    /// The filled enumerate buffer of `shard`.
+    Enumerated { shard: u32, buf: EnumBuf },
+    /// The queued commits have been applied. Carries the shard's full
+    /// cumulative [`OpStats`] so the coordinator's cache stays current, and
+    /// hands the buffer back, emptied.
+    Committed {
+        shard: u32,
+        stats: OpStats,
+        buf: CommitBuf,
     },
-    /// An asynchronous commit has been applied; carries the shard's full
-    /// cumulative [`OpStats`] so the coordinator's cache stays current.
-    Committed { shard: u32, stats: OpStats },
+    /// The shard clock has advanced; cumulative stats as above.
+    Advanced { shard: u32, stats: OpStats },
     /// Sent by the panic canary when a worker dies mid-command, so the
     /// coordinator fails loudly instead of hanging on a missing reply.
     Died { shard: u32 },
@@ -138,9 +207,9 @@ fn worker(shard: u32, state: Arc<Mutex<ShardState>>, rx: Receiver<Cmd>, tx: Send
     };
     // Exits when the coordinator drops the command sender.
     for cmd in rx.iter() {
+        let mut st = state.lock().expect("shard state lock");
         let reply = match cmd {
             Cmd::Probe { stage } => {
-                let mut st = state.lock().expect("shard state lock");
                 let total: usize = stage.jobs.iter().map(|j| j.m as usize).sum();
                 let mut counts = Vec::with_capacity(total);
                 let mut deltas = Vec::with_capacity(stage.jobs.len());
@@ -158,33 +227,35 @@ fn worker(shard: u32, state: Arc<Mutex<ShardState>>, rx: Receiver<Cmd>, tx: Send
                 }
                 Reply::Probed { counts, deltas }
             }
-            Cmd::Enumerate { windows } => {
-                let mut st = state.lock().expect("shard state lock");
-                let mut sets = Vec::with_capacity(windows.len());
-                let mut deltas = Vec::with_capacity(windows.len());
-                for &(start, end) in windows.iter() {
+            Cmd::Enumerate { mut buf } => {
+                buf.periods.clear();
+                buf.ends.clear();
+                buf.deltas.clear();
+                for &(start, end) in &buf.windows {
                     let mut delta = OpStats::new();
-                    let mut set = Vec::new();
-                    st.enumerate_into(start, end, &mut set, &mut delta);
-                    sets.push(set);
-                    deltas.push(delta);
+                    st.enumerate_into(start, end, &mut buf.periods, &mut delta);
+                    buf.ends.push(buf.periods.len());
+                    buf.deltas.push(delta);
                 }
-                Reply::Enumerated { sets, deltas }
+                Reply::Enumerated { shard, buf }
             }
-            Cmd::Commit {
-                job,
-                start,
-                end,
-                servers,
-            } => {
-                let mut st = state.lock().expect("shard state lock");
-                st.commit(job, start, end, &servers);
+            Cmd::Commit { mut buf } => {
+                buf.apply_to(&mut st);
                 Reply::Committed {
+                    shard,
+                    stats: st.stats(),
+                    buf,
+                }
+            }
+            Cmd::Advance { now } => {
+                st.advance_to(now);
+                Reply::Advanced {
                     shard,
                     stats: st.stats(),
                 }
             }
         };
+        drop(st);
         if tx.send(reply).is_err() {
             break; // coordinator gone
         }

@@ -11,11 +11,11 @@
 //! sum across shards — the foundation of the decision-equivalence argument
 //! (see DESIGN.md §9).
 
+use coalloc_core::idhash::IdMap;
 use coalloc_core::prelude::*;
 use coalloc_core::ring::{route_delta, SlotRing};
 use coalloc_core::scheduler::PRUNE_EVERY_SLOTS;
 use coalloc_core::trailing::TrailingSet;
-use std::collections::HashMap;
 
 /// The scheduler state owned by one shard worker.
 #[derive(Debug)]
@@ -26,7 +26,7 @@ pub struct ShardState {
     timeline: Timeline,
     ring: SlotRing,
     trailing: TrailingSet,
-    jobs: HashMap<JobId, Vec<Reservation>>,
+    jobs: IdMap<JobId, Vec<Reservation>>,
     stats: OpStats,
     scratch: Scratch,
     last_prune: Time,
@@ -52,7 +52,7 @@ impl ShardState {
             timeline,
             ring,
             trailing,
-            jobs: HashMap::new(),
+            jobs: IdMap::default(),
             stats,
             scratch: Scratch::new(),
             last_prune: origin,
@@ -115,8 +115,9 @@ impl ShardState {
     }
 
     /// Enumerate the shard's full feasible set for a job over
-    /// `[start, end)`, appending periods (with **global** server ids) to
-    /// `out` after clearing it.
+    /// `[start, end)`, appending its periods (with **global** server ids)
+    /// to `out` — callers concatenate several shards' or several windows'
+    /// sets in one buffer.
     pub fn enumerate(&mut self, start: Time, end: Time, out: &mut Vec<IdlePeriod>) {
         let mut stats = self.stats;
         self.enumerate_into(start, end, out, &mut stats);
@@ -132,7 +133,6 @@ impl ShardState {
         out: &mut Vec<IdlePeriod>,
         stats: &mut OpStats,
     ) {
-        out.clear();
         let q = self.slot_cfg.slot_of(start);
         if !self.ring.is_live(q) {
             return;
