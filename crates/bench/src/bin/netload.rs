@@ -535,8 +535,8 @@ fn main() {
         Err(e) => violations.push(format!("check io error: {e}")),
     }
     // 2. Grant conservation against the server's own counters (only sound
-    //    when the server is ours and the back-end increments the metric).
-    if server.is_some() && args.shards == 1 {
+    //    when the server is ours).
+    if server.is_some() {
         let metrics = Client::connect(addr)
             .and_then(|c| c.exchange_script("metrics\nexit\n"))
             .unwrap_or_default();

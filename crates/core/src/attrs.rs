@@ -10,12 +10,8 @@
 //! sophisticated post-processing techniques to optimize the selection of
 //! resources based on their requirements".
 
-use crate::error::ScheduleError;
-use crate::idle::IdlePeriod;
-use crate::ids::ServerId;
 use crate::range_search::Availability;
-use crate::request::Request;
-use crate::scheduler::{CoAllocScheduler, Grant};
+use crate::scheduler::CoAllocScheduler;
 use crate::time::Time;
 
 /// A set of capability tags, as a 64-bit mask. Applications assign meaning
@@ -56,64 +52,6 @@ impl AttrSet {
 }
 
 impl CoAllocScheduler {
-    /// Handle a request that may only use servers satisfying `required`
-    /// (every tag in `required` present on the server).
-    ///
-    /// Semantics match [`Self::submit`] — including the `Delta_t`/`R_max`
-    /// retry loop — restricted to the qualifying subset of servers. With
-    /// `required == AttrSet::NONE` this is exactly `submit` with full
-    /// enumeration.
-    pub fn submit_constrained(
-        &mut self,
-        req: &Request,
-        required: AttrSet,
-    ) -> Result<Grant, ScheduleError> {
-        req.validate()?;
-        let qualifying = (0..self.num_servers())
-            .filter(|&s| self.server_attrs(ServerId(s)).satisfies(required))
-            .count() as u32;
-        if req.servers > qualifying {
-            return Err(ScheduleError::TooManyServers {
-                requested: req.servers,
-                available: qualifying,
-            });
-        }
-        let earliest = req.earliest_start.max(self.now());
-        let r_max = self.config().effective_r_max();
-        let delta_t = self.config().delta_t;
-        let policy = self.config().policy;
-        let mut attempts = 0u32;
-        let mut start = earliest;
-        loop {
-            let end = start + req.duration;
-            if end > self.horizon_end() {
-                return Err(ScheduleError::HorizonExceeded {
-                    horizon_end: self.horizon_end(),
-                });
-            }
-            attempts += 1;
-            self.bump_attempts();
-            // Full enumeration, then constraint filtering (the paper's
-            // post-processing step), then policy selection.
-            let feasible: Vec<IdlePeriod> = self
-                .enumerate_feasible(start, end)
-                .into_iter()
-                .filter(|p| self.server_attrs(p.server).satisfies(required))
-                .collect();
-            if feasible.len() >= req.servers as usize {
-                let chosen = policy.select(feasible, req.servers as usize, end);
-                return Ok(self.commit_with_attempts(&chosen, start, end, attempts, earliest));
-            }
-            if attempts > r_max {
-                return Err(ScheduleError::Exhausted {
-                    attempts,
-                    last_tried: start,
-                });
-            }
-            start += delta_t;
-        }
-    }
-
     /// Range search restricted to servers satisfying `required`.
     pub fn range_search_constrained(
         &mut self,

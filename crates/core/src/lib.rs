@@ -53,6 +53,8 @@ pub mod error;
 pub mod idhash;
 pub mod idle;
 pub mod ids;
+pub mod index;
+pub mod ladder;
 pub mod naive;
 pub mod packing;
 pub mod policy;
@@ -76,6 +78,8 @@ pub mod prelude {
     pub use crate::error::ScheduleError;
     pub use crate::idle::IdlePeriod;
     pub use crate::ids::{JobId, PeriodId, ServerId};
+    pub use crate::index::ServerIndex;
+    pub use crate::ladder::Ladder;
     pub use crate::naive::NaiveScheduler;
     pub use crate::packing::{PackedGroup, Placement, SmallJob};
     pub use crate::policy::SelectionPolicy;

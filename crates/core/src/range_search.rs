@@ -18,9 +18,10 @@
 use crate::error::ScheduleError;
 use crate::idle::IdlePeriod;
 use crate::ids::PeriodId;
+use crate::ladder::Placement;
 use crate::request::Request;
 use crate::scheduler::{CoAllocScheduler, Grant};
-use crate::time::Time;
+use crate::time::{Dur, Time};
 use obs::{obs_span, LazyCounter};
 
 static RANGE_SEARCHES: LazyCounter = LazyCounter::new("range_searches_total");
@@ -36,7 +37,7 @@ pub struct Availability {
     /// How much slack is left after the window, `et_i - t_b` (clipped to the
     /// horizon for open-ended periods). Applications commonly maximize or
     /// minimize this during post-processing.
-    pub tail_slack: crate::time::Dur,
+    pub tail_slack: Dur,
 }
 
 impl CoAllocScheduler {
@@ -77,27 +78,15 @@ impl CoAllocScheduler {
             return Vec::new();
         }
         let mut span = obs_span!("sched.range_search", "start_s" => start.secs(), "end_s" => end.secs());
-        let q = self.ring().config().slot_of(start);
-        // Split borrows: the search needs &ring, &trailing, the stabbing
-        // scratch and &mut stats.
-        let (ring, trailing, stab, stats) = self.search_parts();
-        // Trailing periods with st <= start are feasible for any window.
-        let mut ids = Vec::new();
-        trailing.collect_candidates(start, usize::MAX, &mut ids, stats);
-        ring.find_feasible_into(q, start, end, usize::MAX, stab, &mut ids, stats);
+        let mut hits = Vec::new();
+        self.index_mut().enumerate(start, end, &mut hits);
         if span.active() {
-            span.record("hits", ids.len());
+            span.record("hits", hits.len());
         }
-        ids.iter()
-            .map(|id| {
-                let period = *self
-                    .timeline()
-                    .period(*id)
-                    .expect("slot tree refers to live period");
-                Availability {
-                    period,
-                    tail_slack: period.end.min(horizon) - end,
-                }
+        hits.into_iter()
+            .map(|period| Availability {
+                period,
+                tail_slack: period.end.min(horizon) - end,
             })
             .collect()
     }
@@ -116,14 +105,7 @@ impl CoAllocScheduler {
         if self.capacity_profile().free_upper_bound(start, end) == 0 {
             return 0;
         }
-        let q = self.ring().config().slot_of(start);
-        let (ring, trailing, stab, stats) = self.search_parts();
-        let trailing_count = trailing.count_candidates(start, stats);
-        let count = ring.phase1_candidates_into(q, start, stab, stats);
-        if count == 0 {
-            return trailing_count;
-        }
-        trailing_count + ring.count_feasible(end, stab, stats)
+        self.index_mut().count(start, end)
     }
 
     /// Commit a user's post-processed selection: reserve `[start, end)` on
@@ -157,7 +139,7 @@ impl CoAllocScheduler {
                 horizon_end: self.horizon_end(),
             });
         }
-        let mut chosen = Vec::with_capacity(selection.len());
+        let mut servers = Vec::with_capacity(selection.len());
         let mut seen_servers = std::collections::HashSet::new();
         for id in selection {
             let Some(p) = self.timeline().period(*id).copied() else {
@@ -166,9 +148,15 @@ impl CoAllocScheduler {
             if !p.is_feasible(start, end) || !seen_servers.insert(p.server) {
                 return Err(ScheduleError::SelectionConflict);
             }
-            chosen.push(p);
+            servers.push(p.server);
         }
-        Ok(self.commit_chosen(&chosen, start, end))
+        let at = Placement {
+            start,
+            end,
+            attempts: 1,
+            waiting: Dur::ZERO,
+        };
+        Ok(self.commit(at, servers))
     }
 
     /// Run a range search shaped like a [`Request`] (the paper's calling

@@ -13,19 +13,18 @@
 
 use crate::attrs::AttrSet;
 use crate::error::ScheduleError;
-use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, ServerId};
+use crate::index::ServerIndex;
+use crate::ladder::{Ladder, Placement};
 use crate::policy::SelectionPolicy;
 use crate::profile::FreeProfile;
 use crate::request::Request;
-use crate::ring::{route_delta, SlotRing};
-use crate::scratch::Scratch;
+use crate::ring::SlotRing;
 use crate::stats::OpStats;
 use crate::time::{Dur, SlotConfig, Time};
-use crate::timeline::{PeriodDelta, Reservation, Timeline};
-use crate::trailing::TrailingSet;
-use obs::{obs_span, obs_span_detail, LazyCounter, LazyHistogram};
+use crate::timeline::{Reservation, Timeline};
+use obs::{obs_span, LazyCounter, LazyHistogram};
 
 /// Slot advances between history prunes (amortizes the O(N) prune scan).
 /// Public because prune timing is observable through
@@ -34,12 +33,11 @@ use obs::{obs_span, obs_span_detail, LazyCounter, LazyHistogram};
 /// same cadence to stay decision-identical.
 pub const PRUNE_EVERY_SLOTS: i64 = 32;
 
-// Scheduler metrics. Counters and histograms are process-global (the
-// scheduler itself is Clone, so they aggregate over every instance);
-// per-instance numbers remain available via [`CoAllocScheduler::stats`].
-// Tree-op counters are bulk-added once per request from the OpStats delta,
-// never per node visit, keeping the hot-path cost to a handful of relaxed
-// atomic adds per request.
+// Scheduler metrics. Counters and histograms are process-global (they
+// aggregate over every scheduler instance of either engine); per-instance
+// numbers remain available via [`CoAllocScheduler::stats`]. Tree-op
+// counters are bulk-added from an OpStats delta, never per node visit,
+// keeping the hot-path cost to a handful of relaxed atomic adds per request.
 static REQUESTS: LazyCounter = LazyCounter::new("sched_requests_total");
 static GRANTS: LazyCounter = LazyCounter::new("sched_grants_total");
 static REJECTS: LazyCounter = LazyCounter::new("sched_rejects_total");
@@ -48,40 +46,37 @@ static RETRIES_SKIPPED: LazyCounter = LazyCounter::new("sched_retries_skipped_to
 static ATTEMPTS_JUMPED: LazyCounter = LazyCounter::new("sched_attempts_jumped_total");
 static PHASE1_TOTAL: LazyCounter = LazyCounter::new("sched_phase1_total");
 static PHASE2_TOTAL: LazyCounter = LazyCounter::new("sched_phase2_total");
-static PHASE1_CANDIDATES: LazyHistogram = LazyHistogram::new("sched_phase1_candidates");
-static PHASE2_DEPTH: LazyHistogram = LazyHistogram::new("sched_phase2_depth");
 static PRIMARY_VISITS: LazyCounter = LazyCounter::new("tree_primary_visits_total");
 static SECONDARY_VISITS: LazyCounter = LazyCounter::new("tree_secondary_visits_total");
 static UPDATE_VISITS: LazyCounter = LazyCounter::new("tree_update_visits_total");
 static REBUILDS: LazyCounter = LazyCounter::new("tree_rebuilds_total");
 
-/// Fold the per-request [`OpStats`] delta into the global metric counters
-/// (one atomic add per non-zero counter).
-fn record_op_delta(delta: &OpStats) {
-    if delta.primary_visits > 0 {
-        PRIMARY_VISITS.add(delta.primary_visits);
+/// Publish the metrics of requests that reached the retry ladder (a request
+/// failing validation never does): `probed[i]` is the number of starts
+/// request `i` searched, `grants` how many of them were granted, and
+/// `delta` the [`OpStats`] they accrued together. Both engines report
+/// through here — per request, or once for a whole pooled batch.
+pub fn record_requests(probed: &[u64], grants: u64, delta: &OpStats) {
+    let add = |counter: &LazyCounter, n: u64| {
+        if n > 0 {
+            counter.add(n);
+        }
+    };
+    let requests = probed.len() as u64;
+    add(&REQUESTS, requests);
+    add(&GRANTS, grants);
+    add(&REJECTS, requests - grants);
+    for &p in probed {
+        ATTEMPTS_HIST.observe(p);
     }
-    if delta.secondary_visits > 0 {
-        SECONDARY_VISITS.add(delta.secondary_visits);
-    }
-    if delta.update_visits > 0 {
-        UPDATE_VISITS.add(delta.update_visits);
-    }
-    if delta.rebuilds > 0 {
-        REBUILDS.add(delta.rebuilds);
-    }
-    PHASE1_TOTAL.add(delta.phase1_searches);
-    PHASE2_TOTAL.add(delta.phase2_searches);
-}
-
-/// Charge `n` profile-jumped attempts to the global
-/// `sched_attempts_jumped_total` counter. Exposed for front-ends (the
-/// sharded coordinator) that run their own jump accounting but share the
-/// process-global metrics.
-pub fn record_attempts_jumped(n: u64) {
-    if n > 0 {
-        ATTEMPTS_JUMPED.add(n);
-    }
+    add(&RETRIES_SKIPPED, delta.attempts_skipped);
+    add(&ATTEMPTS_JUMPED, delta.attempts_jumped);
+    add(&PRIMARY_VISITS, delta.primary_visits);
+    add(&SECONDARY_VISITS, delta.secondary_visits);
+    add(&UPDATE_VISITS, delta.update_visits);
+    add(&REBUILDS, delta.rebuilds);
+    add(&PHASE1_TOTAL, delta.phase1_searches);
+    add(&PHASE2_TOTAL, delta.phase2_searches);
 }
 
 /// Configuration of a [`CoAllocScheduler`].
@@ -213,23 +208,15 @@ pub struct Grant {
 #[derive(Clone, Debug)]
 pub struct CoAllocScheduler {
     cfg: SchedulerConfig,
-    slot_cfg: SlotConfig,
     now: Time,
     origin: Time,
-    timeline: Timeline,
-    ring: SlotRing,
-    trailing: TrailingSet,
     attrs: Vec<AttrSet>,
-    jobs: IdMap<JobId, Vec<Reservation>>,
     next_job: u64,
     /// Aggregate busy-count index driving the retry-jump fast reject;
-    /// maintained from the same commit/release flow as the ring.
+    /// maintained from the same commit/release flow as the index.
     profile: FreeProfile,
-    stats: OpStats,
-    /// Reusable buffers for the per-request hot path.
-    scratch: Scratch,
-    /// Window start at the last history prune.
-    last_prune: Time,
+    /// Timeline, slot trees and job map of all servers.
+    index: ServerIndex,
 }
 
 impl CoAllocScheduler {
@@ -243,29 +230,14 @@ impl CoAllocScheduler {
     pub fn starting_at(num_servers: u32, origin: Time, cfg: SchedulerConfig) -> CoAllocScheduler {
         assert!(num_servers > 0, "a system needs at least one server");
         let slot_cfg = cfg.slot_config();
-        let timeline = Timeline::new(num_servers, origin);
-        let mut stats = OpStats::new();
-        let ring = SlotRing::new(slot_cfg, origin, cfg.seed);
-        let mut trailing = TrailingSet::new(cfg.seed);
-        for srv in 0..num_servers {
-            let p = timeline.trailing_period(ServerId(srv));
-            trailing.insert(&p, &mut stats);
-        }
         CoAllocScheduler {
             cfg,
-            slot_cfg,
             now: origin,
             origin,
-            timeline,
-            ring,
-            trailing,
             attrs: vec![AttrSet::NONE; num_servers as usize],
-            jobs: IdMap::default(),
             next_job: 0,
             profile: FreeProfile::new(slot_cfg, num_servers, origin),
-            stats,
-            scratch: Scratch::new(),
-            last_prune: origin,
+            index: ServerIndex::new(slot_cfg, 0, num_servers, origin, cfg.seed),
         }
     }
 
@@ -276,7 +248,7 @@ impl CoAllocScheduler {
 
     /// Number of servers `N`.
     pub fn num_servers(&self) -> u32 {
-        self.timeline.num_servers()
+        self.index.num_servers()
     }
 
     /// The configuration in force.
@@ -286,22 +258,22 @@ impl CoAllocScheduler {
 
     /// End of the current scheduling horizon.
     pub fn horizon_end(&self) -> Time {
-        self.ring.horizon_end()
+        self.index.ring().horizon_end()
     }
 
     /// Cumulative operation counters.
     pub fn stats(&self) -> &OpStats {
-        &self.stats
+        self.index.stats()
     }
 
     /// Read-only access to the authoritative timeline.
     pub fn timeline(&self) -> &Timeline {
-        &self.timeline
+        self.index.timeline()
     }
 
     /// Read-only access to the slot ring (for diagnostics and tests).
     pub fn ring(&self) -> &SlotRing {
-        &self.ring
+        self.index.ring()
     }
 
     /// Read-only access to the free-capacity profile (for diagnostics,
@@ -310,14 +282,20 @@ impl CoAllocScheduler {
         &self.profile
     }
 
+    /// The idle-period index (for the read-only searches in
+    /// [`crate::range_search`]).
+    pub(crate) fn index_mut(&mut self) -> &mut ServerIndex {
+        &mut self.index
+    }
+
     /// Committed reservations of a job, if it exists.
     pub fn job(&self, job: JobId) -> Option<&[Reservation]> {
-        self.jobs.get(&job).map(|v| v.as_slice())
+        self.index.job(job)
     }
 
     /// System utilization over `[origin, until)`.
     pub fn utilization(&self, until: Time) -> f64 {
-        self.timeline.utilization(self.origin, until)
+        self.index.timeline().utilization(self.origin, until)
     }
 
     /// Advance the clock: discard expired slot trees, seed new edge trees,
@@ -327,68 +305,33 @@ impl CoAllocScheduler {
             return;
         }
         self.now = now;
-        self.ring
-            .advance_to_with(now, &mut self.scratch, &mut self.stats);
+        self.index.advance_to(now);
         self.profile.advance_to(now);
-        // History pruning scans every server, so amortize it over many slot
-        // advances; the ring's own discard/create stays O(1) per slot as
-        // the paper claims. Correctness does not depend on prune timing —
-        // stale history is merely unreferenced memory.
-        let window_start = self.ring.window_start();
-        if (window_start - self.last_prune).secs()
-            >= PRUNE_EVERY_SLOTS * self.slot_cfg.tau.secs()
-        {
-            self.timeline.prune_before(window_start);
-            // Jobs whose reservations all fell to the prune are forgotten
-            // too: after this, `release` answers `UnknownJob` for them on
-            // the original and on any snapshot-restored twin alike —
-            // snapshots carry exactly the timeline's (unpruned) busy set,
-            // so the jobs map must not outlive it.
-            self.jobs.retain(|_, rs| rs.iter().any(|r| r.end > window_start));
-            self.last_prune = window_start;
-        }
     }
 
-    /// History boundary of the last amortized prune (snapshot state: prune
-    /// timing is observable through [`Self::release`], so a restored
-    /// scheduler must resume the same prune cadence).
+    /// History boundary of the last amortized prune (snapshot state).
     pub(crate) fn last_prune(&self) -> Time {
-        self.last_prune
+        self.index.last_prune()
     }
 
     pub(crate) fn set_last_prune(&mut self, t: Time) {
-        self.last_prune = t;
+        self.index.set_last_prune(t);
     }
 
-    /// Replace the timeline and rebuild both search indexes from explicit,
-    /// caller-validated parts (the id-faithful restore path): period ids
-    /// and the id counter are installed verbatim, so Phase-2 retrieval
-    /// order under a result limit — and therefore every future decision —
-    /// is bit-identical to the scheduler that wrote the snapshot.
+    /// Install a snapshot's idle periods, reservations and period-id
+    /// counter verbatim (see [`ServerIndex::install`]) and rebuild the
+    /// capacity profile from the reservations.
     pub(crate) fn install_state(
         &mut self,
         idle: Vec<IdlePeriod>,
         busy: Vec<Reservation>,
         next_period: u64,
     ) {
-        self.timeline = Timeline::from_parts(self.num_servers(), &idle, &busy, next_period);
-        self.ring = SlotRing::new(self.slot_cfg, self.origin, self.cfg.seed);
-        self.ring.advance_to(self.now, &mut self.stats);
-        self.trailing = TrailingSet::new(self.cfg.seed);
-        // One batch over the whole idle set: every canonical tree is built
-        // from its periods in snapshot order, as a one-by-one insert would.
-        let all = PeriodDelta {
-            removed: Vec::new(),
-            added: idle,
-        };
-        route_delta(&all, &mut self.trailing, &mut self.scratch, &mut self.stats);
-        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
-        self.jobs.clear();
         self.profile.reset(self.now);
-        for r in busy {
+        for r in &busy {
             self.profile.add(r.start, r.end, 1);
-            self.jobs.entry(r.job).or_default().push(r);
         }
+        self.index.install(self.now, idle, busy, next_period);
     }
 
     /// Handle a request: the full online algorithm of Section 4.2, including
@@ -406,39 +349,64 @@ impl CoAllocScheduler {
     /// assert_eq!(grant.start, Time::ZERO); // idle system: no waiting
     /// ```
     pub fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError> {
-        req.validate()?;
-        if req.servers > self.num_servers() {
-            return Err(ScheduleError::TooManyServers {
-                requested: req.servers,
-                available: self.num_servers(),
-            });
-        }
-        // Jobs cannot start in the past; on-demand requests start "now".
-        let earliest = req.earliest_start.max(self.now);
-        let r_max = self.cfg.effective_r_max();
-        REQUESTS.inc();
-        let before = self.stats;
+        let ladder = self.ladder(req, self.num_servers(), None)?;
+        self.climb(req, ladder, |_| true)
+    }
+
+    /// Lay out the retry ladder of `req` against the current clock and
+    /// horizon, for `capacity` usable servers.
+    fn ladder(
+        &self,
+        req: &Request,
+        capacity: u32,
+        deadline: Option<Time>,
+    ) -> Result<Ladder, ScheduleError> {
+        Ladder::new(&self.cfg, req, capacity, self.now, self.horizon_end(), deadline)
+    }
+
+    /// Drive `ladder` one start at a time into [`ServerIndex::find`],
+    /// restricted to the servers passing `keep`; commit at the first start
+    /// with room. Publishes the request's metrics and `sched.submit` span.
+    fn climb(
+        &mut self,
+        req: &Request,
+        mut ladder: Ladder,
+        keep: impl Fn(ServerId) -> bool,
+    ) -> Result<Grant, ScheduleError> {
+        let before = *self.index.stats();
         let mut span = obs_span!(
             "sched.submit",
             "servers" => req.servers,
             "duration_s" => req.duration.secs().max(0) as u64,
-            "earliest_s" => earliest.secs()
+            "earliest_s" => ladder.earliest().secs()
         );
-        let (result, probed) = self.search_loop(req, earliest, r_max as u64 + 1);
-        ATTEMPTS_HIST.observe(probed as u64);
-        record_op_delta(&self.stats.since(&before));
-        match &result {
-            Ok(grant) => {
-                GRANTS.inc();
-                if span.active() {
+        let mut probed = 0u64;
+        let mut found = None;
+        while let Some((k, start)) = ladder.next(&self.profile) {
+            probed += 1;
+            let end = start + req.duration;
+            if let Some(chosen) = self.index.find(start, end, req.servers, self.cfg.policy, &keep) {
+                found = Some((k, chosen.iter().map(|p| p.server).collect()));
+                break;
+            }
+        }
+        let (winner, servers) = found.unzip();
+        let result = ladder
+            .settle(winner, probed, self.index.stats_mut())
+            .map(|at| self.commit(at, servers.unwrap_or_default()));
+        record_requests(
+            &[probed],
+            result.is_ok() as u64,
+            &self.index.stats().since(&before),
+        );
+        if span.active() {
+            match &result {
+                Ok(grant) => {
                     span.record("outcome", "granted");
                     span.record("attempts", grant.attempts);
                     span.record("start_s", grant.start.secs());
                 }
-            }
-            Err(e) => {
-                REJECTS.inc();
-                if span.active() {
+                Err(e) => {
                     span.record("outcome", "rejected");
                     span.record("attempts", probed);
                     span.record("error", format!("{e:?}"));
@@ -446,101 +414,6 @@ impl CoAllocScheduler {
             }
         }
         result
-    }
-
-    /// The `Delta_t` / `R_max` retry loop shared by [`Self::submit`] and
-    /// [`Self::submit_with_deadline`], with two layered short-circuits:
-    ///
-    /// * the horizon cap (PR 3): starts whose shifted end falls past the
-    ///   horizon can never succeed, so at most `tries` of the `budget`
-    ///   attempts are considered at all;
-    /// * profile jumping (when [`SchedulerConfig::jump_retries`] is on):
-    ///   within those `tries`, attempt indexes whose window the capacity
-    ///   profile proves infeasible are skipped without a tree search.
-    ///
-    /// Both kinds of skipped attempt flow into `attempts_skipped` /
-    /// `sched_retries_skipped_total`; profile jumps are additionally broken
-    /// out in `attempts_jumped` / `sched_attempts_jumped_total`. Decision
-    /// outputs — the grant (including its `attempts` field, which reports
-    /// the 1-based index of the successful start), the error variant, and
-    /// both `Exhausted` fields — are computed from attempt *indexes*, so
-    /// they are identical whether or not jumping is enabled.
-    ///
-    /// Returns the result plus the number of starts actually probed (what
-    /// the `sched_attempts` histogram observes).
-    fn search_loop(
-        &mut self,
-        req: &Request,
-        earliest: Time,
-        budget: u64,
-    ) -> (Result<Grant, ScheduleError>, u32) {
-        let horizon_end = self.ring.horizon_end();
-        let horizon_attempts = if earliest + req.duration > horizon_end {
-            0
-        } else {
-            ((horizon_end - req.duration - earliest).secs() / self.cfg.delta_t.secs()) as u64 + 1
-        };
-        let tries = budget.min(horizon_attempts);
-        let jump = self.cfg.jump_retries;
-        let mut probed = 0u64; // starts actually searched
-        let mut jumped = 0u64; // starts the profile disproved
-        let mut k = 0u64; // next attempt index to consider
-        let result = loop {
-            let next = if k >= tries {
-                None
-            } else if jump {
-                self.profile.next_allowed(
-                    earliest,
-                    self.cfg.delta_t,
-                    req.duration,
-                    req.servers,
-                    k,
-                    tries,
-                )
-            } else {
-                Some(k)
-            };
-            let Some(kk) = next else {
-                jumped += tries - k;
-                let skipped = (budget - tries) + jumped;
-                if skipped > 0 {
-                    self.stats.attempts_skipped += skipped;
-                    RETRIES_SKIPPED.add(skipped);
-                }
-                if jumped > 0 {
-                    self.stats.attempts_jumped += jumped;
-                    ATTEMPTS_JUMPED.add(jumped);
-                }
-                break if horizon_attempts < budget {
-                    Err(ScheduleError::HorizonExceeded { horizon_end })
-                } else {
-                    Err(ScheduleError::Exhausted {
-                        attempts: tries as u32,
-                        last_tried: earliest + self.cfg.delta_t * (tries as i64 - 1),
-                    })
-                };
-            };
-            jumped += kk - k;
-            k = kk;
-            let start = earliest + self.cfg.delta_t * (k as i64);
-            let end = start + req.duration;
-            probed += 1;
-            self.stats.attempts += 1;
-            if self.try_once(start, end, req.servers) {
-                let chosen = std::mem::take(&mut self.scratch.feasible);
-                let grant = self.commit(&chosen, start, end, (k + 1) as u32, earliest);
-                self.scratch.feasible = chosen;
-                if jumped > 0 {
-                    self.stats.attempts_skipped += jumped;
-                    RETRIES_SKIPPED.add(jumped);
-                    self.stats.attempts_jumped += jumped;
-                    ATTEMPTS_JUMPED.add(jumped);
-                }
-                break Ok(grant);
-            }
-            k += 1;
-        };
-        (result, probed as u32)
     }
 
     /// Handle a batch of requests in submission order.
@@ -572,126 +445,29 @@ impl CoAllocScheduler {
         }
     }
 
-    /// One scheduling attempt at a fixed start time: Phase 1 + Phase 2 +
-    /// policy selection. On success returns `true` with the chosen periods
-    /// (exactly `n` of them) left in `self.scratch.feasible`.
-    ///
-    /// Candidates come from two places: the canonical slot trees on the
-    /// stabbing path of the slot containing `start` (finite periods) and
-    /// the global trailing index (open-ended periods, which are candidates
-    /// iff `st <= start` and then feasible for any end). All working
-    /// storage lives in [`Scratch`], so a steady-state attempt performs no
-    /// heap allocation.
-    fn try_once(&mut self, start: Time, end: Time, n: u32) -> bool {
-        let n = n as usize;
-        let q = self.slot_cfg.slot_of(start);
-        // Phase 1: count candidates via subtree sizes along the stabbing
-        // path. The count may include benign aliases (see DESIGN.md §12);
-        // they never survive Phase 2, so the early exit below reaches the
-        // same decision as exact per-slot counting.
-        let p1_visits = self.stats.primary_visits;
-        let mut p1_span = obs_span_detail!("sched.phase1", "start_s" => start.secs(), "need" => n);
-        let trailing_count = self.trailing.count_candidates(start, &mut self.stats);
-        let finite_count =
-            self.ring
-                .phase1_candidates_into(q, start, &mut self.scratch.stab, &mut self.stats);
-        PHASE1_CANDIDATES.observe((trailing_count + finite_count) as u64);
-        if p1_span.active() {
-            p1_span.record("trailing", trailing_count);
-            p1_span.record("marked", finite_count);
-            p1_span.record("visits", self.stats.primary_visits - p1_visits);
-        }
-        drop(p1_span);
-        if trailing_count + finite_count < n {
-            return false;
-        }
-        // Phase 2: enumerate the full feasible set. Every policy then sorts
-        // by a total key, so the selection is deterministic regardless of the
-        // tree shape (and identical under any sharded partition of the
-        // servers). Trailing candidates (feasible for any end) come first.
-        let p2_visits = self.stats.secondary_visits;
-        let mut p2_span = obs_span_detail!("sched.phase2", "end_s" => end.secs(), "need" => n);
-        self.scratch.ids.clear();
-        self.trailing
-            .collect_candidates(start, usize::MAX, &mut self.scratch.ids, &mut self.stats);
-        self.ring.phase2_feasible_into(
-            end,
-            &self.scratch.stab,
-            usize::MAX,
-            &mut self.scratch.ids,
-            &mut self.stats,
-        );
-        let depth = self.stats.secondary_visits - p2_visits;
-        PHASE2_DEPTH.observe(depth);
-        if p2_span.active() {
-            p2_span.record("retrieved", self.scratch.ids.len());
-            p2_span.record("visits", depth);
-        }
-        drop(p2_span);
-        if self.scratch.ids.len() < n {
-            return false;
-        }
-        self.scratch.feasible.clear();
-        for id in &self.scratch.ids {
-            self.scratch.feasible.push(
-                *self
-                    .timeline
-                    .period(*id)
-                    .expect("slot tree refers to live period"),
-            );
-        }
-        self.cfg
-            .policy
-            .select_in_place(&mut self.scratch.feasible, n, end);
-        debug_assert_eq!(self.scratch.feasible.len(), n);
-        true
-    }
-
     /// Force the slot ring down its one-update-at-a-time path (see
     /// [`SlotRing::force_eager`]): the reference for differential tests of
     /// the batched write path.
     #[doc(hidden)]
     pub fn force_eager_ring_updates(&mut self) {
-        self.ring.force_eager();
+        self.index.force_eager_ring_updates();
     }
 
-    /// Commit the reservation on the chosen periods; the idle-period
-    /// changes of all of them reach the slot trees as one batch.
-    fn commit(
-        &mut self,
-        chosen: &[IdlePeriod],
-        start: Time,
-        end: Time,
-        attempts: u32,
-        earliest: Time,
-    ) -> Grant {
+    /// The one commit epilogue: mint the job id, reserve `at`'s window on
+    /// `servers` in the index, charge the capacity profile, build the
+    /// [`Grant`].
+    pub(crate) fn commit(&mut self, at: Placement, servers: Vec<ServerId>) -> Grant {
         let job = JobId(self.next_job);
         self.next_job += 1;
-        let mut servers = Vec::with_capacity(chosen.len());
-        let mut reservations = Vec::with_capacity(chosen.len());
-        let mut delta = std::mem::take(&mut self.scratch.delta);
-        for p in chosen {
-            self.timeline.reserve_into(p.id, job, start, end, &mut delta);
-            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
-            servers.push(p.server);
-            reservations.push(Reservation {
-                job,
-                server: p.server,
-                start,
-                end,
-            });
-        }
-        self.scratch.delta = delta;
-        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
-        self.profile.add(start, end, chosen.len() as u32);
-        self.jobs.insert(job, reservations);
+        self.index.commit(job, at.start, at.end, &servers);
+        self.profile.add(at.start, at.end, servers.len() as u32);
         Grant {
             job,
-            start,
-            end,
+            start: at.start,
+            end: at.end,
             servers,
-            attempts,
-            waiting: start.saturating_since(earliest),
+            attempts: at.attempts,
+            waiting: at.waiting,
         }
     }
 
@@ -701,7 +477,7 @@ impl CoAllocScheduler {
     /// time a given job needs to start to meet the deadline imposed by the
     /// user".
     ///
-    /// The retry loop is bounded so that no candidate start later than
+    /// The retry ladder is bounded so that no candidate start later than
     /// `deadline - l_r` is tried; if none works the request fails with
     /// [`ScheduleError::Exhausted`] (a deadline miss) rather than being
     /// scheduled late.
@@ -730,46 +506,8 @@ impl CoAllocScheduler {
         req: &Request,
         deadline: Time,
     ) -> Result<Grant, ScheduleError> {
-        req.validate()?;
-        if req.servers > self.num_servers() {
-            return Err(ScheduleError::TooManyServers {
-                requested: req.servers,
-                available: self.num_servers(),
-            });
-        }
-        let earliest = req.earliest_start.max(self.now);
-        let latest_start = deadline - req.duration;
-        if latest_start < earliest {
-            return Err(ScheduleError::Exhausted {
-                attempts: 0,
-                last_tried: earliest,
-            });
-        }
-        let r_max = self.cfg.effective_r_max();
-        REQUESTS.inc();
-        let before = self.stats;
-        let mut span = obs_span!(
-            "sched.submit",
-            "servers" => req.servers,
-            "duration_s" => req.duration.secs().max(0) as u64,
-            "deadline_s" => deadline.secs()
-        );
-        // Same retry loop as `submit`, with the deadline as an extra budget
-        // cap: no start later than `deadline - l_r` is ever considered.
-        let budget = (r_max as u64 + 1)
-            .min(((latest_start - earliest).secs() / self.cfg.delta_t.secs()) as u64 + 1);
-        let (result, probed) = self.search_loop(req, earliest, budget);
-        ATTEMPTS_HIST.observe(probed as u64);
-        record_op_delta(&self.stats.since(&before));
-        match &result {
-            Ok(_) => GRANTS.inc(),
-            Err(_) => REJECTS.inc(),
-        }
-        if span.active() {
-            span.record("outcome", if result.is_ok() { "granted" } else { "rejected" });
-            span.record("attempts", probed);
-        }
-        result
+        let ladder = self.ladder(req, self.num_servers(), Some(deadline))?;
+        self.climb(req, ladder, |_| true)
     }
 
     /// Assign capability tags to a server (see [`crate::attrs`]).
@@ -782,52 +520,26 @@ impl CoAllocScheduler {
         self.attrs[server.0 as usize]
     }
 
-    /// Enumerate **all** feasible idle periods for a job occupying
-    /// `[start, end)` (trailing candidates first, then the slot tree's
-    /// Phase-2 hits). Used by the constrained submission path and available
-    /// to applications needing the complete set.
-    pub fn enumerate_feasible(&mut self, start: Time, end: Time) -> Vec<IdlePeriod> {
-        let q = self.slot_cfg.slot_of(start);
-        if !self.ring.is_live(q) {
-            return Vec::new();
-        }
-        let mut ids = Vec::new();
-        self.trailing
-            .collect_candidates(start, usize::MAX, &mut ids, &mut self.stats);
-        self.ring.find_feasible_into(
-            q,
-            start,
-            end,
-            usize::MAX,
-            &mut self.scratch.stab,
-            &mut ids,
-            &mut self.stats,
-        );
-        ids.iter()
-            .map(|id| {
-                *self
-                    .timeline
-                    .period(*id)
-                    .expect("index refers to live period")
-            })
-            .collect()
-    }
-
-    /// Count one scheduling attempt (constrained path).
-    pub(crate) fn bump_attempts(&mut self) {
-        self.stats.attempts += 1;
-    }
-
-    /// Commit helper for the constrained path.
-    pub(crate) fn commit_with_attempts(
+    /// Handle a request that may only use servers satisfying `required`
+    /// (every tag in `required` present on the server).
+    ///
+    /// Semantics match [`Self::submit`] — the same ladder, the same search
+    /// — restricted to the qualifying subset of servers: Phase-1 counts
+    /// over-approximate (they ignore tags) and the retrieval step filters,
+    /// the paper's post-processing. With `required == AttrSet::NONE` this
+    /// is exactly `submit`.
+    pub fn submit_constrained(
         &mut self,
-        chosen: &[IdlePeriod],
-        start: Time,
-        end: Time,
-        attempts: u32,
-        earliest: Time,
-    ) -> Grant {
-        self.commit(chosen, start, end, attempts, earliest)
+        req: &Request,
+        required: AttrSet,
+    ) -> Result<Grant, ScheduleError> {
+        let qualifying = self.attrs.iter().filter(|a| a.satisfies(required)).count() as u32;
+        let ladder = self.ladder(req, qualifying, None)?;
+        // `climb` borrows all of `self`; lend it the tags for the search.
+        let attrs = std::mem::take(&mut self.attrs);
+        let result = self.climb(req, ladder, |s| attrs[s.0 as usize].satisfies(required));
+        self.attrs = attrs;
+        result
     }
 
     /// The clock value the scheduler started at.
@@ -854,50 +566,9 @@ impl CoAllocScheduler {
         start: Time,
         end: Time,
     ) -> Result<(), ()> {
-        let Some(p) = self.timeline.covering_idle(server, start, end) else {
-            return Err(());
-        };
-        let mut delta = std::mem::take(&mut self.scratch.delta);
-        self.timeline.reserve_into(p.id, job, start, end, &mut delta);
-        route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
-        self.scratch.delta = delta;
-        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
+        self.index.restore_reservation(job, server, start, end)?;
         self.profile.add(start, end, 1);
-        self.jobs.entry(job).or_default().push(Reservation {
-            job,
-            server,
-            start,
-            end,
-        });
         Ok(())
-    }
-
-    /// Split borrow helper for the read-only searches in
-    /// [`crate::range_search`].
-    pub(crate) fn search_parts(
-        &mut self,
-    ) -> (
-        &SlotRing,
-        &TrailingSet,
-        &mut crate::ring::StabMarks,
-        &mut OpStats,
-    ) {
-        (
-            &self.ring,
-            &self.trailing,
-            &mut self.scratch.stab,
-            &mut self.stats,
-        )
-    }
-
-    /// Commit an externally validated selection (query-then-commit flow).
-    pub(crate) fn commit_chosen(
-        &mut self,
-        chosen: &[IdlePeriod],
-        start: Time,
-        end: Time,
-    ) -> Grant {
-        self.commit(chosen, start, end, 1, start)
     }
 
     /// Cancel a committed job, returning its windows to the idle pool (used
@@ -923,40 +594,13 @@ impl CoAllocScheduler {
     /// ));
     /// ```
     pub fn release(&mut self, job: JobId) -> Result<(), ScheduleError> {
-        let mut reservations =
-            self.jobs.remove(&job).ok_or(ScheduleError::UnknownJob(job))?;
-        // Canonical processing order. The stored order is the selection
-        // order on a live scheduler but snapshot order on a restored one;
-        // since releasing mints fresh period ids per server, processing in
-        // stored order would assign ids differently on the two — and period
-        // ids are decision-relevant (Phase-2 retrieval is keyed by
-        // `(end, id)`). Sorting makes release provenance-independent.
-        reservations.sort_unstable_by_key(|r| (r.server, r.start));
-        let mut delta = std::mem::take(&mut self.scratch.delta);
-        for r in reservations {
-            // Withdraw from the capacity profile unconditionally: expired
-            // portions clamp away (their leaves were zeroed by rotation),
-            // so this is exact for retired and pruned history too.
+        let released = self.index.release(job).ok_or(ScheduleError::UnknownJob(job))?;
+        // Withdraw from the capacity profile unconditionally: expired
+        // portions clamp away (their leaves were zeroed by rotation), so
+        // this is exact for retired and pruned history too.
+        for r in &released {
             self.profile.remove(r.start, r.end, 1);
-            if r.end <= self.last_prune {
-                continue; // actually pruned from history
-            }
-            if r.end <= self.ring.window_start() {
-                // Ran to completion but is still in unpruned history:
-                // retire it (count the busy seconds, drop the entry) so
-                // the timeline — and therefore every future snapshot — no
-                // longer carries it. Leaving it would make a
-                // snapshot-restored scheduler resurrect the job and answer
-                // a second `release` differently from the original.
-                self.timeline.retire(r.server, r.job, r.start, r.end);
-                continue;
-            }
-            self.timeline
-                .release_into(r.server, r.job, r.start, r.end, &mut delta);
-            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
         }
-        self.scratch.delta = delta;
-        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
         Ok(())
     }
 
@@ -964,23 +608,11 @@ impl CoAllocScheduler {
     /// expensive).
     #[doc(hidden)]
     pub fn check_consistency(&self) {
-        assert!(self.scratch.ring_ops.is_empty(), "ring updates left queued");
-        self.timeline.check_invariants();
-        self.ring.check_mirror(&self.timeline);
-        self.trailing.check_invariants();
-        // The trailing set holds exactly the timeline's open-ended periods.
-        let mut expect: Vec<u64> = (0..self.num_servers())
-            .map(|s| self.timeline.trailing_period(ServerId(s)).id.0)
-            .collect();
-        expect.sort_unstable();
-        let mut got: Vec<u64> = self.trailing.ids_in_order().iter().map(|p| p.0).collect();
-        got.sort_unstable();
-        assert_eq!(got, expect, "trailing set out of sync with timeline");
-        // The capacity profile's live slots recount exactly from the jobs
+        self.index.check();
+        // The capacity profile's live slots recount exactly from the job
         // map: completed-but-unreleased and pruned history covers no live
         // slot, so it cancels on both sides.
-        self.profile
-            .check_against(self.jobs.values().flatten().map(|r| (r.start, r.end)));
+        self.profile.check_against(self.index.reservation_windows());
     }
 }
 

@@ -106,26 +106,35 @@ proptest! {
         let policy = POLICIES[policy_idx];
         let mut jump = CoAllocScheduler::new(6, cfg(policy, true));
         let mut lin = CoAllocScheduler::new(6, cfg(policy, false));
+        // The constrained path with no constraint drives the same ladder.
+        let mut free = CoAllocScheduler::new(6, cfg(policy, true));
         let mut jobs = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
             jump.advance_to(r.submit);
             lin.advance_to(r.submit);
+            free.advance_to(r.submit);
             let a = jump.submit(r);
             let b = lin.submit(r);
+            let c = free.submit_constrained(r, AttrSet::NONE);
             assert_same_reply(&a, &b)?;
+            assert_same_reply(&c, &b)?;
             if let Ok(g) = &a {
                 jobs.push(g.job);
             }
             // Interleave releases so the profile sees removals too.
             if mask[i] == 1 {
                 if let Some(j) = jobs.pop() {
-                    prop_assert_eq!(jump.release(j), lin.release(j));
+                    let released = jump.release(j);
+                    prop_assert_eq!(released, lin.release(j));
+                    prop_assert_eq!(released, free.release(j));
                 }
             }
         }
         jump.check_consistency();
         lin.check_consistency();
+        free.check_consistency();
         assert_stats_identity(jump.stats(), lin.stats())?;
+        assert_stats_identity(free.stats(), lin.stats())?;
     }
 
     /// Same lockstep for the deadline-capped path, which uses a smaller

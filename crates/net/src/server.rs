@@ -84,10 +84,6 @@ pub struct NetConfig {
     /// Bound of the batch queue between the I/O loops and the scheduler
     /// thread, in *batches* (one batch = one pipelined read burst).
     pub queue_depth: usize,
-    /// Legacy knob from the thread-per-connection front-end; retained so
-    /// existing configs parse, but ignored — admission is governed by
-    /// [`NetConfig::max_conns`] now.
-    pub accept_backlog: usize,
     /// Maximum concurrently admitted connections across all I/O loops.
     /// Connections beyond it are shed at accept with [`BUSY_REPLY`].
     pub max_conns: usize,
@@ -171,7 +167,6 @@ impl Default for NetConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_depth: 64,
-            accept_backlog: 8,
             max_conns: 4096,
             max_line: crate::proto::DEFAULT_MAX_LINE,
             read_timeout: Duration::from_secs(30),

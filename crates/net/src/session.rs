@@ -187,12 +187,7 @@ impl Session {
                 }
             }
             ["deadline", q, s, l, n, d] => {
-                let req = Request::advance(
-                    Time(parse(q, "q_r")?),
-                    Time(parse(s, "s_r")?),
-                    Dur(parse(l, "l_r")?),
-                    parse(n, "n_r")?,
-                );
+                let req = Self::parse_submit_args(q, s, l, n)?;
                 let deadline = Time(parse(d, "deadline")?);
                 match self.sched()?.submit_with_deadline(&req, deadline) {
                     Ok(g) => Ok(Self::grant_line(&g)),
@@ -200,12 +195,7 @@ impl Session {
                 }
             }
             ["constrained", q, s, l, n, mask] => {
-                let req = Request::advance(
-                    Time(parse(q, "q_r")?),
-                    Time(parse(s, "s_r")?),
-                    Dur(parse(l, "l_r")?),
-                    parse(n, "n_r")?,
-                );
+                let req = Self::parse_submit_args(q, s, l, n)?;
                 let required = AttrSet(parse(mask, "mask")?);
                 match self.sched()?.plain()?.submit_constrained(&req, required) {
                     Ok(g) => Ok(Self::grant_line(&g)),
@@ -535,10 +525,25 @@ mod tests {
             "submit 0 0 50 6",
         ];
         let plain = run(&cmds);
-        for k in [2u32, 4] {
+        // Every back-end reports the script's five laddered requests (four
+        // grants, one horizon reject) to the process-global request
+        // counters. Sibling tests bump them too, so these are lower bounds;
+        // `crates/shard/tests/request_metrics.rs` has the exact comparison.
+        let counters = || {
+            ["sched_requests_total", "sched_grants_total", "sched_rejects_total"]
+                .map(|name| obs::metrics::counter(name).get())
+        };
+        for k in [1u32, 2, 4] {
+            let before = counters();
             let sharded = run_sharded(&cmds, k);
-            assert_eq!(sharded[0], format!("ok 8 servers over {k} shards"));
+            let after = counters();
+            if k > 1 {
+                assert_eq!(sharded[0], format!("ok 8 servers over {k} shards"));
+            }
             assert_eq!(&plain[1..], &sharded[1..], "k={k}");
+            for (i, expect) in [5, 4, 1].into_iter().enumerate() {
+                assert!(after[i] - before[i] >= expect, "k={k}: {before:?} -> {after:?}");
+            }
         }
     }
 

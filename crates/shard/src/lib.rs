@@ -2,16 +2,19 @@
 //!
 //! A sharded, parallel front-end for the co-allocation scheduler.
 //!
-//! The `M` servers are partitioned into `K` contiguous shards, each owning
-//! an independent timeline + slot-ring + trailing index over its servers
-//! ([`state::ShardState`]). A coordinator ([`ShardedScheduler`]) drives the
-//! paper's online algorithm and executes in one of two modes:
+//! The `M` servers are partitioned into `K` contiguous shards, each a
+//! [`ServerIndex`] — the same timeline + slot-ring + trailing index +
+//! job map the single scheduler runs on — over its servers. A coordinator
+//! ([`ShardedScheduler`]) drives the paper's online algorithm: every
+//! request gets the one retry [`Ladder`] of `coalloc-core`, and the
+//! coordinator only decides how its starts reach the shards. It executes
+//! in one of two modes:
 //!
 //! * **Inline** (per-request `submit`, and batches below the pool
-//!   threshold): the coordinator locks each shard state directly and runs
-//!   the two-phase search sequentially — no threads are woken, so the
-//!   low-load path costs the same as the single scheduler plus a handful
-//!   of uncontended mutex acquisitions.
+//!   threshold): the coordinator locks each shard directly and probes the
+//!   ladder in staged-doubling rounds, summing per-shard counts — no
+//!   threads are woken, so the low-load path costs the same as the single
+//!   scheduler plus a handful of uncontended mutex acquisitions.
 //! * **Batched pool** ([`ShardedScheduler::submit_batch`] above the
 //!   threshold): each shard worker is woken **once per batch per stage**.
 //!   Phase-1 count ladders for every batch member are probed speculatively
@@ -25,9 +28,10 @@
 //!   member's grant overlaps, the rest trimmed to what those grants left
 //!   of them. If at least `n_r` periods survive, selection over the
 //!   survivors *is* the sequential decision; only otherwise is the member
-//!   re-probed sequentially against live state. Decisions are bit-identical
-//!   to sequential submission either way. See DESIGN.md §9 for the full
-//!   argument.
+//!   re-probed sequentially against live state. The accounting of an
+//!   accepted or rejected member is the same rounds replayed against the
+//!   live profile with no probe. Decisions are bit-identical to sequential
+//!   submission either way. See DESIGN.md §9 for the full argument.
 //!
 //! **Decision equivalence.** Feasible counts are partition sums and every
 //! feasible set holds at most one period per server, so every policy's
@@ -37,12 +41,13 @@
 //! batched or not.
 //!
 //! **Attempt jumping.** The coordinator maintains the same free-capacity
-//! profile as the core scheduler (DESIGN.md §14) and uses it to skip retry
-//! starts that are provably infeasible *before* any shard is locked or
-//! woken — both in the inline ladder and when assembling the pool's
-//! speculative probe rounds. The profile bound is partition-independent
-//! (it counts servers busy throughout a slot, regardless of which shard
-//! owns them), so jumping never changes a decision here either.
+//! profile as the core scheduler (DESIGN.md §14) and hands it to
+//! [`Ladder::next`], which skips retry starts that are provably infeasible
+//! *before* any shard is locked or woken — in the inline rounds and when
+//! assembling the pool's speculative probe rounds alike. The profile bound
+//! is partition-independent (it counts servers busy throughout a slot,
+//! regardless of which shard owns them), so jumping never changes a
+//! decision here either.
 //!
 //! With `K = 1` the coordinator always runs the shard inline — no threads,
 //! no channels — so the single-shard configuration measures pure
@@ -51,14 +56,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod state;
-
 mod pool;
 
-use crate::pool::{Cmd, CommitBuf, EnumBuf, ProbeJob, ProbeStage, Reply, MAX_BATCH};
-use crate::state::ShardState;
-use coalloc_core::idhash::IdMap;
+use crate::pool::{Cmd, CommitBuf, EnumBuf, ProbeJob, ProbeStage, Reply, Round, MAX_BATCH};
+use coalloc_core::ladder::Placement;
 use coalloc_core::prelude::*;
+use coalloc_core::scheduler::record_requests;
 use coalloc_sim::runner::OnlineScheduler;
 use obs::{LazyCounter, LazyHistogram};
 use std::sync::{Arc, Mutex};
@@ -87,11 +90,11 @@ static BATCH_REPROBES: LazyCounter = LazyCounter::new("shard_batch_repro_probes_
 /// How the coordinator talks to its shards.
 #[derive(Debug)]
 struct Backend {
-    /// The shard states. The coordinator locks them directly for all
+    /// The shards. The coordinator locks them directly for all
     /// sequential work (the load-adaptive bypass); pool workers lock them
     /// for batch stages. The two never contend: the coordinator collects
-    /// every reply of a stage before it touches a state inline.
-    states: Vec<Arc<Mutex<ShardState>>>,
+    /// every reply of a stage before it touches a shard inline.
+    states: Vec<Arc<Mutex<ServerIndex>>>,
     /// Worker pool, spawned only for `K > 1`.
     pool: Option<Pool>,
 }
@@ -119,6 +122,8 @@ struct CoordScratch {
     enums: Vec<EnumBuf>,
     /// The winners' windows of the enumerate stage.
     windows: Vec<(Time, Time)>,
+    /// Starts searched by each member of the batch that reached its ladder.
+    probed: Vec<u64>,
     /// Every window granted earlier in the current batch, per server.
     granted: BatchGrants,
 }
@@ -216,22 +221,17 @@ impl BatchGrants {
 /// Per-request bookkeeping for the speculative batch path.
 #[derive(Debug)]
 struct ReqSlot {
-    earliest: Time,
-    horizon_attempts: u64,
-    tries: u64,
-    /// Next logical attempt index to gather (capacity-profile jumping makes
-    /// the probed sequence a subset of `0..tries`).
-    k: u64,
+    /// The request's ladder (stage 1 climbs it; stage 3 replays a restarted
+    /// copy), or the validation error that answers it unprobed.
+    ladder: Result<Ladder, ScheduleError>,
     /// Current staged-doubling round size.
-    round: u64,
+    want: usize,
     /// Phase-1 windows actually probed against the pre-batch snapshot
     /// (for the live-ladder accounting adjustment in stage 3).
     windows: u64,
     /// Probe/enumerate tree-op work, charged only if the speculative
     /// decision is accepted.
     delta: OpStats,
-    /// Pre-search validation error (never probed).
-    err: Option<ScheduleError>,
     /// Speculative winner: `(logical attempt index, start)`.
     winner: Option<(u64, Time)>,
     /// Speculative reject: the ladder exhausted every permitted start.
@@ -242,22 +242,33 @@ struct ReqSlot {
 
 impl ReqSlot {
     fn probing(&self) -> bool {
-        self.err.is_none() && self.winner.is_none() && !self.rejected
+        self.ladder.is_ok() && self.winner.is_none() && !self.rejected
     }
 }
 
-/// Coordinator-side record of one live job: the shards holding its
-/// reservations plus the reservation window and width, so `release` can
-/// withdraw the job's contribution from the capacity profile without
-/// consulting any shard.
-#[derive(Clone, Copy, Debug)]
-struct JobInfo {
-    /// Bitmask of shards holding the job's reservations.
-    mask: u64,
-    start: Time,
-    end: Time,
-    /// Number of servers reserved.
-    servers: u32,
+/// Climb `ladder` in staged-doubling rounds (1, 2, 4 … [`MAX_BATCH`] starts)
+/// until `hit` names the winning position within a round or the ladder runs
+/// out. Returns the winner's attempt index, the attempts charged — a round
+/// is gathered whole but charged only through the winner's position — and
+/// the windows gathered.
+fn climb(
+    mut ladder: Ladder,
+    profile: &FreeProfile,
+    mut hit: impl FnMut(&Round) -> Option<usize>,
+) -> (Option<u64>, u64, u64) {
+    let (mut attempts, mut windows, mut want) = (0u64, 0u64, 1usize);
+    loop {
+        let round = Round::gather(&mut ladder, profile, want);
+        if round.m == 0 {
+            return (None, attempts, windows);
+        }
+        windows += round.m as u64;
+        if let Some(i) = hit(&round) {
+            return (Some(round.ks[i]), attempts + i as u64 + 1, windows);
+        }
+        attempts += round.m as u64;
+        want = Round::doubled(want);
+    }
 }
 
 /// The sharded parallel co-allocation scheduler.
@@ -286,13 +297,6 @@ pub struct ShardedScheduler {
     /// retry loop uses it to jump over provably-infeasible starts before
     /// any shard is probed (inline) or woken (pool stage 1).
     profile: FreeProfile,
-    /// Per live job: shard mask plus reservation window, mirrored for
-    /// history pruning and profile withdrawal on release.
-    job_shards: IdMap<JobId, JobInfo>,
-    /// History boundary of the last amortized prune — mirrors every shard
-    /// scheduler's, so `release` of a pruned job reports `UnknownJob`
-    /// exactly when the single scheduler would.
-    last_prune: Time,
     next_job: u64,
     /// Batch size below which `submit_batch` bypasses the pool.
     pool_min_batch: usize,
@@ -306,8 +310,8 @@ pub struct ShardedScheduler {
 impl ShardedScheduler {
     /// Create a sharded scheduler over `num_servers` servers split into `k`
     /// shards, clock at the epoch. `k` is clamped to `[1, min(64,
-    /// num_servers)]` so every shard owns at least one server and the
-    /// per-job shard mask fits a word.
+    /// num_servers)]` so every shard owns at least one server and a
+    /// commit's shard mask fits a word.
     ///
     /// Decisions are bit-identical to a single [`CoAllocScheduler`] over
     /// the same servers, for every `k`:
@@ -346,14 +350,16 @@ impl ShardedScheduler {
             layout.push((base, count));
             base += count;
         }
-        let states: Vec<Arc<Mutex<ShardState>>> = layout
+        let indexes: Vec<ServerIndex> = layout
             .iter()
             .enumerate()
             .map(|(i, &(base, count))| {
                 let seed = cfg.seed ^ (i as u64).wrapping_mul(0xA24BAED4963EE407);
-                Arc::new(Mutex::new(ShardState::new(&cfg, base, count, origin, seed)))
+                ServerIndex::new(slot_cfg, base, count, origin, seed)
             })
             .collect();
+        let shard_stats = indexes.iter().map(|ix| *ix.stats()).collect();
+        let states: Vec<_> = indexes.into_iter().map(|ix| Arc::new(Mutex::new(ix))).collect();
         let pool = if k == 1 {
             None
         } else {
@@ -382,11 +388,9 @@ impl ShardedScheduler {
             base_slot: slot_cfg.slot_of(origin),
             layout,
             backend: Backend { states, pool },
-            shard_stats: vec![OpStats::new(); k as usize],
+            shard_stats,
             local: OpStats::new(),
             profile: FreeProfile::new(slot_cfg, num_servers, origin),
-            job_shards: IdMap::default(),
-            last_prune: origin,
             next_job: 0,
             pool_min_batch,
             pooled: false,
@@ -497,21 +501,8 @@ impl ShardedScheduler {
             }
         } else {
             for i in 0..self.backend.states.len() {
-                let mut st = self.backend.states[i].lock().expect("shard state lock");
-                st.advance_to(now);
-                self.shard_stats[i] = st.stats();
+                self.on_shard(i, |st| st.advance_to(now));
             }
-        }
-        // Mirror the shard schedulers' amortized history prune in the
-        // coordinator's job map: once they forget a job, `release` must
-        // report `UnknownJob` here rather than fan out a release no shard
-        // still knows (identical to the single scheduler's answer).
-        let window_start = self.slot_cfg.slot_start(target);
-        if (window_start - self.last_prune).secs()
-            >= coalloc_core::scheduler::PRUNE_EVERY_SLOTS * self.slot_cfg.tau.secs()
-        {
-            self.job_shards.retain(|_, info| info.end > window_start);
-            self.last_prune = window_start;
         }
     }
 
@@ -521,17 +512,14 @@ impl ShardedScheduler {
     /// batches (1, 2, 4, … capped at a small constant). Always runs inline:
     /// a single request is below any pool threshold by definition.
     pub fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError> {
-        req.validate().map_err(ScheduleError::InvalidRequest)?;
-        if req.servers > self.num_servers {
-            return Err(ScheduleError::TooManyServers {
-                requested: req.servers,
-                available: self.num_servers,
-            });
-        }
-        let earliest = req.earliest_start.max(self.now);
-        let r_max = self.cfg.effective_r_max();
-        let budget = r_max as u64 + 1;
-        self.run_search(req, earliest, budget)
+        let ladder = self.ladder(req, None)?;
+        self.run(req, ladder)
+    }
+
+    /// Lay out the retry ladder of `req` against the current clock and
+    /// horizon.
+    fn ladder(&self, req: &Request, deadline: Option<Time>) -> Result<Ladder, ScheduleError> {
+        Ladder::new(&self.cfg, req, self.num_servers, self.now, self.horizon_end(), deadline)
     }
 
     /// Handle a batch of requests in submission order, returning one reply
@@ -592,228 +580,69 @@ impl ShardedScheduler {
         req: &Request,
         deadline: Time,
     ) -> Result<Grant, ScheduleError> {
-        req.validate().map_err(ScheduleError::InvalidRequest)?;
-        if req.servers > self.num_servers {
-            return Err(ScheduleError::TooManyServers {
-                requested: req.servers,
-                available: self.num_servers,
-            });
-        }
-        let earliest = req.earliest_start.max(self.now);
-        let latest_start = deadline - req.duration;
-        if latest_start < earliest {
-            return Err(ScheduleError::Exhausted {
-                attempts: 0,
-                last_tried: earliest,
-            });
-        }
-        let r_max = self.cfg.effective_r_max();
-        let budget = (r_max as u64 + 1)
-            .min(((latest_start - earliest).secs() / self.cfg.delta_t.secs()) as u64 + 1);
-        self.run_search(req, earliest, budget)
+        let ladder = self.ladder(req, Some(deadline))?;
+        self.run(req, ladder)
     }
 
-    /// The shared retry loop of the inline path. `budget` is the number of
-    /// starts the caller's bounds allow (R_max, possibly deadline-capped).
+    /// [`Self::search`] plus the request's metrics.
+    fn run(&mut self, req: &Request, ladder: Ladder) -> Result<Grant, ScheduleError> {
+        let before = self.stats();
+        let (result, probed) = self.search(req, ladder);
+        record_requests(&[probed], result.is_ok() as u64, &self.stats().since(&before));
+        result
+    }
+
+    /// The inline driver: climb `ladder` in staged-doubling rounds, each
+    /// round's feasibility decided by summing per-shard counts, then
+    /// enumerate, select and commit at the winning start. Also returns the
+    /// number of starts charged as searched.
     ///
-    /// Attempt windows are gathered through the capacity profile: a start
-    /// whose free upper bound is below `n_r` is provably infeasible on any
-    /// shard partition, so it is jumped over (charged to `attempts_skipped`
-    /// / `attempts_jumped`) instead of probed. Decisions are identical to
-    /// the exhaustive linear walk; see DESIGN.md §14.
-    ///
-    /// Locks shard states directly: on the pool path, queued commits must
+    /// Locks the shards directly: on the pool path, queued commits must
     /// have been flushed first.
-    fn run_search(
-        &mut self,
-        req: &Request,
-        earliest: Time,
-        budget: u64,
-    ) -> Result<Grant, ScheduleError> {
-        let horizon_end = self.horizon_end();
-        let horizon_attempts = if earliest + req.duration > horizon_end {
-            0
-        } else {
-            ((horizon_end - req.duration - earliest).secs() / self.cfg.delta_t.secs()) as u64 + 1
-        };
-        let tries = budget.min(horizon_attempts);
-        let n = req.servers;
-        let step = self.cfg.delta_t;
-        let jump = self.cfg.jump_retries;
-        let mut starts = [Time::ZERO; MAX_BATCH];
-        let mut ks = [0u64; MAX_BATCH];
-        let mut k = 0u64;
-        let mut round = 1u64;
-        let mut gathered = 0u64;
-        let mut winner: Option<(u64, Time)> = None;
-        'probe: while k < tries {
-            // Gather this round's profile-allowed starts (all of 0..tries
-            // when jumping is off — the exhaustive ladder).
-            let want = round.min(MAX_BATCH as u64) as usize;
-            let mut m = 0usize;
-            while m < want && k < tries {
-                let kk = if jump {
-                    match self.profile.next_allowed(earliest, step, req.duration, n, k, tries) {
-                        Some(kk) => kk,
-                        None => {
-                            k = tries;
-                            break;
-                        }
-                    }
-                } else {
-                    k
-                };
-                k = kk;
-                starts[m] = earliest + step * (kk as i64);
-                ks[m] = kk;
-                m += 1;
-                k += 1;
-            }
-            if m == 0 {
-                break;
-            }
-            let totals = self.sync_counts_at(&starts[..m], req.duration);
-            for (i, &total) in totals.iter().take(m).enumerate() {
-                if total >= n as u64 {
-                    gathered += i as u64 + 1;
-                    winner = Some((ks[i], starts[i]));
-                    break 'probe;
-                }
-            }
-            gathered += m as u64;
-            round = (round * 2).min(MAX_BATCH as u64);
-        }
-        self.local.attempts += gathered;
-        if let Some((kw, start)) = winner {
-            // Jumped-over starts up to the winner were all profile-refuted.
-            let skipped = (kw + 1) - gathered;
-            if skipped > 0 {
-                self.local.attempts_skipped += skipped;
-                self.local.attempts_jumped += skipped;
-                coalloc_core::scheduler::record_attempts_jumped(skipped);
-            }
-            let end = start + req.duration;
+    fn search(&mut self, req: &Request, ladder: Ladder) -> (Result<Grant, ScheduleError>, u64) {
+        let (states, shard_stats) = (&self.backend.states, &mut self.shard_stats);
+        let (winner, probed, _) = climb(ladder, &self.profile, |round| {
+            let totals = Self::sync_counts(states, shard_stats, round.starts(), req.duration);
+            totals[..round.m].iter().position(|&t| t >= req.servers as u64)
+        });
+        let result = ladder.settle(winner, probed, &mut self.local).map(|at| {
             let mut feasible = std::mem::take(&mut self.scratch.feasible);
-            self.sync_enumerate_into(start, end, &mut feasible);
+            feasible.clear();
+            for i in 0..self.backend.states.len() {
+                self.on_shard(i, |st| st.enumerate(at.start, at.end, &mut feasible));
+            }
             // At most one period per server is feasible for a given start, so
             // every policy key is total before its id tie-break and the merged
             // selection is independent of shard count and merge order — and
             // identical to the single scheduler's, server for server.
-            self.cfg.policy.select_in_place(&mut feasible, n as usize, end);
-            debug_assert_eq!(feasible.len(), n as usize, "count/enumerate mismatch");
-            let job = JobId(self.next_job);
-            self.next_job += 1;
-            let mask = self.queue_commit(job, start, end, &feasible);
+            let n = req.servers as usize;
+            self.cfg.policy.select_in_place(&mut feasible, n, at.end);
+            debug_assert_eq!(feasible.len(), n, "count/enumerate mismatch");
+            let grant = self.accept(at, &feasible);
             self.apply_commits_inline();
-            self.profile.add(start, end, n);
-            self.job_shards.insert(
-                job,
-                JobInfo {
-                    mask,
-                    start,
-                    end,
-                    servers: n,
-                },
-            );
-            let servers = feasible.iter().map(|p| p.server).collect();
             self.scratch.feasible = feasible;
-            return Ok(Grant {
-                job,
-                start,
-                end,
-                servers,
-                attempts: (kw + 1) as u32,
-                waiting: start.saturating_since(earliest),
-            });
-        }
-        let skipped = budget - gathered;
-        if skipped > 0 {
-            self.local.attempts_skipped += skipped;
-        }
-        let jumped = tries - gathered;
-        if jumped > 0 {
-            self.local.attempts_jumped += jumped;
-            coalloc_core::scheduler::record_attempts_jumped(jumped);
-        }
-        if horizon_attempts < budget {
-            Err(ScheduleError::HorizonExceeded { horizon_end })
-        } else {
-            Err(ScheduleError::Exhausted {
-                attempts: tries as u32,
-                last_tried: earliest + self.cfg.delta_t * (tries as i64 - 1),
-            })
-        }
+            grant
+        });
+        (result, probed)
     }
 
-    /// Replay the inline gathering ladder against the **live** profile for
-    /// a speculative batch member whose outcome is already known, returning
-    /// `(attempts, windows)`: the attempts the sequential path would charge
-    /// and the Phase-1 windows (per shard) it would probe.
-    ///
-    /// With jumping off the gathering sequence is state-independent, so
-    /// this reproduces the speculative ladder's own numbers and every
-    /// downstream adjustment is zero. With jumping on, the pre-batch
-    /// profile may allow windows that the live profile — which has
-    /// absorbed this batch's earlier commits — provably refutes; replaying
-    /// against the live profile keeps attempt/skip/phase-1 accounting
-    /// identical to sequential submission. Must run *before* the member's
-    /// own commit is added to the profile.
-    fn simulate_ladder(
-        &self,
-        duration: Dur,
-        n: u32,
-        earliest: Time,
-        tries: u64,
-        winner_k: Option<u64>,
-    ) -> (u64, u64) {
-        let step = self.cfg.delta_t;
-        let jump = self.cfg.jump_retries;
-        let mut k = 0u64;
-        let mut round = 1u64;
-        let mut attempts = 0u64;
-        let mut windows = 0u64;
-        while k < tries {
-            let want = round.min(MAX_BATCH as u64) as usize;
-            let mut m = 0usize;
-            let mut hit: Option<usize> = None;
-            while m < want && k < tries {
-                let kk = if jump {
-                    match self.profile.next_allowed(earliest, step, duration, n, k, tries) {
-                        Some(kk) => kk,
-                        None => {
-                            k = tries;
-                            break;
-                        }
-                    }
-                } else {
-                    k
-                };
-                k = kk;
-                if winner_k == Some(kk) {
-                    hit = Some(m);
-                }
-                m += 1;
-                k += 1;
-            }
-            if m == 0 {
-                break;
-            }
-            // The sequential path probes the whole gathered round even when
-            // the winner sits mid-round, but only charges attempts through
-            // the winner position.
-            windows += m as u64;
-            if let Some(i) = hit {
-                attempts += i as u64 + 1;
-                return (attempts, windows);
-            }
-            attempts += m as u64;
-            round = (round * 2).min(MAX_BATCH as u64);
+    /// The one grant epilogue: mint the job id, queue the commit with the
+    /// owning shards (whose job maps are the only record of the job),
+    /// charge the capacity profile, build the [`Grant`]. The caller lands
+    /// the queued commits.
+    fn accept(&mut self, at: Placement, chosen: &[IdlePeriod]) -> Grant {
+        let job = JobId(self.next_job);
+        self.next_job += 1;
+        self.queue_commit(job, at.start, at.end, chosen);
+        self.profile.add(at.start, at.end, chosen.len() as u32);
+        Grant {
+            job,
+            start: at.start,
+            end: at.end,
+            servers: chosen.iter().map(|p| p.server).collect(),
+            attempts: at.attempts,
+            waiting: at.waiting,
         }
-        debug_assert!(
-            winner_k.is_none(),
-            "an accepted winner's start is always live-reachable"
-        );
-        (attempts, windows)
     }
 
     /// The speculative pool path of [`Self::submit_batch`]. Requires the
@@ -824,49 +653,21 @@ impl ShardedScheduler {
         out: &mut Vec<Result<Grant, ScheduleError>>,
     ) {
         let k = self.backend.states.len();
-        let step = self.cfg.delta_t;
-        let horizon_end = self.horizon_end();
-        let budget = self.cfg.effective_r_max() as u64 + 1;
+        let before = self.stats();
 
         // Per-request setup: validation and ladder bounds, exactly as the
         // sequential path derives them (the clock is constant across the
         // batch, so `earliest` and the horizon are batch-invariant).
         let mut slots: Vec<ReqSlot> = reqs
             .iter()
-            .map(|req| {
-                let mut slot = ReqSlot {
-                    earliest: Time::ZERO,
-                    horizon_attempts: 0,
-                    tries: 0,
-                    k: 0,
-                    round: 1,
-                    windows: 0,
-                    delta: OpStats::new(),
-                    err: None,
-                    winner: None,
-                    rejected: false,
-                    enum_k: usize::MAX,
-                };
-                if let Err(e) = req.validate() {
-                    slot.err = Some(ScheduleError::InvalidRequest(e));
-                    return slot;
-                }
-                if req.servers > self.num_servers {
-                    slot.err = Some(ScheduleError::TooManyServers {
-                        requested: req.servers,
-                        available: self.num_servers,
-                    });
-                    return slot;
-                }
-                slot.earliest = req.earliest_start.max(self.now);
-                slot.horizon_attempts = if slot.earliest + req.duration > horizon_end {
-                    0
-                } else {
-                    ((horizon_end - req.duration - slot.earliest).secs() / step.secs()) as u64 + 1
-                };
-                slot.tries = budget.min(slot.horizon_attempts);
-                slot.rejected = slot.tries == 0;
-                slot
+            .map(|req| ReqSlot {
+                ladder: self.ladder(req, None),
+                want: 1,
+                windows: 0,
+                delta: OpStats::new(),
+                winner: None,
+                rejected: false,
+                enum_k: usize::MAX,
             })
             .collect();
 
@@ -876,59 +677,26 @@ impl ShardedScheduler {
         // Gathering consults the pre-batch capacity profile: a start it
         // refutes has even less capacity live (in-batch commits only
         // remove capacity), so pruning it cannot change any decision.
-        let jump = self.cfg.jump_retries;
         let mut idx_map: Vec<usize> = Vec::new();
-        let mut round_ks: Vec<[u64; MAX_BATCH]> = Vec::new();
         let mut totals: Vec<u64> = Vec::new();
         loop {
             idx_map.clear();
-            round_ks.clear();
             let mut jobs = Vec::new();
             for (i, slot) in slots.iter_mut().enumerate() {
                 if !slot.probing() {
                     continue;
                 }
-                let req = &reqs[i];
-                let want = slot.round.min(MAX_BATCH as u64) as usize;
-                let mut starts = [Time::ZERO; MAX_BATCH];
-                let mut ks = [0u64; MAX_BATCH];
-                let mut m = 0usize;
-                while m < want && slot.k < slot.tries {
-                    let kk = if jump {
-                        match self.profile.next_allowed(
-                            slot.earliest,
-                            step,
-                            req.duration,
-                            req.servers,
-                            slot.k,
-                            slot.tries,
-                        ) {
-                            Some(kk) => kk,
-                            None => {
-                                slot.k = slot.tries;
-                                break;
-                            }
-                        }
-                    } else {
-                        slot.k
-                    };
-                    slot.k = kk;
-                    starts[m] = slot.earliest + step * (kk as i64);
-                    ks[m] = kk;
-                    m += 1;
-                    slot.k += 1;
-                }
-                if m == 0 {
+                let ladder = slot.ladder.as_mut().expect("probing implies a ladder");
+                let round = Round::gather(ladder, &self.profile, slot.want);
+                if round.m == 0 {
                     slot.rejected = true;
                     continue;
                 }
-                slot.windows += m as u64;
+                slot.windows += round.m as u64;
                 jobs.push(ProbeJob {
-                    starts,
-                    duration: req.duration,
-                    m: m as u32,
+                    round,
+                    duration: reqs[i].duration,
                 });
-                round_ks.push(ks);
                 idx_map.push(i);
             }
             if jobs.is_empty() {
@@ -944,7 +712,7 @@ impl ShardedScheduler {
                     .expect("shard worker alive");
                 }
             }
-            let total_attempts: usize = stage.jobs.iter().map(|j| j.m as usize).sum();
+            let total_attempts: usize = stage.jobs.iter().map(|j| j.round.m).sum();
             totals.clear();
             totals.resize(total_attempts, 0);
             let mut got = 0;
@@ -968,15 +736,13 @@ impl ShardedScheduler {
             let mut off = 0usize;
             for (j, job) in stage.jobs.iter().enumerate() {
                 let slot = &mut slots[idx_map[j]];
-                let counts = &totals[off..off + job.m as usize];
-                off += job.m as usize;
+                let counts = &totals[off..off + job.round.m];
+                off += job.round.m;
                 let n = reqs[idx_map[j]].servers as u64;
                 if let Some(a) = counts.iter().position(|&c| c >= n) {
-                    slot.winner = Some((round_ks[j][a], job.starts[a]));
-                } else if slot.k >= slot.tries {
-                    slot.rejected = true;
+                    slot.winner = Some((job.round.ks[a], job.round.starts[a]));
                 } else {
-                    slot.round = (slot.round * 2).min(MAX_BATCH as u64);
+                    slot.want = Round::doubled(slot.want);
                 }
             }
         }
@@ -1029,136 +795,86 @@ impl ShardedScheduler {
         let enums = std::mem::take(&mut self.scratch.enums);
         let mut granted = std::mem::take(&mut self.scratch.granted);
         let mut feasible = std::mem::take(&mut self.scratch.feasible);
+        let mut probed = std::mem::take(&mut self.scratch.probed);
         granted.reset(self.num_servers);
-        let (mut repaired, mut reprobed) = (0u64, 0u64);
+        probed.clear();
+        let (mut grants, mut repaired, mut reprobed) = (0u64, 0u64, 0u64);
         out.reserve(reqs.len());
-        for (i, req) in reqs.iter().enumerate() {
-            let slot = &mut slots[i];
-            if let Some(err) = slot.err.take() {
-                out.push(Err(err));
-                continue;
-            }
-            if slot.rejected {
-                // Exact reject (capacity only shrank in-batch), but the
-                // *live* gathering may jump more windows than the
-                // speculative one did: replay it for the accounting, and
-                // re-base the Phase-1 window charge from the speculative
-                // ladder to the live one (identical when jumping is off).
-                let (attempts, windows) = self.simulate_ladder(
-                    req.duration,
-                    req.servers,
-                    slot.earliest,
-                    slot.tries,
-                    None,
-                );
-                self.local.accumulate(&slot.delta);
-                self.local.phase1_searches -= k as u64 * slot.windows;
-                self.local.phase1_searches += k as u64 * windows;
-                self.local.attempts += attempts;
-                let skipped = budget - attempts;
-                if skipped > 0 {
-                    self.local.attempts_skipped += skipped;
+        for (req, slot) in reqs.iter().zip(&slots) {
+            let ladder = match slot.ladder {
+                Ok(ladder) => ladder.restarted(),
+                Err(e) => {
+                    out.push(Err(e));
+                    continue;
                 }
-                let jumped = slot.tries - attempts;
-                if jumped > 0 {
-                    self.local.attempts_jumped += jumped;
-                    coalloc_core::scheduler::record_attempts_jumped(jumped);
-                }
-                out.push(Err(if slot.horizon_attempts < budget {
-                    ScheduleError::HorizonExceeded { horizon_end }
-                } else {
-                    ScheduleError::Exhausted {
-                        attempts: slot.tries as u32,
-                        last_tried: slot.earliest + step * (slot.tries as i64 - 1),
-                    }
-                }));
-                continue;
-            }
-            let (kw, start) = slot.winner.expect("resolved slot");
-            let end = start + req.duration;
+            };
             let n = req.servers as usize;
-            feasible.clear();
-            let (mut dropped, mut trimmed) = (0u64, false);
-            for shard in &enums {
-                for p in shard.set(slot.enum_k) {
-                    let mut p = *p;
-                    match granted.repair(&mut p, start, end) {
-                        Repair::Intact => feasible.push(p),
-                        Repair::Trimmed => {
-                            trimmed = true;
-                            feasible.push(p);
+            if let Some((_, start)) = slot.winner {
+                let end = start + req.duration;
+                feasible.clear();
+                let (mut dropped, mut trimmed) = (0u64, false);
+                for shard in &enums {
+                    for p in shard.set(slot.enum_k) {
+                        let mut p = *p;
+                        match granted.repair(&mut p, start, end) {
+                            Repair::Intact => feasible.push(p),
+                            Repair::Trimmed => {
+                                trimmed = true;
+                                feasible.push(p);
+                            }
+                            Repair::Dropped => dropped += 1,
                         }
-                        Repair::Dropped => dropped += 1,
                     }
                 }
-            }
-            if feasible.len() < n {
-                // Earlier grants took the window: land the queued commits
-                // (per-shard order is submission order) and re-run the
-                // full sequential search against live state.
-                reprobed += 1;
-                self.flush_commits();
-                self.scratch.feasible = feasible;
-                let res = self.run_search(req, slot.earliest, budget);
-                feasible = std::mem::take(&mut self.scratch.feasible);
-                if let Ok(g) = &res {
-                    for &s in &g.servers {
-                        granted.push(s, g.start, g.end);
+                if feasible.len() < n {
+                    // Earlier grants took the window: land the queued commits
+                    // (per-shard order is submission order) and re-run the
+                    // full sequential search against live state.
+                    reprobed += 1;
+                    self.flush_commits();
+                    self.scratch.feasible = feasible;
+                    let (res, searched) = self.search(req, ladder);
+                    feasible = std::mem::take(&mut self.scratch.feasible);
+                    probed.push(searched);
+                    if let Ok(g) = &res {
+                        grants += 1;
+                        for &s in &g.servers {
+                            granted.push(s, g.start, g.end);
+                        }
                     }
+                    out.push(res);
+                    continue;
                 }
-                out.push(res);
-                continue;
+                if dropped > 0 || trimmed {
+                    repaired += 1;
+                    BATCH_REPAIR_DROPPED.observe(dropped);
+                }
             }
-            if dropped > 0 || trimmed {
-                repaired += 1;
-                BATCH_REPAIR_DROPPED.observe(dropped);
-            }
-            // Accepted: the live search would find the same winner. Replay
-            // the live gathering for the accounting (see the rejected
-            // arm), then charge the speculative work and queue the commit
-            // for the owning shards. The replay must precede this member's
-            // own profile update.
-            let (attempts_live, windows_live) = self.simulate_ladder(
-                req.duration,
-                req.servers,
-                slot.earliest,
-                slot.tries,
-                Some(kw),
-            );
+            // The speculative outcome stands: a reject is exact (capacity
+            // only shrank in-batch), a repaired winner is where the live
+            // search would stop. The accounting is the inline driver's
+            // rounds replayed against the *live* profile with no probe —
+            // the live gathering may jump more windows than the pre-batch
+            // one did (identical when jumping is off) — so attempts, skips
+            // and the Phase-1 window charge, re-based from the speculative
+            // ladder to the live one, equal sequential submission's. The
+            // replay must precede this member's own profile update.
+            let winner = slot.winner.map(|(kw, _)| kw);
+            let (replayed, attempts, windows) = climb(ladder, &self.profile, |round| {
+                round.ks[..round.m].iter().position(|&k| Some(k) == winner)
+            });
+            debug_assert_eq!(replayed, winner, "an accepted winner's start is live-reachable");
             self.local.accumulate(&slot.delta);
             self.local.phase1_searches -= k as u64 * slot.windows;
-            self.local.phase1_searches += k as u64 * windows_live;
-            self.local.attempts += attempts_live;
-            let skipped = (kw + 1) - attempts_live;
-            if skipped > 0 {
-                self.local.attempts_skipped += skipped;
-                self.local.attempts_jumped += skipped;
-                coalloc_core::scheduler::record_attempts_jumped(skipped);
-            }
-            self.cfg.policy.select_in_place(&mut feasible, n, end);
-            let job = JobId(self.next_job);
-            self.next_job += 1;
-            let mask = self.queue_commit(job, start, end, &feasible);
-            self.profile.add(start, end, req.servers);
-            self.job_shards.insert(
-                job,
-                JobInfo {
-                    mask,
-                    start,
-                    end,
-                    servers: req.servers,
-                },
-            );
-            for p in &feasible {
-                granted.push(p.server, start, end);
-            }
-            out.push(Ok(Grant {
-                job,
-                start,
-                end,
-                servers: feasible.iter().map(|p| p.server).collect(),
-                attempts: (kw + 1) as u32,
-                waiting: start.saturating_since(slot.earliest),
+            self.local.phase1_searches += k as u64 * windows;
+            probed.push(attempts);
+            out.push(ladder.settle(winner, attempts, &mut self.local).map(|at| {
+                self.cfg.policy.select_in_place(&mut feasible, n, at.end);
+                for p in &feasible {
+                    granted.push(p.server, at.start, at.end);
+                }
+                grants += 1;
+                self.accept(at, &feasible)
             }));
         }
         self.scratch.enums = enums;
@@ -1166,6 +882,8 @@ impl ShardedScheduler {
         self.scratch.feasible = feasible;
         // Every accepted member's commit lands before control returns.
         self.flush_commits();
+        record_requests(&probed, grants, &self.stats().since(&before));
+        self.scratch.probed = probed;
         if repaired > 0 {
             BATCH_REPAIRED.add(repaired);
         }
@@ -1174,24 +892,23 @@ impl ShardedScheduler {
         }
     }
 
-    /// Cancel a committed job on every shard holding part of it.
+    /// Cancel a committed job on every shard holding part of it. The
+    /// shards' job maps decide whether the job is known — they forget it at
+    /// the history prune exactly when the single scheduler does.
     pub fn release(&mut self, job: JobId) -> Result<(), ScheduleError> {
-        let info = self
-            .job_shards
-            .remove(&job)
-            .ok_or(ScheduleError::UnknownJob(job))?;
-        // Unconditional: the profile clamps to the live window, so windows
-        // already partly (or fully) rotated out withdraw exactly what the
-        // commit's surviving contribution was.
-        self.profile.remove(info.start, info.end, info.servers);
+        let mut known = false;
         for i in 0..self.backend.states.len() {
-            if info.mask & (1 << i) != 0 {
-                let mut st = self.backend.states[i].lock().expect("shard state lock");
-                st.release(job);
-                self.shard_stats[i] = st.stats();
+            if let Some(released) = self.on_shard(i, |st| st.release(job)) {
+                known = true;
+                // Unconditional: the profile clamps to the live window, so
+                // windows already partly (or fully) rotated out withdraw
+                // exactly what the commit's surviving contribution was.
+                for r in &released {
+                    self.profile.remove(r.start, r.end, 1);
+                }
             }
         }
-        Ok(())
+        known.then_some(()).ok_or(ScheduleError::UnknownJob(job))
     }
 
     /// System utilization over `[origin, until)` — the partition sum of
@@ -1204,7 +921,8 @@ impl ShardedScheduler {
         }
         let mut busy = 0i64;
         for st in &self.backend.states {
-            busy += st.lock().expect("shard state lock").busy_secs_before(until);
+            let st = st.lock().expect("shard state lock");
+            busy += st.timeline().busy_secs_before(until);
         }
         busy as f64 / (span as f64 * self.num_servers as f64)
     }
@@ -1214,13 +932,13 @@ impl ShardedScheduler {
     /// reservations (test helper; expensive).
     #[doc(hidden)]
     pub fn check_consistency(&mut self) {
-        let mut reservations: Vec<(Time, Time)> = Vec::new();
+        let mut windows: Vec<(Time, Time)> = Vec::new();
         for st in &self.backend.states {
             let st = st.lock().expect("shard state lock");
             st.check();
-            st.collect_reservations(&mut reservations);
+            windows.extend(st.reservation_windows());
         }
-        self.profile.check_against(reservations.iter().copied());
+        self.profile.check_against(windows.iter().copied());
     }
 
     /// Which shard owns a global server id.
@@ -1236,6 +954,15 @@ impl ShardedScheduler {
         }
     }
 
+    /// Lock shard `i` for `f` and refresh the coordinator's copy of its
+    /// counters afterwards.
+    fn on_shard<R>(&mut self, i: usize, f: impl FnOnce(&mut ServerIndex) -> R) -> R {
+        let mut st = self.backend.states[i].lock().expect("shard state lock");
+        let out = f(&mut st);
+        self.shard_stats[i] = *st.stats();
+        out
+    }
+
     /// Receive one pool reply; a dead worker is fatal.
     fn recv_reply(&self) -> Reply {
         let pool = self.backend.pool.as_ref().expect("pool path");
@@ -1247,46 +974,37 @@ impl ShardedScheduler {
 
     /// Inline count fan-out: lock each shard in turn and sum the
     /// per-attempt totals for the explicit start list.
-    fn sync_counts_at(&mut self, starts: &[Time], duration: Dur) -> [u64; MAX_BATCH] {
+    fn sync_counts(
+        states: &[Arc<Mutex<ServerIndex>>],
+        shard_stats: &mut [OpStats],
+        starts: &[Time],
+        duration: Dur,
+    ) -> [u64; MAX_BATCH] {
         let mut totals = [0u64; MAX_BATCH];
-        let mut counts = [0u32; MAX_BATCH];
-        for i in 0..self.backend.states.len() {
-            let mut st = self.backend.states[i].lock().expect("shard state lock");
-            st.count_starts(starts, duration, &mut counts);
-            self.shard_stats[i] = st.stats();
-            for (t, c) in totals.iter_mut().zip(counts) {
-                *t += c as u64;
+        for (state, cached) in states.iter().zip(shard_stats) {
+            let mut st = state.lock().expect("shard state lock");
+            for (t, &start) in totals.iter_mut().zip(starts) {
+                *t += st.count(start, start + duration) as u64;
             }
+            *cached = *st.stats();
         }
         totals
     }
 
-    /// Inline feasible-set enumeration: concatenate every shard's set into
-    /// `out` (cleared first).
-    fn sync_enumerate_into(&mut self, start: Time, end: Time, out: &mut Vec<IdlePeriod>) {
-        out.clear();
-        for i in 0..self.backend.states.len() {
-            let mut st = self.backend.states[i].lock().expect("shard state lock");
-            st.enumerate(start, end, out);
-            self.shard_stats[i] = st.stats();
-        }
-    }
-
-    /// Queue a job's commit with the shards owning the chosen servers;
-    /// returns the shard bitmask for the job. Shards apply their queue in
+    /// Queue a job's commit with the shards owning the chosen servers.
+    /// Shards apply their queue in
     /// order, so queueing in submission order keeps every shard's
     /// period-id minting identical to sequential submission.
-    fn queue_commit(&mut self, job: JobId, start: Time, end: Time, chosen: &[IdlePeriod]) -> u64 {
-        let mut mask = 0u64;
+    fn queue_commit(&mut self, job: JobId, start: Time, end: Time, chosen: &[IdlePeriod]) {
+        let mut begun = 0u64; // one bit per shard
         for p in chosen {
             let s = self.shard_of(p.server);
-            if mask & (1 << s) == 0 {
-                mask |= 1 << s;
+            if begun & (1 << s) == 0 {
+                begun |= 1 << s;
                 self.scratch.commits[s].begin(job, start, end);
             }
             self.scratch.commits[s].add_server(p.server);
         }
-        mask
     }
 
     /// Apply the queued commits here and now, locking each shard in turn.
@@ -1295,7 +1013,7 @@ impl ShardedScheduler {
             if !buf.is_empty() {
                 let mut st = self.backend.states[i].lock().expect("shard state lock");
                 buf.apply_to(&mut st);
-                self.shard_stats[i] = st.stats();
+                self.shard_stats[i] = *st.stats();
             }
         }
     }
@@ -1549,12 +1267,7 @@ mod tests {
         pooled.set_pool_min_batch(0);
         let mut inline = ShardedScheduler::new(6, 3, small_cfg());
         inline.set_pool_min_batch(usize::MAX);
-        // The coordinator first hears a shard's counters (the seeding of
-        // its trailing index included) when something touches that shard;
-        // an inline advance touches them all, on both sides.
         let mut now = 10i64;
-        pooled.advance_to(Time(now));
-        inline.advance_to(Time(now));
         for round in 0..60i64 {
             let req = Request::advance(
                 Time(now),
@@ -1575,6 +1288,36 @@ mod tests {
         }
         assert!(now > PRUNE_SLOTS_SPAN, "the run must reach a history prune");
         assert!(pooled.stats().periods_removed > 0);
+    }
+
+    /// A fresh scheduler already reports its shards' set-up work (seeding
+    /// the trailing indexes), exactly as the single scheduler does.
+    #[test]
+    fn stats_are_complete_from_construction() {
+        let single = *CoAllocScheduler::new(7, small_cfg()).stats();
+        assert!(single.update_visits > 0);
+        assert_eq!(ShardedScheduler::new(7, 1, small_cfg()).stats(), single);
+    }
+
+    /// Jobs that are never released leave every shard's job map when their
+    /// history is pruned (`check_consistency` asserts no resident job has
+    /// lost all its reservations to the prune).
+    #[test]
+    fn unreleased_jobs_are_forgotten_at_the_prune() {
+        for k in [1, 3] {
+            let mut s = ShardedScheduler::new(6, k, small_cfg());
+            for boundary in 1..=2 {
+                for i in 0..4 {
+                    s.submit(&Request::on_demand(s.now(), Dur(20 + 10 * i), 1 + i as u32))
+                        .unwrap();
+                }
+                s.advance_to(Time(boundary * (PRUNE_SLOTS_SPAN + 10)));
+                s.check_consistency();
+            }
+            for job in (0..8).map(JobId) {
+                assert_eq!(s.release(job), Err(ScheduleError::UnknownJob(job)), "k={k}");
+            }
+        }
     }
 
     /// The pool path must agree with the inline path decision-for-decision,

@@ -1,11 +1,11 @@
 //! The persistent worker pool: one thread per shard, fed over channels.
 //!
 //! The pool is a *batch-stage engine*, not a per-request RPC endpoint:
-//! shard states live in `Arc<Mutex<_>>` shared with the coordinator, which
-//! locks them directly for all sequential work (per-request submits,
-//! releases, fallback searches — the load-adaptive bypass). Workers are
-//! woken only for whole-batch stages, each a single mailbox message per
-//! shard:
+//! the shards' [`ServerIndex`]es live in `Arc<Mutex<_>>` shared with the
+//! coordinator, which locks them directly for all sequential work
+//! (per-request submits, releases, fallback searches — the load-adaptive
+//! bypass). Workers are woken only for whole-batch stages, each a single
+//! mailbox message per shard:
 //!
 //! * [`Cmd::Probe`] — the Phase-1 count ladders of every unresolved batch
 //!   member for one staged-doubling round;
@@ -29,7 +29,6 @@
 //! accepted, which keeps the aggregate accounting identical to sequential
 //! submission.
 
-use crate::state::ShardState;
 use coalloc_core::prelude::*;
 use crossbeam::channel::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -40,16 +39,54 @@ use std::thread::JoinHandle;
 /// flat array per request.
 pub(crate) const MAX_BATCH: usize = 32;
 
+/// One staged-doubling round of one request's ladder: the starts gathered
+/// from [`Ladder::next`] and their attempt indexes (`..m` are valid). Starts
+/// are explicit rather than an arithmetic ladder because the capacity
+/// profile prunes provably-failing attempts as they are gathered, leaving
+/// an irregular sequence.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Round {
+    pub ks: [u64; MAX_BATCH],
+    pub starts: [Time; MAX_BATCH],
+    pub m: usize,
+}
+
+impl Round {
+    /// Gather the next `want` profile-allowed starts of `ladder`.
+    pub fn gather(ladder: &mut Ladder, profile: &FreeProfile, want: usize) -> Round {
+        let mut round = Round {
+            ks: [0; MAX_BATCH],
+            starts: [Time::ZERO; MAX_BATCH],
+            m: 0,
+        };
+        while round.m < want {
+            let Some((k, start)) = ladder.next(profile) else {
+                break;
+            };
+            round.ks[round.m] = k;
+            round.starts[round.m] = start;
+            round.m += 1;
+        }
+        round
+    }
+
+    /// The gathered starts.
+    pub fn starts(&self) -> &[Time] {
+        &self.starts[..self.m]
+    }
+
+    /// The size of the round after one of `want`: 1, 2, 4 … [`MAX_BATCH`].
+    pub fn doubled(want: usize) -> usize {
+        (want * 2).min(MAX_BATCH)
+    }
+}
+
 /// One request's slice of a probe round: count the windows
-/// `[starts[i], starts[i] + duration)` for `i < m`. Starts are explicit
-/// rather than an arithmetic ladder because the coordinator's capacity
-/// profile prunes provably-failing attempts before fan-out, leaving an
-/// irregular start sequence.
+/// `[start, start + duration)` of `round`'s starts.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ProbeJob {
-    pub starts: [Time; MAX_BATCH],
+    pub round: Round,
     pub duration: Dur,
-    pub m: u32,
 }
 
 /// One staged-doubling round of Phase-1 probes for every still-unresolved
@@ -110,7 +147,7 @@ impl CommitBuf {
 
     /// Apply the queued reservations to their shard, in order, and empty
     /// the queue.
-    pub fn apply_to(&mut self, st: &mut ShardState) {
+    pub fn apply_to(&mut self, st: &mut ServerIndex) {
         let mut from = 0usize;
         for &(job, start, end, n) in &self.jobs {
             let to = from + n as usize;
@@ -180,7 +217,7 @@ impl Drop for Canary {
 /// Spawn one worker thread per shard state. Returns the per-shard command
 /// senders, the shared reply receiver, and the join handles.
 pub(crate) fn spawn_workers(
-    states: &[Arc<Mutex<ShardState>>],
+    states: &[Arc<Mutex<ServerIndex>>],
 ) -> (Vec<Sender<Cmd>>, Receiver<Reply>, Vec<JoinHandle<()>>) {
     let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
     let mut cmd_txs = Vec::with_capacity(states.len());
@@ -200,7 +237,7 @@ pub(crate) fn spawn_workers(
     (cmd_txs, reply_rx, handles)
 }
 
-fn worker(shard: u32, state: Arc<Mutex<ShardState>>, rx: Receiver<Cmd>, tx: Sender<Reply>) {
+fn worker(shard: u32, state: Arc<Mutex<ServerIndex>>, rx: Receiver<Cmd>, tx: Sender<Reply>) {
     let _canary = Canary {
         shard,
         tx: tx.clone(),
@@ -210,19 +247,15 @@ fn worker(shard: u32, state: Arc<Mutex<ShardState>>, rx: Receiver<Cmd>, tx: Send
         let mut st = state.lock().expect("shard state lock");
         let reply = match cmd {
             Cmd::Probe { stage } => {
-                let total: usize = stage.jobs.iter().map(|j| j.m as usize).sum();
+                let total: usize = stage.jobs.iter().map(|j| j.round.m).sum();
                 let mut counts = Vec::with_capacity(total);
                 let mut deltas = Vec::with_capacity(stage.jobs.len());
-                let mut buf = [0u32; MAX_BATCH];
                 for job in &stage.jobs {
                     let mut delta = OpStats::new();
-                    st.count_starts_into(
-                        &job.starts[..job.m as usize],
-                        job.duration,
-                        &mut buf,
-                        &mut delta,
-                    );
-                    counts.extend_from_slice(&buf[..job.m as usize]);
+                    for &start in job.round.starts() {
+                        let count = st.count_with(start, start + job.duration, &mut delta);
+                        counts.push(count as u32);
+                    }
                     deltas.push(delta);
                 }
                 Reply::Probed { counts, deltas }
@@ -233,7 +266,7 @@ fn worker(shard: u32, state: Arc<Mutex<ShardState>>, rx: Receiver<Cmd>, tx: Send
                 buf.deltas.clear();
                 for &(start, end) in &buf.windows {
                     let mut delta = OpStats::new();
-                    st.enumerate_into(start, end, &mut buf.periods, &mut delta);
+                    st.enumerate_with(start, end, &mut buf.periods, &mut delta);
                     buf.ends.push(buf.periods.len());
                     buf.deltas.push(delta);
                 }
@@ -243,7 +276,7 @@ fn worker(shard: u32, state: Arc<Mutex<ShardState>>, rx: Receiver<Cmd>, tx: Send
                 buf.apply_to(&mut st);
                 Reply::Committed {
                     shard,
-                    stats: st.stats(),
+                    stats: *st.stats(),
                     buf,
                 }
             }
@@ -251,7 +284,7 @@ fn worker(shard: u32, state: Arc<Mutex<ShardState>>, rx: Receiver<Cmd>, tx: Send
                 st.advance_to(now);
                 Reply::Advanced {
                     shard,
-                    stats: st.stats(),
+                    stats: *st.stats(),
                 }
             }
         };

@@ -145,11 +145,6 @@ fn main() {
                 cfg.max_conns =
                     parse_or_die(&flag_value(&mut args, "--max-conns"), "connection bound");
             }
-            ("--accept-backlog", Some(cfg)) => {
-                // Legacy (pre-event-loop) flag: accepted, no longer used.
-                cfg.accept_backlog =
-                    parse_or_die(&flag_value(&mut args, "--accept-backlog"), "accept backlog");
-            }
             ("--max-line", Some(cfg)) => {
                 cfg.max_line = parse_or_die(&flag_value(&mut args, "--max-line"), "max line");
             }
