@@ -6,6 +6,14 @@
 //! subtree, and a pointer to a secondary tree holding the same periods in
 //! ascending ending-time order (Section 4.1).
 //!
+//! Here a node keeps that secondary tree only while its subtree holds more
+//! than [`SCAN_MAX`] periods. At or below that size Phase 2 reads the
+//! subtree's leaves directly and sorts the feasible ones by `(end, id)` —
+//! the order the secondary tree would have listed them in — so the answers
+//! are the same and the update path has nothing to maintain there. The
+//! primary tree is the same tree either way (DESIGN.md §12, "Secondary
+//! trees only where they pay").
+//!
 //! Rotations would invalidate the "secondary tree contains exactly `u`'s
 //! subtree" invariant, so — as in classical dynamic range trees — balance is
 //! maintained by *partial rebuilds* (scapegoat / weight-balanced style):
@@ -81,6 +89,17 @@ pub(crate) fn defer_pays(k: usize, m: usize) -> bool {
 
 const DEFER_MIN_OPS: usize = 4;
 const DEFER_OPS_WEIGHT: usize = 8;
+
+/// An internal node keeps a secondary tree iff its subtree holds more than
+/// this many periods; a smaller subtree is scanned. Decided from the node's
+/// own `size` alone. Measured (EXPERIMENTS.md, "A durable grant without its
+/// two taxes"): every doubling up to 64 buys throughput and memory on the
+/// write path; past 64 that gain flattens while a probe of a large tree,
+/// which scans up to twice this many leaves, pays linearly. 64 end keys
+/// are a 1 KiB stack buffer.
+pub const SCAN_MAX: usize = 64;
+// A freshly split leaf is an internal node of two periods with no secondary.
+const _: () = assert!(SCAN_MAX >= 2);
 
 /// See [`SlotTree::fingerprint`].
 #[doc(hidden)]
@@ -192,8 +211,9 @@ impl SlotTree {
     /// The insert itself, reusing `scratch` for the update path and any
     /// rebuild staging (allocation-free once the buffers are warm). With
     /// `defer`, secondary trees are not updated: those of the nodes on the
-    /// update path are dropped (an internal node with an empty secondary is
-    /// *stale*) and left for [`SlotTree::refresh_secondaries`].
+    /// update path are dropped (an internal node of more than [`SCAN_MAX`]
+    /// periods with an empty secondary is *stale*) and left for
+    /// [`SlotTree::refresh_secondaries`].
     fn insert_impl(
         &mut self,
         period: IdlePeriod,
@@ -215,6 +235,9 @@ impl SlotTree {
         // borrow the rest of it.
         let mut path = std::mem::take(&mut scratch.path);
         path.clear();
+        // The node this insert grows past SCAN_MAX, if any: subtree sizes
+        // strictly decrease along a root path, so at most one.
+        let mut outgrown = NIL;
         let mut cur = self.root;
         loop {
             ops.update_visits += 1;
@@ -227,12 +250,15 @@ impl SlotTree {
                     secondary,
                 } => {
                     *size += 1;
+                    let grown = *size as usize;
                     let (l, r, go_left) = (*left, *right, key <= *split);
                     let mut sec = *secondary;
                     if defer {
                         sec.clear(&mut self.arena);
-                    } else {
+                    } else if grown > SCAN_MAX + 1 {
                         sec.insert(&mut self.arena, end_key, ops);
+                    } else if grown == SCAN_MAX + 1 {
+                        outgrown = cur;
                     }
                     if let PNode::Internal { secondary, .. } = &mut self.nodes[cur as usize] {
                         *secondary = sec;
@@ -251,23 +277,23 @@ impl SlotTree {
                     } else {
                         (old_leaf, new_leaf, old.start_key())
                     };
-                    let mut secondary = Treap::new();
-                    if !defer {
-                        secondary.insert(&mut self.arena, old.end_key(), ops);
-                        secondary.insert(&mut self.arena, end_key, ops);
-                    }
                     self.nodes[cur as usize] = PNode::Internal {
                         left: l,
                         right: r,
                         size: 2,
                         split,
-                        secondary,
+                        secondary: Treap::new(),
                     };
                     path.push(cur);
                     break;
                 }
                 PNode::Free => unreachable!("descended into freed node"),
             }
+        }
+        if outgrown != NIL {
+            // Its first secondary tree, built once from the leaves now that
+            // the new one is among them.
+            self.refresh_secondaries(outgrown, scratch, ops);
         }
         self.rebalance_path(&path, defer, scratch, ops);
         scratch.path = path;
@@ -335,11 +361,12 @@ impl SlotTree {
                     secondary,
                 } => {
                     *size -= 1;
+                    let shrunk = *size as usize;
                     let (l, r, go_left) = (*left, *right, key <= *split);
                     let mut sec = *secondary;
-                    if defer {
+                    if defer || shrunk == SCAN_MAX {
                         sec.clear(&mut self.arena);
-                    } else {
+                    } else if shrunk > SCAN_MAX {
                         let removed = sec.remove(&mut self.arena, end_key, ops);
                         debug_assert!(removed, "secondary missing end key during removal");
                     }
@@ -431,12 +458,14 @@ impl SlotTree {
     /// `O(k)`. Staleness is ancestor-closed (every deferred step marks a
     /// root path or a whole rebuilt subtree), so the walk stops at the first
     /// fresh node of each branch and reads that node's end keys off its
-    /// secondary tree. All runs share one stack (`scratch.ends`), adjacent
+    /// secondary tree; it also stops at a subtree of at most [`SCAN_MAX`]
+    /// periods, which has no secondary trees and whose end keys are read
+    /// off its leaves. All runs share one stack (`scratch.ends`), adjacent
     /// runs merge through `scratch.ends_aux`, and the treap builder's spine
     /// is in `scratch` too: nothing is allocated once the buffers are warm.
     fn refresh_secondaries(&mut self, node: u32, scratch: &mut Scratch, ops: &mut OpStats) {
         scratch.ends.clear();
-        if node != NIL {
+        if node != NIL && self.node_size(node) as usize > SCAN_MAX {
             self.refresh_rec(node, scratch, ops);
         }
     }
@@ -446,6 +475,12 @@ impl SlotTree {
     fn refresh_rec(&mut self, node: u32, scratch: &mut Scratch, ops: &mut OpStats) {
         let (left, right, size) = match &self.nodes[node as usize] {
             PNode::Leaf { period } => return scratch.ends.push(period.end_key()),
+            PNode::Internal { size, .. } if *size as usize <= SCAN_MAX => {
+                ops.update_visits += *size as u64;
+                let base = scratch.ends.len();
+                self.for_each_leaf(node, &mut |p| scratch.ends.push(p.end_key()));
+                return scratch.ends[base..].sort_unstable();
+            }
             PNode::Internal { secondary, .. } if !secondary.is_empty() => {
                 return secondary.append_keys(&self.arena, &mut scratch.ends);
             }
@@ -523,9 +558,9 @@ impl SlotTree {
     }
 
     /// Flatten the subtree at `node` and rebuild it perfectly balanced,
-    /// reconstructing every secondary tree (or, with `defer`, leaving them
-    /// all stale). The leaf staging buffer comes from `scratch`, so
-    /// repeated rebuilds reuse one allocation.
+    /// reconstructing every secondary tree it needs (or, with `defer`,
+    /// leaving them all stale). The leaf staging buffer comes from
+    /// `scratch`, so repeated rebuilds reuse one allocation.
     fn rebuild_at(
         &mut self,
         node: u32,
@@ -719,6 +754,8 @@ impl SlotTree {
         out: &mut Vec<PeriodId>,
         ops: &mut OpStats,
     ) {
+        // Scan buffer for the subtrees that keep no secondary tree.
+        let mut keys = [EndKey::range_floor(end); SCAN_MAX];
         for &MarkedNode(n) in marked.iter().rev() {
             if out.len() >= limit {
                 break;
@@ -729,6 +766,21 @@ impl SlotTree {
                     if period.end >= end {
                         out.push(period.id);
                     }
+                }
+                PNode::Internal { size, .. } if *size as usize <= SCAN_MAX => {
+                    // No secondary tree: read the leaves, and list the
+                    // feasible ones the way `collect_ge` would have.
+                    ops.secondary_visits += *size as u64;
+                    let mut found = 0;
+                    self.for_each_leaf(n, &mut |p| {
+                        if p.end >= end {
+                            keys[found] = p.end_key();
+                            found += 1;
+                        }
+                    });
+                    keys[..found].sort_unstable();
+                    let room = limit - out.len();
+                    out.extend(keys[..found].iter().take(room).map(|k| k.id));
                 }
                 PNode::Internal { secondary, .. } => {
                     secondary.collect_ge(
@@ -755,6 +807,10 @@ impl SlotTree {
                     if period.end >= end {
                         count += 1;
                     }
+                }
+                PNode::Internal { size, .. } if *size as usize <= SCAN_MAX => {
+                    ops.secondary_visits += *size as u64;
+                    self.for_each_leaf(n, &mut |p| count += (p.end >= end) as usize);
                 }
                 PNode::Internal { secondary, .. } => {
                     count += secondary.count_ge(&self.arena, EndKey { end, id: PeriodId(0) }, ops);
@@ -785,23 +841,24 @@ impl SlotTree {
     // Introspection / validation
     // ------------------------------------------------------------------
 
+    /// Feed the periods below `node` to `sink` in leaf order.
+    fn for_each_leaf(&self, node: u32, sink: &mut impl FnMut(&IdlePeriod)) {
+        match &self.nodes[node as usize] {
+            PNode::Leaf { period } => sink(period),
+            PNode::Internal { left, right, .. } => {
+                self.for_each_leaf(*left, sink);
+                self.for_each_leaf(*right, sink);
+            }
+            PNode::Free => unreachable!("freed node reachable"),
+        }
+    }
+
     /// All periods in leaf order (descending start). Test/debug helper.
     pub fn periods_in_order(&self) -> Vec<IdlePeriod> {
         let mut out = Vec::with_capacity(self.len());
-        fn rec(tree: &SlotTree, node: u32, out: &mut Vec<IdlePeriod>) {
-            if node == NIL {
-                return;
-            }
-            match &tree.nodes[node as usize] {
-                PNode::Leaf { period } => out.push(*period),
-                PNode::Internal { left, right, .. } => {
-                    rec(tree, *left, out);
-                    rec(tree, *right, out);
-                }
-                PNode::Free => unreachable!(),
-            }
+        if self.root != NIL {
+            self.for_each_leaf(self.root, &mut |p| out.push(*p));
         }
-        rec(self, self.root, &mut out);
         out
     }
 
@@ -836,25 +893,18 @@ impl SlotTree {
                     assert_eq!(*size, l.size + r.size, "size annotation");
                     assert!(l.max <= *split, "left subtree exceeds split");
                     assert!(r.min > *split, "right subtree at or below split");
-                    // Secondary tree must contain exactly the subtree's
-                    // periods, in ascending end order.
-                    let mut expected: Vec<crate::idle::EndKey> = Vec::new();
-                    fn ends(tree: &SlotTree, node: u32, out: &mut Vec<crate::idle::EndKey>) {
-                        match &tree.nodes[node as usize] {
-                            PNode::Leaf { period } => out.push(period.end_key()),
-                            PNode::Internal { left, right, .. } => {
-                                ends(tree, *left, out);
-                                ends(tree, *right, out);
-                            }
-                            PNode::Free => unreachable!(),
-                        }
+                    // Above SCAN_MAX the secondary tree must contain
+                    // exactly the subtree's periods, in ascending end
+                    // order; at or below it there must be none.
+                    let mut expected: Vec<EndKey> = Vec::new();
+                    if *size as usize > SCAN_MAX {
+                        tree.for_each_leaf(node, &mut |p| expected.push(p.end_key()));
+                        expected.sort();
                     }
-                    ends(tree, node, &mut expected);
-                    expected.sort();
                     assert_eq!(
                         secondary.keys_in_order(&tree.arena),
                         expected,
-                        "secondary contents mismatch"
+                        "secondary contents mismatch at size {size}"
                     );
                     secondary.check_invariants(&tree.arena);
                     Some(Info {
@@ -1086,6 +1136,93 @@ mod tests {
         t.check_invariants();
         assert_eq!(t.len(), 32);
         assert!(t.height() <= 12);
+    }
+
+    /// Walk one tree up through the secondary-tree threshold and back
+    /// down, one update at a time, on the eager path and on the deferred
+    /// one: the per-node rule holds after every update and both paths
+    /// leave the same tree.
+    #[test]
+    fn secondaries_come_and_go_at_the_threshold() {
+        let s = SCAN_MAX as u64;
+        let period = |i: u64| p(i, 0, (i * 37 % 101) as i64, 200 + (i * 13 % 97) as i64);
+        let mut eager = SlotTree::new(7);
+        let mut deferred = SlotTree::new(7);
+        let (mut ops, mut scratch) = (OpStats::new(), Scratch::new());
+        let grow = (0..2 * s).map(|i| PeriodOp::Insert(period(i)));
+        // Removal order unrelated to insertion order.
+        let shrink = (0..2 * s)
+            .map(|i| i * 29 % (2 * s))
+            .take(s as usize + 1)
+            .map(|i| PeriodOp::Remove(period(i)));
+        for (step, op) in grow.chain(shrink).enumerate() {
+            match op {
+                PeriodOp::Insert(q) => eager.insert(q, &mut ops),
+                PeriodOp::Remove(q) => assert!(eager.remove(&q, &mut ops)),
+            }
+            deferred.apply_ops([op], true, &mut scratch, &mut ops);
+            eager.check_invariants();
+            deferred.check_invariants();
+            assert_eq!(eager.periods_in_order(), deferred.periods_in_order(), "step {step}");
+            assert_eq!(eager.fingerprint(), deferred.fingerprint(), "step {step}");
+        }
+        assert_eq!(eager.len(), SCAN_MAX - 1);
+        assert_eq!(eager.arena.live_nodes(), 0, "no secondary tree survives below the threshold");
+    }
+
+    /// Phase 2 against the definition, on trees either side of the
+    /// threshold and well above it: per marked subtree, latest marked
+    /// first, the feasible leaves in ascending `(end, id)`, cut at `limit`.
+    #[test]
+    fn phase2_matches_sorted_leaf_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5CA7);
+        let mut ops = OpStats::new();
+        let around = |m: usize| [m - 3, m - 1, m, m + 1, m + 3];
+        for target in around(SCAN_MAX).into_iter().chain(around(4 * SCAN_MAX)) {
+            // Overshoot, then remove back down: an irregular shape.
+            let mut t = SlotTree::new(target as u64);
+            let mut live: Vec<IdlePeriod> = Vec::new();
+            for i in 0..(target + target / 2) as u64 {
+                let start = rng.random_range(0..300);
+                let q = p(i, 0, start, start + rng.random_range(1..200));
+                t.insert(q, &mut ops);
+                live.push(q);
+            }
+            while live.len() > target {
+                let victim = live.swap_remove(rng.random_range(0..live.len()));
+                assert!(t.remove(&victim, &mut ops));
+            }
+            t.check_invariants();
+            for _ in 0..40 {
+                let start = Time(rng.random_range(0..320));
+                let end = start + crate::time::Dur(rng.random_range(1..150));
+                let (_, marked) = t.phase1_candidates(start, &mut ops);
+                let per_mark: Vec<Vec<EndKey>> = marked
+                    .iter()
+                    .rev()
+                    .map(|&MarkedNode(n)| {
+                        let mut keys = Vec::new();
+                        t.for_each_leaf(n, &mut |q| {
+                            if q.end >= end {
+                                keys.push(q.end_key());
+                            }
+                        });
+                        keys.sort();
+                        keys
+                    })
+                    .collect();
+                let want: Vec<PeriodId> = per_mark.iter().flatten().map(|k| k.id).collect();
+                assert_eq!(t.count_feasible(&marked, end, &mut ops), want.len());
+                for limit in [1, 3, usize::MAX] {
+                    let mut got = Vec::new();
+                    t.phase2_collect(&marked, end, limit, &mut got, &mut ops);
+                    let cut = want.len().min(limit);
+                    assert_eq!(got, want[..cut], "size {target}, limit {limit}");
+                }
+            }
+        }
     }
 
     #[test]

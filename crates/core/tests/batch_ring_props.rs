@@ -10,12 +10,18 @@
 //! visit counts for any probe. Only `update_visits` may differ.
 
 use coalloc_core::prelude::*;
-use coalloc_core::primary::PeriodOp;
+use coalloc_core::primary::{PeriodOp, SCAN_MAX};
 use coalloc_core::ring::{SlotRing, StabMarks};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-const SERVERS: u32 = 48;
+/// Server counts on either side of [`SCAN_MAX`]: a canonical tree holds
+/// about one period per server, so the small system never grows a secondary
+/// tree and the large one grows, crosses and drops them. 7, the server
+/// walk's stride, is coprime to both.
+const FEW_SERVERS: u32 = 48;
+const MANY_SERVERS: u32 = 160;
+const _: () = assert!((FEW_SERVERS as usize) < SCAN_MAX && 2 * SCAN_MAX < MANY_SERVERS as usize);
 const TAU: i64 = 10;
 /// Six live slots pad to eight leaves, so a few advances wrap the modulus.
 const SLOTS: i64 = 6;
@@ -39,10 +45,17 @@ fn finite_ops(delta: &PeriodDelta, out: &mut Vec<PeriodOp>) {
     );
 }
 
+/// One reservation: `(server, start, end)`.
+type Held = (ServerId, Time, Time);
+
+/// One generated step, `(kind, a, b, c)`; see [`stream`].
+type Step = (u8, u32, i64, i64);
+
 /// Two rings over one timeline: `eager` takes every update as a batch of
 /// its own and never defers (the pre-batching write path); `batched` takes
 /// them in batches.
 struct Pair {
+    servers: u32,
     timeline: Timeline,
     eager: SlotRing,
     batched: SlotRing,
@@ -51,18 +64,19 @@ struct Pair {
     eager_scratch: Scratch,
     batched_scratch: Scratch,
     now: Time,
-    /// Live reservations by job: `(server, start, end)`.
-    jobs: Vec<(JobId, Vec<(ServerId, Time, Time)>)>,
+    /// Live reservations by job.
+    jobs: Vec<(JobId, Vec<Held>)>,
     next_job: u64,
 }
 
 impl Pair {
-    fn new() -> Pair {
+    fn new(servers: u32) -> Pair {
         let cfg = SlotConfig::new(Dur(TAU), Dur(TAU * SLOTS));
         let mut eager = SlotRing::new(cfg, Time::ZERO, 0xBA7C);
         eager.force_eager();
         Pair {
-            timeline: Timeline::new(SERVERS, Time::ZERO),
+            servers,
+            timeline: Timeline::new(servers, Time::ZERO),
             eager,
             batched: SlotRing::new(cfg, Time::ZERO, 0xBA7C),
             eager_stats: OpStats::new(),
@@ -86,12 +100,13 @@ impl Pair {
         self.next_job += 1;
         let mut held = Vec::new();
         let mut delta = PeriodDelta::default();
-        for i in 0..SERVERS {
+        for i in 0..self.servers {
             if held.len() as u32 == width {
                 break;
             }
-            // 7 is coprime to 48: the walk visits every server once.
-            let server = ServerId((first + i * 7) % SERVERS);
+            // The stride is coprime to the server count: the walk visits
+            // every server once.
+            let server = ServerId((first + i * 7) % self.servers);
             if let Some(p) = self.timeline.covering_idle(server, start, end) {
                 self.timeline
                     .reserve_into(p.id, job, start, end, &mut delta);
@@ -145,7 +160,7 @@ impl Pair {
     }
 
     fn advance(&mut self, by: i64) -> Result<(), TestCaseError> {
-        self.now = self.now + Dur(by);
+        self.now += Dur(by);
         self.eager
             .advance_to_with(self.now, &mut self.eager_scratch, &mut self.eager_stats);
         self.batched
@@ -194,11 +209,12 @@ fn probe(ring: &SlotRing, q: SlotIdx, start: Time, end: Time) -> (Vec<PeriodId>,
     (hits, ops)
 }
 
-/// `(kind, a, b, c)`: kinds 0–2 reserve (`a` → width and first server,
-/// `b` → start offset, `c` → duration), 3 releases job `a`, 4 advances by
-/// `a`.
-fn stream(len: usize) -> impl Strategy<Value = (Vec<(u8, u32, i64, i64)>, Vec<usize>)> {
+/// A server count, then `(kind, a, b, c)` steps — kinds 0–2 reserve (`a` →
+/// width and first server, `b` → start offset, `c` → duration), 3 releases
+/// job `a`, 4 advances by `a` — then batch sizes.
+fn stream(len: usize) -> impl Strategy<Value = (u32, Vec<Step>, Vec<usize>)> {
     (
+        prop_oneof![Just(FEW_SERVERS), Just(MANY_SERVERS)],
         prop::collection::vec((0u8..5, 0u32..4096, 0i64..55, 1i64..40), 1..len),
         prop::collection::vec(1usize..65, 4 * len),
     )
@@ -209,14 +225,16 @@ proptest! {
 
     /// Random reserve/release/advance deltas, random batch boundaries.
     #[test]
-    fn batched_ring_is_state_identical_to_one_by_one((steps, cuts) in stream(60)) {
-        let mut pair = Pair::new();
+    fn batched_ring_is_state_identical_to_one_by_one((servers, steps, cuts) in stream(60)) {
+        let mut pair = Pair::new(servers);
         let mut cuts = cuts.into_iter();
         let mut ops = Vec::new();
+        // Up to two thirds of the servers per grant.
+        let widths = 2 * servers / 3;
         for (kind, a, b, c) in steps {
             ops.clear();
             match kind {
-                0..=2 => pair.reserve(1 + a % 32, a / 32, pair.now + Dur(b), Dur(c), &mut ops),
+                0..=2 => pair.reserve(1 + a % widths, a / 32, pair.now + Dur(b), Dur(c), &mut ops),
                 3 => pair.release(a as usize, &mut ops),
                 _ => pair.advance(a as i64 % 25)?,
             }
@@ -228,18 +246,19 @@ proptest! {
 
 /// A wide grant into a populated slot is the case the batch path exists
 /// for: it must take the deferred path (visible as less counted update
-/// work) and still end in the eager state.
+/// work) and still end in the eager state. The saving is in secondary-tree
+/// maintenance, so the slot is populated beyond [`SCAN_MAX`].
 #[test]
 fn wide_grant_defers_and_matches() {
-    let mut pair = Pair::new();
+    let mut pair = Pair::new(MANY_SERVERS);
     let mut ops = Vec::new();
     // A finite hole [0, 40) on every server...
-    pair.reserve(SERVERS, 0, Time(40), Dur(15), &mut ops);
+    pair.reserve(MANY_SERVERS, 0, Time(40), Dur(15), &mut ops);
     pair.apply(&ops, &mut std::iter::empty()).unwrap();
-    // ...then one 32-wide grant inside it: 32 removals, 64 fragments.
+    // ...then one 96-wide grant inside it: 96 removals, 192 fragments.
     ops.clear();
-    pair.reserve(32, 5, Time(12), Dur(9), &mut ops);
-    assert_eq!(ops.len(), 96);
+    pair.reserve(96, 5, Time(12), Dur(9), &mut ops);
+    assert_eq!(ops.len(), 288);
     let (a0, b0) = (
         pair.eager_stats.update_visits,
         pair.batched_stats.update_visits,

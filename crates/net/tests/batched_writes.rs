@@ -25,7 +25,7 @@ fn batched_and_eager_sessions_reply_byte_identically() {
     }
     eager.force_eager_ring_updates();
 
-    let mut rng = 0xBA7C_4ED_u64;
+    let mut rng = 0x0BA7_C4ED_u64;
     let mut now = 0u64;
     let mut jobs: Vec<u64> = Vec::new();
     let mut wide_grants = 0;

@@ -460,14 +460,7 @@ impl ShardedScheduler {
     pub fn stats(&self) -> OpStats {
         let mut total = self.local;
         for s in &self.shard_stats {
-            total.primary_visits += s.primary_visits;
-            total.secondary_visits += s.secondary_visits;
-            total.update_visits += s.update_visits;
-            total.phase1_searches += s.phase1_searches;
-            total.phase2_searches += s.phase2_searches;
-            total.rebuilds += s.rebuilds;
-            total.periods_inserted += s.periods_inserted;
-            total.periods_removed += s.periods_removed;
+            total.accumulate(s);
         }
         total
     }
@@ -1297,6 +1290,36 @@ mod tests {
         let single = *CoAllocScheduler::new(7, small_cfg()).stats();
         assert!(single.update_visits > 0);
         assert_eq!(ShardedScheduler::new(7, 1, small_cfg()).stats(), single);
+    }
+
+    /// `stats()` sums every counter the shards keep, the ring's included:
+    /// one shard reports what the single scheduler reports after the same
+    /// grants, releases and slot expiries.
+    #[test]
+    fn ring_counters_reach_the_aggregate() {
+        let mut plain = CoAllocScheduler::new(6, small_cfg());
+        let mut sharded = ShardedScheduler::new(6, 1, small_cfg());
+        let mut now = 10i64;
+        for round in 0..40i64 {
+            let req = Request::advance(
+                Time(now),
+                Time(now + 15 + (round % 4) * 10),
+                Dur(10 + (round % 3) * 15),
+                1 + (round % 5) as u32,
+            );
+            let (a, b) = (plain.submit(&req), sharded.submit(&req));
+            assert_eq!(a, b, "round {round}");
+            if let (Ok(g), 0) = (a, round % 3) {
+                assert_eq!(plain.release(g.job), sharded.release(g.job));
+            }
+            now += 7 + (round % 3) * 11;
+            plain.advance_to(Time(now));
+            sharded.advance_to(Time(now));
+        }
+        let (p, s) = (*plain.stats(), sharded.stats());
+        let ring = |o: &OpStats| (o.ring_period_inserts, o.ring_period_removes, o.ring_evictions);
+        assert_eq!(ring(&p), ring(&s));
+        assert!(p.ring_period_inserts > 0 && p.ring_period_removes > 0 && p.ring_evictions > 0);
     }
 
     /// Jobs that are never released leave every shard's job map when their

@@ -1,10 +1,10 @@
 //! # coalloc-wal
 //!
 //! A dependency-free (std-only) write-ahead log for the scheduler's
-//! commitments: append-only segment files with per-record length+CRC32
-//! framing, group-commit fsync batching driven by the caller, periodic
-//! snapshot installation with segment truncation, and torn-tail detection
-//! on open.
+//! commitments: segment files written front to back with per-record
+//! length+CRC32 framing into a pre-zeroed tail, group-commit fsync batching
+//! driven by the caller, periodic snapshot installation with segment
+//! truncation, and torn-tail detection on open.
 //!
 //! The paper defines the scheduler's state as "the set of commitments that
 //! the system has made" (Section 2); this crate makes those commitments
@@ -31,6 +31,21 @@
 //! of the *last* segment is a torn tail from the crash: it is counted,
 //! truncated away, and appends resume at the cut. A bad frame anywhere else
 //! is real corruption and surfaces as [`WalError::Corrupt`].
+//!
+//! ## The zeroed tail
+//!
+//! An fsync that also has to commit a new file size costs a file-system
+//! journal commit on top of the data write, so the log does not grow by
+//! the record. The active segment is extended with zeros a chunk
+//! (`CHUNK`, 64 KiB) at a time — in the same write, covered by the same
+//! fsync, as the records that first need the room — and the syncs that
+//! follow overwrite zeros in place. A segment file is therefore up to one
+//! chunk longer than its records, and **a zero length field is the end of
+//! the log**: clean if every byte after it in the segment is zero, a bad
+//! frame (see above) otherwise. Records are never empty ([`Wal::append`]
+//! refuses an empty payload), so no record is mistaken for the end. A
+//! segment with no zero tail at all — every log written before this layout
+//! — ends at its last byte, as it always did.
 //!
 //! ## Group commit
 //!
@@ -68,11 +83,14 @@ pub mod crc;
 use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 static APPENDS: LazyCounter = LazyCounter::new("wal_append_total");
 static APPEND_BYTES: LazyCounter = LazyCounter::new("wal_append_bytes_total");
 static FSYNCS: LazyCounter = LazyCounter::new("wal_fsync_total");
+/// Syncs that also grew the segment file; the rest changed no metadata.
+static EXTENDS: LazyCounter = LazyCounter::new("wal_extend_total");
 static BATCH: LazyHistogram = LazyHistogram::new("wal_fsync_batch_size");
 static SNAPSHOTS: LazyCounter = LazyCounter::new("wal_snapshot_total");
 static SEGMENTS_REMOVED: LazyCounter = LazyCounter::new("wal_segments_removed_total");
@@ -86,6 +104,13 @@ static LAST_FSYNC_BATCH: LazyGauge = LazyGauge::new("wal_last_fsync_batch");
 
 /// Frame header size: 4 bytes length + 4 bytes CRC32.
 const HEADER: usize = 8;
+
+/// The active segment grows by whole multiples of this many zero bytes (cut
+/// short at `segment_bytes`). Measured (EXPERIMENTS.md, "A durable grant
+/// without its two taxes"): large enough that fewer than one sync in a
+/// hundred extends the file (below that the p99 sees them), small enough to
+/// ride on a fresh log's first write without showing in set-up time.
+const CHUNK: u64 = 64 * 1024;
 
 /// Upper bound on a single record's payload. Anything larger in a frame
 /// header is treated as corruption (or a torn tail), never allocated.
@@ -174,7 +199,10 @@ pub struct Wal {
     cfg: WalConfig,
     active: File,
     active_seq: u64,
+    /// Logical end of the active segment: where the next record goes.
     active_len: u64,
+    /// End of the active segment's file; `[active_len, alloc_len)` is zeros.
+    alloc_len: u64,
     buffered: Vec<u8>,
     unsynced_records: u64,
     since_snapshot: u64,
@@ -208,7 +236,7 @@ fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
 /// Outcome of parsing one frame out of `bytes[offset..]`.
 enum Parsed<'a> {
     Record(&'a [u8], usize),
-    /// Nothing after `offset` (a clean end).
+    /// Nothing, or nothing but zeros, after `offset` (a clean end).
     End,
     /// The remaining bytes do not form a valid frame.
     Bad(&'static str),
@@ -235,6 +263,18 @@ fn parse_frame(bytes: &[u8], offset: usize) -> Parsed<'_> {
         return Parsed::Bad("checksum mismatch");
     }
     Parsed::Record(payload, HEADER + len)
+}
+
+/// The next record of a segment: [`parse_frame`] under the rule that a zero
+/// length field ends the log (crate docs, "The zeroed tail").
+fn parse_record(bytes: &[u8], offset: usize) -> Parsed<'_> {
+    if bytes[offset..].iter().all(|&b| b == 0) {
+        return Parsed::End;
+    }
+    match parse_frame(bytes, offset) {
+        Parsed::Record([], _) => Parsed::Bad("data after the end-of-log marker"),
+        parsed => parsed,
+    }
 }
 
 /// The numbered WAL files found in a directory.
@@ -333,12 +373,14 @@ impl Wal {
         let mut records = Vec::new();
         let mut torn_bytes = 0u64;
         let mut replayed_bytes = 0u64;
+        // Logical end of the last segment read: where appends resume.
+        let mut tail = 0u64;
         for (i, &seq) in segs.iter().enumerate() {
             let path = cfg.dir.join(seg_name(seq));
             let bytes = fs::read(&path)?;
             let mut offset = 0usize;
             loop {
-                match parse_frame(&bytes, offset) {
+                match parse_record(&bytes, offset) {
                     Parsed::Record(payload, consumed) => {
                         records.push(payload.to_vec());
                         offset += consumed;
@@ -352,7 +394,9 @@ impl Wal {
                                 reason,
                             });
                         }
-                        torn_bytes = (bytes.len() - offset) as u64;
+                        // Zeros behind the damage were never records.
+                        let dirty = bytes.iter().rposition(|&b| b != 0).map_or(offset, |i| i + 1);
+                        torn_bytes = (dirty - offset) as u64;
                         let f = OpenOptions::new().write(true).open(&path)?;
                         f.set_len(offset as u64)?;
                         f.sync_all()?;
@@ -361,6 +405,7 @@ impl Wal {
                 }
             }
             replayed_bytes += offset as u64;
+            tail = offset as u64;
         }
         TORN_BYTES.add(torn_bytes);
 
@@ -369,16 +414,18 @@ impl Wal {
             Some(&seq) => seq,
             None => snap_seq.max(1),
         };
+        // Never in append mode: every write names its offset.
         let path = cfg.dir.join(seg_name(active_seq));
-        let active = OpenOptions::new().create(true).append(true).open(&path)?;
-        let active_len = active.metadata()?.len();
+        let active = OpenOptions::new().write(true).create(true).truncate(false).open(&path)?;
+        let alloc_len = active.metadata()?.len();
         sync_dir(&cfg.dir);
 
         let wal = Wal {
             cfg,
             active,
             active_seq,
-            active_len,
+            active_len: tail,
+            alloc_len,
             buffered: Vec::with_capacity(4096),
             unsynced_records: 0,
             since_snapshot: records.len() as u64,
@@ -401,12 +448,19 @@ impl Wal {
 
     /// Append one record. The record is *buffered*, not yet durable: call
     /// [`Wal::sync`] before acting on it (releasing a reply, acknowledging
-    /// a commit). Rolls to a new segment when the active one is full.
+    /// a commit). Rolls to a new segment when the active one is full. An
+    /// empty payload is refused: its frame would read as the end of the log.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
         assert!(
             payload.len() <= MAX_RECORD as usize,
             "record exceeds MAX_RECORD"
         );
+        if payload.is_empty() {
+            return Err(WalError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "empty wal record",
+            )));
+        }
         if self.active_len + self.buffered.len() as u64 >= self.cfg.segment_bytes {
             self.roll()?;
         }
@@ -424,17 +478,39 @@ impl Wal {
     /// when nothing is pending. The number of records the fsync covered is
     /// recorded in the `wal_fsync_batch_size` histogram — under concurrent
     /// load this is the group-commit batch.
+    ///
+    /// The records go to the logical end of the segment. When they would
+    /// pass the end of the file, the same write carries zeros up to the
+    /// next chunk boundary, so this fsync commits the new size and the
+    /// following ones, overwriting those zeros, commit none.
     pub fn sync(&mut self) -> Result<(), WalError> {
         if self.unsynced_records == 0 {
             return Ok(());
         }
-        self.active.write_all(&self.buffered)?;
-        self.active_len += self.buffered.len() as u64;
+        let framed = self.buffered.len();
+        let end = self.active_len + framed as u64;
+        let extend = end > self.alloc_len;
+        if extend {
+            // A chunk never passes `segment_bytes`; the record that fills
+            // the segment may.
+            let alloc = end.next_multiple_of(CHUNK).min(self.cfg.segment_bytes).max(end);
+            self.buffered.resize((alloc - self.active_len) as usize, 0);
+        }
+        if let Err(e) = self.active.write_all_at(&self.buffered, self.active_len) {
+            // A failed write may be retried: keep the records, drop the zeros.
+            self.buffered.truncate(framed);
+            return Err(e.into());
+        }
+        self.alloc_len = self.alloc_len.max(self.active_len + self.buffered.len() as u64);
+        self.active_len = end;
         self.buffered.clear();
         if self.cfg.fsync {
             self.active.sync_data()?;
         }
         FSYNCS.inc();
+        if extend {
+            EXTENDS.inc();
+        }
         BATCH.observe(self.unsynced_records);
         LAST_FSYNC_BATCH.set(self.unsynced_records as i64);
         self.unsynced_records = 0;
@@ -445,12 +521,19 @@ impl Wal {
     fn roll(&mut self) -> Result<(), WalError> {
         self.sync()?;
         let seq = self.active_seq + 1;
+        self.start_segment(seq)?;
+        SEGMENTS_LIVE.set(self.segments_live() as i64);
+        Ok(())
+    }
+
+    /// Create segment `seq`, empty, and make it the active one.
+    fn start_segment(&mut self, seq: u64) -> Result<(), WalError> {
         let path = self.cfg.dir.join(seg_name(seq));
-        self.active = OpenOptions::new().create_new(true).append(true).open(&path)?;
+        self.active = OpenOptions::new().write(true).create_new(true).open(&path)?;
         self.active_seq = seq;
         self.active_len = 0;
+        self.alloc_len = 0;
         sync_dir(&self.cfg.dir);
-        SEGMENTS_LIVE.set(self.segments_live() as i64);
         Ok(())
     }
 
@@ -465,13 +548,9 @@ impl Wal {
         // New segment first: the snapshot's sequence number must point at a
         // segment that exists, and records appended after the snapshot must
         // not land in a segment the truncation below deletes.
-        let seq = self.active_seq + 1;
-        let seg_path = self.cfg.dir.join(seg_name(seq));
-        self.active = OpenOptions::new().create_new(true).append(true).open(&seg_path)?;
         let old_seq = self.active_seq;
-        self.active_seq = seq;
-        self.active_len = 0;
-        sync_dir(&self.cfg.dir);
+        let seq = old_seq + 1;
+        self.start_segment(seq)?;
 
         let mut framed = Vec::with_capacity(state.len() + HEADER);
         frame_into(&mut framed, state);
@@ -596,13 +675,15 @@ mod tests {
         wal.sync().unwrap();
         let seg = dir.join(seg_name(wal.active_segment()));
         drop(wal);
-        // Simulate a crash mid-append: a partial frame at the tail.
-        let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
-        f.write_all(&[42u8, 0, 0, 0, 99, 99]).unwrap(); // header cut short
+        // Simulate a crash mid-write: a partial frame at the logical tail
+        // (two frames of 8 + 8 bytes in), zeros behind it.
+        let f = OpenOptions::new().write(true).open(&seg).unwrap();
+        f.write_all_at(&[42u8, 0, 0, 0, 99, 99], 32).unwrap(); // header cut short
         drop(f);
         let (mut wal, rec) = reopen(&dir);
         assert_eq!(rec.records.len(), 2);
         assert_eq!(rec.torn_bytes, 6);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), 32, "cut at the last good frame");
         wal.append(b"good three").unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -698,17 +779,199 @@ mod tests {
     }
 
     #[test]
-    fn empty_payloads_and_binary_payloads_roundtrip() {
+    fn binary_payloads_roundtrip_and_empty_ones_are_refused() {
         let dir = tmp("binary");
         let (mut wal, _) = reopen(&dir);
-        wal.append(b"").unwrap();
+        assert!(matches!(wal.append(b""), Err(WalError::Io(_))));
+        assert_eq!(wal.unsynced_records(), 0);
         let blob: Vec<u8> = (0..=255u8).collect();
         wal.append(&blob).unwrap();
+        wal.append(&[0u8; 5]).unwrap(); // zeros inside a frame are data
         wal.sync().unwrap();
         drop(wal);
         let (_w, rec) = reopen(&dir);
-        assert_eq!(rec.records[0], b"");
-        assert_eq!(rec.records[1], blob);
+        assert_eq!(rec.records, vec![blob, vec![0u8; 5]]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn framed(records: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in records {
+            frame_into(&mut out, r);
+        }
+        out
+    }
+
+    /// Recover `dir`, expect `want`, append one more record, and expect a
+    /// second recovery to see old + new with nothing torn.
+    fn recover_append_recover(dir: &Path, want: &[&[u8]]) {
+        let (mut wal, rec) = reopen(dir);
+        assert_eq!(rec.records, want);
+        wal.append(b"after the crash").unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (_w, rec) = reopen(dir);
+        assert_eq!(rec.torn_bytes, 0);
+        assert_eq!(rec.records[..want.len()], *want);
+        assert_eq!(rec.records[want.len()..], [b"after the crash".to_vec()]);
+    }
+
+    /// Every way the last write can be cut short: the file ends at byte
+    /// `c` (the size change was part of that write), or the bytes from `c`
+    /// on still read as the zeros the write was replacing.
+    #[test]
+    fn crash_point_sweep_over_the_last_write() {
+        let dir = tmp("sweep");
+        let old: [&[u8]; 3] = [b"submit 0 0 50 2", b"\0\0leading zeros", b"release 0"];
+        let new: [&[u8]; 2] = [b"submit 0 60 50 1\ngranted 1", b"x"];
+        // `n_old = 0`: the last write is the one that creates the zero tail.
+        for n_old in [0, old.len()] {
+            let (mut wal, _) = reopen(&dir);
+            for r in &old[..n_old] {
+                wal.append(r).unwrap();
+                wal.sync().unwrap();
+            }
+            for r in new {
+                wal.append(r).unwrap();
+            }
+            wal.sync().unwrap();
+            let seg = dir.join(seg_name(wal.active_segment()));
+            drop(wal);
+            let full = fs::read(&seg).unwrap();
+            let all: Vec<&[u8]> = old[..n_old].iter().chain(&new).copied().collect();
+            // Frame ends, to tell which records lie wholly before a cut.
+            let ends: Vec<usize> = (1..=all.len()).map(|k| framed(&all[..k]).len()).collect();
+            let (first, last) = (framed(&old[..n_old]).len(), *ends.last().unwrap());
+            assert_eq!(full[..last], framed(&all)[..]);
+            for c in (first..=last).chain([last + 1, last + 100, full.len()]) {
+                let want = &all[..ends.iter().filter(|&&e| e <= c).count()];
+                let mut zeroed = full.clone();
+                zeroed[c..].fill(0);
+                for image in [&full[..c], &zeroed[..]] {
+                    fs::write(&seg, image).unwrap();
+                    recover_append_recover(&dir, want);
+                }
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn segment_grows_by_whole_chunks_not_by_the_record() {
+        let dir = tmp("chunks");
+        let (mut wal, _) = reopen(&dir);
+        let seg = dir.join(seg_name(wal.active_segment()));
+        let len = || fs::metadata(&seg).unwrap().len();
+        for i in 0..50u32 {
+            wal.append(format!("record {i}").as_bytes()).unwrap();
+            wal.sync().unwrap();
+            assert_eq!(len(), CHUNK, "sync {i} inside the first chunk");
+        }
+        // One record longer than what is left of the chunk.
+        wal.append(&vec![7u8; CHUNK as usize]).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(len(), 2 * CHUNK);
+        wal.append(b"and on").unwrap();
+        wal.sync().unwrap();
+        assert_eq!(len(), 2 * CHUNK, "room left in the second chunk");
+        drop(wal);
+        let (_w, rec) = reopen(&dir);
+        assert_eq!(rec.records.len(), 52);
+        assert_eq!(rec.torn_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chunks_stop_at_the_segment_bound() {
+        let dir = tmp("chunk-bound");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.segment_bytes = 100;
+        let (mut wal, _) = Wal::open(cfg.clone()).unwrap();
+        for i in 0..12u32 {
+            wal.append(format!("record number {i:02}").as_bytes()).unwrap();
+            wal.sync().unwrap();
+        }
+        assert!(wal.active_segment() > 1, "fixture must roll segments");
+        drop(wal);
+        // Four 24-byte frames stay under 100, the fifth fills the segment.
+        assert_eq!(fs::metadata(dir.join(seg_name(1))).unwrap().len(), 120);
+        let (_w, rec) = Wal::open(cfg).unwrap();
+        assert_eq!(rec.records.len(), 12);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_without_a_zero_tail_still_opens() {
+        // The layout every log had before the zeroed tail: frames, then EOF.
+        let dir = tmp("raw-appends");
+        fs::create_dir_all(&dir).unwrap();
+        let records: [&[u8]; 2] = [b"submit 0 0 50 2", b"release 0"];
+        fs::write(dir.join(seg_name(1)), framed(&records)).unwrap();
+        recover_append_recover(&dir, &records);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Earlier binaries accepted `append(b"")`; its frame is eight zero
+    /// bytes, which now read as the end of the log. The server never wrote
+    /// one, so this is a stated loss, not a migration path: such a log is
+    /// cut at its first empty record (docs/OPERATIONS.md).
+    #[test]
+    fn empty_record_from_an_older_log_cuts_the_log_there() {
+        let dir = tmp("old-empty");
+        fs::create_dir_all(&dir).unwrap();
+        assert_eq!(framed(&[b""]), [0u8; HEADER]);
+        let old = framed(&[b"first", b"", b"third"]);
+        let kept = framed(&[b"first"]).len() as u64;
+        // Last segment: everything from the empty record on is a torn tail.
+        fs::write(dir.join(seg_name(1)), &old).unwrap();
+        let (wal, rec) = reopen(&dir);
+        assert_eq!(rec.records, [b"first".to_vec()]);
+        assert_eq!(rec.torn_bytes, old.len() as u64 - kept);
+        assert_eq!(fs::metadata(dir.join(seg_name(1))).unwrap().len(), kept);
+        drop(wal);
+        // Earlier segment: the open is refused.
+        fs::write(dir.join(seg_name(1)), &old).unwrap();
+        fs::write(dir.join(seg_name(2)), framed(&[b"fourth"])).unwrap();
+        assert!(matches!(
+            Wal::open(WalConfig::new(&dir)),
+            Err(WalError::Corrupt { segment: 1, offset, .. }) if offset == kept
+        ));
+        // Trailing empty records are indistinguishable from a zero tail.
+        fs::remove_file(dir.join(seg_name(2))).unwrap();
+        fs::write(dir.join(seg_name(1)), framed(&[b"first", b"", b""])).unwrap();
+        let (_w, rec) = reopen(&dir);
+        assert_eq!((rec.records.len(), rec.torn_bytes), (1, 0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn data_after_the_end_marker_is_torn_in_the_last_segment_corrupt_before() {
+        let dir = tmp("after-end");
+        fs::create_dir_all(&dir).unwrap();
+        let mut dirty = framed(&[b"first", b"second"]);
+        let good = dirty.len() as u64;
+        dirty.extend_from_slice(&[0u8; 40]);
+        dirty.extend_from_slice(b"stray");
+        dirty.extend_from_slice(&[0u8; 40]);
+        // As the only segment: a torn tail, cut at the end marker.
+        fs::write(dir.join(seg_name(1)), &dirty).unwrap();
+        let (wal, rec) = reopen(&dir);
+        assert_eq!(rec.records, [b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(rec.torn_bytes, 45, "up to the last non-zero byte");
+        assert_eq!(fs::metadata(dir.join(seg_name(1))).unwrap().len(), good);
+        drop(wal);
+        // With a segment after it: damage a crash cannot explain.
+        fs::write(dir.join(seg_name(1)), &dirty).unwrap();
+        fs::write(dir.join(seg_name(2)), framed(&[b"third"])).unwrap();
+        match Wal::open(WalConfig::new(&dir)) {
+            Err(WalError::Corrupt { segment: 1, offset, .. }) => assert_eq!(offset, good),
+            Err(other) => panic!("want Corrupt in segment 1, got {other:?}"),
+            Ok(_) => panic!("want Corrupt in segment 1, got a successful open"),
+        }
+        // A clean zero tail in an earlier segment is just its end.
+        fs::write(dir.join(seg_name(1)), &dirty[..good as usize + 40]).unwrap();
+        let (_w, rec) = reopen(&dir);
+        assert_eq!(rec.records.len(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,6 +1,7 @@
 //! The WAL gauges behind the admin plane's `/status` — `wal_segments_live`,
 //! `wal_bytes_since_snapshot`, `wal_last_fsync_batch` — must move through a
-//! roll/sync/snapshot/truncation cycle and agree with the `Wal` accessors.
+//! roll/sync/snapshot/truncation cycle and agree with the `Wal` accessors;
+//! and `wal_extend_total` must count exactly the syncs that grew the file.
 //!
 //! Kept in its own integration-test binary: the gauges are process-global,
 //! so this test owns the whole process to read them deterministically.
@@ -64,5 +65,22 @@ fn gauges_move_through_a_snapshot_truncation_cycle() {
     assert_eq!(rec.records.len(), 0, "unsynced tail record was lost, as designed");
     assert_eq!(gauge("wal_bytes_since_snapshot") as u64, wal.bytes_since_snapshot());
     assert_eq!(gauge("wal_segments_live") as u64, wal.segments_live());
+    drop(wal);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // With default segments the first sync zero-fills a chunk and the ones
+    // after it fit inside: `wal_fsync_total - wal_extend_total` is the
+    // number of syncs that changed no file size.
+    let counter = |name: &'static str| obs::metrics::counter(name).get();
+    let (fsyncs, extends) = (counter("wal_fsync_total"), counter("wal_extend_total"));
+    let (mut wal, _rec) = Wal::open(WalConfig::new(&dir)).unwrap();
+    for _ in 0..20 {
+        wal.append(b"submit 7 0 3600 2").unwrap();
+        wal.sync().unwrap();
+    }
+    assert_eq!(counter("wal_fsync_total") - fsyncs, 20);
+    assert_eq!(counter("wal_extend_total") - extends, 1);
+    // Framed bytes only: the zero fill is not log content.
+    assert_eq!(wal.bytes_since_snapshot(), 20 * (8 + 17));
     std::fs::remove_dir_all(&dir).unwrap();
 }
