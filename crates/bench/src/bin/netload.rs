@@ -2,8 +2,9 @@
 //!
 //! Spins up an in-process `coalloc-net` server (or targets an external one
 //! via `--addr`), drives it with `C` concurrent clients replaying a
-//! fixed-seed workload twin from `crates/workloads`, and emits
-//! `BENCH_net.json` with requests/sec and p50/p99 per-command latency.
+//! fixed-seed workload twin from `crates/workloads`, and prints
+//! requests/sec and p50/p99 per-command latency (for the eye: absolute
+//! performance is gated by `benchmark/`, not here).
 //! After the storm it verifies the conservation invariants end to end:
 //! every client-observed grant is releasable exactly once, the scheduler
 //! passes its internal `check`, and (plain back-end) the server's
@@ -13,8 +14,7 @@
 //! ```text
 //! cargo run -p coalloc-bench --release --bin netload -- \
 //!     [--smoke] [--profile default|churn] [--clients C] [--scale F] \
-//!     [--seed N] [--shards K] [--addr HOST:PORT] [--out PATH] \
-//!     [--strict] [--validate PATH]
+//!     [--seed N] [--shards K] [--addr HOST:PORT]
 //! ```
 //!
 //! * `--smoke` — tiny workload slice for CI (8 clients, ~hundreds of
@@ -28,15 +28,12 @@
 //! * `--addr` — drive an already-running `coallocd serve` instead of an
 //!   in-process server (the metric-equality check is skipped: an external
 //!   server's counters may include other traffic).
-//! * `--validate PATH` — parse an existing result file and check its shape
-//!   instead of running; used by CI after the bench run.
-//! * `--strict` — make `--validate` additionally reject results whose
-//!   `secs` is below one second: a committed baseline must come from a
-//!   full-length run, never from a `--smoke` artifact.
+//!
+//! Any `INVARIANT VIOLATED` line makes the process exit 1.
 
+use coalloc_bench::harness::percentile_us;
 use coalloc_net::{Client, NetConfig, Server, BUSY_REPLY};
 use coalloc_workloads::synthetic::WorkloadSpec;
-use obs::json::{self, Json};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -189,14 +186,6 @@ fn client_worker(
     out
 }
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
-}
-
 /// Pull one metric value out of a `metrics` exposition.
 fn metric_value(exposition: &str, name: &str) -> Option<u64> {
     exposition
@@ -228,98 +217,6 @@ fn expo_quantile(exposition: &str, family: &str, q: f64) -> Option<f64> {
     None
 }
 
-/// The measured half of a run, ready to serialize.
-struct RunSummary {
-    n_cmds: usize,
-    secs: f64,
-    rps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    granted: usize,
-    rejected: u64,
-    busy_retries: u64,
-    violations: usize,
-    /// Per-stage p50s from the server's `req_stage_*` histograms (µs):
-    /// queue wait, scheduler compute, WAL stall, writeback. Zero when the
-    /// server's exposition was unreachable.
-    stage_p50_us: [f64; 4],
-}
-
-fn render(spec: &WorkloadSpec, args: &Args, s: &RunSummary) -> String {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    format!(
-        "{{\n  \"bench\": \"netload\",\n  \"profile\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"servers\": {},\n  \
-         \"scale\": {},\n  \"seed\": {},\n  \"clients\": {},\n  \"shards\": {},\n  \
-         \"commands\": {},\n  \"cpus\": {},\n  \"secs\": {:.6},\n  \"rps\": {:.3},\n  \
-         \"p50_us\": {:.3},\n  \"p99_us\": {:.3},\n  \
-         \"stage_queue_wait_p50_us\": {:.3},\n  \"stage_sched_p50_us\": {:.3},\n  \
-         \"stage_wal_stall_p50_us\": {:.3},\n  \"stage_writeback_p50_us\": {:.3},\n  \
-         \"granted\": {},\n  \
-         \"rejected\": {},\n  \"busy_retries\": {},\n  \"violations\": {}\n}}\n",
-        json::escape(&args.profile),
-        json::escape(&spec.name),
-        spec.servers,
-        args.scale,
-        args.seed,
-        args.clients,
-        args.shards,
-        s.n_cmds,
-        cpus,
-        s.secs,
-        s.rps,
-        s.p50_us,
-        s.p99_us,
-        s.stage_p50_us[0],
-        s.stage_p50_us[1],
-        s.stage_p50_us[2],
-        s.stage_p50_us[3],
-        s.granted,
-        s.rejected,
-        s.busy_retries,
-        s.violations,
-    )
-}
-
-/// Shape-check a `BENCH_net.json` document. Strict mode additionally
-/// rejects sub-second runs: a committed baseline regenerated from a smoke
-/// run would silently gut the regression guard (its rps floor and p99
-/// ceiling would come from a statistically meaningless 0.1 s burst).
-fn validate(text: &str, strict: bool) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    if doc.get("bench").and_then(Json::as_str) != Some("netload") {
-        return Err("missing or wrong \"bench\" tag".into());
-    }
-    for key in [
-        "servers", "scale", "seed", "clients", "shards", "commands", "cpus", "secs", "rps",
-        "p50_us", "p99_us", "stage_queue_wait_p50_us", "stage_sched_p50_us",
-        "stage_wal_stall_p50_us", "stage_writeback_p50_us", "granted", "rejected",
-        "busy_retries", "violations",
-    ] {
-        if doc.get(key).and_then(Json::as_num).is_none() {
-            return Err(format!("missing numeric \"{key}\""));
-        }
-    }
-    let num = |k: &str| doc.get(k).and_then(Json::as_num).unwrap_or(-1.0);
-    if num("commands") <= 0.0 || num("rps") <= 0.0 {
-        return Err("\"commands\" and \"rps\" must be positive".into());
-    }
-    if num("clients") < 1.0 {
-        return Err("\"clients\" must be at least 1".into());
-    }
-    if num("violations") != 0.0 {
-        return Err(format!("{} invariant violations recorded", num("violations")));
-    }
-    if strict && num("secs") < 1.0 {
-        return Err(format!(
-            "strict: \"secs\" is {:.3} — a baseline must come from a full run \
-             (≥ 1 s), not a smoke artifact",
-            num("secs")
-        ));
-    }
-    Ok(())
-}
-
 struct Args {
     /// `default` (closed-loop kth replay) or `churn` (connection storm).
     profile: String,
@@ -330,13 +227,6 @@ struct Args {
     seed: u64,
     shards: u32,
     addr: Option<String>,
-    out_path: String,
-    /// Regression guard ratio: with `--baseline`, fail unless
-    /// `rps >= guard × baseline.rps` AND `p99_us <= baseline.p99_us / guard`.
-    guard: Option<f64>,
-    /// Baseline `(rps, p99_us)`, read at argument-parse time so `--baseline`
-    /// and `--out` may name the same file.
-    baseline: Option<(f64, f64)>,
 }
 
 fn main() {
@@ -348,12 +238,8 @@ fn main() {
         seed: 42,
         shards: 1,
         addr: None,
-        out_path: "BENCH_net.json".to_string(),
-        guard: None,
-        baseline: None,
     };
     let mut clients_set = false;
-    let mut strict = false;
     let mut cli = std::env::args().skip(1);
     while let Some(a) = cli.next() {
         match a.as_str() {
@@ -368,7 +254,6 @@ fn main() {
                     "--profile must be `default` or `churn`"
                 );
             }
-            "--strict" => strict = true,
             "--clients" => {
                 args.clients = cli.next().expect("--clients C").parse().expect("integer");
                 clients_set = true;
@@ -377,47 +262,10 @@ fn main() {
             "--seed" => args.seed = cli.next().expect("--seed N").parse().expect("integer"),
             "--shards" => args.shards = cli.next().expect("--shards K").parse().expect("integer"),
             "--addr" => args.addr = Some(cli.next().expect("--addr HOST:PORT")),
-            "--out" => args.out_path = cli.next().expect("--out PATH"),
-            "--guard" => {
-                let r: f64 = cli.next().expect("--guard RATIO").parse().expect("float");
-                assert!(r > 0.0 && r <= 1.0, "--guard must be in (0, 1]");
-                args.guard = Some(r);
-            }
-            "--baseline" => {
-                let path = cli.next().expect("--baseline PATH");
-                // Read now: the run may overwrite this very file via --out.
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-                let doc = json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
-                let num = |k: &str| {
-                    doc.get(k)
-                        .and_then(Json::as_num)
-                        .unwrap_or_else(|| panic!("baseline {path} missing numeric \"{k}\""))
-                };
-                args.baseline = Some((num("rps"), num("p99_us")));
-            }
-            "--validate" => {
-                // `--strict` must precede `--validate` (validation runs
-                // immediately so `--out`/`--validate` can share a file).
-                let path = cli.next().expect("--validate PATH");
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("read {path}: {e}"));
-                match validate(&text, strict) {
-                    Ok(()) => {
-                        println!("{path}: ok{}", if strict { " (strict)" } else { "" });
-                        return;
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: INVALID: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: netload [--smoke] [--profile default|churn] [--clients C] \
-                     [--scale F] [--seed N] [--shards K] [--addr HOST:PORT] [--out PATH] \
-                     [--strict] [--validate PATH] [--guard RATIO --baseline PATH]"
+                     [--scale F] [--seed N] [--shards K] [--addr HOST:PORT]"
                 );
                 return;
             }
@@ -435,7 +283,7 @@ fn main() {
     assert!(args.clients >= 1, "--clients must be at least 1");
 
     // The workload twin: same generator the throughput gate replays (the
-    // churn profile only borrows its name and server count for the row).
+    // churn profile only borrows its server count).
     let spec = WorkloadSpec::kth().scaled(args.scale);
 
     // In-process server unless an external address was given. A handful of
@@ -625,19 +473,19 @@ fn main() {
     // ---- Latency attribution: the per-stage breakdown from the server's
     // `req_stage_*` histograms, and the stage identity
     // queue_wait + sched + wal_stall ≈ net_request_us (at p50).
-    let expo = Client::connect(addr)
-        .and_then(|c| c.exchange_script("metrics\nexit\n"))
-        .unwrap_or_default();
-    let stage_p50 = |family: &str| expo_quantile(&expo, family, 0.50).unwrap_or(0.0);
-    let stage_p50_us = [
-        stage_p50("req_stage_queue_wait"),
-        stage_p50("req_stage_sched"),
-        stage_p50("req_stage_wal_stall"),
-        stage_p50("req_stage_writeback"),
-    ];
     if server.is_some() {
         // Only sound against our own server: an external one carries
         // traffic (and histogram state) we did not generate.
+        let expo = Client::connect(addr)
+            .and_then(|c| c.exchange_script("metrics\nexit\n"))
+            .unwrap_or_default();
+        let stage_p50 = |family: &str| expo_quantile(&expo, family, 0.50).unwrap_or(0.0);
+        let stage_p50_us = [
+            stage_p50("req_stage_queue_wait"),
+            stage_p50("req_stage_sched"),
+            stage_p50("req_stage_wal_stall"),
+            stage_p50("req_stage_writeback"),
+        ];
         let stage_sum = stage_p50_us[0] + stage_p50_us[1] + stage_p50_us[2];
         let e2e_p50 = expo_quantile(&expo, "net_request_us", 0.50).unwrap_or(0.0);
         // Generous envelope: the histograms are log-linear (one sub-bucket
@@ -676,56 +524,11 @@ fn main() {
         eprintln!("INVARIANT VIOLATED: {v}");
     }
 
-    let doc = render(
-        &spec,
-        &args,
-        &RunSummary {
-            n_cmds,
-            secs,
-            rps,
-            p50_us: p50,
-            p99_us: p99,
-            granted: granted_jobs.len(),
-            rejected,
-            busy_retries,
-            violations: violations.len(),
-            stage_p50_us,
-        },
-    );
-    std::fs::write(&args.out_path, &doc)
-        .unwrap_or_else(|e| panic!("write {}: {e}", args.out_path));
-    println!("wrote {}", args.out_path);
-
     drop(control);
     if let Some(s) = server {
         s.shutdown();
     }
     if !violations.is_empty() {
-        std::process::exit(1);
-    }
-    validate(&doc, false).expect("self-validation of the emitted document");
-    enforce_guard(&args, rps, p99);
-}
-
-/// Regression guard (CI): both throughput AND tail latency must stay
-/// within `guard` of the committed baseline. Exits nonzero on breach.
-fn enforce_guard(args: &Args, rps: f64, p99: f64) {
-    let Some(ratio) = args.guard else { return };
-    let (base_rps, base_p99) = args
-        .baseline
-        .expect("--guard requires --baseline PATH (read before the run)");
-    let rps_floor = base_rps * ratio;
-    let p99_ceiling = if base_p99 > 0.0 { base_p99 / ratio } else { f64::INFINITY };
-    println!(
-        "  guard: rps {rps:.0} vs floor {rps_floor:.0} (baseline {base_rps:.0}); \
-         p99 {p99:.1} µs vs ceiling {p99_ceiling:.1} µs (baseline {base_p99:.1})"
-    );
-    if rps < rps_floor {
-        eprintln!("GUARD FAILED: rps {rps:.0} below {rps_floor:.0} ({ratio}× baseline)");
-        std::process::exit(1);
-    }
-    if p99 > p99_ceiling {
-        eprintln!("GUARD FAILED: p99 {p99:.1} µs above {p99_ceiling:.1} µs (baseline/{ratio})");
         std::process::exit(1);
     }
 }
@@ -875,11 +678,10 @@ fn churn_thread(
 /// The churn profile's main: waves of `args.clients` concurrent connections
 /// (bursty open/close, partial-line pipelined writers) with every reply
 /// checked byte-exactly — the acceptance gate's "zero reply-ordering
-/// violations" — then the usual JSON row, self-validation, and guard.
+/// violations".
 fn run_churn(args: &Args, spec: &WorkloadSpec, server: Option<Server>, addr: std::net::SocketAddr) {
     let conns = args.clients;
-    // Full runs use enough waves to stay comfortably past the strict
-    // baseline floor (>= 1 s) on a fast box; smoke stays tiny for CI.
+    // Smoke stays tiny for CI.
     let waves = if args.smoke { 2 } else { 6 };
     let burst = if args.smoke { 8 } else { 16 };
     let threads = conns.min(32);
@@ -942,17 +744,6 @@ fn run_churn(args: &Args, spec: &WorkloadSpec, server: Option<Server>, addr: std
         Err(e) => violations.push(format!("check io error: {e}")),
     }
 
-    let expo = Client::connect(addr)
-        .and_then(|c| c.exchange_script("metrics\nexit\n"))
-        .unwrap_or_default();
-    let stage_p50 = |family: &str| expo_quantile(&expo, family, 0.50).unwrap_or(0.0);
-    let stage_p50_us = [
-        stage_p50("req_stage_queue_wait"),
-        stage_p50("req_stage_sched"),
-        stage_p50("req_stage_wal_stall"),
-        stage_p50("req_stage_writeback"),
-    ];
-
     let n_cmds = checked as usize;
     let rps = n_cmds as f64 / secs.max(1e-9);
     let p50 = percentile_us(&lat_ns, 0.50);
@@ -975,26 +766,6 @@ fn run_churn(args: &Args, spec: &WorkloadSpec, server: Option<Server>, addr: std
         eprintln!("  ... and {} more", violations.len() - 20);
     }
 
-    let doc = render(
-        spec,
-        args,
-        &RunSummary {
-            n_cmds,
-            secs,
-            rps,
-            p50_us: p50,
-            p99_us: p99,
-            granted: 0,
-            rejected: 0,
-            busy_retries: busy,
-            violations: violations.len(),
-            stage_p50_us,
-        },
-    );
-    std::fs::write(&args.out_path, &doc)
-        .unwrap_or_else(|e| panic!("write {}: {e}", args.out_path));
-    println!("wrote {}", args.out_path);
-
     drop(control);
     if let Some(s) = server {
         s.shutdown();
@@ -1002,6 +773,4 @@ fn run_churn(args: &Args, spec: &WorkloadSpec, server: Option<Server>, addr: std
     if !violations.is_empty() {
         std::process::exit(1);
     }
-    validate(&doc, false).expect("self-validation of the emitted document");
-    enforce_guard(args, rps, p99);
 }

@@ -179,6 +179,16 @@ impl Csv {
     }
 }
 
+/// Nearest-rank percentile over an ascending slice of nanosecond latencies,
+/// reported in microseconds.
+pub fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
+    if sorted_ns.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
+    sorted_ns[idx] as f64 / 1_000.0
+}
+
 /// Round to 3 decimal places for stable CSV output.
 pub fn r3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0

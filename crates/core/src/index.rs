@@ -349,9 +349,10 @@ impl ServerIndex {
         // Canonical processing order. The stored order is the selection
         // order on a live index but snapshot order on a restored one;
         // since releasing mints fresh period ids per server, processing in
-        // stored order would assign ids differently on the two — and period
-        // ids are decision-relevant (Phase-2 retrieval is keyed by
-        // `(end, id)`). Sorting makes release provenance-independent.
+        // stored order would assign ids differently on the two — and with
+        // them the snapshot text and the tie order of `query` hits, which a
+        // restored twin must reproduce. Sorting makes release
+        // provenance-independent.
         reservations.sort_unstable_by_key(|r| (r.server, r.start));
         let mut delta = std::mem::take(&mut self.scratch.delta);
         for r in &reservations {
@@ -402,11 +403,12 @@ impl ServerIndex {
     }
 
     /// Replace the timeline and rebuild both search indexes from explicit,
-    /// caller-validated parts (the id-faithful restore path): period ids
-    /// and the id counter are installed verbatim, so Phase-2 retrieval
-    /// order under a result limit — and therefore every future decision —
-    /// is bit-identical to the index that wrote the snapshot. `now` places
-    /// the live window.
+    /// caller-validated parts (the id-faithful restore path): the idle
+    /// periods are installed as written, not re-derived from `busy` —
+    /// released history leaves periods un-merged, and selection ranks by
+    /// period start — so every future decision is bit-identical to the
+    /// index that wrote the snapshot; ids and the id counter come along so
+    /// its next snapshot is too. `now` places the live window.
     pub(crate) fn install(
         &mut self,
         now: Time,

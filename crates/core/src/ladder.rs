@@ -83,14 +83,18 @@ impl Ladder {
         let step = cfg.delta_t.secs();
         let mut budget = cfg.effective_r_max() as u64 + 1;
         if let Some(deadline) = deadline {
-            let latest_start = deadline - req.duration;
-            if latest_start < earliest {
+            // The deadline is outside input over the whole `i64` range:
+            // `deadline - l_r - earliest` can leave it, so widen first.
+            let slack =
+                deadline.secs() as i128 - req.duration.secs() as i128 - earliest.secs() as i128;
+            if slack < 0 {
                 return Err(ScheduleError::Exhausted {
                     attempts: 0,
                     last_tried: earliest,
                 });
             }
-            budget = budget.min(((latest_start - earliest).secs() / step) as u64 + 1);
+            let rungs = slack / step as i128 + 1;
+            budget = budget.min(u64::try_from(rungs).unwrap_or(u64::MAX));
         }
         let horizon_attempts = if earliest + req.duration > horizon_end {
             0
@@ -191,5 +195,42 @@ impl Ladder {
             attempts: (k + 1) as u32,
             waiting: start.saturating_since(self.earliest),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A deadline is raw protocol input: anywhere in `i64` it must land on
+    /// the right side of `earliest + l_r`, never wrap to the other one.
+    #[test]
+    fn deadline_branch_does_not_wrap() {
+        let cfg = SchedulerConfig::builder()
+            .tau(Dur(10))
+            .horizon(Dur(300))
+            .delta_t(Dur(10))
+            .build();
+        let req = Request::on_demand(Time::ZERO, Dur(10), 1);
+        let ladder =
+            |deadline: i64| Ladder::new(&cfg, &req, 4, Time::ZERO, Time(300), Some(Time(deadline)));
+        for too_late in [i64::MIN, -1, 9] {
+            assert_eq!(
+                ladder(too_late).unwrap_err(),
+                ScheduleError::Exhausted {
+                    attempts: 0,
+                    last_tried: Time::ZERO
+                },
+                "deadline {too_late}"
+            );
+        }
+        // Exactly `earliest + l_r` leaves one rung; each `Delta_t` adds one.
+        assert_eq!(ladder(10).unwrap().budget, 1);
+        assert_eq!(ladder(19).unwrap().budget, 1);
+        assert_eq!(ladder(20).unwrap().budget, 2);
+        assert_eq!(
+            ladder(i64::MAX).unwrap().budget,
+            cfg.effective_r_max() as u64 + 1
+        );
     }
 }

@@ -79,6 +79,21 @@ pub fn record_requests(probed: &[u64], grants: u64, delta: &OpStats) {
     add(&PHASE2_TOTAL, delta.phase2_searches);
 }
 
+/// Hostile-input bounds ([`SchedulerConfig::check_limits`]): protocol lines
+/// and snapshots are operator- or network-supplied data, so sizes that would
+/// make a constructor allocate unboundedly or the clock loop for minutes are
+/// rejected up front rather than trusted.
+const MAX_SERVERS: u64 = 1 << 20;
+/// Upper bound on the derived slot count `ceil(horizon / tau)`.
+const MAX_SLOTS: i64 = 1 << 22;
+/// Magnitude bound on every timestamp (≈ 139,000 years in seconds): keeps
+/// all downstream slot arithmetic far from `i64` overflow.
+pub(crate) const MAX_ABS_TIME: i64 = 1 << 42;
+/// Bound on the slots one clock move spans: `advance_to` (and with it
+/// restore, which replays `origin → now`) rotates the ring slot by slot, so
+/// the span must not encode a multi-minute spin.
+const MAX_ADVANCE_SLOTS: i64 = 1 << 21;
+
 /// Configuration of a [`CoAllocScheduler`].
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
@@ -136,6 +151,41 @@ impl SchedulerConfig {
     pub fn effective_r_max(&self) -> u32 {
         self.r_max
             .unwrap_or_else(|| (self.slot_config().num_slots / 2) as u32)
+    }
+
+    /// Check a geometry and a clock move that came from outside the program
+    /// (an `init` or `advance` line, a snapshot) against the bounds above:
+    /// this configuration's `tau`, `horizon` and `delta_t` over `servers`
+    /// servers, and the clock going `from → to`. Must pass before a
+    /// constructor (they `assert!` their invariants and allocate per server
+    /// and per slot) or [`CoAllocScheduler::advance_to`] (it rotates the
+    /// ring slot by slot) sees the values; `Err` names the violated bound.
+    /// A move backwards passes: `advance_to` ignores it.
+    pub fn check_limits(&self, servers: u64, from: Time, to: Time) -> Result<(), &'static str> {
+        let (tau, horizon, delta_t) = (self.tau.secs(), self.horizon.secs(), self.delta_t.secs());
+        if !(1..=MAX_ABS_TIME).contains(&tau) {
+            return Err("slot width out of range");
+        }
+        if !(tau..=MAX_ABS_TIME).contains(&horizon) {
+            return Err("horizon out of range");
+        }
+        if (horizon + tau - 1) / tau > MAX_SLOTS {
+            return Err("horizon/tau implies too many slots");
+        }
+        if !(1..=MAX_ABS_TIME).contains(&delta_t) {
+            return Err("delta_t out of range");
+        }
+        if !(1..=MAX_SERVERS).contains(&servers) {
+            return Err("server count out of range");
+        }
+        let in_range = |t: Time| t.secs().unsigned_abs() <= MAX_ABS_TIME as u64;
+        if !in_range(from) || !in_range(to) {
+            return Err("clock out of range");
+        }
+        if (to - from).secs() / tau > MAX_ADVANCE_SLOTS {
+            return Err("clock span implies too many slot advances");
+        }
+        Ok(())
     }
 }
 

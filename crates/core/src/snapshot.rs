@@ -8,13 +8,21 @@
 //! live reservation — and restore rebuilds the full index state (slot
 //! trees, trailing index) from them.
 //!
-//! A v2 snapshot captures the schedule *and* the period-id assignment:
-//! Phase-2 retrieval under a result limit is keyed by `(end, id)`, so ids
-//! are decision-relevant state — restore installs them verbatim (tree
-//! *shapes* are still regenerated; they affect only performance) and every
-//! future decision is bit-identical to the writer's, under every selection
-//! policy. Legacy v1 snapshots lack the id assignment; their restores make
-//! equivalent (same feasibility) but not necessarily identical choices.
+//! A v2 snapshot captures the schedule *and* the idle periods, because the
+//! commitments do not determine them: a reservation released after it
+//! completed (retired) or was pruned leaves its neighbouring idle periods
+//! un-merged, and `PaperOrder` ranks candidates by idle-period *start*. So
+//! the idle geometry is decision-relevant state — restore installs it
+//! verbatim (tree *shapes* are still regenerated; they affect only
+//! performance) and every future decision is bit-identical to the writer's,
+//! under every selection policy. The period ids ride along: no selection key
+//! reaches them (a window has at most one feasible period per server), but
+//! they break ties in the trees' keys, so they keep a restored twin's
+//! snapshot text and `query` tie order equal to the live index's. Legacy
+//! v1 snapshots lack the idle lines; their restores re-derive merged
+//! periods from the reservations and make equivalent (same feasibility) but
+//! not necessarily identical choices — the test
+//! `retired_history_shapes_future_grants` is the minimal case.
 //! Pruned history is not included; utilization accounting restarts from
 //! the live reservations.
 
@@ -22,7 +30,7 @@ use crate::attrs::AttrSet;
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, PeriodId, ServerId};
 use crate::policy::SelectionPolicy;
-use crate::scheduler::{CoAllocScheduler, SchedulerConfig};
+use crate::scheduler::{CoAllocScheduler, SchedulerConfig, MAX_ABS_TIME};
 use crate::time::{Dur, Time};
 use crate::timeline::Reservation;
 
@@ -35,19 +43,6 @@ const MAGIC: &str = "coalloc-snapshot v2";
 /// The previous, footer-less format: still restorable (leniently) so
 /// snapshots written before the WAL existed keep loading.
 const MAGIC_V1: &str = "coalloc-snapshot v1";
-
-/// Hostile-input bounds: a snapshot is operator- or network-supplied data,
-/// so sizes that would make `restore` allocate unboundedly or loop for
-/// minutes are rejected up front rather than trusted.
-const MAX_SERVERS: u32 = 1 << 20;
-/// Upper bound on the derived slot count `ceil(horizon / tau)`.
-const MAX_SLOTS: i64 = 1 << 22;
-/// Magnitude bound on every timestamp (≈ 139,000 years in seconds): keeps
-/// all downstream slot arithmetic far from `i64` overflow.
-const MAX_ABS_TIME: i64 = 1 << 42;
-/// Bound on `(now - origin) / tau`: restore replays the clock advance slot
-/// by slot, so the span must not encode a multi-minute spin.
-const MAX_ADVANCE_SLOTS: i64 = 1 << 21;
 
 /// Errors from [`CoAllocScheduler::restore`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -165,11 +160,10 @@ impl CoAllocScheduler {
                 out.push_str(&format!("attrs {s} {}\n", a.0));
             }
         }
-        // Idle periods verbatim, ids included: Phase-2 retrieval order
-        // under a result limit is keyed by (end, id), so a restore that
-        // regenerated ids would make *different* (if equivalent) grants.
-        // Bit-identical recovery requires the exact id assignment — and the
-        // id counter below it.
+        // Idle periods verbatim: released history leaves them un-merged
+        // (module docs), so a restore that re-derived them from the `res`
+        // lines would make *different* (if equivalent) grants. The ids and
+        // the id counter below keep re-snapshots and tree tie order equal.
         for s in 0..self.num_servers() {
             for p in self.timeline().idle_periods(ServerId(s)) {
                 if p.end.is_inf() {
@@ -267,7 +261,7 @@ impl CoAllocScheduler {
         let mut raw_cfg: Option<RawConfig> = None;
         let mut clock: Option<(usize, i64, i64)> = None;
         let mut pruned: Option<(usize, i64)> = None;
-        let mut servers: Option<(usize, u64)> = None;
+        let mut servers: Option<u64> = None;
         let mut attrs: Vec<(usize, u64, u64)> = Vec::new();
         // (line, id, server, start, end) — end None = open-ended.
         let mut idle: Vec<(usize, u64, u64, i64, Option<i64>)> = Vec::new();
@@ -305,7 +299,7 @@ impl CoAllocScheduler {
                     pruned = Some((line_no, fields[1].parse().map_err(|_| bad())?));
                 }
                 "servers" if fields.len() == 2 => {
-                    servers = Some((line_no, fields[1].parse().map_err(|_| bad())?));
+                    servers = Some(fields[1].parse().map_err(|_| bad())?);
                 }
                 "attrs" if fields.len() == 3 => {
                     attrs.push((
@@ -348,44 +342,36 @@ impl CoAllocScheduler {
         }
 
         // Phase 2: bounds-check everything against what a genuine snapshot
-        // can contain, in dependency order (config, clock, servers, rest).
+        // can contain: first the geometry and clock bounds every outside
+        // input shares (`check_limits`; they span the config, clock and
+        // servers lines, hence line 0), then what only a snapshot carries.
         let invalid = |line: usize, what: &'static str| SnapshotError::Invalid { line, what };
         let rc = raw_cfg.ok_or(invalid(0, "missing config line"))?;
-        if rc.tau < 1 || rc.tau > MAX_ABS_TIME {
-            return Err(invalid(rc.line, "slot width out of range"));
-        }
-        if rc.horizon < rc.tau || rc.horizon > MAX_ABS_TIME {
-            return Err(invalid(rc.line, "horizon out of range"));
-        }
-        let num_slots = (rc.horizon + rc.tau - 1) / rc.tau;
-        if num_slots > MAX_SLOTS {
-            return Err(invalid(rc.line, "horizon/tau implies too many slots"));
-        }
-        if rc.delta_t < 1 || rc.delta_t > MAX_ABS_TIME {
-            return Err(invalid(rc.line, "delta_t out of range"));
-        }
+        let (clock_line, origin, now) = clock.unwrap_or((0, 0, 0));
+        let n_servers = servers.ok_or(invalid(0, "missing servers line"))?;
         if rc.r_max < -1 || rc.r_max > u32::MAX as i64 {
             return Err(invalid(rc.line, "r_max out of range"));
         }
-        let (clock_line, origin, now) = clock.unwrap_or((0, 0, 0));
-        if origin.abs() > MAX_ABS_TIME || now.abs() > MAX_ABS_TIME {
-            return Err(invalid(clock_line, "clock out of range"));
-        }
+        let cfg = SchedulerConfig {
+            tau: Dur(rc.tau),
+            horizon: Dur(rc.horizon),
+            delta_t: Dur(rc.delta_t),
+            r_max: (rc.r_max >= 0).then_some(rc.r_max as u32),
+            policy: rc.policy,
+            seed: rc.seed,
+            ..SchedulerConfig::default()
+        };
+        cfg.check_limits(n_servers, Time(origin), Time(now))
+            .map_err(|what| invalid(0, what))?;
+        let num_slots = cfg.slot_config().num_slots as i64;
         if now < origin {
             return Err(invalid(clock_line, "clock runs backwards (now < origin)"));
-        }
-        if (now - origin) / rc.tau > MAX_ADVANCE_SLOTS {
-            return Err(invalid(clock_line, "clock span implies too many slot advances"));
         }
         // Absent in v1 (and harmlessly conservative there): prune from the
         // origin, exactly what a freshly built scheduler would do.
         let (pruned_line, last_prune) = pruned.unwrap_or((0, origin));
         if last_prune < origin || last_prune > now {
             return Err(invalid(pruned_line, "prune boundary outside [origin, now]"));
-        }
-        let (servers_line, n_servers) = servers.ok_or(invalid(0, "missing servers line"))?;
-        if n_servers == 0 || n_servers > MAX_SERVERS as u64 {
-            return Err(invalid(servers_line, "server count out of range"));
         }
         for &(line, s, _mask) in &attrs {
             if s >= n_servers {
@@ -469,16 +455,7 @@ impl CoAllocScheduler {
         // Phase 3: build. Every assert inside these constructors is now
         // unreachable; the only remaining failure is a reservation that
         // does not fit the rebuilt timeline.
-        let mut b = SchedulerConfig::builder()
-            .tau(Dur(rc.tau))
-            .horizon(Dur(rc.horizon))
-            .delta_t(Dur(rc.delta_t))
-            .policy(rc.policy)
-            .seed(rc.seed);
-        if rc.r_max >= 0 {
-            b = b.r_max(rc.r_max as u32);
-        }
-        let mut sched = CoAllocScheduler::starting_at(n_servers as u32, Time(origin), b.build());
+        let mut sched = CoAllocScheduler::starting_at(n_servers as u32, Time(origin), cfg);
         for (_, s, mask) in attrs {
             sched.set_server_attrs(ServerId(s as u32), AttrSet(mask));
         }
@@ -797,6 +774,63 @@ mod tests {
         );
         assert_eq!(restored.snapshot(), s.snapshot());
         restored.check_consistency();
+    }
+
+    /// Why a snapshot carries `idle` lines: the idle geometry is not a
+    /// function of the live commitments. Releasing a reservation that
+    /// already completed retires it without merging its neighbouring idle
+    /// periods, and `PaperOrder` ranks candidates by idle-period *start* —
+    /// so an image rebuilt from the `res` lines alone (the v1 path) grants
+    /// the same window on different servers.
+    #[test]
+    fn retired_history_shapes_future_grants() {
+        let cfg = SchedulerConfig::builder()
+            .tau(Dur(10))
+            .horizon(Dur(300))
+            .delta_t(Dur(10))
+            .build();
+        let mut live = CoAllocScheduler::new(3, cfg);
+        let wide = live
+            .submit(&Request::on_demand(Time::ZERO, Dur(40), 2))
+            .unwrap();
+        assert_eq!(wide.servers, [ServerId(0), ServerId(1)]);
+        let done = live
+            .submit(&Request::advance(Time::ZERO, Time(30), Dur(20), 1))
+            .unwrap();
+        assert_eq!(done.servers, [ServerId(2)]);
+        live.advance_to(Time(60));
+        live.release(done.job).unwrap();
+        // Server 2 is now idle over [0, 30) and [50, inf), un-merged.
+
+        let snap = live.snapshot();
+        let mut twin = CoAllocScheduler::restore(&snap).unwrap();
+        let commitments_only: String = snap
+            .lines()
+            .filter(|l| {
+                !["idle ", "next_period ", "end "]
+                    .iter()
+                    .any(|p| l.starts_with(p))
+            })
+            .map(|l| format!("{l}\n"))
+            .collect::<String>()
+            .replace(MAGIC, MAGIC_V1);
+        let mut v1 = CoAllocScheduler::restore(&commitments_only).unwrap();
+        v1.check_consistency();
+
+        let probe = Request::advance(Time(60), Time(70), Dur(10), 1);
+        let on_live = live.submit(&probe).unwrap();
+        assert_eq!(on_live.servers, [ServerId(2)], "[50, inf) starts latest");
+        assert_eq!(twin.submit(&probe).unwrap(), on_live, "v2: identical");
+        let on_v1 = v1.submit(&probe).unwrap();
+        assert_eq!(
+            (on_v1.start, on_v1.attempts),
+            (on_live.start, on_live.attempts)
+        );
+        assert_eq!(
+            on_v1.servers,
+            [ServerId(0)],
+            "v1: equivalent, not identical"
+        );
     }
 
     /// Prune timing is observable through `release`, so the snapshot pins

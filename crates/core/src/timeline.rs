@@ -107,9 +107,9 @@ impl Timeline {
         tl
     }
 
-    /// The next period id this timeline will hand out (snapshot state:
-    /// Phase-2 retrieval order under a result limit depends on period ids,
-    /// so restore must reproduce the id sequence exactly).
+    /// The next period id this timeline will hand out (snapshot state: a
+    /// restored twin must mint the same ids as the live index, or their
+    /// snapshots and `query` tie orders drift apart).
     pub(crate) fn next_period_id(&self) -> u64 {
         self.next_period
     }

@@ -158,24 +158,25 @@ impl Session {
             ["version"] => Ok(proto::PROTOCOL_VERSION.to_string()),
             ["init", n, rest @ ..] => {
                 let n: u32 = parse(n, "server count")?;
-                let mut b = SchedulerConfig::builder();
+                let mut cfg = SchedulerConfig::default();
                 if let [tau, horizon, delta_t] = rest {
-                    b = b
-                        .tau(Dur(parse(tau, "tau")?))
-                        .horizon(Dur(parse(horizon, "horizon")?))
-                        .delta_t(Dur(parse(delta_t, "delta_t")?));
+                    cfg.tau = Dur(parse(tau, "tau")?);
+                    cfg.horizon = Dur(parse(horizon, "horizon")?);
+                    cfg.delta_t = Dur(parse(delta_t, "delta_t")?);
                 } else if !rest.is_empty() {
                     return Err("usage: init N [tau horizon delta_t]".into());
                 }
+                // The constructors assert and allocate from these values.
+                cfg.check_limits(n as u64, Time::ZERO, Time::ZERO)?;
                 if self.shards > 1 {
                     self.sched = Some(Sched::Sharded(Box::new(ShardedScheduler::new(
                         n,
                         self.shards,
-                        b.build(),
+                        cfg,
                     ))));
                     Ok(format!("ok {n} servers over {} shards", self.shards))
                 } else {
-                    self.sched = Some(Sched::Plain(Box::new(CoAllocScheduler::new(n, b.build()))));
+                    self.sched = Some(Sched::Plain(Box::new(CoAllocScheduler::new(n, cfg))));
                     Ok(format!("ok {n} servers"))
                 }
             }
@@ -240,7 +241,14 @@ impl Session {
             }
             ["advance", t] => {
                 let t = Time(parse(t, "time")?);
-                self.sched()?.advance_to(t);
+                let sched = self.sched()?;
+                let (cfg, n, now) = match sched {
+                    Sched::Plain(s) => (*s.config(), s.num_servers(), s.now()),
+                    Sched::Sharded(s) => (*s.config(), s.num_servers(), s.now()),
+                };
+                // `advance_to` rotates the ring slot by slot up to `t`.
+                cfg.check_limits(n as u64, now, t)?;
+                sched.advance_to(t);
                 Ok(format!("ok now={}", t.secs()))
             }
             ["stats"] => {
@@ -465,6 +473,52 @@ mod tests {
         assert!(out[1].starts_with("error: bad server count"));
         assert_eq!(out[2], "ok 2 servers");
         assert!(out[3].starts_with("error: unknown command"));
+    }
+
+    /// Geometry and clock values that would abort on allocation, trip a
+    /// constructor `assert!` or spin the ring for hours are refused as
+    /// protocol errors by `SchedulerConfig::check_limits`, at every K.
+    #[test]
+    fn hostile_init_and_advance_are_errors_not_crashes() {
+        let hostile_init = [
+            "init 4000000000",
+            "init 4 1 900000000000 1",
+            "init 0",
+            "init 4 0 100 10",
+            "init 4 10 100 0",
+            "init 4 10 5 10",
+            "init 4 -10 100 10",
+        ];
+        let hostile_advance = [
+            "advance 9000000000000",
+            "advance 4000000000000",
+            "advance -9223372036854775808",
+        ];
+        for shards in [1u32, 2] {
+            let mut s = Session::new(shards);
+            let refused = |s: &mut Session, line: &str| {
+                let err = s.exec(line).expect_err(line);
+                assert!(
+                    err.contains("out of range") || err.contains("too many"),
+                    "{line}: {err}"
+                );
+                assert_eq!(s.exec("version").unwrap(), proto::PROTOCOL_VERSION);
+            };
+            for line in hostile_init {
+                refused(&mut s, line);
+            }
+            assert!(s
+                .exec("init 4 10 100 10")
+                .unwrap()
+                .starts_with("ok 4 servers"));
+            for line in hostile_advance {
+                refused(&mut s, line);
+            }
+            // The clock did not move, and still moves.
+            assert!(s.exec("stats").unwrap().starts_with("now=0 "));
+            assert_eq!(s.exec("advance 50").unwrap(), "ok now=50");
+            assert!(s.exec("submit 50 50 10 4").unwrap().starts_with("granted"));
+        }
     }
 
     #[test]

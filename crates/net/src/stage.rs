@@ -18,8 +18,7 @@
 //! queue_wait + sched + wal_stall ≈ net_request_us   (enqueue → release)
 //! ```
 //!
-//! is what `netload` checks when it records the stage breakdown into
-//! `BENCH_net.json`.
+//! is what `netload` checks before it prints the stage breakdown.
 //!
 //! [`Stamps`] is `Copy`, holds only `Instant`s, and every `mark_*` /
 //! [`Stamps::finish_writeback`] call is a clock read plus one relaxed-atomic

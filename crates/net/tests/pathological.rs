@@ -185,3 +185,44 @@ fn open_close_storm_leaves_server_consistent() {
     assert_eq!(over_tcp, stdin_reference(script, 1));
     server.shutdown();
 }
+
+/// One hostile line must not cost everyone else the daemon: a connection
+/// sends geometry that would abort on allocation (no `catch_unwind` catches
+/// that) and a clock move that would pin the one scheduler thread for
+/// hours; both are answered as errors and a second connection is served.
+#[test]
+fn hostile_init_and_advance_do_not_take_the_server_down() {
+    for shards in [1u32, 2] {
+        let server = Server::bind(cfg(shards)).unwrap();
+        let mut hostile = Client::connect(server.local_addr()).unwrap();
+        for line in [
+            "init 4000000000",
+            "init 4 1 900000000000 1",
+            "init 4 0 100 10",
+        ] {
+            let reply = hostile.roundtrip(line).unwrap();
+            assert!(
+                reply.starts_with("error: "),
+                "shards={shards} {line}: {reply}"
+            );
+        }
+        let reply = hostile.roundtrip("init 4 10 200 10").unwrap();
+        assert!(
+            reply.starts_with("ok 4 servers"),
+            "shards={shards}: {reply}"
+        );
+        let reply = hostile.roundtrip("advance 9000000000000").unwrap();
+        assert!(reply.starts_with("error: "), "shards={shards}: {reply}");
+
+        let script = "submit 0 0 50 2\nadvance 20\ncheck\nversion\nexit\n";
+        let over_tcp = Client::connect(server.local_addr())
+            .unwrap()
+            .exchange_script(script)
+            .unwrap();
+        let reference = format!("init 4 10 200 10\n{script}");
+        let expect = stdin_reference(&reference, shards);
+        let after_init = &expect[expect.find('\n').unwrap() + 1..];
+        assert_eq!(over_tcp, after_init, "shards={shards}");
+        server.shutdown();
+    }
+}

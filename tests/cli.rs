@@ -154,3 +154,32 @@ fn snapshot_survives_process_restart() {
     assert!(second[2].contains("start=80"), "{}", second[2]);
     let _ = std::fs::remove_file(path);
 }
+
+/// Hostile geometry, clock moves and deadlines on stdin: each line gets a
+/// reply and the process exits 0 (`drive` asserts it) — no abort in the
+/// allocator, no constructor panic, no hours-long ring rotation.
+#[test]
+fn hostile_lines_get_replies_and_a_clean_exit() {
+    let lines = drive(
+        "init 4000000000\n\
+         init 4 1 900000000000 1\n\
+         init 0\n\
+         init 4 10 5 10\n\
+         init 4 10 100 10\n\
+         advance 9000000000000\n\
+         deadline 0 0 10 1 -9223372036854775808\n\
+         version\n\
+         exit\n",
+    );
+    assert_eq!(lines.len(), 8, "{lines:?}");
+    for l in lines[..4].iter().chain(&lines[5..6]) {
+        assert!(l.starts_with("error: "), "{lines:?}");
+    }
+    assert_eq!(lines[4], "ok 4 servers");
+    let late = &lines[6];
+    assert!(
+        late.starts_with("rejected") && late.contains("after 0 attempts"),
+        "{late}"
+    );
+    assert_eq!(lines[7], "coalloc/1.2");
+}
