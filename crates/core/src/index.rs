@@ -19,11 +19,12 @@
 
 use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
-use crate::ids::{JobId, ServerId};
+use crate::ids::{JobId, PeriodId, ServerId};
 use crate::policy::SelectionPolicy;
 use crate::ring::{route_delta, SlotRing};
 use crate::scheduler::PRUNE_EVERY_SLOTS;
 use crate::scratch::Scratch;
+use crate::snapshot::StateImage;
 use crate::stats::OpStats;
 use crate::time::{SlotConfig, Time};
 use crate::timeline::{PeriodDelta, Reservation, Timeline};
@@ -118,10 +119,6 @@ impl ServerIndex {
     /// must resume the same cadence).
     pub fn last_prune(&self) -> Time {
         self.last_prune
-    }
-
-    pub(crate) fn set_last_prune(&mut self, t: Time) {
-        self.last_prune = t;
     }
 
     /// See [`SlotRing::force_eager`].
@@ -322,23 +319,6 @@ impl ServerIndex {
         self.ring.apply_queued(&mut self.scratch, &mut self.stats);
     }
 
-    /// [`Self::commit`] of one reservation from an untrusted source
-    /// (snapshot restore): errors, changing nothing, if the window is not
-    /// wholly idle on the server.
-    pub(crate) fn restore_reservation(
-        &mut self,
-        job: JobId,
-        server: ServerId,
-        start: Time,
-        end: Time,
-    ) -> Result<(), ()> {
-        self.timeline
-            .covering_idle(self.local(server), start, end)
-            .ok_or(())?;
-        self.commit(job, start, end, &[server]);
-        Ok(())
-    }
-
     /// Return the range's reservations of `job` to the idle pool and hand
     /// them back (local server ids); `None` if it holds none. Reservations
     /// that already ran to completion are retired (their busy seconds stay
@@ -402,31 +382,54 @@ impl ServerIndex {
         }
     }
 
-    /// Replace the timeline and rebuild both search indexes from explicit,
-    /// caller-validated parts (the id-faithful restore path): the idle
-    /// periods are installed as written, not re-derived from `busy` —
-    /// released history leaves periods un-merged, and selection ranks by
-    /// period start — so every future decision is bit-identical to the
-    /// index that wrote the snapshot; ids and the id counter come along so
-    /// its next snapshot is too. `now` places the live window.
-    pub(crate) fn install(
-        &mut self,
-        now: Time,
-        mut idle: Vec<IdlePeriod>,
-        mut busy: Vec<Reservation>,
-        next_period: u64,
-    ) {
-        for p in &mut idle {
-            p.server = self.local(p.server);
+    /// Append the range's idle periods and reservations to `image`, server
+    /// by server (global ids), each server's in start order.
+    pub fn export(&self, image: &mut StateImage) {
+        for s in 0..self.num_servers() {
+            let server = ServerId(self.base + s);
+            let idle = self.timeline.idle_periods(ServerId(s));
+            image.idle.extend(idle.iter().map(|p| (server, p.start, p.end)));
+            let busy = self.timeline.reservations(ServerId(s));
+            image.busy.extend(busy.iter().map(|r| Reservation { server, ..*r }));
         }
-        for r in &mut busy {
-            r.server = self.local(r.server);
-        }
-        self.timeline = Timeline::from_parts(self.num_servers(), &idle, &busy, next_period);
-        self.ring = SlotRing::new(self.slot_cfg, now, self.seed);
+    }
+
+    /// Replace the range's state with its share of a validated `image` and
+    /// rebuild both search indexes around the image's clock: the idle
+    /// periods are installed as written, not re-derived from the
+    /// reservations — released history leaves periods un-merged, and
+    /// selection ranks by period start — so every future decision is
+    /// bit-identical to the index that wrote the image. Period ids are
+    /// minted afresh, in image order.
+    pub fn install(&mut self, image: &StateImage) {
+        let (lo, hi) = (self.base, self.base + self.num_servers());
+        let idle: Vec<IdlePeriod> = image
+            .idle
+            .iter()
+            .filter(|(server, ..)| (lo..hi).contains(&server.0))
+            .enumerate()
+            .map(|(i, &(server, start, end))| IdlePeriod {
+                id: PeriodId(i as u64),
+                server: self.local(server),
+                start,
+                end,
+            })
+            .collect();
+        let busy: Vec<Reservation> = image
+            .busy
+            .iter()
+            .filter(|r| (lo..hi).contains(&r.server.0))
+            .map(|r| Reservation {
+                server: self.local(r.server),
+                ..*r
+            })
+            .collect();
+        self.timeline = Timeline::from_parts(self.num_servers(), &idle, &busy);
+        self.ring = SlotRing::new(self.slot_cfg, image.now, self.seed);
         self.trailing = TrailingSet::new(self.seed);
+        self.last_prune = image.last_prune;
         // One batch over the whole idle set: every canonical tree is built
-        // from its periods in snapshot order, as a one-by-one insert would.
+        // from its periods in image order, as a one-by-one insert would.
         let all = PeriodDelta {
             removed: Vec::new(),
             added: idle,

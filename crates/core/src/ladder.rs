@@ -96,11 +96,11 @@ impl Ladder {
             let rungs = slack / step as i128 + 1;
             budget = budget.min(u64::try_from(rungs).unwrap_or(u64::MAX));
         }
-        let horizon_attempts = if earliest + req.duration > horizon_end {
-            0
-        } else {
-            ((horizon_end - req.duration - earliest).secs() / step) as u64 + 1
-        };
+        // `s_r` and `l_r` are outside input too: `earliest + l_r` can wrap,
+        // so measure the room before the horizon widened, like the slack.
+        let room =
+            horizon_end.secs() as i128 - req.duration.secs() as i128 - earliest.secs() as i128;
+        let horizon_attempts = u64::try_from(room).map_or(0, |room| room / step as u64 + 1);
         Ok(Ladder {
             earliest,
             step: cfg.delta_t,
@@ -232,5 +232,42 @@ mod tests {
             ladder(i64::MAX).unwrap().budget,
             cfg.effective_r_max() as u64 + 1
         );
+    }
+
+    /// So are `s_r` and `l_r`: a start or a duration near `i64::MAX` lies
+    /// past the horizon, it does not wrap around to before it.
+    #[test]
+    fn horizon_branch_does_not_wrap() {
+        use crate::scheduler::{CoAllocScheduler, MAX_ABS_TIME};
+        let cfg = SchedulerConfig::builder()
+            .tau(Dur(10))
+            .horizon(Dur(300))
+            .delta_t(Dur(10))
+            .build();
+        let ladder = |s: i64, l: i64| {
+            let req = Request::advance(Time::ZERO, Time(s), Dur(l), 1);
+            Ladder::new(&cfg, &req, 4, Time::ZERO, Time(300), None).unwrap()
+        };
+        for far in [i64::MAX, i64::MAX - 9, MAX_ABS_TIME + 1] {
+            for (s, l) in [(far, 10), (0, far), (far, far)] {
+                let ladder = ladder(s, l);
+                assert_eq!(ladder.tries, 0, "s_r={s} l_r={l}");
+                assert_eq!(
+                    ladder.settle(None, 0, &mut OpStats::new()),
+                    Err(ScheduleError::HorizonExceeded {
+                        horizon_end: Time(300)
+                    }),
+                    "s_r={s} l_r={l}"
+                );
+            }
+        }
+        // The last rung that ends inside the horizon is still on the ladder
+        // — and granted; one second later nothing is.
+        assert_eq!(ladder(290, 10).tries, 1);
+        assert_eq!(ladder(291, 10).tries, 0);
+        let grant = CoAllocScheduler::new(4, cfg)
+            .submit(&Request::advance(Time::ZERO, Time(290), Dur(10), 1))
+            .unwrap();
+        assert_eq!((grant.start, grant.end, grant.attempts), (Time(290), Time(300), 1));
     }
 }

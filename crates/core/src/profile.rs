@@ -89,14 +89,6 @@ impl FreeProfile {
         }
     }
 
-    /// Zero every slot and move the window start to `now` (snapshot-restore
-    /// support: the caller re-adds the restored busy set afterwards).
-    pub fn reset(&mut self, now: Time) {
-        self.base = self.slot_cfg.slot_of(now).0;
-        self.max.fill(0);
-        self.lazy.fill(0);
-    }
-
     /// First live slot.
     pub fn base_slot(&self) -> SlotIdx {
         SlotIdx(self.base)
@@ -560,10 +552,9 @@ mod tests {
         live.advance_to(Time(57));
         live.remove(Time(20), Time(50), 1); // release after rotation
         committed.retain(|&(s, _)| s != Time(20));
-        // Rebuild the way snapshot restore does: reset at `now`, re-add the
-        // busy set.
-        let mut rebuilt = FreeProfile::new(sc, 4, Time::ZERO);
-        rebuilt.reset(Time(57));
+        // Rebuild the way snapshot restore does: a fresh profile at `now`,
+        // re-add the busy set.
+        let mut rebuilt = FreeProfile::new(sc, 4, Time(57));
         for &(s, e) in &committed {
             rebuilt.add(s, e, 1);
         }

@@ -9,7 +9,8 @@
 //! then run an application-specific algorithm to select a subset of these
 //! resources [...] and contact the scheduler to commit the resources."
 //!
-//! [`CoAllocScheduler::range_search`] is the read-only query;
+//! [`CoAllocScheduler::range_search`] is the read-only query — its window
+//! handling, [`range_search_with`], is shared with every other engine;
 //! [`CoAllocScheduler::commit_selection`] is the second half of the
 //! handshake, revalidating the selection so that a stale pick (another user
 //! got there first) fails with [`ScheduleError::SelectionConflict`] instead
@@ -19,6 +20,7 @@ use crate::error::ScheduleError;
 use crate::idle::IdlePeriod;
 use crate::ids::PeriodId;
 use crate::ladder::Placement;
+use crate::profile::FreeProfile;
 use crate::request::Request;
 use crate::scheduler::{CoAllocScheduler, Grant};
 use crate::time::{Dur, Time};
@@ -38,6 +40,54 @@ pub struct Availability {
     /// horizon for open-ended periods). Applications commonly maximize or
     /// minimize this during post-processing.
     pub tail_slack: Dur,
+}
+
+/// The window a search over `[start, end)` walks on a system whose clock
+/// reads `now` and whose horizon ends at `horizon`: the start clamped to the
+/// clock, or `None` when nothing can be free — the window is degenerate,
+/// leaves the live horizon, or `profile` refutes it (a zero free upper bound
+/// proves the exact feasible set empty, so the tree walk can be skipped).
+fn live_window(
+    now: Time,
+    horizon: Time,
+    profile: &FreeProfile,
+    start: Time,
+    end: Time,
+) -> Option<(Time, Time)> {
+    let start = start.max(now);
+    let live = end > start && start < horizon && end <= horizon;
+    (live && profile.free_upper_bound(start, end) > 0).then_some((start, end))
+}
+
+/// The range search of Section 4.2 over any engine: `enumerate` is handed
+/// the window to walk (see `live_window`; it is not called when nothing
+/// can be free) and appends every idle period feasible for it; the hits come
+/// back in that order.
+pub fn range_search_with(
+    now: Time,
+    horizon: Time,
+    profile: &FreeProfile,
+    start: Time,
+    end: Time,
+    enumerate: impl FnOnce(Time, Time, &mut Vec<IdlePeriod>),
+) -> Vec<Availability> {
+    RANGE_SEARCHES.inc();
+    let Some((start, end)) = live_window(now, horizon, profile, start, end) else {
+        return Vec::new();
+    };
+    let mut span =
+        obs_span!("sched.range_search", "start_s" => start.secs(), "end_s" => end.secs());
+    let mut hits = Vec::new();
+    enumerate(start, end, &mut hits);
+    if span.active() {
+        span.record("hits", hits.len());
+    }
+    hits.into_iter()
+        .map(|period| Availability {
+            period,
+            tail_slack: period.end.min(horizon) - end,
+        })
+        .collect()
 }
 
 impl CoAllocScheduler {
@@ -65,30 +115,11 @@ impl CoAllocScheduler {
     /// assert_eq!(grant.servers.len(), 1);
     /// ```
     pub fn range_search(&mut self, start: Time, end: Time) -> Vec<Availability> {
-        RANGE_SEARCHES.inc();
-        let start = start.max(self.now());
-        let horizon = self.horizon_end();
-        if end <= start || start >= horizon || end > horizon {
-            return Vec::new();
-        }
-        // Profile fast reject: a zero free upper bound means some server is
-        // busy throughout every instant-covering slot of the window, i.e.
-        // the exact feasible set is provably empty — skip the tree walk.
-        if self.capacity_profile().free_upper_bound(start, end) == 0 {
-            return Vec::new();
-        }
-        let mut span = obs_span!("sched.range_search", "start_s" => start.secs(), "end_s" => end.secs());
-        let mut hits = Vec::new();
-        self.index_mut().enumerate(start, end, &mut hits);
-        if span.active() {
-            span.record("hits", hits.len());
-        }
-        hits.into_iter()
-            .map(|period| Availability {
-                period,
-                tail_slack: period.end.min(horizon) - end,
-            })
-            .collect()
+        let (now, horizon) = (self.now(), self.horizon_end());
+        let (profile, index) = self.profile_and_index();
+        range_search_with(now, horizon, profile, start, end, |a, b, hits| {
+            index.enumerate(a, b, hits)
+        })
     }
 
     /// Count the resources available for `[start, end)` without enumerating
@@ -96,16 +127,9 @@ impl CoAllocScheduler {
     /// [`Self::range_search`] when only the count matters).
     pub fn range_count(&mut self, start: Time, end: Time) -> usize {
         RANGE_COUNTS.inc();
-        let start = start.max(self.now());
-        let horizon = self.horizon_end();
-        if end <= start || start >= horizon || end > horizon {
-            return 0;
-        }
-        // Same fast reject as `range_search`.
-        if self.capacity_profile().free_upper_bound(start, end) == 0 {
-            return 0;
-        }
-        self.index_mut().count(start, end)
+        let (now, horizon) = (self.now(), self.horizon_end());
+        let (profile, index) = self.profile_and_index();
+        live_window(now, horizon, profile, start, end).map_or(0, |(a, b)| index.count(a, b))
     }
 
     /// Commit a user's post-processed selection: reserve `[start, end)` on

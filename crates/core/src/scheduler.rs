@@ -13,7 +13,6 @@
 
 use crate::attrs::AttrSet;
 use crate::error::ScheduleError;
-use crate::idle::IdlePeriod;
 use crate::ids::{JobId, ServerId};
 use crate::index::ServerIndex;
 use crate::ladder::{Ladder, Placement};
@@ -21,6 +20,7 @@ use crate::policy::SelectionPolicy;
 use crate::profile::FreeProfile;
 use crate::request::Request;
 use crate::ring::SlotRing;
+use crate::snapshot::StateImage;
 use crate::stats::OpStats;
 use crate::time::{Dur, SlotConfig, Time};
 use crate::timeline::{Reservation, Timeline};
@@ -89,9 +89,10 @@ const MAX_SLOTS: i64 = 1 << 22;
 /// Magnitude bound on every timestamp (≈ 139,000 years in seconds): keeps
 /// all downstream slot arithmetic far from `i64` overflow.
 pub(crate) const MAX_ABS_TIME: i64 = 1 << 42;
-/// Bound on the slots one clock move spans: `advance_to` (and with it
-/// restore, which replays `origin → now`) rotates the ring slot by slot, so
-/// the span must not encode a multi-minute spin.
+/// Bound on the slots one clock move spans: `advance_to` rotates the ring
+/// slot by slot, so the span must not encode a multi-minute spin. (A
+/// snapshot's `origin → now` is held to it too, though a restore no longer
+/// replays that move.)
 const MAX_ADVANCE_SLOTS: i64 = 1 << 21;
 
 /// Configuration of a [`CoAllocScheduler`].
@@ -326,16 +327,10 @@ impl CoAllocScheduler {
         self.index.ring()
     }
 
-    /// Read-only access to the free-capacity profile (for diagnostics,
-    /// tests, and the fast rejects in [`crate::range_search`]).
-    pub fn capacity_profile(&self) -> &FreeProfile {
-        &self.profile
-    }
-
-    /// The idle-period index (for the read-only searches in
-    /// [`crate::range_search`]).
-    pub(crate) fn index_mut(&mut self) -> &mut ServerIndex {
-        &mut self.index
+    /// The capacity profile and the idle-period index together (for the
+    /// read-only searches in [`crate::range_search`]).
+    pub(crate) fn profile_and_index(&mut self) -> (&FreeProfile, &mut ServerIndex) {
+        (&self.profile, &mut self.index)
     }
 
     /// Committed reservations of a job, if it exists.
@@ -359,29 +354,37 @@ impl CoAllocScheduler {
         self.profile.advance_to(now);
     }
 
-    /// History boundary of the last amortized prune (snapshot state).
-    pub(crate) fn last_prune(&self) -> Time {
-        self.index.last_prune()
+    /// The scheduler's persistent state as plain data (see
+    /// [`crate::snapshot`]).
+    pub fn export(&self) -> StateImage {
+        let mut image = StateImage {
+            cfg: self.cfg,
+            origin: self.origin,
+            now: self.now,
+            last_prune: self.index.last_prune(),
+            attrs: self.attrs.clone(),
+            idle: Vec::new(),
+            busy: Vec::new(),
+            next_job: self.next_job,
+        };
+        self.index.export(&mut image);
+        image
     }
 
-    pub(crate) fn set_last_prune(&mut self, t: Time) {
-        self.index.set_last_prune(t);
-    }
-
-    /// Install a snapshot's idle periods, reservations and period-id
-    /// counter verbatim (see [`ServerIndex::install`]) and rebuild the
-    /// capacity profile from the reservations.
-    pub(crate) fn install_state(
-        &mut self,
-        idle: Vec<IdlePeriod>,
-        busy: Vec<Reservation>,
-        next_period: u64,
-    ) {
-        self.profile.reset(self.now);
-        for r in &busy {
-            self.profile.add(r.start, r.end, 1);
+    /// A scheduler in the state `image` describes: the index installs the
+    /// idle periods and reservations verbatim, the capacity profile is
+    /// rebuilt from the reservations.
+    pub fn from_image(image: StateImage) -> CoAllocScheduler {
+        let servers = image.attrs.len() as u32;
+        let mut sched = CoAllocScheduler::starting_at(servers, image.now, image.cfg);
+        sched.origin = image.origin;
+        sched.next_job = image.next_job;
+        for r in &image.busy {
+            sched.profile.add(r.start, r.end, 1);
         }
-        self.index.install(self.now, idle, busy, next_period);
+        sched.index.install(&image);
+        sched.attrs = image.attrs;
+        sched
     }
 
     /// Handle a request: the full online algorithm of Section 4.2, including
@@ -590,35 +593,6 @@ impl CoAllocScheduler {
         let result = self.climb(req, ladder, |s| attrs[s.0 as usize].satisfies(required));
         self.attrs = attrs;
         result
-    }
-
-    /// The clock value the scheduler started at.
-    pub fn origin(&self) -> Time {
-        self.origin
-    }
-
-    /// The id the next committed job will receive (snapshot support).
-    pub fn next_job_id(&self) -> u64 {
-        self.next_job
-    }
-
-    /// Overwrite the job-id sequence (snapshot restore only).
-    pub(crate) fn set_next_job_id(&mut self, next: u64) {
-        self.next_job = next;
-    }
-
-    /// Re-commit one reservation verbatim (snapshot restore): the window
-    /// must be fully idle on the server. Errors if it is not.
-    pub(crate) fn restore_reservation(
-        &mut self,
-        job: JobId,
-        server: ServerId,
-        start: Time,
-        end: Time,
-    ) -> Result<(), ()> {
-        self.index.restore_reservation(job, server, start, end)?;
-        self.profile.add(start, end, 1);
-        Ok(())
     }
 
     /// Cancel a committed job, returning its windows to the idle pool (used

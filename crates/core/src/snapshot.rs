@@ -1,50 +1,60 @@
-//! Schedule persistence: checkpoint a running scheduler to a plain-text
-//! snapshot and restore it later.
+//! Schedule persistence: a scheduler's state as a plain-text image.
 //!
 //! A resource manager embedding the scheduler (VCL front-end, PCE, site
 //! daemon) must survive restarts without losing "the set of commitments
-//! that the system has made" (Section 2). The snapshot records exactly
-//! those commitments — configuration, clock, server attributes, and every
-//! live reservation — and restore rebuilds the full index state (slot
-//! trees, trailing index) from them.
+//! that the system has made" (Section 2). [`StateImage`] is that state as
+//! plain data — configuration, clock, prune boundary, server attributes,
+//! every idle period and every live reservation — with *one* renderer
+//! ([`StateImage::render`]) and *one* parser-validator
+//! ([`StateImage::parse`]). An engine only exports its periods in server
+//! order and installs a validated image
+//! ([`crate::index::ServerIndex::export`] / [`install`]); how its servers
+//! are partitioned is nowhere in the text, so an image written at one
+//! shard count loads at any other and re-renders byte-identically.
 //!
-//! A v2 snapshot captures the schedule *and* the idle periods, because the
-//! commitments do not determine them: a reservation released after it
-//! completed (retired) or was pruned leaves its neighbouring idle periods
-//! un-merged, and `PaperOrder` ranks candidates by idle-period *start*. So
-//! the idle geometry is decision-relevant state — restore installs it
-//! verbatim (tree *shapes* are still regenerated; they affect only
-//! performance) and every future decision is bit-identical to the writer's,
-//! under every selection policy. The period ids ride along: no selection key
-//! reaches them (a window has at most one feasible period per server), but
-//! they break ties in the trees' keys, so they keep a restored twin's
-//! snapshot text and `query` tie order equal to the live index's. Legacy
-//! v1 snapshots lack the idle lines; their restores re-derive merged
-//! periods from the reservations and make equivalent (same feasibility) but
-//! not necessarily identical choices — the test
-//! `retired_history_shapes_future_grants` is the minimal case.
-//! Pruned history is not included; utilization accounting restarts from
-//! the live reservations.
+//! The image holds the idle periods *and* the reservations because the
+//! commitments do not determine the idle geometry: a reservation released
+//! after it completed (retired) or was pruned leaves its neighbouring idle
+//! periods un-merged, and `PaperOrder` ranks candidates by idle-period
+//! *start*. So the geometry is decision-relevant state — restore installs
+//! it verbatim and every future decision is bit-identical to the writer's,
+//! under every selection policy. Period *ids* are not state: no selection
+//! key reaches them (a window has at most one feasible period per server);
+//! they only break ties inside the trees, whose shapes a restore
+//! regenerates anyway. The image therefore has none, and an install mints
+//! fresh ones in file order. Legacy v1 snapshots lack the idle lines; their
+//! idle periods are the gaps between the reservations, merged, and their
+//! restores make equivalent (same feasibility) but not necessarily
+//! identical choices — the test `retired_history_shapes_future_grants` is
+//! the minimal case. Pruned history is not included; utilization
+//! accounting restarts from the live reservations.
+//!
+//! [`install`]: crate::index::ServerIndex::install
 
 use crate::attrs::AttrSet;
-use crate::idle::IdlePeriod;
-use crate::ids::{JobId, PeriodId, ServerId};
+use crate::ids::{JobId, ServerId};
 use crate::policy::SelectionPolicy;
 use crate::scheduler::{CoAllocScheduler, SchedulerConfig, MAX_ABS_TIME};
 use crate::time::{Dur, Time};
 use crate::timeline::Reservation;
+use std::fmt::Write;
 
-/// Snapshot format version tag. v2 appends an `end <lines> <checksum>`
-/// integrity footer so truncation, reordering and bit-rot are detected —
-/// this format is the crash-recovery base of the write-ahead log
-/// (DESIGN.md §13), so it must reject anything it did not write.
-const MAGIC: &str = "coalloc-snapshot v2";
+/// Snapshot format version tag. v3 is v2 without the period ids (the id
+/// column of the `idle` lines and the `next_period` line). Both end in an
+/// `end <lines> <checksum>` integrity footer so truncation, reordering and
+/// bit-rot are detected — this format is the crash-recovery base of the
+/// write-ahead log (DESIGN.md §13), so it must reject anything it did not
+/// write.
+const MAGIC: &str = "coalloc-snapshot v3";
 
-/// The previous, footer-less format: still restorable (leniently) so
+/// The id-carrying format: still restorable, its ids parsed and dropped.
+const MAGIC_V2: &str = "coalloc-snapshot v2";
+
+/// The first, footer-less format: still restorable (leniently) so
 /// snapshots written before the WAL existed keep loading.
 const MAGIC_V1: &str = "coalloc-snapshot v1";
 
-/// Errors from [`CoAllocScheduler::restore`].
+/// Errors from [`StateImage::parse`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// Missing or wrong magic/version line.
@@ -54,13 +64,14 @@ pub enum SnapshotError {
         /// 1-based line number.
         line: usize,
     },
-    /// A reservation does not fit the rebuilt timeline (corrupt snapshot).
+    /// A reservation or idle period overlaps another one on its server
+    /// (corrupt snapshot).
     InconsistentReservation {
         /// 1-based line number.
         line: usize,
     },
-    /// The v2 integrity footer is missing, malformed, or does not match
-    /// the content — the snapshot was truncated, reordered or otherwise
+    /// The integrity footer is missing, malformed, or does not match the
+    /// content — the snapshot was truncated, reordered or otherwise
     /// altered after it was written.
     Integrity,
     /// A field parsed but its value is outside the bounds a genuine
@@ -94,7 +105,7 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64-bit hash, the integrity checksum of the v2 footer. Not
+/// FNV-1a 64-bit hash, the integrity checksum of the footer. Not
 /// cryptographic — it detects accidental damage (truncation, reordering,
 /// bit-rot), which is the failure model of a state file on local disk.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -128,93 +139,106 @@ fn policy_from(code: u8) -> Option<SelectionPolicy> {
     })
 }
 
-impl CoAllocScheduler {
-    /// Serialize the scheduler's commitments to a text snapshot.
-    pub fn snapshot(&self) -> String {
-        let cfg = self.config();
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
-        out.push_str(&format!(
-            "config {} {} {} {} {} {}\n",
+/// A scheduler's persistent state as plain data (module docs). Images
+/// come from two places — an engine's `export`, valid by construction, and
+/// [`StateImage::parse`], which checks it — and `from_image` / `install`
+/// trust what both guarantee: geometry within
+/// [`SchedulerConfig::check_limits`], `idle` and `busy` sorted by
+/// `(server, start)`, no two intervals of a server overlapping, exactly
+/// one open-ended idle period per server, every job id below `next_job`.
+#[derive(Clone, Debug)]
+pub struct StateImage {
+    /// The configuration in force (`jump_retries` is not persisted).
+    pub cfg: SchedulerConfig,
+    /// The clock value the scheduler started at.
+    pub origin: Time,
+    /// The clock.
+    pub now: Time,
+    /// History boundary of the last amortized prune. Prune timing is
+    /// observable (a fully-pruned job's `release` turns into `UnknownJob`),
+    /// so a restored scheduler must resume the writer's cadence.
+    pub last_prune: Time,
+    /// One tag set per server; the length is the server count.
+    pub attrs: Vec<AttrSet>,
+    /// Every idle period as `(server, start, end)`, `end == Time::INF` for
+    /// a server's open-ended tail.
+    pub idle: Vec<(ServerId, Time, Time)>,
+    /// Every reservation still in the timeline.
+    pub busy: Vec<Reservation>,
+    /// The id the next committed job will receive.
+    pub next_job: u64,
+}
+
+fn field<T: std::str::FromStr>(s: &str, line: usize) -> Result<T, SnapshotError> {
+    s.parse().map_err(|_| SnapshotError::BadLine { line })
+}
+
+impl StateImage {
+    /// Serialize the image to snapshot text.
+    pub fn render(&self) -> String {
+        let cfg = &self.cfg;
+        let mut out = String::with_capacity(64 + 24 * (self.idle.len() + self.busy.len()));
+        // One line of the image (writing to a `String` cannot fail).
+        macro_rules! put {
+            ($($arg:tt)*) => {
+                let _ = writeln!(out, $($arg)*);
+            };
+        }
+        put!("{MAGIC}");
+        put!(
+            "config {} {} {} {} {} {}",
             cfg.tau.secs(),
             cfg.horizon.secs(),
             cfg.delta_t.secs(),
             cfg.r_max.map(|r| r as i64).unwrap_or(-1),
             policy_code(cfg.policy),
             cfg.seed,
-        ));
-        out.push_str(&format!(
-            "clock {} {}\n",
-            self.origin().secs(),
-            self.now().secs()
-        ));
-        // Prune timing is observable (a fully-pruned job's `release` turns
-        // into `UnknownJob`), so the restored scheduler must resume the
-        // same amortized prune cadence as the original.
-        out.push_str(&format!("pruned {}\n", self.last_prune().secs()));
-        out.push_str(&format!("servers {}\n", self.num_servers()));
-        for s in 0..self.num_servers() {
-            let a = self.server_attrs(ServerId(s));
+        );
+        put!("clock {} {}", self.origin.secs(), self.now.secs());
+        put!("pruned {}", self.last_prune.secs());
+        put!("servers {}", self.attrs.len());
+        for (s, a) in self.attrs.iter().enumerate() {
             if !a.is_empty() {
-                out.push_str(&format!("attrs {s} {}\n", a.0));
+                put!("attrs {s} {}", a.0);
             }
         }
         // Idle periods verbatim: released history leaves them un-merged
         // (module docs), so a restore that re-derived them from the `res`
-        // lines would make *different* (if equivalent) grants. The ids and
-        // the id counter below keep re-snapshots and tree tie order equal.
-        for s in 0..self.num_servers() {
-            for p in self.timeline().idle_periods(ServerId(s)) {
-                if p.end.is_inf() {
-                    out.push_str(&format!("idle {} {s} {} inf\n", p.id.0, p.start.secs()));
-                } else {
-                    out.push_str(&format!(
-                        "idle {} {s} {} {}\n",
-                        p.id.0,
-                        p.start.secs(),
-                        p.end.secs()
-                    ));
-                }
+        // lines would make *different* (if equivalent) grants.
+        for &(server, start, end) in &self.idle {
+            if end.is_inf() {
+                put!("idle {} {} inf", server.0, start.secs());
+            } else {
+                put!("idle {} {} {}", server.0, start.secs(), end.secs());
             }
         }
-        // Live reservations, stable order: by server, then start.
-        for s in 0..self.num_servers() {
-            for r in self.timeline().reservations(ServerId(s)) {
-                out.push_str(&format!(
-                    "res {} {} {} {}\n",
-                    r.job.0,
-                    s,
-                    r.start.secs(),
-                    r.end.secs()
-                ));
-            }
+        for r in &self.busy {
+            put!("res {} {} {} {}", r.job.0, r.server.0, r.start.secs(), r.end.secs());
         }
-        out.push_str(&format!("next_period {}\n", self.timeline().next_period_id()));
-        out.push_str(&format!("next_job {}\n", self.next_job_id()));
+        put!("next_job {}", self.next_job);
         // Integrity footer: line count and FNV-1a over every preceding byte.
-        // Restore refuses a v2 snapshot whose footer does not match, so
-        // truncation, reordering and bit-flips are all detected up front.
-        let lines = out.lines().count();
-        let sum = fnv1a(out.as_bytes());
-        out.push_str(&format!("end {lines} {sum:016x}\n"));
+        // `parse` refuses text whose footer does not match, so truncation,
+        // reordering and bit-flips are all detected up front.
+        let (lines, sum) = (out.lines().count(), fnv1a(out.as_bytes()));
+        put!("end {lines} {sum:016x}");
         out
     }
 
-    /// Rebuild a scheduler from a snapshot produced by [`Self::snapshot`].
+    /// Parse and validate snapshot text (v3, v2 or v1).
     ///
     /// This is the crash-recovery base image of the WAL, so the input is
-    /// treated as hostile: a v2 snapshot must carry a matching integrity
-    /// footer, every field is bounds-checked before any internal
-    /// constructor (which `assert!` on their invariants) runs, and every
-    /// reservation must land on rebuilt idle time. Any deviation returns a
-    /// [`SnapshotError`]; no input panics or commits overlapping grants.
-    pub fn restore(snapshot: &str) -> Result<CoAllocScheduler, SnapshotError> {
-        let all: Vec<&str> = snapshot.lines().collect();
+    /// treated as hostile: a v2/v3 snapshot must carry a matching integrity
+    /// footer, every field is bounds-checked, and no two intervals of a
+    /// server may overlap — all before any scheduler constructor (which
+    /// `assert!` on their invariants) sees a value. Any deviation returns
+    /// a [`SnapshotError`]; no input panics, and an engine built from the
+    /// result holds no overlapping grants.
+    pub fn parse(text: &str) -> Result<StateImage, SnapshotError> {
+        let all: Vec<&str> = text.lines().collect();
         let magic = all.first().copied().ok_or(SnapshotError::BadMagic)?;
         let body: &[&str] = match magic.trim() {
-            MAGIC => {
-                // v2: the last line must be a footer matching the rest.
+            MAGIC | MAGIC_V2 => {
+                // The last line must be a footer matching the rest.
                 if all.len() < 2 {
                     return Err(SnapshotError::Integrity);
                 }
@@ -228,7 +252,7 @@ impl CoAllocScheduler {
                 if count != content.len() {
                     return Err(SnapshotError::Integrity);
                 }
-                // Hash exactly the bytes `snapshot` hashed: each content
+                // Hash exactly the bytes `render` hashed: each content
                 // line terminated by '\n'. Re-joining also rejects exotic
                 // line endings the writer never produces.
                 let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -263,81 +287,59 @@ impl CoAllocScheduler {
         let mut pruned: Option<(usize, i64)> = None;
         let mut servers: Option<u64> = None;
         let mut attrs: Vec<(usize, u64, u64)> = Vec::new();
-        // (line, id, server, start, end) — end None = open-ended.
-        let mut idle: Vec<(usize, u64, u64, i64, Option<i64>)> = Vec::new();
+        // (line, server, start, end) — end None = open-ended.
+        let mut idle: Vec<(usize, u64, i64, Option<i64>)> = Vec::new();
+        // (line, job, server, start, end)
         let mut reservations: Vec<(usize, u64, u64, i64, i64)> = Vec::new();
-        let mut next_period: Option<u64> = None;
         let mut next_job: u64 = 0;
         for (idx, raw) in body.iter().enumerate() {
-            let line_no = idx + 2; // 1-based, after the magic line
-            let bad = || SnapshotError::BadLine { line: line_no };
+            let line = idx + 2; // 1-based, after the magic line
             let fields: Vec<&str> = raw.split_whitespace().collect();
-            if fields.is_empty() {
-                continue;
-            }
-            match fields[0] {
-                "config" if fields.len() == 7 => {
+            match fields.as_slice() {
+                [] => {}
+                ["config", tau, horizon, delta_t, r_max, policy, seed] => {
                     raw_cfg = Some(RawConfig {
-                        line: line_no,
-                        tau: fields[1].parse().map_err(|_| bad())?,
-                        horizon: fields[2].parse().map_err(|_| bad())?,
-                        delta_t: fields[3].parse().map_err(|_| bad())?,
-                        r_max: fields[4].parse().map_err(|_| bad())?,
-                        policy: policy_from(fields[5].parse::<u8>().map_err(|_| bad())?)
-                            .ok_or(bad())?,
-                        seed: fields[6].parse().map_err(|_| bad())?,
+                        line,
+                        tau: field(tau, line)?,
+                        horizon: field(horizon, line)?,
+                        delta_t: field(delta_t, line)?,
+                        r_max: field(r_max, line)?,
+                        policy: policy_from(field(policy, line)?)
+                            .ok_or(SnapshotError::BadLine { line })?,
+                        seed: field(seed, line)?,
                     });
                 }
-                "clock" if fields.len() == 3 => {
-                    clock = Some((
-                        line_no,
-                        fields[1].parse().map_err(|_| bad())?,
-                        fields[2].parse().map_err(|_| bad())?,
-                    ));
+                ["clock", origin, now] => {
+                    clock = Some((line, field(origin, line)?, field(now, line)?));
                 }
-                "pruned" if fields.len() == 2 => {
-                    pruned = Some((line_no, fields[1].parse().map_err(|_| bad())?));
+                ["pruned", t] => pruned = Some((line, field(t, line)?)),
+                ["servers", n] => servers = Some(field(n, line)?),
+                ["attrs", server, mask] => {
+                    attrs.push((line, field(server, line)?, field(mask, line)?));
                 }
-                "servers" if fields.len() == 2 => {
-                    servers = Some(fields[1].parse().map_err(|_| bad())?);
+                // v2 wrote a period id before the server and a `next_period`
+                // counter after the reservations: parsed, not kept.
+                ["idle", id, server, start, end] => {
+                    field::<u64>(id, line)?;
+                    idle.push(Self::idle_line(line, server, start, end)?);
                 }
-                "attrs" if fields.len() == 3 => {
-                    attrs.push((
-                        line_no,
-                        fields[1].parse().map_err(|_| bad())?,
-                        fields[2].parse().map_err(|_| bad())?,
-                    ));
+                ["idle", server, start, end] => {
+                    idle.push(Self::idle_line(line, server, start, end)?);
                 }
-                "idle" if fields.len() == 5 => {
-                    let end = if fields[4] == "inf" {
-                        None
-                    } else {
-                        Some(fields[4].parse().map_err(|_| bad())?)
-                    };
-                    idle.push((
-                        line_no,
-                        fields[1].parse().map_err(|_| bad())?,
-                        fields[2].parse().map_err(|_| bad())?,
-                        fields[3].parse().map_err(|_| bad())?,
-                        end,
-                    ));
+                ["next_period", n] => {
+                    field::<u64>(n, line)?;
                 }
-                "next_period" if fields.len() == 2 => {
-                    next_period = Some(fields[1].parse().map_err(|_| bad())?);
-                }
-                "res" if fields.len() == 5 => {
+                ["res", job, server, start, end] => {
                     reservations.push((
-                        line_no,
-                        fields[1].parse().map_err(|_| bad())?,
-                        fields[2].parse().map_err(|_| bad())?,
-                        fields[3].parse().map_err(|_| bad())?,
-                        fields[4].parse().map_err(|_| bad())?,
+                        line,
+                        field(job, line)?,
+                        field(server, line)?,
+                        field(start, line)?,
+                        field(end, line)?,
                     ));
                 }
-                "next_job" if fields.len() == 2 => {
-                    next_job = fields[1].parse().map_err(|_| bad())?;
-                }
-                _ => return Err(bad()),
+                ["next_job", n] => next_job = field(n, line)?,
+                _ => return Err(SnapshotError::BadLine { line }),
             }
         }
 
@@ -373,14 +375,20 @@ impl CoAllocScheduler {
         if last_prune < origin || last_prune > now {
             return Err(invalid(pruned_line, "prune boundary outside [origin, now]"));
         }
-        for &(line, s, _mask) in &attrs {
-            if s >= n_servers {
-                return Err(invalid(line, "attrs server out of range"));
-            }
+        let mut tags = vec![AttrSet::NONE; n_servers as usize];
+        for &(line, s, mask) in &attrs {
+            *tags
+                .get_mut(s as usize)
+                .ok_or(invalid(line, "attrs server out of range"))? = AttrSet(mask);
         }
         // The committed window never extends past `now + Q*tau` (the slot
         // ring rounds the horizon up to whole slots).
         let window_end = now + num_slots * rc.tau;
+        // (server, start, end-or-sentinel, line) of every interval; idle and
+        // busy share the list so any overlap falls out of one sorted scan —
+        // never O(servers × lines).
+        let mut spans: Vec<(u64, i64, i64, usize)> =
+            Vec::with_capacity(idle.len() + reservations.len());
         for &(line, job, server, start, end) in &reservations {
             if server >= n_servers {
                 return Err(invalid(line, "reservation server out of range"));
@@ -391,115 +399,104 @@ impl CoAllocScheduler {
             if job >= next_job {
                 return Err(invalid(line, "reservation job id collides with next_job"));
             }
+            spans.push((server, start, end, line));
         }
-        // Id-faithful snapshots also carry the idle periods and the
-        // period-id counter. Validate their geometry here — one pass over
-        // sorted spans, never O(servers × lines) — so the direct installer
-        // below cannot be handed an overlap or a missing trailing period.
-        let full = !idle.is_empty() || next_period.is_some();
-        let np = if full {
-            let np = next_period.ok_or(invalid(0, "idle lines without next_period line"))?;
-            if idle.is_empty() {
-                return Err(invalid(0, "next_period without idle lines"));
+        let mut trailing = vec![0u32; n_servers as usize];
+        for &(line, server, start, end) in &idle {
+            if server >= n_servers {
+                return Err(invalid(line, "idle server out of range"));
             }
-            let mut seen_ids = std::collections::HashSet::with_capacity(idle.len());
-            // (server, start, end-or-sentinel, line); busy joins the same
-            // span list so idle/busy overlap falls out of one sorted scan.
-            let mut spans: Vec<(u64, i64, i64, usize)> = Vec::with_capacity(
-                idle.len() + reservations.len(),
-            );
-            let mut trailing = vec![0u32; n_servers as usize];
-            for &(line, id, server, start, end) in &idle {
-                if server >= n_servers {
-                    return Err(invalid(line, "idle server out of range"));
+            if start < origin || start > MAX_ABS_TIME {
+                return Err(invalid(line, "idle period start out of range"));
+            }
+            match end {
+                Some(e) if e <= start || e > window_end => {
+                    return Err(invalid(line, "idle period interval out of range"));
                 }
-                if id >= np {
-                    return Err(invalid(line, "idle period id not below next_period"));
-                }
-                if !seen_ids.insert(id) {
-                    return Err(invalid(line, "duplicate idle period id"));
-                }
-                if start < origin || start > MAX_ABS_TIME {
-                    return Err(invalid(line, "idle period start out of range"));
-                }
-                match end {
-                    Some(e) => {
-                        if e <= start || e > window_end {
-                            return Err(invalid(line, "idle period interval out of range"));
-                        }
-                        spans.push((server, start, e, line));
-                    }
-                    None => {
-                        trailing[server as usize] += 1;
-                        spans.push((server, start, i64::MAX, line));
-                    }
+                Some(e) => spans.push((server, start, e, line)),
+                None => {
+                    trailing[server as usize] += 1;
+                    spans.push((server, start, i64::MAX, line));
                 }
             }
-            if trailing.iter().any(|&c| c != 1) {
-                return Err(invalid(0, "each server needs exactly one open-ended idle period"));
+        }
+        if !idle.is_empty() && trailing.iter().any(|&c| c != 1) {
+            return Err(invalid(0, "each server needs exactly one open-ended idle period"));
+        }
+        spans.sort_unstable();
+        for w in spans.windows(2) {
+            if w[0].0 == w[1].0 && w[1].1 < w[0].2 {
+                return Err(SnapshotError::InconsistentReservation { line: w[1].3 });
             }
-            for &(line, _, server, start, end) in &reservations {
-                spans.push((server, start, end, line));
-            }
-            spans.sort_unstable();
-            for w in spans.windows(2) {
-                if w[0].0 == w[1].0 && w[1].1 < w[0].2 {
-                    return Err(SnapshotError::InconsistentReservation { line: w[1].3 });
-                }
-            }
-            np
-        } else {
-            0
-        };
+        }
 
-        // Phase 3: build. Every assert inside these constructors is now
-        // unreachable; the only remaining failure is a reservation that
-        // does not fit the rebuilt timeline.
-        let mut sched = CoAllocScheduler::starting_at(n_servers as u32, Time(origin), cfg);
-        for (_, s, mask) in attrs {
-            sched.set_server_attrs(ServerId(s as u32), AttrSet(mask));
-        }
-        // Advance to the snapshot clock *before* re-committing reservations:
-        // the live slot window must match the original's, or fragments near
-        // the (original) horizon would fall outside the ring and never be
-        // mirrored when the window later advances over them.
-        sched.advance_to(Time(now));
-        sched.set_last_prune(Time(last_prune));
-        if full {
-            // Id-faithful path: install the persisted idle periods (and the
-            // id counter) verbatim and rebuild the indexes from them, so
-            // future decisions are bit-identical to the writer's.
-            let periods: Vec<IdlePeriod> = idle
-                .iter()
-                .map(|&(_, id, server, start, end)| IdlePeriod {
-                    id: PeriodId(id),
-                    server: ServerId(server as u32),
-                    start: Time(start),
-                    end: end.map(Time).unwrap_or(Time::INF),
-                })
-                .collect();
-            let busy: Vec<Reservation> = reservations
-                .iter()
-                .map(|&(_, job, server, start, end)| Reservation {
-                    job: JobId(job),
-                    server: ServerId(server as u32),
-                    start: Time(start),
-                    end: Time(end),
-                })
-                .collect();
-            sched.install_state(periods, busy, np);
-        } else {
-            // Legacy (v1) path: re-derive the idle geometry by re-committing
-            // each reservation. Equivalent decisions, not bit-identical —
-            // period ids are regenerated.
-            for (line, job, server, start, end) in reservations {
-                sched
-                    .restore_reservation(JobId(job), ServerId(server as u32), Time(start), Time(end))
-                    .map_err(|_| SnapshotError::InconsistentReservation { line })?;
+        // Phase 3: the image, both lists in `(server, start)` order.
+        reservations.sort_unstable_by_key(|&(_, _, server, start, _)| (server, start));
+        let busy: Vec<Reservation> = reservations
+            .iter()
+            .map(|&(_, job, server, start, end)| Reservation {
+                job: JobId(job),
+                server: ServerId(server as u32),
+                start: Time(start),
+                end: Time(end),
+            })
+            .collect();
+        let mut periods: Vec<(ServerId, Time, Time)> = idle
+            .iter()
+            .map(|&(_, server, start, end)| {
+                (ServerId(server as u32), Time(start), end.map_or(Time::INF, Time))
+            })
+            .collect();
+        periods.sort_unstable_by_key(|&(server, start, _)| (server, start));
+        if periods.is_empty() {
+            // Commitments only (v1): the idle periods are the gaps the
+            // reservations leave from the origin on, merged — what
+            // committing them one by one onto an idle system carves.
+            let mut rest = busy.as_slice();
+            for s in (0..n_servers as u32).map(ServerId) {
+                let mut from = Time(origin);
+                while let Some((r, tail)) = rest.split_first().filter(|(r, _)| r.server == s) {
+                    if from < r.start {
+                        periods.push((s, from, r.start));
+                    }
+                    (from, rest) = (r.end, tail);
+                }
+                periods.push((s, from, Time::INF));
             }
         }
-        sched.set_next_job_id(next_job);
-        Ok(sched)
+        Ok(StateImage {
+            cfg,
+            origin: Time(origin),
+            now: Time(now),
+            last_prune: Time(last_prune),
+            attrs: tags,
+            idle: periods,
+            busy,
+            next_job,
+        })
+    }
+
+    fn idle_line(
+        line: usize,
+        server: &str,
+        start: &str,
+        end: &str,
+    ) -> Result<(usize, u64, i64, Option<i64>), SnapshotError> {
+        let end = if end == "inf" { None } else { Some(field(end, line)?) };
+        Ok((line, field(server, line)?, field(start, line)?, end))
+    }
+}
+
+impl CoAllocScheduler {
+    /// Serialize the scheduler's state to a text snapshot.
+    pub fn snapshot(&self) -> String {
+        self.export().render()
+    }
+
+    /// Rebuild a scheduler from snapshot text ([`StateImage::parse`] holds
+    /// the input to account; [`Self::from_image`] cannot fail).
+    pub fn restore(snapshot: &str) -> Result<CoAllocScheduler, SnapshotError> {
+        StateImage::parse(snapshot).map(CoAllocScheduler::from_image)
     }
 }
 
@@ -576,7 +573,7 @@ mod tests {
         let mut s = busy_scheduler();
         let restored_next = {
             let r = CoAllocScheduler::restore(&s.snapshot()).unwrap();
-            r.next_job_id()
+            r.export().next_job
         };
         let g = s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap();
         assert_eq!(g.job.0, restored_next, "id sequences must align");
@@ -591,7 +588,7 @@ mod tests {
         restored.check_consistency();
     }
 
-    /// Recompute a valid v2 footer for (possibly hand-altered) content, so
+    /// Recompute a valid footer for (possibly hand-altered) content, so
     /// tests can reach the semantic checks *behind* the integrity check.
     fn refooter(content: &str) -> String {
         let body: String = content
@@ -684,7 +681,7 @@ mod tests {
             .filter(|l| !l.starts_with("end "))
             .map(|l| format!("{l}\n"))
             .collect::<String>()
-            .replace("coalloc-snapshot v2", "coalloc-snapshot v1");
+            .replace(MAGIC, MAGIC_V1);
         let restored = CoAllocScheduler::restore(&v1).unwrap();
         restored.check_consistency();
         assert_eq!(restored.snapshot(), s.snapshot(), "v1 upgrade is lossless");
@@ -807,7 +804,7 @@ mod tests {
         let commitments_only: String = snap
             .lines()
             .filter(|l| {
-                !["idle ", "next_period ", "end "]
+                !["idle ", "end "]
                     .iter()
                     .any(|p| l.starts_with(p))
             })
@@ -820,7 +817,7 @@ mod tests {
         let probe = Request::advance(Time(60), Time(70), Dur(10), 1);
         let on_live = live.submit(&probe).unwrap();
         assert_eq!(on_live.servers, [ServerId(2)], "[50, inf) starts latest");
-        assert_eq!(twin.submit(&probe).unwrap(), on_live, "v2: identical");
+        assert_eq!(twin.submit(&probe).unwrap(), on_live, "v3: identical");
         let on_v1 = v1.submit(&probe).unwrap();
         assert_eq!(
             (on_v1.start, on_v1.attempts),
@@ -860,5 +857,110 @@ mod tests {
         let mut restored = CoAllocScheduler::restore(&s.snapshot()).unwrap();
         restored.release(job).unwrap();
         restored.check_consistency();
+    }
+
+    /// A snapshot written by the last release that still wrote period ids
+    /// (kept verbatim): server 2 holds un-merged idle history from a job
+    /// released after it finished.
+    const V2_FIXTURE: &str = "\
+coalloc-snapshot v2
+config 10 300 10 -1 0 24301
+clock 0 60
+pruned 0
+servers 3
+attrs 1 5
+idle 9 0 40 100
+idle 10 0 130 inf
+idle 11 1 40 100
+idle 12 1 130 inf
+idle 5 2 0 30
+idle 13 2 50 70
+idle 14 2 80 100
+idle 8 2 130 inf
+res 0 0 0 40
+res 2 0 100 130
+res 0 1 0 40
+res 2 1 100 130
+res 3 2 70 80
+res 2 2 100 130
+next_period 15
+next_job 4
+end 22 a68a5201aba5195e
+";
+
+    /// v2 files load — the id column and the `next_period` line parsed and
+    /// dropped — and re-snapshot as v3: the same lines without them.
+    #[test]
+    fn v2_snapshots_load_and_resnapshot_as_v3() {
+        let mut restored = CoAllocScheduler::restore(V2_FIXTURE).unwrap();
+        restored.check_consistency();
+        let v3 = restored.snapshot();
+        let expect: Vec<String> = V2_FIXTURE
+            .lines()
+            .filter(|l| !l.starts_with("next_period ") && !l.starts_with("end "))
+            .map(|l| match l.split_whitespace().collect::<Vec<_>>().as_slice() {
+                ["idle", _id, rest @ ..] => format!("idle {}", rest.join(" ")),
+                _ => l.replace(MAGIC_V2, MAGIC),
+            })
+            .collect();
+        let got: Vec<&str> = v3.lines().filter(|l| !l.starts_with("end ")).collect();
+        assert_eq!(got, expect);
+        assert_eq!(CoAllocScheduler::restore(&v3).unwrap().snapshot(), v3);
+        // The state is the writer's: job 2 is live, the retired job 1 is not.
+        assert_eq!(restored.server_attrs(ServerId(1)), AttrSet(5));
+        assert!(matches!(restored.release(JobId(1)), Err(ScheduleError::UnknownJob(_))));
+        restored.release(JobId(2)).unwrap();
+        // A v2 id that does not parse is still a malformed line.
+        assert!(matches!(
+            CoAllocScheduler::restore(&refooter(&V2_FIXTURE.replace("idle 9 0", "idle x 0"))),
+            Err(SnapshotError::BadLine { line: 7 })
+        ));
+    }
+
+    /// The idle geometry is validated like the reservations: whatever a
+    /// hostile file says, the installer is never handed an overlap, a
+    /// server without its open-ended tail, or an interval outside the
+    /// window.
+    #[test]
+    fn hostile_idle_geometry_rejected_not_panicked() {
+        let snap = busy_scheduler().snapshot();
+        let tail = snap
+            .lines()
+            .find(|l| l.starts_with("idle 3 ") && l.ends_with(" inf"))
+            .expect("server 3 has a tail");
+        let cases: &[(String, &str)] = &[
+            (format!("{snap}idle 4 0 inf\n"), "server out of range"),
+            (format!("{snap}idle 0 -5 0\n"), "start out of range"),
+            (format!("{snap}idle 0 20 20\n"), "interval out of range"),
+            (format!("{snap}idle 0 20 99999\n"), "interval out of range"),
+            (format!("{snap}{tail}\n"), "exactly one open-ended"),
+            (snap.replace(&format!("{tail}\n"), ""), "exactly one open-ended"),
+        ];
+        for (mutated, expect) in cases {
+            match CoAllocScheduler::restore(&refooter(mutated)).unwrap_err() {
+                SnapshotError::Invalid { what, .. } => assert!(what.contains(expect), "{what}"),
+                other => panic!("{expect}: got {other:?}"),
+            }
+        }
+        // An idle period on top of a reservation (or of another idle period).
+        let res_line = snap.lines().find(|l| l.starts_with("res ")).unwrap();
+        let f: Vec<&str> = res_line.split_whitespace().collect();
+        let overlap = format!("{snap}idle {} {} {}\n", f[2], f[3], f[4]);
+        assert!(matches!(
+            CoAllocScheduler::restore(&refooter(&overlap)),
+            Err(SnapshotError::InconsistentReservation { .. })
+        ));
+    }
+
+    /// Period ids are not in the image: nothing identifies an idle period
+    /// but its server and interval.
+    #[test]
+    fn image_text_has_no_period_ids() {
+        let snap = busy_scheduler().snapshot();
+        assert!(snap.starts_with(MAGIC));
+        assert!(!snap.contains("next_period"));
+        for l in snap.lines().filter(|l| l.starts_with("idle ")) {
+            assert_eq!(l.split_whitespace().count(), 4, "{l}");
+        }
     }
 }

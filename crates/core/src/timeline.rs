@@ -79,20 +79,19 @@ impl Timeline {
         tl
     }
 
-    /// Rebuild a timeline verbatim from explicit parts (the id-faithful
-    /// snapshot-restore path). The caller has validated the geometry: no
-    /// overlaps, exactly one open-ended idle period per server, unique
-    /// period ids below `next_period`.
+    /// Rebuild a timeline verbatim from explicit parts (snapshot restore).
+    /// The caller has validated the geometry — no overlaps, exactly one
+    /// open-ended idle period per server — and numbered the idle periods
+    /// `0..idle.len()`; the id counter resumes after them.
     pub(crate) fn from_parts(
         num_servers: u32,
         idle: &[IdlePeriod],
         busy: &[Reservation],
-        next_period: u64,
     ) -> Timeline {
         let mut tl = Timeline {
             servers: vec![ServerTimeline::default(); num_servers as usize],
             periods: IdMap::default(),
-            next_period,
+            next_period: idle.len() as u64,
             pruned_busy_secs: 0,
         };
         for p in idle {
@@ -105,13 +104,6 @@ impl Timeline {
                 .insert(r.start, (r.end, r.job));
         }
         tl
-    }
-
-    /// The next period id this timeline will hand out (snapshot state: a
-    /// restored twin must mint the same ids as the live index, or their
-    /// snapshots and `query` tie orders drift apart).
-    pub(crate) fn next_period_id(&self) -> u64 {
-        self.next_period
     }
 
     /// Number of servers.

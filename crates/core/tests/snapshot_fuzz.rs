@@ -46,10 +46,41 @@ proptest! {
     /// Noise *behind* a genuine magic line still never panics.
     #[test]
     fn magic_plus_noise_never_panics(bytes in prop::collection::vec(0u8..=255, 0..400)) {
-        let input = format!("coalloc-snapshot v2\n{}", String::from_utf8_lossy(&bytes));
-        must_not_corrupt(&input);
-        let v1 = format!("coalloc-snapshot v1\n{}", String::from_utf8_lossy(&bytes));
-        must_not_corrupt(&v1);
+        for version in ["v3", "v2", "v1"] {
+            let noise = String::from_utf8_lossy(&bytes);
+            must_not_corrupt(&format!("coalloc-snapshot {version}\n{noise}"));
+        }
+    }
+
+    /// A footer-less (v1) file reaches the validator whatever it says:
+    /// rewriting any one field of a genuine image — idle periods and
+    /// reservations included — to a boundary value is an error or a
+    /// consistent scheduler, never a panic and never an overlap.
+    #[test]
+    fn v1_field_rewrites_never_corrupt(
+        seed in 0u64..1000,
+        servers in 1u32..6,
+        jobs in 0usize..8,
+        line_frac in 0.0f64..1.0,
+        field_frac in 0.0f64..1.0,
+        value in 0usize..12,
+    ) {
+        const VALUES: [&str; 12] = [
+            "-1", "0", "1", "5", "15", "40", "300", "310", "inf",
+            "4398046511105", "9223372036854775807", "-9223372036854775808",
+        ];
+        let snap = fixture(seed, servers, jobs).snapshot();
+        let mut lines: Vec<String> = snap
+            .lines()
+            .filter(|l| !l.starts_with("end "))
+            .map(|l| l.replace("coalloc-snapshot v3", "coalloc-snapshot v1"))
+            .collect();
+        let victim = 1 + ((lines.len() - 2) as f64 * line_frac) as usize;
+        let mut fields: Vec<&str> = lines[victim].split(' ').collect();
+        let at = 1 + ((fields.len() - 2) as f64 * field_frac) as usize;
+        fields[at] = VALUES[value];
+        lines[victim] = fields.join(" ");
+        must_not_corrupt(&lines.iter().map(|l| format!("{l}\n")).collect::<String>());
     }
 
     /// Truncating a genuine snapshot at ANY char boundary is detected.

@@ -26,15 +26,6 @@ pub const DEFAULT_MAX_LINE: usize = 4096;
 /// seconds before retrying. See `docs/PROTOCOL.md` § Admission control.
 pub const BUSY_REPLY: &str = "busy retry-after 1";
 
-/// Which back-ends can serve a command (`--shards K` restricts a few).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backends {
-    /// Served by both the plain and the sharded scheduler.
-    Any,
-    /// Requires the single-shard scheduler (run without `--shards`).
-    PlainOnly,
-}
-
 /// One row of the command table: everything the docs, the `help` reply and
 /// the tests need to know about a command.
 #[derive(Clone, Copy, Debug)]
@@ -49,8 +40,6 @@ pub struct CommandSpec {
     /// example may rely on a scheduler created by an earlier example; the
     /// table is ordered so `init` comes first.
     pub example: &'static str,
-    /// Which back-ends serve it.
-    pub backends: Backends,
     /// Whether an `Ok` reply implies scheduler state may have changed.
     /// The write-ahead log appends exactly these commands (with their
     /// replies) before releasing the reply, so recovery can replay them
@@ -65,7 +54,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "init N [tau horizon delta_t]",
         summary: "create an N-server scheduler (times in seconds)",
         example: "init 4 10 400 10",
-        backends: Backends::Any,
         mutates: true,
     },
     CommandSpec {
@@ -73,7 +61,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "submit q s l n",
         summary: "request n servers for [s, s+l) submitted at q",
         example: "submit 0 0 50 2",
-        backends: Backends::Any,
         mutates: true,
     },
     CommandSpec {
@@ -81,7 +68,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "deadline q s l n D",
         summary: "like submit, but the job must complete by D",
         example: "deadline 0 0 20 1 100",
-        backends: Backends::Any,
         mutates: true,
     },
     CommandSpec {
@@ -89,7 +75,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "constrained q s l n MASK",
         summary: "submit restricted to servers whose attrs cover MASK",
         example: "constrained 0 0 30 1 0",
-        backends: Backends::PlainOnly,
         mutates: true,
     },
     CommandSpec {
@@ -97,7 +82,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "attrs SERVER MASK",
         summary: "tag a server with a capability bitmask",
         example: "attrs 0 5",
-        backends: Backends::PlainOnly,
         mutates: true,
     },
     CommandSpec {
@@ -105,7 +89,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "query a b",
         summary: "count + list resources free for all of [a, b)",
         example: "query 0 50",
-        backends: Backends::PlainOnly,
         mutates: false,
     },
     CommandSpec {
@@ -113,7 +96,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "release JOB",
         summary: "cancel a granted job",
         example: "release 0",
-        backends: Backends::Any,
         mutates: true,
     },
     CommandSpec {
@@ -121,7 +103,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "advance T",
         summary: "move the scheduler clock to T",
         example: "advance 20",
-        backends: Backends::Any,
         mutates: true,
     },
     CommandSpec {
@@ -129,7 +110,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "stats",
         summary: "clock, horizon, utilization and op counters",
         example: "stats",
-        backends: Backends::Any,
         mutates: false,
     },
     CommandSpec {
@@ -137,7 +117,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "metrics",
         summary: "Prometheus-style exposition of all obs counters",
         example: "metrics",
-        backends: Backends::Any,
         mutates: false,
     },
     CommandSpec {
@@ -145,7 +124,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "check",
         summary: "run the scheduler's internal consistency checks",
         example: "check",
-        backends: Backends::Any,
         mutates: false,
     },
     CommandSpec {
@@ -153,7 +131,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "slow",
         summary: "dump the tail-captured slow/shed/errored requests",
         example: "slow",
-        backends: Backends::Any,
         mutates: false,
     },
     CommandSpec {
@@ -161,7 +138,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "snapshot PATH",
         summary: "persist full scheduler state to PATH",
         example: "snapshot /tmp/coalloc-proto-example.txt",
-        backends: Backends::PlainOnly,
         mutates: false,
     },
     CommandSpec {
@@ -169,7 +145,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "load PATH",
         summary: "restore scheduler state from PATH",
         example: "load /tmp/coalloc-proto-example.txt",
-        backends: Backends::PlainOnly,
         mutates: true,
     },
     CommandSpec {
@@ -177,7 +152,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "version",
         summary: "report the protocol version",
         example: "version",
-        backends: Backends::Any,
         mutates: false,
     },
     CommandSpec {
@@ -185,7 +159,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "help",
         summary: "list the available commands",
         example: "help",
-        backends: Backends::Any,
         mutates: false,
     },
     CommandSpec {
@@ -193,7 +166,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         usage: "exit",
         summary: "end the session (close the connection / stop reading)",
         example: "exit",
-        backends: Backends::Any,
         mutates: false,
     },
 ];
@@ -251,12 +223,7 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/PROTOCOL.md");
         let doc = std::fs::read_to_string(path).expect("read docs/PROTOCOL.md");
         for c in COMMANDS {
-            let plain_only = matches!(c.backends, Backends::PlainOnly);
-            let heading = if plain_only {
-                format!("### {} — plain-only", c.name)
-            } else {
-                format!("### {}", c.name)
-            };
+            let heading = format!("### {}", c.name);
             assert!(
                 doc.lines().any(|l| l.trim_end() == heading),
                 "docs/PROTOCOL.md is missing the section '{heading}'"

@@ -97,7 +97,9 @@ pub struct NetConfig {
     /// How long a connection's reply buffer may sit unaccepted by the
     /// socket (client not reading) before the connection is dropped.
     pub write_timeout: Duration,
-    /// Shard count handed to each session's `init` (1 = plain scheduler).
+    /// Shard count handed to the session: which engine `init` (and a
+    /// recovery or `load`) builds — 1 = the single scheduler. An execution
+    /// strategy only: every command is served at every count.
     pub shards: u32,
     /// Test hook: artificial delay before each command execution, to make
     /// queue buildup reproducible in shed/backpressure tests.
@@ -142,7 +144,7 @@ pub struct WalOptions {
     /// load without adding any fixed latency.
     pub flush_interval: Duration,
     /// Install a snapshot and truncate replayed history every this many
-    /// logged records (0 disables snapshotting; plain back-end only).
+    /// logged records (0 disables snapshotting).
     pub snapshot_every: u64,
     /// Byte size at which the active segment file rolls over.
     pub segment_bytes: u64,
@@ -451,20 +453,6 @@ fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, msg)
 }
 
-/// Execute one command, converting a panic into a shed-and-log error reply
-/// instead of poisoning the scheduler thread (and with it every connection).
-fn exec_guarded(session: &mut Session, line: &str) -> Result<String, String> {
-    match std::panic::catch_unwind(AssertUnwindSafe(|| session.exec(line))) {
-        Ok(result) => result,
-        Err(_) => {
-            EXEC_PANICS.inc();
-            ERRORS.inc();
-            eprintln!("coalloc-net: command panicked, shedding: {line}");
-            Err("internal error: command panicked (see server log)".into())
-        }
-    }
-}
-
 /// Largest number of queued `submit` lines grouped into one scheduler batch
 /// (bounds reply-latency spread within a group; the queue bound usually
 /// bites first).
@@ -481,18 +469,30 @@ fn batchable(line: &str) -> bool {
     line.split_whitespace().next() == Some("submit")
 }
 
-/// Execute a group of submit lines as one scheduler batch, panic-guarded
-/// like [`exec_guarded`]. A panic sheds the whole group — the group is a
-/// single scheduler call, so per-line blame is unknowable.
-fn exec_batch_guarded(session: &mut Session, lines: &[&str]) -> Vec<Result<String, String>> {
-    match std::panic::catch_unwind(AssertUnwindSafe(|| session.exec_batch(lines))) {
+/// Execute a group of lines — a run of submits as one
+/// [`Session::exec_batch`] call when `batched`, otherwise line by line —
+/// converting a panic into a shed-and-log error reply instead of poisoning
+/// the scheduler thread (and with it every connection). A panic sheds the
+/// whole group — a batch is a single scheduler call, so per-line blame is
+/// unknowable.
+fn exec_guarded(
+    session: &mut Session,
+    lines: &[&str],
+    batched: bool,
+) -> Vec<Result<String, String>> {
+    let exec = AssertUnwindSafe(|| match batched {
+        true => session.exec_batch(lines),
+        false => lines.iter().map(|l| session.exec(l)).collect(),
+    });
+    match std::panic::catch_unwind(exec) {
         Ok(results) => results,
         Err(_) => {
             EXEC_PANICS.inc();
             ERRORS.add(lines.len() as u64);
             eprintln!(
-                "coalloc-net: batched command panicked, shedding {} lines",
-                lines.len()
+                "coalloc-net: command panicked, shedding {} line(s) from: {}",
+                lines.len(),
+                lines[0]
             );
             lines
                 .iter()
@@ -503,10 +503,12 @@ fn exec_batch_guarded(session: &mut Session, lines: &[&str]) -> Vec<Result<Strin
 }
 
 /// Open the WAL and rebuild the session it describes: install the newest
-/// snapshot, then re-execute the logged commands in order, verifying that
-/// every decision comes out byte-identical to the logged reply. Divergence
-/// means the log does not describe this code's behaviour (corruption or a
-/// cross-version restart) and refuses the recovery.
+/// snapshot on the engine `shards` selects (the image does not depend on
+/// the shard count that wrote it), then re-execute the logged commands in
+/// order, verifying that every decision comes out byte-identical to the
+/// logged reply. Divergence means the log does not describe this code's
+/// behaviour (corruption or a cross-version restart) and refuses the
+/// recovery.
 fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
     let span = obs::trace::span("wal_recovery");
     let mut wcfg = WalConfig::new(&opts.dir);
@@ -517,7 +519,7 @@ fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
         let text = std::str::from_utf8(snap)
             .map_err(|_| invalid("wal: snapshot is not UTF-8".into()))?;
         session
-            .restore_plain(text)
+            .restore(text)
             .map_err(|e| invalid(format!("wal: snapshot rejected: {e}")))?;
     }
     for (i, record) in recovery.records.iter().enumerate() {
@@ -526,7 +528,9 @@ fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
         let (line, logged_reply) = text
             .split_once('\n')
             .ok_or_else(|| invalid(format!("wal: record {i} has no reply separator")))?;
-        let replayed = exec_guarded(&mut session, line)
+        let replayed = exec_guarded(&mut session, &[line], false)
+            .pop()
+            .expect("one line, one result")
             .map_err(|e| invalid(format!("wal: record {i} ({line:?}) failed on replay: {e}")))?;
         if replayed != logged_reply {
             return Err(invalid(format!(
@@ -553,8 +557,22 @@ impl Completions {
         Completions { io, touched }
     }
 
-    fn send(&mut self, loop_id: usize, done: Done) {
-        self.io[loop_id].send(done);
+    /// Release one reply to its connection's I/O loop — the one place a
+    /// [`Done`] is built. A dead connection just drops the reply there; the
+    /// command's effect stands (documented at-most-once reply delivery).
+    fn release(&mut self, mut item: Item, text: String) {
+        item.stamps.mark_released();
+        REQUEST_US.observe(item.stamps.enqueued.elapsed().as_micros() as u64);
+        let loop_id = item.token.loop_id;
+        self.io[loop_id].send(Done {
+            slot: item.token.slot,
+            gen: item.token.gen,
+            seq: item.seq,
+            line: item.line,
+            text,
+            stamps: item.stamps,
+            shed: false,
+        });
         self.touched[loop_id] = true;
     }
 
@@ -596,93 +614,109 @@ fn ingest(batch: Batch, q: &mut VecDeque<Item>) {
     }
 }
 
-/// Release one reply to its connection's I/O loop.
-fn send_done(comps: &mut Completions, token: ConnToken, seq: u64, line: String, text: String, mut stamps: Stamps) {
-    stamps.mark_released();
-    REQUEST_US.observe(stamps.enqueued.elapsed().as_micros() as u64);
-    comps.send(
-        token.loop_id,
-        Done {
-            slot: token.slot,
-            gen: token.gen,
-            seq,
-            line,
-            text,
-            stamps,
-            shed: false,
-        },
-    );
-}
-
-/// A reply withheld until its WAL record is fsynced (group commit).
-struct PendingDone {
-    token: ConnToken,
-    seq: u64,
-    line: String,
-    text: String,
-    stamps: Stamps,
-}
-
 /// Largest fsync batch: bounds how much reply latency one flush can carry.
 const MAX_BATCH: usize = 512;
 
-/// Sync the WAL tail and release every withheld reply. On fsync failure the
-/// commands stay applied in memory but their replies become errors: a
-/// client must never read an `ok`/`granted` that could vanish in a crash.
-fn flush(wal: &mut Wal, pending: &mut Vec<PendingDone>, comps: &mut Completions) {
-    if pending.is_empty() && wal.unsynced_records() == 0 {
-        return;
-    }
-    let failed = match wal.sync() {
-        Ok(()) => None,
-        Err(e) => {
-            WAL_FLUSH_FAILURES.inc();
-            eprintln!("coalloc-net: wal sync failed: {e}");
-            Some(e.to_string())
-        }
-    };
-    for mut p in pending.drain(..) {
-        // The fsync that just completed is what released these replies:
-        // decision → here is the WAL stall each of them paid.
-        p.stamps.mark_released();
-        REQUEST_US.observe(
-            p.stamps.released.unwrap_or_else(Instant::now)
-                .saturating_duration_since(p.stamps.enqueued)
-                .as_micros() as u64,
-        );
-        let text = match &failed {
-            None => p.text,
-            Some(e) => format!("error: wal sync failed: {e}"),
-        };
-        // A dead connection just drops the reply at its I/O loop; the
-        // command's effect stands (documented at-most-once reply delivery).
-        comps.send(
-            p.token.loop_id,
-            Done {
-                slot: p.token.slot,
-                gen: p.token.gen,
-                seq: p.seq,
-                line: p.line,
-                text,
-                stamps: p.stamps,
-                shed: false,
-            },
-        );
-    }
-    comps.wake();
+/// Where decided commands go: their replies straight to the connection's
+/// I/O loop, or — a mutating command under a write-ahead log — into the log
+/// first, the reply withheld until an fsync covers its record (group
+/// commit). Without a log nothing is ever withheld.
+struct Outbox {
+    comps: Completions,
+    wal: Option<(Wal, WalOptions)>,
+    /// Replies withheld until their WAL record is fsynced.
+    pending: Vec<(Item, String)>,
+    /// When the oldest of them was withheld.
+    oldest: Instant,
 }
 
-/// Install a fresh snapshot once enough records accumulated since the last
-/// one, truncating the replayed prefix of the log. Only the plain back-end
-/// has a snapshot form; sharded sessions keep their log from genesis.
-fn maybe_snapshot(wal: &mut Wal, session: &Session, opts: &WalOptions) {
-    if opts.snapshot_every == 0 || wal.records_since_snapshot() < opts.snapshot_every {
-        return;
-    }
-    let Some(text) = session.snapshot_text() else { return };
-    if let Err(e) = wal.install_snapshot(text.as_bytes()) {
+impl Outbox {
+    /// Answer `item` with the WAL failure that kept it from being made
+    /// durable: its effect may stand in memory, but a client must never
+    /// read an `ok`/`granted` that could vanish in a crash.
+    fn refuse(&mut self, item: Item, what: &str, e: WalError) {
         WAL_FLUSH_FAILURES.inc();
-        eprintln!("coalloc-net: wal snapshot install failed: {e}");
+        eprintln!("coalloc-net: wal {what} failed: {e}");
+        self.comps.release(item, format!("error: wal {what} failed: {e}"));
+    }
+
+    /// Route the outcome of a decided command. Errors changed nothing and
+    /// without a log nothing can be made durable, so those are released at
+    /// once, like the replies of non-mutating commands. `load` replaced the
+    /// whole state from an external file a replay could not re-read: it is
+    /// persisted as a snapshot (which first syncs every earlier record),
+    /// never as a log record. Every other mutating command is appended to
+    /// the log and its reply withheld until the next [`Self::flush`].
+    fn complete(&mut self, item: Item, result: Result<String, String>, session: &Session) {
+        let (reply, wal) = match (result, &mut self.wal) {
+            (Err(e), _) => return self.comps.release(item, format!("error: {e}")),
+            (Ok(reply), None) => return self.comps.release(item, reply),
+            (Ok(reply), Some((wal, _))) => (reply, wal),
+        };
+        let verb = item.line.split_whitespace().next().unwrap_or("");
+        if !proto::mutating(verb) {
+            return self.comps.release(item, reply);
+        }
+        if verb == "load" {
+            let image = session.snapshot_text().expect("load installed a scheduler");
+            return match wal.install_snapshot(image.as_bytes()) {
+                Ok(()) => {
+                    self.flush(); // the records before it are durable; release
+                    self.comps.release(item, reply)
+                }
+                Err(e) => self.refuse(item, "snapshot install", e),
+            };
+        }
+        let mut payload = Vec::with_capacity(item.line.len() + 1 + reply.len());
+        payload.extend_from_slice(item.line.as_bytes());
+        payload.push(b'\n');
+        payload.extend_from_slice(reply.as_bytes());
+        match wal.append(&payload) {
+            Ok(()) => {
+                if self.pending.is_empty() {
+                    self.oldest = Instant::now();
+                }
+                self.pending.push((item, reply));
+                if self.pending.len() >= MAX_BATCH {
+                    self.flush();
+                }
+            }
+            Err(e) => self.refuse(item, "append", e),
+        }
+    }
+
+    /// Sync the WAL tail and release every withheld reply — the fsync is
+    /// what releases them: decision → here is the WAL stall each of them
+    /// paid. On fsync failure the commands stay applied in memory but their
+    /// replies become errors.
+    fn flush(&mut self) {
+        let Some((wal, _)) = &mut self.wal else { return };
+        if self.pending.is_empty() && wal.unsynced_records() == 0 {
+            return;
+        }
+        let failed = wal.sync().err().map(|e| {
+            WAL_FLUSH_FAILURES.inc();
+            eprintln!("coalloc-net: wal sync failed: {e}");
+            format!("error: wal sync failed: {e}")
+        });
+        for (item, reply) in self.pending.drain(..) {
+            self.comps.release(item, failed.clone().unwrap_or(reply));
+        }
+        self.comps.wake();
+    }
+
+    /// Install a fresh snapshot once enough records accumulated since the
+    /// last one, truncating the replayed prefix of the log.
+    fn maybe_snapshot(&mut self, session: &Session) {
+        let Some((wal, opts)) = &mut self.wal else { return };
+        if opts.snapshot_every == 0 || wal.records_since_snapshot() < opts.snapshot_every {
+            return;
+        }
+        let Some(text) = session.snapshot_text() else { return };
+        if let Err(e) = wal.install_snapshot(text.as_bytes()) {
+            WAL_FLUSH_FAILURES.inc();
+            eprintln!("coalloc-net: wal snapshot install failed: {e}");
+        }
     }
 }
 
@@ -730,11 +764,12 @@ impl SchedCtx {
     }
 }
 
-/// Pop the longest run of consecutive batchable lines (starting with
-/// `first`) off the front of the run queue, bounded by [`GROUP_MAX`].
-fn take_group(first: Item, q: &mut VecDeque<Item>) -> Vec<Item> {
-    let mut group = vec![first];
-    while group.len() < GROUP_MAX {
+/// Pop the scheduler's next group off the front of the run queue into the
+/// (empty) `group`: `first` and the run of consecutive batchable lines
+/// behind it, up to `max` lines in all.
+fn take_group(first: Item, q: &mut VecDeque<Item>, max: usize, group: &mut Vec<Item>) {
+    group.push(first);
+    while group.len() < max {
         match q.front() {
             Some(next) if batchable(&next.line) => {
                 group.push(q.pop_front().expect("front exists"));
@@ -742,304 +777,98 @@ fn take_group(first: Item, q: &mut VecDeque<Item>) -> Vec<Item> {
             _ => break,
         }
     }
-    group
 }
 
+/// The scheduler thread: execute the queued command lines strictly in
+/// arrival order and route each outcome through the [`Outbox`].
+///
+/// Runs of submit lines on the flattened queue — within one pipelined burst
+/// or across connections — become one scheduler batch per pass; every other
+/// line is a group of one. Under a write-ahead log the replies of mutating
+/// commands are withheld until an fsync covers them, and a flush happens
+/// when the queue goes idle (adaptive), when the oldest withheld reply has
+/// waited `flush_interval`, or when the fsync batch is full. With nothing
+/// withheld — always, without a log — the thread simply blocks for work.
 fn scheduler_loop(
     rx: Receiver<Batch>,
     mut session: Session,
     ctx: SchedCtx,
     wal: Option<(Wal, WalOptions)>,
-    mut comps: Completions,
+    comps: Completions,
 ) {
+    let flush_interval = wal.as_ref().map_or(Duration::ZERO, |(_, o)| o.flush_interval);
+    let mut out = Outbox {
+        comps,
+        wal,
+        pending: Vec::new(),
+        oldest: Instant::now(),
+    };
     let mut last_refresh = Instant::now() - STATUS_REFRESH;
     let mut q: VecDeque<Item> = VecDeque::new();
+    let mut group: Vec<Item> = Vec::new();
     let mut connected = true;
-
-    let Some((mut wal, opts)) = wal else {
-        // Volatile mode: execute and reply immediately. Runs of submit
-        // lines on the flattened queue — within one pipelined burst or
-        // across connections — become one scheduler batch per pass.
-        loop {
-            if q.is_empty() {
-                if !connected {
-                    break;
-                }
-                match rx.recv() {
-                    Ok(b) => ingest(b, &mut q),
-                    Err(_) => break,
-                }
-            }
-            // Greedy top-up: everything already queued joins this pass, so
-            // bursts arriving while we executed batch up rather than
-            // trickling through one by one.
-            if connected {
-                loop {
-                    match rx.try_recv() {
-                        Ok(b) => ingest(b, &mut q),
-                        Err(mpsc::TryRecvError::Empty) => break,
-                        Err(mpsc::TryRecvError::Disconnected) => {
-                            connected = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            let Some(item) = q.pop_front() else { continue };
-            if batchable(&item.line) {
-                let group = take_group(item, &mut q);
-                BATCH_LINES.observe(group.len() as u64);
-                for it in &group {
-                    ctx.maybe_stall(&it.line);
-                }
-                let lines: Vec<&str> = group.iter().map(|i| i.line.as_str()).collect();
-                let texts = exec_batch_guarded(&mut session, &lines);
-                ctx.maybe_refresh(&mut session, &mut last_refresh);
-                for (mut it, result) in group.into_iter().zip(texts) {
-                    it.stamps.mark_decided();
-                    let text = match result {
-                        Ok(r) => r,
-                        Err(e) => format!("error: {e}"),
-                    };
-                    send_done(&mut comps, it.token, it.seq, it.line, text, it.stamps);
-                }
-            } else {
-                let mut item = item;
-                ctx.maybe_stall(&item.line);
-                let text = match exec_guarded(&mut session, &item.line) {
-                    Ok(r) => r,
-                    Err(e) => format!("error: {e}"),
-                };
-                item.stamps.mark_decided();
-                ctx.maybe_refresh(&mut session, &mut last_refresh);
-                send_done(&mut comps, item.token, item.seq, item.line, text, item.stamps);
-            }
-            comps.wake();
-        }
-        return;
-    };
-
-    // Durable mode: group commit. Mutating commands are appended to the WAL
-    // and their replies *withheld* until an fsync covers them; a flush
-    // happens when the queue goes idle (adaptive), when the oldest withheld
-    // reply has waited `flush_interval`, or when the batch is full.
-    let mut pending: Vec<PendingDone> = Vec::new();
-    let mut oldest = Instant::now();
     loop {
         if q.is_empty() {
             if !connected {
                 break;
             }
-            let got = if pending.is_empty() {
-                match rx.recv() {
-                    Ok(b) => Some(b),
-                    Err(_) => {
-                        connected = false;
-                        None
-                    }
-                }
-            } else if opts.flush_interval.is_zero() {
-                match rx.try_recv() {
-                    Ok(b) => Some(b),
-                    Err(mpsc::TryRecvError::Empty) => None,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        connected = false;
-                        None
-                    }
-                }
+            // `Err(disconnected)`: nothing arrived in the time allowed.
+            let got = if out.pending.is_empty() {
+                rx.recv().map_err(|_| true)
+            } else if flush_interval.is_zero() {
+                rx.try_recv().map_err(|e| e == mpsc::TryRecvError::Disconnected)
             } else {
-                let elapsed = oldest.elapsed();
-                if elapsed >= opts.flush_interval {
-                    None
-                } else {
-                    match rx.recv_timeout(opts.flush_interval - elapsed) {
-                        Ok(b) => Some(b),
-                        Err(mpsc::RecvTimeoutError::Timeout) => None,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            connected = false;
-                            None
-                        }
-                    }
+                match flush_interval.checked_sub(out.oldest.elapsed()) {
+                    Some(left) => rx
+                        .recv_timeout(left)
+                        .map_err(|e| e == mpsc::RecvTimeoutError::Disconnected),
+                    None => Err(false),
                 }
             };
             match got {
-                Some(b) => ingest(b, &mut q),
-                None => {
-                    flush(&mut wal, &mut pending, &mut comps);
-                    maybe_snapshot(&mut wal, &session, &opts);
+                Ok(b) => ingest(b, &mut q),
+                Err(disconnected) => {
+                    connected &= !disconnected;
+                    out.flush();
+                    out.maybe_snapshot(&session);
                     ctx.maybe_refresh(&mut session, &mut last_refresh);
                     continue;
                 }
             }
         }
-        if connected {
-            loop {
-                match rx.try_recv() {
-                    Ok(b) => ingest(b, &mut q),
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        connected = false;
-                        break;
-                    }
-                }
+        // Greedy top-up: everything already queued joins this pass, so
+        // bursts arriving while we executed batch up rather than
+        // trickling through one by one.
+        while connected {
+            match rx.try_recv() {
+                Ok(b) => ingest(b, &mut q),
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => connected = false,
             }
         }
-        let Some(item) = q.pop_front() else { continue };
-
-        if batchable(&item.line) {
-            // Batched durable path: decide the whole group in one scheduler
-            // call, append one WAL record per line in batch order, and let
-            // the adaptive flush cover them all with a single fsync group.
-            let group = take_group(item, &mut q);
+        let Some(first) = q.pop_front() else { continue };
+        // One guarded call decides the whole group — a run of submits as
+        // one scheduler batch, or any other line alone; under a log each
+        // line then gets its own record, in group order, and the adaptive
+        // flush covers them all with a single fsync.
+        let batched = batchable(&first.line);
+        take_group(first, &mut q, if batched { GROUP_MAX } else { 1 }, &mut group);
+        if batched {
             BATCH_LINES.observe(group.len() as u64);
-            for it in &group {
-                ctx.maybe_stall(&it.line);
-            }
-            let lines: Vec<&str> = group.iter().map(|i| i.line.as_str()).collect();
-            let texts = exec_batch_guarded(&mut session, &lines);
-            ctx.maybe_refresh(&mut session, &mut last_refresh);
-            for (mut it, result) in group.into_iter().zip(texts) {
-                it.stamps.mark_decided();
-                match result {
-                    Ok(reply) => {
-                        // submit always mutates: withhold the reply until
-                        // an fsync covers its record.
-                        let mut payload =
-                            Vec::with_capacity(it.line.len() + 1 + reply.len());
-                        payload.extend_from_slice(it.line.as_bytes());
-                        payload.push(b'\n');
-                        payload.extend_from_slice(reply.as_bytes());
-                        match wal.append(&payload) {
-                            Ok(()) => {
-                                if pending.is_empty() {
-                                    oldest = Instant::now();
-                                }
-                                pending.push(PendingDone {
-                                    token: it.token,
-                                    seq: it.seq,
-                                    line: it.line,
-                                    text: reply,
-                                    stamps: it.stamps,
-                                });
-                            }
-                            Err(e) => {
-                                WAL_FLUSH_FAILURES.inc();
-                                eprintln!("coalloc-net: wal append failed: {e}");
-                                send_done(
-                                    &mut comps,
-                                    it.token,
-                                    it.seq,
-                                    it.line,
-                                    format!("error: wal append failed: {e}"),
-                                    it.stamps,
-                                );
-                            }
-                        }
-                    }
-                    // Parse errors never touched the scheduler: nothing to
-                    // make durable, release immediately.
-                    Err(e) => send_done(
-                        &mut comps,
-                        it.token,
-                        it.seq,
-                        it.line,
-                        format!("error: {e}"),
-                        it.stamps,
-                    ),
-                }
-            }
-            if pending.len() >= MAX_BATCH {
-                flush(&mut wal, &mut pending, &mut comps);
-            }
-            comps.wake();
-            continue;
         }
-
-        let mut item = item;
-        ctx.maybe_stall(&item.line);
-        let verb = item.line.split_whitespace().next().unwrap_or("");
-        let is_load = verb == "load";
-        let mutates = proto::mutating(verb);
-        let result = exec_guarded(&mut session, &item.line);
-        item.stamps.mark_decided();
+        for it in &group {
+            ctx.maybe_stall(&it.line);
+        }
+        let lines: Vec<&str> = group.iter().map(|i| i.line.as_str()).collect();
+        let results = exec_guarded(&mut session, &lines, batched);
         ctx.maybe_refresh(&mut session, &mut last_refresh);
-        match result {
-            Ok(reply) if is_load => {
-                // `load` replaces the whole state from an external file the
-                // replay could not re-read: persist it as a snapshot (which
-                // first syncs every earlier record), never as a log record.
-                let status = match session.snapshot_text() {
-                    Some(text) => wal.install_snapshot(text.as_bytes()),
-                    None => Ok(()), // unreachable: load always installs plain
-                };
-                match status {
-                    Ok(()) => {
-                        flush(&mut wal, &mut pending, &mut comps); // records are durable; release
-                        send_done(&mut comps, item.token, item.seq, item.line, reply, item.stamps);
-                    }
-                    Err(e) => {
-                        WAL_FLUSH_FAILURES.inc();
-                        eprintln!("coalloc-net: wal snapshot install failed: {e}");
-                        send_done(
-                            &mut comps,
-                            item.token,
-                            item.seq,
-                            item.line,
-                            format!("error: wal snapshot install failed: {e}"),
-                            item.stamps,
-                        );
-                    }
-                }
-            }
-            Ok(reply) if mutates => {
-                let mut payload =
-                    Vec::with_capacity(item.line.len() + 1 + reply.len());
-                payload.extend_from_slice(item.line.as_bytes());
-                payload.push(b'\n');
-                payload.extend_from_slice(reply.as_bytes());
-                match wal.append(&payload) {
-                    Ok(()) => {
-                        if pending.is_empty() {
-                            oldest = Instant::now();
-                        }
-                        pending.push(PendingDone {
-                            token: item.token,
-                            seq: item.seq,
-                            line: item.line,
-                            text: reply,
-                            stamps: item.stamps,
-                        });
-                        if pending.len() >= MAX_BATCH {
-                            flush(&mut wal, &mut pending, &mut comps);
-                        }
-                    }
-                    Err(e) => {
-                        WAL_FLUSH_FAILURES.inc();
-                        eprintln!("coalloc-net: wal append failed: {e}");
-                        send_done(
-                            &mut comps,
-                            item.token,
-                            item.seq,
-                            item.line,
-                            format!("error: wal append failed: {e}"),
-                            item.stamps,
-                        );
-                    }
-                }
-            }
-            Ok(reply) => send_done(&mut comps, item.token, item.seq, item.line, reply, item.stamps),
-            Err(e) => send_done(
-                &mut comps,
-                item.token,
-                item.seq,
-                item.line,
-                format!("error: {e}"),
-                item.stamps,
-            ),
+        for (mut it, result) in group.drain(..).zip(results) {
+            it.stamps.mark_decided();
+            out.complete(it, result, &session);
         }
-        comps.wake();
+        out.comps.wake();
     }
     // Graceful drain: the I/O loops are gone, but every acknowledged
     // command must be durable before the thread exits — the shutdown fsync.
-    flush(&mut wal, &mut pending, &mut comps);
+    out.flush();
 }

@@ -1,7 +1,8 @@
 //! Durability tests for the WAL-backed server: graceful drain fsyncs the
 //! tail and a restart over the same log directory is lossless; a torn log
-//! tail is repaired; sharded sessions replay from genesis; and a recovered
-//! server's future decisions are byte-identical to an uncrashed twin's.
+//! tail is repaired; a sharded server snapshots and truncates its log like
+//! any other and restarts at any shard count; and a recovered server's
+//! future decisions are byte-identical to an uncrashed twin's.
 //! (The `kill -9` half of the story lives in `tests/crash_recovery.rs`,
 //! which crashes the real `coallocd` binary.)
 
@@ -27,7 +28,11 @@ fn wal_cfg(dir: &PathBuf, shards: u32) -> NetConfig {
 
 /// Run `script` against a fresh WAL-backed server, return its reply bytes.
 fn serve_script(dir: &PathBuf, shards: u32, script: &str) -> String {
-    let server = Server::bind(wal_cfg(dir, shards)).unwrap();
+    serve_script_cfg(wal_cfg(dir, shards), script)
+}
+
+fn serve_script_cfg(cfg: NetConfig, script: &str) -> String {
+    let server = Server::bind(cfg).unwrap();
     let client = Client::connect(server.local_addr()).unwrap();
     let replies = client.exchange_script(script).unwrap();
     server.shutdown();
@@ -101,7 +106,7 @@ fn torn_tail_is_repaired_on_restart() {
 }
 
 #[test]
-fn sharded_sessions_replay_from_genesis() {
+fn sharded_log_replays_from_genesis_at_its_own_k() {
     let dir = wal_dir("sharded");
     let script = "init 8 10 400 10\n\
                   submit 0 0 50 4\n\
@@ -109,22 +114,84 @@ fn sharded_sessions_replay_from_genesis() {
                   release 0\n\
                   exit\n";
     serve_script(&dir, 2, script);
-    // No snapshot is ever installed for the sharded back-end; recovery
-    // replays the whole history (including `init`) and lands on the same
-    // state.
-    assert!(
-        !std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .any(|e| e.file_name().to_str().unwrap().starts_with("snap-")),
-        "sharded back-end must not write snapshots"
-    );
+    // Too few records for a snapshot: recovery replays the whole history
+    // (including `init`, whose logged reply names K = 2) and lands on the
+    // same state.
     let probe = "stats\nsubmit 0 0 50 6\nexit\n";
     let restarted = serve_script(&dir, 2, probe);
     let mut twin = Session::new(2);
     twin.run_script(script);
     assert_eq!(restarted, twin.run_script(probe));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--shards 2 --wal-dir` snapshots on the same cadence as K = 1, truncates
+/// its log, and — the image does not mention K — the directory restarts at
+/// K = 1 and at K = 4 in the same state, ready for pipelined traffic.
+#[test]
+fn sharded_server_snapshots_truncates_and_restarts_at_any_k() {
+    let dir = wal_dir("sharded-snap");
+    let cfg = |shards: u32| {
+        let mut opts = WalOptions::new(&dir);
+        opts.snapshot_every = 8;
+        NetConfig {
+            wal: Some(opts),
+            ..wal_cfg(&dir, shards)
+        }
+    };
+    let counters = || {
+        ["wal_snapshot_total", "wal_segments_removed_total"]
+            .map(|name| obs::metrics::counter(name).get())
+    };
+    let snap_path = std::env::temp_dir().join(format!(
+        "coalloc-net-wal-sharded-snap-{}.txt",
+        std::process::id()
+    ));
+    let state = format!("check\nsnapshot {}\nexit\n", snap_path.display());
+    let state_of = |shards: u32| {
+        let replies = serve_script_cfg(cfg(shards), &state);
+        assert!(replies.starts_with("ok\nok wrote"), "k={shards}: {replies}");
+        std::fs::read_to_string(&snap_path).unwrap()
+    };
+
+    let mut script = String::from("init 6 10 4000 10\nattrs 4 3\n");
+    for i in 0..40 {
+        script.push_str(&format!("submit 0 {} 20 {}\n", i * 10, 1 + i % 3));
+        if i % 5 == 4 {
+            script.push_str(&format!("release {}\n", i - 2));
+        }
+    }
+    script.push_str(&format!("constrained 0 0 20 1 3\n{state}"));
+    let before = counters();
+    let replies = serve_script_cfg(cfg(2), &script);
+    let after = counters();
+    assert!(replies.contains("\nok wrote "), "{replies}");
+    // (The counters are process-wide; the directory is this test's own.)
+    assert!(
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .any(|e| e.file_name().to_str().unwrap().starts_with("snap-")),
+        "snapshot_every=8 over ~50 records must have installed a snapshot at K = 2"
+    );
+    assert!(after[0] > before[0], "no snapshot installed: {before:?} -> {after:?}");
+    assert!(after[1] > before[1], "no segment removed: {before:?} -> {after:?}");
+    let written = std::fs::read_to_string(&snap_path).unwrap();
+    let mut twin = Session::new(1);
+    twin.run_script(&script);
+    assert_eq!(written, twin.snapshot_text().unwrap(), "K = 2 state differs from K = 1's");
+
+    for shards in [1u32, 4, 2] {
+        assert_eq!(state_of(shards), written, "restart at K = {shards}");
+    }
+    // And it serves on: a 32-line pipelined burst, decided like the twin's.
+    let burst: String = (0..32)
+        .map(|i| format!("submit 0 {} 30 2\n", 400 + i * 10))
+        .chain(["check\n".to_string(), "exit\n".to_string()])
+        .collect();
+    assert_eq!(serve_script_cfg(cfg(4), &burst), twin.run_script(&burst));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&snap_path);
 }
 
 #[test]

@@ -49,9 +49,17 @@
 //! regardless of which shard owns them), so jumping never changes a
 //! decision here either.
 //!
+//! **One command surface.** Server attributes live on the coordinator;
+//! a constrained submit is the inline driver with the retrieval step
+//! filtered by the tags, a range search is the shards' feasible sets
+//! concatenated in server order, and the persistent state is the same
+//! [`StateImage`] the single scheduler writes — the shards only export and
+//! install their own servers' share, so the text does not depend on `K`
+//! (DESIGN.md §9, §13).
+//!
 //! With `K = 1` the coordinator always runs the shard inline — no threads,
-//! no channels — so the single-shard configuration measures pure
-//! coordinator overhead against [`CoAllocScheduler`].
+//! no channels — so that configuration measures pure coordinator overhead
+//! against [`CoAllocScheduler`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,7 +69,9 @@ mod pool;
 use crate::pool::{Cmd, CommitBuf, EnumBuf, ProbeJob, ProbeStage, Reply, Round, MAX_BATCH};
 use coalloc_core::ladder::Placement;
 use coalloc_core::prelude::*;
+use coalloc_core::range_search::range_search_with;
 use coalloc_core::scheduler::record_requests;
+use coalloc_core::snapshot::{SnapshotError, StateImage};
 use coalloc_sim::runner::OnlineScheduler;
 use obs::{LazyCounter, LazyHistogram};
 use std::sync::{Arc, Mutex};
@@ -273,8 +283,8 @@ fn climb(
 
 /// The sharded parallel co-allocation scheduler.
 ///
-/// Drop-in equivalent of [`CoAllocScheduler`] for the submit/advance/release
-/// flow; see the crate docs for the equivalence guarantees.
+/// Drop-in equivalent of [`CoAllocScheduler`]; see the crate docs for the
+/// equivalence guarantees.
 #[derive(Debug)]
 pub struct ShardedScheduler {
     cfg: SchedulerConfig,
@@ -282,6 +292,8 @@ pub struct ShardedScheduler {
     num_servers: u32,
     origin: Time,
     now: Time,
+    /// Capability tags per server (see [`Self::submit_constrained`]).
+    attrs: Vec<AttrSet>,
     /// First live slot — mirrors every shard ring's base.
     base_slot: SlotIdx,
     /// `(base, count)` of each shard's server range.
@@ -385,6 +397,7 @@ impl ShardedScheduler {
             num_servers,
             origin,
             now: origin,
+            attrs: vec![AttrSet::NONE; num_servers as usize],
             base_slot: slot_cfg.slot_of(origin),
             layout,
             backend: Backend { states, pool },
@@ -505,14 +518,19 @@ impl ShardedScheduler {
     /// batches (1, 2, 4, … capped at a small constant). Always runs inline:
     /// a single request is below any pool threshold by definition.
     pub fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError> {
-        let ladder = self.ladder(req, None)?;
-        self.run(req, ladder)
+        let ladder = self.ladder(req, self.num_servers, None)?;
+        self.run(req, ladder, AttrSet::NONE)
     }
 
     /// Lay out the retry ladder of `req` against the current clock and
-    /// horizon.
-    fn ladder(&self, req: &Request, deadline: Option<Time>) -> Result<Ladder, ScheduleError> {
-        Ladder::new(&self.cfg, req, self.num_servers, self.now, self.horizon_end(), deadline)
+    /// horizon, for `capacity` usable servers.
+    fn ladder(
+        &self,
+        req: &Request,
+        capacity: u32,
+        deadline: Option<Time>,
+    ) -> Result<Ladder, ScheduleError> {
+        Ladder::new(&self.cfg, req, capacity, self.now, self.horizon_end(), deadline)
     }
 
     /// Handle a batch of requests in submission order, returning one reply
@@ -573,49 +591,102 @@ impl ShardedScheduler {
         req: &Request,
         deadline: Time,
     ) -> Result<Grant, ScheduleError> {
-        let ladder = self.ladder(req, Some(deadline))?;
-        self.run(req, ladder)
+        let ladder = self.ladder(req, self.num_servers, Some(deadline))?;
+        self.run(req, ladder, AttrSet::NONE)
+    }
+
+    /// Assign capability tags to a server (see [`coalloc_core::attrs`]).
+    pub fn set_server_attrs(&mut self, server: ServerId, attrs: AttrSet) {
+        self.attrs[server.0 as usize] = attrs;
+    }
+
+    /// Handle a request that may only use servers carrying every tag in
+    /// `required` — [`CoAllocScheduler::submit_constrained`] on the inline
+    /// driver: the ladder is laid out for the qualifying servers, the
+    /// per-shard counts ignore tags (they over-approximate) and the
+    /// retrieval step filters, so the first start whose *filtered* feasible
+    /// set holds `n_r` servers wins, exactly as there.
+    pub fn submit_constrained(
+        &mut self,
+        req: &Request,
+        required: AttrSet,
+    ) -> Result<Grant, ScheduleError> {
+        let qualifying = self.attrs.iter().filter(|a| a.satisfies(required)).count() as u32;
+        let ladder = self.ladder(req, qualifying, None)?;
+        self.run(req, ladder, required)
+    }
+
+    /// Find all resources available for the whole window `[start, end)`
+    /// without modifying any state: [`CoAllocScheduler::range_search`] with
+    /// the shards' feasible sets concatenated in server order. The hit
+    /// *set* is the single scheduler's; the order within it depends on the
+    /// shard count (each shard discovers its own servers' periods).
+    pub fn range_search(&mut self, start: Time, end: Time) -> Vec<Availability> {
+        let horizon = self.horizon_end();
+        let (states, shard_stats) = (&self.backend.states, &mut self.shard_stats);
+        range_search_with(self.now, horizon, &self.profile, start, end, |a, b, hits| {
+            Self::sync_enumerate(states, shard_stats, a, b, hits)
+        })
     }
 
     /// [`Self::search`] plus the request's metrics.
-    fn run(&mut self, req: &Request, ladder: Ladder) -> Result<Grant, ScheduleError> {
+    fn run(
+        &mut self,
+        req: &Request,
+        ladder: Ladder,
+        required: AttrSet,
+    ) -> Result<Grant, ScheduleError> {
         let before = self.stats();
-        let (result, probed) = self.search(req, ladder);
+        let (result, probed) = self.search(req, ladder, required);
         record_requests(&[probed], result.is_ok() as u64, &self.stats().since(&before));
         result
     }
 
     /// The inline driver: climb `ladder` in staged-doubling rounds, each
-    /// round's feasibility decided by summing per-shard counts, then
-    /// enumerate, select and commit at the winning start. Also returns the
-    /// number of starts charged as searched.
+    /// round's feasibility decided by summing per-shard counts and — where
+    /// the sum reaches `n_r` — enumerating the feasible set, which must
+    /// still hold `n_r` servers carrying every tag in `required` (it always
+    /// does for [`AttrSet::NONE`]); then select and commit at the winning
+    /// start. Also returns the number of starts charged as searched.
     ///
     /// Locks the shards directly: on the pool path, queued commits must
     /// have been flushed first.
-    fn search(&mut self, req: &Request, ladder: Ladder) -> (Result<Grant, ScheduleError>, u64) {
+    fn search(
+        &mut self,
+        req: &Request,
+        ladder: Ladder,
+        required: AttrSet,
+    ) -> (Result<Grant, ScheduleError>, u64) {
+        let n = req.servers as usize;
+        let mut feasible = std::mem::take(&mut self.scratch.feasible);
         let (states, shard_stats) = (&self.backend.states, &mut self.shard_stats);
+        let attrs = &self.attrs;
         let (winner, probed, _) = climb(ladder, &self.profile, |round| {
             let totals = Self::sync_counts(states, shard_stats, round.starts(), req.duration);
-            totals[..round.m].iter().position(|&t| t >= req.servers as u64)
+            (0..round.m).find(|&i| {
+                if totals[i] < n as u64 {
+                    return false;
+                }
+                let (start, end) = (round.starts[i], round.starts[i] + req.duration);
+                feasible.clear();
+                Self::sync_enumerate(states, shard_stats, start, end, &mut feasible);
+                if !required.is_empty() {
+                    feasible.retain(|p| attrs[p.server.0 as usize].satisfies(required));
+                }
+                feasible.len() >= n
+            })
         });
         let result = ladder.settle(winner, probed, &mut self.local).map(|at| {
-            let mut feasible = std::mem::take(&mut self.scratch.feasible);
-            feasible.clear();
-            for i in 0..self.backend.states.len() {
-                self.on_shard(i, |st| st.enumerate(at.start, at.end, &mut feasible));
-            }
             // At most one period per server is feasible for a given start, so
             // every policy key is total before its id tie-break and the merged
             // selection is independent of shard count and merge order — and
             // identical to the single scheduler's, server for server.
-            let n = req.servers as usize;
             self.cfg.policy.select_in_place(&mut feasible, n, at.end);
-            debug_assert_eq!(feasible.len(), n, "count/enumerate mismatch");
             let grant = self.accept(at, &feasible);
             self.apply_commits_inline();
-            self.scratch.feasible = feasible;
             grant
         });
+        self.scratch.feasible = feasible;
         (result, probed)
     }
 
@@ -654,7 +725,7 @@ impl ShardedScheduler {
         let mut slots: Vec<ReqSlot> = reqs
             .iter()
             .map(|req| ReqSlot {
-                ladder: self.ladder(req, None),
+                ladder: self.ladder(req, self.num_servers, None),
                 want: 1,
                 windows: 0,
                 delta: OpStats::new(),
@@ -826,7 +897,7 @@ impl ShardedScheduler {
                     reprobed += 1;
                     self.flush_commits();
                     self.scratch.feasible = feasible;
-                    let (res, searched) = self.search(req, ladder);
+                    let (res, searched) = self.search(req, ladder, AttrSet::NONE);
                     feasible = std::mem::take(&mut self.scratch.feasible);
                     probed.push(searched);
                     if let Ok(g) = &res {
@@ -934,6 +1005,56 @@ impl ShardedScheduler {
         self.profile.check_against(windows.iter().copied());
     }
 
+    /// The scheduler's persistent state as plain data: what
+    /// [`CoAllocScheduler::export`] returns for the same history, whatever
+    /// the shard count — every shard appends its own servers' periods.
+    pub fn export(&self) -> StateImage {
+        // Every shard prunes on the same slot boundary.
+        let last_prune = self.backend.states[0].lock().expect("shard state lock").last_prune();
+        let mut image = StateImage {
+            cfg: self.cfg,
+            origin: self.origin,
+            now: self.now,
+            last_prune,
+            attrs: self.attrs.clone(),
+            idle: Vec::new(),
+            busy: Vec::new(),
+            next_job: self.next_job,
+        };
+        for st in &self.backend.states {
+            st.lock().expect("shard state lock").export(&mut image);
+        }
+        image
+    }
+
+    /// A `k`-shard scheduler in the state `image` describes, whatever
+    /// engine wrote it: every shard installs its own servers' share.
+    pub fn from_image(image: StateImage, k: u32) -> ShardedScheduler {
+        let mut sched =
+            ShardedScheduler::starting_at(image.attrs.len() as u32, k, image.now, image.cfg);
+        sched.origin = image.origin;
+        sched.next_job = image.next_job;
+        for r in &image.busy {
+            sched.profile.add(r.start, r.end, 1);
+        }
+        for i in 0..sched.backend.states.len() {
+            sched.on_shard(i, |st| st.install(&image));
+        }
+        sched.attrs = image.attrs;
+        sched
+    }
+
+    /// Serialize the scheduler's state to a text snapshot — byte for byte
+    /// [`CoAllocScheduler::snapshot`]'s for the same history.
+    pub fn snapshot(&self) -> String {
+        self.export().render()
+    }
+
+    /// Rebuild a `k`-shard scheduler from snapshot text.
+    pub fn restore(snapshot: &str, k: u32) -> Result<ShardedScheduler, SnapshotError> {
+        StateImage::parse(snapshot).map(|image| ShardedScheduler::from_image(image, k))
+    }
+
     /// Which shard owns a global server id.
     fn shard_of(&self, server: ServerId) -> usize {
         let k = self.layout.len() as u32;
@@ -982,6 +1103,22 @@ impl ShardedScheduler {
             *cached = *st.stats();
         }
         totals
+    }
+
+    /// Inline enumerate fan-out: append every shard's feasible set for
+    /// `[start, end)` to `out`, in server order.
+    fn sync_enumerate(
+        states: &[Arc<Mutex<ServerIndex>>],
+        shard_stats: &mut [OpStats],
+        start: Time,
+        end: Time,
+        out: &mut Vec<IdlePeriod>,
+    ) {
+        for (state, cached) in states.iter().zip(shard_stats) {
+            let mut st = state.lock().expect("shard state lock");
+            st.enumerate(start, end, out);
+            *cached = *st.stats();
+        }
     }
 
     /// Queue a job's commit with the shards owning the chosen servers.

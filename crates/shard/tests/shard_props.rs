@@ -7,7 +7,12 @@
 //!   choices** as the single [`CoAllocScheduler`] (every policy sorts the
 //!   feasible set by a total key, so selection is partition-independent);
 //! * sharded runs are identical across `K` and deterministic for a fixed
-//!   seed.
+//!   seed;
+//! * the same holds for every other command: constrained grants equal the
+//!   single scheduler's field for field, range searches return the same
+//!   hits (in the same order at `K = 1`), and the snapshot text is the
+//!   single scheduler's byte for byte — so a state written at one `K`
+//!   continues at any other.
 
 use coalloc_core::prelude::*;
 use coalloc_shard::ShardedScheduler;
@@ -36,6 +41,23 @@ fn request_stream(n_servers: u32, len: usize) -> impl Strategy<Value = Vec<Reque
             })
             .collect()
     })
+}
+
+/// What rides along with request `i` of a lock-step stream: `(kind, server,
+/// mask)`. Kinds 0–3 leave the request a plain `submit`; 4–5 make it
+/// `submit_constrained(mask)`; 6–7 tag `server` with `mask` first; 8–9 run a
+/// range search over the request's window first.
+fn extras(n_servers: u32, len: usize) -> impl Strategy<Value = Vec<(u8, u32, u64)>> {
+    prop::collection::vec((0u8..10, 0..n_servers, 0u64..8), len..len + 1)
+}
+
+/// A range search's hits without the period ids (which are local to an
+/// index, hence to a `K`).
+fn hits(found: Vec<Availability>) -> Vec<(ServerId, Time, Time, Dur)> {
+    found
+        .iter()
+        .map(|h| (h.period.server, h.period.start, h.period.end, h.tail_slack))
+        .collect()
 }
 
 fn cfg(policy: SelectionPolicy, seed: u64) -> SchedulerConfig {
@@ -68,9 +90,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Sharded decisions equal the single scheduler's for every policy and
-    /// K; server choice matches too.
+    /// K; server choice matches too — and so does every other command.
     #[test]
-    fn sharded_equals_plain(reqs in request_stream(9, 30), seed in 0u64..1000) {
+    fn sharded_equals_plain(
+        reqs in request_stream(9, 30),
+        extra in extras(9, 30),
+        cut in 0usize..30,
+        seed in 0u64..1000,
+    ) {
         for policy in [
             SelectionPolicy::PaperOrder,
             SelectionPolicy::BestFit,
@@ -86,31 +113,60 @@ proptest! {
                 sharded.check_consistency();
             }
         }
-        // Server-level equality: replay request-by-request comparing each
-        // grant (and each rejection) between the two schedulers.
+        // Lock-step: replay command by command comparing every reply
+        // between the two schedulers — grants and rejections field for
+        // field, range-search hits as sets. At the cut the sharded
+        // scheduler is snapshotted (the text must be the plain twin's),
+        // restored at a *different* K, and the stream goes on.
         for policy in [
             SelectionPolicy::PaperOrder,
             SelectionPolicy::BestFit,
             SelectionPolicy::WorstFit,
             SelectionPolicy::ByServerId,
         ] {
-            for k in SHARD_COUNTS {
+            for (ki, k) in SHARD_COUNTS.into_iter().enumerate() {
                 let mut plain = CoAllocScheduler::new(9, cfg(policy, seed));
                 let mut sharded = ShardedScheduler::new(9, k, cfg(policy, seed));
-                for r in &reqs {
+                let mut same_order = k == 1;
+                for (i, (r, &(kind, server, mask))) in reqs.iter().zip(&extra).enumerate() {
                     plain.advance_to(r.submit);
                     sharded.advance_to(r.submit);
-                    match (plain.submit(r), sharded.submit(r)) {
-                        (Ok(a), Ok(b)) => {
-                            prop_assert_eq!(a.start, b.start);
-                            prop_assert_eq!(&a.servers, &b.servers,
-                                "{:?} k={} servers diverge", policy, k);
-                            prop_assert_eq!(a.attempts, b.attempts);
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                        other => prop_assert!(false, "grant/reject divergence: {:?}", other),
+                    if i == cut % reqs.len() {
+                        let text = sharded.snapshot();
+                        prop_assert_eq!(&text, &plain.snapshot(), "{:?} k={}", policy, k);
+                        let other = SHARD_COUNTS[(ki + 1 + cut % 3) % SHARD_COUNTS.len()];
+                        sharded = ShardedScheduler::restore(&text, other).unwrap();
+                        sharded.check_consistency();
+                        prop_assert_eq!(sharded.snapshot(), text, "k={} -> {}", k, other);
+                        // A restored index discovers hits in its own order.
+                        same_order = false;
                     }
+                    let mask = AttrSet(mask);
+                    match kind {
+                        6 | 7 => {
+                            plain.set_server_attrs(ServerId(server), mask);
+                            sharded.set_server_attrs(ServerId(server), mask);
+                        }
+                        8 | 9 => {
+                            let mut a = hits(plain.range_search(r.earliest_start, r.end()));
+                            let mut b = hits(sharded.range_search(r.earliest_start, r.end()));
+                            if !same_order {
+                                a.sort_unstable();
+                                b.sort_unstable();
+                            }
+                            prop_assert_eq!(a, b, "{:?} k={} range search", policy, k);
+                        }
+                        _ => {}
+                    }
+                    let (a, b) = if matches!(kind, 4 | 5) {
+                        (plain.submit_constrained(r, mask), sharded.submit_constrained(r, mask))
+                    } else {
+                        (plain.submit(r), sharded.submit(r))
+                    };
+                    prop_assert_eq!(a, b, "{:?} k={} request {}", policy, k, i);
                 }
+                prop_assert_eq!(sharded.snapshot(), plain.snapshot(), "{:?} k={}", policy, k);
+                sharded.check_consistency();
             }
         }
     }

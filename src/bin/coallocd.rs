@@ -33,9 +33,10 @@
 //! from the same table the parser is tested against.
 //!
 //! CLI flags (both modes): `--shards K` partitions the servers over `K`
-//! parallel shard workers (`init` then builds a sharded scheduler making
-//! the same decisions as the single one; `query`, `constrained`, `attrs`,
-//! `snapshot` and `load` require the default `K = 1`). `--trace-out PATH`
+//! parallel shard workers (`init` then builds a sharded scheduler that
+//! serves every command with the single one's replies and writes the
+//! same snapshots; only the order of `query`'s detail lines may differ).
+//! `--trace-out PATH`
 //! writes span/event traces as JSONL to `PATH`; `--metrics-dump` prints the
 //! metrics exposition on exit. The `COALLOC_OBS` environment variable (see
 //! the `obs` crate) configures tracing when `--trace-out` is not given.

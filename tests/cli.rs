@@ -155,9 +155,10 @@ fn snapshot_survives_process_restart() {
     let _ = std::fs::remove_file(path);
 }
 
-/// Hostile geometry, clock moves and deadlines on stdin: each line gets a
-/// reply and the process exits 0 (`drive` asserts it) — no abort in the
-/// allocator, no constructor panic, no hours-long ring rotation.
+/// Hostile geometry, clock moves, deadlines and start times on stdin: each
+/// line gets a reply and the process exits 0 (`drive` asserts it) — no
+/// abort in the allocator, no constructor panic, no hours-long ring
+/// rotation, no start wrapped around into the search.
 #[test]
 fn hostile_lines_get_replies_and_a_clean_exit() {
     let lines = drive(
@@ -168,10 +169,13 @@ fn hostile_lines_get_replies_and_a_clean_exit() {
          init 4 10 100 10\n\
          advance 9000000000000\n\
          deadline 0 0 10 1 -9223372036854775808\n\
+         submit 0 9223372036854775807 10 1\n\
+         submit 9223372036854775807 9223372036854775807 9223372036854775807 1\n\
+         constrained 0 9223372036854775807 10 1 0\n\
          version\n\
          exit\n",
     );
-    assert_eq!(lines.len(), 8, "{lines:?}");
+    assert_eq!(lines.len(), 11, "{lines:?}");
     for l in lines[..4].iter().chain(&lines[5..6]) {
         assert!(l.starts_with("error: "), "{lines:?}");
     }
@@ -181,5 +185,8 @@ fn hostile_lines_get_replies_and_a_clean_exit() {
         late.starts_with("rejected") && late.contains("after 0 attempts"),
         "{late}"
     );
-    assert_eq!(lines[7], "coalloc/1.2");
+    for far in &lines[7..10] {
+        assert_eq!(far, "rejected request does not fit before the horizon (t=100)");
+    }
+    assert_eq!(lines[10], "coalloc/1.2");
 }

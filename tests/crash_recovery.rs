@@ -10,7 +10,10 @@
 //! process. The restarted server's recovered state must equal the twin
 //! after applying some *prefix* of the in-doubt batch: anything less lost
 //! an acknowledged command, anything else invented state. 20 random kill
-//! points, fixed seed (`COALLOC_CHAOS_SEED` overrides).
+//! points, fixed seed (`COALLOC_CHAOS_SEED` overrides), with the daemon at
+//! `--shards` 1 and at `--shards` 4 against the same single-scheduler twin:
+//! the state image does not depend on the shard count, so text equality
+//! across K is part of what is proved.
 
 use coalloc::net::{Client, Session};
 use std::io::{BufRead, BufReader};
@@ -39,12 +42,14 @@ struct Daemon {
     addr: String,
 }
 
-fn spawn_daemon(wal_dir: &Path) -> Daemon {
+fn spawn_daemon(wal_dir: &Path, shards: u32) -> Daemon {
     let mut child = Command::new(env!("CARGO_BIN_EXE_coallocd"))
         .args([
             "serve",
             "--addr",
             "127.0.0.1:0",
+            "--shards",
+            &shards.to_string(),
             "--wal-dir",
             wal_dir.to_str().unwrap(),
             // Small enough that the 20 iterations exercise snapshot installs
@@ -150,8 +155,15 @@ fn kill9_loses_no_acknowledged_grants() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xC0A1_10C8);
+    for shards in [1, 4] {
+        kill9_rounds(seed, shards);
+    }
+}
+
+fn kill9_rounds(seed: u64, shards: u32) {
     let mut rng = Lcg(seed);
-    let dir: PathBuf = std::env::temp_dir().join(format!("coalloc-chaos-{}", std::process::id()));
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("coalloc-chaos-{}-k{shards}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let snap_file = std::env::temp_dir().join(format!("coalloc-chaos-snap-{}.txt", std::process::id()));
     let snap_path = snap_file.to_str().unwrap().to_string();
@@ -163,12 +175,14 @@ fn kill9_loses_no_acknowledged_grants() {
 
     const KILLS: usize = 20;
     for iteration in 0..=KILLS {
-        let daemon = spawn_daemon(&dir);
+        let daemon = spawn_daemon(&dir, shards);
         let mut client = connect(&daemon);
 
         if iteration == 0 {
             let init = "init 8 10 2000 10";
-            assert_eq!(client.roundtrip(init).unwrap(), twin_reply(&mut twin, init));
+            let banner = client.roundtrip(init).unwrap();
+            let banner = banner.strip_suffix(&format!(" over {shards} shards")).unwrap_or(&banner);
+            assert_eq!(banner, twin_reply(&mut twin, init));
         } else {
             // === Verify the recovery ===
             // The recovered state must equal the twin after some prefix of
@@ -190,7 +204,7 @@ fn kill9_loses_no_acknowledged_grants() {
             }
             assert!(
                 matched,
-                "iteration {iteration} (seed {seed:#x}): recovered state matches no prefix \
+                "iteration {iteration} (seed {seed:#x}, --shards {shards}): recovered state matches no prefix \
                  of the {} in-doubt commands — an acknowledged command was lost or an \
                  unacknowledged one was invented.\nin-doubt: {:?}\nrecovered:\n{}\n\
                  candidate k=0 (no in-doubt applied):\n{}\ncandidate k=max:\n{}",
@@ -202,7 +216,7 @@ fn kill9_loses_no_acknowledged_grants() {
             );
             let _ = prefix; // which prefix survived is informational only
             // Re-sync the twin to exactly the recovered state and trackers.
-            twin.restore_plain(&recovered).unwrap();
+            twin.restore(&recovered).unwrap();
             track_from_snapshot(&recovered, &mut now, &mut live);
         }
 
@@ -217,7 +231,7 @@ fn kill9_loses_no_acknowledged_grants() {
             drop(client);
             daemon.graceful();
             // Graceful drain fsynced everything: a restart is lossless.
-            let daemon = spawn_daemon(&dir);
+            let daemon = spawn_daemon(&dir, shards);
             let mut client = connect(&daemon);
             let after = server_state(&mut client, &snap_path);
             assert_eq!(after, before_drain, "drain-then-restart must be lossless");
@@ -235,7 +249,7 @@ fn kill9_loses_no_acknowledged_grants() {
             if got != want {
                 let server = server_state(&mut client, &snap_path);
                 panic!(
-                    "iteration {iteration}: live divergence on {cmd:?} (seed {seed:#x})\n  \
+                    "iteration {iteration}: live divergence on {cmd:?} (seed {seed:#x}, --shards {shards})\n  \
                      server: {got}\n  twin:   {want}\nserver state:\n{server}\ntwin state:\n{}",
                     twin.snapshot_text().unwrap()
                 );
