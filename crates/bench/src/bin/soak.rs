@@ -307,7 +307,7 @@ fn run_round(rng: &mut SmallRng, shards: u32, round: u64) -> u64 {
                     let hits = tree.range_search(a, b);
                     if b <= tree.horizon_end() && a >= tree.now() {
                         let mut got: Vec<u32> =
-                            hits.iter().map(|h| h.period.server.0).collect();
+                            hits.iter().map(|h| h.server.0).collect();
                         got.sort_unstable();
                         let mut want: Vec<u32> = (0..n)
                             .filter(|&s| {

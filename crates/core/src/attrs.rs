@@ -61,7 +61,7 @@ impl CoAllocScheduler {
     ) -> Vec<Availability> {
         self.range_search(start, end)
             .into_iter()
-            .filter(|a| self.server_attrs(a.period.server).satisfies(required))
+            .filter(|a| self.server_attrs(a.server).satisfies(required))
             .collect()
     }
 }

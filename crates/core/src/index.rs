@@ -3,24 +3,26 @@
 //! [`ServerIndex`] owns everything the two-phase search reads and the commit
 //! step writes for the servers `[base, base + count)`: the authoritative
 //! [`Timeline`], its two search mirrors ([`SlotRing`] for finite periods,
-//! [`TrailingSet`] for open-ended ones), the per-job reservation map, the
-//! operation counters and the hot-path [`Scratch`]. Internally everything is
-//! indexed by *local* server ids `0..count`; ids are global at the API
-//! boundary, so a caller never sees the offset.
+//! [`TrailingSet`] for open-ended ones), the per-job reservation map and the
+//! hot-path [`Scratch`]. Internally everything is indexed by *local* server
+//! ids `0..count`; ids are global at the API boundary, so a caller never
+//! sees the offset.
 //!
-//! Every scheduler step has exactly one implementation here: `find` (one
-//! attempt of Section 4.2: Phase 1, Phase 2, selection), `count` /
-//! `enumerate` (the read-only halves, which partition-sum and concatenate
-//! across ranges because a server's idle periods are disjoint), `commit`,
-//! `release`, `advance_to`. [`crate::scheduler::CoAllocScheduler`] is one
-//! index over all servers; a shard of the sharded front-end is one index
-//! over its slice. The engines differ only in how they drive these steps
-//! (DESIGN.md §6, §9).
+//! Every per-range step of the scheduler has exactly one implementation
+//! here: [`ServerIndex::phase1`], [`ServerIndex::phase2`] and
+//! [`ServerIndex::hits`] (one attempt of Section 4.2, whose candidate counts
+//! partition-sum and whose hits concatenate across ranges because a
+//! server's idle periods are disjoint), `count_feasible` (Phase 2 counted,
+//! not retrieved), `enumerate` (a range search), `commit`, `release`,
+//! `advance_to`. Each charges its work to an [`OpStats`] the caller passes
+//! in: the scheduler keeps one set for all its ranges, and a pool worker
+//! charges a per-start or per-stage delta.
+//! [`crate::scheduler::CoAllocScheduler`] owns the ranges and drives these
+//! steps, over one range or many (DESIGN.md §6, §9).
 
 use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, PeriodId, ServerId};
-use crate::policy::SelectionPolicy;
 use crate::ring::{route_delta, SlotRing};
 use crate::scheduler::PRUNE_EVERY_SLOTS;
 use crate::scratch::Scratch;
@@ -29,10 +31,6 @@ use crate::stats::OpStats;
 use crate::time::{SlotConfig, Time};
 use crate::timeline::{PeriodDelta, Reservation, Timeline};
 use crate::trailing::TrailingSet;
-use obs::{obs_span_detail, LazyHistogram};
-
-static PHASE1_CANDIDATES: LazyHistogram = LazyHistogram::new("sched_phase1_candidates");
-static PHASE2_DEPTH: LazyHistogram = LazyHistogram::new("sched_phase2_depth");
 
 /// Timeline, search indexes and job map of one contiguous server range.
 #[derive(Clone, Debug)]
@@ -45,8 +43,9 @@ pub struct ServerIndex {
     ring: SlotRing,
     trailing: TrailingSet,
     jobs: IdMap<JobId, Vec<Reservation>>,
-    stats: OpStats,
-    /// Reusable buffers for the per-request hot path.
+    /// Reusable buffers for the per-request hot path; also carries the
+    /// Phase-1 marks and Phase-2 ids from one step of an attempt to the
+    /// next.
     scratch: Scratch,
     /// Window start at the last history prune.
     last_prune: Time,
@@ -54,15 +53,21 @@ pub struct ServerIndex {
 
 impl ServerIndex {
     /// An all-idle index over the global servers `[base, base + count)`
-    /// with the live window starting at `origin`. The work of seeding the
-    /// trailing index is on [`Self::stats`] from the start.
-    pub fn new(slot_cfg: SlotConfig, base: u32, count: u32, origin: Time, seed: u64) -> ServerIndex {
+    /// with the live window starting at `origin`; the work of seeding the
+    /// trailing index is charged to `stats`.
+    pub fn new(
+        slot_cfg: SlotConfig,
+        base: u32,
+        count: u32,
+        origin: Time,
+        seed: u64,
+        stats: &mut OpStats,
+    ) -> ServerIndex {
         assert!(count > 0, "an index needs at least one server");
         let timeline = Timeline::new(count, origin);
-        let mut stats = OpStats::new();
         let mut trailing = TrailingSet::new(seed);
         for srv in 0..count {
-            trailing.insert(&timeline.trailing_period(ServerId(srv)), &mut stats);
+            trailing.insert(&timeline.trailing_period(ServerId(srv)), stats);
         }
         ServerIndex {
             slot_cfg,
@@ -72,7 +77,6 @@ impl ServerIndex {
             ring: SlotRing::new(slot_cfg, origin, seed),
             trailing,
             jobs: IdMap::default(),
-            stats,
             scratch: Scratch::new(),
             last_prune: origin,
         }
@@ -83,15 +87,9 @@ impl ServerIndex {
         self.timeline.num_servers()
     }
 
-    /// Cumulative operation counters.
-    pub fn stats(&self) -> &OpStats {
-        &self.stats
-    }
-
-    /// The counters, for the engine's attempt accounting
-    /// ([`crate::ladder::Ladder::settle`]).
-    pub fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
+    /// Whether the global server id lies in the range.
+    pub fn owns(&self, server: ServerId) -> bool {
+        (self.base..self.base + self.num_servers()).contains(&server.0)
     }
 
     /// The authoritative timeline (local server ids).
@@ -131,121 +129,60 @@ impl ServerIndex {
         ServerId(server.0 - self.base)
     }
 
-    /// Resolve `scratch.ids` into `out` (global server ids), keeping the
-    /// periods whose server passes `keep`.
-    fn resolve_ids(&self, keep: impl Fn(ServerId) -> bool, out: &mut Vec<IdlePeriod>) {
-        for id in &self.scratch.ids {
-            let p = *self
-                .timeline
-                .period(*id)
-                .expect("index refers to live period");
-            let server = ServerId(self.base + p.server.0);
-            if keep(server) {
-                out.push(IdlePeriod { server, ..p });
-            }
-        }
-    }
-
-    /// One scheduling attempt at a fixed start: Phase 1, early exit on the
-    /// candidate count, Phase 2, policy selection among the servers that
-    /// pass `keep`. Returns the chosen periods (exactly `n`, selection
-    /// order) or `None`.
-    ///
-    /// Candidates come from two places: the canonical slot trees on the
-    /// stabbing path of the slot containing `start` (finite periods) and
-    /// the trailing index (open-ended periods, candidates iff `st <= start`
-    /// and then feasible for any end). The window must lie inside the live
-    /// horizon. All working storage lives in [`Scratch`], so a steady-state
-    /// attempt performs no heap allocation.
-    pub fn find(
-        &mut self,
-        start: Time,
-        end: Time,
-        n: u32,
-        policy: SelectionPolicy,
-        keep: impl Fn(ServerId) -> bool,
-    ) -> Option<&[IdlePeriod]> {
-        let n = n as usize;
-        let q = self.slot_cfg.slot_of(start);
-        // Phase 1: count candidates via subtree sizes along the stabbing
-        // path. The count ignores `keep` and may include benign aliases
-        // (see DESIGN.md §12); neither survives Phase 2, so the early exit
-        // below reaches the same decision as exact counting.
-        let p1_visits = self.stats.primary_visits;
-        let mut p1_span = obs_span_detail!("sched.phase1", "start_s" => start.secs(), "need" => n);
-        let trailing_count = self.trailing.count_candidates(start, &mut self.stats);
-        let finite_count =
-            self.ring
-                .phase1_candidates_into(q, start, &mut self.scratch.stab, &mut self.stats);
-        PHASE1_CANDIDATES.observe((trailing_count + finite_count) as u64);
-        if p1_span.active() {
-            p1_span.record("trailing", trailing_count);
-            p1_span.record("marked", finite_count);
-            p1_span.record("visits", self.stats.primary_visits - p1_visits);
-        }
-        drop(p1_span);
-        if trailing_count + finite_count < n {
-            return None;
-        }
-        // Phase 2: enumerate the full feasible set. Every policy then sorts
-        // by a total key, so the selection is deterministic regardless of the
-        // tree shape (and identical under any partition of the servers).
-        // Trailing candidates (feasible for any end) come first.
-        let p2_visits = self.stats.secondary_visits;
-        let mut p2_span = obs_span_detail!("sched.phase2", "end_s" => end.secs(), "need" => n);
-        self.scratch.ids.clear();
-        self.trailing
-            .collect_candidates(start, usize::MAX, &mut self.scratch.ids, &mut self.stats);
-        self.ring.phase2_feasible_into(
-            end,
-            &self.scratch.stab,
-            usize::MAX,
-            &mut self.scratch.ids,
-            &mut self.stats,
-        );
-        let depth = self.stats.secondary_visits - p2_visits;
-        PHASE2_DEPTH.observe(depth);
-        if p2_span.active() {
-            p2_span.record("retrieved", self.scratch.ids.len());
-            p2_span.record("visits", depth);
-        }
-        drop(p2_span);
-        if self.scratch.ids.len() < n {
-            return None;
-        }
-        let mut feasible = std::mem::take(&mut self.scratch.feasible);
-        feasible.clear();
-        self.resolve_ids(keep, &mut feasible);
-        let found = feasible.len() >= n;
-        if found {
-            policy.select_in_place(&mut feasible, n, end);
-        }
-        self.scratch.feasible = feasible;
-        found.then_some(self.scratch.feasible.as_slice())
-    }
-
-    /// Number of idle periods in the range that could host a job over
-    /// `[start, end)`: open-ended periods with `st <= start` plus finite
-    /// candidates whose end covers the window (subtree-size counting only).
-    /// `start` must lie inside the live window.
-    pub fn count(&mut self, start: Time, end: Time) -> usize {
-        let mut stats = self.stats;
-        let count = self.count_with(start, end, &mut stats);
-        self.stats = stats;
-        count
-    }
-
-    /// [`Self::count`] charging an explicit counter set instead of the
-    /// index's own. The batched coordinator keeps speculative probe work in
-    /// a per-request delta this way and charges only the deltas of requests
-    /// whose speculation is accepted, so aggregate accounting does not
-    /// depend on how submissions were grouped into batches.
-    pub fn count_with(&mut self, start: Time, end: Time, stats: &mut OpStats) -> usize {
+    /// Phase 1 of one attempt at `start` (inside the live window): count
+    /// the candidates by subtree sizes along the stabbing path of the slot
+    /// containing `start`, plus the open-ended periods with `st <= start`.
+    /// Returns `(open-ended, finite)` counts; the marks stay in the range's
+    /// scratch for [`Self::phase2`]. The finite count may include benign
+    /// aliases (DESIGN.md §12), which never survive Phase 2.
+    pub fn phase1(&mut self, start: Time, stats: &mut OpStats) -> (usize, usize) {
         let q = self.slot_cfg.slot_of(start);
         let trailing = self.trailing.count_candidates(start, stats);
         let finite = self
             .ring
             .phase1_candidates_into(q, start, &mut self.scratch.stab, stats);
+        (trailing, finite)
+    }
+
+    /// Phase 2 over the marks of the preceding [`Self::phase1`] at `start`:
+    /// collect every period feasible for a job over `[start, end)` — the
+    /// open-ended candidates first, then the slot trees' hits — and return
+    /// how many there are. [`Self::hits`] retrieves them.
+    pub fn phase2(&mut self, start: Time, end: Time, stats: &mut OpStats) -> usize {
+        self.scratch.ids.clear();
+        self.trailing
+            .collect_candidates(start, usize::MAX, &mut self.scratch.ids, stats);
+        self.ring
+            .phase2_feasible_into(end, &self.scratch.stab, usize::MAX, &mut self.scratch.ids, stats);
+        self.scratch.ids.len()
+    }
+
+    /// Append the periods the preceding [`Self::phase2`] (or
+    /// [`Self::enumerate`]) found to `out`, in retrieval order, with global
+    /// server ids.
+    pub fn hits(&self, out: &mut Vec<IdlePeriod>) {
+        for id in &self.scratch.ids {
+            let p = *self
+                .timeline
+                .period(*id)
+                .expect("index refers to live period");
+            out.push(IdlePeriod {
+                server: ServerId(self.base + p.server.0),
+                ..p
+            });
+        }
+    }
+
+    /// After [`Self::phase1`] returned `candidates`: how many of them are
+    /// feasible for a job ending at `end` — what [`Self::phase2`] would
+    /// retrieve, counted by subtree sizes instead (every open-ended
+    /// candidate is feasible for any end).
+    pub fn count_feasible(
+        &self,
+        (trailing, finite): (usize, usize),
+        end: Time,
+        stats: &mut OpStats,
+    ) -> usize {
         if finite == 0 {
             return trailing;
         }
@@ -256,15 +193,7 @@ impl ServerIndex {
     /// to `out` (trailing candidates first, then the slot trees' Phase-2
     /// hits) — callers concatenate several ranges' or several windows' sets
     /// in one buffer. Appends nothing if `start` is outside the live window.
-    pub fn enumerate(&mut self, start: Time, end: Time, out: &mut Vec<IdlePeriod>) {
-        let mut stats = self.stats;
-        self.enumerate_with(start, end, out, &mut stats);
-        self.stats = stats;
-    }
-
-    /// [`Self::enumerate`] charging an explicit counter set (see
-    /// [`Self::count_with`]).
-    pub fn enumerate_with(
+    pub fn enumerate(
         &mut self,
         start: Time,
         end: Time,
@@ -287,27 +216,47 @@ impl ServerIndex {
             &mut self.scratch.ids,
             stats,
         );
-        self.resolve_ids(|_| true, out);
+        self.hits(out);
     }
 
-    /// Reserve `[start, end)` for `job` on the given servers of the range,
-    /// each addressed by server and window: the idle period covering the
-    /// window is looked up afresh, so the caller's view of period ids may
-    /// be stale (a pre-batch snapshot) as long as the window is still idle.
-    /// The idle-period changes of all servers reach the slot trees as one
-    /// batch.
-    pub fn commit(&mut self, job: JobId, start: Time, end: Time, servers: &[ServerId]) {
+    /// Whether one idle period of `server` (in the range) covers all of
+    /// `[start, end)`.
+    pub fn covers(&self, server: ServerId, start: Time, end: Time) -> bool {
+        self.timeline
+            .covering_idle(self.local(server), start, end)
+            .is_some()
+    }
+
+    /// Reserve `[start, end)` for `job` on those of `servers` the range
+    /// owns (none: nothing happens), each addressed by server and window:
+    /// the idle period covering the window is looked up afresh, so it may
+    /// have changed shape since the caller found it as long as it still
+    /// covers the window. The idle-period changes of all servers reach the
+    /// slot trees as one batch.
+    pub fn commit(
+        &mut self,
+        job: JobId,
+        start: Time,
+        end: Time,
+        servers: &[ServerId],
+        stats: &mut OpStats,
+    ) {
+        let (lo, hi) = (self.base, self.base + self.num_servers());
+        let mut mine = servers.iter().filter(|s| (lo..hi).contains(&s.0)).peekable();
+        if mine.peek().is_none() {
+            return;
+        }
         let mut delta = std::mem::take(&mut self.scratch.delta);
         let reservations = self.jobs.entry(job).or_default();
         reservations.reserve(servers.len());
-        for &s in servers {
-            let server = ServerId(s.0 - self.base);
+        for &s in mine {
+            let server = ServerId(s.0 - lo);
             let p = self
                 .timeline
                 .covering_idle(server, start, end)
                 .expect("commit: window is idle on every chosen server");
             self.timeline.reserve_into(p.id, job, start, end, &mut delta);
-            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
+            route_delta(&delta, &mut self.trailing, &mut self.scratch, stats);
             reservations.push(Reservation {
                 job,
                 server,
@@ -316,7 +265,7 @@ impl ServerIndex {
             });
         }
         self.scratch.delta = delta;
-        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
+        self.ring.apply_queued(&mut self.scratch, stats);
     }
 
     /// Return the range's reservations of `job` to the idle pool and hand
@@ -324,7 +273,7 @@ impl ServerIndex {
     /// that already ran to completion are retired (their busy seconds stay
     /// in the utilization accounting); those inside pruned history are
     /// already gone.
-    pub fn release(&mut self, job: JobId) -> Option<Vec<Reservation>> {
+    pub fn release(&mut self, job: JobId, stats: &mut OpStats) -> Option<Vec<Reservation>> {
         let mut reservations = self.jobs.remove(&job)?;
         // Canonical processing order. The stored order is the selection
         // order on a live index but snapshot order on a restored one;
@@ -351,19 +300,18 @@ impl ServerIndex {
             }
             self.timeline
                 .release_into(r.server, r.job, r.start, r.end, &mut delta);
-            route_delta(&delta, &mut self.trailing, &mut self.scratch, &mut self.stats);
+            route_delta(&delta, &mut self.trailing, &mut self.scratch, stats);
         }
         self.scratch.delta = delta;
-        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
+        self.ring.apply_queued(&mut self.scratch, stats);
         Some(reservations)
     }
 
     /// Move the live window so that `now` lies in its first slot: discard
     /// expired slot trees and, every [`PRUNE_EVERY_SLOTS`] slots, prune dead
     /// history from the timeline and the job map alike.
-    pub fn advance_to(&mut self, now: Time) {
-        self.ring
-            .advance_to_with(now, &mut self.scratch, &mut self.stats);
+    pub fn advance_to(&mut self, now: Time, stats: &mut OpStats) {
+        self.ring.advance_to_with(now, &mut self.scratch, stats);
         // History pruning scans every server, so amortize it over many slot
         // advances; the ring's own discard/create stays O(1) per slot as
         // the paper claims. Correctness does not depend on prune timing —
@@ -401,12 +349,11 @@ impl ServerIndex {
     /// selection ranks by period start — so every future decision is
     /// bit-identical to the index that wrote the image. Period ids are
     /// minted afresh, in image order.
-    pub fn install(&mut self, image: &StateImage) {
-        let (lo, hi) = (self.base, self.base + self.num_servers());
+    pub fn install(&mut self, image: &StateImage, stats: &mut OpStats) {
         let idle: Vec<IdlePeriod> = image
             .idle
             .iter()
-            .filter(|(server, ..)| (lo..hi).contains(&server.0))
+            .filter(|&&(server, ..)| self.owns(server))
             .enumerate()
             .map(|(i, &(server, start, end))| IdlePeriod {
                 id: PeriodId(i as u64),
@@ -418,7 +365,7 @@ impl ServerIndex {
         let busy: Vec<Reservation> = image
             .busy
             .iter()
-            .filter(|r| (lo..hi).contains(&r.server.0))
+            .filter(|r| self.owns(r.server))
             .map(|r| Reservation {
                 server: self.local(r.server),
                 ..*r
@@ -434,8 +381,8 @@ impl ServerIndex {
             removed: Vec::new(),
             added: idle,
         };
-        route_delta(&all, &mut self.trailing, &mut self.scratch, &mut self.stats);
-        self.ring.apply_queued(&mut self.scratch, &mut self.stats);
+        route_delta(&all, &mut self.trailing, &mut self.scratch, stats);
+        self.ring.apply_queued(&mut self.scratch, stats);
         self.jobs.clear();
         for r in busy {
             self.jobs.entry(r.job).or_default().push(r);

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::attrs::AttrSet;
     pub use crate::error::ScheduleError;
     pub use crate::idle::IdlePeriod;
-    pub use crate::ids::{JobId, PeriodId, ServerId};
+    pub use crate::ids::{JobId, ServerId};
     pub use crate::index::ServerIndex;
     pub use crate::ladder::Ladder;
     pub use crate::naive::NaiveScheduler;

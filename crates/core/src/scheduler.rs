@@ -10,9 +10,22 @@
 //!    attempts;
 //! 3. on success, commit: reserve the window on the chosen servers and
 //!    mirror the idle-period fragments into the slot trees.
+//!
+//! The servers are stored as contiguous ranges, one [`ServerIndex`] each:
+//! [`CoAllocScheduler::new`] builds one range, [`CoAllocScheduler::with_ranges`]
+//! `K`. The partition is a storage detail, not a second scheduler — there
+//! is one driver: each attempt runs Phase 1 on every range and sums the
+//! candidate counts, takes the early exit, runs Phase 2 on every range and
+//! concatenates the hits (global server ids), filters them by tags, selects
+//! and commits on the ranges owning the chosen servers. Candidate counts
+//! only ever over-count, the hits of disjoint server ranges concatenate,
+//! and every selection key is total, so the decisions are the same for
+//! every `K` (DESIGN.md §9); at `K = 1` the driver is the one index's
+//! search, step for step.
 
 use crate::attrs::AttrSet;
 use crate::error::ScheduleError;
+use crate::idle::IdlePeriod;
 use crate::ids::{JobId, ServerId};
 use crate::index::ServerIndex;
 use crate::ladder::{Ladder, Placement};
@@ -24,17 +37,17 @@ use crate::snapshot::StateImage;
 use crate::stats::OpStats;
 use crate::time::{Dur, SlotConfig, Time};
 use crate::timeline::{Reservation, Timeline};
-use obs::{obs_span, LazyCounter, LazyHistogram};
+use obs::{obs_span, obs_span_detail, LazyCounter, LazyHistogram};
 
 /// Slot advances between history prunes (amortizes the O(N) prune scan).
 /// Public because prune timing is observable through
 /// [`CoAllocScheduler::release`] (pruned jobs report `UnknownJob`): the
-/// naive oracle and the sharded front-end must forget jobs on exactly the
+/// naive oracle and every server range must forget jobs on exactly the
 /// same cadence to stay decision-identical.
 pub const PRUNE_EVERY_SLOTS: i64 = 32;
 
 // Scheduler metrics. Counters and histograms are process-global (they
-// aggregate over every scheduler instance of either engine); per-instance
+// aggregate over every scheduler instance); per-instance
 // numbers remain available via [`CoAllocScheduler::stats`]. Tree-op
 // counters are bulk-added from an OpStats delta, never per node visit,
 // keeping the hot-path cost to a handful of relaxed atomic adds per request.
@@ -50,12 +63,14 @@ static PRIMARY_VISITS: LazyCounter = LazyCounter::new("tree_primary_visits_total
 static SECONDARY_VISITS: LazyCounter = LazyCounter::new("tree_secondary_visits_total");
 static UPDATE_VISITS: LazyCounter = LazyCounter::new("tree_update_visits_total");
 static REBUILDS: LazyCounter = LazyCounter::new("tree_rebuilds_total");
+static PHASE1_CANDIDATES: LazyHistogram = LazyHistogram::new("sched_phase1_candidates");
+static PHASE2_DEPTH: LazyHistogram = LazyHistogram::new("sched_phase2_depth");
 
 /// Publish the metrics of requests that reached the retry ladder (a request
 /// failing validation never does): `probed[i]` is the number of starts
 /// request `i` searched, `grants` how many of them were granted, and
-/// `delta` the [`OpStats`] they accrued together. Both engines report
-/// through here — per request, or once for a whole pooled batch.
+/// `delta` the [`OpStats`] they accrued together. Reported per request,
+/// or once for a whole pooled batch.
 pub fn record_requests(probed: &[u64], grants: u64, delta: &OpStats) {
     let add = |counter: &LazyCounter, n: u64| {
         if n > 0 {
@@ -91,9 +106,12 @@ const MAX_SLOTS: i64 = 1 << 22;
 pub(crate) const MAX_ABS_TIME: i64 = 1 << 42;
 /// Bound on the slots one clock move spans: `advance_to` rotates the ring
 /// slot by slot, so the span must not encode a multi-minute spin. (A
-/// snapshot's `origin → now` is held to it too, though a restore no longer
-/// replays that move.)
+/// snapshot's `origin → now` is not a move: a restore builds the scheduler
+/// at `now` and replays nothing.)
 const MAX_ADVANCE_SLOTS: i64 = 1 << 21;
+/// Most ranges a scheduler is split into (a pooled commit's range mask is
+/// one word, see `coalloc-shard`).
+const MAX_RANGES: u32 = 64;
 
 /// Configuration of a [`CoAllocScheduler`].
 #[derive(Clone, Copy, Debug)]
@@ -155,7 +173,8 @@ impl SchedulerConfig {
     }
 
     /// Check a geometry and a clock move that came from outside the program
-    /// (an `init` or `advance` line, a snapshot) against the bounds above:
+    /// (an `init` or `advance` line; a snapshot, whose clocks are no move
+    /// and are passed backwards) against the bounds above:
     /// this configuration's `tau`, `horizon` and `delta_t` over `servers`
     /// servers, and the clock going `from → to`. Must pass before a
     /// constructor (they `assert!` their invariants and allocate per server
@@ -264,23 +283,50 @@ pub struct CoAllocScheduler {
     attrs: Vec<AttrSet>,
     next_job: u64,
     /// Aggregate busy-count index driving the retry-jump fast reject;
-    /// maintained from the same commit/release flow as the index.
+    /// maintained from the same commit/release flow as the ranges.
     profile: FreeProfile,
-    /// Timeline, slot trees and job map of all servers.
-    index: ServerIndex,
+    /// Timeline, slot trees and job map of each contiguous server range,
+    /// in server order.
+    parts: Vec<ServerIndex>,
+    /// Cumulative operation counters of every range.
+    stats: OpStats,
+    /// The current attempt's feasible set (global server ids), reduced in
+    /// place by the selection policy.
+    feasible: Vec<IdlePeriod>,
 }
 
 impl CoAllocScheduler {
     /// Create a scheduler for `num_servers` servers, with the clock at the
     /// epoch.
     pub fn new(num_servers: u32, cfg: SchedulerConfig) -> CoAllocScheduler {
-        CoAllocScheduler::starting_at(num_servers, Time::ZERO, cfg)
+        CoAllocScheduler::build(num_servers, 1, Time::ZERO, cfg)
     }
 
-    /// Create a scheduler with the clock at `origin`.
-    pub fn starting_at(num_servers: u32, origin: Time, cfg: SchedulerConfig) -> CoAllocScheduler {
+    /// [`Self::new`] with the servers stored as `k` contiguous ranges
+    /// (clamped to `[1, min(64, num_servers)]`; the first `num_servers % k`
+    /// ranges own one server more). Range `i` seeds its trees with
+    /// `cfg.seed ^ i·0xA24BAED4963EE407`, so range 0 is [`Self::new`]'s
+    /// index. Decisions do not depend on `k`.
+    pub fn with_ranges(num_servers: u32, k: u32, cfg: SchedulerConfig) -> CoAllocScheduler {
+        CoAllocScheduler::build(num_servers, k, Time::ZERO, cfg)
+    }
+
+    fn build(num_servers: u32, k: u32, origin: Time, cfg: SchedulerConfig) -> CoAllocScheduler {
         assert!(num_servers > 0, "a system needs at least one server");
+        let k = k.clamp(1, num_servers.min(MAX_RANGES));
         let slot_cfg = cfg.slot_config();
+        let mut stats = OpStats::new();
+        let (per, rem) = (num_servers / k, num_servers % k);
+        let mut base = 0u32;
+        let parts = (0..k)
+            .map(|i| {
+                let count = per + u32::from(i < rem);
+                let seed = cfg.seed ^ u64::from(i).wrapping_mul(0xA24BAED4963EE407);
+                let part = ServerIndex::new(slot_cfg, base, count, origin, seed, &mut stats);
+                base += count;
+                part
+            })
+            .collect();
         CoAllocScheduler {
             cfg,
             now: origin,
@@ -288,7 +334,23 @@ impl CoAllocScheduler {
             attrs: vec![AttrSet::NONE; num_servers as usize],
             next_job: 0,
             profile: FreeProfile::new(slot_cfg, num_servers, origin),
-            index: ServerIndex::new(slot_cfg, 0, num_servers, origin, cfg.seed),
+            parts,
+            stats,
+            feasible: Vec::new(),
+        }
+    }
+
+    /// Which range owns a global server id: the inverse of the layout
+    /// [`Self::with_ranges`] builds.
+    #[doc(hidden)]
+    pub fn range_of(&self, server: ServerId) -> usize {
+        let k = self.parts.len() as u32;
+        let (per, rem) = (self.num_servers() / k, self.num_servers() % k);
+        let s = server.0;
+        if s < rem * (per + 1) {
+            (s / (per + 1)) as usize
+        } else {
+            (rem + (s - rem * (per + 1)) / per) as usize
         }
     }
 
@@ -299,7 +361,12 @@ impl CoAllocScheduler {
 
     /// Number of servers `N`.
     pub fn num_servers(&self) -> u32 {
-        self.index.num_servers()
+        self.attrs.len() as u32
+    }
+
+    /// Number of server ranges `K`.
+    pub fn num_ranges(&self) -> usize {
+        self.parts.len()
     }
 
     /// The configuration in force.
@@ -309,80 +376,115 @@ impl CoAllocScheduler {
 
     /// End of the current scheduling horizon.
     pub fn horizon_end(&self) -> Time {
-        self.index.ring().horizon_end()
+        self.parts[0].ring().horizon_end()
     }
 
     /// Cumulative operation counters.
     pub fn stats(&self) -> &OpStats {
-        self.index.stats()
+        &self.stats
     }
 
-    /// Read-only access to the authoritative timeline.
+    /// Read-only access to the authoritative timeline of the first range
+    /// (local server ids): the whole system's at `K = 1`.
     pub fn timeline(&self) -> &Timeline {
-        self.index.timeline()
+        self.parts[0].timeline()
     }
 
-    /// Read-only access to the slot ring (for diagnostics and tests).
+    /// Read-only access to the slot ring of the first range (for
+    /// diagnostics and tests): the whole system's at `K = 1`.
     pub fn ring(&self) -> &SlotRing {
-        self.index.ring()
+        self.parts[0].ring()
     }
 
-    /// The capacity profile and the idle-period index together (for the
-    /// read-only searches in [`crate::range_search`]).
-    pub(crate) fn profile_and_index(&mut self) -> (&FreeProfile, &mut ServerIndex) {
-        (&self.profile, &mut self.index)
+    /// The capacity profile.
+    #[doc(hidden)]
+    pub fn profile(&self) -> &FreeProfile {
+        &self.profile
     }
 
-    /// Committed reservations of a job, if it exists.
+    /// The ranges and the counters their work is charged to, for a caller
+    /// that drives the per-range steps itself (a range search, the worker
+    /// pool of `coalloc-shard`, which lends each range to its worker for a
+    /// batch stage and puts it back before returning).
+    #[doc(hidden)]
+    pub fn parts_mut(&mut self) -> (&mut Vec<ServerIndex>, &mut OpStats) {
+        (&mut self.parts, &mut self.stats)
+    }
+
+    /// Committed reservations of a job in the first range that holds part
+    /// of it (server ids local to that range: at `K = 1`, all of them).
     pub fn job(&self, job: JobId) -> Option<&[Reservation]> {
-        self.index.job(job)
+        self.parts.iter().find_map(|part| part.job(job))
     }
 
     /// System utilization over `[origin, until)`.
     pub fn utilization(&self, until: Time) -> f64 {
-        self.index.timeline().utilization(self.origin, until)
+        let span = (until - self.origin).secs();
+        if span <= 0 {
+            return 0.0;
+        }
+        let busy: i64 = self.parts.iter().map(|p| p.timeline().busy_secs_before(until)).sum();
+        busy as f64 / (span as f64 * self.num_servers() as f64)
     }
 
     /// Advance the clock: discard expired slot trees, seed new edge trees,
     /// and prune dead history. Time never moves backwards.
     pub fn advance_to(&mut self, now: Time) {
+        if self.advance_clock(now) {
+            for part in &mut self.parts {
+                part.advance_to(now, &mut self.stats);
+            }
+        }
+    }
+
+    /// [`Self::advance_to`] without the ranges: move the clock and the
+    /// capacity profile, and return whether they moved (the ranges must
+    /// then follow with [`ServerIndex::advance_to`]).
+    #[doc(hidden)]
+    pub fn advance_clock(&mut self, now: Time) -> bool {
         if now <= self.now {
-            return;
+            return false;
         }
         self.now = now;
-        self.index.advance_to(now);
         self.profile.advance_to(now);
+        true
     }
 
     /// The scheduler's persistent state as plain data (see
-    /// [`crate::snapshot`]).
+    /// [`crate::snapshot`]); every range appends its own servers' share.
     pub fn export(&self) -> StateImage {
         let mut image = StateImage {
             cfg: self.cfg,
             origin: self.origin,
             now: self.now,
-            last_prune: self.index.last_prune(),
+            // Every range prunes on the same slot boundary.
+            last_prune: self.parts[0].last_prune(),
             attrs: self.attrs.clone(),
             idle: Vec::new(),
             busy: Vec::new(),
             next_job: self.next_job,
         };
-        self.index.export(&mut image);
+        for part in &self.parts {
+            part.export(&mut image);
+        }
         image
     }
 
-    /// A scheduler in the state `image` describes: the index installs the
-    /// idle periods and reservations verbatim, the capacity profile is
-    /// rebuilt from the reservations.
-    pub fn from_image(image: StateImage) -> CoAllocScheduler {
+    /// A scheduler over `k` ranges (as in [`Self::with_ranges`]) in the
+    /// state `image` describes, whatever `K` wrote it: every range installs
+    /// its own servers' idle periods and reservations verbatim, the
+    /// capacity profile is rebuilt from the reservations.
+    pub fn from_image(image: StateImage, k: u32) -> CoAllocScheduler {
         let servers = image.attrs.len() as u32;
-        let mut sched = CoAllocScheduler::starting_at(servers, image.now, image.cfg);
+        let mut sched = CoAllocScheduler::build(servers, k, image.now, image.cfg);
         sched.origin = image.origin;
         sched.next_job = image.next_job;
         for r in &image.busy {
             sched.profile.add(r.start, r.end, 1);
         }
-        sched.index.install(&image);
+        for part in &mut sched.parts {
+            part.install(&image, &mut sched.stats);
+        }
         sched.attrs = image.attrs;
         sched
     }
@@ -403,12 +505,13 @@ impl CoAllocScheduler {
     /// ```
     pub fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError> {
         let ladder = self.ladder(req, self.num_servers(), None)?;
-        self.climb(req, ladder, |_| true)
+        self.climb(req, ladder, AttrSet::NONE)
     }
 
-    /// Lay out the retry ladder of `req` against the current clock and
-    /// horizon, for `capacity` usable servers.
-    fn ladder(
+    /// Validate `req` and lay out its retry ladder against the current
+    /// clock and horizon, for `capacity` usable servers.
+    #[doc(hidden)]
+    pub fn ladder(
         &self,
         req: &Request,
         capacity: u32,
@@ -417,41 +520,22 @@ impl CoAllocScheduler {
         Ladder::new(&self.cfg, req, capacity, self.now, self.horizon_end(), deadline)
     }
 
-    /// Drive `ladder` one start at a time into [`ServerIndex::find`],
-    /// restricted to the servers passing `keep`; commit at the first start
-    /// with room. Publishes the request's metrics and `sched.submit` span.
+    /// [`Self::search`] plus the request's metrics and `sched.submit` span.
     fn climb(
         &mut self,
         req: &Request,
-        mut ladder: Ladder,
-        keep: impl Fn(ServerId) -> bool,
+        ladder: Ladder,
+        required: AttrSet,
     ) -> Result<Grant, ScheduleError> {
-        let before = *self.index.stats();
+        let before = self.stats;
         let mut span = obs_span!(
             "sched.submit",
             "servers" => req.servers,
             "duration_s" => req.duration.secs().max(0) as u64,
             "earliest_s" => ladder.earliest().secs()
         );
-        let mut probed = 0u64;
-        let mut found = None;
-        while let Some((k, start)) = ladder.next(&self.profile) {
-            probed += 1;
-            let end = start + req.duration;
-            if let Some(chosen) = self.index.find(start, end, req.servers, self.cfg.policy, &keep) {
-                found = Some((k, chosen.iter().map(|p| p.server).collect()));
-                break;
-            }
-        }
-        let (winner, servers) = found.unzip();
-        let result = ladder
-            .settle(winner, probed, self.index.stats_mut())
-            .map(|at| self.commit(at, servers.unwrap_or_default()));
-        record_requests(
-            &[probed],
-            result.is_ok() as u64,
-            &self.index.stats().since(&before),
-        );
+        let (result, probed) = self.search(req, ladder, required);
+        record_requests(&[probed], result.is_ok() as u64, &self.stats.since(&before));
         if span.active() {
             match &result {
                 Ok(grant) => {
@@ -469,14 +553,108 @@ impl CoAllocScheduler {
         result
     }
 
+    /// The one driver: feed `ladder` one start at a time into
+    /// [`Self::find`] over the servers carrying every tag in `required`,
+    /// commit at the first start with room, and settle the ladder. Also
+    /// returns the number of starts searched; publishes nothing.
+    #[doc(hidden)]
+    pub fn search(
+        &mut self,
+        req: &Request,
+        mut ladder: Ladder,
+        required: AttrSet,
+    ) -> (Result<Grant, ScheduleError>, u64) {
+        let mut probed = 0u64;
+        let mut winner = None;
+        while let Some((k, start)) = ladder.next(&self.profile) {
+            probed += 1;
+            if self.find(start, start + req.duration, req.servers, required) {
+                winner = Some(k);
+                break;
+            }
+        }
+        let result = ladder.settle(winner, probed, &mut self.stats).map(|at| {
+            let servers = self.feasible.iter().map(|p| p.server).collect();
+            self.commit(at, servers)
+        });
+        (result, probed)
+    }
+
+    /// One scheduling attempt at `[start, end)` across every range: Phase 1
+    /// on each range (candidate counts summed, each range keeping its marks
+    /// in its own scratch), the early exit, Phase 2 on each range, their
+    /// hits in one buffer with global server ids, the tag filter, and the
+    /// policy's selection of `n` of them into `self.feasible`. Returns
+    /// whether `n` were found. The window must lie inside the live horizon.
+    /// All working storage is reused, so a steady-state attempt performs no
+    /// heap allocation.
+    fn find(&mut self, start: Time, end: Time, n: u32, required: AttrSet) -> bool {
+        let n = n as usize;
+        let stats = &mut self.stats;
+        // Phase 1: count candidates via subtree sizes along the stabbing
+        // paths. The count ignores tags and may include benign aliases (see
+        // DESIGN.md §12); neither survives Phase 2, so the early exit below
+        // reaches the same decision as exact counting.
+        let p1_visits = stats.primary_visits;
+        let mut p1_span = obs_span_detail!("sched.phase1", "start_s" => start.secs(), "need" => n);
+        let (mut trailing, mut marked) = (0, 0);
+        for part in &mut self.parts {
+            let (t, m) = part.phase1(start, stats);
+            trailing += t;
+            marked += m;
+        }
+        PHASE1_CANDIDATES.observe((trailing + marked) as u64);
+        if p1_span.active() {
+            p1_span.record("trailing", trailing);
+            p1_span.record("marked", marked);
+            p1_span.record("visits", stats.primary_visits - p1_visits);
+        }
+        drop(p1_span);
+        if trailing + marked < n {
+            return false;
+        }
+        // Phase 2: enumerate the full feasible set. Every policy then sorts
+        // by a total key, so the selection is deterministic regardless of the
+        // tree shape and of the partition into ranges.
+        let p2_visits = stats.secondary_visits;
+        let mut p2_span = obs_span_detail!("sched.phase2", "end_s" => end.secs(), "need" => n);
+        let mut retrieved = 0;
+        for part in &mut self.parts {
+            retrieved += part.phase2(start, end, stats);
+        }
+        let depth = stats.secondary_visits - p2_visits;
+        PHASE2_DEPTH.observe(depth);
+        if p2_span.active() {
+            p2_span.record("retrieved", retrieved);
+            p2_span.record("visits", depth);
+        }
+        drop(p2_span);
+        if retrieved < n {
+            return false;
+        }
+        self.feasible.clear();
+        for part in &self.parts {
+            part.hits(&mut self.feasible);
+        }
+        if !required.is_empty() {
+            let attrs = &self.attrs;
+            self.feasible.retain(|p| attrs[p.server.0 as usize].satisfies(required));
+            if self.feasible.len() < n {
+                return false;
+            }
+        }
+        self.cfg.policy.select_in_place(&mut self.feasible, n, end);
+        true
+    }
+
     /// Handle a batch of requests in submission order.
     ///
     /// This is the *reference semantics* for every batch API in the
     /// workspace: a batch is nothing more than its members submitted
     /// sequentially against the current clock — member `i` observes the
     /// commits of members `0..i` and the replies come back in order. The
-    /// sharded scheduler's `submit_batch` amortizes coordination over the
-    /// batch but is bit-identical to this loop (see DESIGN.md §9).
+    /// sharded scheduler's pooled `submit_batch` amortizes coordination over
+    /// the batch but is bit-identical to this loop (see DESIGN.md §9).
     pub fn submit_batch(&mut self, reqs: &[Request]) -> Vec<Result<Grant, ScheduleError>> {
         let mut out = Vec::new();
         self.submit_batch_into(reqs, &mut out);
@@ -498,21 +676,33 @@ impl CoAllocScheduler {
         }
     }
 
-    /// Force the slot ring down its one-update-at-a-time path (see
-    /// [`SlotRing::force_eager`]): the reference for differential tests of
-    /// the batched write path.
+    /// Force every range's slot ring down its one-update-at-a-time path
+    /// (see [`SlotRing::force_eager`]): the reference for differential
+    /// tests of the batched write path.
     #[doc(hidden)]
     pub fn force_eager_ring_updates(&mut self) {
-        self.index.force_eager_ring_updates();
+        for part in &mut self.parts {
+            part.force_eager_ring_updates();
+        }
     }
 
-    /// The one commit epilogue: mint the job id, reserve `at`'s window on
-    /// `servers` in the index, charge the capacity profile, build the
-    /// [`Grant`].
+    /// The one commit epilogue: [`Self::grant`], then reserve `at`'s window
+    /// on `servers` in the ranges owning them.
     pub(crate) fn commit(&mut self, at: Placement, servers: Vec<ServerId>) -> Grant {
+        let grant = self.grant(at, servers);
+        for part in &mut self.parts {
+            part.commit(grant.job, at.start, at.end, &grant.servers, &mut self.stats);
+        }
+        grant
+    }
+
+    /// Mint the job id, charge the capacity profile and build the
+    /// [`Grant`]; the caller reserves the window on the ranges (a pooled
+    /// batch queues it for their workers).
+    #[doc(hidden)]
+    pub fn grant(&mut self, at: Placement, servers: Vec<ServerId>) -> Grant {
         let job = JobId(self.next_job);
         self.next_job += 1;
-        self.index.commit(job, at.start, at.end, &servers);
         self.profile.add(at.start, at.end, servers.len() as u32);
         Grant {
             job,
@@ -522,6 +712,12 @@ impl CoAllocScheduler {
             attempts: at.attempts,
             waiting: at.waiting,
         }
+    }
+
+    /// Whether `server` exists and one of its idle periods covers all of
+    /// `[start, end)`.
+    pub(crate) fn is_idle(&self, server: ServerId, start: Time, end: Time) -> bool {
+        server.0 < self.num_servers() && self.parts[self.range_of(server)].covers(server, start, end)
     }
 
     /// Handle a request that must **complete by `deadline`** — the paper's
@@ -560,7 +756,7 @@ impl CoAllocScheduler {
         deadline: Time,
     ) -> Result<Grant, ScheduleError> {
         let ladder = self.ladder(req, self.num_servers(), Some(deadline))?;
-        self.climb(req, ladder, |_| true)
+        self.climb(req, ladder, AttrSet::NONE)
     }
 
     /// Assign capability tags to a server (see [`crate::attrs`]).
@@ -588,20 +784,16 @@ impl CoAllocScheduler {
     ) -> Result<Grant, ScheduleError> {
         let qualifying = self.attrs.iter().filter(|a| a.satisfies(required)).count() as u32;
         let ladder = self.ladder(req, qualifying, None)?;
-        // `climb` borrows all of `self`; lend it the tags for the search.
-        let attrs = std::mem::take(&mut self.attrs);
-        let result = self.climb(req, ladder, |s| attrs[s.0 as usize].satisfies(required));
-        self.attrs = attrs;
-        result
+        self.climb(req, ladder, required)
     }
 
-    /// Cancel a committed job, returning its windows to the idle pool (used
-    /// by users cancelling reservations and by the multi-site abort path).
-    /// Reservations that already ran to completion are retired (their busy
-    /// seconds stay in the utilization accounting); jobs whose history was
-    /// pruned by [`Self::advance_to`] were forgotten at prune time and
-    /// report [`ScheduleError::UnknownJob`] — identically on the original
-    /// and on any snapshot-restored twin.
+    /// Cancel a committed job on every range holding part of it, returning
+    /// its windows to the idle pool (used by users cancelling reservations
+    /// and by the multi-site abort path). Reservations that already ran to
+    /// completion are retired (their busy seconds stay in the utilization
+    /// accounting); jobs whose history was pruned by [`Self::advance_to`]
+    /// were forgotten at prune time and report [`ScheduleError::UnknownJob`]
+    /// — identically on the original and on any snapshot-restored twin.
     ///
     /// ```
     /// use coalloc_core::prelude::*;
@@ -618,25 +810,35 @@ impl CoAllocScheduler {
     /// ));
     /// ```
     pub fn release(&mut self, job: JobId) -> Result<(), ScheduleError> {
-        let released = self.index.release(job).ok_or(ScheduleError::UnknownJob(job))?;
-        // Withdraw from the capacity profile unconditionally: expired
-        // portions clamp away (their leaves were zeroed by rotation), so
-        // this is exact for retired and pruned history too.
-        for r in &released {
-            self.profile.remove(r.start, r.end, 1);
+        let mut known = false;
+        for part in &mut self.parts {
+            let Some(released) = part.release(job, &mut self.stats) else {
+                continue;
+            };
+            known = true;
+            // Withdraw from the capacity profile unconditionally: expired
+            // portions clamp away (their leaves were zeroed by rotation), so
+            // this is exact for retired and pruned history too.
+            for r in &released {
+                self.profile.remove(r.start, r.end, 1);
+            }
         }
-        Ok(())
+        known.then_some(()).ok_or(ScheduleError::UnknownJob(job))
     }
 
-    /// Cross-checks the slot-tree mirror against the timeline (test helper;
-    /// expensive).
+    /// Cross-checks every range's slot-tree mirror against its timeline,
+    /// and the capacity profile against every range's reservations (test
+    /// helper; expensive).
     #[doc(hidden)]
     pub fn check_consistency(&self) {
-        self.index.check();
+        for part in &self.parts {
+            part.check();
+        }
         // The capacity profile's live slots recount exactly from the job
-        // map: completed-but-unreleased and pruned history covers no live
+        // maps: completed-but-unreleased and pruned history covers no live
         // slot, so it cancels on both sides.
-        self.profile.check_against(self.index.reservation_windows());
+        self.profile
+            .check_against(self.parts.iter().flat_map(ServerIndex::reservation_windows));
     }
 }
 
@@ -846,6 +1048,59 @@ mod tests {
             }
         }
         s.check_consistency();
+    }
+
+    #[test]
+    fn range_of_is_the_inverse_of_the_layout() {
+        for (n, k) in [(7u32, 3u32), (8, 4), (64, 8), (5, 5), (9, 2), (3, 9)] {
+            let s = CoAllocScheduler::with_ranges(n, k, small_cfg());
+            assert_eq!(s.num_ranges() as u32, k.min(n));
+            for (i, part) in s.parts.iter().enumerate() {
+                for srv in (0..n).map(ServerId).filter(|&srv| part.owns(srv)) {
+                    assert_eq!(s.range_of(srv), i, "n={n} k={k} srv={srv:?}");
+                }
+            }
+            let owned: u32 = s.parts.iter().map(ServerIndex::num_servers).sum();
+            assert_eq!(owned, n, "n={n} k={k}");
+        }
+    }
+
+    /// The one driver walks the same ladder at every `K`: after one stream
+    /// of grants, retries, profile jumps, rejects and releases, the attempt
+    /// accounting is the same whatever the number of ranges.
+    #[test]
+    fn attempt_accounting_is_the_same_at_every_k() {
+        let accounting = |k: u32| {
+            let mut s = CoAllocScheduler::with_ranges(6, k, small_cfg());
+            let mut jobs = Vec::new();
+            for i in 0..60i64 {
+                s.advance_to(Time(i * 3));
+                let (now, n) = (Time(i * 3), 1 + (i % 6) as u32);
+                let req = Request::advance(now, now + Dur((i % 4) * 10), Dur(10 + (i % 5) * 10), n);
+                let result = if i % 7 == 3 {
+                    s.submit_constrained(&req, AttrSet(1))
+                } else {
+                    s.submit(&req)
+                };
+                if let Ok(g) = result {
+                    jobs.push(g.job);
+                }
+                if i % 3 == 2 {
+                    s.set_server_attrs(ServerId((i % 6) as u32), AttrSet(1));
+                    if let Some(job) = jobs.pop() {
+                        let _ = s.release(job);
+                    }
+                }
+            }
+            s.check_consistency();
+            let o = s.stats;
+            (o.attempts, o.attempts_skipped, o.attempts_jumped, o.phase1_searches / k as u64)
+        };
+        let one = accounting(1);
+        assert!(one.0 > 60 && one.2 > 0, "the stream must retry and jump: {one:?}");
+        for k in [2, 4] {
+            assert_eq!(accounting(k), one, "k={k}");
+        }
     }
 
     #[test]

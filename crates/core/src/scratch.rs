@@ -1,8 +1,8 @@
 //! Reusable hot-path buffers.
 //!
 //! Every scheduling attempt needs a handful of temporary vectors: the
-//! Phase-1 marked-node list, the Phase-2 candidate-id and feasible-period
-//! buffers, the root-to-leaf path of a tree update, and the leaf/end-key
+//! Phase-1 marked-node list, the Phase-2 candidate-id buffer, the
+//! root-to-leaf path of a tree update, and the leaf/end-key
 //! staging areas of a partial rebuild. Allocating them per call dominates
 //! the per-request cost once the trees are warm, so the scheduler threads a
 //! single [`Scratch`] through [`crate::primary::SlotTree`],
@@ -40,9 +40,6 @@ pub struct Scratch {
     pub tree_ops: Vec<(u32, u32, PeriodOp)>,
     /// Phase-2 output: feasible period ids, retrieval order.
     pub ids: Vec<PeriodId>,
-    /// Feasible periods resolved from [`Scratch::ids`], then reduced in
-    /// place by the selection policy.
-    pub feasible: Vec<IdlePeriod>,
     /// Root-to-leaf path of the current primary-tree update.
     pub path: Vec<u32>,
     /// Leaves collected while flattening a subtree for rebuild.

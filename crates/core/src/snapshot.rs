@@ -6,11 +6,11 @@
 //! plain data — configuration, clock, prune boundary, server attributes,
 //! every idle period and every live reservation — with *one* renderer
 //! ([`StateImage::render`]) and *one* parser-validator
-//! ([`StateImage::parse`]). An engine only exports its periods in server
-//! order and installs a validated image
-//! ([`crate::index::ServerIndex::export`] / [`install`]); how its servers
+//! ([`StateImage::parse`]). Each server range of a scheduler only exports
+//! its periods in server order and installs its share of a validated image
+//! ([`crate::index::ServerIndex::export`] / [`install`]); how the servers
 //! are partitioned is nowhere in the text, so an image written at one
-//! shard count loads at any other and re-renders byte-identically.
+//! range count loads at any other and re-renders byte-identically.
 //!
 //! The image holds the idle periods *and* the reservations because the
 //! commitments do not determine the idle geometry: a reservation released
@@ -140,7 +140,7 @@ fn policy_from(code: u8) -> Option<SelectionPolicy> {
 }
 
 /// A scheduler's persistent state as plain data (module docs). Images
-/// come from two places — an engine's `export`, valid by construction, and
+/// come from two places — a scheduler's `export`, valid by construction, and
 /// [`StateImage::parse`], which checks it — and `from_image` / `install`
 /// trust what both guarantee: geometry within
 /// [`SchedulerConfig::check_limits`], `idle` and `busy` sorted by
@@ -363,12 +363,16 @@ impl StateImage {
             seed: rc.seed,
             ..SchedulerConfig::default()
         };
-        cfg.check_limits(n_servers, Time(origin), Time(now))
-            .map_err(|what| invalid(0, what))?;
-        let num_slots = cfg.slot_config().num_slots as i64;
         if now < origin {
             return Err(invalid(clock_line, "clock runs backwards (now < origin)"));
         }
+        // `origin → now` is no clock move: a restore builds the scheduler
+        // at `now` and replays nothing, so only the magnitudes of both
+        // clocks are bounded here (`now → origin` runs backwards, and a
+        // move backwards spans no slot advances).
+        cfg.check_limits(n_servers, Time(now), Time(origin))
+            .map_err(|what| invalid(0, what))?;
+        let num_slots = cfg.slot_config().num_slots as i64;
         // Absent in v1 (and harmlessly conservative there): prune from the
         // origin, exactly what a freshly built scheduler would do.
         let (pruned_line, last_prune) = pruned.unwrap_or((0, origin));
@@ -493,10 +497,12 @@ impl CoAllocScheduler {
         self.export().render()
     }
 
-    /// Rebuild a scheduler from snapshot text ([`StateImage::parse`] holds
-    /// the input to account; [`Self::from_image`] cannot fail).
+    /// Rebuild a one-range scheduler from snapshot text
+    /// ([`StateImage::parse`] holds the input to account;
+    /// [`Self::from_image`], which builds any number of ranges, cannot
+    /// fail).
     pub fn restore(snapshot: &str) -> Result<CoAllocScheduler, SnapshotError> {
-        StateImage::parse(snapshot).map(CoAllocScheduler::from_image)
+        StateImage::parse(snapshot).map(|image| CoAllocScheduler::from_image(image, 1))
     }
 }
 
@@ -701,7 +707,7 @@ mod tests {
             ("servers 4", "servers 99999999"),
             ("clock 0 0", "clock 0 -10"),         // now < origin
             ("clock 0 0", "clock 0 4400000000000"), // |now| too large
-            ("clock 0 0", "clock 0 30000000000"), // huge advance span
+            ("clock 0 0", "clock -4400000000000 0"), // |origin| too large
             ("pruned 0", "pruned -5"),            // prune boundary < origin
             ("pruned 0", "pruned 5"),             // prune boundary > now
         ];
@@ -723,6 +729,25 @@ mod tests {
                 "{extra:?} gave {err:?}"
             );
         }
+    }
+
+    /// A clock more than `MAX_ADVANCE_SLOTS` = 2^21 slots past `init`,
+    /// reached in two legal moves, is no hostile input: the image restores,
+    /// re-snapshots byte for byte and decides the next request like the
+    /// writer.
+    #[test]
+    fn clock_far_past_origin_restores() {
+        let mut s = busy_scheduler();
+        s.advance_to(Time(20_000_000));
+        s.advance_to(Time(25_000_000)); // 2.5M slots of tau = 10 past 0
+        let snap = s.snapshot();
+        let mut restored = CoAllocScheduler::restore(&snap).unwrap();
+        restored.check_consistency();
+        assert_eq!(restored.snapshot(), snap);
+        let probe = Request::on_demand(Time(25_000_000), Dur(50), 3);
+        let grant = s.submit(&probe).unwrap();
+        assert_eq!(restored.submit(&probe), Ok(grant));
+        assert_eq!(restored.snapshot(), s.snapshot());
     }
 
     #[test]

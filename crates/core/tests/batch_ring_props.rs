@@ -9,6 +9,7 @@
 //! rebuild count, and therefore the same hits in the same order at the same
 //! visit counts for any probe. Only `update_visits` may differ.
 
+use coalloc_core::ids::PeriodId;
 use coalloc_core::prelude::*;
 use coalloc_core::primary::{PeriodOp, SCAN_MAX};
 use coalloc_core::ring::{SlotRing, StabMarks};

@@ -67,7 +67,7 @@ fn sub_slot_jobs_fragment_a_single_slot() {
     assert_eq!(hits.len(), 1);
     // And committable.
     let g = s
-        .commit_selection(&[hits[0].period.id], Time(30), Time(50))
+        .reserve(&[hits[0].server], Time(30), Time(50))
         .unwrap();
     assert_eq!(g.start, Time(30));
     s.check_consistency();
@@ -267,7 +267,7 @@ fn range_search_never_returns_unusable_past_windows() {
     let hits = s.range_search(Time(40), Time(60));
     assert_eq!(hits.len(), 2);
     for h in hits {
-        assert!(h.period.is_feasible(Time(50), Time(60)));
+        assert!(h.idle_start <= Time(50) && h.idle_end >= Time(60));
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the core co-allocation invariants.
 
+use coalloc_core::ids::PeriodId;
 use coalloc_core::prelude::*;
 use proptest::prelude::*;
 
@@ -166,13 +167,13 @@ proptest! {
         let count = s.range_count(a, b);
         prop_assert_eq!(hits.len(), count);
         if b <= s.horizon_end() {
-            let mut got: Vec<u64> = hits.iter().map(|h| h.period.id.0).collect();
+            let mut got: Vec<_> = hits.iter().map(|h| (h.server, h.idle_start, h.idle_end)).collect();
             got.sort_unstable();
             let mut want = Vec::new();
             for srv in 0..5 {
                 for p in s.timeline().idle_periods(ServerId(srv)) {
                     if p.is_feasible(a, b) {
-                        want.push(p.id.0);
+                        want.push((p.server, p.start, p.end));
                     }
                 }
             }

@@ -4,6 +4,7 @@
 //! the policy's total key, then truncate" — also when the primary key is
 //! heavily tied and the `(server, id)` suffix decides.
 
+use coalloc_core::ids::PeriodId;
 use coalloc_core::prelude::*;
 use proptest::prelude::*;
 

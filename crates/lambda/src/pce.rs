@@ -14,12 +14,13 @@
 //! post-process → commit** flow: a single range search returns every free
 //! (link, λ) for the window; the PCE's application-specific post-processing
 //! is wavelength-continuity intersection along candidate paths; the chosen
-//! periods are then committed atomically via `commit_selection`.
+//! (link, λ) servers are then reserved for the window atomically via
+//! `reserve`.
 
 use crate::graph::{Network, NodeId, Wavelength};
 use crate::paths::{k_shortest_paths, Path};
 use coalloc_core::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A connection request.
 #[derive(Clone, Debug)]
@@ -181,18 +182,15 @@ impl Pce {
             // "the range search returns all the resources available within
             // the specified time window".
             let hits = self.sched.range_search(start, end);
-            let free: HashMap<ServerId, PeriodId> = hits
-                .iter()
-                .map(|h| (h.period.server, h.period.id))
-                .collect();
+            let free: HashSet<ServerId> = hits.iter().map(|h| h.server).collect();
             if let Some((path, lambdas)) = self.post_process(&paths, &free, lo, hi) {
-                let selection: Vec<PeriodId> = path
+                let selection: Vec<ServerId> = path
                     .links
                     .iter()
                     .zip(&lambdas)
-                    .map(|(&l, &w)| free[&self.net.resource(l, w)])
+                    .map(|(&l, &w)| self.net.resource(l, w))
                     .collect();
-                match self.sched.commit_selection(&selection, start, end) {
+                match self.sched.reserve(&selection, start, end) {
                     Ok(grant) => {
                         return Ok(Lightpath {
                             job: grant.job,
@@ -221,7 +219,7 @@ impl Pce {
     fn post_process(
         &self,
         paths: &[Path],
-        free: &HashMap<ServerId, PeriodId>,
+        free: &HashSet<ServerId>,
         lo: Wavelength,
         hi: Wavelength,
     ) -> Option<(Path, Vec<Wavelength>)> {
@@ -231,7 +229,7 @@ impl Pce {
                 let mut lambdas = Vec::with_capacity(path.links.len());
                 let ok = path.links.iter().all(|&l| {
                     for w in lo.0..=hi.0 {
-                        if free.contains_key(&self.net.resource(l, Wavelength(w))) {
+                        if free.contains(&self.net.resource(l, Wavelength(w))) {
                             lambdas.push(Wavelength(w));
                             return true;
                         }
@@ -248,7 +246,7 @@ impl Pce {
                     if path
                         .links
                         .iter()
-                        .all(|&l| free.contains_key(&self.net.resource(l, lambda)))
+                        .all(|&l| free.contains(&self.net.resource(l, lambda)))
                     {
                         return Some((path.clone(), vec![lambda; path.links.len()]));
                     }
@@ -352,7 +350,7 @@ mod tests {
         let other = p.connect(&req(0, 3, 0, 600, 0, 0)).unwrap();
         assert_eq!(other.path.hops(), 3);
         assert_eq!(other.start, Time(0));
-        let links_a: std::collections::HashSet<_> = direct.path.links.iter().collect();
+        let links_a: HashSet<_> = direct.path.links.iter().collect();
         assert!(other.path.links.iter().all(|l| !links_a.contains(l)));
     }
 

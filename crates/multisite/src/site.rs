@@ -287,12 +287,12 @@ impl Site {
                 available: hits.len() as u32,
             };
         }
-        let pick: Vec<PeriodId> = hits
+        let pick: Vec<ServerId> = hits
             .iter()
             .take(servers as usize)
-            .map(|h| h.period.id)
+            .map(|h| h.server)
             .collect();
-        match self.sched.commit_selection(&pick, start, end) {
+        match self.sched.reserve(&pick, start, end) {
             Ok(grant) => {
                 self.holds.insert(
                     txn,

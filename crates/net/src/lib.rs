@@ -66,4 +66,4 @@ pub mod stage;
 pub use client::Client;
 pub use proto::{help_text, CommandSpec, BUSY_REPLY, COMMANDS, PROTOCOL_VERSION};
 pub use server::{NetConfig, Server, WalOptions};
-pub use session::{Sched, Session};
+pub use session::Session;

@@ -747,7 +747,7 @@ impl SchedCtx {
 
     /// Push the session's capacity/utilization into the admin snapshot if
     /// one exists and the last refresh is stale.
-    fn maybe_refresh(&self, session: &mut Session, last: &mut Instant) {
+    fn maybe_refresh(&self, session: &Session, last: &mut Instant) {
         let Some(admin) = &self.admin else { return };
         if last.elapsed() < STATUS_REFRESH {
             return;
@@ -831,7 +831,7 @@ fn scheduler_loop(
                     connected &= !disconnected;
                     out.flush();
                     out.maybe_snapshot(&session);
-                    ctx.maybe_refresh(&mut session, &mut last_refresh);
+                    ctx.maybe_refresh(&session, &mut last_refresh);
                     continue;
                 }
             }
@@ -861,7 +861,7 @@ fn scheduler_loop(
         }
         let lines: Vec<&str> = group.iter().map(|i| i.line.as_str()).collect();
         let results = exec_guarded(&mut session, &lines, batched);
-        ctx.maybe_refresh(&mut session, &mut last_refresh);
+        ctx.maybe_refresh(&session, &mut last_refresh);
         for (mut it, result) in group.drain(..).zip(results) {
             it.stamps.mark_decided();
             out.complete(it, result, &session);

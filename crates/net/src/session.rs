@@ -12,30 +12,12 @@ use coalloc_core::prelude::*;
 use coalloc_core::snapshot::StateImage;
 use coalloc_shard::ShardedScheduler;
 
-/// Either engine behind the command loop. Both serve every command with
-/// byte-identical replies (DESIGN.md §9; only the order of `query`'s detail
-/// lines may differ): `--shards K` picks how the work is executed, never
-/// what can be asked.
-pub enum Sched {
-    /// The single tree-based scheduler.
-    Plain(Box<CoAllocScheduler>),
-    /// The sharded parallel front-end (`--shards K`).
-    Sharded(Box<ShardedScheduler>),
-}
-
-/// Evaluate `$body` on whichever engine `$sched` holds, bound to `$s` — the
-/// two façades carry every method the session calls under the same name.
-macro_rules! on_engine {
-    ($sched:expr, $s:ident => $body:expr) => {
-        match $sched {
-            Sched::Plain($s) => $body,
-            Sched::Sharded($s) => $body,
-        }
-    };
-}
-
 /// One protocol session: a scheduler (once `init` ran) plus the shard count
-/// the next `init` will use.
+/// the next `init` will use. The scheduler is one type at every `K` — its
+/// servers stored as `K` ranges, with a worker pool for large batches when
+/// `K > 1` — and every command gets the same reply at every `K` (DESIGN.md
+/// §9; only the order of `query`'s detail lines may differ): `--shards K`
+/// picks how the work is executed, never what can be asked.
 ///
 /// ```
 /// use coalloc_net::Session;
@@ -46,7 +28,7 @@ macro_rules! on_engine {
 /// assert!(reply.starts_with("granted job=0 start=0 end=50"));
 /// ```
 pub struct Session {
-    sched: Option<Sched>,
+    sched: Option<ShardedScheduler>,
     shards: u32,
 }
 
@@ -55,8 +37,8 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 }
 
 impl Session {
-    /// A fresh session with no scheduler. `shards > 1` makes `init` and
-    /// [`Session::restore`] build the sharded engine.
+    /// A fresh session with no scheduler. `init` and [`Session::restore`]
+    /// build it over `shards` server ranges.
     pub fn new(shards: u32) -> Session {
         Session {
             sched: None,
@@ -64,12 +46,12 @@ impl Session {
         }
     }
 
-    /// Force the plain scheduler's slot ring down its one-update-at-a-time
-    /// path (no-op before `init` and on the sharded back-end): the
-    /// reference session for differential tests of the batched write path.
+    /// Force the scheduler's slot rings down their one-update-at-a-time
+    /// path (no-op before `init`): the reference session for differential
+    /// tests of the batched write path.
     #[doc(hidden)]
     pub fn force_eager_ring_updates(&mut self) {
-        if let Some(Sched::Plain(s)) = &mut self.sched {
+        if let Some(s) = &mut self.sched {
             s.force_eager_ring_updates();
         }
     }
@@ -81,7 +63,7 @@ impl Session {
         line.trim() == "exit"
     }
 
-    fn sched(&mut self) -> Result<&mut Sched, String> {
+    fn sched(&mut self) -> Result<&mut ShardedScheduler, String> {
         self.sched.as_mut().ok_or_else(|| "no scheduler; run 'init N' first".to_string())
     }
 
@@ -124,58 +106,50 @@ impl Session {
                 }
                 // The constructors assert and allocate from these values.
                 cfg.check_limits(n as u64, Time::ZERO, Time::ZERO)?;
+                self.sched = Some(ShardedScheduler::new(n, self.shards, cfg));
                 if self.shards > 1 {
-                    self.sched = Some(Sched::Sharded(Box::new(ShardedScheduler::new(
-                        n,
-                        self.shards,
-                        cfg,
-                    ))));
                     Ok(format!("ok {n} servers over {} shards", self.shards))
                 } else {
-                    self.sched = Some(Sched::Plain(Box::new(CoAllocScheduler::new(n, cfg))));
                     Ok(format!("ok {n} servers"))
                 }
             }
             ["submit", q, s, l, n] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
-                Ok(Self::decision_line(on_engine!(self.sched()?, s => s.submit(&req))))
+                Ok(Self::decision_line(self.sched()?.submit(&req)))
             }
             ["deadline", q, s, l, n, d] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
                 let by = Time(parse(d, "deadline")?);
-                let decision = on_engine!(self.sched()?, s => s.submit_with_deadline(&req, by));
-                Ok(Self::decision_line(decision))
+                Ok(Self::decision_line(self.sched()?.submit_with_deadline(&req, by)))
             }
             ["constrained", q, s, l, n, mask] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
                 let mask = AttrSet(parse(mask, "mask")?);
-                let decision = on_engine!(self.sched()?, s => s.submit_constrained(&req, mask));
-                Ok(Self::decision_line(decision))
+                Ok(Self::decision_line(self.sched()?.submit_constrained(&req, mask)))
             }
             ["attrs", server, mask] => {
                 let srv = ServerId(parse(server, "server")?);
                 let mask = AttrSet(parse(mask, "mask")?);
-                on_engine!(self.sched()?, s => {
-                    if srv.0 >= s.num_servers() {
-                        return Err(format!("no such server {}", srv.0));
-                    }
-                    s.set_server_attrs(srv, mask);
-                });
+                let s = self.sched()?;
+                if srv.0 >= s.num_servers() {
+                    return Err(format!("no such server {}", srv.0));
+                }
+                s.set_server_attrs(srv, mask);
                 Ok("ok".into())
             }
             ["query", a, b] => {
                 let (a, b) = (Time(parse(a, "start")?), Time(parse(b, "end")?));
-                let hits = on_engine!(self.sched()?, s => s.range_search(a, b));
+                let hits = self.sched()?.range_search(a, b);
                 let mut out = format!("free {}", hits.len());
                 for h in hits {
                     out.push_str(&format!(
                         "\n  server={} idle=[{}, {}) slack={}",
-                        h.period.server.0,
-                        h.period.start.secs(),
-                        if h.period.end.is_inf() {
+                        h.server.0,
+                        h.idle_start.secs(),
+                        if h.idle_end.is_inf() {
                             "inf".to_string()
                         } else {
-                            h.period.end.secs().to_string()
+                            h.idle_end.secs().to_string()
                         },
                         h.tail_slack.secs()
                     ));
@@ -184,35 +158,32 @@ impl Session {
             }
             ["release", job] => {
                 let job = JobId(parse(job, "job id")?);
-                match on_engine!(self.sched()?, s => s.release(job)) {
+                match self.sched()?.release(job) {
                     Ok(()) => Ok("ok".into()),
                     Err(e) => Ok(format!("error {e}")),
                 }
             }
             ["advance", t] => {
                 let t = Time(parse(t, "time")?);
-                let sched = self.sched()?;
-                on_engine!(sched, s => {
-                    // `advance_to` rotates the ring slot by slot up to `t`.
-                    s.config().check_limits(s.num_servers() as u64, s.now(), t)?;
-                    s.advance_to(t);
-                });
+                let s = self.sched()?;
+                // `advance_to` rotates the ring slot by slot up to `t`.
+                s.config().check_limits(s.num_servers() as u64, s.now(), t)?;
+                s.advance_to(t);
                 Ok(format!("ok now={}", t.secs()))
             }
             ["stats"] => {
-                Ok(on_engine!(self.sched()?, sched => {
-                    let now = sched.now();
-                    let util = sched.utilization(now.max(Time(1)));
-                    let ops = sched.stats();
-                    format!(
-                        "now={} horizon_end={} util={util:.4} ops={} searches={} attempts={}",
-                        now.secs(),
-                        sched.horizon_end().secs(),
-                        ops.total_ops(),
-                        ops.phase1_searches,
-                        ops.attempts
-                    )
-                }))
+                let sched = self.sched()?;
+                let now = sched.now();
+                let util = sched.utilization(now.max(Time(1)));
+                let ops = sched.stats();
+                Ok(format!(
+                    "now={} horizon_end={} util={util:.4} ops={} searches={} attempts={}",
+                    now.secs(),
+                    sched.horizon_end().secs(),
+                    ops.total_ops(),
+                    ops.phase1_searches,
+                    ops.attempts
+                ))
             }
             ["metrics"] => Ok(obs::metrics::exposition().trim_end().to_string()),
             ["slow"] => {
@@ -225,11 +196,11 @@ impl Session {
                 Ok(out)
             }
             ["check"] => {
-                on_engine!(self.sched()?, s => s.check_consistency());
+                self.sched()?.check_consistency();
                 Ok("ok".into())
             }
             ["snapshot", path] => {
-                let text = on_engine!(self.sched()?, s => s.snapshot());
+                let text = self.sched()?.snapshot();
                 std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
                 Ok(format!("ok wrote {path}"))
             }
@@ -256,8 +227,8 @@ impl Session {
     /// for that line, in order — lines that never reach the scheduler
     /// (parse errors, wrong arity, no `init` yet) keep their individual
     /// error replies, and the remainder are decided by one
-    /// `submit_batch` call, which the sharded back-end executes with one
-    /// worker wake-up per shard per stage instead of per line.
+    /// `submit_batch` call, which a pool executes with one worker wake-up
+    /// per range per stage instead of per line.
     ///
     /// Intended for callers that already know the lines are submit-shaped
     /// (the TCP scheduler thread's queue grouping); any other line is
@@ -286,7 +257,7 @@ impl Session {
         }
         if !reqs.is_empty() {
             let sched = self.sched.as_mut().expect("checked per line above");
-            let decisions = on_engine!(sched, s => s.submit_batch(&reqs));
+            let decisions = sched.submit_batch(&reqs);
             for (i, decision) in req_pos.into_iter().zip(decisions) {
                 out[i] = Some(Ok(Self::decision_line(decision)));
             }
@@ -296,36 +267,30 @@ impl Session {
 
     /// Capacity and utilization probe for the admin plane's `/status`:
     /// `(servers, scheduler clock secs, utilization at the clock)`, or
-    /// `None` before any `init`/restore installed a scheduler. Needs `&mut`
-    /// for the sharded back-end's utilization walk.
-    pub fn probe_status(&mut self) -> Option<(u32, i64, f64)> {
-        on_engine!(self.sched.as_mut()?, s => {
-            let now = s.now();
-            Some((s.num_servers(), now.secs(), s.utilization(now.max(Time(1)))))
-        })
+    /// `None` before any `init`/restore installed a scheduler.
+    pub fn probe_status(&self) -> Option<(u32, i64, f64)> {
+        let s = self.sched.as_ref()?;
+        let now = s.now();
+        Some((s.num_servers(), now.secs(), s.utilization(now.max(Time(1)))))
     }
 
     /// The canonical persistent form of the current scheduler state — the
-    /// same text whichever engine holds it — or `None` before any
+    /// same text at every `K` — or `None` before any
     /// `init`/restore installed a scheduler. The write-ahead log installs
     /// this text as its base image when truncating replayed history
     /// (DESIGN.md §13).
     pub fn snapshot_text(&self) -> Option<String> {
-        self.sched.as_ref().map(|sched| on_engine!(sched, s => s.snapshot()))
+        self.sched.as_ref().map(|s| s.snapshot())
     }
 
     /// Replace the session's scheduler with one restored from snapshot
-    /// text — on the session's engine, whichever engine wrote the text —
+    /// text — over the session's `K`, whatever `K` wrote the text —
     /// returning the `load` reply line. Used by the `load` command and by
     /// WAL crash recovery to install the base image.
     pub fn restore(&mut self, text: &str) -> Result<String, String> {
         let image = StateImage::parse(text).map_err(|e| format!("restore: {e}"))?;
         let n = image.attrs.len();
-        self.sched = Some(if self.shards > 1 {
-            Sched::Sharded(Box::new(ShardedScheduler::from_image(image, self.shards)))
-        } else {
-            Sched::Plain(Box::new(CoAllocScheduler::from_image(image)))
-        });
+        self.sched = Some(ShardedScheduler::from_image(image, self.shards));
         Ok(format!("ok {n} servers restored"))
     }
 
@@ -507,6 +472,33 @@ mod tests {
         assert!(out[2].starts_with("ok wrote"));
         assert_eq!(out[4], "ok 2 servers restored");
         assert!(out[5].starts_with("free 1"), "{}", out[5]);
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A clock more than 2^21 slots past `init`, reached in two legal
+    /// `advance`s, still snapshots and loads at every K.
+    #[test]
+    fn snapshot_loads_after_the_clock_ran_far_past_init() {
+        let path = std::env::temp_dir().join("coalloc-net-session-far-clock.txt");
+        let p = path.to_str().unwrap();
+        for shards in [1u32, 2] {
+            let out = run_sharded(
+                &[
+                    "init 4 10 200 10",
+                    "advance 20000000",
+                    "advance 25000000",
+                    &format!("snapshot {p}"),
+                    &format!("load {p}"),
+                    "check",
+                    "submit 25000000 25000000 50 2",
+                ],
+                shards,
+            );
+            assert_eq!(out[1..3], ["ok now=20000000", "ok now=25000000"], "K={shards}");
+            assert_eq!(out[4], "ok 4 servers restored", "K={shards}");
+            assert_eq!(out[5], "ok", "K={shards}");
+            assert!(out[6].starts_with("granted job=0 start=25000000 "), "K={shards}: {}", out[6]);
+        }
         let _ = std::fs::remove_file(path);
     }
 

@@ -194,6 +194,45 @@ fn sharded_server_snapshots_truncates_and_restarts_at_any_k() {
     let _ = std::fs::remove_file(&snap_path);
 }
 
+/// A server whose clock ran more than 2^21 slots past `init` (two legal
+/// `advance`s) installs snapshots its own recovery accepts: the restart
+/// writes the same snapshot text as before it.
+#[test]
+fn far_clock_snapshot_base_restarts() {
+    let dir = wal_dir("far-clock");
+    let mut opts = WalOptions::new(&dir);
+    opts.snapshot_every = 8;
+    let cfg = NetConfig {
+        wal: Some(opts),
+        ..wal_cfg(&dir, 1)
+    };
+    let snap_path = std::env::temp_dir().join(format!(
+        "coalloc-net-wal-far-clock-{}.txt",
+        std::process::id()
+    ));
+    let snapshot = format!("snapshot {}\nexit\n", snap_path.display());
+    let mut script = String::from("init 4 10 200 10\nadvance 20000000\nadvance 25000000\n");
+    for i in 0..12 {
+        script.push_str(&format!("submit 25000000 {} 20 1\n", 25_000_000 + i * 10));
+    }
+    script.push_str(&snapshot);
+    let replies = serve_script_cfg(cfg.clone(), &script);
+    assert!(replies.contains("\nok wrote "), "{replies}");
+    assert!(
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .any(|e| e.file_name().to_str().unwrap().starts_with("snap-")),
+        "snapshot_every=8 over 16 records must have installed a snapshot"
+    );
+    let before = std::fs::read_to_string(&snap_path).unwrap();
+    let restarted = serve_script_cfg(cfg, &format!("check\n{snapshot}"));
+    assert!(restarted.starts_with("ok\nok wrote"), "{restarted}");
+    assert_eq!(std::fs::read_to_string(&snap_path).unwrap(), before);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&snap_path);
+}
+
 #[test]
 fn snapshot_installs_truncate_replay_history() {
     let dir = wal_dir("snapshot");

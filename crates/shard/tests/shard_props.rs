@@ -10,7 +10,8 @@
 //!   seed;
 //! * the same holds for every other command: constrained grants equal the
 //!   single scheduler's field for field, range searches return the same
-//!   hits (in the same order at `K = 1`), and the snapshot text is the
+//!   hits (in the same order at `K = 1`), query-then-`reserve` grants — and
+//!   refuses stale picks — identically, and the snapshot text is the
 //!   single scheduler's byte for byte — so a state written at one `K`
 //!   continues at any other.
 
@@ -46,18 +47,26 @@ fn request_stream(n_servers: u32, len: usize) -> impl Strategy<Value = Vec<Reque
 /// What rides along with request `i` of a lock-step stream: `(kind, server,
 /// mask)`. Kinds 0–3 leave the request a plain `submit`; 4–5 make it
 /// `submit_constrained(mask)`; 6–7 tag `server` with `mask` first; 8–9 run a
-/// range search over the request's window first.
+/// range search over the request's window first; 10–11 run one and
+/// `reserve` the hits `mask` picks over the window first; 12 picks them
+/// first and reserves them after the request's grant (a stale pick).
 fn extras(n_servers: u32, len: usize) -> impl Strategy<Value = Vec<(u8, u32, u64)>> {
-    prop::collection::vec((0u8..10, 0..n_servers, 0u64..8), len..len + 1)
+    prop::collection::vec((0u8..13, 0..n_servers, 0u64..8), len..len + 1)
 }
 
-/// A range search's hits without the period ids (which are local to an
-/// index, hence to a `K`).
+/// A range search's hits as plain tuples.
 fn hits(found: Vec<Availability>) -> Vec<(ServerId, Time, Time, Dur)> {
     found
         .iter()
-        .map(|h| (h.period.server, h.period.start, h.period.end, h.tail_slack))
+        .map(|h| (h.server, h.idle_start, h.idle_end, h.tail_slack))
         .collect()
+}
+
+/// The servers of `found` (sorted) that `mask` picks: hit `i` iff bit
+/// `i % 3` is set — sometimes none, sometimes all.
+fn pick(found: &[(ServerId, Time, Time, Dur)], mask: u64) -> Vec<ServerId> {
+    let picked = |&(i, _): &(usize, _)| (mask >> (i % 3)) & 1 == 1;
+    found.iter().enumerate().filter(picked).map(|(_, h)| h.0).collect()
 }
 
 fn cfg(policy: SelectionPolicy, seed: u64) -> SchedulerConfig {
@@ -129,6 +138,8 @@ proptest! {
                 let mut sharded = ShardedScheduler::new(9, k, cfg(policy, seed));
                 let mut same_order = k == 1;
                 for (i, (r, &(kind, server, mask))) in reqs.iter().zip(&extra).enumerate() {
+                    let (from, to) = (r.earliest_start, r.end());
+                    let mut stale = None;
                     plain.advance_to(r.submit);
                     sharded.advance_to(r.submit);
                     if i == cut % reqs.len() {
@@ -147,14 +158,22 @@ proptest! {
                             plain.set_server_attrs(ServerId(server), mask);
                             sharded.set_server_attrs(ServerId(server), mask);
                         }
-                        8 | 9 => {
-                            let mut a = hits(plain.range_search(r.earliest_start, r.end()));
-                            let mut b = hits(sharded.range_search(r.earliest_start, r.end()));
-                            if !same_order {
-                                a.sort_unstable();
-                                b.sort_unstable();
+                        8..=12 => {
+                            let mut x = hits(plain.range_search(from, to));
+                            let mut y = hits(sharded.range_search(from, to));
+                            if !same_order || kind >= 10 {
+                                x.sort_unstable();
+                                y.sort_unstable();
                             }
-                            prop_assert_eq!(a, b, "{:?} k={} range search", policy, k);
+                            prop_assert_eq!(&x, &y, "{:?} k={} range search", policy, k);
+                            let servers = pick(&x, mask.0);
+                            if kind == 12 {
+                                stale = Some(servers);
+                            } else if kind >= 10 {
+                                let x = plain.reserve(&servers, from, to);
+                                let y = sharded.reserve(&servers, from, to);
+                                prop_assert_eq!(x, y, "{:?} k={} reserve {:?}", policy, k, servers);
+                            }
                         }
                         _ => {}
                     }
@@ -164,6 +183,11 @@ proptest! {
                         (plain.submit(r), sharded.submit(r))
                     };
                     prop_assert_eq!(a, b, "{:?} k={} request {}", policy, k, i);
+                    if let Some(servers) = stale {
+                        let x = plain.reserve(&servers, from, to);
+                        let y = sharded.reserve(&servers, from, to);
+                        prop_assert_eq!(x, y, "{:?} k={} stale reserve {:?}", policy, k, servers);
+                    }
                 }
                 prop_assert_eq!(sharded.snapshot(), plain.snapshot(), "{:?} k={}", policy, k);
                 sharded.check_consistency();

@@ -66,8 +66,8 @@ fn main() {
     // 5. Query-then-commit: take the two with the most slack.
     let mut picks = free.clone();
     picks.sort_by_key(|a| std::cmp::Reverse(a.tail_slack));
-    let selection: Vec<PeriodId> = picks.iter().take(2).map(|a| a.period.id).collect();
-    match sched.commit_selection(&selection, Time::from_hours(32), Time::from_hours(33)) {
+    let selection: Vec<ServerId> = picks.iter().take(2).map(|a| a.server).collect();
+    match sched.reserve(&selection, Time::from_hours(32), Time::from_hours(33)) {
         Ok(g) => println!("committed user selection as {:?} on {:?}", g.job, g.servers),
         Err(e) => println!("selection was taken in the meantime: {e}"),
     }
