@@ -1,53 +1,44 @@
-//! Relative, in-process scheduler throughput gates: naive vs online vs
-//! sharded, jump vs linear retry walk, WAL on vs off.
+//! Relative, in-process throughput gates: jump vs linear retry walk, WAL on
+//! vs off.
 //!
-//! Replays a workload-twin request stream through the naive oracle, the
-//! single tree-based online scheduler, and the sharded scheduler at
-//! `K ∈ {1, 2, 4, 8}`, timing every request, and prints requests/sec and
-//! p50/p99 per-request latency for each. The printed numbers are for the
-//! eye only: every gate compares two rows of the *same* run, so it needs no
-//! committed baseline. Absolute performance is measured, quoted and gated
-//! by `benchmark/` (see `benchmark/README.md`) and nowhere else.
+//! Each profile replays one stream through two or three configurations,
+//! timing every request, and prints requests/sec and p50/p99 per-request
+//! latency for each. The printed numbers are for the eye only: every gate
+//! compares two rows of the *same* run, so it needs no committed baseline.
+//! Absolute performance is measured, quoted and gated by `benchmark/` (see
+//! `benchmark/README.md`) and nowhere else.
 //!
 //! ```text
 //! cargo run -p coalloc-bench --release --bin sched_throughput -- \
 //!     [--smoke] [--scale F] [--seed N] [--guard R] \
-//!     [--profile kth|reject-heavy|wal]
+//!     [--profile reject-heavy|wal]
 //! ```
 //!
-//! * `--smoke` — tiny workload slice for CI (also skips the slow naive
-//!   baseline's full stream: the stream is already small).
-//! * `--profile reject-heavy` — a stream dominated by doomed requests: a
-//!   16-wide filler band books every server solid for 48 hours, then every
-//!   submission must walk (or jump) its full 145-attempt retry budget to an
-//!   `Exhausted` reply. This is the Δt-step compute wall the capacity
-//!   profile removes: the `online-linear` row replays the identical stream
-//!   with `jump_retries` off, and with `--guard R` the gate becomes
-//!   `online >= R × online-linear` (CI uses `1.3`).
+//! * `--smoke` — tiny workload slice for CI.
+//! * `--profile reject-heavy` (the default) — a stream dominated by doomed
+//!   requests: a 16-wide filler band books every server solid for 48
+//!   hours, then every submission must walk (or jump) its full 145-attempt
+//!   retry budget to an `Exhausted` reply. This is the Δt-step compute wall
+//!   the capacity profile removes: the `online-linear` row replays the
+//!   identical stream probing every start, and with `--guard R` the gate
+//!   becomes `online >= R × online-linear` (CI uses `1.3`).
 //! * `--profile wal` — measure the cost of command durability: one churn
 //!   stream of protocol text commands replayed through a [`Session`] three
 //!   ways — no WAL, WAL with group commit (the server's write path: append
 //!   every mutating command, fsync per batch), and WAL with an fsync after
-//!   every mutating command.
-//! * `--guard R` — exit non-zero on a throughput regression: for the
-//!   scheduler profiles, the sharded `K=1` configuration must reach `R ×`
-//!   the single scheduler (CI uses `0.9`); for `--profile wal`, group-commit
-//!   durability must reach `R ×` the WAL-off baseline (CI uses `0.5`). The
-//!   guarded pair is re-measured interleaved and compared on the best of
-//!   three trials, so one scheduling hiccup cannot fail the gate.
+//!   every mutating command. With `--guard R`, group-commit durability must
+//!   reach `R ×` the WAL-off baseline (CI uses `0.5`).
+//! * `--guard R` — exit non-zero when the guarded pair misses its ratio.
+//!   The pair is re-measured interleaved and compared on the best of three
+//!   trials, so one scheduling hiccup cannot fail the gate.
 
 use coalloc_bench::harness::percentile_us;
-use coalloc_core::naive::NaiveScheduler;
 use coalloc_core::prelude::*;
 use coalloc_net::{proto, Session};
-use coalloc_shard::ShardedScheduler;
 use coalloc_wal::{Wal, WalConfig};
-use coalloc_workloads::synthetic::WorkloadSpec;
 use std::time::Instant;
 
-const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
-
-/// One scheduler's measured replay.
+/// One configuration's measured replay.
 struct Measured {
     label: String,
     granted: usize,
@@ -57,28 +48,39 @@ struct Measured {
     p99_us: f64,
 }
 
-/// Replay `reqs` through `step` (advance + submit), timing each request.
-fn replay(label: &str, reqs: &[Request], mut step: impl FnMut(&Request) -> bool) -> Measured {
+impl Measured {
+    /// Summarize a replay of `lat_ns.len()` commands that took `secs`.
+    fn new(label: &str, granted: usize, secs: f64, mut lat_ns: Vec<u64>) -> Measured {
+        lat_ns.sort_unstable();
+        Measured {
+            label: label.to_string(),
+            granted,
+            secs,
+            rps: lat_ns.len() as f64 / secs.max(1e-9),
+            p50_us: percentile_us(&lat_ns, 0.50),
+            p99_us: percentile_us(&lat_ns, 0.99),
+        }
+    }
+}
+
+/// Replay `reqs` (advance + submit) through a fresh scheduler over
+/// `servers` servers, timing each request: the `online` row jumps its
+/// retry ladders, the `online-linear` row probes every Δt start.
+fn replay(label: &str, servers: u32, reqs: &[Request]) -> Measured {
+    let mut s = CoAllocScheduler::new(servers, bench_cfg());
+    s.set_linear_walk(label == "online-linear");
     let mut lat_ns = Vec::with_capacity(reqs.len());
     let mut granted = 0usize;
     let t0 = Instant::now();
     for r in reqs {
         let t = Instant::now();
-        if step(r) {
+        s.advance_to(r.submit);
+        if s.submit(r).is_ok() {
             granted += 1;
         }
         lat_ns.push(t.elapsed().as_nanos() as u64);
     }
-    let secs = t0.elapsed().as_secs_f64();
-    lat_ns.sort_unstable();
-    Measured {
-        label: label.to_string(),
-        granted,
-        secs,
-        rps: reqs.len() as f64 / secs.max(1e-9),
-        p50_us: percentile_us(&lat_ns, 0.50),
-        p99_us: percentile_us(&lat_ns, 0.99),
-    }
+    Measured::new(label, granted, t0.elapsed().as_secs_f64(), lat_ns)
 }
 
 /// Reject-heavy stream: twelve 16-wide fillers book every server solid
@@ -182,16 +184,7 @@ fn replay_wal(label: &str, cmds: &[String], mut wal: Option<&mut Wal>, batch: u6
     if let Some(w) = wal {
         w.sync().expect("wal final sync");
     }
-    let secs = t0.elapsed().as_secs_f64();
-    lat_ns.sort_unstable();
-    Measured {
-        label: label.to_string(),
-        granted,
-        secs,
-        rps: cmds.len() as f64 / secs.max(1e-9),
-        p50_us: percentile_us(&lat_ns, 0.50),
-        p99_us: percentile_us(&lat_ns, 0.99),
-    }
+    Measured::new(label, granted, t0.elapsed().as_secs_f64(), lat_ns)
 }
 
 /// Group-commit size for the `wal-batched` variant. The server flushes by
@@ -225,22 +218,11 @@ fn bench_cfg() -> SchedulerConfig {
         .build()
 }
 
-/// [`bench_cfg`] with capacity-profile attempt jumping disabled: the
-/// exhaustive Δt-step retry walk, measured as the `online-linear` row.
-fn bench_cfg_linear() -> SchedulerConfig {
-    SchedulerConfig::builder()
-        .tau(Dur::from_mins(15))
-        .horizon(Dur::from_hours(72))
-        .delta_t(Dur::from_mins(15))
-        .jump_retries(false)
-        .build()
-}
-
 fn main() {
     let mut scale = 0.02f64;
     let mut seed = 42u64;
     let mut guard: Option<f64> = None;
-    let mut profile = String::from("kth");
+    let mut profile = String::from("reject-heavy");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -254,7 +236,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: sched_throughput [--smoke] [--scale F] [--seed N] \
-                     [--guard R] [--profile kth|reject-heavy|wal]"
+                     [--guard R] [--profile reject-heavy|wal]"
                 );
                 return;
             }
@@ -266,22 +248,19 @@ fn main() {
     }
 
     let (servers, reqs, cmds);
+    // The rows of the profile, and its guarded pair: `slow` must reach
+    // `R × fast`.
+    let (labels, fast_label, slow_label): (&[&str], _, _);
     match profile.as_str() {
-        "kth" => {
-            let spec = WorkloadSpec::kth().scaled(scale);
-            servers = spec.servers;
-            reqs = spec.generate(seed);
-            cmds = Vec::new();
-            println!(
-                "sched_throughput: {} requests over {servers} servers (kth × {scale}, seed {seed})",
-                reqs.len(),
-            );
-        }
         "reject-heavy" => {
             servers = 16;
             let n_submits = ((4000.0 * scale / 0.02).round() as usize).max(100);
             reqs = reject_heavy_reqs(n_submits, seed);
             cmds = Vec::new();
+            // Speedup gate, not a regression gate: the jumping scheduler
+            // must beat the exhaustive linear walk by the given factor.
+            (labels, fast_label, slow_label) =
+                (&["online", "online-linear"], "online-linear", "online");
             println!(
                 "sched_throughput: {} requests over {servers} servers \
                  (reject-heavy × {scale}, seed {seed})",
@@ -293,6 +272,8 @@ fn main() {
             let n = ((20_000.0 * scale / 0.02).round() as usize).max(500);
             reqs = Vec::new();
             cmds = wal_cmds(n, seed);
+            (labels, fast_label, slow_label) =
+                (&["wal-off", "wal-batched", "wal-sync-each"], "wal-off", "wal-batched");
             println!(
                 "sched_throughput: {} protocol commands over {servers} servers \
                  (wal × {scale}, seed {seed}, group commit {WAL_GROUP_COMMIT})",
@@ -300,48 +281,21 @@ fn main() {
             );
         }
         other => {
-            eprintln!("unknown profile {other} (want kth, reject-heavy or wal)");
+            eprintln!("unknown profile {other} (want reject-heavy or wal)");
             std::process::exit(2);
         }
     }
 
-    // Replay the request stream through one scheduler.
-    macro_rules! run {
-        ($label:expr, $s:ident) => {
-            replay($label, &reqs, |r| {
-                $s.advance_to(r.submit);
-                $s.submit(r).is_ok()
-            })
-        };
-    }
-
-    let mut results = Vec::new();
-    if profile == "wal" {
-        results.push(run_wal_variant("wal-off", &cmds, false, 0));
-        results.push(run_wal_variant("wal-batched", &cmds, true, WAL_GROUP_COMMIT));
-        results.push(run_wal_variant("wal-sync-each", &cmds, true, 1));
-    } else {
-        {
-            let mut s = NaiveScheduler::new(servers, bench_cfg());
-            results.push(run!("naive", s));
-        }
-        {
-            let mut s = CoAllocScheduler::new(servers, bench_cfg());
-            results.push(run!("online", s));
-        }
-        {
-            let mut s = CoAllocScheduler::new(servers, bench_cfg_linear());
-            results.push(run!("online-linear", s));
-        }
-        for k in SHARD_COUNTS {
-            let mut s = ShardedScheduler::new(servers, k, bench_cfg());
-            results.push(run!(&format!("sharded-k{k}"), s));
-        }
-    }
-
+    let measure = |label: &str| match label {
+        "wal-off" => run_wal_variant(label, &cmds, false, 0),
+        "wal-batched" => run_wal_variant(label, &cmds, true, WAL_GROUP_COMMIT),
+        "wal-sync-each" => run_wal_variant(label, &cmds, true, 1),
+        _ => replay(label, servers, &reqs),
+    };
+    let results: Vec<Measured> = labels.iter().map(|label| measure(label)).collect();
     for m in &results {
         println!(
-            "  {:<12} {:>10.0} req/s  p50 {:>8.1} µs  p99 {:>9.1} µs  ({} granted, {:.3} s)",
+            "  {:<13} {:>10.0} req/s  p50 {:>8.1} µs  p99 {:>9.1} µs  ({} granted, {:.3} s)",
             m.label, m.rps, m.p50_us, m.p99_us, m.granted, m.secs
         );
     }
@@ -357,40 +311,10 @@ fn main() {
         // A single replay is too noisy for a pass/fail gate on a busy host:
         // re-measure the guarded pair interleaved and compare each label's
         // best of three trials.
-        let (fast_label, slow_label);
-        let (mut fast, mut slow);
-        if profile == "wal" {
-            (fast_label, slow_label) = ("wal-off", "wal-batched");
-            fast = rps_of(fast_label);
-            slow = rps_of(slow_label);
-            for _ in 0..2 {
-                fast = fast.max(run_wal_variant(fast_label, &cmds, false, 0).rps);
-                slow = slow
-                    .max(run_wal_variant(slow_label, &cmds, true, WAL_GROUP_COMMIT).rps);
-            }
-        } else if profile == "reject-heavy" {
-            // Speedup gate, not a regression gate: the jumping scheduler
-            // must beat the exhaustive linear walk by the given factor
-            // (`slow` here is the row required to reach `R × fast`).
-            (fast_label, slow_label) = ("online-linear", "online");
-            fast = rps_of(fast_label);
-            slow = rps_of(slow_label);
-            for _ in 0..2 {
-                let mut s = CoAllocScheduler::new(servers, bench_cfg_linear());
-                fast = fast.max(run!("online-linear", s).rps);
-                let mut s = CoAllocScheduler::new(servers, bench_cfg());
-                slow = slow.max(run!("online", s).rps);
-            }
-        } else {
-            (fast_label, slow_label) = ("online", "sharded-k1");
-            fast = rps_of(fast_label);
-            slow = rps_of(slow_label);
-            for _ in 0..2 {
-                let mut s = CoAllocScheduler::new(servers, bench_cfg());
-                fast = fast.max(run!("online", s).rps);
-                let mut s = ShardedScheduler::new(servers, 1, bench_cfg());
-                slow = slow.max(run!("sharded-k1", s).rps);
-            }
+        let (mut fast, mut slow) = (rps_of(fast_label), rps_of(slow_label));
+        for _ in 0..2 {
+            fast = fast.max(measure(fast_label).rps);
+            slow = slow.max(measure(slow_label).rps);
         }
         if slow < ratio * fast {
             eprintln!(

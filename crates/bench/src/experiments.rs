@@ -377,7 +377,7 @@ pub fn ablate_dt(cfg: &ExpConfig) -> io::Result<()> {
             .delta_t(Dur::from_mins(mins))
             .build();
         let mut sched = CoAllocScheduler::new(spec.servers, sched_cfg);
-        let run = coalloc_sim::runner::run_online(&mut sched, &reqs, "online");
+        let run = coalloc_sim::replay(&mut sched, &reqs, "online");
         let attempts: f64 = run.outcomes.iter().map(|o| o.attempts as f64).sum::<f64>()
             / run.outcomes.len() as f64;
         csv.rowf(&[
@@ -418,7 +418,7 @@ pub fn ablate_policy(cfg: &ExpConfig) -> io::Result<()> {
                 .policy(policy)
                 .build();
             let mut sched = CoAllocScheduler::new(spec.servers, sched_cfg);
-            let run = coalloc_sim::runner::run_online(&mut sched, &reqs, pname);
+            let run = coalloc_sim::replay(&mut sched, &reqs, pname);
             csv.rowf(&[
                 &name,
                 &pname,

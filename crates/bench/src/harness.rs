@@ -5,7 +5,7 @@ use coalloc_batch::{run_batch, BatchPolicy};
 use coalloc_core::naive::NaiveScheduler;
 use coalloc_core::prelude::*;
 use coalloc_shard::ShardedScheduler;
-use coalloc_sim::runner::{run_naive, run_online, run_with, RunResult};
+use coalloc_sim::runner::{replay, RunResult};
 use coalloc_workloads::synthetic::WorkloadSpec;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -20,9 +20,8 @@ pub struct ExpConfig {
     pub seed: u64,
     /// Output directory for CSV files.
     pub out_dir: PathBuf,
-    /// Shard count for the online scheduler (1 = the single
-    /// [`CoAllocScheduler`]; more partitions the servers over parallel
-    /// shard workers — decisions are identical either way).
+    /// Server ranges of the online scheduler (more than 1 adds a worker
+    /// per range for large batches — decisions are identical either way).
     pub shards: u32,
 }
 
@@ -47,9 +46,8 @@ pub fn paper_scheduler_config() -> SchedulerConfig {
         .build()
 }
 
-/// Run one workload through the online tree-based scheduler — the single
-/// [`CoAllocScheduler`] for `shards == 1`, the decision-identical
-/// [`ShardedScheduler`] otherwise.
+/// Run one workload through the online tree-based scheduler over `shards`
+/// server ranges (decisions do not depend on `shards`).
 pub fn online_run(
     spec: &WorkloadSpec,
     requests: &[Request],
@@ -57,13 +55,8 @@ pub fn online_run(
     shards: u32,
 ) -> RunResult {
     let mut span = bench_span("online", spec, requests, label);
-    let result = if shards > 1 {
-        let mut sched = ShardedScheduler::new(spec.servers, shards, paper_scheduler_config());
-        run_with(&mut sched, requests, label)
-    } else {
-        let mut sched = CoAllocScheduler::new(spec.servers, paper_scheduler_config());
-        run_online(&mut sched, requests, label)
-    };
+    let mut sched = ShardedScheduler::new(spec.servers, shards, paper_scheduler_config());
+    let result = replay(&mut sched, requests, label);
     finish_bench_span(&mut span, &result);
     result
 }
@@ -72,7 +65,7 @@ pub fn online_run(
 pub fn naive_run(spec: &WorkloadSpec, requests: &[Request], label: &str) -> RunResult {
     let mut span = bench_span("naive", spec, requests, label);
     let mut sched = NaiveScheduler::new(spec.servers, paper_scheduler_config());
-    let result = run_naive(&mut sched, requests, label);
+    let result = replay(&mut sched, requests, label);
     finish_bench_span(&mut span, &result);
     result
 }

@@ -24,7 +24,7 @@ use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, PeriodId, ServerId};
 use crate::ring::{route_delta, SlotRing};
-use crate::scheduler::PRUNE_EVERY_SLOTS;
+use crate::scheduler::prune_due;
 use crate::scratch::Scratch;
 use crate::snapshot::StateImage;
 use crate::stats::OpStats;
@@ -308,8 +308,9 @@ impl ServerIndex {
     }
 
     /// Move the live window so that `now` lies in its first slot: discard
-    /// expired slot trees and, every [`PRUNE_EVERY_SLOTS`] slots, prune dead
-    /// history from the timeline and the job map alike.
+    /// expired slot trees and, every
+    /// [`crate::scheduler::PRUNE_EVERY_SLOTS`] slots, prune dead history
+    /// from the timeline and the job map alike.
     pub fn advance_to(&mut self, now: Time, stats: &mut OpStats) {
         self.ring.advance_to_with(now, &mut self.scratch, stats);
         // History pruning scans every server, so amortize it over many slot
@@ -317,8 +318,7 @@ impl ServerIndex {
         // the paper claims. Correctness does not depend on prune timing —
         // stale history is merely unreferenced memory.
         let window_start = self.ring.window_start();
-        if (window_start - self.last_prune).secs() >= PRUNE_EVERY_SLOTS * self.slot_cfg.tau.secs()
-        {
+        if prune_due(self.last_prune, window_start, self.slot_cfg.tau) {
             self.timeline.prune_before(window_start);
             // Jobs whose reservations all fell to the prune are forgotten
             // too: after this, `release` finds nothing for them on the

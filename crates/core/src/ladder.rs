@@ -7,7 +7,7 @@
 //! * the horizon cap: starts whose shifted end falls past the horizon can
 //!   never succeed, so at most `tries` of the `budget` attempts are
 //!   considered at all;
-//! * profile jumping (when [`SchedulerConfig::jump_retries`] is on): within
+//! * profile jumping (unless the tests' linear walk is asked for): within
 //!   those `tries`, attempt indexes whose window the capacity profile
 //!   proves infeasible are skipped without a tree search.
 //!
@@ -62,7 +62,8 @@ impl Ladder {
     /// usable servers whose clock reads `now` and whose horizon ends at
     /// `horizon_end`. With a `deadline`, no start later than
     /// `deadline - l_r` is on the ladder; a request that is already too
-    /// late fails here with `Exhausted { attempts: 0, .. }`.
+    /// late fails here with `Exhausted { attempts: 0, .. }`. Without
+    /// `jump` every start is offered, profile or not.
     pub fn new(
         cfg: &SchedulerConfig,
         req: &Request,
@@ -70,6 +71,7 @@ impl Ladder {
         now: Time,
         horizon_end: Time,
         deadline: Option<Time>,
+        jump: bool,
     ) -> Result<Ladder, ScheduleError> {
         req.validate()?;
         if req.servers > capacity {
@@ -109,7 +111,7 @@ impl Ladder {
             budget,
             tries: budget.min(horizon_attempts),
             horizon_end,
-            jump: cfg.jump_retries,
+            jump,
             k: 0,
         })
     }
@@ -212,8 +214,17 @@ mod tests {
             .delta_t(Dur(10))
             .build();
         let req = Request::on_demand(Time::ZERO, Dur(10), 1);
-        let ladder =
-            |deadline: i64| Ladder::new(&cfg, &req, 4, Time::ZERO, Time(300), Some(Time(deadline)));
+        let ladder = |deadline: i64| {
+            Ladder::new(
+                &cfg,
+                &req,
+                4,
+                Time::ZERO,
+                Time(300),
+                Some(Time(deadline)),
+                true,
+            )
+        };
         for too_late in [i64::MIN, -1, 9] {
             assert_eq!(
                 ladder(too_late).unwrap_err(),
@@ -246,7 +257,7 @@ mod tests {
             .build();
         let ladder = |s: i64, l: i64| {
             let req = Request::advance(Time::ZERO, Time(s), Dur(l), 1);
-            Ladder::new(&cfg, &req, 4, Time::ZERO, Time(300), None).unwrap()
+            Ladder::new(&cfg, &req, 4, Time::ZERO, Time(300), None, true).unwrap()
         };
         for far in [i64::MAX, i64::MAX - 9, MAX_ABS_TIME + 1] {
             for (s, l) in [(far, 10), (0, far), (far, far)] {

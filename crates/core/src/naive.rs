@@ -110,9 +110,7 @@ impl NaiveScheduler {
         self.now = now;
         let slot_cfg = self.cfg.slot_config();
         let window_start = slot_cfg.slot_start(slot_cfg.slot_of(now));
-        if (window_start - self.last_prune).secs()
-            >= crate::scheduler::PRUNE_EVERY_SLOTS * slot_cfg.tau.secs()
-        {
+        if crate::scheduler::prune_due(self.last_prune, window_start, slot_cfg.tau) {
             self.jobs.retain(|_, rs| rs.iter().any(|r| r.end > window_start));
             self.last_prune = window_start;
         }

@@ -46,6 +46,13 @@ use obs::{obs_span, obs_span_detail, LazyCounter, LazyHistogram};
 /// same cadence to stay decision-identical.
 pub const PRUNE_EVERY_SLOTS: i64 = 32;
 
+/// The prune cadence itself, shared by the naive oracle and every server
+/// range: whether a live window starting at `window_start` has moved
+/// [`PRUNE_EVERY_SLOTS`] slots of width `tau` past the last prune.
+pub(crate) fn prune_due(last_prune: Time, window_start: Time, tau: Dur) -> bool {
+    (window_start - last_prune).secs() >= PRUNE_EVERY_SLOTS * tau.secs()
+}
+
 // Scheduler metrics. Counters and histograms are process-global (they
 // aggregate over every scheduler instance); per-instance
 // numbers remain available via [`CoAllocScheduler::stats`]. Tree-op
@@ -129,14 +136,6 @@ pub struct SchedulerConfig {
     pub policy: SelectionPolicy,
     /// RNG seed for deterministic tree shapes.
     pub seed: u64,
-    /// Jump the retry loop past attempts the free-capacity profile proves
-    /// infeasible (see [`crate::profile`] and DESIGN.md §14). Decisions —
-    /// grants, `attempts` counts, error replies — are identical either
-    /// way; only the `attempts` / `attempts_skipped` accounting split and
-    /// the `sched_attempts` histogram observe which starts were actually
-    /// probed. Disable to force the linear `Delta_t` walk (the bench
-    /// baseline and the lockstep-equivalence test oracle).
-    pub jump_retries: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -150,7 +149,6 @@ impl Default for SchedulerConfig {
             r_max: None,
             policy: SelectionPolicy::PaperOrder,
             seed: 0x5EED,
-            jump_retries: true,
         }
     }
 }
@@ -244,12 +242,6 @@ impl SchedulerConfigBuilder {
         self.0.seed = seed;
         self
     }
-    /// Enable or disable profile-driven retry jumping (see
-    /// [`SchedulerConfig::jump_retries`]).
-    pub fn jump_retries(mut self, jump: bool) -> Self {
-        self.0.jump_retries = jump;
-        self
-    }
     /// Finish building.
     pub fn build(self) -> SchedulerConfig {
         assert!(self.0.delta_t.secs() > 0, "Delta_t must be positive");
@@ -293,6 +285,8 @@ pub struct CoAllocScheduler {
     /// The current attempt's feasible set (global server ids), reduced in
     /// place by the selection policy.
     feasible: Vec<IdlePeriod>,
+    /// Probe every `Delta_t` start (see [`Self::set_linear_walk`]).
+    linear_walk: bool,
 }
 
 impl CoAllocScheduler {
@@ -337,7 +331,19 @@ impl CoAllocScheduler {
             parts,
             stats,
             feasible: Vec::new(),
+            linear_walk: false,
         }
+    }
+
+    /// Probe every `Delta_t` start of a ladder instead of jumping past the
+    /// ones the capacity profile refutes (DESIGN.md §14): the exhaustive
+    /// walk the tests hold the jumping ladder to. Decisions — grants,
+    /// `attempts`, error replies — are identical either way; only the
+    /// `attempts` / `attempts_jumped` split and the `sched_attempts`
+    /// histogram see which starts were probed. Not persisted.
+    #[doc(hidden)]
+    pub fn set_linear_walk(&mut self, linear: bool) {
+        self.linear_walk = linear;
     }
 
     /// Which range owns a global server id: the inverse of the layout
@@ -517,7 +523,8 @@ impl CoAllocScheduler {
         capacity: u32,
         deadline: Option<Time>,
     ) -> Result<Ladder, ScheduleError> {
-        Ladder::new(&self.cfg, req, capacity, self.now, self.horizon_end(), deadline)
+        let jump = !self.linear_walk;
+        Ladder::new(&self.cfg, req, capacity, self.now, self.horizon_end(), deadline, jump)
     }
 
     /// [`Self::search`] plus the request's metrics and `sched.submit` span.

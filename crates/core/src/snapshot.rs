@@ -148,7 +148,7 @@ fn policy_from(code: u8) -> Option<SelectionPolicy> {
 /// one open-ended idle period per server, every job id below `next_job`.
 #[derive(Clone, Debug)]
 pub struct StateImage {
-    /// The configuration in force (`jump_retries` is not persisted).
+    /// The configuration in force, every field of it.
     pub cfg: SchedulerConfig,
     /// The clock value the scheduler started at.
     pub origin: Time,
@@ -361,7 +361,6 @@ impl StateImage {
             r_max: (rc.r_max >= 0).then_some(rc.r_max as u32),
             policy: rc.policy,
             seed: rc.seed,
-            ..SchedulerConfig::default()
         };
         if now < origin {
             return Err(invalid(clock_line, "clock runs backwards (now < origin)"));
@@ -537,6 +536,11 @@ mod tests {
         let snap1 = s.snapshot();
         let restored = CoAllocScheduler::restore(&snap1).unwrap();
         restored.check_consistency();
+        // Every configuration field survives the text.
+        assert_eq!(
+            format!("{:?}", restored.config()),
+            format!("{:?}", s.config())
+        );
         let snap2 = restored.snapshot();
         assert_eq!(snap1, snap2, "snapshot of a restore must be identical");
     }

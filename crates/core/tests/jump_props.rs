@@ -1,6 +1,6 @@
 //! Property tests for capacity-profile attempt jumping (DESIGN.md §14).
 //!
-//! The contract under test: with `jump_retries` on, the scheduler makes
+//! The contract under test: jumping (the default), the scheduler makes
 //! **bit-identical decisions** to the exhaustive linear retry walk — same
 //! grants (start, end, servers, `attempts`), same errors (variant and
 //! fields) — for every selection policy and any interleaving of submits,
@@ -20,15 +20,21 @@ const POLICIES: [SelectionPolicy; 4] = [
     SelectionPolicy::ByServerId,
 ];
 
-fn cfg(policy: SelectionPolicy, jump: bool) -> SchedulerConfig {
+fn cfg(policy: SelectionPolicy) -> SchedulerConfig {
     SchedulerConfig::builder()
         .tau(Dur(10))
         .horizon(Dur(400))
         .delta_t(Dur(10))
         .policy(policy)
         .seed(0x7E57)
-        .jump_retries(jump)
         .build()
+}
+
+/// A scheduler over `n` servers that jumps, or walks every start.
+fn sched(n: u32, cfg: SchedulerConfig, jump: bool) -> CoAllocScheduler {
+    let mut s = CoAllocScheduler::new(n, cfg);
+    s.set_linear_walk(!jump);
+    s
 }
 
 /// A churn stream: requests with clustered arrivals plus a release mask.
@@ -104,10 +110,10 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let policy = POLICIES[policy_idx];
-        let mut jump = CoAllocScheduler::new(6, cfg(policy, true));
-        let mut lin = CoAllocScheduler::new(6, cfg(policy, false));
+        let mut jump = sched(6, cfg(policy), true);
+        let mut lin = sched(6, cfg(policy), false);
         // The constrained path with no constraint drives the same ladder.
-        let mut free = CoAllocScheduler::new(6, cfg(policy, true));
+        let mut free = sched(6, cfg(policy), true);
         let mut jobs = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
             jump.advance_to(r.submit);
@@ -144,8 +150,8 @@ proptest! {
         (reqs, _mask) in churn_stream(4, 25),
         slack in 0i64..300,
     ) {
-        let mut jump = CoAllocScheduler::new(4, cfg(SelectionPolicy::PaperOrder, true));
-        let mut lin = CoAllocScheduler::new(4, cfg(SelectionPolicy::PaperOrder, false));
+        let mut jump = sched(4, cfg(SelectionPolicy::PaperOrder), true);
+        let mut lin = sched(4, cfg(SelectionPolicy::PaperOrder), false);
         for r in &reqs {
             jump.advance_to(r.submit);
             lin.advance_to(r.submit);
@@ -166,7 +172,7 @@ proptest! {
         (reqs, mask) in churn_stream(5, 25),
         (probes, _m2) in churn_stream(5, 15),
     ) {
-        let mut s = CoAllocScheduler::new(5, cfg(SelectionPolicy::ByServerId, true));
+        let mut s = sched(5, cfg(SelectionPolicy::ByServerId), true);
         let mut jobs = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
             s.advance_to(r.submit);
@@ -211,15 +217,15 @@ proptest! {
 #[test]
 fn exhausted_error_is_identical_and_pinned_under_jumping() {
     for jump in [false, true] {
-        let mut s = CoAllocScheduler::new(
+        let mut s = sched(
             1,
             SchedulerConfig::builder()
                 .tau(Dur(10))
                 .horizon(Dur(100))
                 .delta_t(Dur(10))
                 .r_max(2)
-                .jump_retries(jump)
                 .build(),
+            jump,
         );
         s.submit(&Request::on_demand(Time::ZERO, Dur(90), 1)).unwrap();
         let err = s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap_err();
@@ -242,14 +248,14 @@ fn exhausted_error_is_identical_and_pinned_under_jumping() {
 #[test]
 fn horizon_error_is_identical_and_pinned_under_jumping() {
     for jump in [false, true] {
-        let mut s = CoAllocScheduler::new(
+        let mut s = sched(
             2,
             SchedulerConfig::builder()
                 .tau(Dur(10))
                 .horizon(Dur(100))
                 .delta_t(Dur(10))
-                .jump_retries(jump)
                 .build(),
+            jump,
         );
         // Fill everything so no early grant can mask the horizon check.
         s.submit(&Request::on_demand(Time::ZERO, Dur(100), 2)).unwrap();

@@ -24,9 +24,9 @@ fn scheduler_emits_phase_spans_for_known_mix() {
             .tau(Dur(10))
             .horizon(Dur(200))
             .delta_t(Dur(10))
-            .jump_retries(false)
             .build(),
     );
+    s.set_linear_walk(true);
     // Known mix: two grants, then an infeasible request (5 > 4 servers is
     // rejected up front; instead overload the window to force retries).
     s.submit(&Request::advance(Time::ZERO, Time(10), Dur(30), 4))

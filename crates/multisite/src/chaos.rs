@@ -282,7 +282,7 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 let victim = rng.random_range(0..senders.len());
-                let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
+                let (reply_tx, reply_rx) = std::sync::mpsc::channel();
                 if senders[victim]
                     .send(crate::messages::Envelope {
                         request: SiteRequest::Crash,

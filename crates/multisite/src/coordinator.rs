@@ -20,12 +20,12 @@
 use crate::messages::{CommitOutcome, Envelope, SiteId, SiteReply, SiteRequest, TxnId};
 use crate::site::SiteHandle;
 use coalloc_core::prelude::{Dur, JobId, ServerId, Time};
-use crossbeam::channel::{unbounded, Sender};
 use obs::{obs_event, obs_span, LazyCounter, LazyHistogram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::time::Duration;
 
 /// Global transaction-id source (unique across coordinators in-process).
@@ -66,7 +66,7 @@ impl SiteEndpoint {
     /// attempt's dropped receiver, so it can never be confused with this
     /// one's.
     pub fn call_timeout(&self, request: SiteRequest, timeout: Duration) -> Option<SiteReply> {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         self.tx
             .send(Envelope {
                 request,

@@ -10,7 +10,7 @@
 //! paper's retry loop to the multi-site level.
 
 use coalloc_core::prelude::{Dur, JobId, ServerId, Time};
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 use std::time::Duration;
 
 /// Identifies one site (ordering defines the global lock order that makes

@@ -1,9 +1,9 @@
 //! Network fault injection for protocol testing.
 //!
-//! Sites and coordinators exchange messages over crossbeam channels; this
-//! module interposes a relay thread that can delay, drop, **duplicate** and
-//! **reorder** requests, and drop or duplicate **replies**, with a seeded
-//! RNG — exercising the protocol's timeout, retry, idempotency and
+//! Sites and coordinators exchange messages over `std::sync::mpsc`
+//! channels; this module interposes a relay thread that can delay, drop,
+//! **duplicate** and **reorder** requests, and drop or duplicate
+//! **replies**, with a seeded RNG — exercising the protocol's timeout, retry, idempotency and
 //! TTL-expiry paths without real sockets. Whole-site crashes are injected
 //! separately by sending [`SiteRequest::Crash`](crate::SiteRequest::Crash).
 //!
@@ -16,10 +16,10 @@
 //! idempotent protocol has to absorb.
 
 use crate::messages::{Envelope, SiteReply};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::{obs_event, LazyCounter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -137,7 +137,7 @@ impl Relay {
             return true;
         }
         if self.cfg.drop_reply_prob > 0.0 || self.cfg.duplicate_reply_prob > 0.0 {
-            let (proxy_tx, proxy_rx) = unbounded();
+            let (proxy_tx, proxy_rx) = mpsc::channel();
             let requester = std::mem::replace(&mut env.reply_to, proxy_tx);
             self.routes.push(ReplyRoute {
                 proxy: proxy_rx,
@@ -238,8 +238,8 @@ impl Relay {
                             self.stats.replies_delivered += 1;
                         }
                     }
-                    Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    Err(mpsc::TryRecvError::Disconnected) => {
                         finished = true;
                         break;
                     }
@@ -257,7 +257,7 @@ impl Relay {
 impl FlakyLink {
     /// Interpose a relay in front of `dest`.
     pub fn new(dest: Sender<Envelope>, cfg: LinkConfig) -> FlakyLink {
-        let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
+        let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = mpsc::channel();
         let join = std::thread::Builder::new()
             .name("flaky-link".into())
             .spawn(move || {
@@ -278,10 +278,10 @@ impl FlakyLink {
                                 break; // destination gone
                             }
                         }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                        Err(mpsc::RecvTimeoutError::Timeout) => {
                             relay.flush_held();
                         }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
                     }
                     relay.pump_replies();
                 }
@@ -313,7 +313,7 @@ impl FlakyLink {
     pub fn shutdown(mut self) -> LinkStats {
         // Replace our sender with a dummy so the relay loop sees the channel
         // disconnect once outstanding clones are gone.
-        let (dummy, _) = unbounded();
+        let (dummy, _) = mpsc::channel();
         drop(std::mem::replace(&mut self.tx, dummy));
         self.join
             .take()
@@ -326,7 +326,7 @@ impl FlakyLink {
 impl Drop for FlakyLink {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            let (t, _) = unbounded();
+            let (t, _) = mpsc::channel();
             let tx = std::mem::replace(&mut self.tx, t);
             drop(tx);
             let _ = join.join();
@@ -355,7 +355,7 @@ mod tests {
     }
 
     fn call_via(link: &FlakyLink, request: SiteRequest, timeout: Duration) -> Option<SiteReply> {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         link.sender()
             .send(Envelope {
                 request,
@@ -431,7 +431,7 @@ mod tests {
                 ..LinkConfig::default()
             },
         );
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         link.sender()
             .send(Envelope {
                 request: query(),
@@ -502,8 +502,8 @@ mod tests {
         // reordered the hold goes first and is granted, then the abort
         // releases it. Use Query bracketing to observe effects instead of
         // relying on timing: send two queries and check both reply.
-        let (tx_a, rx_a) = unbounded();
-        let (tx_b, rx_b) = unbounded();
+        let (tx_a, rx_a) = mpsc::channel();
+        let (tx_b, rx_b) = mpsc::channel();
         link.sender()
             .send(Envelope {
                 request: query(),

@@ -18,8 +18,8 @@
 use crate::messages::{CommitOutcome, Envelope, SiteId, SiteReply, SiteRequest, TxnId};
 use coalloc_core::prelude::*;
 use obs::obs_event;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -332,7 +332,7 @@ impl SiteHandle {
     /// Spawn a site thread with `servers` local servers and the given
     /// scheduler configuration.
     pub fn spawn(id: SiteId, servers: u32, cfg: SchedulerConfig) -> SiteHandle {
-        let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
+        let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = mpsc::channel();
         let join = std::thread::Builder::new()
             .name(format!("site-{}", id.0))
             .spawn(move || {
@@ -354,10 +354,10 @@ impl SiteHandle {
                             }
                             None => break, // Shutdown
                         },
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                        Err(mpsc::RecvTimeoutError::Timeout) => {
                             site.sweep_expired();
                         }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
                     }
                 }
                 site.sweep_expired();
@@ -393,7 +393,7 @@ impl SiteHandle {
 
     /// Send a request and await the reply with a timeout.
     pub fn call_timeout(&self, request: SiteRequest, timeout: Duration) -> Option<SiteReply> {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         self.tx
             .send(Envelope {
                 request,
@@ -405,7 +405,7 @@ impl SiteHandle {
 
     /// Stop the site thread and collect its statistics.
     pub fn shutdown(mut self) -> SiteStats {
-        let (reply_tx, _keep) = unbounded();
+        let (reply_tx, _keep) = mpsc::channel();
         let _ = self.tx.send(Envelope {
             request: SiteRequest::Shutdown,
             reply_to: reply_tx,
@@ -421,7 +421,7 @@ impl SiteHandle {
 impl Drop for SiteHandle {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            let (reply_tx, _keep) = unbounded();
+            let (reply_tx, _keep) = mpsc::channel();
             let _ = self.tx.send(Envelope {
                 request: SiteRequest::Shutdown,
                 reply_to: reply_tx,

@@ -141,7 +141,7 @@ fn flaky_network_leaks_nothing() {
         );
         assert!(matches!(r0, Some(SiteReply::HoldGranted { .. })));
         // Via the flaky link.
-        let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         link.sender()
             .send(Envelope {
                 request: SiteRequest::Hold {

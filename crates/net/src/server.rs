@@ -51,7 +51,6 @@ static SHED_ACCEPT: LazyCounter = LazyCounter::new("net_shed_accept_total");
 pub(crate) static SHED_QUEUE: LazyCounter = LazyCounter::new("net_shed_queue_total");
 pub(crate) static ERRORS: LazyCounter = LazyCounter::new("net_errors_total");
 static REQUEST_US: LazyHistogram = LazyHistogram::new("net_request_us");
-static QUEUE_WAIT_US: LazyHistogram = LazyHistogram::new("net_queue_wait_us");
 static EXEC_PANICS: LazyCounter = LazyCounter::new("net_exec_panics_total");
 pub(crate) static CONN_PANICS: LazyCounter = LazyCounter::new("net_conn_panics_total");
 static WAL_REPLAYED: LazyCounter = LazyCounter::new("wal_recovery_replayed_total");
@@ -598,13 +597,13 @@ struct Item {
 }
 
 /// Flatten one queue batch onto the run queue, taking over its queue
-/// accounting (the gauge counts batches; the wait histogram counts lines).
+/// accounting (the gauge counts batches; the queue-wait stage histogram
+/// counts lines).
 fn ingest(batch: Batch, q: &mut VecDeque<Item>) {
     QUEUE_DEPTH.add(-1);
     let token = batch.token;
     for mut l in batch.lines {
         l.stamps.mark_dequeued();
-        QUEUE_WAIT_US.observe(l.stamps.enqueued.elapsed().as_micros() as u64);
         q.push_back(Item {
             token,
             seq: l.seq,

@@ -231,38 +231,49 @@ impl Session {
     /// per range per stage instead of per line.
     ///
     /// Intended for callers that already know the lines are submit-shaped
-    /// (the TCP scheduler thread's queue grouping); any other line is
-    /// executed by [`Session::exec`] where it stands, so a mistaken
-    /// grouping is still byte-identical, just unbatched.
+    /// (the TCP scheduler thread's queue grouping); any other line first
+    /// has the submits queued ahead of it decided, then is executed by
+    /// [`Session::exec`], so a mistaken grouping is still byte-identical,
+    /// just split into smaller batches.
     pub fn exec_batch(&mut self, lines: &[&str]) -> Vec<Result<String, String>> {
         let mut out: Vec<Option<Result<String, String>>> = Vec::with_capacity(lines.len());
         let mut reqs: Vec<Request> = Vec::with_capacity(lines.len());
-        let mut req_pos: Vec<usize> = Vec::with_capacity(lines.len());
-        for (i, line) in lines.iter().enumerate() {
+        for line in lines {
             let f: Vec<&str> = line.split_whitespace().collect();
-            match f.as_slice() {
+            let reply = match f.as_slice() {
                 ["submit", q, s, l, n] => match Self::parse_submit_args(q, s, l, n) {
-                    Ok(req) if self.sched.is_some() => {
-                        reqs.push(req);
-                        req_pos.push(i);
-                        out.push(None);
-                    }
-                    Ok(_) => out.push(Some(Err(
-                        "no scheduler; run 'init N' first".to_string()
-                    ))),
-                    Err(e) => out.push(Some(Err(e))),
+                    Ok(req) => match self.sched() {
+                        Ok(_) => {
+                            reqs.push(req);
+                            None
+                        }
+                        Err(e) => Some(Err(e)),
+                    },
+                    Err(e) => Some(Err(e)),
                 },
-                _ => out.push(Some(self.exec(line))),
-            }
+                _ => {
+                    self.decide(&mut reqs, &mut out);
+                    Some(self.exec(line))
+                }
+            };
+            out.push(reply);
         }
-        if !reqs.is_empty() {
-            let sched = self.sched.as_mut().expect("checked per line above");
-            let decisions = sched.submit_batch(&reqs);
-            for (i, decision) in req_pos.into_iter().zip(decisions) {
-                out[i] = Some(Ok(Self::decision_line(decision)));
-            }
-        }
+        self.decide(&mut reqs, &mut out);
         out.into_iter().map(|o| o.expect("every line answered")).collect()
+    }
+
+    /// Decide the queued submits `reqs` as one batch and empty the queue.
+    /// They are the unanswered entries of `out`, in order.
+    fn decide(&mut self, reqs: &mut Vec<Request>, out: &mut [Option<Result<String, String>>]) {
+        if reqs.is_empty() {
+            return;
+        }
+        let sched = self.sched.as_mut().expect("submits queue only behind a scheduler");
+        let unanswered = out.iter_mut().filter(|o| o.is_none());
+        for (reply, decision) in unanswered.zip(sched.submit_batch(reqs)) {
+            *reply = Some(Ok(Self::decision_line(decision)));
+        }
+        reqs.clear();
     }
 
     /// Capacity and utilization probe for the admin plane's `/status`:
@@ -596,7 +607,8 @@ mod tests {
 
     /// The batched entry point must answer every line exactly as `exec`
     /// would have, in order — grants, rejections, parse errors, wrong
-    /// arity, and the no-scheduler error alike — for both back-ends.
+    /// arity, and the no-scheduler error alike — at every K; a line that
+    /// is not a submit runs only after the submits queued ahead of it.
     #[test]
     fn exec_batch_matches_per_line_exec() {
         let lines = [
@@ -606,6 +618,18 @@ mod tests {
             "submit 0 0 50",
             "submit 0 0 9999 1",
             "submit 0 100 60 8",
+        ];
+        let mixed = [
+            "init 4 10 400 10",
+            "submit 0 0 50 4",
+            "release 0",
+            "submit 0 0 50 4",
+            "query 0 60",
+            "advance 20",
+            "submit 0 0 30 1",
+            "submit 20 20 30 2",
+            "init 4 10 400 10",
+            "submit 0 0 50 3",
         ];
         for shards in [1u32, 2, 4] {
             let mut batched = Session::new(shards);
@@ -622,6 +646,10 @@ mod tests {
             let a = batched.exec_batch(&lines);
             let b: Vec<Result<String, String>> =
                 lines.iter().map(|l| sequential.exec(l)).collect();
+            assert_eq!(a, b, "shards={shards}");
+            let a = batched.exec_batch(&mixed);
+            let b: Vec<Result<String, String>> =
+                mixed.iter().map(|l| sequential.exec(l)).collect();
             assert_eq!(a, b, "shards={shards}");
         }
     }

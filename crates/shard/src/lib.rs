@@ -675,10 +675,10 @@ impl OnlineScheduler for ShardedScheduler {
     fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError> {
         self.sched.submit(req)
     }
-    fn total_ops(&mut self) -> u64 {
-        self.sched.stats().total_ops()
+    fn stats(&self) -> OpStats {
+        ShardedScheduler::stats(self)
     }
-    fn utilization(&mut self, until: Time) -> f64 {
+    fn utilization(&self, until: Time) -> f64 {
         self.sched.utilization(until)
     }
     fn now(&self) -> Time {

@@ -33,14 +33,13 @@ fn request_stream(n_servers: u32, len: usize) -> impl Strategy<Value = Vec<Reque
     })
 }
 
-fn cfg(policy: SelectionPolicy, seed: u64, jump: bool) -> SchedulerConfig {
+fn cfg(policy: SelectionPolicy, seed: u64) -> SchedulerConfig {
     SchedulerConfig::builder()
         .tau(Dur(10))
         .horizon(Dur(400))
         .delta_t(Dur(10))
         .policy(policy)
         .seed(seed)
-        .jump_retries(jump)
         .build()
 }
 
@@ -56,8 +55,9 @@ fn assert_jump_equals_linear(
     seed: u64,
 ) {
     let ctx = format!("{policy:?} k={k} b={batch} seed={seed}");
-    let mut jump = ShardedScheduler::new(6, k, cfg(policy, seed, true));
-    let mut lin = ShardedScheduler::new(6, k, cfg(policy, seed, false));
+    let mut jump = ShardedScheduler::new(6, k, cfg(policy, seed));
+    let mut lin = ShardedScheduler::new(6, k, cfg(policy, seed));
+    lin.set_linear_walk(true);
     jump.set_pool_min_batch(0);
     lin.set_pool_min_batch(0);
     let mut live: Vec<JobId> = Vec::new();
@@ -129,8 +129,8 @@ proptest! {
     /// independent), deep-exhaustion cases included.
     #[test]
     fn jumping_shards_match_core(reqs in request_stream(5, 30), seed in 0u64..1000) {
-        let mut core = CoAllocScheduler::new(5, cfg(SelectionPolicy::ByServerId, seed, true));
-        let mut shard = ShardedScheduler::new(5, 4, cfg(SelectionPolicy::ByServerId, seed, true));
+        let mut core = CoAllocScheduler::new(5, cfg(SelectionPolicy::ByServerId, seed));
+        let mut shard = ShardedScheduler::new(5, 4, cfg(SelectionPolicy::ByServerId, seed));
         for r in &reqs {
             core.advance_to(r.submit);
             shard.advance_to(r.submit);

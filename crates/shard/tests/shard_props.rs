@@ -17,7 +17,7 @@
 
 use coalloc_core::prelude::*;
 use coalloc_shard::ShardedScheduler;
-use coalloc_sim::runner::{run_online, run_with, RunResult};
+use coalloc_sim::runner::{replay, RunResult};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -114,10 +114,10 @@ proptest! {
             SelectionPolicy::ByServerId,
         ] {
             let mut plain = CoAllocScheduler::new(9, cfg(policy, seed));
-            let base = run_online(&mut plain, &reqs, "plain");
+            let base = replay(&mut plain, &reqs, "plain");
             for k in SHARD_COUNTS {
                 let mut sharded = ShardedScheduler::new(9, k, cfg(policy, seed));
-                let run = run_with(&mut sharded, &reqs, "sharded");
+                let run = replay(&mut sharded, &reqs, "sharded");
                 assert_same_outcomes(&base, &run, &format!("{policy:?} k={k}"));
                 sharded.check_consistency();
             }
@@ -271,8 +271,8 @@ fn sharded_runs_are_deterministic() {
     for k in SHARD_COUNTS {
         let mut a = ShardedScheduler::new(8, k, cfg(SelectionPolicy::PaperOrder, 0xFEED));
         let mut b = ShardedScheduler::new(8, k, cfg(SelectionPolicy::PaperOrder, 0xFEED));
-        let ra = run_with(&mut a, &spec_reqs, "a");
-        let rb = run_with(&mut b, &spec_reqs, "b");
+        let ra = replay(&mut a, &spec_reqs, "a");
+        let rb = replay(&mut b, &spec_reqs, "b");
         assert_eq!(ra.outcomes, rb.outcomes, "k={k}");
         assert_eq!(ra.makespan, rb.makespan);
         assert!((ra.utilization - rb.utilization).abs() < 1e-15);

@@ -15,4 +15,4 @@ pub mod metrics;
 pub mod runner;
 
 pub use metrics::{GroupedStats, Histogram, StreamingStats};
-pub use runner::{run_naive, run_online, run_with, OnlineScheduler, Outcome, RunResult};
+pub use runner::{replay, OnlineScheduler, Outcome, RunResult};

@@ -216,19 +216,18 @@ impl RunResult {
 
 /// Anything that can play the online-scheduler role in a replay: handle
 /// requests immediately on arrival with a monotone clock. Implemented by
-/// [`CoAllocScheduler`] here and by the sharded scheduler in
-/// `coalloc-shard`, so one generic driver ([`run_with`]) replays the same
-/// trace through either.
+/// [`CoAllocScheduler`] and [`NaiveScheduler`] here and by the sharded
+/// scheduler in `coalloc-shard`, so one driver ([`replay`]) replays the
+/// same trace through any of them.
 pub trait OnlineScheduler {
     /// Advance the scheduler clock (never backwards).
     fn advance_to(&mut self, now: Time);
     /// Handle one request, committing on success.
     fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError>;
-    /// Cumulative data-structure operations so far. Takes `&mut self` so
-    /// distributed implementations may sync their counters.
-    fn total_ops(&mut self) -> u64;
+    /// Cumulative operation counters so far.
+    fn stats(&self) -> OpStats;
     /// System utilization over `[origin, until)`.
-    fn utilization(&mut self, until: Time) -> f64;
+    fn utilization(&self, until: Time) -> f64;
     /// The scheduler's current clock.
     fn now(&self) -> Time;
 }
@@ -240,10 +239,10 @@ impl OnlineScheduler for CoAllocScheduler {
     fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError> {
         CoAllocScheduler::submit(self, req)
     }
-    fn total_ops(&mut self) -> u64 {
-        self.stats().total_ops()
+    fn stats(&self) -> OpStats {
+        *CoAllocScheduler::stats(self)
     }
-    fn utilization(&mut self, until: Time) -> f64 {
+    fn utilization(&self, until: Time) -> f64 {
         CoAllocScheduler::utilization(self, until)
     }
     fn now(&self) -> Time {
@@ -251,58 +250,34 @@ impl OnlineScheduler for CoAllocScheduler {
     }
 }
 
-/// Replay `requests` (sorted by submission time) through any
-/// [`OnlineScheduler`]. The per-request protocol is identical to
-/// [`run_online`]: advance the clock to the submission time, submit, record
-/// the outcome.
-pub fn run_with<S: OnlineScheduler>(sched: &mut S, requests: &[Request], label: &str) -> RunResult {
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut makespan = sched.now();
-    let mut prev_submit = Time(i64::MIN);
-    for req in requests {
-        debug_assert!(req.submit >= prev_submit, "requests must be sorted by q_r");
-        prev_submit = req.submit;
-        sched.advance_to(req.submit);
-        let before = sched.total_ops();
-        let (start, attempts) = match sched.submit(req) {
-            Ok(grant) => {
-                makespan = makespan.max(grant.end);
-                (Some(grant.start), grant.attempts)
-            }
-            Err(ScheduleError::Exhausted { attempts, .. }) => (None, attempts),
-            Err(_) => (None, 0),
-        };
-        let total = sched.total_ops();
-        outcomes.push(Outcome {
-            submit: req.submit,
-            earliest: req.earliest_start.max(req.submit),
-            duration: req.duration,
-            servers: req.servers,
-            start,
-            attempts,
-            ops: total - before,
-        });
+impl OnlineScheduler for NaiveScheduler {
+    fn advance_to(&mut self, now: Time) {
+        NaiveScheduler::advance_to(self, now);
     }
-    let utilization = sched.utilization(makespan);
-    let total_ops = sched.total_ops();
-    RunResult {
-        label: label.to_string(),
-        outcomes,
-        utilization,
-        makespan,
-        total_ops,
+    fn submit(&mut self, req: &Request) -> Result<Grant, ScheduleError> {
+        NaiveScheduler::submit(self, req)
+    }
+    fn stats(&self) -> OpStats {
+        *NaiveScheduler::stats(self)
+    }
+    fn utilization(&self, until: Time) -> f64 {
+        NaiveScheduler::utilization(self, until)
+    }
+    fn now(&self) -> Time {
+        NaiveScheduler::now(self)
     }
 }
 
-/// Replay `requests` (sorted by submission time) through the tree-based
-/// online scheduler. Each request is handled immediately on arrival, as in
-/// Section 5.1.
-pub fn run_online(sched: &mut CoAllocScheduler, requests: &[Request], label: &str) -> RunResult {
+/// Replay `requests` (sorted by submission time) through any
+/// [`OnlineScheduler`]: each request is handled immediately on arrival, as
+/// in Section 5.1 — advance the clock to the submission time, submit,
+/// record the outcome.
+pub fn replay<S: OnlineScheduler>(sched: &mut S, requests: &[Request], label: &str) -> RunResult {
     let mut span = obs::obs_span!("sim.run", "requests" => requests.len());
     if span.active() {
-        span.record("scheduler", "online");
+        span.record("scheduler", label.to_string());
     }
-    let run_start = *sched.stats();
+    let run_start = sched.stats();
     let mut outcomes = Vec::with_capacity(requests.len());
     let mut makespan = sched.now();
     let mut prev_submit = Time(i64::MIN);
@@ -310,7 +285,7 @@ pub fn run_online(sched: &mut CoAllocScheduler, requests: &[Request], label: &st
         debug_assert!(req.submit >= prev_submit, "requests must be sorted by q_r");
         prev_submit = req.submit;
         sched.advance_to(req.submit);
-        let before = *sched.stats();
+        let before = sched.stats();
         let (start, attempts) = match sched.submit(req) {
             Ok(grant) => {
                 makespan = makespan.max(grant.end);
@@ -331,9 +306,10 @@ pub fn run_online(sched: &mut CoAllocScheduler, requests: &[Request], label: &st
         });
     }
     let utilization = sched.utilization(makespan);
+    let total = sched.stats();
     if span.active() {
         // Per-run phase breakdown: where the data-structure work went.
-        let d = sched.stats().since(&run_start);
+        let d = total.since(&run_start);
         span.record("accepted", outcomes.iter().filter(|o| o.accepted()).count());
         span.record("phase1_searches", d.phase1_searches);
         span.record("phase2_searches", d.phase2_searches);
@@ -348,52 +324,7 @@ pub fn run_online(sched: &mut CoAllocScheduler, requests: &[Request], label: &st
         outcomes,
         utilization,
         makespan,
-        total_ops: sched.stats().total_ops(),
-    }
-}
-
-/// Replay `requests` through the naive linear-scan co-allocator (the
-/// sequential baseline of Section 1).
-pub fn run_naive(sched: &mut NaiveScheduler, requests: &[Request], label: &str) -> RunResult {
-    let mut span = obs::obs_span!("sim.run", "requests" => requests.len());
-    if span.active() {
-        span.record("scheduler", "naive");
-    }
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut makespan = sched.now();
-    for req in requests {
-        sched.advance_to(req.submit);
-        let before = *sched.stats();
-        let (start, attempts) = match sched.submit(req) {
-            Ok(grant) => {
-                makespan = makespan.max(grant.end);
-                (Some(grant.start), grant.attempts)
-            }
-            Err(ScheduleError::Exhausted { attempts, .. }) => (None, attempts),
-            Err(_) => (None, 0),
-        };
-        let ops = sched.stats().since(&before).total_ops();
-        outcomes.push(Outcome {
-            submit: req.submit,
-            earliest: req.earliest_start.max(req.submit),
-            duration: req.duration,
-            servers: req.servers,
-            start,
-            attempts,
-            ops,
-        });
-    }
-    let utilization = sched.utilization(makespan);
-    if span.active() {
-        span.record("accepted", outcomes.iter().filter(|o| o.accepted()).count());
-        span.record("total_ops", sched.stats().total_ops());
-    }
-    RunResult {
-        label: label.to_string(),
-        outcomes,
-        utilization,
-        makespan,
-        total_ops: sched.stats().total_ops(),
+        total_ops: total.total_ops(),
     }
 }
 
@@ -421,7 +352,7 @@ mod tests {
     #[test]
     fn online_replay_produces_outcomes() {
         let mut s = CoAllocScheduler::new(2, cfg());
-        let r = run_online(&mut s, &reqs(), "online");
+        let r = replay(&mut s, &reqs(), "online");
         assert_eq!(r.outcomes.len(), 4);
         assert_eq!(r.label, "online");
         // Job 0 takes both servers at t=0; job 1 needs 1 server → waits.
@@ -455,7 +386,7 @@ mod tests {
     #[test]
     fn aggregations_cover_all_figures() {
         let mut s = CoAllocScheduler::new(2, cfg());
-        let r = run_online(&mut s, &reqs(), "online");
+        let r = replay(&mut s, &reqs(), "online");
         assert!(r.waiting_stats_hours().count() == 4);
         let h = r.waiting_histogram_hours(0.25, 8);
         assert_eq!(h.total(), 4);
@@ -471,7 +402,7 @@ mod tests {
         let mut s = CoAllocScheduler::new(2, cfg());
         // One job: both servers for [0, 500).
         let r = vec![Request::on_demand(Time(0), Dur(500), 2)];
-        let run = run_online(&mut s, &r, "online");
+        let run = replay(&mut s, &r, "online");
         let prof = run.utilization_profile(2, Dur(250));
         assert_eq!(prof.len(), 2);
         assert!((prof[0].1 - 1.0).abs() < 1e-9);
@@ -479,7 +410,7 @@ mod tests {
         // Partial bin overlap.
         let mut s = CoAllocScheduler::new(2, cfg());
         let r = vec![Request::on_demand(Time(100), Dur(150), 1)];
-        let run = run_online(&mut s, &r, "online");
+        let run = replay(&mut s, &r, "online");
         let prof = run.utilization_profile(2, Dur(250));
         // [100, 250) on 1 of 2 servers in the only bin: 150/(2*250) = 0.3.
         assert!((prof[0].1 - 0.3).abs() < 1e-9, "{prof:?}");
@@ -509,8 +440,8 @@ mod tests {
                 .policy(SelectionPolicy::ByServerId)
                 .build(),
         );
-        let a = run_online(&mut tree, &reqs(), "online");
-        let b = run_naive(&mut naive, &reqs(), "naive");
+        let a = replay(&mut tree, &reqs(), "online");
+        let b = replay(&mut naive, &reqs(), "naive");
         let starts_a: Vec<_> = a.outcomes.iter().map(|o| o.start).collect();
         let starts_b: Vec<_> = b.outcomes.iter().map(|o| o.start).collect();
         assert_eq!(starts_a, starts_b);

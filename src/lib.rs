@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use coalloc_net::{Client, NetConfig, Server, Session};
     pub use coalloc_shard::ShardedScheduler;
-    pub use coalloc_sim::runner::{run_naive, run_online, run_with, Outcome, RunResult};
+    pub use coalloc_sim::runner::{replay, Outcome, RunResult};
     pub use coalloc_workflow::{Dag, Mode, Stage, StageId, WorkflowPlan};
     pub use coalloc_workloads::{with_paper_reservations, WorkloadSpec, WorkloadStats};
 }

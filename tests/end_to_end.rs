@@ -21,7 +21,7 @@ fn kth_online_vs_batch_shape() {
     let spec = WorkloadSpec::kth().scaled(0.02);
     let reqs = spec.generate(7);
     let mut sched = CoAllocScheduler::new(spec.servers, paper_cfg());
-    let online = run_online(&mut sched, &reqs, "online");
+    let online = replay(&mut sched, &reqs, "online");
     let batch = run_batch(spec.servers, BatchPolicy::EasyBackfill, &reqs, "batch");
 
     // Everyone gets scheduled eventually in both systems (or nearly so —
@@ -52,7 +52,7 @@ fn small_jobs_penalized_more_under_batch() {
     let spec = WorkloadSpec::kth().scaled(0.02);
     let reqs = spec.generate(3);
     let mut sched = CoAllocScheduler::new(spec.servers, paper_cfg());
-    let online = run_online(&mut sched, &reqs, "online");
+    let online = replay(&mut sched, &reqs, "online");
     let batch = run_batch(spec.servers, BatchPolicy::EasyBackfill, &reqs, "batch");
     let po = online.penalty_by_duration_hours();
     let pb = batch.penalty_by_duration_hours();
@@ -75,7 +75,7 @@ fn waiting_grows_with_reservation_fraction() {
     for rho in [0.0, 0.5, 1.0] {
         let reqs = with_paper_reservations(&base, rho, 5);
         let mut sched = CoAllocScheduler::new(spec.servers, paper_cfg());
-        let run = run_online(&mut sched, &reqs, "online");
+        let run = replay(&mut sched, &reqs, "online");
         // The paper's Figure 7(a) basis: waiting measured from submission,
         // which includes the requested advance offset.
         waits.push(run.waiting_from_submit_stats_hours().mean());
@@ -103,8 +103,8 @@ fn naive_and_tree_agree_on_workload() {
         .build();
     let mut tree = CoAllocScheduler::new(spec.servers, cfg);
     let mut naive = NaiveScheduler::new(spec.servers, cfg);
-    let a = run_online(&mut tree, &reqs, "tree");
-    let b = run_naive(&mut naive, &reqs, "naive");
+    let a = replay(&mut tree, &reqs, "tree");
+    let b = replay(&mut naive, &reqs, "naive");
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
         assert_eq!(x.start, y.start, "divergence on {:?}", x.submit);
         assert_eq!(x.attempts, y.attempts);
@@ -202,7 +202,7 @@ fn swf_roundtrip_through_scheduler() {
     let reqs = coalloc::workloads::swf_to_requests(&jobs);
     assert_eq!(reqs.len(), 3);
     let mut sched = CoAllocScheduler::new(8, paper_cfg());
-    let run = run_online(&mut sched, &reqs, "swf");
+    let run = replay(&mut sched, &reqs, "swf");
     assert_eq!(run.acceptance_rate(), 1.0);
 }
 
@@ -213,7 +213,7 @@ fn utilization_is_consistent() {
     let spec = WorkloadSpec::kth().scaled(0.005);
     let reqs = spec.generate(23);
     let mut sched = CoAllocScheduler::new(spec.servers, paper_cfg());
-    let run = run_online(&mut sched, &reqs, "online");
+    let run = replay(&mut sched, &reqs, "online");
     let direct = sched.utilization(run.makespan);
     assert!((run.utilization - direct).abs() < 1e-9);
 }
