@@ -286,13 +286,12 @@ fn main() {
     // churn profile only borrows its server count).
     let spec = WorkloadSpec::kth().scaled(args.scale);
 
-    // In-process server unless an external address was given. A handful of
-    // event loops multiplex every connection; `max_conns` leaves headroom
+    // In-process server unless an external address was given. One event
+    // loop multiplexes every connection; `max_conns` leaves headroom
     // for the control session and reconnecting shed clients.
     let server = if args.addr.is_none() {
         Some(
             Server::bind(NetConfig {
-                workers: 4,
                 queue_depth: (args.clients * 2).max(64),
                 max_conns: args.clients + 16,
                 read_timeout: Duration::from_secs(30),

@@ -38,8 +38,6 @@ pub(crate) struct AdminState {
     pub start: Instant,
     /// Shard count the sessions run with.
     pub shards: u32,
-    /// Worker pool size.
-    pub workers: usize,
     /// Command queue bound (readiness compares depth against it).
     pub queue_capacity: usize,
     /// Whether a WAL is attached.
@@ -61,7 +59,6 @@ pub(crate) struct AdminState {
 impl AdminState {
     pub(crate) fn new(
         shards: u32,
-        workers: usize,
         queue_capacity: usize,
         wal_enabled: bool,
         slow_threshold_us: u64,
@@ -70,7 +67,6 @@ impl AdminState {
         AdminState {
             start: Instant::now(),
             shards,
-            workers,
             queue_capacity,
             wal_enabled,
             slow_threshold_us,
@@ -257,7 +253,7 @@ fn status_json(state: &AdminState) -> String {
         "\"initialized\":{},",
         state.initialized.load(Ordering::Relaxed)
     ));
-    out.push_str(&format!("\"shards\":{},\"workers\":{},", state.shards, state.workers));
+    out.push_str(&format!("\"shards\":{},", state.shards));
     out.push_str(&format!(
         "\"scheduler\":{{\"servers\":{},\"now\":{},\"utilization\":{util:.6}}},",
         state.servers.load(Ordering::Relaxed),
@@ -335,7 +331,7 @@ mod tests {
 
     #[test]
     fn status_json_is_valid_json() {
-        let state = AdminState::new(2, 8, 64, true, 100_000, Arc::new(AtomicBool::new(false)));
+        let state = AdminState::new(2, 64, true, 100_000, Arc::new(AtomicBool::new(false)));
         state.servers.store(16, Ordering::Relaxed);
         state.util_ppm.store(421_337, Ordering::Relaxed);
         state.initialized.store(true, Ordering::Relaxed);

@@ -1,29 +1,35 @@
-//! The event-driven connection plane: one readiness loop per I/O thread,
-//! each owning many nonblocking connections (DESIGN.md §10).
+//! The event-driven connection plane: one readiness loop on one I/O
+//! thread, owning the listener and every nonblocking connection
+//! (DESIGN.md §10).
 //!
-//! Every I/O thread runs a `poll(2)` loop (via `coalloc-poller`, the
-//! workspace's only unsafe code) over its connections plus a self-pipe.
-//! The loop:
+//! The I/O thread runs a `poll(2)` loop (via `coalloc-poller`, the
+//! workspace's only unsafe code) over the listener, its connections and a
+//! self-pipe. The loop:
 //!
-//! 1. **reads** until `WouldBlock` into a per-connection buffer and slices
+//! 1. **accepts** until `WouldBlock`: a connection is registered while
+//!    fewer than `max_conns` are open, and shed at the edge with
+//!    [`BUSY_REPLY`] and a close otherwise;
+//! 2. **reads** until `WouldBlock` into a per-connection buffer and slices
 //!    *every complete line* out of it — a whole pipelined burst becomes one
 //!    [`Batch`] and crosses the bounded scheduler queue **once**, which is
 //!    what feeds `Session::exec_batch` real batch sizes;
-//! 2. **resequences** completions: replies can come back out of order per
+//! 3. **resequences** completions: replies can come back out of order per
 //!    connection (the WAL withholds mutating replies for their group-commit
 //!    fsync while read-only replies release immediately), so each line
 //!    carries a per-connection sequence number and the loop buffers replies
 //!    until every earlier one is written — the reply stream stays
 //!    byte-identical to the same script on stdin;
-//! 3. **writes** replies from a per-connection buffer, many replies per
+//! 4. **writes** replies from a per-connection buffer, many replies per
 //!    syscall; a slow reader leaves bytes buffered, the loop switches that
 //!    fd to writable-readiness (`POLLOUT`) and stops reading from it once
 //!    the buffer passes a high-water mark — natural pipelining
 //!    backpressure, bounded by the write timeout.
 //!
-//! Wakeups from outside the loop (new connections from the accept thread,
-//! completions from the scheduler thread) arrive as one byte on the
-//! self-pipe, so the loop never spins and never misses work.
+//! Wakeups from outside the loop (completions from the scheduler thread,
+//! the drain signal) arrive as one byte on the self-pipe, so the loop
+//! never spins and never misses work. On drain the loop drops the
+//! listener, so new connects are refused, and closes each connection once
+//! every reply it is owed has been written.
 //!
 //! Timeouts are poll-deadline driven: a partial line older than the read
 //! timeout is cut off (`error: line timeout`, anti-slow-loris), a
@@ -35,22 +41,22 @@
 
 use crate::proto::BUSY_REPLY;
 use crate::server::{
-    NetConfig, ACTIVE, CONN_PANICS, ERRORS, LINES, QUEUE_DEPTH, READ_BATCH_LINES, REPLIES, SHED,
-    SHED_QUEUE,
+    NetConfig, ACTIVE, CONNECTIONS, CONN_PANICS, ERRORS, LINES, QUEUE_DEPTH, READ_BATCH_LINES,
+    REPLIES, SHED, SHED_ACCEPT, SHED_QUEUE,
 };
 use crate::session::Session;
 use crate::slow;
 use crate::stage::Stamps;
 use coalloc_poller::{poll, PollFd, POLLIN, POLLOUT};
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Most bytes read from one connection per readiness round, so one
@@ -68,7 +74,6 @@ const WBUF_PAUSE_READS: usize = 256 * 1024;
 /// that died and whose slot was recycled is dropped, never cross-delivered.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ConnToken {
-    pub loop_id: usize,
     pub slot: usize,
     pub gen: u64,
 }
@@ -103,8 +108,9 @@ pub(crate) struct Done {
     pub shed: bool,
 }
 
-/// The scheduler thread's handle to one I/O loop: a completion channel
-/// plus the self-pipe writer that wakes the loop after a send.
+/// A handle to the I/O loop: the completion channel plus the self-pipe
+/// writer that wakes the loop after a send (or to observe a drain).
+#[derive(Clone)]
 pub(crate) struct IoSender {
     done_tx: Sender<Done>,
     wake: Arc<UnixStream>,
@@ -122,44 +128,25 @@ impl IoSender {
     }
 }
 
-/// The accept thread's / server's handle to one I/O loop: the hand-off
-/// queue for fresh connections, the wake pipe, and the join handle.
-pub(crate) struct IoLoopHandle {
-    pub incoming: Arc<Mutex<VecDeque<TcpStream>>>,
-    pub wake: Arc<UnixStream>,
-    pub join: std::thread::JoinHandle<()>,
-}
-
-impl IoLoopHandle {
-    pub(crate) fn wake(&self) {
-        let _ = (&*self.wake).write(&[1u8]);
-    }
-}
-
-/// Spawn one I/O event loop. `active` is the server-wide connection count
-/// the accept thread's admission control compares against `max_conns`; the
-/// loop decrements it as connections close.
+/// Spawn the I/O event loop over `listener`. The loop's own count of open
+/// connections is what admission control compares against `max_conns`.
 pub(crate) fn spawn_io_loop(
-    loop_id: usize,
+    listener: TcpListener,
     cfg: &NetConfig,
     job_tx: SyncSender<Batch>,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicI64>,
-) -> std::io::Result<(IoLoopHandle, IoSender)> {
+) -> std::io::Result<(JoinHandle<()>, IoSender)> {
+    listener.set_nonblocking(true)?;
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
-    let wake = Arc::new(wake_tx);
     let (done_tx, done_rx) = mpsc::channel::<Done>();
-    let incoming: Arc<Mutex<VecDeque<TcpStream>>> = Arc::new(Mutex::new(VecDeque::new()));
 
     let mut state = IoLoop {
-        id: loop_id,
         cfg: cfg.clone(),
+        listener: Some(listener),
         job_tx,
         stop,
-        active,
-        incoming: Arc::clone(&incoming),
         wake_rx,
         done_rx,
         conns: Vec::new(),
@@ -168,25 +155,19 @@ pub(crate) fn spawn_io_loop(
         next_gen: 0,
     };
     let join = std::thread::Builder::new()
-        .name(format!("coalloc-net-io-{loop_id}"))
+        .name("coalloc-net-io".into())
         .spawn(move || {
-            // Shed-and-log: a panic here takes this loop's connections down
-            // (they have no other thread to live on) but the rest of the
-            // server keeps serving; the counter makes it visible.
+            // Shed-and-log: a panic here takes every connection down (they
+            // have no other thread to live on); the counter makes it
+            // visible, and the scheduler drains what was already queued.
             if std::panic::catch_unwind(AssertUnwindSafe(|| state.run())).is_err() {
                 CONN_PANICS.inc();
                 ERRORS.inc();
-                eprintln!("coalloc-net: io loop {loop_id} panicked, its connections are lost");
+                eprintln!("coalloc-net: io loop panicked, its connections are lost");
             }
         })?;
-    Ok((
-        IoLoopHandle {
-            incoming,
-            wake: Arc::clone(&wake),
-            join,
-        },
-        IoSender { done_tx, wake },
-    ))
+    let wake = Arc::new(wake_tx);
+    Ok((join, IoSender { done_tx, wake }))
 }
 
 fn next_conn_id() -> u64 {
@@ -357,15 +338,14 @@ impl Conn {
     }
 }
 
-/// The per-thread event loop. All state is owned; the only shared pieces
-/// are the incoming hand-off queue, the wake pipe and the channels.
+/// The event loop. All state is owned; the only shared pieces are the
+/// stop flag, the wake pipe and the channels.
 struct IoLoop {
-    id: usize,
     cfg: NetConfig,
+    /// `None` once draining: new connects are refused.
+    listener: Option<TcpListener>,
     job_tx: SyncSender<Batch>,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicI64>,
-    incoming: Arc<Mutex<VecDeque<TcpStream>>>,
     wake_rx: UnixStream,
     done_rx: Receiver<Done>,
     conns: Vec<Option<Conn>>,
@@ -391,13 +371,18 @@ impl IoLoop {
                 }
             }
 
-            // Build the poll set: the self-pipe plus every connection with
-            // a current interest. Interest-free connections (e.g. waiting
-            // only on scheduler completions) are deliberately not polled —
-            // a hung-up fd would spin a level-triggered loop.
+            // Build the poll set: the self-pipe, the listener until drain,
+            // and every connection with a current interest. Interest-free
+            // connections (e.g. waiting only on scheduler completions) are
+            // deliberately not polled — a hung-up fd would spin a
+            // level-triggered loop.
             pfds.clear();
             slots.clear();
             pfds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+            if let Some(l) = &self.listener {
+                pfds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+            }
+            let first_conn = pfds.len();
             let now = Instant::now();
             let mut deadline: Option<Instant> = None;
             for (slot, conn) in self.conns.iter().enumerate() {
@@ -430,7 +415,9 @@ impl IoLoop {
                 while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
             }
 
-            self.take_incoming(now);
+            if first_conn > 1 && pfds[1].readable() {
+                self.accept(now);
+            }
 
             // Scheduler completions → resequence into reply buffers.
             while let Ok(done) = self.done_rx.try_recv() {
@@ -439,11 +426,11 @@ impl IoLoop {
 
             // Socket readiness. Writes first: freeing reply-buffer space
             // can re-enable reads that backpressure had paused.
-            for (i, pfd) in pfds.iter().enumerate().skip(1) {
+            for (i, pfd) in pfds.iter().enumerate().skip(first_conn) {
                 if pfd.revents == 0 {
                     continue;
                 }
-                let slot = slots[i - 1];
+                let slot = slots[i - first_conn];
                 if pfd.writable() {
                     if let Some(c) = self.conns[slot].as_mut() {
                         c.try_flush();
@@ -458,9 +445,11 @@ impl IoLoop {
         }
     }
 
-    /// Force every connection into drain mode: stop reading, discard any
+    /// Stop accepting (dropping the listener refuses new connects) and
+    /// force every connection into drain mode: stop reading, discard any
     /// partial line, close once the owed replies are flushed.
     fn begin_drain(&mut self) {
+        self.listener = None;
         for conn in self.conns.iter_mut().flatten() {
             if !conn.read_closed {
                 conn.read_closed = true;
@@ -468,24 +457,38 @@ impl IoLoop {
                 conn.line_start = None;
             }
         }
-        // Accepted-but-unregistered connections are past saving: the
-        // accept thread already counted them, so balance the books.
-        let mut q = self.incoming.lock().unwrap_or_else(|e| e.into_inner());
-        while q.pop_front().is_some() {
-            self.active.fetch_sub(1, Ordering::SeqCst);
-        }
     }
 
-    /// Register connections the accept thread handed off.
-    fn take_incoming(&mut self, now: Instant) {
+    /// Accept until `WouldBlock`. Admission control: past `max_conns` open
+    /// connections a newcomer is shed at the edge instead of registered.
+    fn accept(&mut self, now: Instant) {
         loop {
-            let stream = {
-                let mut q = self.incoming.lock().unwrap_or_else(|e| e.into_inner());
-                q.pop_front()
+            let Some(listener) = &self.listener else {
+                return;
             };
-            let Some(stream) = stream else { break };
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // `WouldBlock`: the backlog is empty (anything else, poll
+                // reports the listener again).
+                Err(_) => return,
+            };
+            CONNECTIONS.inc();
+            if self.open >= self.cfg.max_conns.max(1) {
+                SHED.inc();
+                SHED_ACCEPT.inc();
+                // A fresh socket's send buffer is empty, so the busy line
+                // goes out whole without blocking the loop. Half-close so
+                // it travels with a FIN. If the client already pipelined a
+                // command the close may still surface as a reset on its
+                // side; PROTOCOL.md tells clients to treat that as a shed
+                // and reconnect.
+                let _ = stream.set_nonblocking(true);
+                let _ = (&stream).write_all(format!("{BUSY_REPLY}\n").as_bytes());
+                let _ = stream.shutdown(Shutdown::Write);
+                continue;
+            }
             if stream.set_nonblocking(true).is_err() {
-                self.active.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
             let _ = stream.set_nodelay(true);
@@ -551,11 +554,7 @@ impl IoLoop {
     /// scheduler queue once with all of them.
     fn frame_and_submit(&mut self, slot: usize, now: Instant) {
         let Some(c) = self.conns[slot].as_mut() else { return };
-        let token = ConnToken {
-            loop_id: self.id,
-            slot,
-            gen: c.gen,
-        };
+        let token = ConnToken { slot, gen: c.gen };
         let mut lines: Vec<LineJob> = Vec::new();
         let mut pos = 0usize;
         let mut too_long = false;
@@ -733,7 +732,6 @@ impl IoLoop {
             self.free.push(slot);
             self.open -= 1;
             ACTIVE.add(-1);
-            self.active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }

@@ -8,12 +8,13 @@
 //!   parser surface, the generated `help` reply and the protocol docs;
 //! * [`session`] — the command interpreter ([`Session`]), shared verbatim
 //!   by the stdin loop and the TCP path;
-//! * [`server`] — the event-driven front-end ([`Server`]): accept thread →
-//!   a few `poll(2)` event loops (each multiplexing many connections;
-//!   `event`, private) → bounded batch queue → one scheduler thread, with
-//!   admission control (`busy retry-after` sheds past `max_conns` and on a
-//!   full queue), poll-deadline read/idle/write timeouts, a max-line bound
-//!   and graceful drain. Whole pipelined bursts cross the queue as one
+//! * [`server`] — the event-driven front-end ([`Server`]): one `poll(2)`
+//!   event loop (listener and every connection; `event`, private) →
+//!   bounded batch queue → one scheduler thread answering one pass of
+//!   queued lines per [`Session::exec_batch`] call, with admission control
+//!   (`busy retry-after` sheds past `max_conns` and on a full queue),
+//!   poll-deadline read/idle/write timeouts, a max-line bound and graceful
+//!   drain. Whole pipelined bursts cross the queue as one
 //!   batch; replies are resequenced per connection, so reply order is
 //!   exactly request order even though the WAL releases read-only replies
 //!   before fsynced mutating ones. With [`WalOptions`] set, the scheduler

@@ -1,57 +1,56 @@
 //! The event-driven TCP front-end.
 //!
-//! Threading model (DESIGN.md §10): one **accept thread** admits
-//! connections (global `max_conns` bound, shed with [`BUSY_REPLY`] beyond
-//! it) and hands each to one of a fixed set of **I/O event-loop threads**
-//! round-robin. Each loop (the private `event` module) multiplexes *all* of its
-//! connections over `poll(2)`: it frames whole pipelined bursts of lines
-//! per readiness round and crosses the bounded scheduler queue **once per
-//! burst**, not once per line. The single **scheduler thread** owns the
-//! [`Session`], flattens incoming batches into one arrival-ordered run
-//! queue, and executes command lines strictly in that order — which is
-//! what keeps the server's decisions deterministic and every per-session
-//! reply stream byte-identical to the same script on stdin (replies are
-//! resequenced per connection on the way out; see `event.rs`).
+//! Threading model (DESIGN.md §10): one **I/O event-loop thread** (the
+//! private `event` module) owns the listener and multiplexes *every*
+//! connection over `poll(2)`: it admits connections, frames whole
+//! pipelined bursts of lines per readiness round and crosses the bounded
+//! scheduler queue **once per burst**, not once per line. The single
+//! **scheduler thread** owns the [`Session`], flattens incoming batches
+//! into one arrival-ordered run queue, and answers it one *pass* at a time
+//! — one [`Session::exec_batch`] call over the queued lines, in order —
+//! which is what keeps the server's decisions deterministic and every
+//! per-session reply stream byte-identical to the same script on stdin
+//! (replies are resequenced per connection on the way out; see
+//! `event.rs`).
 //!
 //! Admission control happens at both bounded edges: past `max_conns` the
-//! accept thread sheds with [`BUSY_REPLY`]; a full command queue sheds
-//! every line of the rejected burst with [`BUSY_REPLY`] instead of
+//! event loop sheds at accept with [`BUSY_REPLY`]; a full command queue
+//! sheds every line of the rejected burst with [`BUSY_REPLY`] instead of
 //! queueing unboundedly (`net_shed_total`). Slow or hostile clients are
 //! bounded by the per-line read deadline (anti-slow-loris), the idle
 //! timeout, the write-stall timeout and the maximum line length — all
-//! enforced by poll deadlines, so one hostile client never ties up a
-//! thread.
+//! enforced by poll deadlines, so one hostile client never ties up the
+//! loop.
+//!
+//! [`BUSY_REPLY`]: proto::BUSY_REPLY
 
 use crate::admin::{AdminPlane, AdminState};
-use crate::event::{self, Batch, ConnToken, Done, IoLoopHandle, IoSender};
-use crate::proto::{self, BUSY_REPLY};
+use crate::event::{self, Batch, ConnToken, Done, IoSender};
+use crate::proto;
 use crate::session::Session;
 use crate::slow;
 use crate::stage::Stamps;
 use coalloc_wal::{Wal, WalConfig, WalError};
 use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::UnixStream;
-use std::panic::AssertUnwindSafe;
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-static CONNECTIONS: LazyCounter = LazyCounter::new("net_connections_total");
+pub(crate) static CONNECTIONS: LazyCounter = LazyCounter::new("net_connections_total");
 pub(crate) static ACTIVE: LazyGauge = LazyGauge::new("net_conns_active");
 pub(crate) static LINES: LazyCounter = LazyCounter::new("net_lines_total");
 pub(crate) static REPLIES: LazyCounter = LazyCounter::new("net_replies_total");
 pub(crate) static SHED: LazyCounter = LazyCounter::new("net_shed_total");
-static SHED_ACCEPT: LazyCounter = LazyCounter::new("net_shed_accept_total");
+pub(crate) static SHED_ACCEPT: LazyCounter = LazyCounter::new("net_shed_accept_total");
 pub(crate) static SHED_QUEUE: LazyCounter = LazyCounter::new("net_shed_queue_total");
 pub(crate) static ERRORS: LazyCounter = LazyCounter::new("net_errors_total");
 static REQUEST_US: LazyHistogram = LazyHistogram::new("net_request_us");
-static EXEC_PANICS: LazyCounter = LazyCounter::new("net_exec_panics_total");
 pub(crate) static CONN_PANICS: LazyCounter = LazyCounter::new("net_conn_panics_total");
 static WAL_REPLAYED: LazyCounter = LazyCounter::new("wal_recovery_replayed_total");
 static WAL_FLUSH_FAILURES: LazyCounter = LazyCounter::new("wal_flush_failures_total");
@@ -60,10 +59,6 @@ static WAL_FLUSH_FAILURES: LazyCounter = LazyCounter::new("wal_flush_failures_to
 /// enqueuing I/O loop, decremented by the scheduler's dequeue, so the
 /// admin plane's `/readyz` can compare it against the queue bound.
 pub(crate) static QUEUE_DEPTH: LazyGauge = LazyGauge::new("net_queue_depth");
-/// Lines per scheduler batch: how many queued `submit` commands each
-/// scheduler pass grouped into one `submit_batch` call. Mostly 1 at low
-/// load; grows with pipelining depth and concurrent connections.
-static BATCH_LINES: LazyHistogram = LazyHistogram::new("net_batch_lines");
 /// Lines per queue crossing: how many complete lines one I/O readiness
 /// round framed and shipped to the scheduler as a single batch. The
 /// event-loop analogue of syscall batching — higher is cheaper.
@@ -75,16 +70,11 @@ pub(crate) static READ_BATCH_LINES: LazyHistogram = LazyHistogram::new("net_read
 pub struct NetConfig {
     /// Address to bind, e.g. `127.0.0.1:7077` (port 0 picks a free port).
     pub addr: String,
-    /// I/O event-loop threads. Each loop multiplexes many connections via
-    /// `poll(2)`, so this sizes reply/framing parallelism, **not** the
-    /// connection limit (that is [`NetConfig::max_conns`]). A few loops
-    /// are plenty: the scheduler thread is the serial resource.
-    pub workers: usize,
-    /// Bound of the batch queue between the I/O loops and the scheduler
+    /// Bound of the batch queue between the I/O loop and the scheduler
     /// thread, in *batches* (one batch = one pipelined read burst).
     pub queue_depth: usize,
-    /// Maximum concurrently admitted connections across all I/O loops.
-    /// Connections beyond it are shed at accept with [`BUSY_REPLY`].
+    /// Maximum concurrently admitted connections. Connections beyond it
+    /// are shed at accept with [`BUSY_REPLY`](proto::BUSY_REPLY).
     pub max_conns: usize,
     /// Maximum accepted line length in bytes (newline excluded).
     pub max_line: usize,
@@ -166,7 +156,6 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
             queue_depth: 64,
             max_conns: 4096,
             max_line: crate::proto::DEFAULT_MAX_LINE,
@@ -198,15 +187,14 @@ impl Default for NetConfig {
 pub struct Server {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    io_handles: Vec<IoLoopHandle>,
+    io: Option<(JoinHandle<()>, IoSender)>,
     sched_handle: Option<JoinHandle<()>>,
     admin: Option<AdminPlane>,
 }
 
 impl Server {
-    /// Bind `cfg.addr` and spawn the accept thread, the I/O event loops
-    /// and the scheduler thread. Returns once the listener is live
+    /// Bind `cfg.addr` and spawn the I/O event loop and the scheduler
+    /// thread. Returns once the listener is live
     /// (connections race no startup window). With `cfg.wal` set, the
     /// previous state is recovered from the log first; a corrupt or
     /// diverging log fails the bind rather than silently serving from a
@@ -239,7 +227,6 @@ impl Server {
             Some(addr) => {
                 let state = Arc::new(AdminState::new(
                     cfg.shards,
-                    cfg.workers.max(1),
                     cfg.queue_depth.max(1),
                     wal.is_some(),
                     cfg.slow_threshold.as_micros() as u64,
@@ -254,46 +241,24 @@ impl Server {
             None => None,
         };
 
-        // The I/O event loops: each owns a share of the connections. A
-        // failed spawn stops and wakes the loops spawned so far (they exit
-        // with zero connections), then aborts the bind.
+        // The I/O event loop owns the listener and every connection; it
+        // holds the only batch sender, so the scheduler exits once it is
+        // gone.
         let (job_tx, job_rx) = mpsc::sync_channel::<Batch>(cfg.queue_depth.max(1));
-        let active = Arc::new(AtomicI64::new(0));
-        let n_loops = cfg.workers.max(1);
-        let mut io_handles: Vec<IoLoopHandle> = Vec::with_capacity(n_loops);
-        let mut io_senders: Vec<IoSender> = Vec::with_capacity(n_loops);
-        for i in 0..n_loops {
-            let spawned = event::spawn_io_loop(
-                i,
-                &cfg,
-                job_tx.clone(),
-                Arc::clone(&stop),
-                Arc::clone(&active),
-            );
-            match spawned {
-                Ok((handle, sender)) => {
-                    io_handles.push(handle);
-                    io_senders.push(sender);
-                }
-                Err(e) => {
-                    stop.store(true, Ordering::SeqCst);
-                    for h in &io_handles {
-                        h.wake();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        drop(job_tx); // scheduler exits once every I/O loop is gone
+        let (io_handle, io) = event::spawn_io_loop(listener, &cfg, job_tx, Arc::clone(&stop))?;
 
         // The scheduler thread: sole owner of the session; executes command
-        // lines strictly in queue-arrival order.
+        // lines strictly in queue-arrival order. A failed spawn stops and
+        // wakes the I/O loop, then aborts the bind.
         let ctx = SchedCtx {
             exec_delay: cfg.exec_delay,
             stall_substr: cfg.stall_substr.clone(),
             admin: admin_state.map(|(_, state)| state),
         };
-        let comps = Completions::new(io_senders);
+        let comps = Completions {
+            io: io.clone(),
+            touched: false,
+        };
         let sched_handle = match std::thread::Builder::new()
             .name("coalloc-net-sched".into())
             .spawn(move || scheduler_loop(job_rx, session, ctx, wal, comps))
@@ -301,30 +266,8 @@ impl Server {
             Ok(h) => h,
             Err(e) => {
                 stop.store(true, Ordering::SeqCst);
-                for h in &io_handles {
-                    h.wake();
-                }
-                return Err(e);
-            }
-        };
-
-        let accept_targets: Vec<AcceptTarget> = io_handles
-            .iter()
-            .map(|h| (Arc::clone(&h.incoming), Arc::clone(&h.wake)))
-            .collect();
-        let accept_stop = Arc::clone(&stop);
-        let accept_active = Arc::clone(&active);
-        let max_conns = cfg.max_conns.max(1);
-        let accept_handle = match std::thread::Builder::new()
-            .name("coalloc-net-accept".into())
-            .spawn(move || accept_loop(listener, accept_targets, accept_active, max_conns, accept_stop))
-        {
-            Ok(h) => h,
-            Err(e) => {
-                stop.store(true, Ordering::SeqCst);
-                for h in &io_handles {
-                    h.wake();
-                }
+                io.wake();
+                let _ = io_handle.join();
                 return Err(e);
             }
         };
@@ -332,8 +275,7 @@ impl Server {
         Ok(Server {
             local_addr,
             stop,
-            accept_handle: Some(accept_handle),
-            io_handles,
+            io: Some((io_handle, io)),
             sched_handle: Some(sched_handle),
             admin,
         })
@@ -361,21 +303,15 @@ impl Server {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a no-op connection to ourselves.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
+        // Wake the I/O loop so it observes `stop` and enters drain mode:
+        // drop the listener, stop reading, finish flushing owed replies,
+        // close, exit. The scheduler keeps answering its in-flight batches
+        // meanwhile.
+        if let Some((handle, io)) = self.io.take() {
+            io.wake();
+            let _ = handle.join();
         }
-        // Wake the I/O loops so they observe `stop` and enter drain mode:
-        // stop reading, finish flushing owed replies, close, exit. The
-        // scheduler keeps answering their in-flight batches meanwhile.
-        for h in &self.io_handles {
-            h.wake();
-        }
-        for h in self.io_handles.drain(..) {
-            let _ = h.join.join();
-        }
-        // The loops held the only batch senders, so the scheduler's next
+        // The loop held the only batch sender, so the scheduler's next
         // recv disconnects once the queued batches are drained (durable
         // mode takes its shutdown fsync on the way out).
         if let Some(h) = self.sched_handle.take() {
@@ -395,51 +331,6 @@ impl Drop for Server {
     }
 }
 
-/// Hand-off point for one I/O loop: its pending-connection queue plus the
-/// wake pipe that pulls the loop out of `poll(2)` after a push.
-type AcceptTarget = (Arc<Mutex<VecDeque<TcpStream>>>, Arc<UnixStream>);
-
-fn accept_loop(
-    listener: TcpListener,
-    loops: Vec<AcceptTarget>,
-    active: Arc<AtomicI64>,
-    max_conns: usize,
-    stop: Arc<AtomicBool>,
-) {
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        CONNECTIONS.inc();
-        // Admission control: claim a connection slot optimistically; past
-        // the bound, give it back and shed at the edge.
-        if active.fetch_add(1, Ordering::SeqCst) >= max_conns as i64 {
-            active.fetch_sub(1, Ordering::SeqCst);
-            SHED.inc();
-            SHED_ACCEPT.inc();
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let _ = stream.write_all(format!("{BUSY_REPLY}\n").as_bytes());
-            // Half-close so the busy reply travels with a FIN. If the
-            // client already pipelined a command the close may still
-            // surface as a reset on its side; PROTOCOL.md tells clients
-            // to treat that as a shed and reconnect.
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            continue;
-        }
-        // Round-robin across the I/O loops; the wake byte tells the loop
-        // to register its new connection.
-        let (incoming, wake) = &loops[next % loops.len()];
-        next = next.wrapping_add(1);
-        incoming
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(stream);
-        let _ = (&**wake).write(&[1u8]);
-    }
-}
-
 /// Map a WAL failure to the bind error surface.
 fn wal_io(e: WalError) -> std::io::Error {
     match e {
@@ -452,54 +343,10 @@ fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, msg)
 }
 
-/// Largest number of queued `submit` lines grouped into one scheduler batch
-/// (bounds reply-latency spread within a group; the queue bound usually
-/// bites first).
-const GROUP_MAX: usize = 256;
-
-/// Whether a queued line may join a scheduler batch: only `submit` commands
-/// are grouped. Anything else — `release`, `advance`, `load`, `snapshot`,
-/// `stats`, … — is a batch *barrier*: its reply or effect depends on every
-/// earlier command having fully executed. Groups form both across
-/// concurrent connections and *within* one pipelining connection — the
-/// event loop frames a whole pipelined burst into one queue batch, so a
-/// single client streaming submits feeds real batch sizes.
-fn batchable(line: &str) -> bool {
-    line.split_whitespace().next() == Some("submit")
-}
-
-/// Execute a group of lines — a run of submits as one
-/// [`Session::exec_batch`] call when `batched`, otherwise line by line —
-/// converting a panic into a shed-and-log error reply instead of poisoning
-/// the scheduler thread (and with it every connection). A panic sheds the
-/// whole group — a batch is a single scheduler call, so per-line blame is
-/// unknowable.
-fn exec_guarded(
-    session: &mut Session,
-    lines: &[&str],
-    batched: bool,
-) -> Vec<Result<String, String>> {
-    let exec = AssertUnwindSafe(|| match batched {
-        true => session.exec_batch(lines),
-        false => lines.iter().map(|l| session.exec(l)).collect(),
-    });
-    match std::panic::catch_unwind(exec) {
-        Ok(results) => results,
-        Err(_) => {
-            EXEC_PANICS.inc();
-            ERRORS.add(lines.len() as u64);
-            eprintln!(
-                "coalloc-net: command panicked, shedding {} line(s) from: {}",
-                lines.len(),
-                lines[0]
-            );
-            lines
-                .iter()
-                .map(|_| Err("internal error: command panicked (see server log)".into()))
-                .collect()
-        }
-    }
-}
+/// Largest number of queued lines one scheduler pass answers (bounds
+/// reply-latency spread within a pass; the queue bound usually bites
+/// first).
+const PASS_MAX: usize = 256;
 
 /// Open the WAL and rebuild the session it describes: install the newest
 /// snapshot on the engine `shards` selects (the image does not depend on
@@ -527,7 +374,8 @@ fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
         let (line, logged_reply) = text
             .split_once('\n')
             .ok_or_else(|| invalid(format!("wal: record {i} has no reply separator")))?;
-        let replayed = exec_guarded(&mut session, &[line], false)
+        let replayed = session
+            .exec_batch(&[line])
             .pop()
             .expect("one line, one result")
             .map_err(|e| invalid(format!("wal: record {i} ({line:?}) failed on replay: {e}")))?;
@@ -543,27 +391,22 @@ fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
     Ok((wal, session))
 }
 
-/// The scheduler's fan-out to the I/O loops, waking each touched loop at
-/// most once per release point instead of once per reply.
+/// The scheduler's line back to the I/O loop, waking it at most once per
+/// release point instead of once per reply.
 struct Completions {
-    io: Vec<IoSender>,
-    touched: Vec<bool>,
+    io: IoSender,
+    /// A completion was sent since the last wake.
+    touched: bool,
 }
 
 impl Completions {
-    fn new(io: Vec<IoSender>) -> Completions {
-        let touched = vec![false; io.len()];
-        Completions { io, touched }
-    }
-
-    /// Release one reply to its connection's I/O loop — the one place a
-    /// [`Done`] is built. A dead connection just drops the reply there; the
-    /// command's effect stands (documented at-most-once reply delivery).
+    /// Release one reply to the I/O loop — the one place a [`Done`] is
+    /// built. A dead connection just drops the reply there; the command's
+    /// effect stands (documented at-most-once reply delivery).
     fn release(&mut self, mut item: Item, text: String) {
         item.stamps.mark_released();
         REQUEST_US.observe(item.stamps.enqueued.elapsed().as_micros() as u64);
-        let loop_id = item.token.loop_id;
-        self.io[loop_id].send(Done {
+        self.io.send(Done {
             slot: item.token.slot,
             gen: item.token.gen,
             seq: item.seq,
@@ -572,16 +415,13 @@ impl Completions {
             stamps: item.stamps,
             shed: false,
         });
-        self.touched[loop_id] = true;
+        self.touched = true;
     }
 
-    /// Wake every loop that received a completion since the last wake.
+    /// Wake the loop if it received a completion since the last wake.
     fn wake(&mut self) {
-        for (i, touched) in self.touched.iter_mut().enumerate() {
-            if *touched {
-                self.io[i].wake();
-                *touched = false;
-            }
+        if std::mem::take(&mut self.touched) {
+            self.io.wake();
         }
     }
 }
@@ -763,31 +603,18 @@ impl SchedCtx {
     }
 }
 
-/// Pop the scheduler's next group off the front of the run queue into the
-/// (empty) `group`: `first` and the run of consecutive batchable lines
-/// behind it, up to `max` lines in all.
-fn take_group(first: Item, q: &mut VecDeque<Item>, max: usize, group: &mut Vec<Item>) {
-    group.push(first);
-    while group.len() < max {
-        match q.front() {
-            Some(next) if batchable(&next.line) => {
-                group.push(q.pop_front().expect("front exists"));
-            }
-            _ => break,
-        }
-    }
-}
-
 /// The scheduler thread: execute the queued command lines strictly in
 /// arrival order and route each outcome through the [`Outbox`].
 ///
-/// Runs of submit lines on the flattened queue — within one pipelined burst
-/// or across connections — become one scheduler batch per pass; every other
-/// line is a group of one. Under a write-ahead log the replies of mutating
-/// commands are withheld until an fsync covers them, and a flush happens
-/// when the queue goes idle (adaptive), when the oldest withheld reply has
-/// waited `flush_interval`, or when the fsync batch is full. With nothing
-/// withheld — always, without a log — the thread simply blocks for work.
+/// Each turn of the loop is one *pass*: up to [`PASS_MAX`] queued lines —
+/// within one pipelined burst or across connections — answered by one
+/// [`Session::exec_batch`] call (which decides each run of submits as one
+/// scheduler batch), then one wake of the I/O loop. Under a write-ahead
+/// log the replies of mutating commands are withheld until an fsync covers
+/// them, and a flush happens when the queue goes idle (adaptive), when the
+/// oldest withheld reply has waited `flush_interval`, or when the fsync
+/// batch is full. With nothing withheld — always, without a log — the
+/// thread simply blocks for work.
 fn scheduler_loop(
     rx: Receiver<Batch>,
     mut session: Session,
@@ -804,7 +631,7 @@ fn scheduler_loop(
     };
     let mut last_refresh = Instant::now() - STATUS_REFRESH;
     let mut q: VecDeque<Item> = VecDeque::new();
-    let mut group: Vec<Item> = Vec::new();
+    let mut pass: Vec<Item> = Vec::new();
     let mut connected = true;
     loop {
         if q.is_empty() {
@@ -845,29 +672,32 @@ fn scheduler_loop(
                 Err(mpsc::TryRecvError::Disconnected) => connected = false,
             }
         }
-        let Some(first) = q.pop_front() else { continue };
-        // One guarded call decides the whole group — a run of submits as
-        // one scheduler batch, or any other line alone; under a log each
-        // line then gets its own record, in group order, and the adaptive
-        // flush covers them all with a single fsync.
-        let batched = batchable(&first.line);
-        take_group(first, &mut q, if batched { GROUP_MAX } else { 1 }, &mut group);
-        if batched {
-            BATCH_LINES.observe(group.len() as u64);
+        // A pass ends right after a `load`: its outcome is logged as a
+        // snapshot of the session as that `load` left it.
+        while pass.len() < PASS_MAX {
+            let Some(it) = q.pop_front() else { break };
+            let load = it.line.split_whitespace().next() == Some("load");
+            pass.push(it);
+            if load {
+                break;
+            }
         }
-        for it in &group {
+        for it in &pass {
             ctx.maybe_stall(&it.line);
         }
-        let lines: Vec<&str> = group.iter().map(|i| i.line.as_str()).collect();
-        let results = exec_guarded(&mut session, &lines, batched);
+        // One call decides the whole pass; under a log each line then gets
+        // its own record, in order, and the adaptive flush covers them all
+        // with a single fsync.
+        let lines: Vec<&str> = pass.iter().map(|i| i.line.as_str()).collect();
+        let results = session.exec_batch(&lines);
         ctx.maybe_refresh(&session, &mut last_refresh);
-        for (mut it, result) in group.drain(..).zip(results) {
+        for (mut it, result) in pass.drain(..).zip(results) {
             it.stamps.mark_decided();
             out.complete(it, result, &session);
         }
         out.comps.wake();
     }
-    // Graceful drain: the I/O loops are gone, but every acknowledged
+    // Graceful drain: the I/O loop is gone, but every acknowledged
     // command must be durable before the thread exits — the shutdown fsync.
     out.flush();
 }

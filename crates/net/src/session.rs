@@ -8,9 +8,19 @@
 //! the table in [`crate::proto`].
 
 use crate::proto;
+use crate::server::ERRORS;
 use coalloc_core::prelude::*;
 use coalloc_core::snapshot::StateImage;
 use coalloc_shard::ShardedScheduler;
+use obs::{LazyCounter, LazyHistogram};
+use std::io::{BufRead, Write};
+use std::panic::AssertUnwindSafe;
+
+static EXEC_PANICS: LazyCounter = LazyCounter::new("net_exec_panics_total");
+/// Lines per scheduler batch: how many consecutive `submit` lines one
+/// [`Session::exec_batch`] decided with one `submit_batch` call. Mostly 1
+/// at low load; grows with pipelining depth and concurrent connections.
+static BATCH_LINES: LazyHistogram = LazyHistogram::new("net_batch_lines");
 
 /// One protocol session: a scheduler (once `init` ran) plus the shard count
 /// the next `init` will use. The scheduler is one type at every `K` — its
@@ -222,20 +232,42 @@ impl Session {
         ))
     }
 
-    /// Execute a group of `submit` lines as one scheduler batch. Each entry
-    /// of the result is exactly what [`Session::exec`] would have returned
-    /// for that line, in order — lines that never reach the scheduler
-    /// (parse errors, wrong arity, no `init` yet) keep their individual
-    /// error replies, and the remainder are decided by one
-    /// `submit_batch` call, which a pool executes with one worker wake-up
-    /// per range per stage instead of per line.
+    /// Execute queued lines in order. Each entry of the result is exactly
+    /// what [`Session::exec`] would have returned for that line, and this
+    /// is the one place that decides which lines batch: a run of
+    /// consecutive `submit` lines is decided by one `submit_batch` call,
+    /// which a pool executes with one worker wake-up per range per stage
+    /// instead of per line (lines of the run that never reach the scheduler
+    /// — parse errors, wrong arity, no `init` yet — keep their individual
+    /// error replies); every other line runs alone, after the submits
+    /// queued ahead of it.
     ///
-    /// Intended for callers that already know the lines are submit-shaped
-    /// (the TCP scheduler thread's queue grouping); any other line first
-    /// has the submits queued ahead of it decided, then is executed by
-    /// [`Session::exec`], so a mistaken grouping is still byte-identical,
-    /// just split into smaller batches.
+    /// Each run of submits, and each other line, is a *segment* with its
+    /// own panic guard: a panicking segment answers each of its lines with
+    /// an internal error (`net_exec_panics_total`), and the segments around
+    /// it keep their replies. `net_batch_lines` observes each run's length.
     pub fn exec_batch(&mut self, lines: &[&str]) -> Vec<Result<String, String>> {
+        let mut out = Vec::with_capacity(lines.len());
+        let mut rest = lines;
+        while !rest.is_empty() {
+            let run = rest
+                .iter()
+                .take_while(|l| l.split_whitespace().next() == Some("submit"))
+                .count();
+            let (segment, tail) = rest.split_at(run.max(1));
+            rest = tail;
+            if run == 0 {
+                out.extend(guarded(segment, || vec![self.exec(segment[0])]));
+            } else {
+                BATCH_LINES.observe(run as u64);
+                out.extend(guarded(segment, || self.decide(segment)));
+            }
+        }
+        out
+    }
+
+    /// Decide a run of `submit` lines with one `submit_batch` call.
+    fn decide(&mut self, lines: &[&str]) -> Vec<Result<String, String>> {
         let mut out: Vec<Option<Result<String, String>>> = Vec::with_capacity(lines.len());
         let mut reqs: Vec<Request> = Vec::with_capacity(lines.len());
         for line in lines {
@@ -251,29 +283,20 @@ impl Session {
                     },
                     Err(e) => Some(Err(e)),
                 },
-                _ => {
-                    self.decide(&mut reqs, &mut out);
-                    Some(self.exec(line))
-                }
+                // Wrong arity: the parser's error, whatever the state.
+                _ => Some(self.exec(line)),
             };
             out.push(reply);
         }
-        self.decide(&mut reqs, &mut out);
-        out.into_iter().map(|o| o.expect("every line answered")).collect()
-    }
-
-    /// Decide the queued submits `reqs` as one batch and empty the queue.
-    /// They are the unanswered entries of `out`, in order.
-    fn decide(&mut self, reqs: &mut Vec<Request>, out: &mut [Option<Result<String, String>>]) {
-        if reqs.is_empty() {
-            return;
-        }
-        let sched = self.sched.as_mut().expect("submits queue only behind a scheduler");
-        let unanswered = out.iter_mut().filter(|o| o.is_none());
-        for (reply, decision) in unanswered.zip(sched.submit_batch(reqs)) {
-            *reply = Some(Ok(Self::decision_line(decision)));
-        }
-        reqs.clear();
+        // Submits queue only behind a scheduler.
+        let decisions = match &mut self.sched {
+            Some(s) if !reqs.is_empty() => s.submit_batch(&reqs),
+            _ => Vec::new(),
+        };
+        let mut replies = decisions.into_iter().map(|d| Ok(Self::decision_line(d)));
+        out.into_iter()
+            .map(|o| o.unwrap_or_else(|| replies.next().expect("one decision per queued submit")))
+            .collect()
     }
 
     /// Capacity and utilization probe for the admin plane's `/status`:
@@ -305,29 +328,56 @@ impl Session {
         Ok(format!("ok {n} servers restored"))
     }
 
-    /// Run a whole multi-line script, rendering replies and errors exactly
-    /// like the stdin loop does: one line per non-empty reply, errors as
-    /// `error: ...`, stopping at `exit`. This is the reference output the
-    /// TCP end-to-end tests compare a socket's byte stream against.
-    pub fn run_script(&mut self, script: &str) -> String {
-        let mut out = String::new();
-        for line in script.lines() {
-            if Session::is_exit(line) {
+    /// Serve a line stream — `coallocd`'s stdin loop: execute each line,
+    /// write one line per non-empty reply and errors as `error: ...`,
+    /// flushing after each, until `exit`, the end of `input` or a read
+    /// error. A failed write loses that reply, not the commands after it.
+    pub fn run_stream(&mut self, input: impl BufRead, mut output: impl Write) {
+        for line in input.lines().map_while(Result::ok) {
+            if Session::is_exit(&line) {
                 break;
             }
-            match self.exec(line) {
-                Ok(reply) if reply.is_empty() => {}
-                Ok(reply) => {
-                    out.push_str(&reply);
-                    out.push('\n');
-                }
-                Err(e) => {
-                    out.push_str(&format!("error: {e}\n"));
-                }
-            }
+            let _ = match self.exec(&line) {
+                Ok(reply) if reply.is_empty() => continue,
+                Ok(reply) => writeln!(output, "{reply}"),
+                Err(e) => writeln!(output, "error: {e}"),
+            };
+            let _ = output.flush();
         }
-        out
     }
+
+    /// [`Session::run_stream`] over a whole multi-line script, returning
+    /// the bytes stdin mode would print. This is the reference output the
+    /// TCP end-to-end tests compare a socket's byte stream against.
+    pub fn run_script(&mut self, script: &str) -> String {
+        let mut out = Vec::new();
+        self.run_stream(script.as_bytes(), &mut out);
+        String::from_utf8(out).expect("replies are UTF-8")
+    }
+}
+
+/// Run one segment of [`Session::exec_batch`] — a run of submits, or one
+/// other line — converting a panic into an internal-error reply for each of
+/// its lines instead of poisoning the caller (the server's one scheduler
+/// thread, and with it every connection). A segment is one scheduler call,
+/// so per-line blame is unknowable.
+fn guarded(
+    lines: &[&str],
+    run: impl FnOnce() -> Vec<Result<String, String>>,
+) -> Vec<Result<String, String>> {
+    std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+        EXEC_PANICS.inc();
+        ERRORS.add(lines.len() as u64);
+        eprintln!(
+            "coalloc-net: command panicked, shedding {} line(s) from: {}",
+            lines.len(),
+            lines[0]
+        );
+        lines
+            .iter()
+            .map(|_| Err("internal error: command panicked (see server log)".into()))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -652,6 +702,31 @@ mod tests {
                 mixed.iter().map(|l| sequential.exec(l)).collect();
             assert_eq!(a, b, "shards={shards}");
         }
+    }
+
+    /// A panic costs exactly its segment: each of its lines is answered
+    /// with the internal error and counted once, and the lines before and
+    /// after it keep the replies they get without it.
+    #[test]
+    fn a_panicking_segment_costs_only_its_own_lines() {
+        let panics = || obs::metrics::counter("net_exec_panics_total").get();
+        let script = [
+            "init 4 10 200 10",
+            "submit 0 0 50 2",
+            "submit 0 0 50 2",
+            "check",
+        ];
+        let doomed = ["submit 0 0 50 1", "submit 0 60 50 1"];
+        let mut s = Session::new(1);
+        let before = panics();
+        let mut out = s.exec_batch(&script[..2]);
+        out.extend(guarded(&doomed, || panic!("injected")));
+        out.extend(s.exec_batch(&script[2..]));
+        assert_eq!(panics() - before, 1);
+        let internal = Err("internal error: command panicked (see server log)".to_string());
+        let mut expect = Session::new(1).exec_batch(&script);
+        expect.splice(2..2, doomed.map(|_| internal.clone()));
+        assert_eq!(out, expect);
     }
 
     #[test]

@@ -39,7 +39,6 @@ fn http_request(addr: SocketAddr, raw: &str) -> (u16, String, String) {
 fn admin_server(cfg_mut: impl FnOnce(&mut NetConfig)) -> Server {
     let mut cfg = NetConfig {
         admin_addr: Some("127.0.0.1:0".to_string()),
-        workers: 4,
         // Short idle timeout so a drain with a client still attached
         // completes promptly instead of waiting out the default 30 s.
         read_timeout: Duration::from_secs(2),

@@ -279,7 +279,6 @@ fn max_conns_overflow_sheds_with_busy() {
     // shed at accept with the busy reply and a close; once a held one
     // leaves, its slot is admitted again.
     let cfg = NetConfig {
-        workers: 1,
         max_conns: 2,
         ..test_cfg(1)
     };
@@ -316,7 +315,6 @@ fn command_queue_overflow_sheds_with_busy() {
     // scheduler thread sleeps on connection 1's command and connection 2's
     // waits in the queue, connection 3's must be shed inline.
     let cfg = NetConfig {
-        workers: 4,
         queue_depth: 1,
         exec_delay: Duration::from_millis(300),
         // Generous idle reaping: c3 sits quiet past the joins below.

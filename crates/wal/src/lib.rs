@@ -123,18 +123,14 @@ pub struct WalConfig {
     pub dir: PathBuf,
     /// Roll to a new segment once the active one reaches this many bytes.
     pub segment_bytes: u64,
-    /// Whether [`Wal::sync`] actually fsyncs. `false` only flushes to the
-    /// OS, which loses crash durability — for tests and baseline benches.
-    pub fsync: bool,
 }
 
 impl WalConfig {
-    /// A configuration with the defaults: 8 MiB segments, fsync on.
+    /// A configuration with the defaults: 8 MiB segments.
     pub fn new(dir: impl Into<PathBuf>) -> WalConfig {
         WalConfig {
             dir: dir.into(),
             segment_bytes: 8 * 1024 * 1024,
-            fsync: true,
         }
     }
 }
@@ -504,9 +500,7 @@ impl Wal {
         self.alloc_len = self.alloc_len.max(self.active_len + self.buffered.len() as u64);
         self.active_len = end;
         self.buffered.clear();
-        if self.cfg.fsync {
-            self.active.sync_data()?;
-        }
+        self.active.sync_data()?;
         FSYNCS.inc();
         if extend {
             EXTENDS.inc();

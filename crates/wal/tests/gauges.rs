@@ -18,7 +18,6 @@ fn gauges_move_through_a_snapshot_truncation_cycle() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = WalConfig::new(&dir);
     cfg.segment_bytes = 128; // tiny: force rolls
-    cfg.fsync = false; // tmpfs-friendly; batching bookkeeping is identical
 
     let (mut wal, _rec) = Wal::open(cfg.clone()).unwrap();
     assert_eq!(gauge("wal_segments_live"), 1);

@@ -42,10 +42,10 @@
 //! the `obs` crate) configures tracing when `--trace-out` is not given.
 //!
 //! Serve-mode flags: `--addr HOST:PORT` (default `127.0.0.1:7077`; port 0
-//! picks a free port, printed on stdout), `--workers W` (I/O event-loop
-//! threads, each multiplexing its share of every open connection over
-//! `poll(2)`), `--max-conns N` (admission bound: connections past it get
-//! the busy reply and a close), `--queue-depth Q`, `--max-line BYTES`,
+//! picks a free port, printed on stdout), `--max-conns N` (admission
+//! bound: connections past it get the busy reply and a close; one I/O
+//! event-loop thread multiplexes every open connection over `poll(2)`),
+//! `--queue-depth Q`, `--max-line BYTES`,
 //! `--read-timeout-ms MS`, `--write-timeout-ms MS`. Flag-by-flag tuning
 //! guidance lives in `docs/OPERATIONS.md`. The server runs until
 //! SIGINT/EOF kills the process; `coalloc-net`'s [`coalloc::net::Server`]
@@ -135,9 +135,6 @@ fn main() {
             }
             ("--metrics-dump", _) => common.metrics_dump = true,
             ("--addr", Some(cfg)) => cfg.addr = flag_value(&mut args, "--addr"),
-            ("--workers", Some(cfg)) => {
-                cfg.workers = parse_or_die(&flag_value(&mut args, "--workers"), "worker count");
-            }
             ("--queue-depth", Some(cfg)) => {
                 cfg.queue_depth =
                     parse_or_die(&flag_value(&mut args, "--queue-depth"), "queue depth");
@@ -245,28 +242,7 @@ fn main() {
         }
         server.shutdown();
     } else {
-        let stdin = std::io::stdin();
-        let mut stdout = std::io::stdout().lock();
-        let mut session = Session::new(common.shards);
-        for line in stdin.lock().lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
-            };
-            if Session::is_exit(&line) {
-                break;
-            }
-            match session.exec(&line) {
-                Ok(reply) if reply.is_empty() => {}
-                Ok(reply) => {
-                    let _ = writeln!(stdout, "{reply}");
-                }
-                Err(e) => {
-                    let _ = writeln!(stdout, "error: {e}");
-                }
-            }
-            let _ = stdout.flush();
-        }
+        Session::new(common.shards).run_stream(std::io::stdin().lock(), std::io::stdout().lock());
     }
     obs::trace::flush_sink();
     if common.metrics_dump {
