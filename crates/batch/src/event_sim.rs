@@ -80,8 +80,16 @@ pub fn run_event_batch(
             continue;
         }
         schedule_pass(
-            t, policy, &mut free, &mut running, &mut queue, &mut starts, &mut events, &mut ops,
-            &mut makespan, requests,
+            t,
+            policy,
+            &mut free,
+            &mut running,
+            &mut queue,
+            &mut starts,
+            &mut events,
+            &mut ops,
+            &mut makespan,
+            requests,
         );
     }
 

@@ -68,10 +68,10 @@ impl Profile {
             self.ops += 1;
             if self.free_at(s) < procs {
                 // Jump to the next boundary with enough capacity.
-                for (&k, &f) in self.steps.range((
-                    std::ops::Bound::Excluded(s),
-                    std::ops::Bound::Unbounded,
-                )) {
+                for (&k, &f) in self
+                    .steps
+                    .range((std::ops::Bound::Excluded(s), std::ops::Bound::Unbounded))
+                {
                     self.ops += 1;
                     if f >= procs {
                         s = k;
@@ -80,18 +80,18 @@ impl Profile {
                 }
                 unreachable!("profile tail always has full capacity");
             }
-            for (&k, &f) in self.steps.range((
-                std::ops::Bound::Excluded(s),
-                std::ops::Bound::Excluded(end),
-            )) {
+            for (&k, &f) in self
+                .steps
+                .range((std::ops::Bound::Excluded(s), std::ops::Bound::Excluded(end)))
+            {
                 self.ops += 1;
                 if f < procs {
                     // Violation at k: restart after k.
                     let mut next = None;
-                    for (&k2, &f2) in self.steps.range((
-                        std::ops::Bound::Excluded(k),
-                        std::ops::Bound::Unbounded,
-                    )) {
+                    for (&k2, &f2) in self
+                        .steps
+                        .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
+                    {
                         self.ops += 1;
                         if f2 >= procs {
                             next = Some(k2);

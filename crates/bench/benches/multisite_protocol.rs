@@ -43,9 +43,8 @@ fn bench_co_allocate(c: &mut Criterion) {
                 let g = coord.co_allocate(black_box(&req)).expect("fits");
                 // Immediately undo so capacity never runs out.
                 for (site, _, _) in &g.parts {
-                    let _ = sites[site.0 as usize].call(
-                        coalloc_multisite::SiteRequest::Abort { txn: g.txn, seq: 0 },
-                    );
+                    let _ = sites[site.0 as usize]
+                        .call(coalloc_multisite::SiteRequest::Abort { txn: g.txn, seq: 0 });
                 }
             });
         });

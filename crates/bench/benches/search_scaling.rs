@@ -21,12 +21,7 @@ fn cfg(seed: u64) -> SchedulerConfig {
 fn fragmented_tree(n: u32) -> CoAllocScheduler {
     let mut s = CoAllocScheduler::new(n, cfg(7));
     for i in 0..128i64 {
-        let req = Request::advance(
-            Time::ZERO,
-            Time((i % 32) * 600),
-            Dur(600),
-            (n / 128).max(1),
-        );
+        let req = Request::advance(Time::ZERO, Time((i % 32) * 600), Dur(600), (n / 128).max(1));
         let _ = s.submit(&req);
     }
     s
@@ -35,12 +30,7 @@ fn fragmented_tree(n: u32) -> CoAllocScheduler {
 fn fragmented_naive(n: u32) -> NaiveScheduler {
     let mut s = NaiveScheduler::new(n, cfg(7));
     for i in 0..128i64 {
-        let req = Request::advance(
-            Time::ZERO,
-            Time((i % 32) * 600),
-            Dur(600),
-            (n / 128).max(1),
-        );
+        let req = Request::advance(Time::ZERO, Time((i % 32) * 600), Dur(600), (n / 128).max(1));
         let _ = s.submit(&req);
     }
     s
@@ -64,7 +54,11 @@ fn bench_search(c: &mut Criterion) {
             let mut i = 0i64;
             b.iter(|| {
                 i = (i + 1) % 30;
-                black_box(naive.find_all_feasible(Time(i * 600), Time(i * 600 + 500)).len())
+                black_box(
+                    naive
+                        .find_all_feasible(Time(i * 600), Time(i * 600 + 500))
+                        .len(),
+                )
             });
         });
     }

@@ -72,23 +72,23 @@ fn backtick_paths(text: &str) -> Vec<(usize, String)> {
     let mut found = Vec::new();
     for (i, line) in text.lines().enumerate() {
         for span in line.split('`').skip(1).step_by(2) {
-            let candidate = span
-                .split_once(':')
-                .map_or(span, |(path, tail)| {
-                    // Keep `path:123`-style line refs, not `key: value`.
-                    if tail.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-                        path
-                    } else {
-                        span
-                    }
-                });
+            let candidate = span.split_once(':').map_or(span, |(path, tail)| {
+                // Keep `path:123`-style line refs, not `key: value`.
+                if tail.chars().next().is_some_and(|c| c.is_ascii_digit()) {
+                    path
+                } else {
+                    span
+                }
+            });
             let is_pathish = candidate.contains('/')
                 && candidate.rsplit_once('.').is_some_and(|(stem, ext)| {
                     // A real file extension is lowercase with a letter in
                     // it — this keeps protocol version strings
                     // (`coalloc/1.2`, `coalloc/MAJOR.MINOR`) out.
                     !stem.is_empty()
-                        && ext.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+                        && ext
+                            .chars()
+                            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
                         && ext.chars().any(|c| c.is_ascii_lowercase())
                 })
                 && candidate
@@ -136,7 +136,9 @@ fn main() {
         let doc_dir = Path::new(doc).parent().unwrap_or(Path::new(""));
 
         for (line, target) in md_link_targets(&without_fences(&text)) {
-            let Some(rel) = checkable_link(&target) else { continue };
+            let Some(rel) = checkable_link(&target) else {
+                continue;
+            };
             if rel.is_empty() {
                 continue; // same-file anchor
             }
@@ -154,7 +156,10 @@ fn main() {
     }
 
     if errors.is_empty() {
-        println!("docs_check: {checked} references across {} documents, all resolve", DOCS.len());
+        println!(
+            "docs_check: {checked} references across {} documents, all resolve",
+            DOCS.len()
+        );
     } else {
         for e in &errors {
             eprintln!("docs_check: {e}");

@@ -127,10 +127,7 @@ fn pair_retry(
     }
 }
 
-fn client_worker(
-    addr: std::net::SocketAddr,
-    reqs: Vec<(i64, i64, i64, u32)>,
-) -> ClientOutcome {
+fn client_worker(addr: std::net::SocketAddr, reqs: Vec<(i64, i64, i64, u32)>) -> ClientOutcome {
     let mut out = ClientOutcome::default();
     let mut c = match Client::connect(addr) {
         Ok(c) => c,
@@ -207,7 +204,9 @@ fn expo_quantile(exposition: &str, family: &str, q: f64) -> Option<f64> {
     let target = (count * q).ceil();
     let prefix = format!("{family}_bucket{{le=\"");
     for line in exposition.lines() {
-        let Some(rest) = line.strip_prefix(&prefix) else { continue };
+        let Some(rest) = line.strip_prefix(&prefix) else {
+            continue;
+        };
         let (bound, tail) = rest.split_once("\"}")?;
         let cum: f64 = tail.trim().parse().ok()?;
         if cum >= target {
@@ -328,7 +327,9 @@ fn main() {
     // Control session: initialize the shared scheduler with the paper-bench
     // settings (15-minute slots, 72-hour horizon).
     let mut control = Client::connect(addr).expect("connect control session");
-    control.set_timeout(Duration::from_secs(30)).expect("timeouts");
+    control
+        .set_timeout(Duration::from_secs(30))
+        .expect("timeouts");
     let init = control
         .roundtrip(&format!("init {} 900 259200 900", spec.servers))
         .expect("init");
@@ -443,13 +444,10 @@ fn main() {
         // over the slot after the final clock (nothing leaked, nothing
         // stuck). The window is read back from `stats` because the load
         // clients advanced the shared clock.
-        let now: Option<i64> = control
-            .roundtrip("stats")
-            .ok()
-            .and_then(|r| {
-                r.split_whitespace()
-                    .find_map(|f| f.strip_prefix("now=").and_then(|v| v.parse().ok()))
-            });
+        let now: Option<i64> = control.roundtrip("stats").ok().and_then(|r| {
+            r.split_whitespace()
+                .find_map(|f| f.strip_prefix("now=").and_then(|v| v.parse().ok()))
+        });
         match now {
             Some(now) => match control.roundtrip(&format!("query {} {}", now, now + 900)) {
                 Ok(r) if r == format!("free {}", spec.servers) => {
@@ -607,7 +605,9 @@ fn churn_thread(
         //    in the server's read buffer without stalling anyone else.
         let mut pending: Vec<(usize, Vec<String>, Instant)> = Vec::new();
         for (slot, idx) in range.clone().enumerate() {
-            let Some(c) = clients[slot].as_mut() else { continue };
+            let Some(c) = clients[slot].as_mut() else {
+                continue;
+            };
             let base = ((wave * total_conns + idx) * burst) as i64;
             let (buf, expected) = churn_burst(base, burst);
             let bytes = buf.as_bytes();
@@ -631,7 +631,9 @@ fn churn_thread(
         // 4. Collect replies: positionally 1:1 with the requests, each one
         //    byte-exact or the documented queue-shed busy line.
         for (slot, expected, t) in pending {
-            let Some(c) = clients[slot].as_mut() else { continue };
+            let Some(c) = clients[slot].as_mut() else {
+                continue;
+            };
             let mut clean = true;
             for want in &expected {
                 match c.recv_line() {
@@ -664,7 +666,9 @@ fn churn_thread(
         //    gracefully (`exit`, drained to EOF), half drop the socket cold.
         barrier.wait();
         for (slot, idx) in range.clone().enumerate() {
-            let Some(mut c) = clients[slot].take() else { continue };
+            let Some(mut c) = clients[slot].take() else {
+                continue;
+            };
             if idx % 2 == 0 {
                 let _ = c.send("exit");
                 let _ = c.recv_line(); // EOF
@@ -692,7 +696,9 @@ fn run_churn(args: &Args, spec: &WorkloadSpec, server: Option<Server>, addr: std
 
     // Control session: `advance` needs an initialized scheduler.
     let mut control = Client::connect(addr).expect("connect control session");
-    control.set_timeout(Duration::from_secs(30)).expect("timeouts");
+    control
+        .set_timeout(Duration::from_secs(30))
+        .expect("timeouts");
     let init = control
         .roundtrip(&format!("init {} 900 259200 900", spec.servers))
         .expect("init");

@@ -198,10 +198,8 @@ fn run_wal_variant(label: &str, cmds: &[String], durable: bool, batch: u64) -> M
     if !durable {
         return replay_wal(label, cmds, None, 0);
     }
-    let dir = std::env::temp_dir().join(format!(
-        "coalloc-bench-wal-{label}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("coalloc-bench-wal-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (mut wal, _recovery) = Wal::open(WalConfig::new(&dir)).expect("open bench wal");
     let m = replay_wal(label, cmds, Some(&mut wal), batch);
@@ -272,8 +270,11 @@ fn main() {
             let n = ((20_000.0 * scale / 0.02).round() as usize).max(500);
             reqs = Vec::new();
             cmds = wal_cmds(n, seed);
-            (labels, fast_label, slow_label) =
-                (&["wal-off", "wal-batched", "wal-sync-each"], "wal-off", "wal-batched");
+            (labels, fast_label, slow_label) = (
+                &["wal-off", "wal-batched", "wal-sync-each"],
+                "wal-off",
+                "wal-batched",
+            );
             println!(
                 "sched_throughput: {} protocol commands over {servers} servers \
                  (wal × {scale}, seed {seed}, group commit {WAL_GROUP_COMMIT})",

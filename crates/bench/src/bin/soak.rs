@@ -73,8 +73,14 @@ fn main() {
             _ => positional.push(a),
         }
     }
-    let seconds: u64 = positional.first().map(|s| s.parse().expect("seconds")).unwrap_or(10);
-    let seed: u64 = positional.get(1).map(|s| s.parse().expect("seed")).unwrap_or(42);
+    let seconds: u64 = positional
+        .first()
+        .map(|s| s.parse().expect("seconds"))
+        .unwrap_or(10);
+    let seed: u64 = positional
+        .get(1)
+        .map(|s| s.parse().expect("seed"))
+        .unwrap_or(42);
     if shards > 1 {
         println!("soak: {seconds}s with seed {seed} (+ {shards}-shard mirror)");
     } else {
@@ -137,7 +143,10 @@ fn flush_mirror(
         for (i, (g, e)) in got.iter().zip(&b.expect).enumerate() {
             match (g, e) {
                 (Ok(g), Ok((start, servers, attempts))) => {
-                    assert_eq!(g.start, *start, "shard batch start div (step {step}, member {i})");
+                    assert_eq!(
+                        g.start, *start,
+                        "shard batch start div (step {step}, member {i})"
+                    );
                     assert_eq!(
                         &g.servers, servers,
                         "shard batch servers div (step {step}, member {i})"
@@ -306,15 +315,10 @@ fn run_round(rng: &mut SmallRng, shards: u32, round: u64) -> u64 {
                     let b = a + Dur(rng.random_range(1..tau * 3));
                     let hits = tree.range_search(a, b);
                     if b <= tree.horizon_end() && a >= tree.now() {
-                        let mut got: Vec<u32> =
-                            hits.iter().map(|h| h.server.0).collect();
+                        let mut got: Vec<u32> = hits.iter().map(|h| h.server.0).collect();
                         got.sort_unstable();
                         let mut want: Vec<u32> = (0..n)
-                            .filter(|&s| {
-                                tree.timeline()
-                                    .covering_idle(ServerId(s), a, b)
-                                    .is_some()
-                            })
+                            .filter(|&s| tree.timeline().covering_idle(ServerId(s), a, b).is_some())
                             .collect();
                         want.sort_unstable();
                         assert_eq!(got, want, "range search divergence");

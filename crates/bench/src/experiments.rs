@@ -32,7 +32,13 @@ pub fn table1(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "table1",
-        &["workload", "processors", "jobs", "avg_lr_hours", "frac_under_2h"],
+        &[
+            "workload",
+            "processors",
+            "jobs",
+            "avg_lr_hours",
+            "frac_under_2h",
+        ],
     );
     for spec in specs(cfg) {
         let reqs = spec.generate(cfg.seed);
@@ -64,8 +70,11 @@ pub fn fig3(cfg: &ExpConfig) -> io::Result<()> {
         "fig3",
         &["lr_hours", "penalty_online", "penalty_batch"],
     );
-    let keys: std::collections::BTreeSet<i64> =
-        po.iter().map(|(k, _)| k).chain(pb.iter().map(|(k, _)| k)).collect();
+    let keys: std::collections::BTreeSet<i64> = po
+        .iter()
+        .map(|(k, _)| k)
+        .chain(pb.iter().map(|(k, _)| k))
+        .collect();
     for k in keys {
         let o = po.group(k).map(|s| s.mean()).unwrap_or(0.0);
         let b = pb.group(k).map(|s| s.mean()).unwrap_or(0.0);
@@ -80,7 +89,11 @@ pub fn fig3(cfg: &ExpConfig) -> io::Result<()> {
         "  small jobs (<=2h): online penalty {:.2}, batch penalty {:.2} ({}x)",
         small_o,
         small_b,
-        if small_o > 0.0 { (small_b / small_o).round() } else { f64::INFINITY }
+        if small_o > 0.0 {
+            (small_b / small_o).round()
+        } else {
+            f64::INFINITY
+        }
     );
     Ok(())
 }
@@ -91,7 +104,13 @@ pub fn fig4a(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "fig4a",
-        &["wait_hours_bin", "ctc_online", "ctc_batch", "kth_online", "kth_batch"],
+        &[
+            "wait_hours_bin",
+            "ctc_online",
+            "ctc_batch",
+            "kth_online",
+            "kth_batch",
+        ],
     );
     let mut series: Vec<Vec<(f64, f64)>> = Vec::new();
     let mut maxima = Vec::new();
@@ -100,11 +119,7 @@ pub fn fig4a(cfg: &ExpConfig) -> io::Result<()> {
         let reqs = spec.generate(cfg.seed);
         let online = online_run(&spec, &reqs, "online", cfg.shards);
         let batch = batch_run(&spec, BatchPolicy::EasyBackfill, &reqs, "batch");
-        maxima.push((
-            name,
-            online.max_waiting_hours(),
-            batch.max_waiting_hours(),
-        ));
+        maxima.push((name, online.max_waiting_hours(), batch.max_waiting_hours()));
         series.push(online.waiting_histogram_hours(1.0, 10).frequencies());
         series.push(batch.waiting_histogram_hours(1.0, 10).frequencies());
     }
@@ -162,8 +177,11 @@ pub fn fig5(cfg: &ExpConfig) -> io::Result<()> {
             &format!("fig5_{}", name.to_lowercase()),
             &["nr_bin", "wait_secs_online", "wait_secs_batch"],
         );
-        let keys: std::collections::BTreeSet<i64> =
-            go.iter().map(|(k, _)| k).chain(gb.iter().map(|(k, _)| k)).collect();
+        let keys: std::collections::BTreeSet<i64> = go
+            .iter()
+            .map(|(k, _)| k)
+            .chain(gb.iter().map(|(k, _)| k))
+            .collect();
         for k in keys {
             let o = go.group(k).map(|s| s.mean() * 3600.0).unwrap_or(0.0);
             let b = gb.group(k).map(|s| s.mean() * 3600.0).unwrap_or(0.0);
@@ -218,7 +236,10 @@ pub fn fig6(cfg: &ExpConfig) -> io::Result<()> {
         for rho in rhos {
             let reqs = with_paper_reservations(&base, rho, cfg.seed);
             let run = online_run(&spec, &reqs, &format!("rho={rho}"), cfg.shards);
-            cols.push(run.waiting_from_submit_histogram_hours(1.0, 14).frequencies());
+            cols.push(
+                run.waiting_from_submit_histogram_hours(1.0, 14)
+                    .frequencies(),
+            );
         }
         let batch = batch_run(&spec, BatchPolicy::EasyBackfill, &base, "batch");
         cols.push(batch.waiting_histogram_hours(1.0, 14).frequencies());
@@ -317,7 +338,12 @@ pub fn complexity(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "complexity",
-        &["n_servers", "tree_search_ops", "naive_search_ops", "tree_update_ops"],
+        &[
+            "n_servers",
+            "tree_search_ops",
+            "naive_search_ops",
+            "tree_update_ops",
+        ],
     );
     for exp in [6u32, 8, 10, 12, 14, 16] {
         let n = 1u32 << exp;
@@ -332,12 +358,7 @@ pub fn complexity(cfg: &ExpConfig) -> io::Result<()> {
         // Fragment the schedule with some committed jobs, then measure the
         // marginal cost of search-only range queries.
         for i in 0..64i64 {
-            let req = Request::advance(
-                Time::ZERO,
-                Time((i % 16) * 600),
-                Dur(600),
-                (n / 64).max(1),
-            );
+            let req = Request::advance(Time::ZERO, Time((i % 16) * 600), Dur(600), (n / 64).max(1));
             let _ = tree.submit(&req);
             let _ = naive.submit(&req);
         }
@@ -368,7 +389,13 @@ pub fn ablate_dt(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "ablate_dt",
-        &["delta_t_mins", "mean_wait_hours", "mean_attempts", "acceptance", "ops_per_req"],
+        &[
+            "delta_t_mins",
+            "mean_wait_hours",
+            "mean_attempts",
+            "acceptance",
+            "ops_per_req",
+        ],
     );
     for mins in [5i64, 15, 30, 60, 120] {
         let sched_cfg = SchedulerConfig::builder()
@@ -378,8 +405,8 @@ pub fn ablate_dt(cfg: &ExpConfig) -> io::Result<()> {
             .build();
         let mut sched = CoAllocScheduler::new(spec.servers, sched_cfg);
         let run = coalloc_sim::replay(&mut sched, &reqs, "online");
-        let attempts: f64 = run.outcomes.iter().map(|o| o.attempts as f64).sum::<f64>()
-            / run.outcomes.len() as f64;
+        let attempts: f64 =
+            run.outcomes.iter().map(|o| o.attempts as f64).sum::<f64>() / run.outcomes.len() as f64;
         csv.rowf(&[
             &mins,
             &r3(run.waiting_stats_hours().mean()),
@@ -399,7 +426,13 @@ pub fn ablate_policy(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "ablate_policy",
-        &["workload", "policy", "mean_wait_hours", "utilization", "ops_per_req"],
+        &[
+            "workload",
+            "policy",
+            "mean_wait_hours",
+            "utilization",
+            "ops_per_req",
+        ],
     );
     let policies = [
         ("paper-order", SelectionPolicy::PaperOrder),
@@ -440,7 +473,13 @@ pub fn multisite(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "multisite",
-        &["coordinators", "granted", "failed", "aborts", "mean_attempts"],
+        &[
+            "coordinators",
+            "granted",
+            "failed",
+            "aborts",
+            "mean_attempts",
+        ],
     );
     for coordinators in [1usize, 2, 4, 8] {
         let sites: Vec<SiteHandle> = (0..4)
@@ -471,9 +510,14 @@ pub fn multisite(cfg: &ExpConfig) -> io::Result<()> {
                     let mut attempts = 0u64;
                     for k in 0..12 {
                         let req = MultiRequest {
-                            parts: [(SiteId(0), 4), (SiteId(1), 4), (SiteId(2), 4), (SiteId(3), 4)]
-                                .into_iter()
-                                .collect(),
+                            parts: [
+                                (SiteId(0), 4),
+                                (SiteId(1), 4),
+                                (SiteId(2), 4),
+                                (SiteId(3), 4),
+                            ]
+                            .into_iter()
+                            .collect(),
                             earliest_start: Time(((k + c) % 12) as i64 * 1800),
                             duration: Dur(1800),
                         };
@@ -524,7 +568,11 @@ pub fn pce(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "pce",
-        &["wavelengths", "blocked_frac_continuity", "blocked_frac_conversion"],
+        &[
+            "wavelengths",
+            "blocked_frac_continuity",
+            "blocked_frac_conversion",
+        ],
     );
     let sched_cfg = SchedulerConfig::builder()
         .tau(Dur::from_mins(30))
@@ -615,8 +663,8 @@ pub fn workflow(cfg: &ExpConfig) -> io::Result<()> {
     for bg_jobs in [0usize, 8, 16, 32] {
         // Reserved: plan first, then the background burst arrives.
         let mut s = CoAllocScheduler::new(64, sched_cfg);
-        let plan = schedule_reserved(&mut s, &make_dag(), Time::ZERO, None)
-            .expect("empty system plans");
+        let plan =
+            schedule_reserved(&mut s, &make_dag(), Time::ZERO, None).expect("empty system plans");
         for k in 0..bg_jobs {
             let _ = s.submit(&Request::on_demand(
                 Time((k as i64 % 4) * 600),
@@ -661,7 +709,13 @@ pub fn fairness(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "fairness",
-        &["workload", "scheduler", "users_active", "jain_index", "worst_user_penalty"],
+        &[
+            "workload",
+            "scheduler",
+            "users_active",
+            "jain_index",
+            "worst_user_penalty",
+        ],
     );
     for name in ["CTC", "KTH"] {
         let spec = spec_by_name(cfg, name);
@@ -705,7 +759,13 @@ pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
     let mut csv = Csv::new(
         &cfg.out_dir,
         "scalability",
-        &["n_servers", "requests", "requests_per_sec", "ops_per_request", "acceptance"],
+        &[
+            "n_servers",
+            "requests",
+            "requests_per_sec",
+            "ops_per_request",
+            "acceptance",
+        ],
     );
     for exp in [10u32, 12, 14, 16] {
         let n = 1u32 << exp;

@@ -163,7 +163,10 @@ impl Csv {
                 .join("  ")
         };
         println!("{}", line(&self.header));
-        println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+        println!(
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+        );
         for r in &self.rows {
             println!("{}", line(r));
         }
@@ -228,9 +231,8 @@ mod tests {
         let reqs = spec.generate(7);
         let single = online_run(&spec, &reqs, "online", 1);
         let sharded = online_run(&spec, &reqs, "online", 4);
-        let starts = |r: &RunResult| -> Vec<Option<Time>> {
-            r.outcomes.iter().map(|o| o.start).collect()
-        };
+        let starts =
+            |r: &RunResult| -> Vec<Option<Time>> { r.outcomes.iter().map(|o| o.start).collect() };
         assert_eq!(starts(&single), starts(&sharded));
     }
 }

@@ -142,7 +142,9 @@ mod tests {
             .unwrap();
         assert_eq!(g.start, Time(50));
         // Meanwhile an unconstrained job runs immediately on the free pool.
-        let g2 = s.submit(&Request::on_demand(Time::ZERO, Dur(20), 3)).unwrap();
+        let g2 = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(20), 3))
+            .unwrap();
         assert_eq!(g2.start, Time::ZERO);
         s.check_consistency();
     }
@@ -151,12 +153,18 @@ mod tests {
     fn multi_tag_requirement_intersects() {
         let mut s = sched();
         let g = s
-            .submit_constrained(&Request::on_demand(Time::ZERO, Dur(10), 1), GPU.with(BIGMEM))
+            .submit_constrained(
+                &Request::on_demand(Time::ZERO, Dur(10), 1),
+                GPU.with(BIGMEM),
+            )
             .unwrap();
         assert_eq!(g.servers, vec![ServerId(4)]);
         // A second both-tags job must queue behind the only qualifying box.
         let g2 = s
-            .submit_constrained(&Request::on_demand(Time::ZERO, Dur(10), 1), GPU.with(BIGMEM))
+            .submit_constrained(
+                &Request::on_demand(Time::ZERO, Dur(10), 1),
+                GPU.with(BIGMEM),
+            )
             .unwrap();
         assert_eq!(g2.start, Time(10));
     }

@@ -46,11 +46,17 @@ impl std::fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScheduleError::InvalidRequest(e) => write!(f, "invalid request: {e}"),
-            ScheduleError::TooManyServers { requested, available } => write!(
+            ScheduleError::TooManyServers {
+                requested,
+                available,
+            } => write!(
                 f,
                 "request needs {requested} servers but the system has only {available}"
             ),
-            ScheduleError::Exhausted { attempts, last_tried } => write!(
+            ScheduleError::Exhausted {
+                attempts,
+                last_tried,
+            } => write!(
                 f,
                 "no feasible start found after {attempts} attempts (last tried {last_tried})"
             ),

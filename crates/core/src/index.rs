@@ -152,8 +152,13 @@ impl ServerIndex {
         self.scratch.ids.clear();
         self.trailing
             .collect_candidates(start, usize::MAX, &mut self.scratch.ids, stats);
-        self.ring
-            .phase2_feasible_into(end, &self.scratch.stab, usize::MAX, &mut self.scratch.ids, stats);
+        self.ring.phase2_feasible_into(
+            end,
+            &self.scratch.stab,
+            usize::MAX,
+            &mut self.scratch.ids,
+            stats,
+        );
         self.scratch.ids.len()
     }
 
@@ -242,7 +247,10 @@ impl ServerIndex {
         stats: &mut OpStats,
     ) {
         let (lo, hi) = (self.base, self.base + self.num_servers());
-        let mut mine = servers.iter().filter(|s| (lo..hi).contains(&s.0)).peekable();
+        let mut mine = servers
+            .iter()
+            .filter(|s| (lo..hi).contains(&s.0))
+            .peekable();
         if mine.peek().is_none() {
             return;
         }
@@ -255,7 +263,8 @@ impl ServerIndex {
                 .timeline
                 .covering_idle(server, start, end)
                 .expect("commit: window is idle on every chosen server");
-            self.timeline.reserve_into(p.id, job, start, end, &mut delta);
+            self.timeline
+                .reserve_into(p.id, job, start, end, &mut delta);
             route_delta(&delta, &mut self.trailing, &mut self.scratch, stats);
             reservations.push(Reservation {
                 job,
@@ -325,7 +334,8 @@ impl ServerIndex {
             // original and on any snapshot-restored twin alike — snapshots
             // carry exactly the timeline's (unpruned) busy set, so the job
             // map must not outlive it.
-            self.jobs.retain(|_, rs| rs.iter().any(|r| r.end > window_start));
+            self.jobs
+                .retain(|_, rs| rs.iter().any(|r| r.end > window_start));
             self.last_prune = window_start;
         }
     }
@@ -336,9 +346,13 @@ impl ServerIndex {
         for s in 0..self.num_servers() {
             let server = ServerId(self.base + s);
             let idle = self.timeline.idle_periods(ServerId(s));
-            image.idle.extend(idle.iter().map(|p| (server, p.start, p.end)));
+            image
+                .idle
+                .extend(idle.iter().map(|p| (server, p.start, p.end)));
             let busy = self.timeline.reservations(ServerId(s));
-            image.busy.extend(busy.iter().map(|r| Reservation { server, ..*r }));
+            image
+                .busy
+                .extend(busy.iter().map(|r| Reservation { server, ..*r }));
         }
     }
 
@@ -410,7 +424,8 @@ impl ServerIndex {
         // ending at or before `last_prune`).
         for (job, rs) in &self.jobs {
             assert!(
-                rs.iter().any(|r| self.timeline.reservations(r.server).contains(r)),
+                rs.iter()
+                    .any(|r| self.timeline.reservations(r.server).contains(r)),
                 "{job:?} outlived the history prune at {}",
                 self.last_prune
             );

@@ -111,7 +111,8 @@ impl NaiveScheduler {
         let slot_cfg = self.cfg.slot_config();
         let window_start = slot_cfg.slot_start(slot_cfg.slot_of(now));
         if crate::scheduler::prune_due(self.last_prune, window_start, slot_cfg.tau) {
-            self.jobs.retain(|_, rs| rs.iter().any(|r| r.end > window_start));
+            self.jobs
+                .retain(|_, rs| rs.iter().any(|r| r.end > window_start));
             self.last_prune = window_start;
         }
     }
@@ -153,10 +154,7 @@ impl NaiveScheduler {
             self.stats.attempts += 1;
             let feasible = self.find_all_feasible(start, end);
             if feasible.len() >= req.servers as usize {
-                let chosen = self
-                    .cfg
-                    .policy
-                    .select(feasible, req.servers as usize, end);
+                let chosen = self.cfg.policy.select(feasible, req.servers as usize, end);
                 return Ok(self.commit(&chosen, start, end, attempts, earliest));
             }
             if attempts > r_max {
@@ -204,7 +202,10 @@ impl NaiveScheduler {
 
     /// Cancel a committed job.
     pub fn release(&mut self, job: JobId) -> Result<(), ScheduleError> {
-        let reservations = self.jobs.remove(&job).ok_or(ScheduleError::UnknownJob(job))?;
+        let reservations = self
+            .jobs
+            .remove(&job)
+            .ok_or(ScheduleError::UnknownJob(job))?;
         for r in reservations {
             self.timeline.release(r.server, r.job, r.start, r.end);
         }
@@ -230,9 +231,13 @@ mod tests {
     #[test]
     fn grants_and_delays_like_the_paper_scheduler() {
         let mut s = NaiveScheduler::new(2, cfg());
-        let g1 = s.submit(&Request::on_demand(Time::ZERO, Dur(30), 2)).unwrap();
+        let g1 = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(30), 2))
+            .unwrap();
         assert_eq!(g1.start, Time::ZERO);
-        let g2 = s.submit(&Request::on_demand(Time::ZERO, Dur(20), 1)).unwrap();
+        let g2 = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(20), 1))
+            .unwrap();
         assert_eq!(g2.start, Time(30));
         assert_eq!(g2.attempts, 4);
         s.timeline.check_invariants();
@@ -241,7 +246,9 @@ mod tests {
     #[test]
     fn by_server_id_picks_lowest_ids() {
         let mut s = NaiveScheduler::new(4, cfg());
-        let g = s.submit(&Request::on_demand(Time::ZERO, Dur(10), 2)).unwrap();
+        let g = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(10), 2))
+            .unwrap();
         assert_eq!(g.servers, vec![ServerId(0), ServerId(1)]);
     }
 
@@ -249,8 +256,12 @@ mod tests {
     fn ops_scale_linearly_with_servers() {
         let mut small = NaiveScheduler::new(4, cfg());
         let mut large = NaiveScheduler::new(64, cfg());
-        small.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap();
-        large.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap();
+        small
+            .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+            .unwrap();
+        large
+            .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+            .unwrap();
         assert_eq!(small.stats().primary_visits, 4);
         assert_eq!(large.stats().primary_visits, 64);
     }
@@ -258,10 +269,16 @@ mod tests {
     #[test]
     fn release_roundtrip() {
         let mut s = NaiveScheduler::new(1, cfg());
-        let g = s.submit(&Request::on_demand(Time::ZERO, Dur(100), 1)).unwrap();
-        assert!(s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).is_err());
+        let g = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(100), 1))
+            .unwrap();
+        assert!(s
+            .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+            .is_err());
         s.release(g.job).unwrap();
-        assert!(s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).is_ok());
+        assert!(s
+            .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+            .is_ok());
         s.timeline.check_invariants();
     }
 }

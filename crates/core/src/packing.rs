@@ -164,10 +164,10 @@ impl PackedGroup {
             assert!(a.first_lane + a.lanes <= self.request_servers);
             assert!(a.offset + dur(a.tag) <= self.request_duration);
             for b in &self.placements[i + 1..] {
-                let lanes_overlap = a.first_lane < b.first_lane + b.lanes
-                    && b.first_lane < a.first_lane + a.lanes;
-                let time_overlap = a.offset < b.offset + dur(b.tag)
-                    && b.offset < a.offset + dur(a.tag);
+                let lanes_overlap =
+                    a.first_lane < b.first_lane + b.lanes && b.first_lane < a.first_lane + a.lanes;
+                let time_overlap =
+                    a.offset < b.offset + dur(b.tag) && b.offset < a.offset + dur(a.tag);
                 assert!(
                     !(lanes_overlap && time_overlap),
                     "placements {a:?} and {b:?} collide"

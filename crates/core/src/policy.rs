@@ -51,13 +51,17 @@ impl SelectionPolicy {
     pub fn select_in_place(&self, feasible: &mut Vec<IdlePeriod>, n: usize, end: Time) {
         match self {
             SelectionPolicy::PaperOrder => {
-                top_n_by_key(feasible, n, |p| (std::cmp::Reverse(p.start), p.server, p.id));
+                top_n_by_key(feasible, n, |p| {
+                    (std::cmp::Reverse(p.start), p.server, p.id)
+                });
             }
             SelectionPolicy::BestFit => {
                 top_n_by_key(feasible, n, |p| (p.end - end, p.server, p.id));
             }
             SelectionPolicy::WorstFit => {
-                top_n_by_key(feasible, n, |p| (std::cmp::Reverse(p.end - end), p.server, p.id));
+                top_n_by_key(feasible, n, |p| {
+                    (std::cmp::Reverse(p.end - end), p.server, p.id)
+                });
             }
             SelectionPolicy::ByServerId => {
                 top_n_by_key(feasible, n, |p| (p.server, p.id));
@@ -90,7 +94,12 @@ mod tests {
     }
 
     fn sample() -> Vec<IdlePeriod> {
-        vec![p(1, 3, 0, 50), p(2, 1, 5, 30), p(3, 2, 2, 90), p(4, 0, 1, 40)]
+        vec![
+            p(1, 3, 0, 50),
+            p(2, 1, 5, 30),
+            p(3, 2, 2, 90),
+            p(4, 0, 1, 40),
+        ]
     }
 
     #[test]

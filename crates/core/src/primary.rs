@@ -326,7 +326,9 @@ impl SlotTree {
             let mut cur = self.root;
             loop {
                 match &self.nodes[cur as usize] {
-                    PNode::Internal { left, right, split, .. } => {
+                    PNode::Internal {
+                        left, right, split, ..
+                    } => {
                         cur = if key <= *split { *left } else { *right };
                     }
                     PNode::Leaf { period: p } => {
@@ -484,7 +486,9 @@ impl SlotTree {
             PNode::Internal { secondary, .. } if !secondary.is_empty() => {
                 return secondary.append_keys(&self.arena, &mut scratch.ends);
             }
-            PNode::Internal { left, right, size, .. } => (*left, *right, *size),
+            PNode::Internal {
+                left, right, size, ..
+            } => (*left, *right, *size),
             PNode::Free => unreachable!("refresh reached a freed node"),
         };
         ops.update_visits += size as u64;
@@ -508,7 +512,12 @@ impl SlotTree {
         scratch: &mut Scratch,
         ops: &mut OpStats,
     ) -> Treap {
-        let Scratch { ends, ends_aux: aux, spine, .. } = scratch;
+        let Scratch {
+            ends,
+            ends_aux: aux,
+            spine,
+            ..
+        } = scratch;
         aux.clear();
         {
             let (l, r) = ends[base..].split_at(mid);
@@ -539,7 +548,10 @@ impl SlotTree {
         ops: &mut OpStats,
     ) {
         for (idx, &n) in path.iter().enumerate() {
-            if let PNode::Internal { left, right, size, .. } = &self.nodes[n as usize] {
+            if let PNode::Internal {
+                left, right, size, ..
+            } = &self.nodes[n as usize]
+            {
                 let max_child = self.node_size(*left).max(self.node_size(*right)) as u64;
                 if max_child * ALPHA_DEN > (*size as u64) * ALPHA_NUM {
                     let parent = if idx == 0 { NIL } else { path[idx - 1] };
@@ -683,7 +695,9 @@ impl SlotTree {
         while cur != NIL {
             ops.primary_visits += 1;
             match &self.nodes[cur as usize] {
-                PNode::Internal { left, right, split, .. } => {
+                PNode::Internal {
+                    left, right, split, ..
+                } => {
                     if split.start <= start {
                         // Everything right of the split starts no later than
                         // the split: all candidates. Mark and go left.
@@ -785,7 +799,10 @@ impl SlotTree {
                 PNode::Internal { secondary, .. } => {
                     secondary.collect_ge(
                         &self.arena,
-                        EndKey { end, id: PeriodId(0) },
+                        EndKey {
+                            end,
+                            id: PeriodId(0),
+                        },
                         limit,
                         out,
                         ops,
@@ -813,7 +830,14 @@ impl SlotTree {
                     self.for_each_leaf(n, &mut |p| count += (p.end >= end) as usize);
                 }
                 PNode::Internal { secondary, .. } => {
-                    count += secondary.count_ge(&self.arena, EndKey { end, id: PeriodId(0) }, ops);
+                    count += secondary.count_ge(
+                        &self.arena,
+                        EndKey {
+                            end,
+                            id: PeriodId(0),
+                        },
+                        ops,
+                    );
                 }
                 PNode::Free => unreachable!(),
             }
@@ -939,8 +963,13 @@ impl SlotTree {
             if node == NIL {
                 return;
             }
-            if let PNode::Internal { left, right, size, split, secondary } =
-                &tree.nodes[node as usize]
+            if let PNode::Internal {
+                left,
+                right,
+                size,
+                split,
+                secondary,
+            } = &tree.nodes[node as usize]
             {
                 out.push((*size, *split, secondary.keys_pre_order(&tree.arena)));
                 rec(tree, *left, out);
@@ -979,7 +1008,11 @@ mod tests {
             id: PeriodId(id),
             server: ServerId(server),
             start: Time(start),
-            end: if end == i64::MAX { Time::INF } else { Time(end) },
+            end: if end == i64::MAX {
+                Time::INF
+            } else {
+                Time(end)
+            },
         }
     }
 
@@ -1095,7 +1128,14 @@ mod tests {
     fn from_periods_bulk_build_matches_incremental() {
         let mut ops = OpStats::new();
         let periods: Vec<IdlePeriod> = (0..64)
-            .map(|i| p(i, (i % 8) as u32, (i * 37 % 100) as i64, (200 + i * 13 % 97) as i64))
+            .map(|i| {
+                p(
+                    i,
+                    (i % 8) as u32,
+                    (i * 37 % 100) as i64,
+                    (200 + i * 13 % 97) as i64,
+                )
+            })
             .collect();
         let bulk = SlotTree::from_periods(9, periods.clone(), &mut ops);
         bulk.check_invariants();
@@ -1125,8 +1165,9 @@ mod tests {
     fn deletion_heavy_shrink_triggers_global_rebuild() {
         let mut t = SlotTree::new(4);
         let mut ops = OpStats::new();
-        let periods: Vec<IdlePeriod> =
-            (0..512).map(|i| p(i, 0, i as i64, 10_000 + i as i64)).collect();
+        let periods: Vec<IdlePeriod> = (0..512)
+            .map(|i| p(i, 0, i as i64, 10_000 + i as i64))
+            .collect();
         for q in &periods {
             t.insert(*q, &mut ops);
         }
@@ -1163,11 +1204,19 @@ mod tests {
             deferred.apply_ops([op], true, &mut scratch, &mut ops);
             eager.check_invariants();
             deferred.check_invariants();
-            assert_eq!(eager.periods_in_order(), deferred.periods_in_order(), "step {step}");
+            assert_eq!(
+                eager.periods_in_order(),
+                deferred.periods_in_order(),
+                "step {step}"
+            );
             assert_eq!(eager.fingerprint(), deferred.fingerprint(), "step {step}");
         }
         assert_eq!(eager.len(), SCAN_MAX - 1);
-        assert_eq!(eager.arena.live_nodes(), 0, "no secondary tree survives below the threshold");
+        assert_eq!(
+            eager.arena.live_nodes(),
+            0,
+            "no secondary tree survives below the threshold"
+        );
     }
 
     /// Phase 2 against the definition, on trees either side of the

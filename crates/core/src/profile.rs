@@ -142,8 +142,7 @@ impl FreeProfile {
         }
         let tau = self.slot_cfg.tau.secs();
         // Inward rounding: only slots fully inside [start, end) count.
-        let q_first = start.secs().div_euclid(tau)
-            + i64::from(start.secs().rem_euclid(tau) != 0);
+        let q_first = start.secs().div_euclid(tau) + i64::from(start.secs().rem_euclid(tau) != 0);
         let q_end = end.secs().div_euclid(tau); // exclusive
         let lo = q_first.max(self.base);
         let hi = q_end.min(self.base + self.m as i64);
@@ -290,8 +289,14 @@ impl FreeProfile {
         if pos + len <= self.m {
             self.max_rec(1, 0, self.m, pos, pos + len, 0)
         } else {
-            self.max_rec(1, 0, self.m, pos, self.m, 0)
-                .max(self.max_rec(1, 0, self.m, 0, pos + len - self.m, 0))
+            self.max_rec(1, 0, self.m, pos, self.m, 0).max(self.max_rec(
+                1,
+                0,
+                self.m,
+                0,
+                pos + len - self.m,
+                0,
+            ))
         }
     }
 
@@ -304,8 +309,14 @@ impl FreeProfile {
         }
         let mid = (nl + nr) / 2;
         let acc = acc + self.lazy[node];
-        self.max_rec(2 * node, nl, mid, l, r, acc)
-            .max(self.max_rec(2 * node + 1, mid, nr, l, r, acc))
+        self.max_rec(2 * node, nl, mid, l, r, acc).max(self.max_rec(
+            2 * node + 1,
+            mid,
+            nr,
+            l,
+            r,
+            acc,
+        ))
     }
 
     /// The *largest absolute* slot in `[lo, hi)` (inclusive-exclusive, live)

@@ -307,7 +307,14 @@ impl SlotRing {
                         continue;
                     };
                     ops.ring_period_inserts += 1;
-                    let prev = self.cover.insert(p.id.0, Coverage { period: p, first, last });
+                    let prev = self.cover.insert(
+                        p.id.0,
+                        Coverage {
+                            period: p,
+                            first,
+                            last,
+                        },
+                    );
                     debug_assert!(prev.is_none(), "period {p:?} inserted twice");
                     self.expiry[(last.0 - self.base.0) as usize].push(p.id.0);
                     (first, last)
@@ -542,7 +549,10 @@ impl SlotRing {
                 cov.first == self.cfg.slot_of(p.start) || cov.first <= self.base,
                 "cover range start of {p:?} matches neither its slot nor a past base"
             );
-            assert_eq!(cov.last.0, self.cfg.slot_of(Time(p.end.0 - 1)).0.min(cov.last.0));
+            assert_eq!(
+                cov.last.0,
+                self.cfg.slot_of(Time(p.end.0 - 1)).0.min(cov.last.0)
+            );
         }
         // 2. Exact canonical storage: node -> ids from the trees must equal
         // node -> ids recomputed from the cover map.
@@ -581,7 +591,10 @@ impl SlotRing {
                 .filter(|(_, c)| c.first <= q && q <= c.last)
                 .map(|(id, _)| *id)
                 .collect();
-            assert_eq!(by_range, overlap, "cover ranges disagree with overlap in slot {q:?}");
+            assert_eq!(
+                by_range, overlap,
+                "cover ranges disagree with overlap in slot {q:?}"
+            );
             let mut stab = BTreeSet::new();
             let mut n = self.span + self.pos(q);
             loop {
@@ -632,15 +645,21 @@ mod tests {
 
     /// Route a timeline delta the way the scheduler does: finite periods to
     /// the ring, trailing ones dropped (they belong to the TrailingSet).
-    fn apply_finite(
-        ring: &mut SlotRing,
-        delta: &crate::timeline::PeriodDelta,
-        ops: &mut OpStats,
-    ) {
+    fn apply_finite(ring: &mut SlotRing, delta: &crate::timeline::PeriodDelta, ops: &mut OpStats) {
         let finite = |p: &&IdlePeriod| !p.end.is_inf();
-        let batch: Vec<PeriodOp> = (delta.removed.iter().filter(finite).map(|p| PeriodOp::Remove(*p)))
-            .chain(delta.added.iter().filter(finite).map(|p| PeriodOp::Insert(*p)))
-            .collect();
+        let batch: Vec<PeriodOp> = (delta
+            .removed
+            .iter()
+            .filter(finite)
+            .map(|p| PeriodOp::Remove(*p)))
+        .chain(
+            delta
+                .added
+                .iter()
+                .filter(finite)
+                .map(|p| PeriodOp::Insert(*p)),
+        )
+        .collect();
         ring.apply_batch(&batch, &mut Scratch::new(), ops);
     }
 
@@ -706,7 +725,7 @@ mod tests {
         apply_finite(&mut ring, &delta, &mut ops);
         ring.check_mirror(&tl);
         assert_eq!(ring.resident_periods(), 1); // [0, 5): slot 0 only
-        // Advance two slots: [0, 5) expired with slot 0.
+                                                // Advance two slots: [0, 5) expired with slot 0.
         ring.advance_to(Time(25), &mut ops);
         assert_eq!(ring.first_slot(), SlotIdx(2));
         assert_eq!(ring.horizon_end(), Time(60));
@@ -767,9 +786,18 @@ mod tests {
         // Stabbing queries agree: the hole is feasible from any of its
         // slots, invisible outside them.
         let hole = finite_added(&d2);
-        assert_eq!(feasible_ids(&ring, SlotIdx(1), Time(10), Time(40)), vec![hole.id.0]);
-        assert_eq!(feasible_ids(&ring, SlotIdx(3), Time(35), Time(40)), vec![hole.id.0]);
-        assert_eq!(feasible_ids(&ring, SlotIdx(4), Time(45), Time(50)), Vec::<u64>::new());
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(1), Time(10), Time(40)),
+            vec![hole.id.0]
+        );
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(3), Time(35), Time(40)),
+            vec![hole.id.0]
+        );
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(4), Time(45), Time(50)),
+            Vec::<u64>::new()
+        );
     }
 
     #[test]
@@ -784,7 +812,11 @@ mod tests {
             end: Time(29),
         };
         let mut scratch = Scratch::new();
-        ring.apply_batch(&[PeriodOp::Insert(ghost), PeriodOp::Remove(ghost)], &mut scratch, &mut ops);
+        ring.apply_batch(
+            &[PeriodOp::Insert(ghost), PeriodOp::Remove(ghost)],
+            &mut scratch,
+            &mut ops,
+        );
         assert_eq!(ops.ring_period_inserts, 0);
         assert_eq!(ops.ring_period_removes, 0);
         let beyond = IdlePeriod {
@@ -810,15 +842,24 @@ mod tests {
         // The reservation also leaves a dead front fragment [0, 50), which
         // the ring ignores (it ends at the window start).
         let tail = *d1.added.iter().find(|p| p.end.is_inf()).unwrap(); // [60, inf)
-        // Hole [60, 100) covers slots 6..=9 — positions 6, 7, 0, 1: wrapped.
+                                                                       // Hole [60, 100) covers slots 6..=9 — positions 6, 7, 0, 1: wrapped.
         let d2 = tl.reserve(tail.id, JobId(2), Time(100), Time(110));
         apply_finite(&mut ring, &d2, &mut ops);
         ring.check_mirror(&tl);
         let hole = finite_added(&d2);
-        assert_eq!(feasible_ids(&ring, SlotIdx(6), Time(60), Time(100)), vec![hole.id.0]);
-        assert_eq!(feasible_ids(&ring, SlotIdx(9), Time(95), Time(100)), vec![hole.id.0]);
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(6), Time(60), Time(100)),
+            vec![hole.id.0]
+        );
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(9), Time(95), Time(100)),
+            vec![hole.id.0]
+        );
         // Slot 5 precedes the hole: not feasible there.
-        assert_eq!(feasible_ids(&ring, SlotIdx(5), Time(55), Time(60)), Vec::<u64>::new());
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(5), Time(55), Time(60)),
+            Vec::<u64>::new()
+        );
         // Advance across the hole: it is evicted exactly when slot 9 dies.
         ring.advance_to(Time(90), &mut ops);
         assert_eq!(ring.resident_periods(), 1);
@@ -841,7 +882,10 @@ mod tests {
         let d2 = tl.reserve(tail.id, JobId(2), Time(30), Time(40));
         apply_finite(&mut ring, &d2, &mut ops);
         let hole = finite_added(&d2); // [10, 30): slots 1..=2
-        assert_eq!(feasible_ids(&ring, SlotIdx(1), Time(10), Time(30)), vec![hole.id.0]);
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(1), Time(10), Time(30)),
+            vec![hole.id.0]
+        );
         // Rotate so slot 9 (position 1 mod 8) becomes live while the hole,
         // now expired, would still be on the stabbing path if not evicted.
         // Eviction removes it; even *before* eviction the Phase-2 end check
@@ -851,7 +895,10 @@ mod tests {
         ring.advance_to(Time(40), &mut ops);
         tl.prune_before(Time(40));
         ring.check_mirror(&tl);
-        assert_eq!(feasible_ids(&ring, SlotIdx(9), Time(90), Time(95)), Vec::<u64>::new());
+        assert_eq!(
+            feasible_ids(&ring, SlotIdx(9), Time(90), Time(95)),
+            Vec::<u64>::new()
+        );
         assert_eq!(ring.resident_periods(), 0);
     }
 

@@ -91,10 +91,16 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "not a coalloc snapshot (bad header)"),
             SnapshotError::BadLine { line } => write!(f, "snapshot line {line} is malformed"),
             SnapshotError::InconsistentReservation { line } => {
-                write!(f, "snapshot line {line}: overlapping or misplaced reservation")
+                write!(
+                    f,
+                    "snapshot line {line}: overlapping or misplaced reservation"
+                )
             }
             SnapshotError::Integrity => {
-                write!(f, "snapshot integrity footer missing or mismatched (truncated or altered)")
+                write!(
+                    f,
+                    "snapshot integrity footer missing or mismatched (truncated or altered)"
+                )
             }
             SnapshotError::Invalid { line, what } => {
                 write!(f, "snapshot line {line}: {what}")
@@ -213,7 +219,13 @@ impl StateImage {
             }
         }
         for r in &self.busy {
-            put!("res {} {} {} {}", r.job.0, r.server.0, r.start.secs(), r.end.secs());
+            put!(
+                "res {} {} {} {}",
+                r.job.0,
+                r.server.0,
+                r.start.secs(),
+                r.end.secs()
+            );
         }
         put!("next_job {}", self.next_job);
         // Integrity footer: line count and FNV-1a over every preceding byte.
@@ -424,7 +436,10 @@ impl StateImage {
             }
         }
         if !idle.is_empty() && trailing.iter().any(|&c| c != 1) {
-            return Err(invalid(0, "each server needs exactly one open-ended idle period"));
+            return Err(invalid(
+                0,
+                "each server needs exactly one open-ended idle period",
+            ));
         }
         spans.sort_unstable();
         for w in spans.windows(2) {
@@ -447,7 +462,11 @@ impl StateImage {
         let mut periods: Vec<(ServerId, Time, Time)> = idle
             .iter()
             .map(|&(_, server, start, end)| {
-                (ServerId(server as u32), Time(start), end.map_or(Time::INF, Time))
+                (
+                    ServerId(server as u32),
+                    Time(start),
+                    end.map_or(Time::INF, Time),
+                )
             })
             .collect();
         periods.sort_unstable_by_key(|&(server, start, _)| (server, start));
@@ -485,7 +504,11 @@ impl StateImage {
         start: &str,
         end: &str,
     ) -> Result<(usize, u64, i64, Option<i64>), SnapshotError> {
-        let end = if end == "inf" { None } else { Some(field(end, line)?) };
+        let end = if end == "inf" {
+            None
+        } else {
+            Some(field(end, line)?)
+        };
         Ok((line, field(server, line)?, field(start, line)?, end))
     }
 }
@@ -522,7 +545,8 @@ mod tests {
     fn busy_scheduler() -> CoAllocScheduler {
         let mut s = CoAllocScheduler::new(4, cfg());
         s.set_server_attrs(ServerId(1), AttrSet(0b101));
-        s.submit(&Request::on_demand(Time::ZERO, Dur(50), 2)).unwrap();
+        s.submit(&Request::on_demand(Time::ZERO, Dur(50), 2))
+            .unwrap();
         s.submit(&Request::advance(Time::ZERO, Time(100), Dur(30), 3))
             .unwrap();
         s.submit(&Request::advance(Time::ZERO, Time(40), Dur(20), 1))
@@ -585,7 +609,9 @@ mod tests {
             let r = CoAllocScheduler::restore(&s.snapshot()).unwrap();
             r.export().next_job
         };
-        let g = s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap();
+        let g = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+            .unwrap();
         assert_eq!(g.job.0, restored_next, "id sequences must align");
     }
 
@@ -702,18 +728,18 @@ mod tests {
         let snap = busy_scheduler().snapshot();
         let cases: &[(&str, &str)] = &[
             // (search, replace) — each would assert or overflow if trusted.
-            ("config 10 300", "config 0 300"),    // tau = 0
-            ("config 10 300", "config -5 300"),   // tau < 0
-            ("config 10 300", "config 10 5"),     // horizon < tau
+            ("config 10 300", "config 0 300"),       // tau = 0
+            ("config 10 300", "config -5 300"),      // tau < 0
+            ("config 10 300", "config 10 5"),        // horizon < tau
             ("config 10 300 10", "config 10 300 0"), // delta_t = 0
             ("config 10 300 10", "config 1 4400000000000 10"), // too many slots
             ("servers 4", "servers 0"),
             ("servers 4", "servers 99999999"),
-            ("clock 0 0", "clock 0 -10"),         // now < origin
-            ("clock 0 0", "clock 0 4400000000000"), // |now| too large
+            ("clock 0 0", "clock 0 -10"),            // now < origin
+            ("clock 0 0", "clock 0 4400000000000"),  // |now| too large
             ("clock 0 0", "clock -4400000000000 0"), // |origin| too large
-            ("pruned 0", "pruned -5"),            // prune boundary < origin
-            ("pruned 0", "pruned 5"),             // prune boundary > now
+            ("pruned 0", "pruned -5"),               // prune boundary < origin
+            ("pruned 0", "pruned 5"),                // prune boundary > now
         ];
         for (from, to) in cases {
             let mutated = snap.replace(from, to);
@@ -726,8 +752,8 @@ mod tests {
         }
         // Out-of-range attrs / reservation targets.
         for extra in ["attrs 4 1", "res 0 4 200 210", "res 0 0 200 199"] {
-            let err = CoAllocScheduler::restore(&refooter(&format!("{snap}{extra}\n")))
-                .unwrap_err();
+            let err =
+                CoAllocScheduler::restore(&refooter(&format!("{snap}{extra}\n"))).unwrap_err();
             assert!(
                 matches!(err, SnapshotError::Invalid { .. }),
                 "{extra:?} gave {err:?}"
@@ -790,7 +816,9 @@ mod tests {
     #[test]
     fn released_finished_jobs_stay_released_across_restore() {
         let mut s = CoAllocScheduler::new(2, cfg());
-        let g = s.submit(&Request::on_demand(Time::ZERO, Dur(20), 1)).unwrap();
+        let g = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(20), 1))
+            .unwrap();
         s.advance_to(Time(50)); // the job is finished, history not yet pruned
         s.release(g.job).unwrap();
         let mut restored = CoAllocScheduler::restore(&s.snapshot()).unwrap();
@@ -832,11 +860,7 @@ mod tests {
         let mut twin = CoAllocScheduler::restore(&snap).unwrap();
         let commitments_only: String = snap
             .lines()
-            .filter(|l| {
-                !["idle ", "end "]
-                    .iter()
-                    .any(|p| l.starts_with(p))
-            })
+            .filter(|l| !["idle ", "end "].iter().any(|p| l.starts_with(p)))
             .map(|l| format!("{l}\n"))
             .collect::<String>()
             .replace(MAGIC, MAGIC_V1);
@@ -865,11 +889,19 @@ mod tests {
     #[test]
     fn prune_cadence_survives_restore() {
         let mut s = CoAllocScheduler::new(2, cfg());
-        let g = s.submit(&Request::on_demand(Time::ZERO, Dur(20), 1)).unwrap();
+        let g = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(20), 1))
+            .unwrap();
         s.advance_to(Time(330)); // past PRUNE_EVERY_SLOTS * tau: prune fires
         let mut restored = CoAllocScheduler::restore(&s.snapshot()).unwrap();
-        assert!(matches!(s.release(g.job), Err(ScheduleError::UnknownJob(_))));
-        assert!(matches!(restored.release(g.job), Err(ScheduleError::UnknownJob(_))));
+        assert!(matches!(
+            s.release(g.job),
+            Err(ScheduleError::UnknownJob(_))
+        ));
+        assert!(matches!(
+            restored.release(g.job),
+            Err(ScheduleError::UnknownJob(_))
+        ));
         assert_eq!(restored.snapshot(), s.snapshot());
         restored.check_consistency();
     }
@@ -927,17 +959,22 @@ end 22 a68a5201aba5195e
         let expect: Vec<String> = V2_FIXTURE
             .lines()
             .filter(|l| !l.starts_with("next_period ") && !l.starts_with("end "))
-            .map(|l| match l.split_whitespace().collect::<Vec<_>>().as_slice() {
-                ["idle", _id, rest @ ..] => format!("idle {}", rest.join(" ")),
-                _ => l.replace(MAGIC_V2, MAGIC),
-            })
+            .map(
+                |l| match l.split_whitespace().collect::<Vec<_>>().as_slice() {
+                    ["idle", _id, rest @ ..] => format!("idle {}", rest.join(" ")),
+                    _ => l.replace(MAGIC_V2, MAGIC),
+                },
+            )
             .collect();
         let got: Vec<&str> = v3.lines().filter(|l| !l.starts_with("end ")).collect();
         assert_eq!(got, expect);
         assert_eq!(CoAllocScheduler::restore(&v3).unwrap().snapshot(), v3);
         // The state is the writer's: job 2 is live, the retired job 1 is not.
         assert_eq!(restored.server_attrs(ServerId(1)), AttrSet(5));
-        assert!(matches!(restored.release(JobId(1)), Err(ScheduleError::UnknownJob(_))));
+        assert!(matches!(
+            restored.release(JobId(1)),
+            Err(ScheduleError::UnknownJob(_))
+        ));
         restored.release(JobId(2)).unwrap();
         // A v2 id that does not parse is still a malformed line.
         assert!(matches!(
@@ -963,7 +1000,10 @@ end 22 a68a5201aba5195e
             (format!("{snap}idle 0 20 20\n"), "interval out of range"),
             (format!("{snap}idle 0 20 99999\n"), "interval out of range"),
             (format!("{snap}{tail}\n"), "exactly one open-ended"),
-            (snap.replace(&format!("{tail}\n"), ""), "exactly one open-ended"),
+            (
+                snap.replace(&format!("{tail}\n"), ""),
+                "exactly one open-ended",
+            ),
         ];
         for (mutated, expect) in cases {
             match CoAllocScheduler::restore(&refooter(mutated)).unwrap_err() {

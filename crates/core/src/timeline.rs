@@ -242,13 +242,7 @@ impl Timeline {
     /// Release the reservation of `job` on `server` covering `[start, end)`,
     /// merging the window back into the idle map (coalescing with adjacent
     /// idle periods). Used by cancellation and by the multi-site abort path.
-    pub fn release(
-        &mut self,
-        server: ServerId,
-        job: JobId,
-        start: Time,
-        end: Time,
-    ) -> PeriodDelta {
+    pub fn release(&mut self, server: ServerId, job: JobId, start: Time, end: Time) -> PeriodDelta {
         let mut delta = PeriodDelta::default();
         self.release_into(server, job, start, end, &mut delta);
         delta
@@ -289,10 +283,7 @@ impl Timeline {
             delta.removed.push(p);
         }
         // Coalesce with the idle period starting exactly at `end`.
-        let right = self.servers[server.0 as usize]
-            .idle
-            .get(&end)
-            .copied();
+        let right = self.servers[server.0 as usize].idle.get(&end).copied();
         if let Some(id) = right {
             let p = self.periods.remove(&id).unwrap();
             self.servers[server.0 as usize].idle.remove(&end);
@@ -393,7 +384,10 @@ impl Timeline {
             let mut prev_end: Option<Time> = None;
             let mut inf_count = 0;
             for (&start, id) in &st.idle {
-                let p = self.periods.get(id).expect("idle map points at live period");
+                let p = self
+                    .periods
+                    .get(id)
+                    .expect("idle map points at live period");
                 seen += 1;
                 assert_eq!(p.server, server, "period on wrong server");
                 assert_eq!(p.start, start, "idle map key mismatch");

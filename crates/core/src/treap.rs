@@ -454,7 +454,10 @@ impl Treap {
             assert_eq!(n.size, 1 + ls + rs, "size annotation");
             if n.left != NIL {
                 assert!(arena.nodes[n.left as usize].key < n.key, "BST order left");
-                assert!(arena.nodes[n.left as usize].prio <= n.prio, "heap order left");
+                assert!(
+                    arena.nodes[n.left as usize].prio <= n.prio,
+                    "heap order left"
+                );
             }
             if n.right != NIL {
                 assert!(arena.nodes[n.right as usize].key > n.key, "BST order right");

@@ -177,7 +177,9 @@ fn steady_state_submissions_do_not_allocate() {
     // `Grant::servers` vector and records a per-job reservation list; both
     // are O(n_r) and independent of schedule size. Guard against gross
     // regressions with a generous per-grant budget.
-    let warm = sched2.submit(&Request::on_demand(Time::ZERO, Dur(30), 4)).unwrap();
+    let warm = sched2
+        .submit(&Request::on_demand(Time::ZERO, Dur(30), 4))
+        .unwrap();
     sched2.release(warm.job).unwrap();
     let iters = 50u64;
     let before = allocs();

@@ -29,8 +29,11 @@ fn job_exactly_filling_the_horizon() {
 fn delta_t_smaller_than_tau_probes_within_slots() {
     // Delta_t = 3, tau = 10: retries probe sub-slot offsets.
     let mut s = CoAllocScheduler::new(1, cfg(10, 200, 3));
-    s.submit(&Request::on_demand(Time::ZERO, Dur(7), 1)).unwrap();
-    let g = s.submit(&Request::on_demand(Time::ZERO, Dur(5), 1)).unwrap();
+    s.submit(&Request::on_demand(Time::ZERO, Dur(7), 1))
+        .unwrap();
+    let g = s
+        .submit(&Request::on_demand(Time::ZERO, Dur(5), 1))
+        .unwrap();
     // First fit is at t = 9 (attempts at 0, 3, 6 collide with [0, 7)).
     assert_eq!(g.start, Time(9));
     assert_eq!(g.attempts, 4);
@@ -40,8 +43,11 @@ fn delta_t_smaller_than_tau_probes_within_slots() {
 #[test]
 fn delta_t_larger_than_tau_skips_slots() {
     let mut s = CoAllocScheduler::new(1, cfg(10, 400, 35));
-    s.submit(&Request::on_demand(Time::ZERO, Dur(30), 1)).unwrap();
-    let g = s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap();
+    s.submit(&Request::on_demand(Time::ZERO, Dur(30), 1))
+        .unwrap();
+    let g = s
+        .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+        .unwrap();
     // Attempts at 0 (busy), 35 (free).
     assert_eq!(g.start, Time(35));
     assert_eq!(g.attempts, 2);
@@ -66,9 +72,7 @@ fn sub_slot_jobs_fragment_a_single_slot() {
     let hits = s.range_search(Time(30), Time(50));
     assert_eq!(hits.len(), 1);
     // And committable.
-    let g = s
-        .reserve(&[hits[0].server], Time(30), Time(50))
-        .unwrap();
+    let g = s.reserve(&[hits[0].server], Time(30), Time(50)).unwrap();
     assert_eq!(g.start, Time(30));
     s.check_consistency();
 }
@@ -92,7 +96,8 @@ fn start_exactly_on_slot_boundary() {
 #[test]
 fn clock_advance_beyond_entire_horizon() {
     let mut s = CoAllocScheduler::new(3, cfg(10, 100, 10));
-    s.submit(&Request::on_demand(Time::ZERO, Dur(50), 3)).unwrap();
+    s.submit(&Request::on_demand(Time::ZERO, Dur(50), 3))
+        .unwrap();
     // Jump far past everything ever scheduled: the whole ring recycles.
     s.advance_to(Time(10_000));
     s.check_consistency();
@@ -105,7 +110,9 @@ fn clock_advance_beyond_entire_horizon() {
 #[test]
 fn release_after_clock_advance_past_history() {
     let mut s = CoAllocScheduler::new(1, cfg(10, 100, 10));
-    let g = s.submit(&Request::on_demand(Time::ZERO, Dur(20), 1)).unwrap();
+    let g = s
+        .submit(&Request::on_demand(Time::ZERO, Dur(20), 1))
+        .unwrap();
     // Advance far enough that the reservation is pruned history. Pruning
     // forgets the job entirely (so a snapshot-restored twin agrees), hence
     // releasing the ancient job reports it unknown — and corrupts nothing.
@@ -120,7 +127,9 @@ fn release_after_clock_advance_past_history() {
 #[test]
 fn release_of_finished_but_unpruned_job_retires_it() {
     let mut s = CoAllocScheduler::new(1, cfg(10, 100, 10));
-    let g = s.submit(&Request::on_demand(Time::ZERO, Dur(20), 1)).unwrap();
+    let g = s
+        .submit(&Request::on_demand(Time::ZERO, Dur(20), 1))
+        .unwrap();
     // Finished (end=20 < now=100) but before the amortized prune threshold:
     // the job is still known and releasable exactly once.
     s.advance_to(Time(100));
@@ -139,13 +148,8 @@ fn many_fragments_stress_one_slot() {
     // 64 tiny alternating reservations inside a single 10_000-second slot.
     let mut s = CoAllocScheduler::new(4, cfg(10_000, 100_000, 10));
     for i in 0..64i64 {
-        s.submit(&Request::advance(
-            Time::ZERO,
-            Time(i * 100),
-            Dur(50),
-            2,
-        ))
-        .unwrap();
+        s.submit(&Request::advance(Time::ZERO, Time(i * 100), Dur(50), 2))
+            .unwrap();
     }
     s.check_consistency();
     // Every inter-reservation gap is findable.
@@ -161,7 +165,9 @@ fn all_servers_requested_repeatedly() {
     let mut s = CoAllocScheduler::new(8, cfg(10, 1000, 10));
     let mut expected_start = 0i64;
     for _ in 0..10 {
-        let g = s.submit(&Request::on_demand(Time::ZERO, Dur(50), 8)).unwrap();
+        let g = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(50), 8))
+            .unwrap();
         assert_eq!(g.start, Time(expected_start));
         expected_start += 50;
     }
@@ -274,7 +280,9 @@ fn range_search_never_returns_unusable_past_windows() {
 #[test]
 fn single_server_system() {
     let mut s = CoAllocScheduler::new(1, cfg(10, 100, 10));
-    let g = s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap();
+    let g = s
+        .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+        .unwrap();
     assert_eq!(g.servers, vec![ServerId(0)]);
     assert!(matches!(
         s.submit(&Request::on_demand(Time::ZERO, Dur(10), 2)),

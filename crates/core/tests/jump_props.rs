@@ -227,8 +227,11 @@ fn exhausted_error_is_identical_and_pinned_under_jumping() {
                 .build(),
             jump,
         );
-        s.submit(&Request::on_demand(Time::ZERO, Dur(90), 1)).unwrap();
-        let err = s.submit(&Request::on_demand(Time::ZERO, Dur(10), 1)).unwrap_err();
+        s.submit(&Request::on_demand(Time::ZERO, Dur(90), 1))
+            .unwrap();
+        let err = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(10), 1))
+            .unwrap_err();
         assert_eq!(
             err,
             ScheduleError::Exhausted {
@@ -258,8 +261,11 @@ fn horizon_error_is_identical_and_pinned_under_jumping() {
             jump,
         );
         // Fill everything so no early grant can mask the horizon check.
-        s.submit(&Request::on_demand(Time::ZERO, Dur(100), 2)).unwrap();
-        let err = s.submit(&Request::on_demand(Time::ZERO, Dur(60), 1)).unwrap_err();
+        s.submit(&Request::on_demand(Time::ZERO, Dur(100), 2))
+            .unwrap();
+        let err = s
+            .submit(&Request::on_demand(Time::ZERO, Dur(60), 1))
+            .unwrap_err();
         assert_eq!(
             err,
             ScheduleError::HorizonExceeded {

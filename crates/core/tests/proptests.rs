@@ -9,9 +9,9 @@ use proptest::prelude::*;
 fn request_stream(n_servers: u32, len: usize) -> impl Strategy<Value = Vec<Request>> {
     prop::collection::vec(
         (
-            0i64..200,    // submit offset from previous
-            0i64..120,    // advance offset (s_r - q_r)
-            1i64..80,     // duration
+            0i64..200, // submit offset from previous
+            0i64..120, // advance offset (s_r - q_r)
+            1i64..80,  // duration
             1u32..=n_servers,
         ),
         1..len,

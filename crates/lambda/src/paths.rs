@@ -150,8 +150,7 @@ mod tests {
         let net = Network::ring(6, 2);
         let direct = shortest_path(&net, NodeId(0), NodeId(1), &[], &[]).unwrap();
         assert_eq!(direct.hops(), 1);
-        let detour =
-            shortest_path(&net, NodeId(0), NodeId(1), &[], &[direct.links[0]]).unwrap();
+        let detour = shortest_path(&net, NodeId(0), NodeId(1), &[], &[direct.links[0]]).unwrap();
         assert_eq!(detour.hops(), 5);
     }
 

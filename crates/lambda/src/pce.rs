@@ -372,7 +372,10 @@ mod tests {
         let mut disconnected = Network::new(3, 2);
         disconnected.add_link(NodeId(0), NodeId(1));
         let mut p = pce(disconnected, false);
-        assert_eq!(p.connect(&req(0, 2, 0, 600, 0, 1)).unwrap_err(), PceError::NoRoute);
+        assert_eq!(
+            p.connect(&req(0, 2, 0, 600, 0, 1)).unwrap_err(),
+            PceError::NoRoute
+        );
         let mut p = pce(Network::line(3, 2), false);
         assert_eq!(
             p.connect(&req(0, 2, 0, 600, 1, 0)).unwrap_err(),
@@ -397,7 +400,10 @@ mod tests {
                 ok += 1;
             }
         }
-        assert!(ok >= 30, "NSFNET with 8 wavelengths should carry most: {ok}");
+        assert!(
+            ok >= 30,
+            "NSFNET with 8 wavelengths should carry most: {ok}"
+        );
         p.scheduler().timeline().check_invariants();
     }
 }

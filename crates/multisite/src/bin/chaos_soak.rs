@@ -27,7 +27,10 @@ use coalloc_multisite::chaos::{run_chaos, ChaosConfig};
 use std::time::Duration;
 
 fn arg<T: std::str::FromStr>(positional: &[String], n: usize, default: T) -> T {
-    positional.get(n).and_then(|a| a.parse().ok()).unwrap_or(default)
+    positional
+        .get(n)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Split the raw argv into (positional numeric args, trace path, dump flag).
@@ -56,7 +59,10 @@ fn dump_txn_timelines() {
         eprintln!("(no per-txn events in the trace ring; run with --trace-out)");
         return;
     }
-    eprintln!("--- per-txn timelines ({} txns in ring) ---", timelines.len());
+    eprintln!(
+        "--- per-txn timelines ({} txns in ring) ---",
+        timelines.len()
+    );
     for (txn, evs) in &timelines {
         eprintln!("txn {txn}:");
         for e in evs {

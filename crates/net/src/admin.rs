@@ -149,12 +149,22 @@ fn handle_conn(mut stream: TcpStream, state: &AdminState) {
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m, p),
         _ => {
-            respond(&mut stream, 400, "text/plain; charset=utf-8", "bad request\n");
+            respond(
+                &mut stream,
+                400,
+                "text/plain; charset=utf-8",
+                "bad request\n",
+            );
             return;
         }
     };
     if method != "GET" {
-        respond(&mut stream, 405, "text/plain; charset=utf-8", "method not allowed\n");
+        respond(
+            &mut stream,
+            405,
+            "text/plain; charset=utf-8",
+            "method not allowed\n",
+        );
         return;
     }
     let path = path.split('?').next().unwrap_or(path);
@@ -209,7 +219,10 @@ fn read_request_line(stream: &mut TcpStream) -> Option<String> {
         }
     }
     let head = String::from_utf8_lossy(&buf);
-    head.lines().next().map(|l| l.trim().to_string()).filter(|l| !l.is_empty())
+    head.lines()
+        .next()
+        .map(|l| l.trim().to_string())
+        .filter(|l| !l.is_empty())
 }
 
 fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
@@ -247,7 +260,10 @@ fn status_json(state: &AdminState) -> String {
     let util = state.util_ppm.load(Ordering::Relaxed) as f64 / 1_000_000.0;
     let mut out = String::with_capacity(1024);
     out.push('{');
-    out.push_str(&format!("\"uptime_secs\":{:.1},", state.start.elapsed().as_secs_f64()));
+    out.push_str(&format!(
+        "\"uptime_secs\":{:.1},",
+        state.start.elapsed().as_secs_f64()
+    ));
     out.push_str(&format!("\"ready\":{ready},\"draining\":{draining},"));
     out.push_str(&format!(
         "\"initialized\":{},",

@@ -402,9 +402,8 @@ impl IoLoop {
                     deadline = Some(deadline.map_or(d, |c: Instant| c.min(d)));
                 }
             }
-            let timeout = deadline.map(|d| {
-                d.saturating_duration_since(now) + Duration::from_millis(2)
-            });
+            let timeout =
+                deadline.map(|d| d.saturating_duration_since(now) + Duration::from_millis(2));
             let _ = poll(&mut pfds, timeout);
             let now = Instant::now();
 
@@ -517,7 +516,9 @@ impl IoLoop {
 
     /// Drain the socket, frame complete lines, ship them as one batch.
     fn read_conn(&mut self, slot: usize, scratch: &mut [u8], now: Instant) {
-        let Some(c) = self.conns[slot].as_mut() else { return };
+        let Some(c) = self.conns[slot].as_mut() else {
+            return;
+        };
         if c.read_closed {
             return;
         }
@@ -553,7 +554,9 @@ impl IoLoop {
     /// Slice every complete line out of the read buffer and cross the
     /// scheduler queue once with all of them.
     fn frame_and_submit(&mut self, slot: usize, now: Instant) {
-        let Some(c) = self.conns[slot].as_mut() else { return };
+        let Some(c) = self.conns[slot].as_mut() else {
+            return;
+        };
         let token = ConnToken { slot, gen: c.gen };
         let mut lines: Vec<LineJob> = Vec::new();
         let mut pos = 0usize;
@@ -652,7 +655,9 @@ impl IoLoop {
     /// Arm a terminal protocol error: stop reading, discard the buffer,
     /// emit `msg` after every outstanding reply, then close.
     fn terminate(&mut self, slot: usize, msg: String, count_error: bool) {
-        let Some(c) = self.conns[slot].as_mut() else { return };
+        let Some(c) = self.conns[slot].as_mut() else {
+            return;
+        };
         if count_error {
             ERRORS.inc();
         }
@@ -667,7 +672,9 @@ impl IoLoop {
     /// deadlines, and tear down finished connections.
     fn sweep(&mut self, now: Instant) {
         for slot in 0..self.conns.len() {
-            let Some(c) = self.conns[slot].as_mut() else { continue };
+            let Some(c) = self.conns[slot].as_mut() else {
+                continue;
+            };
 
             // Deadlines (only meaningful while still reading).
             if !c.dead && !c.read_closed {
@@ -682,7 +689,9 @@ impl IoLoop {
                     self.terminate(slot, "error: idle timeout\n".to_string(), false);
                 }
             }
-            let Some(c) = self.conns[slot].as_mut() else { continue };
+            let Some(c) = self.conns[slot].as_mut() else {
+                continue;
+            };
 
             // A trailer goes on the wire only once every accepted line has
             // been answered: the stream is complete up to the error.
@@ -711,7 +720,14 @@ impl IoLoop {
                     None
                 };
                 if let Some(outcome) = outcome {
-                    slow::capture(c.id, &done.line, &done.text, outcome, &done.stamps, total_us);
+                    slow::capture(
+                        c.id,
+                        &done.line,
+                        &done.text,
+                        outcome,
+                        &done.stamps,
+                        total_us,
+                    );
                 }
             }
             if let Some(since) = c.write_stalled_since {

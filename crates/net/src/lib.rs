@@ -56,8 +56,8 @@
 #![forbid(unsafe_code)]
 
 mod admin;
-mod event;
 pub mod client;
+mod event;
 pub mod proto;
 pub mod server;
 pub mod session;

@@ -362,8 +362,8 @@ fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
     let (wal, recovery) = Wal::open(wcfg).map_err(wal_io)?;
     let mut session = Session::new(shards);
     if let Some(snap) = &recovery.snapshot {
-        let text = std::str::from_utf8(snap)
-            .map_err(|_| invalid("wal: snapshot is not UTF-8".into()))?;
+        let text =
+            std::str::from_utf8(snap).map_err(|_| invalid("wal: snapshot is not UTF-8".into()))?;
         session
             .restore(text)
             .map_err(|e| invalid(format!("wal: snapshot rejected: {e}")))?;
@@ -476,7 +476,8 @@ impl Outbox {
     fn refuse(&mut self, item: Item, what: &str, e: WalError) {
         WAL_FLUSH_FAILURES.inc();
         eprintln!("coalloc-net: wal {what} failed: {e}");
-        self.comps.release(item, format!("error: wal {what} failed: {e}"));
+        self.comps
+            .release(item, format!("error: wal {what} failed: {e}"));
     }
 
     /// Route the outcome of a decided command. Errors changed nothing and
@@ -529,7 +530,9 @@ impl Outbox {
     /// paid. On fsync failure the commands stay applied in memory but their
     /// replies become errors.
     fn flush(&mut self) {
-        let Some((wal, _)) = &mut self.wal else { return };
+        let Some((wal, _)) = &mut self.wal else {
+            return;
+        };
         if self.pending.is_empty() && wal.unsynced_records() == 0 {
             return;
         }
@@ -547,11 +550,15 @@ impl Outbox {
     /// Install a fresh snapshot once enough records accumulated since the
     /// last one, truncating the replayed prefix of the log.
     fn maybe_snapshot(&mut self, session: &Session) {
-        let Some((wal, opts)) = &mut self.wal else { return };
+        let Some((wal, opts)) = &mut self.wal else {
+            return;
+        };
         if opts.snapshot_every == 0 || wal.records_since_snapshot() < opts.snapshot_every {
             return;
         }
-        let Some(text) = session.snapshot_text() else { return };
+        let Some(text) = session.snapshot_text() else {
+            return;
+        };
         if let Err(e) = wal.install_snapshot(text.as_bytes()) {
             WAL_FLUSH_FAILURES.inc();
             eprintln!("coalloc-net: wal snapshot install failed: {e}");
@@ -594,10 +601,13 @@ impl SchedCtx {
         *last = Instant::now();
         if let Some((servers, now_secs, util)) = session.probe_status() {
             admin.servers.store(servers as u64, Ordering::Relaxed);
-            admin.now_secs.store(now_secs.max(0) as u64, Ordering::Relaxed);
             admin
-                .util_ppm
-                .store((util.clamp(0.0, 1.0) * 1_000_000.0) as u64, Ordering::Relaxed);
+                .now_secs
+                .store(now_secs.max(0) as u64, Ordering::Relaxed);
+            admin.util_ppm.store(
+                (util.clamp(0.0, 1.0) * 1_000_000.0) as u64,
+                Ordering::Relaxed,
+            );
             admin.initialized.store(true, Ordering::Relaxed);
         }
     }
@@ -622,7 +632,9 @@ fn scheduler_loop(
     wal: Option<(Wal, WalOptions)>,
     comps: Completions,
 ) {
-    let flush_interval = wal.as_ref().map_or(Duration::ZERO, |(_, o)| o.flush_interval);
+    let flush_interval = wal
+        .as_ref()
+        .map_or(Duration::ZERO, |(_, o)| o.flush_interval);
     let mut out = Outbox {
         comps,
         wal,
@@ -642,7 +654,8 @@ fn scheduler_loop(
             let got = if out.pending.is_empty() {
                 rx.recv().map_err(|_| true)
             } else if flush_interval.is_zero() {
-                rx.try_recv().map_err(|e| e == mpsc::TryRecvError::Disconnected)
+                rx.try_recv()
+                    .map_err(|e| e == mpsc::TryRecvError::Disconnected)
             } else {
                 match flush_interval.checked_sub(out.oldest.elapsed()) {
                     Some(left) => rx

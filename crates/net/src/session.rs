@@ -74,7 +74,9 @@ impl Session {
     }
 
     fn sched(&mut self) -> Result<&mut ShardedScheduler, String> {
-        self.sched.as_mut().ok_or_else(|| "no scheduler; run 'init N' first".to_string())
+        self.sched
+            .as_mut()
+            .ok_or_else(|| "no scheduler; run 'init N' first".to_string())
     }
 
     /// The reply to a submit-shaped command: scheduling rejections are
@@ -130,12 +132,16 @@ impl Session {
             ["deadline", q, s, l, n, d] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
                 let by = Time(parse(d, "deadline")?);
-                Ok(Self::decision_line(self.sched()?.submit_with_deadline(&req, by)))
+                Ok(Self::decision_line(
+                    self.sched()?.submit_with_deadline(&req, by),
+                ))
             }
             ["constrained", q, s, l, n, mask] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
                 let mask = AttrSet(parse(mask, "mask")?);
-                Ok(Self::decision_line(self.sched()?.submit_constrained(&req, mask)))
+                Ok(Self::decision_line(
+                    self.sched()?.submit_constrained(&req, mask),
+                ))
             }
             ["attrs", server, mask] => {
                 let srv = ServerId(parse(server, "server")?);
@@ -177,7 +183,8 @@ impl Session {
                 let t = Time(parse(t, "time")?);
                 let s = self.sched()?;
                 // `advance_to` rotates the ring slot by slot up to `t`.
-                s.config().check_limits(s.num_servers() as u64, s.now(), t)?;
+                s.config()
+                    .check_limits(s.num_servers() as u64, s.now(), t)?;
                 s.advance_to(t);
                 Ok(format!("ok now={}", t.secs()))
             }
@@ -493,7 +500,10 @@ mod tests {
                 );
             }
             assert_eq!(s.exec_batch(&hostile), hostile.map(|l| s.exec(l)));
-            assert!(s.exec("submit 0 0 10 4").unwrap().starts_with("granted job=0 "));
+            assert!(s
+                .exec("submit 0 0 10 4")
+                .unwrap()
+                .starts_with("granted job=0 "));
             assert_eq!(s.exec("check").unwrap(), "ok");
         }
     }
@@ -555,10 +565,18 @@ mod tests {
                 ],
                 shards,
             );
-            assert_eq!(out[1..3], ["ok now=20000000", "ok now=25000000"], "K={shards}");
+            assert_eq!(
+                out[1..3],
+                ["ok now=20000000", "ok now=25000000"],
+                "K={shards}"
+            );
             assert_eq!(out[4], "ok 4 servers restored", "K={shards}");
             assert_eq!(out[5], "ok", "K={shards}");
-            assert!(out[6].starts_with("granted job=0 start=25000000 "), "K={shards}: {}", out[6]);
+            assert!(
+                out[6].starts_with("granted job=0 start=25000000 "),
+                "K={shards}: {}",
+                out[6]
+            );
         }
         let _ = std::fs::remove_file(path);
     }
@@ -588,8 +606,12 @@ mod tests {
         // counters. Sibling tests bump them too, so these are lower bounds;
         // `crates/shard/tests/request_metrics.rs` has the exact comparison.
         let counters = || {
-            ["sched_requests_total", "sched_grants_total", "sched_rejects_total"]
-                .map(|name| obs::metrics::counter(name).get())
+            [
+                "sched_requests_total",
+                "sched_grants_total",
+                "sched_rejects_total",
+            ]
+            .map(|name| obs::metrics::counter(name).get())
         };
         for k in [1u32, 2, 4] {
             let before = counters();
@@ -600,14 +622,21 @@ mod tests {
             }
             assert_eq!(&plain[1..], &sharded[1..], "k={k}");
             for (i, expect) in [5, 4, 1].into_iter().enumerate() {
-                assert!(after[i] - before[i] >= expect, "k={k}: {before:?} -> {after:?}");
+                assert!(
+                    after[i] - before[i] >= expect,
+                    "k={k}: {before:?} -> {after:?}"
+                );
             }
         }
     }
 
     #[test]
     fn deadline_command() {
-        let out = run(&["init 1 10 200 10", "submit 0 0 30 1", "deadline 0 0 20 1 40"]);
+        let out = run(&[
+            "init 1 10 200 10",
+            "submit 0 0 30 1",
+            "deadline 0 0 20 1 40",
+        ]);
         assert!(out[2].starts_with("rejected"), "{}", out[2]);
         let out = run(&["init 1 10 200 10", "deadline 0 0 20 1 40"]);
         assert!(out[1].starts_with("granted"));
@@ -686,20 +715,16 @@ mod tests {
             let mut sequential = Session::new(shards);
             // Before init, every submit fails with the no-scheduler error.
             let uninit = batched.exec_batch(&lines);
-            assert!(uninit
-                .iter()
-                .zip(&lines)
-                .all(|(r, l)| l.contains('x') || l.split_whitespace().count() != 5
-                    || r == &Err("no scheduler; run 'init N' first".to_string())));
+            assert!(uninit.iter().zip(&lines).all(|(r, l)| l.contains('x')
+                || l.split_whitespace().count() != 5
+                || r == &Err("no scheduler; run 'init N' first".to_string())));
             batched.exec("init 8 10 400 10").unwrap();
             sequential.exec("init 8 10 400 10").unwrap();
             let a = batched.exec_batch(&lines);
-            let b: Vec<Result<String, String>> =
-                lines.iter().map(|l| sequential.exec(l)).collect();
+            let b: Vec<Result<String, String>> = lines.iter().map(|l| sequential.exec(l)).collect();
             assert_eq!(a, b, "shards={shards}");
             let a = batched.exec_batch(&mixed);
-            let b: Vec<Result<String, String>> =
-                mixed.iter().map(|l| sequential.exec(l)).collect();
+            let b: Vec<Result<String, String>> = mixed.iter().map(|l| sequential.exec(l)).collect();
             assert_eq!(a, b, "shards={shards}");
         }
     }

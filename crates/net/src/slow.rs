@@ -97,7 +97,14 @@ pub fn captured_total() -> u64 {
 
 /// Capture one request into the ring. Only called on the tail (slow, shed
 /// or errored requests), never on the fast path.
-pub fn capture(conn: u64, line: &str, reply: &str, outcome: Outcome, stamps: &Stamps, total_us: u64) {
+pub fn capture(
+    conn: u64,
+    line: &str,
+    reply: &str,
+    outcome: Outcome,
+    stamps: &Stamps,
+    total_us: u64,
+) {
     let mut timeline = Vec::with_capacity(6);
     timeline.push(("accept", 0u64));
     for (name, off) in stamps.offsets_us() {
@@ -180,7 +187,14 @@ mod tests {
         configure(1_000, 4);
         let stamps = Stamps::new();
         for i in 0..10u64 {
-            capture(i, &format!("submit {i}"), "granted", Outcome::Slow, &stamps, 5_000);
+            capture(
+                i,
+                &format!("submit {i}"),
+                "granted",
+                Outcome::Slow,
+                &stamps,
+                5_000,
+            );
         }
         let snap = snapshot();
         assert_eq!(snap.len(), 4, "ring caps at the configured capacity");

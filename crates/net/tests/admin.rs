@@ -15,7 +15,10 @@ use std::time::Duration;
 
 /// Minimal HTTP/1.1 GET: returns `(status, head, body)`.
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    http_request(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"))
+    http_request(
+        addr,
+        &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
+    )
 }
 
 fn http_request(addr: SocketAddr, raw: &str) -> (u16, String, String) {
@@ -55,8 +58,14 @@ fn all_admin_endpoints_answer_and_metrics_validate() {
 
     // Drive real traffic first so /status and /metrics have content.
     let mut c = Client::connect(server.local_addr()).expect("connect");
-    assert!(c.roundtrip("init 6 10 400 10").unwrap().starts_with("ok 6 servers"));
-    assert!(c.roundtrip("submit 0 0 50 2").unwrap().starts_with("granted"));
+    assert!(c
+        .roundtrip("init 6 10 400 10")
+        .unwrap()
+        .starts_with("ok 6 servers"));
+    assert!(c
+        .roundtrip("submit 0 0 50 2")
+        .unwrap()
+        .starts_with("granted"));
     assert!(c.roundtrip("stats").unwrap().starts_with("now="));
 
     // /healthz and /readyz: live and ready (recovery ran before bind).
@@ -75,7 +84,10 @@ fn all_admin_endpoints_answer_and_metrics_validate() {
     );
     let families = obs::metrics::validate_exposition(&body)
         .unwrap_or_else(|e| panic!("/metrics fails the exposition validator: {e}"));
-    assert!(families > 10, "expected a populated registry, got {families} families");
+    assert!(
+        families > 10,
+        "expected a populated registry, got {families} families"
+    );
     for stage in [
         "req_stage_queue_wait",
         "req_stage_sched",
@@ -83,7 +95,8 @@ fn all_admin_endpoints_answer_and_metrics_validate() {
         "req_stage_writeback",
     ] {
         assert!(
-            body.lines().any(|l| l.starts_with(&format!("{stage}_count "))),
+            body.lines()
+                .any(|l| l.starts_with(&format!("{stage}_count "))),
             "{stage} family missing from /metrics"
         );
         let count: u64 = body
@@ -104,8 +117,14 @@ fn all_admin_endpoints_answer_and_metrics_validate() {
     assert_eq!(v.get("initialized"), Some(&obs::json::Json::Bool(true)));
     let sched = v.get("scheduler").expect("scheduler object");
     assert_eq!(sched.get("servers").and_then(|s| s.as_num()), Some(6.0));
-    let util = sched.get("utilization").and_then(|u| u.as_num()).expect("utilization");
-    assert!((0.0..=1.0).contains(&util), "utilization {util} out of range");
+    let util = sched
+        .get("utilization")
+        .and_then(|u| u.as_num())
+        .expect("utilization");
+    assert!(
+        (0.0..=1.0).contains(&util),
+        "utilization {util} out of range"
+    );
     assert!(v.get("queue").and_then(|q| q.get("capacity")).is_some());
     assert!(v.get("wal").and_then(|w| w.get("enabled")).is_some());
 
@@ -119,8 +138,10 @@ fn all_admin_endpoints_answer_and_metrics_validate() {
     // Unknown path and non-GET are rejected, not crashed into.
     let (code, _, _) = http_get(admin, "/nope");
     assert_eq!(code, 404);
-    let (code, _, _) =
-        http_request(admin, "POST /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    let (code, _, _) = http_request(
+        admin,
+        "POST /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
     assert_eq!(code, 405);
 
     // Query strings are tolerated (scrapers append them).
@@ -148,7 +169,10 @@ fn stalled_request_is_captured_fast_ones_are_not() {
     assert!(c.roundtrip("init 8 10 2000 10").unwrap().starts_with("ok"));
     assert!(c.roundtrip(fast_line).unwrap().starts_with("granted"));
     let stalled = c.roundtrip(marker).expect("stalled submit");
-    assert!(stalled.starts_with("granted"), "stalled submit still succeeds: {stalled}");
+    assert!(
+        stalled.starts_with("granted"),
+        "stalled submit still succeeds: {stalled}"
+    );
 
     // The admin dump holds the stalled line with a full timeline...
     let (code, _, body) = http_get(admin, "/debug/slow");
@@ -162,11 +186,17 @@ fn stalled_request_is_captured_fast_ones_are_not() {
         .iter()
         .filter(|r| r.get("line").and_then(|l| l.as_str()) == Some(marker))
         .collect();
-    assert!(!captured.is_empty(), "stalled request missing from /debug/slow: {body}");
+    assert!(
+        !captured.is_empty(),
+        "stalled request missing from /debug/slow: {body}"
+    );
     let rec = captured.last().unwrap();
     assert_eq!(rec.get("outcome").and_then(|o| o.as_str()), Some("slow"));
     let total = rec.get("total_us").and_then(|t| t.as_num()).unwrap();
-    assert!(total >= 40_000.0, "captured total {total} µs below the injected stall");
+    assert!(
+        total >= 40_000.0,
+        "captured total {total} µs below the injected stall"
+    );
     let timeline = match rec.get("timeline") {
         Some(obs::json::Json::Arr(a)) => a.clone(),
         other => panic!("timeline not an array: {other:?}"),
@@ -175,15 +205,28 @@ fn stalled_request_is_captured_fast_ones_are_not() {
         .iter()
         .filter_map(|e| e.get("stage").and_then(|s| s.as_str()))
         .collect();
-    for want in ["accept", "enqueue", "dequeue", "decision", "fsync_release", "reply_write"] {
-        assert!(stages.contains(&want), "timeline missing stage {want}: {stages:?}");
+    for want in [
+        "accept",
+        "enqueue",
+        "dequeue",
+        "decision",
+        "fsync_release",
+        "reply_write",
+    ] {
+        assert!(
+            stages.contains(&want),
+            "timeline missing stage {want}: {stages:?}"
+        );
     }
     // ... and offsets are monotone from accept.
     let offsets: Vec<f64> = timeline
         .iter()
         .filter_map(|e| e.get("at_us").and_then(|o| o.as_num()))
         .collect();
-    assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "non-monotone timeline: {offsets:?}");
+    assert!(
+        offsets.windows(2).all(|w| w[0] <= w[1]),
+        "non-monotone timeline: {offsets:?}"
+    );
 
     // The fast request was NOT captured.
     assert!(
@@ -200,13 +243,19 @@ fn stalled_request_is_captured_fast_ones_are_not() {
         .strip_prefix("slow ")
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("bad slow head line: {head}"));
-    assert!(k >= 1, "slow command reports an empty ring despite the capture");
+    assert!(
+        k >= 1,
+        "slow command reports an empty ring despite the capture"
+    );
     let mut dump = String::new();
     for _ in 0..k {
         dump.push_str(&c.recv_line().expect("slow record line"));
         dump.push('\n');
     }
-    assert!(dump.contains(marker), "slow command misses the stalled line: {dump}");
+    assert!(
+        dump.contains(marker),
+        "slow command misses the stalled line: {dump}"
+    );
 
     drop(c);
     server.shutdown();

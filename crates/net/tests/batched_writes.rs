@@ -75,7 +75,10 @@ fn batched_and_eager_sessions_reply_byte_identically() {
         .find_map(|l| l.strip_prefix("ring_batches_deferred_total "))
         .expect("ring_batches_deferred_total exported");
     assert!(deferred.parse::<u64>().unwrap() > 0, "no batch deferred");
-    assert!(metrics.contains("ring_batch_ops_count "), "ring_batch_ops exported");
+    assert!(
+        metrics.contains("ring_batch_ops_count "),
+        "ring_batch_ops exported"
+    );
     assert!(
         wide_grants >= 20,
         "the script must exercise wide grants, got {wide_grants}"

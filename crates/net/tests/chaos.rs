@@ -102,7 +102,10 @@ fn idle_connection_is_reaped() {
 fn mid_command_disconnect_storm_keeps_state_consistent() {
     let server = Server::bind(chaos_cfg()).unwrap();
     let mut setup = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(setup.roundtrip("init 8 10 2000 10").unwrap(), "ok 8 servers");
+    assert_eq!(
+        setup.roundtrip("init 8 10 2000 10").unwrap(),
+        "ok 8 servers"
+    );
 
     let addr = server.local_addr();
     let storms: Vec<_> = (0..16)

@@ -143,15 +143,25 @@ fn replies_are_identical_across_shard_counts() {
     }
     // Starts near `i64::MAX` are ordinary rejections, not caught panics.
     let far = "rejected request does not fit before the horizon (t=420)";
-    assert_eq!(by_k[0].iter().filter(|l| l.as_str() == far).count(), 2, "{:?}", by_k[0]);
+    assert_eq!(
+        by_k[0].iter().filter(|l| l.as_str() == far).count(),
+        2,
+        "{:?}",
+        by_k[0]
+    );
     assert_eq!(panics(), panics_before);
     assert!(by_k[0].iter().any(|l| l.starts_with("free ")));
-    assert!(by_k[0].iter().any(|l| l.starts_with("error: no such server 9")));
+    assert!(by_k[0]
+        .iter()
+        .any(|l| l.starts_with("error: no such server 9")));
     assert!(by_k[0].iter().any(|l| l.contains("ok 8 servers restored")));
     for (k, replies) in [2, 4].iter().zip(&by_k[1..]) {
         assert_eq!(replies, &by_k[0], "k={k} vs k=1");
     }
-    assert!(images.iter().all(|i| i == &images[0]), "snapshot text depends on K");
+    assert!(
+        images.iter().all(|i| i == &images[0]),
+        "snapshot text depends on K"
+    );
     let _ = std::fs::remove_file(path);
 }
 
@@ -163,8 +173,14 @@ fn snapshot_load_roundtrips_through_a_tcp_session() {
 
     let mut c1 = Client::connect(server.local_addr()).unwrap();
     assert_eq!(c1.roundtrip("init 4 10 200 10").unwrap(), "ok 4 servers");
-    assert!(c1.roundtrip("submit 0 0 50 2").unwrap().starts_with("granted job=0"));
-    assert_eq!(c1.roundtrip(&format!("snapshot {p}")).unwrap(), format!("ok wrote {p}"));
+    assert!(c1
+        .roundtrip("submit 0 0 50 2")
+        .unwrap()
+        .starts_with("granted job=0"));
+    assert_eq!(
+        c1.roundtrip(&format!("snapshot {p}")).unwrap(),
+        format!("ok wrote {p}")
+    );
     drop(c1);
 
     // A *different* connection wipes and restores the shared scheduler.
@@ -192,7 +208,10 @@ fn killed_client_mid_submit_leaves_invariants_intact() {
     let server = Server::bind(test_cfg(1)).unwrap();
     let mut setup = Client::connect(server.local_addr()).unwrap();
     assert_eq!(setup.roundtrip("init 4 10 400 10").unwrap(), "ok 4 servers");
-    assert!(setup.roundtrip("submit 0 0 50 1").unwrap().starts_with("granted job=0"));
+    assert!(setup
+        .roundtrip("submit 0 0 50 1")
+        .unwrap()
+        .starts_with("granted job=0"));
 
     // Case 1: the client dies with half a command on the wire. The partial
     // line must be discarded, not executed.
@@ -215,8 +234,15 @@ fn killed_client_mid_submit_leaves_invariants_intact() {
     let mut probe = Client::connect(server.local_addr()).unwrap();
     assert_eq!(probe.roundtrip("check").unwrap(), "ok");
     let free = probe.roundtrip("query 0 50").unwrap();
-    assert_eq!(free, "free 1", "4 servers minus job 0 (1) minus orphan job 1 (2)");
-    assert!(probe.recv_line().unwrap().trim_start().starts_with("server="));
+    assert_eq!(
+        free, "free 1",
+        "4 servers minus job 0 (1) minus orphan job 1 (2)"
+    );
+    assert!(probe
+        .recv_line()
+        .unwrap()
+        .trim_start()
+        .starts_with("server="));
     // The orphan is a real job: releasing it restores conservation.
     assert_eq!(probe.roundtrip("release 1").unwrap(), "ok");
     let free = probe.roundtrip("query 0 50").unwrap();
@@ -233,7 +259,10 @@ fn killed_client_mid_submit_leaves_invariants_intact() {
 fn concurrent_clients_serialize_onto_one_scheduler() {
     let server = Server::bind(test_cfg(1)).unwrap();
     let mut setup = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(setup.roundtrip("init 16 10 4000 10").unwrap(), "ok 16 servers");
+    assert_eq!(
+        setup.roundtrip("init 16 10 4000 10").unwrap(),
+        "ok 16 servers"
+    );
 
     let addr = server.local_addr();
     let clients = 8;

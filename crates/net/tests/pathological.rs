@@ -60,7 +60,10 @@ fn interleaved_partial_line_writers_stay_byte_identical() {
     let mut conns: Vec<(Client, &str)> = Vec::new();
     conns.push((Client::connect(server.local_addr()).unwrap(), owner_script));
     for _ in 0..7 {
-        conns.push((Client::connect(server.local_addr()).unwrap(), chatter_script));
+        conns.push((
+            Client::connect(server.local_addr()).unwrap(),
+            chatter_script,
+        ));
     }
     // Round-robin the scripts out in 3-byte slivers: every connection's
     // buffer on the server side spends most of the test mid-line.

@@ -174,12 +174,22 @@ fn sharded_server_snapshots_truncates_and_restarts_at_any_k() {
             .any(|e| e.file_name().to_str().unwrap().starts_with("snap-")),
         "snapshot_every=8 over ~50 records must have installed a snapshot at K = 2"
     );
-    assert!(after[0] > before[0], "no snapshot installed: {before:?} -> {after:?}");
-    assert!(after[1] > before[1], "no segment removed: {before:?} -> {after:?}");
+    assert!(
+        after[0] > before[0],
+        "no snapshot installed: {before:?} -> {after:?}"
+    );
+    assert!(
+        after[1] > before[1],
+        "no segment removed: {before:?} -> {after:?}"
+    );
     let written = std::fs::read_to_string(&snap_path).unwrap();
     let mut twin = Session::new(1);
     twin.run_script(&script);
-    assert_eq!(written, twin.snapshot_text().unwrap(), "K = 2 state differs from K = 1's");
+    assert_eq!(
+        written,
+        twin.snapshot_text().unwrap(),
+        "K = 2 state differs from K = 1's"
+    );
 
     for shards in [1u32, 4, 2] {
         assert_eq!(state_of(shards), written, "restart at K = {shards}");

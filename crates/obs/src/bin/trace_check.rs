@@ -49,7 +49,9 @@ fn main() -> ExitCode {
     if expo {
         return match obs::metrics::validate_exposition(&text) {
             Ok(families) if families > 0 => {
-                println!("trace_check: {path} ok — {families} metric families, exposition format valid");
+                println!(
+                    "trace_check: {path} ok — {families} metric families, exposition format valid"
+                );
                 ExitCode::SUCCESS
             }
             Ok(_) => {

@@ -132,7 +132,9 @@ mod tests {
 
     fn ev(ts: u64, thread: u64, kind: &str, name: &str, span: Option<u64>) -> String {
         let span = span.map(|s| format!(",\"span\":{s}")).unwrap_or_default();
-        format!("{{\"ts_ns\":{ts},\"thread\":{thread},\"kind\":\"{kind}\",\"name\":\"{name}\"{span}}}")
+        format!(
+            "{{\"ts_ns\":{ts},\"thread\":{thread},\"kind\":\"{kind}\",\"name\":\"{name}\"{span}}}"
+        )
     }
 
     #[test]
@@ -159,7 +161,10 @@ mod tests {
         ]
         .join("\n");
         let err = check_trace(&text, false).unwrap_err();
-        assert!(err.contains("line 3") && err.contains("depth mismatch"), "{err}");
+        assert!(
+            err.contains("line 3") && err.contains("depth mismatch"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -176,13 +181,17 @@ mod tests {
         text.push('\n');
         text.push_str("{\"ts_ns\":2,\"thread\":7,\"kind\":\"poi"); // torn mid-write
         let err = check_trace(&text, false).unwrap_err();
-        assert!(err.contains("line 2") && err.contains("invalid JSON"), "{err}");
+        assert!(
+            err.contains("line 2") && err.contains("invalid JSON"),
+            "{err}"
+        );
     }
 
     #[test]
     fn txn_timeline_requirement() {
         let hold = "{\"ts_ns\":1,\"thread\":1,\"kind\":\"point\",\"name\":\"site.hold_granted\",\"txn\":4}";
-        let commit = "{\"ts_ns\":2,\"thread\":1,\"kind\":\"point\",\"name\":\"site.commit\",\"txn\":4}";
+        let commit =
+            "{\"ts_ns\":2,\"thread\":1,\"kind\":\"point\",\"name\":\"site.commit\",\"txn\":4}";
         let both = format!("{hold}\n{commit}");
         let r = check_trace(&both, true).unwrap();
         assert_eq!((r.txns, r.complete_txns), (1, 1));

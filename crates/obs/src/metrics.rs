@@ -97,7 +97,7 @@ pub fn bucket_upper(idx: usize) -> u64 {
     let sub = rel % SUB;
     let base = SUB << octave; // 2^(octave+2)
     let width = 1u64 << octave; // base / SUB
-    // Upper bound is the next bucket's lower bound minus one.
+                                // Upper bound is the next bucket's lower bound minus one.
     (base + (sub + 1) * width).saturating_sub(1)
 }
 
@@ -313,20 +313,21 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
                 ));
             }
             if self.kind == "histogram" {
-                let inf = self.inf_bucket.ok_or_else(|| format!(
-                    "line {line_no}: histogram '{}' missing le=\"+Inf\" bucket",
-                    self.name
-                ))?;
+                let inf = self.inf_bucket.ok_or_else(|| {
+                    format!(
+                        "line {line_no}: histogram '{}' missing le=\"+Inf\" bucket",
+                        self.name
+                    )
+                })?;
                 if !self.sum_seen {
                     return Err(format!(
                         "line {line_no}: histogram '{}' missing _sum",
                         self.name
                     ));
                 }
-                let count = self.count_val.ok_or_else(|| format!(
-                    "line {line_no}: histogram '{}' missing _count",
-                    self.name
-                ))?;
+                let count = self.count_val.ok_or_else(|| {
+                    format!("line {line_no}: histogram '{}' missing _count", self.name)
+                })?;
                 if count != inf {
                     return Err(format!(
                         "line {line_no}: histogram '{}': _count {count} != +Inf bucket {inf}",
@@ -362,7 +363,10 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
             if !valid_name(name) {
                 return Err(format!("line {no}: invalid metric name '{name}'"));
             }
-            if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+            if !matches!(
+                kind,
+                "counter" | "gauge" | "histogram" | "summary" | "untyped"
+            ) {
                 return Err(format!("line {no}: unknown metric type '{kind}'"));
             }
             if let Some(f) = family.take() {
@@ -395,7 +399,9 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
         };
         let (series_name, labels) = match series.find('{') {
             Some(b) => {
-                let Some(stripped) = series[b..].strip_prefix('{').and_then(|r| r.strip_suffix('}'))
+                let Some(stripped) = series[b..]
+                    .strip_prefix('{')
+                    .and_then(|r| r.strip_suffix('}'))
                 else {
                     return Err(format!("line {no}: unbalanced label braces"));
                 };
@@ -423,9 +429,9 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
                 }
             }
         }
-        let fam = family.as_mut().ok_or_else(|| format!(
-            "line {no}: sample '{series_name}' before any TYPE line"
-        ))?;
+        let fam = family
+            .as_mut()
+            .ok_or_else(|| format!("line {no}: sample '{series_name}' before any TYPE line"))?;
         let base = series_name
             .strip_suffix("_bucket")
             .or_else(|| series_name.strip_suffix("_sum"))

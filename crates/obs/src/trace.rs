@@ -118,7 +118,12 @@ pub fn set_ring_capacity(cap: usize) {
 
 /// Snapshot the ring buffer, oldest first.
 pub fn ring_events() -> Vec<Event> {
-    RING.lock().expect("ring lock").buf.iter().cloned().collect()
+    RING.lock()
+        .expect("ring lock")
+        .buf
+        .iter()
+        .cloned()
+        .collect()
 }
 
 /// Drop everything buffered in the ring.
@@ -374,7 +379,10 @@ impl CaptureSink {
 
 impl Sink for CaptureSink {
     fn record(&self, event: &Event) {
-        self.events.lock().expect("capture lock").push(event.clone());
+        self.events
+            .lock()
+            .expect("capture lock")
+            .push(event.clone());
     }
 }
 

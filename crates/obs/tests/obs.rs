@@ -60,7 +60,11 @@ fn detail_level_gates_fine_grained_spans() {
 fn histogram_bucket_boundaries() {
     // Small values get exact buckets.
     for v in 0..4u64 {
-        assert_eq!(obs::metrics::bucket_index(v), v as usize, "exact bucket for {v}");
+        assert_eq!(
+            obs::metrics::bucket_index(v),
+            v as usize,
+            "exact bucket for {v}"
+        );
         assert_eq!(obs::metrics::bucket_upper(v as usize), v);
     }
     // Each octave [2^k, 2^(k+1)) splits into 4 sub-buckets: [4,5) [5,6) [6,7) [7,8),
@@ -77,7 +81,13 @@ fn histogram_bucket_boundaries() {
     // Index is monotone non-decreasing and the upper bound is an inverse:
     // every value lands in a bucket whose reported range contains it.
     let mut probes: Vec<u64> = (0..63)
-        .flat_map(|exp| [1u64 << exp, (1u64 << exp) + 1, (1u64 << exp).saturating_mul(2) - 1])
+        .flat_map(|exp| {
+            [
+                1u64 << exp,
+                (1u64 << exp) + 1,
+                (1u64 << exp).saturating_mul(2) - 1,
+            ]
+        })
         .collect();
     probes.sort_unstable();
     probes.dedup();
@@ -88,7 +98,10 @@ fn histogram_bucket_boundaries() {
         prev = idx;
         assert!(obs::metrics::bucket_upper(idx) >= v, "upper({idx}) >= {v}");
         if idx > 0 {
-            assert!(obs::metrics::bucket_upper(idx - 1) < v, "lower bound excludes {v}");
+            assert!(
+                obs::metrics::bucket_upper(idx - 1) < v,
+                "lower bound excludes {v}"
+            );
         }
     }
 
@@ -96,9 +109,16 @@ fn histogram_bucket_boundaries() {
     for v in [100u64, 1_000, 65_537, 1_000_000_007] {
         let idx = obs::metrics::bucket_index(v);
         let hi = obs::metrics::bucket_upper(idx);
-        let lo = if idx == 0 { 0 } else { obs::metrics::bucket_upper(idx - 1) + 1 };
+        let lo = if idx == 0 {
+            0
+        } else {
+            obs::metrics::bucket_upper(idx - 1) + 1
+        };
         assert!(hi >= v && lo <= v);
-        assert!((hi - lo) as f64 <= 0.26 * lo as f64, "bucket [{lo},{hi}] too wide for {v}");
+        assert!(
+            (hi - lo) as f64 <= 0.26 * lo as f64,
+            "bucket [{lo},{hi}] too wide for {v}"
+        );
     }
 }
 
@@ -114,7 +134,10 @@ fn histogram_observe_and_quantiles() {
     // Log-linear buckets: the answer is within one bucket (~25%) of 500.
     assert!((380..=640).contains(&median), "median ~500, got {median}");
     assert!(h.quantile(1.0).unwrap() >= 1000);
-    assert_eq!(obs::metrics::histogram("test_obs_hist_empty").quantile(0.5), None);
+    assert_eq!(
+        obs::metrics::histogram("test_obs_hist_empty").quantile(0.5),
+        None
+    );
 }
 
 #[test]
@@ -138,7 +161,10 @@ fn concurrent_counter_increments() {
     assert_eq!(c.get(), 80_000);
     assert_eq!(h.count(), 800);
     // Registry handle resolves to the same underlying atomics.
-    assert_eq!(obs::metrics::counter("test_obs_concurrent_total").get(), 80_000);
+    assert_eq!(
+        obs::metrics::counter("test_obs_concurrent_total").get(),
+        80_000
+    );
 }
 
 #[test]
@@ -159,7 +185,10 @@ fn exposition_renders_all_metric_kinds() {
     assert!(text.contains("test_obs_expo_hist_count 3"));
     // Cumulative counts are non-decreasing in bucket order.
     let mut last = 0u64;
-    for line in text.lines().filter(|l| l.starts_with("test_obs_expo_hist_bucket")) {
+    for line in text
+        .lines()
+        .filter(|l| l.starts_with("test_obs_expo_hist_bucket"))
+    {
         let n: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(n >= last, "cumulative buckets must be monotone: {line}");
         last = n;
@@ -184,7 +213,11 @@ fn span_nesting_and_timeline_ordering() {
     trace::set_enabled(false);
 
     let events = trace::ring_events();
-    assert_eq!(events.len(), 6, "outer start, point, inner start, point, inner end, outer end");
+    assert_eq!(
+        events.len(),
+        6,
+        "outer start, point, inner start, point, inner end, outer end"
+    );
 
     // Timestamps are non-decreasing (monotonic clock, single thread).
     for w in events.windows(2) {
@@ -312,7 +345,11 @@ fn timelines_by_groups_and_orders() {
 
     let groups = trace::timelines_by(&trace::ring_events(), "txn");
     assert_eq!(groups.len(), 2);
-    let txn1 = &groups.iter().find(|(v, _)| *v == trace::Value::U64(1)).unwrap().1;
+    let txn1 = &groups
+        .iter()
+        .find(|(v, _)| *v == trace::Value::U64(1))
+        .unwrap()
+        .1;
     assert_eq!(txn1.len(), 2);
     assert_eq!(txn1[0].name, "site.hold_granted");
     assert_eq!(txn1[1].name, "site.commit");
@@ -328,7 +365,9 @@ fn json_parser_rejects_malformed() {
     assert!(obs::json::parse("[1,2,]").is_err());
     assert!(obs::json::parse("nul").is_err());
     assert_eq!(
-        obs::json::parse("{\"a\":[1,true,null,\"x\"]}").unwrap().get("a"),
+        obs::json::parse("{\"a\":[1,true,null,\"x\"]}")
+            .unwrap()
+            .get("a"),
         Some(&obs::json::Json::Arr(vec![
             obs::json::Json::Num(1.0),
             obs::json::Json::Bool(true),

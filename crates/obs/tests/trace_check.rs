@@ -25,8 +25,7 @@ fn run(args: &[&str]) -> (bool, String, String) {
     )
 }
 
-const GOOD_LINE: &str =
-    "{\"ts_ns\":1,\"thread\":7,\"kind\":\"point\",\"name\":\"net.request\"}";
+const GOOD_LINE: &str = "{\"ts_ns\":1,\"thread\":7,\"kind\":\"point\",\"name\":\"net.request\"}";
 
 #[test]
 fn valid_trace_passes() {
@@ -53,7 +52,10 @@ fn torn_last_line_fails_cleanly() {
     drop(f);
     let (ok, _, stderr) = run(&[p.to_str().unwrap()]);
     assert!(!ok);
-    assert!(stderr.contains("line 2") && stderr.contains("invalid JSON"), "{stderr}");
+    assert!(
+        stderr.contains("line 2") && stderr.contains("invalid JSON"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -116,7 +118,10 @@ fn expo_mode_validates_real_exposition() {
     // ...and corrupted variants must fail with a located error.
     for (broken, needle) in [
         (text.replace("le=\"+Inf\"", "le=\"+inf\""), "le"),
-        (text.replace("# TYPE tc_expo_hist histogram\n", ""), "tc_expo_hist"),
+        (
+            text.replace("# TYPE tc_expo_hist histogram\n", ""),
+            "tc_expo_hist",
+        ),
     ] {
         let p = tmp("metrics_bad.txt");
         std::fs::write(&p, &broken).unwrap();

@@ -182,7 +182,10 @@ mod tests {
         let t0 = std::time::Instant::now();
         let n = poll(&mut fds, Some(Duration::from_millis(30))).unwrap();
         assert_eq!(n, 0, "nothing to read");
-        assert!(t0.elapsed() >= Duration::from_millis(25), "waited the timeout");
+        assert!(
+            t0.elapsed() >= Duration::from_millis(25),
+            "waited the timeout"
+        );
     }
 
     #[test]

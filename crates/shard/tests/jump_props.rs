@@ -74,7 +74,11 @@ fn assert_jump_equals_linear(
         live.retain(|&job| {
             churn += 1;
             if churn.is_multiple_of(3) {
-                assert_eq!(jump.release(job), lin.release(job), "release diverges: {ctx}");
+                assert_eq!(
+                    jump.release(job),
+                    lin.release(job),
+                    "release diverges: {ctx}"
+                );
                 false
             } else {
                 true

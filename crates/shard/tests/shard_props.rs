@@ -66,7 +66,12 @@ fn hits(found: Vec<Availability>) -> Vec<(ServerId, Time, Time, Dur)> {
 /// `i % 3` is set — sometimes none, sometimes all.
 fn pick(found: &[(ServerId, Time, Time, Dur)], mask: u64) -> Vec<ServerId> {
     let picked = |&(i, _): &(usize, _)| (mask >> (i % 3)) & 1 == 1;
-    found.iter().enumerate().filter(picked).map(|(_, h)| h.0).collect()
+    found
+        .iter()
+        .enumerate()
+        .filter(picked)
+        .map(|(_, h)| h.0)
+        .collect()
 }
 
 fn cfg(policy: SelectionPolicy, seed: u64) -> SchedulerConfig {

@@ -415,8 +415,7 @@ mod tests {
         // [100, 250) on 1 of 2 servers in the only bin: 150/(2*250) = 0.3.
         assert!((prof[0].1 - 0.3).abs() < 1e-9, "{prof:?}");
         // The mean of the profile equals the aggregate utilization.
-        let mean: f64 =
-            prof.iter().map(|(_, u)| u).sum::<f64>() / prof.len() as f64;
+        let mean: f64 = prof.iter().map(|(_, u)| u).sum::<f64>() / prof.len() as f64;
         assert!((mean - run.utilization).abs() < 0.2);
     }
 

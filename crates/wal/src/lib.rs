@@ -161,7 +161,10 @@ impl std::fmt::Display for WalError {
                 segment,
                 offset,
                 reason,
-            } => write!(f, "wal segment {segment} corrupt at byte {offset}: {reason}"),
+            } => write!(
+                f,
+                "wal segment {segment} corrupt at byte {offset}: {reason}"
+            ),
         }
     }
 }
@@ -346,7 +349,11 @@ impl Wal {
                 let _ = fs::remove_file(cfg.dir.join(snap_name(seq)));
             }
         }
-        let segs: Vec<u64> = listing.segs.into_iter().filter(|&s| s >= snap_seq).collect();
+        let segs: Vec<u64> = listing
+            .segs
+            .into_iter()
+            .filter(|&s| s >= snap_seq)
+            .collect();
         if snapshot.is_some() && !segs.is_empty() && segs[0] != snap_seq {
             return Err(WalError::Corrupt {
                 segment: segs[0],
@@ -391,7 +398,10 @@ impl Wal {
                             });
                         }
                         // Zeros behind the damage were never records.
-                        let dirty = bytes.iter().rposition(|&b| b != 0).map_or(offset, |i| i + 1);
+                        let dirty = bytes
+                            .iter()
+                            .rposition(|&b| b != 0)
+                            .map_or(offset, |i| i + 1);
                         torn_bytes = (dirty - offset) as u64;
                         let f = OpenOptions::new().write(true).open(&path)?;
                         f.set_len(offset as u64)?;
@@ -412,7 +422,11 @@ impl Wal {
         };
         // Never in append mode: every write names its offset.
         let path = cfg.dir.join(seg_name(active_seq));
-        let active = OpenOptions::new().write(true).create(true).truncate(false).open(&path)?;
+        let active = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
         let alloc_len = active.metadata()?.len();
         sync_dir(&cfg.dir);
 
@@ -489,7 +503,10 @@ impl Wal {
         if extend {
             // A chunk never passes `segment_bytes`; the record that fills
             // the segment may.
-            let alloc = end.next_multiple_of(CHUNK).min(self.cfg.segment_bytes).max(end);
+            let alloc = end
+                .next_multiple_of(CHUNK)
+                .min(self.cfg.segment_bytes)
+                .max(end);
             self.buffered.resize((alloc - self.active_len) as usize, 0);
         }
         if let Err(e) = self.active.write_all_at(&self.buffered, self.active_len) {
@@ -497,7 +514,9 @@ impl Wal {
             self.buffered.truncate(framed);
             return Err(e.into());
         }
-        self.alloc_len = self.alloc_len.max(self.active_len + self.buffered.len() as u64);
+        self.alloc_len = self
+            .alloc_len
+            .max(self.active_len + self.buffered.len() as u64);
         self.active_len = end;
         self.buffered.clear();
         self.active.sync_data()?;
@@ -523,7 +542,10 @@ impl Wal {
     /// Create segment `seq`, empty, and make it the active one.
     fn start_segment(&mut self, seq: u64) -> Result<(), WalError> {
         let path = self.cfg.dir.join(seg_name(seq));
-        self.active = OpenOptions::new().write(true).create_new(true).open(&path)?;
+        self.active = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)?;
         self.active_seq = seq;
         self.active_len = 0;
         self.alloc_len = 0;
@@ -677,7 +699,11 @@ mod tests {
         let (mut wal, rec) = reopen(&dir);
         assert_eq!(rec.records.len(), 2);
         assert_eq!(rec.torn_bytes, 6);
-        assert_eq!(fs::metadata(&seg).unwrap().len(), 32, "cut at the last good frame");
+        assert_eq!(
+            fs::metadata(&seg).unwrap().len(),
+            32,
+            "cut at the last good frame"
+        );
         wal.append(b"good three").unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -882,7 +908,8 @@ mod tests {
         cfg.segment_bytes = 100;
         let (mut wal, _) = Wal::open(cfg.clone()).unwrap();
         for i in 0..12u32 {
-            wal.append(format!("record number {i:02}").as_bytes()).unwrap();
+            wal.append(format!("record number {i:02}").as_bytes())
+                .unwrap();
             wal.sync().unwrap();
         }
         assert!(wal.active_segment() > 1, "fixture must roll segments");
@@ -958,7 +985,9 @@ mod tests {
         fs::write(dir.join(seg_name(1)), &dirty).unwrap();
         fs::write(dir.join(seg_name(2)), framed(&[b"third"])).unwrap();
         match Wal::open(WalConfig::new(&dir)) {
-            Err(WalError::Corrupt { segment: 1, offset, .. }) => assert_eq!(offset, good),
+            Err(WalError::Corrupt {
+                segment: 1, offset, ..
+            }) => assert_eq!(offset, good),
             Err(other) => panic!("want Corrupt in segment 1, got {other:?}"),
             Ok(_) => panic!("want Corrupt in segment 1, got a successful open"),
         }

@@ -40,7 +40,8 @@ fn gauges_move_through_a_snapshot_truncation_cycle() {
 
     // Fill past segment_bytes so the log rolls: live segments grow.
     for i in 0..40u32 {
-        wal.append(format!("submit {i} 0 3600 2").as_bytes()).unwrap();
+        wal.append(format!("submit {i} 0 3600 2").as_bytes())
+            .unwrap();
         wal.sync().unwrap();
     }
     assert!(wal.segments_live() > 1, "fixture must roll segments");
@@ -61,8 +62,15 @@ fn gauges_move_through_a_snapshot_truncation_cycle() {
 
     // Reopen: the replayed tail counts as bytes-since-snapshot again.
     let (wal, rec) = Wal::open(cfg).unwrap();
-    assert_eq!(rec.records.len(), 0, "unsynced tail record was lost, as designed");
-    assert_eq!(gauge("wal_bytes_since_snapshot") as u64, wal.bytes_since_snapshot());
+    assert_eq!(
+        rec.records.len(),
+        0,
+        "unsynced tail record was lost, as designed"
+    );
+    assert_eq!(
+        gauge("wal_bytes_since_snapshot") as u64,
+        wal.bytes_since_snapshot()
+    );
     assert_eq!(gauge("wal_segments_live") as u64, wal.segments_live());
     drop(wal);
     std::fs::remove_dir_all(&dir).unwrap();

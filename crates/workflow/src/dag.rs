@@ -138,11 +138,7 @@ impl Dag {
         let mut order = Vec::with_capacity(n);
         while !ready.is_empty() {
             // Highest upward rank first.
-            ready.sort_by(|&a, &b| {
-                ranks[b]
-                    .cmp(&ranks[a])
-                    .then_with(|| a.cmp(&b))
-            });
+            ready.sort_by(|&a, &b| ranks[b].cmp(&ranks[a]).then_with(|| a.cmp(&b)));
             let next = ready.remove(0);
             order.push(StageId(next));
             for &c in &children[next] {
@@ -207,11 +203,7 @@ impl Dag {
 
     /// The critical-path length: a lower bound on any schedule's makespan.
     pub fn critical_path(&self) -> Result<Dur, DagError> {
-        Ok(self
-            .upward_ranks()?
-            .into_iter()
-            .max()
-            .unwrap_or(Dur::ZERO))
+        Ok(self.upward_ranks()?.into_iter().max().unwrap_or(Dur::ZERO))
     }
 }
 

@@ -36,4 +36,6 @@ pub mod dag;
 pub mod schedule;
 
 pub use dag::{Dag, DagError, Stage, StageId};
-pub use schedule::{schedule, schedule_reactive, schedule_reserved, Mode, WorkflowError, WorkflowPlan};
+pub use schedule::{
+    schedule, schedule_reactive, schedule_reserved, Mode, WorkflowError, WorkflowPlan,
+};

@@ -282,10 +282,7 @@ mod tests {
         assert_eq!(plan.start(StageId(2)), Time(10));
         assert_eq!(plan.start(StageId(3)), Time(30));
         assert_eq!(plan.makespan_end, Time(40));
-        assert_eq!(
-            plan.makespan_end - Time::ZERO,
-            dag.critical_path().unwrap()
-        );
+        assert_eq!(plan.makespan_end - Time::ZERO, dag.critical_path().unwrap());
         s.check_consistency();
     }
 
@@ -331,7 +328,11 @@ mod tests {
             WorkflowError::DeadlineMiss { .. } | WorkflowError::StageFailed { .. }
         ));
         s2.check_consistency();
-        assert_eq!(s2.range_search(Time::ZERO, Time(100)).len(), 4, "rolled back");
+        assert_eq!(
+            s2.range_search(Time::ZERO, Time(100)).len(),
+            4,
+            "rolled back"
+        );
     }
 
     #[test]
@@ -372,7 +373,9 @@ mod tests {
 
         let mut reactive = sched(3);
         // Stage a runs [0, 20).
-        let a = reactive.submit(&Request::on_demand(Time::ZERO, Dur(20), 3)).unwrap();
+        let a = reactive
+            .submit(&Request::on_demand(Time::ZERO, Dur(20), 3))
+            .unwrap();
         assert_eq!(a.start, Time::ZERO);
         // Competitor (submitted at t=1, shifted by Delta_t) books [21, 51)
         // before b becomes ready.
@@ -382,7 +385,9 @@ mod tests {
         assert_eq!(comp.start, Time(21));
         // Reactive b can only start at 50.
         reactive.advance_to(Time(20));
-        let b = reactive.submit(&Request::on_demand(Time(20), Dur(20), 3)).unwrap();
+        let b = reactive
+            .submit(&Request::on_demand(Time(20), Dur(20), 3))
+            .unwrap();
         assert!(b.start >= Time(50));
     }
 

@@ -15,10 +15,10 @@
 
 pub mod reservations;
 pub mod swf;
-pub mod users;
 pub mod synthetic;
+pub mod users;
 
 pub use reservations::{with_advance_reservations, with_paper_reservations, PAPER_MAX_ADVANCE};
 pub use swf::{parse_swf, swf_to_requests, write_swf, SwfJob};
-pub use users::{assign_users, TaggedRequest, UserId};
 pub use synthetic::{WorkloadSpec, WorkloadStats};
+pub use users::{assign_users, TaggedRequest, UserId};

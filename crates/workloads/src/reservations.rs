@@ -111,6 +111,8 @@ mod tests {
     fn custom_advance_window_respected() {
         let s = stream(100);
         let out = with_advance_reservations(&s, 1.0, Dur(600), 3);
-        assert!(out.iter().all(|r| (r.earliest_start - r.submit) <= Dur(600)));
+        assert!(out
+            .iter()
+            .all(|r| (r.earliest_start - r.submit) <= Dur(600)));
     }
 }

@@ -126,7 +126,11 @@ impl WorkloadSpec {
 
     /// All three presets (the paper's Table 1).
     pub fn all() -> Vec<WorkloadSpec> {
-        vec![WorkloadSpec::ctc(), WorkloadSpec::kth(), WorkloadSpec::hpc2n()]
+        vec![
+            WorkloadSpec::ctc(),
+            WorkloadSpec::kth(),
+            WorkloadSpec::hpc2n(),
+        ]
     }
 
     /// Scale the job count by `f` (for quick experiments and CI), keeping
@@ -178,21 +182,13 @@ impl WorkloadSpec {
         // --- arrivals ---------------------------------------------------
         // Derive the span from the offered load, then draw exponential
         // interarrivals modulated by a diurnal rate factor.
-        let total_work_hours: f64 = hours
-            .iter()
-            .zip(&sizes)
-            .map(|(h, &n)| h * n as f64)
-            .sum();
+        let total_work_hours: f64 = hours.iter().zip(&sizes).map(|(h, &n)| h * n as f64).sum();
         let span_hours = total_work_hours / (self.servers as f64 * self.offered_load);
         let mean_gap_secs = span_hours * 3600.0 / self.jobs as f64;
         let mut t = 0.0f64;
         let mut reqs = Vec::with_capacity(self.jobs);
         for i in 0..self.jobs {
-            let factor = if self.diurnal {
-                diurnal_factor(t)
-            } else {
-                1.0
-            };
+            let factor = if self.diurnal { diurnal_factor(t) } else { 1.0 };
             // Exponential interarrival with rate scaled by the diurnal
             // factor (thinning-free approximation, adequate at this scale).
             let u: f64 = rng.random::<f64>().max(1e-12);

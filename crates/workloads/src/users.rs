@@ -112,9 +112,7 @@ mod tests {
         let s = stream(2000);
         let sticky = assign_users(&s, 20, 0.9, 3);
         let loose = assign_users(&s, 20, 0.0, 3);
-        let runs = |ts: &[TaggedRequest]| {
-            ts.windows(2).filter(|w| w[0].user == w[1].user).count()
-        };
+        let runs = |ts: &[TaggedRequest]| ts.windows(2).filter(|w| w[0].user == w[1].user).count();
         assert!(
             runs(&sticky) > runs(&loose) * 2,
             "sticky {} vs loose {}",

@@ -75,7 +75,10 @@ fn main() {
     // Tear one down and show the wavelength is reusable.
     let lp = established.swap_remove(0);
     pce.tear_down(&lp).expect("lightpath exists");
-    println!("\n== tear-down ==\n  released {} link-wavelength windows", lp.path.hops());
+    println!(
+        "\n== tear-down ==\n  released {} link-wavelength windows",
+        lp.path.hops()
+    );
 
     // The same burst with wavelength conversion enabled: fewer shifts.
     let net2 = Network::nsfnet(4);

@@ -102,17 +102,16 @@ fn main() {
     for job in &jobs {
         reqs.push(Request::on_demand(job.submit, job.map_dur, job.map_tasks));
         // Batch cannot express "after my maps": it just queues the reduce.
-        reqs.push(Request::on_demand(job.submit, job.reduce_dur, job.reduce_tasks));
+        reqs.push(Request::on_demand(
+            job.submit,
+            job.reduce_dur,
+            job.reduce_tasks,
+        ));
     }
     reqs.sort_by_key(|r| r.submit);
     let batch = run_batch(CLUSTER, BatchPolicy::Fcfs, &reqs, "fcfs");
     let batch_makespan = batch.makespan.secs() as f64 / 3600.0;
-    let online_makespan = completions
-        .iter()
-        .map(|(_, e)| e.secs())
-        .max()
-        .unwrap() as f64
-        / 3600.0;
+    let online_makespan = completions.iter().map(|(_, e)| e.secs()).max().unwrap() as f64 / 3600.0;
     println!(
         "  makespan: online co-allocation {online_makespan:.2}h vs FCFS batch {batch_makespan:.2}h"
     );

@@ -54,7 +54,10 @@ fn main() {
             5,
         ))
         .expect("the future is free");
-    println!("job {:?}: advance reservation at {}", grant3.job, grant3.start);
+    println!(
+        "job {:?}: advance reservation at {}",
+        grant3.job, grant3.start
+    );
 
     // 4. Range search: what is free tomorrow 08:00-12:00?
     let free = sched.range_search(Time::from_hours(32), Time::from_hours(36));
@@ -75,7 +78,10 @@ fn main() {
     // 6. Cancel the advance reservation; capacity returns.
     sched.release(grant3.job).expect("job exists");
     let free_again = sched.range_search(tomorrow_9am, tomorrow_9am + Dur::from_hours(1));
-    println!("after cancellation, {} resources free at 09:00", free_again.len());
+    println!(
+        "after cancellation, {} resources free at 09:00",
+        free_again.len()
+    );
 
     // 7. Operation accounting (the paper's Figure 7b metric).
     let s = sched.stats();

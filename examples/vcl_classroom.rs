@@ -96,6 +96,9 @@ fn main() {
     // --- 5. Weekly report -------------------------------------------------
     let util = vcl.utilization(Time::from_hours(24 * 7));
     println!("== report ==");
-    println!("  committed utilization over the week: {:.1}%", util * 100.0);
+    println!(
+        "  committed utilization over the week: {:.1}%",
+        util * 100.0
+    );
     println!("  scheduler ops: {}", vcl.stats().total_ops());
 }

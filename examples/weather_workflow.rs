@@ -59,9 +59,11 @@ fn main() {
     let deadline = Time::from_hours(4);
     match schedule_reserved(&mut sched, &dag, Time::ZERO, Some(deadline)) {
         Ok(plan) => {
-            println!("pipeline reserved; completes at t+{:.2} h (deadline {:.1} h):",
+            println!(
+                "pipeline reserved; completes at t+{:.2} h (deadline {:.1} h):",
                 plan.makespan_end.secs() as f64 / 3600.0,
-                deadline.secs() as f64 / 3600.0);
+                deadline.secs() as f64 / 3600.0
+            );
             for (i, g) in plan.grants.iter().enumerate() {
                 println!(
                     "  {:<18} {:>3} nodes  [{:>5.2}h, {:>5.2}h)",
@@ -85,11 +87,18 @@ fn main() {
             }
             println!(
                 "after a 20-job competing burst: pipeline {}",
-                if displaced { "DISPLACED (bug!)" } else { "intact" }
+                if displaced {
+                    "DISPLACED (bug!)"
+                } else {
+                    "intact"
+                }
             );
         }
         Err(WorkflowError::DeadlineMiss { stage }) => {
-            println!("cannot meet the storm deadline (stage #{}) — nothing was reserved", stage.0);
+            println!(
+                "cannot meet the storm deadline (stage #{}) — nothing was reserved",
+                stage.0
+            );
         }
         Err(e) => println!("planning failed: {e}"),
     }
@@ -99,13 +108,16 @@ fn main() {
     for n in 0..48 {
         sched2.set_server_attrs(ServerId(n), GPU);
     }
-    let err = schedule_reserved(&mut sched2, &forecast_dag(4), Time::ZERO, Some(Time::from_hours(1)))
-        .unwrap_err();
+    let err = schedule_reserved(
+        &mut sched2,
+        &forecast_dag(4),
+        Time::ZERO,
+        Some(Time::from_hours(1)),
+    )
+    .unwrap_err();
     println!("\n1-hour deadline: {err}");
     println!(
         "nothing left behind: {} of 96 nodes free for the next 24h",
-        sched2
-            .range_search(Time::ZERO, Time::from_hours(24))
-            .len()
+        sched2.range_search(Time::ZERO, Time::from_hours(24)).len()
     );
 }

@@ -175,8 +175,10 @@ fn main() {
                 cfg.wal = Some(WalOptions::new(flag_value(&mut args, "--wal-dir")));
             }
             ("--wal-flush-ms", Some(cfg)) => {
-                let ms: u64 =
-                    parse_or_die(&flag_value(&mut args, "--wal-flush-ms"), "wal flush interval");
+                let ms: u64 = parse_or_die(
+                    &flag_value(&mut args, "--wal-flush-ms"),
+                    "wal flush interval",
+                );
                 match &mut cfg.wal {
                     Some(w) => w.flush_interval = std::time::Duration::from_millis(ms),
                     None => {

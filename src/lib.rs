@@ -69,9 +69,7 @@ pub mod prelude {
     pub use coalloc_batch::{run_batch, BatchPolicy};
     pub use coalloc_core::prelude::*;
     pub use coalloc_lambda::{ConnectionRequest, Network, NodeId, Pce, PceConfig, Wavelength};
-    pub use coalloc_multisite::{
-        Coordinator, CoordinatorConfig, MultiRequest, SiteHandle, SiteId,
-    };
+    pub use coalloc_multisite::{Coordinator, CoordinatorConfig, MultiRequest, SiteHandle, SiteId};
     pub use coalloc_net::{Client, NetConfig, Server, Session};
     pub use coalloc_shard::ShardedScheduler;
     pub use coalloc_sim::runner::{replay, Outcome, RunResult};

@@ -83,7 +83,8 @@ fn serve_mode_matches_stdin_session() {
 
     let mut sock = std::net::TcpStream::connect(&addr).expect("connect");
     sock.write_all(script.as_bytes()).expect("send script");
-    sock.shutdown(std::net::Shutdown::Write).expect("half-close");
+    sock.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
     let mut over_tcp = String::new();
     std::io::Read::read_to_string(&mut BufReader::new(sock), &mut over_tcp).expect("read replies");
     let got: Vec<String> = over_tcp.lines().map(|l| l.to_string()).collect();
@@ -119,7 +120,9 @@ fn serve_mode_admin_banner_and_scrape() {
     stdout.read_line(&mut banner).expect("read banner");
     assert!(banner.starts_with("listening on "), "{banner}");
     let mut admin_banner = String::new();
-    stdout.read_line(&mut admin_banner).expect("read admin banner");
+    stdout
+        .read_line(&mut admin_banner)
+        .expect("read admin banner");
     let admin = admin_banner
         .trim()
         .strip_prefix("admin on ")
@@ -186,7 +189,10 @@ fn hostile_lines_get_replies_and_a_clean_exit() {
         "{late}"
     );
     for far in &lines[7..10] {
-        assert_eq!(far, "rejected request does not fit before the horizon (t=100)");
+        assert_eq!(
+            far,
+            "rejected request does not fit before the horizon (t=100)"
+        );
     }
     assert_eq!(lines[10], "coalloc/1.2");
 }

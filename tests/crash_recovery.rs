@@ -95,7 +95,11 @@ fn connect(d: &Daemon) -> Client {
 
 /// Ask the server for its canonical state (after a `check`).
 fn server_state(c: &mut Client, snap_path: &str) -> String {
-    assert_eq!(c.roundtrip("check").unwrap(), "ok", "recovered state is inconsistent");
+    assert_eq!(
+        c.roundtrip("check").unwrap(),
+        "ok",
+        "recovered state is inconsistent"
+    );
     let r = c.roundtrip(&format!("snapshot {snap_path}")).unwrap();
     assert!(r.starts_with("ok wrote"), "{r}");
     std::fs::read_to_string(snap_path).expect("read server snapshot")
@@ -165,7 +169,8 @@ fn kill9_rounds(seed: u64, shards: u32) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("coalloc-chaos-{}-k{shards}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let snap_file = std::env::temp_dir().join(format!("coalloc-chaos-snap-{}.txt", std::process::id()));
+    let snap_file =
+        std::env::temp_dir().join(format!("coalloc-chaos-snap-{}.txt", std::process::id()));
     let snap_path = snap_file.to_str().unwrap().to_string();
 
     let mut twin = Session::new(1);
@@ -181,7 +186,9 @@ fn kill9_rounds(seed: u64, shards: u32) {
         if iteration == 0 {
             let init = "init 8 10 2000 10";
             let banner = client.roundtrip(init).unwrap();
-            let banner = banner.strip_suffix(&format!(" over {shards} shards")).unwrap_or(&banner);
+            let banner = banner
+                .strip_suffix(&format!(" over {shards} shards"))
+                .unwrap_or(&banner);
             assert_eq!(banner, twin_reply(&mut twin, init));
         } else {
             // === Verify the recovery ===
@@ -215,7 +222,7 @@ fn kill9_rounds(seed: u64, shards: u32) {
                 candidates[candidates.len() - 1]
             );
             let _ = prefix; // which prefix survived is informational only
-            // Re-sync the twin to exactly the recovered state and trackers.
+                            // Re-sync the twin to exactly the recovered state and trackers.
             twin.restore(&recovered).unwrap();
             track_from_snapshot(&recovered, &mut now, &mut live);
         }
@@ -225,7 +232,11 @@ fn kill9_rounds(seed: u64, shards: u32) {
             for _ in 0..10 {
                 let cmd = gen_cmd(&mut rng, now, &live);
                 let got = client.roundtrip(&cmd).unwrap();
-                assert_eq!(got, twin_reply(&mut twin, cmd.as_str()), "final probe {cmd:?}");
+                assert_eq!(
+                    got,
+                    twin_reply(&mut twin, cmd.as_str()),
+                    "final probe {cmd:?}"
+                );
             }
             let before_drain = server_state(&mut client, &snap_path);
             drop(client);

@@ -118,7 +118,9 @@ fn naive_and_tree_agree_on_workload() {
 fn multisite_runs_workload_slices() {
     use std::time::Duration;
     let cfg = paper_cfg();
-    let sites: Vec<SiteHandle> = (0..3).map(|i| SiteHandle::spawn(SiteId(i), 32, cfg)).collect();
+    let sites: Vec<SiteHandle> = (0..3)
+        .map(|i| SiteHandle::spawn(SiteId(i), 32, cfg))
+        .collect();
     let mut coord = Coordinator::new(
         &sites,
         CoordinatorConfig {
