@@ -31,10 +31,14 @@ impl Client {
         self.reader.get_ref().set_read_timeout(Some(t))
     }
 
-    /// Send one command line (the newline is appended).
+    /// Send one command line (the newline is appended). The line and its
+    /// newline leave in one write: a server that refuses the line unread
+    /// then has nothing left in flight to answer with a reset.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.writer.write_all(&framed)
     }
 
     /// Read one reply line (without its newline). An empty result means the
