@@ -18,9 +18,9 @@
 //! the per-request one. The batches are short (1 to 8 members), below the
 //! size at which the mirror would hand them to its worker pool by itself,
 //! so every even round forces the pool (`set_pool_min_batch(0)`): those
-//! rounds check the speculative path — repair against in-batch grants, the
-//! sequential fallback, the per-batch commit flush and clock advances on
-//! the workers — and the odd ones the inline path.
+//! rounds check the pooled path — decisions over an open batch, repaired
+//! against in-batch grants, the per-batch commit stage and clock advances
+//! on the workers — and the odd ones the inline path.
 //!
 //! A divergence (any failed equivalence assertion) prints
 //! `INVARIANT VIOLATED: ...` on stderr and exits non-zero instead of

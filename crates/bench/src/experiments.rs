@@ -750,7 +750,9 @@ pub fn fairness(cfg: &ExpConfig) -> io::Result<()> {
 /// Extension experiment: scalability in `N` — the abstract's claim that the
 /// algorithm "scales to systems with large numbers of users and resources".
 /// Sweeps the server count with proportional offered load and reports
-/// scheduling throughput and per-request op counts.
+/// scheduling throughput and per-request op counts: the total, its split
+/// into primary (Phase 1), secondary (Phase 2) and update visits, and the
+/// subtree rebuilds. Every count includes building the scheduler.
 pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -764,6 +766,10 @@ pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
             "requests",
             "requests_per_sec",
             "ops_per_request",
+            "primary_per_request",
+            "secondary_per_request",
+            "update_per_request",
+            "rebuilds_per_request",
             "acceptance",
         ],
     );
@@ -799,11 +805,17 @@ pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
             }
         }
         let secs = t0.elapsed().as_secs_f64();
+        let ops = sched.stats();
+        let per_request = |count: u64| r3(count as f64 / requests as f64);
         csv.rowf(&[
             &n,
             &requests,
             &r3(requests as f64 / secs),
-            &r3(sched.stats().total_ops() as f64 / requests as f64),
+            &per_request(ops.total_ops()),
+            &per_request(ops.primary_visits),
+            &per_request(ops.secondary_visits),
+            &per_request(ops.update_visits),
+            &per_request(ops.rebuilds),
             &r3(accepted as f64 / requests as f64),
         ]);
     }

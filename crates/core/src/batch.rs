@@ -7,39 +7,17 @@
 //! a batch the clock stands still and members only commit, so every live
 //! idle period is a pre-batch one cut down by logged grants: a pre-batch
 //! feasible set, repaired against the log, *is* the live one at every
-//! start. The driver's `find` filters its hits that way, and a member's
-//! [`Speculation`] — what the pre-batch ranges found at the member's first
-//! start, on a worker — is decided the same way. The ranges then apply
-//! their queues in submission order, which keeps every range's period ids
-//! those of sequential submission (DESIGN.md §9).
+//! start. The driver's `find` filters its hits that way, and adds back the
+//! periods its early-stopping Phase 2 left out that a grant moved up (the
+//! argument is on `CoAllocScheduler::find`). The ranges then apply their
+//! queues in submission order, which keeps every range's period ids those
+//! of sequential submission (DESIGN.md §9).
 
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, ServerId};
 use crate::index::ServerIndex;
 use crate::stats::OpStats;
 use crate::time::Time;
-use obs::{LazyCounter, LazyHistogram};
-
-// How often a speculation was kept although earlier in-batch grants had to
-// repair it, how much of it they took, and how often it was not kept and
-// the driver decided the member.
-static BATCH_REPAIRED: LazyCounter = LazyCounter::new("shard_batch_repaired_total");
-static BATCH_REPAIR_DROPPED: LazyHistogram = LazyHistogram::new("shard_batch_repair_dropped");
-static BATCH_REPROBES: LazyCounter = LazyCounter::new("shard_batch_repro_probes_total");
-
-/// What the pre-batch ranges answered at a batch member's first start
-/// ([`crate::scheduler::CoAllocScheduler::decide`]).
-#[derive(Debug)]
-pub struct Speculation<'a> {
-    /// The start searched.
-    pub start: Time,
-    /// Every range's Phase-2 hits there (global server ids), concatenated
-    /// in range order. `decide` takes the periods and leaves a buffer in
-    /// their place.
-    pub feasible: &'a mut Vec<IdlePeriod>,
-    /// The driver's work there: Phase 1 and Phase 2 on every range.
-    pub stats: OpStats,
-}
 
 /// The commits one range owes to the members granted in a batch, in
 /// submission order.
@@ -95,17 +73,6 @@ struct LoggedGrant {
     prev: u32,
 }
 
-/// What in-batch grants did to one pre-batch feasible period.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Repair {
-    /// No in-batch grant touches the period.
-    Intact,
-    /// Grants beside the window shortened the period; it still covers it.
-    Trimmed,
-    /// A grant overlaps the window: the server is no longer feasible.
-    Dropped,
-}
-
 impl BatchGrants {
     const NONE: u32 = u32::MAX;
 
@@ -155,36 +122,30 @@ impl BatchGrants {
         std::mem::take(&mut self.commits)
     }
 
-    /// Whether `spec` answers the live attempt at `[start, end)` for `n`
-    /// servers: it must be of `start`, and its feasible set — moved into
-    /// `feasible` and repaired — must still hold `n`. Then it is the live
-    /// feasible set (and the live profile cannot have refuted `start`), so
-    /// its work is charged to `stats` as the driver's. A kept speculation
-    /// that needed repair is counted with what the repair dropped; one that
-    /// is not kept is left to the driver and counted as such.
-    pub fn adopt(
-        &self,
-        spec: Speculation,
-        start: Time,
-        end: Time,
-        n: usize,
-        feasible: &mut Vec<IdlePeriod>,
-        stats: &mut OpStats,
-    ) -> bool {
-        if spec.start == start {
-            std::mem::swap(feasible, spec.feasible);
-            let (dropped, trimmed) = self.repair_set(feasible, start, end);
-            if feasible.len() >= n {
-                if dropped > 0 || trimmed {
-                    BATCH_REPAIRED.inc();
-                    BATCH_REPAIR_DROPPED.observe(dropped);
-                }
-                stats.accumulate(&spec.stats);
-                return true;
-            }
-        }
-        BATCH_REPROBES.inc();
-        false
+    /// Whether a grant of the open batch is logged on `server`.
+    pub fn touched(&self, server: ServerId) -> bool {
+        self.head[server.0 as usize] != Self::NONE
+    }
+
+    /// The grants logged on `server`, latest first.
+    fn grants(&self, server: u32) -> impl Iterator<Item = &LoggedGrant> {
+        let mut at = self.head[server as usize];
+        std::iter::from_fn(move || {
+            let g = self.log.get(at as usize)?;
+            at = g.prev;
+            Some(g)
+        })
+    }
+
+    /// The servers with a logged grant ending at or before `start`, each
+    /// once: the only ones whose idle period around a window starting at
+    /// `start` can start later than it did before the batch.
+    pub fn moved_up(&self, start: Time) -> impl Iterator<Item = ServerId> + '_ {
+        self.log
+            .iter()
+            .filter(|g| g.prev == Self::NONE)
+            .filter(move |g| self.grants(g.server).any(|h| h.end <= start))
+            .map(|g| ServerId(g.server))
     }
 
     /// Bring `p` — an idle period of the pre-batch state that covers
@@ -199,45 +160,25 @@ impl BatchGrants {
     /// the earliest logged start on the right (a trailing period becomes
     /// finite). Windows logged outside `p` — in another idle period of the
     /// same server — fall outside `[p.start, p.end)` and change nothing.
-    pub fn repair(&self, p: &mut IdlePeriod, start: Time, end: Time) -> Repair {
-        let mut outcome = Repair::Intact;
-        let mut at = self.head[p.server.0 as usize];
-        while at != Self::NONE {
-            let g = &self.log[at as usize];
+    /// Returns whether `p` still covers the window.
+    pub fn repair(&self, p: &mut IdlePeriod, start: Time, end: Time) -> bool {
+        for g in self.grants(p.server.0) {
             if g.start < end && g.end > start {
-                return Repair::Dropped;
+                return false;
             }
             if g.end <= start {
-                if g.end > p.start {
-                    p.start = g.end;
-                    outcome = Repair::Trimmed;
-                }
-            } else if g.start < p.end {
-                p.end = g.start;
-                outcome = Repair::Trimmed;
+                p.start = p.start.max(g.end);
+            } else {
+                p.end = p.end.min(g.start);
             }
-            at = g.prev;
         }
-        outcome
+        true
     }
 
     /// [`Self::repair`] every period of a feasible set for `[start, end)`,
-    /// dropping the ones a grant took; returns how many were dropped and
-    /// whether any was trimmed.
-    pub fn repair_set(&self, set: &mut Vec<IdlePeriod>, start: Time, end: Time) -> (u64, bool) {
-        let (mut dropped, mut trimmed) = (0, false);
-        set.retain_mut(|p| match self.repair(p, start, end) {
-            Repair::Intact => true,
-            Repair::Trimmed => {
-                trimmed = true;
-                true
-            }
-            Repair::Dropped => {
-                dropped += 1;
-                false
-            }
-        });
-        (dropped, trimmed)
+    /// dropping the ones a grant took.
+    pub fn repair_set(&self, set: &mut Vec<IdlePeriod>, start: Time, end: Time) {
+        set.retain_mut(|p| self.repair(p, start, end));
     }
 }
 
@@ -272,8 +213,8 @@ mod tests {
             Request::on_demand(Time::ZERO, Dur(12), 2),
             Request::advance(Time::ZERO, Time(10), Dur(12), 1),
         ];
-        batched.open_batch(&stream);
-        let got: Vec<_> = stream.iter().map(|r| batched.decide(r, None).0).collect();
+        batched.open_batch();
+        let got: Vec<_> = stream.iter().map(|r| batched.decide(r).0).collect();
         let mut commits = batched.close_batch();
         let (parts, stats) = batched.parts_mut();
         for (part, buf) in parts.iter_mut().zip(&mut commits) {
@@ -288,6 +229,55 @@ mod tests {
         assert_eq!(batched.snapshot(), direct.snapshot());
     }
 
+    /// Both rules that keep Phase 2's stop at `n_r` exact over a batch.
+    /// Before the batch, servers 1, 2 and 3 are busy until 5, 8 and 6 and
+    /// server 0 is idle from 0, so paper order's one period for a window at
+    /// 30 is server 2's (start 8), and Phase 2 stops there. The first
+    /// member takes `[0, 20)` on server 0, left of that window: for the
+    /// second, the live period of server 0 starts at 20 and wins, outside
+    /// the pre-batch top `n_r` — only the look-up of the periods a grant
+    /// moved up finds it. The third takes server 2 at 30. For the fourth,
+    /// server 2's period heads the walk but is gone: only because it does
+    /// not count towards `n_r` does the walk go on to server 3's.
+    #[test]
+    fn phase2_stops_at_n_exactly_over_an_open_batch() {
+        let cfg = SchedulerConfig::builder()
+            .tau(Dur(10))
+            .horizon(Dur(100))
+            .delta_t(Dur(10))
+            .build();
+        for k in [1, 2] {
+            let mut batched = CoAllocScheduler::with_ranges(4, k, cfg);
+            let mut direct = CoAllocScheduler::with_ranges(4, k, cfg);
+            for s in [&mut batched, &mut direct] {
+                for (server, busy) in [(1, 5), (2, 8), (3, 6)] {
+                    s.reserve(&[ServerId(server)], Time(0), Time(busy)).unwrap();
+                }
+            }
+            let late = Request::advance(Time::ZERO, Time(30), Dur(10), 1);
+            let pre_batch = batched.clone().submit(&late).unwrap();
+            assert_eq!(pre_batch.servers, [ServerId(2)]);
+            let stream = [Request::on_demand(Time::ZERO, Dur(20), 1), late, late, late];
+            batched.open_batch();
+            let got: Vec<_> = stream.iter().map(|r| batched.decide(r).0).collect();
+            let mut commits = batched.close_batch();
+            let (parts, stats) = batched.parts_mut();
+            for (part, buf) in parts.iter_mut().zip(&mut commits) {
+                buf.apply_to(part, stats);
+            }
+            let want: Vec<_> = stream.iter().map(|r| direct.submit(r)).collect();
+            assert_eq!(got, want, "k={k}");
+            let servers: Vec<_> = want
+                .iter()
+                .map(|g| g.as_ref().unwrap().servers[0])
+                .collect();
+            assert_eq!(servers, [0, 0, 2, 3].map(ServerId), "k={k}");
+            assert!(want.iter().all(|g| g.as_ref().unwrap().attempts == 1));
+            batched.check_consistency();
+            assert_eq!(batched.snapshot(), direct.snapshot());
+        }
+    }
+
     fn idle(server: u32, start: i64, end: Time) -> IdlePeriod {
         IdlePeriod {
             id: PeriodId(u64::from(server)),
@@ -298,7 +288,7 @@ mod tests {
     }
 
     /// The repair rule, case by case, for a member whose window is
-    /// `[40, 60)` and whose speculative set holds `[10, 90)` on server 0
+    /// `[40, 60)` and whose pre-batch feasible set holds `[10, 90)` on server 0
     /// and the trailing `[10, inf)` on server 1.
     #[test]
     fn repair_rule_on_hand_built_cases() {
@@ -311,33 +301,24 @@ mod tests {
             for &(srv, a, b) in grants {
                 g.push(ServerId(srv), Time(a), Time(b));
             }
-            let outcome = g.repair(&mut p, s, e);
-            (outcome, p.start, p.end)
+            let covers = g.repair(&mut p, s, e);
+            (covers, p.start, p.end)
         };
         // Nothing granted on the server; grants on other servers only.
-        assert_eq!(repaired(&[], finite), (Repair::Intact, Time(10), Time(90)));
+        assert_eq!(repaired(&[], finite), (true, Time(10), Time(90)));
         assert_eq!(
             repaired(&[(2, 40, 60), (1, 0, 100)], finite),
-            (Repair::Intact, Time(10), Time(90))
+            (true, Time(10), Time(90))
         );
         // Left of the window, inside the period: the start moves up — also
         // when the grant ends exactly where the window starts.
-        assert_eq!(
-            repaired(&[(0, 20, 30)], finite),
-            (Repair::Trimmed, Time(30), Time(90))
-        );
-        assert_eq!(
-            repaired(&[(0, 10, 40)], finite),
-            (Repair::Trimmed, Time(40), Time(90))
-        );
+        assert_eq!(repaired(&[(0, 20, 30)], finite), (true, Time(30), Time(90)));
+        assert_eq!(repaired(&[(0, 10, 40)], finite), (true, Time(40), Time(90)));
         // Right of it: the end moves down; a trailing period becomes finite.
-        assert_eq!(
-            repaired(&[(0, 60, 70)], finite),
-            (Repair::Trimmed, Time(10), Time(60))
-        );
+        assert_eq!(repaired(&[(0, 60, 70)], finite), (true, Time(10), Time(60)));
         assert_eq!(
             repaired(&[(1, 75, 500)], trailing),
-            (Repair::Trimmed, Time(10), Time(75))
+            (true, Time(10), Time(75))
         );
         // Overlapping the window by any amount: the server is gone.
         for grant in [
@@ -347,13 +328,13 @@ mod tests {
             (0, 40, 60),
             (0, 10, 90),
         ] {
-            assert_eq!(repaired(&[grant], finite).0, Repair::Dropped, "{grant:?}");
+            assert!(!repaired(&[grant], finite).0, "{grant:?}");
         }
         // On the same server but in another idle period (before 10, or
         // from 90 on): the period is not the one that was carved.
         assert_eq!(
             repaired(&[(0, 0, 10), (0, 90, 120), (0, 200, 300)], finite),
-            (Repair::Intact, Time(10), Time(90))
+            (true, Time(10), Time(90))
         );
         // Several grants on one server: the nearest on each side decide,
         // in whatever order they were logged; one overlap drops the lot.
@@ -364,19 +345,13 @@ mod tests {
             (0, 62, 66),
             (0, 0, 5),
         ];
-        assert_eq!(
-            repaired(&several, finite),
-            (Repair::Trimmed, Time(35), Time(62))
-        );
+        assert_eq!(repaired(&several, finite), (true, Time(35), Time(62)));
         let mut reversed = several;
         reversed.reverse();
-        assert_eq!(
-            repaired(&reversed, finite),
-            (Repair::Trimmed, Time(35), Time(62))
-        );
+        assert_eq!(repaired(&reversed, finite), (true, Time(35), Time(62)));
         let mut with_overlap = several.to_vec();
         with_overlap.push((0, 55, 58));
-        assert_eq!(repaired(&with_overlap, finite).0, Repair::Dropped);
+        assert!(!repaired(&with_overlap, finite).0);
     }
 
     /// `reset` forgets exactly the previous batch.
@@ -386,9 +361,9 @@ mod tests {
         g.reset(4);
         g.push(ServerId(2), Time(0), Time(50));
         let mut p = idle(2, 0, Time::INF);
-        assert_eq!(g.repair(&mut p, Time(10), Time(20)), Repair::Dropped);
+        assert!(!g.repair(&mut p, Time(10), Time(20)));
         g.reset(4);
         assert!(g.log.is_empty() && g.head.iter().all(|&h| h == BatchGrants::NONE));
-        assert_eq!(g.repair(&mut p, Time(10), Time(20)), Repair::Intact);
+        assert!(g.repair(&mut p, Time(10), Time(20)));
     }
 }

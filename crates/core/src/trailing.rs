@@ -80,17 +80,24 @@ impl TrailingSet {
         self.treap.count_ge(&self.arena, Self::floor(start), ops)
     }
 
-    /// Append up to `limit` candidate period ids into `out`, latest starting
-    /// times first (the paper's reverse-marking retrieval order).
+    /// Append candidate period ids into `out`, latest starting times first
+    /// (the paper's reverse-marking retrieval order), until `need` of them
+    /// are ids `counts` accepts and every candidate starting when the last
+    /// of those does is in — the whole tie group, which the treap orders by
+    /// period id but a selection by server. Returns the start of the first
+    /// candidate left out, if the walk stopped early: every candidate
+    /// starting after it is in `out`, none starting at or before it is.
     pub fn collect_candidates(
         &self,
         start: Time,
-        limit: usize,
+        need: usize,
+        counts: impl FnMut(PeriodId) -> bool,
         out: &mut Vec<PeriodId>,
         ops: &mut OpStats,
-    ) -> usize {
+    ) -> Option<Time> {
         self.treap
-            .collect_ge(&self.arena, Self::floor(start), limit, out, ops)
+            .collect_top(&self.arena, Self::floor(start), need, counts, out, ops)
+            .map(|k| k.start)
     }
 
     /// All stored period ids (test helper), in descending start order.
@@ -145,8 +152,12 @@ mod tests {
             ts.insert(&p(i, i as u32, s), &mut ops);
         }
         let mut out = Vec::new();
-        ts.collect_candidates(Time(10), 2, &mut out, &mut ops);
+        let cut = ts.collect_candidates(Time(10), 2, |_| true, &mut out, &mut ops);
         assert_eq!(out, vec![PeriodId(3), PeriodId(1)]); // starts 7, then 4
+        assert_eq!(cut, Some(Time(1)));
+        out.clear();
+        let cut = ts.collect_candidates(Time(10), 3, |_| true, &mut out, &mut ops);
+        assert_eq!((out.len(), cut), (3, None));
     }
 
     #[test]

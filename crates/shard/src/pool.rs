@@ -3,59 +3,29 @@
 //!
 //! The pool is a *batch-stage engine*, not a per-request RPC endpoint:
 //! between calls the scheduler owns its ranges and runs all sequential work
-//! (per-request submits, releases, the members the driver decides — the
-//! load-adaptive bypass) on them itself. A stage *lends* a range to its
-//! worker inside the command and gets it back, with the stage, inside the
-//! reply, so no range is ever shared. Workers are woken only for
-//! whole-batch stages, each a single mailbox message per range:
+//! (per-request submits, releases, every decision of a pooled batch — and
+//! everything below the load-adaptive bypass) on them itself. A stage
+//! *lends* a range to its worker inside the command and gets it back
+//! inside the reply, so no range is ever shared. Workers are
+//! woken only for whole-batch stages, each a single mailbox message per
+//! range:
 //!
-//! * [`Stage::Speculate`] — Phase 1, Phase 2 and the hits at the first
-//!   profile-allowed start of every batch member, against the pre-batch
-//!   range, written into one flat buffer;
 //! * [`Stage::Commit`] — the reservations of **every** member granted in
 //!   the batch that touch this range, applied in submission order;
 //! * [`Stage::Advance`] — a slot-window advance, so a scheduler that is
 //!   running pooled batches keeps each range's work on its worker's core.
 //!
-//! Every command is answered by exactly one reply. A speculate stage
-//! charges each member's work into a *per-member delta*, which the
-//! scheduler charges only if it keeps the member's speculation
-//! ([`CoAllocScheduler::decide`]); otherwise the driver charges its own
-//! walk, which keeps the aggregate accounting that of sequential
-//! submission. Commit and advance stages charge the range's work into the
-//! reply's `stats`, which the coordinator adds to the scheduler's counters.
+//! Every command is answered by exactly one reply, whose `stats` carry the
+//! range's work, which the coordinator adds to the scheduler's counters.
 
 use coalloc_core::batch::CommitBuf;
 use coalloc_core::prelude::*;
 use crossbeam::channel::{Receiver, Sender};
 use std::thread::JoinHandle;
 
-/// One range's half of a speculate stage. The coordinator fills
-/// `windows`; the worker fills the rest.
-#[derive(Debug, Default)]
-pub(crate) struct SpecBuf {
-    /// The `[start, end)` window of every member's first start.
-    pub windows: Vec<(Time, Time)>,
-    /// The range's feasible sets (global server ids), window after window.
-    pub periods: Vec<IdlePeriod>,
-    /// Per window: where its set ends in `periods`, and its Phase-1 and
-    /// Phase-2 delta.
-    pub done: Vec<(usize, OpStats)>,
-}
-
-impl SpecBuf {
-    /// This range's feasible set for window `j`.
-    pub fn set(&self, j: usize) -> &[IdlePeriod] {
-        let from = if j == 0 { 0 } else { self.done[j - 1].0 };
-        &self.periods[from..self.done[j].0]
-    }
-}
-
-/// A batch stage for one range; the worker hands it back done.
+/// A batch stage for one range.
 #[derive(Debug)]
 pub(crate) enum Stage {
-    /// Search every window of the buffer.
-    Speculate(SpecBuf),
     /// Apply every queued reservation, in order.
     Commit(CommitBuf),
     /// Advance the range's clock (ring rotation and history prune).
@@ -70,14 +40,12 @@ pub(crate) struct Cmd {
 }
 
 /// A range coming back from its worker with its stage done. `stats` is
-/// what the stage charged to the scheduler's counters (commit and advance
-/// stages only).
+/// what the stage charged to the scheduler's counters.
 #[derive(Debug)]
 pub(crate) struct Reply {
     pub shard: u32,
     pub part: ServerIndex,
     pub stats: OpStats,
-    pub stage: Stage,
 }
 
 /// The worker threads: one command channel each, one shared reply channel.
@@ -114,15 +82,10 @@ impl Pool {
         }
     }
 
-    /// Run one stage: lend every range `stage` gives work to its worker,
-    /// take each one back into `sched` as its reply arrives (charging the
-    /// reply's `stats`), and return the stages done, in arrival order.
-    /// Ranges given no work stay home.
-    pub fn run(
-        &self,
-        sched: &mut CoAllocScheduler,
-        mut stage: impl FnMut(usize) -> Option<Stage>,
-    ) -> Vec<(u32, Stage)> {
+    /// Run one stage: lend every range `stage` gives work to its worker and
+    /// take each one back into `sched` as its reply arrives, charging the
+    /// reply's `stats`. Ranges given no work stay home.
+    pub fn run(&self, sched: &mut CoAllocScheduler, mut stage: impl FnMut(usize) -> Option<Stage>) {
         let (parts, _) = sched.parts_mut();
         let mut home: Vec<Option<ServerIndex>> = Vec::with_capacity(parts.len());
         for (i, part) in parts.drain(..).enumerate() {
@@ -137,17 +100,14 @@ impl Pool {
             }
         }
         let lent = home.iter().filter(|p| p.is_none()).count();
-        let mut done = Vec::with_capacity(lent);
         for _ in 0..lent {
             let reply = self.reply.recv().expect("shard worker alive");
             let reply = reply.unwrap_or_else(|shard| panic!("shard worker {shard} died"));
             home[reply.shard as usize] = Some(reply.part);
             sched.parts_mut().1.accumulate(&reply.stats);
-            done.push((reply.shard, reply.stage));
         }
         let (parts, _) = sched.parts_mut();
         parts.extend(home.into_iter().map(|p| p.expect("every range came back")));
-        done
     }
 }
 
@@ -180,35 +140,13 @@ fn worker(shard: u32, rx: Receiver<Cmd>, tx: Sender<Result<Reply, u32>>) {
         tx: tx.clone(),
     };
     // Exits when the coordinator drops the command sender.
-    for Cmd {
-        mut part,
-        mut stage,
-    } in rx.iter()
-    {
+    for Cmd { mut part, stage } in rx.iter() {
         let mut stats = OpStats::new();
-        match &mut stage {
-            Stage::Speculate(buf) => {
-                buf.periods.clear();
-                buf.done.clear();
-                for &(start, end) in &buf.windows {
-                    // Phase 2 even where the summed candidates fall short:
-                    // this range cannot know the sum.
-                    let mut delta = OpStats::new();
-                    part.phase1(start, &mut delta);
-                    part.phase2(start, end, &mut delta);
-                    part.hits(&mut buf.periods);
-                    buf.done.push((buf.periods.len(), delta));
-                }
-            }
-            Stage::Commit(buf) => buf.apply_to(&mut part, &mut stats),
-            Stage::Advance(now) => part.advance_to(*now, &mut stats),
+        match stage {
+            Stage::Commit(mut buf) => buf.apply_to(&mut part, &mut stats),
+            Stage::Advance(now) => part.advance_to(now, &mut stats),
         }
-        let reply = Reply {
-            shard,
-            part,
-            stats,
-            stage,
-        };
+        let reply = Reply { shard, part, stats };
         if tx.send(Ok(reply)).is_err() {
             break; // coordinator gone
         }

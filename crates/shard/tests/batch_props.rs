@@ -5,15 +5,14 @@
 //! `0..i` would have left — same grants and rejections, same start times,
 //! same attempt counts, same server choices, same job ids — for every
 //! selection policy, every shard count, every batch size, and both
-//! execution strategies (inline bypass and speculative pool stages,
-//! including the validate-and-repair path under contention).
+//! execution strategies (inline bypass and the pooled batch, including
+//! the repair path under contention).
 //!
 //! Operation accounting is also grouping-invariant, with one documented
-//! exception: speculative probes measure their work against the pre-batch
-//! snapshot, so the snapshot-dependent probe counters (`primary_visits`,
-//! `secondary_visits`, `phase2_searches`) may differ while every other
-//! counter (attempts, skips, phase-1 searches, structural work) must
-//! match exactly.
+//! exception: a pooled batch searches the pre-batch ranges, so the
+//! state-dependent search counters (`primary_visits`, `secondary_visits`,
+//! `phase2_searches`) may differ while every other counter (attempts,
+//! skips, phase-1 searches, structural work) must match exactly.
 
 use coalloc_core::prelude::*;
 use coalloc_shard::ShardedScheduler;
@@ -54,7 +53,7 @@ fn cfg(policy: SelectionPolicy, seed: u64) -> SchedulerConfig {
         .build()
 }
 
-/// Zero the counters that legitimately differ under speculation: tree
+/// Zero the counters that legitimately differ over an open batch: tree
 /// visits, and `phase2_searches` — `enumerate` only invokes Phase 2 when
 /// Phase 1 found candidates, and the pre-batch snapshot can hold (dirty,
 /// infeasible) candidates an in-batch commit has since consumed.
@@ -83,7 +82,7 @@ fn assert_chunked_equivalence(
     let ctx = format!("{policy:?} k={k} b={batch} seed={seed}");
     let mut seq = ShardedScheduler::new(6, k, cfg(policy, seed));
     let mut pooled = ShardedScheduler::new(6, k, cfg(policy, seed));
-    pooled.set_pool_min_batch(0); // force the speculative pool path
+    pooled.set_pool_min_batch(0); // force the pool path
     let mut inline = ShardedScheduler::new(6, k, cfg(policy, seed));
     inline.set_pool_min_batch(usize::MAX); // force the bypass
     let mut live: Vec<JobId> = Vec::new();
@@ -114,7 +113,7 @@ fn assert_chunked_equivalence(
     }
     // Inline batching is byte-for-byte the sequential algorithm, so even
     // the visit counters must match; the pool path's visits are measured
-    // against pre-batch snapshots and may legitimately differ.
+    // against the pre-batch ranges and may legitimately differ.
     assert_eq!(seq.stats(), inline.stats(), "inline stats diverge: {ctx}");
     assert_eq!(
         comparable(seq.stats()),
@@ -169,8 +168,8 @@ proptest! {
     }
 
     /// Maximum-contention batches: three servers, every member wanting
-    /// most of them, whole workload in one batch. Forces dense
-    /// validate-and-repair chains through the pool path.
+    /// most of them, whole workload in one batch. Forces dense repair
+    /// chains through the pool path.
     #[test]
     fn repair_chains_stay_sequential_exact(
         durs in prop::collection::vec((1i64..60, 2u32..=3), 2..64),

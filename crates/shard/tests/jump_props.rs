@@ -46,7 +46,7 @@ fn cfg(policy: SelectionPolicy, seed: u64) -> SchedulerConfig {
 /// Drive a jumping and a linear scheduler through the workload in lockstep
 /// chunks of `batch`, with churn (clock advances plus every-third release),
 /// and require identical replies throughout. Both go through the pool path
-/// when it exists so jumping is exercised inside the speculative stages too.
+/// when it exists so jumping is exercised over an open batch too.
 fn assert_jump_equals_linear(
     reqs: &[Request],
     policy: SelectionPolicy,

@@ -1,12 +1,10 @@
-//! Two hand-built pooled batches around the repair rule of the speculative
-//! batch path (DESIGN.md §9): one whose members all overlap earlier grants
-//! and are nevertheless kept, one where a member loses too many servers and
-//! is re-probed sequentially. Checked for every selection policy — best and
-//! worst fit read the *trimmed* end of a repaired period, paper order its
-//! trimmed start — against one-by-one submission, and through the metrics
-//! that tell the two outcomes apart.
-//!
-//! One test function: the metric registry is process-global.
+//! Two hand-built pooled batches around the repair rule of the batch
+//! overlay (DESIGN.md §9): one whose members all overlap earlier grants
+//! and are nevertheless granted at their first start, one where a member
+//! loses too many servers to earlier grants and moves to a later start.
+//! Checked for every selection policy — best and worst fit read the
+//! *trimmed* end of a repaired period, paper order its trimmed start —
+//! against one-by-one submission.
 
 use coalloc_core::prelude::*;
 use coalloc_shard::ShardedScheduler;
@@ -27,28 +25,18 @@ fn cfg(policy: SelectionPolicy) -> SchedulerConfig {
         .build()
 }
 
-fn counter(name: &'static str) -> u64 {
-    obs::metrics::counter(name).get()
-}
-
 /// Submit `reqs` as one pooled batch and one by one; the replies, the
 /// grouping-invariant counters and the final shard state must agree.
-/// Returns how far the batch moved `(repaired, re-probed)`.
+/// Returns the replies.
 fn pooled_vs_sequential(
     servers: u32,
     policy: SelectionPolicy,
     reqs: &[Request],
-) -> (u64, u64, Vec<Result<Grant, ScheduleError>>) {
+) -> Vec<Result<Grant, ScheduleError>> {
     let mut pooled = ShardedScheduler::new(servers, 2, cfg(policy));
     pooled.set_pool_min_batch(0);
     let mut seq = ShardedScheduler::new(servers, 2, cfg(policy));
-    let before = (
-        counter("shard_batch_repaired_total"),
-        counter("shard_batch_repro_probes_total"),
-    );
     let got = pooled.submit_batch(reqs);
-    let repaired = counter("shard_batch_repaired_total") - before.0;
-    let reprobed = counter("shard_batch_repro_probes_total") - before.1;
     let want: Vec<_> = reqs.iter().map(|r| seq.submit(r)).collect();
     assert_eq!(got, want, "{policy:?}");
     let (a, b) = (pooled.stats(), seq.stats());
@@ -73,20 +61,20 @@ fn pooled_vs_sequential(
         "{policy:?}"
     );
     pooled.check_consistency();
-    // The next batch probes a snapshot built from the repaired commits.
+    // The next batch searches ranges built from the queued commits.
     let probe = Request::on_demand(Time::ZERO, Dur(100), 1);
     assert_eq!(
         pooled.submit_batch(&[probe]),
         vec![seq.submit(&probe)],
         "{policy:?}"
     );
-    (repaired, reprobed, got)
+    got
 }
 
 #[test]
-fn repaired_members_are_kept_and_starved_ones_fall_back() {
+fn repaired_members_are_granted_and_starved_ones_move_on() {
     for policy in POLICIES {
-        // Eight idle servers: every member's speculative set is all eight
+        // Eight idle servers: every member's pre-batch set is all eight
         // trailing periods, so each later one meets the earlier grants.
         // What a policy picks depends on the repaired values: for
         // [40, 60) the latest start is on the servers busy until 40, not on
@@ -103,41 +91,28 @@ fn repaired_members_are_kept_and_starved_ones_fall_back() {
             // Overlaps [80, 110) on three servers: dropped, five left.
             Request::advance(Time::ZERO, Time(85), Dur(10), 5),
         ];
-        let (repaired, reprobed, replies) = pooled_vs_sequential(8, policy, &kept);
+        let replies = pooled_vs_sequential(8, policy, &kept);
         assert!(
             replies
                 .iter()
                 .all(|r| matches!(r, Ok(g) if g.attempts == 1)),
             "{policy:?}"
         );
-        assert_eq!(reprobed, 0, "{policy:?}: no member may be re-probed");
-        assert_eq!(
-            repaired, 5,
-            "{policy:?}: every member after the first is repaired"
-        );
 
-        // Four servers. The second member finds one of its four speculative
-        // periods left and is re-probed (granted at 30, fourth attempt).
-        // The third is kept: of its four periods three are dropped, and
-        // the last one stands — trimmed, if the re-probed grant took that
-        // server, which the third member can only know because fallback
-        // grants are logged like any other.
+        // Four servers. The second member finds one of its four pre-batch
+        // periods left at 0 and is granted at 30, its fourth attempt. The
+        // third is granted at 0: of its four periods three are dropped,
+        // and the last one stands — trimmed, if the second member's grant
+        // took that server, which the third member can only know because
+        // every grant is logged.
         let starved = [
             Request::on_demand(Time::ZERO, Dur(30), 3),
             Request::on_demand(Time::ZERO, Dur(30), 2),
             Request::on_demand(Time::ZERO, Dur(10), 1),
         ];
-        let (repaired, reprobed, replies) = pooled_vs_sequential(4, policy, &starved);
+        let replies = pooled_vs_sequential(4, policy, &starved);
         let starts: Vec<Time> = replies.iter().map(|r| r.as_ref().unwrap().start).collect();
         assert_eq!(starts, [Time(0), Time(30), Time(0)], "{policy:?}");
         assert_eq!(replies[1].as_ref().unwrap().attempts, 4, "{policy:?}");
-        assert_eq!(
-            reprobed, 1,
-            "{policy:?}: exactly the starved member falls back"
-        );
-        assert_eq!(
-            repaired, 1,
-            "{policy:?}: the third member is repaired, not re-probed"
-        );
     }
 }

@@ -38,7 +38,7 @@ fn every_engine_reports_the_same_request_metrics() {
         .r_max(6)
         .build();
     // Grants that contend for the same servers (so a pooled batch repairs
-    // and falls back), two requests that never reach the ladder, and
+    // and moves members to later starts), two requests that never reach the ladder, and
     // rejects by exhaustion and by the horizon.
     let mut batch: Vec<Request> = (0..10)
         .map(|i| Request::on_demand(Time::ZERO, Dur(20 + (i % 3) * 10), 2 + (i as u32) % 4))
@@ -86,12 +86,5 @@ fn every_engine_reports_the_same_request_metrics() {
             assert_eq!(replies, expected, "k={k} pool_min_batch={pool_min_batch}");
             assert_eq!(sharded, plain, "k={k} pool_min_batch={pool_min_batch}");
         }
-    }
-    // The pooled runs took every route: accepted, repaired, re-probed.
-    for route in [
-        "shard_batch_repaired_total",
-        "shard_batch_repro_probes_total",
-    ] {
-        assert!(obs::metrics::counter(route).get() > 0, "{route}");
     }
 }
