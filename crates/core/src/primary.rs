@@ -723,38 +723,35 @@ impl SlotTree {
         count
     }
 
-    /// Phase 2: among the Phase-1 candidates, find up to `limit` *feasible*
-    /// periods (`et_i >= end`), searching marked subtrees in reverse marking
-    /// order (latest-starting candidates first, as in the paper's example).
-    /// `O(log^2 n)` plus `O(limit)` retrieval.
+    /// Phase 2: among the Phase-1 candidates, find every *feasible* period
+    /// (`et_i >= end`), searching marked subtrees in reverse marking order
+    /// (latest-starting candidates first, as in the paper's example).
+    /// `O(log^2 n)` plus `O(1)` per period retrieved.
     ///
     /// Convenience wrapper over [`SlotTree::phase2_feasible_into`].
     pub fn phase2_feasible(
         &self,
         marked: &[MarkedNode],
         end: Time,
-        limit: usize,
         ops: &mut OpStats,
     ) -> Vec<PeriodId> {
         let mut out: Vec<PeriodId> = Vec::new();
-        self.phase2_feasible_into(marked, end, limit, &mut out, ops);
+        self.phase2_feasible_into(marked, end, &mut out, ops);
         out
     }
 
-    /// Phase 2 appending into a caller-supplied buffer. `limit` caps the
-    /// *total* length of `out` (pre-existing entries — e.g. trailing-set
-    /// candidates collected first — count against it). Allocation-free once
-    /// `out` is warm.
+    /// Phase 2 appending into a caller-supplied buffer (after any entries
+    /// already there, e.g. trailing-set candidates collected first).
+    /// Allocation-free once `out` is warm.
     pub fn phase2_feasible_into(
         &self,
         marked: &[MarkedNode],
         end: Time,
-        limit: usize,
         out: &mut Vec<PeriodId>,
         ops: &mut OpStats,
     ) {
         ops.phase2_searches += 1;
-        self.phase2_collect(marked, end, limit, out, ops);
+        self.phase2_collect(marked, end, out, ops);
     }
 
     /// Phase 2 over one tree's slice of a shared marked buffer, without
@@ -764,16 +761,12 @@ impl SlotTree {
         &self,
         marked: &[MarkedNode],
         end: Time,
-        limit: usize,
         out: &mut Vec<PeriodId>,
         ops: &mut OpStats,
     ) {
         // Scan buffer for the subtrees that keep no secondary tree.
         let mut keys = [EndKey::range_floor(end); SCAN_MAX];
         for &MarkedNode(n) in marked.iter().rev() {
-            if out.len() >= limit {
-                break;
-            }
             match &self.nodes[n as usize] {
                 PNode::Leaf { period } => {
                     ops.secondary_visits += 1;
@@ -783,7 +776,7 @@ impl SlotTree {
                 }
                 PNode::Internal { size, .. } if *size as usize <= SCAN_MAX => {
                     // No secondary tree: read the leaves, and list the
-                    // feasible ones the way `collect_ge` would have.
+                    // feasible ones in the order its walk would have.
                     ops.secondary_visits += *size as u64;
                     let mut found = 0;
                     self.for_each_leaf(n, &mut |p| {
@@ -793,17 +786,14 @@ impl SlotTree {
                         }
                     });
                     keys[..found].sort_unstable();
-                    let room = limit - out.len();
-                    out.extend(keys[..found].iter().take(room).map(|k| k.id));
+                    out.extend(keys[..found].iter().map(|k| k.id));
                 }
                 PNode::Internal { secondary, .. } => {
-                    secondary.collect_ge(
+                    secondary.collect_top(
                         &self.arena,
-                        EndKey {
-                            end,
-                            id: PeriodId(0),
-                        },
-                        limit,
+                        EndKey::range_floor(end),
+                        usize::MAX,
+                        |_| true,
                         out,
                         ops,
                     );
@@ -845,20 +835,14 @@ impl SlotTree {
         count
     }
 
-    /// Convenience composition of both phases: find up to `limit` feasible
-    /// periods for a job occupying `[start, end)`.
-    pub fn find_feasible(
-        &self,
-        start: Time,
-        end: Time,
-        limit: usize,
-        ops: &mut OpStats,
-    ) -> Vec<PeriodId> {
+    /// Convenience composition of both phases: find every feasible period
+    /// for a job occupying `[start, end)`.
+    pub fn find_feasible(&self, start: Time, end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
         let (count, marked) = self.phase1_candidates(start, ops);
         if count == 0 {
             return Vec::new();
         }
-        self.phase2_feasible(&marked, end, limit, ops)
+        self.phase2_feasible(&marked, end, ops)
     }
 
     // ------------------------------------------------------------------
@@ -1046,7 +1030,7 @@ mod tests {
         assert_eq!(count, 4);
         // Phase 2 (reverse marking order → latest-starting candidates first)
         // finds Y and Z, both ending at 33 >= 29.
-        let feasible = t.phase2_feasible(&marked, Time(29), 2, &mut ops);
+        let feasible = t.phase2_feasible(&marked, Time(29), &mut ops);
         assert_eq!(feasible.len(), 2);
         let mut ids: Vec<u64> = feasible.iter().map(|i| i.0).collect();
         ids.sort();
@@ -1061,7 +1045,7 @@ mod tests {
         // s_r = 5: only X (st=4) and V (st=1) are candidates.
         let (count, marked) = t.phase1_candidates(Time(5), &mut ops);
         assert_eq!(count, 2);
-        let all = t.phase2_feasible(&marked, Time(6), usize::MAX, &mut ops);
+        let all = t.phase2_feasible(&marked, Time(6), &mut ops);
         let mut ids: Vec<u64> = all.iter().map(|i| i.0).collect();
         ids.sort();
         assert_eq!(ids, vec![1, 4]);
@@ -1073,7 +1057,7 @@ mod tests {
         let mut ops = OpStats::new();
         let (_, marked) = t.phase1_candidates(Time(17), &mut ops);
         // e_r = 34: no period ends at or after 34.
-        assert!(t.phase2_feasible(&marked, Time(34), 2, &mut ops).is_empty());
+        assert!(t.phase2_feasible(&marked, Time(34), &mut ops).is_empty());
         assert_eq!(t.count_feasible(&marked, Time(34), &mut ops), 0);
         // e_r = 18: all four are feasible.
         assert_eq!(t.count_feasible(&marked, Time(18), &mut ops), 4);
@@ -1083,7 +1067,7 @@ mod tests {
     fn find_feasible_composes_phases() {
         let t = figure2_tree();
         let mut ops = OpStats::new();
-        let ids = t.find_feasible(Time(17), Time(29), usize::MAX, &mut ops);
+        let ids = t.find_feasible(Time(17), Time(29), &mut ops);
         assert_eq!(ids.len(), 2);
     }
 
@@ -1094,7 +1078,7 @@ mod tests {
         assert!(t.remove(&p(2, 2, 16, 33), &mut ops)); // remove Y
         assert!(!t.remove(&p(2, 2, 16, 33), &mut ops));
         t.check_invariants();
-        let ids = t.find_feasible(Time(17), Time(29), usize::MAX, &mut ops);
+        let ids = t.find_feasible(Time(17), Time(29), &mut ops);
         assert_eq!(ids, vec![PeriodId(3)]); // only Z remains feasible
         assert_eq!(t.len(), 3);
     }
@@ -1120,7 +1104,7 @@ mod tests {
         for i in 0..8 {
             t.insert(p(i, i as u32, i as i64, i64::MAX), &mut ops);
         }
-        let ids = t.find_feasible(Time(100), Time(1 << 50), usize::MAX, &mut ops);
+        let ids = t.find_feasible(Time(100), Time(1 << 50), &mut ops);
         assert_eq!(ids.len(), 8);
     }
 
@@ -1221,7 +1205,7 @@ mod tests {
 
     /// Phase 2 against the definition, on trees either side of the
     /// threshold and well above it: per marked subtree, latest marked
-    /// first, the feasible leaves in ascending `(end, id)`, cut at `limit`.
+    /// first, the feasible leaves in ascending `(end, id)`.
     #[test]
     fn phase2_matches_sorted_leaf_scan() {
         use rand::rngs::SmallRng;
@@ -1264,12 +1248,9 @@ mod tests {
                     .collect();
                 let want: Vec<PeriodId> = per_mark.iter().flatten().map(|k| k.id).collect();
                 assert_eq!(t.count_feasible(&marked, end, &mut ops), want.len());
-                for limit in [1, 3, usize::MAX] {
-                    let mut got = Vec::new();
-                    t.phase2_collect(&marked, end, limit, &mut got, &mut ops);
-                    let cut = want.len().min(limit);
-                    assert_eq!(got, want[..cut], "size {target}, limit {limit}");
-                }
+                let mut got = Vec::new();
+                t.phase2_collect(&marked, end, &mut got, &mut ops);
+                assert_eq!(got, want, "size {target}");
             }
         }
     }
@@ -1299,7 +1280,7 @@ mod tests {
                 let sr = Time(rng.random_range(0..1200));
                 let er = sr + crate::time::Dur(rng.random_range(1..400));
                 let mut got: Vec<u64> = t
-                    .find_feasible(sr, er, usize::MAX, &mut ops)
+                    .find_feasible(sr, er, &mut ops)
                     .iter()
                     .map(|x| x.0)
                     .collect();

@@ -448,12 +448,11 @@ impl SlotRing {
     /// One logical Phase 2 over the marks of a preceding
     /// [`SlotRing::phase1_candidates_into`]: append the ids of feasible
     /// periods (`et_i >= end`) to `out`, tree by tree along the stabbing
-    /// path. `limit` caps the *total* length of `out`.
+    /// path.
     pub fn phase2_feasible_into(
         &self,
         end: Time,
         stab: &StabMarks,
-        limit: usize,
         out: &mut Vec<PeriodId>,
         ops: &mut OpStats,
     ) {
@@ -461,7 +460,7 @@ impl SlotRing {
         let mut lo = 0usize;
         for (k, &t) in stab.trees.iter().enumerate() {
             let hi = stab.bounds[k] as usize;
-            self.nodes[t as usize].phase2_collect(&stab.marked[lo..hi], end, limit, out, ops);
+            self.nodes[t as usize].phase2_collect(&stab.marked[lo..hi], end, out, ops);
             lo = hi;
         }
     }
@@ -479,22 +478,20 @@ impl SlotRing {
         count
     }
 
-    /// Convenience composition of both phases: append up to `limit` feasible
-    /// period ids for a job occupying `[start, end)` at live slot `q`.
-    #[allow(clippy::too_many_arguments)]
+    /// Convenience composition of both phases: append every feasible period
+    /// id for a job occupying `[start, end)` at live slot `q`.
     pub fn find_feasible_into(
         &self,
         q: SlotIdx,
         start: Time,
         end: Time,
-        limit: usize,
         stab: &mut StabMarks,
         out: &mut Vec<PeriodId>,
         ops: &mut OpStats,
     ) {
         let count = self.phase1_candidates_into(q, start, stab, ops);
         if count > 0 {
-            self.phase2_feasible_into(end, stab, limit, out, ops);
+            self.phase2_feasible_into(end, stab, out, ops);
         }
     }
 
@@ -678,7 +675,7 @@ mod tests {
         let mut stab = StabMarks::default();
         let mut out = Vec::new();
         let mut ops = OpStats::new();
-        ring.find_feasible_into(q, start, end, usize::MAX, &mut stab, &mut out, &mut ops);
+        ring.find_feasible_into(q, start, end, &mut stab, &mut out, &mut ops);
         let mut ids: Vec<u64> = out.iter().map(|id| id.0).collect();
         ids.sort_unstable();
         ids

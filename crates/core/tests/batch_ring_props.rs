@@ -206,7 +206,7 @@ fn probe(ring: &SlotRing, q: SlotIdx, start: Time, end: Time) -> (Vec<PeriodId>,
     let mut stab = StabMarks::default();
     let mut hits = Vec::new();
     let mut ops = OpStats::new();
-    ring.find_feasible_into(q, start, end, usize::MAX, &mut stab, &mut hits, &mut ops);
+    ring.find_feasible_into(q, start, end, &mut stab, &mut hits, &mut ops);
     (hits, ops)
 }
 
