@@ -8,19 +8,20 @@
 //!     [seconds] [seed] [--shards K] [--trace-out PATH] [--metrics-dump]
 //! ```
 //!
-//! With `--shards K` (K > 1) every round also drives a [`ShardedScheduler`]
-//! over the same stream and asserts its grants, rejections, and releases
-//! are identical to the tree scheduler's. The mirror consumes submissions
+//! With `--shards K` (K > 1) every round also drives a `K`-range
+//! [`CoAllocScheduler`] over the same stream and asserts its grants,
+//! rejections, and releases are identical to the tree scheduler's. The
+//! mirror consumes submissions
 //! through `submit_batch` with *randomized* batch boundaries (any
 //! non-submit operation is a barrier that flushes the pending batch
 //! first), so the three-way differential continuously re-proves the
 //! batched-execution equivalence contract under randomized load, not just
 //! the per-request one. The batches are short (1 to 8 members), below the
-//! size at which the mirror would hand them to its worker pool by itself,
-//! so every even round forces the pool (`set_pool_min_batch(0)`): those
-//! rounds check the pooled path — decisions over an open batch, repaired
-//! against in-batch grants, the per-batch commit stage and clock advances
-//! on the workers — and the odd ones the inline path.
+//! size at which the mirror would pool them by itself, so every even round
+//! forces the pool (`set_pool_min_batch(0)`): those rounds check the
+//! pooled path — decisions over an open batch, repaired against in-batch
+//! grants, the per-batch commit stage and clock advances in pooled stages
+//! — and the odd ones the inline path.
 //!
 //! A divergence (any failed equivalence assertion) prints
 //! `INVARIANT VIOLATED: ...` on stderr and exits non-zero instead of
@@ -30,7 +31,6 @@
 
 use coalloc_core::naive::NaiveScheduler;
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -132,7 +132,7 @@ struct MirrorBatch {
 /// every member against the tree's recorded (sequential) result, then
 /// draw a fresh randomized boundary for the next batch.
 fn flush_mirror(
-    m: &mut ShardedScheduler,
+    m: &mut CoAllocScheduler,
     b: &mut MirrorBatch,
     jobs: &mut [(JobId, JobId, Option<JobId>)],
     step: i32,
@@ -176,7 +176,7 @@ fn flush_mirror(
 
 /// One randomized differential round; returns the tree op count. Panics (via
 /// the assertions) on any divergence — caught and reported by `main`. Even
-/// rounds run the sharded mirror's batches on its worker pool.
+/// rounds pool the sharded mirror's batches.
 fn run_round(rng: &mut SmallRng, shards: u32, round: u64) -> u64 {
     let _span = obs::obs_span!("soak.round");
     {
@@ -192,7 +192,7 @@ fn run_round(rng: &mut SmallRng, shards: u32, round: u64) -> u64 {
             .build();
         let mut tree = CoAllocScheduler::new(n, cfg);
         let mut naive = NaiveScheduler::new(n, cfg);
-        let mut mirror = (shards > 1).then(|| ShardedScheduler::new(n, shards, cfg));
+        let mut mirror = (shards > 1).then(|| CoAllocScheduler::with_ranges(n, shards, cfg));
         if round.is_multiple_of(2) {
             if let Some(m) = mirror.as_mut() {
                 m.set_pool_min_batch(0);

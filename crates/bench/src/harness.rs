@@ -4,7 +4,6 @@
 use coalloc_batch::{run_batch, BatchPolicy};
 use coalloc_core::naive::NaiveScheduler;
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
 use coalloc_sim::runner::{replay, RunResult};
 use coalloc_workloads::synthetic::WorkloadSpec;
 use std::io::Write;
@@ -55,7 +54,7 @@ pub fn online_run(
     shards: u32,
 ) -> RunResult {
     let mut span = bench_span("online", spec, requests, label);
-    let mut sched = ShardedScheduler::new(spec.servers, shards, paper_scheduler_config());
+    let mut sched = CoAllocScheduler::with_ranges(spec.servers, shards, paper_scheduler_config());
     let result = replay(&mut sched, requests, label);
     finish_bench_span(&mut span, &result);
     result

@@ -2,16 +2,17 @@
 //! stood when the batch opened, with every commit deferred to its end.
 //!
 //! While a batch is open (`CoAllocScheduler::open_batch` …
-//! `close_batch`), a grant charges the capacity profile at once, but is
-//! only logged per server and queued per range, in a [`CommitBuf`]. Within
+//! `close_batch`, in a pooled `submit_batch_into`), a grant charges the
+//! capacity profile at once, but is only logged per server and queued per
+//! range, in a [`CommitBuf`]. Within
 //! a batch the clock stands still and members only commit, so every live
 //! idle period is a pre-batch one cut down by logged grants: a pre-batch
 //! feasible set, repaired against the log, *is* the live one at every
 //! start. The driver's `find` filters its hits that way, and adds back the
 //! periods its early-stopping Phase 2 left out that a grant moved up (the
 //! argument is on `CoAllocScheduler::find`). The ranges then apply their
-//! queues in submission order, which keeps every range's period ids those
-//! of sequential submission (DESIGN.md §9).
+//! queues in submission order, in parallel, which keeps every range's
+//! period ids those of sequential submission (DESIGN.md §9).
 
 use crate::idle::IdlePeriod;
 use crate::ids::{JobId, ServerId};
@@ -22,7 +23,7 @@ use crate::time::Time;
 /// The commits one range owes to the members granted in a batch, in
 /// submission order.
 #[derive(Clone, Debug, Default)]
-pub struct CommitBuf {
+pub(crate) struct CommitBuf {
     /// `(job, start, end, number of servers)` per member.
     jobs: Vec<(JobId, Time, Time, u32)>,
     /// The members' (range-owned) servers, concatenated.
@@ -35,17 +36,14 @@ impl CommitBuf {
         self.jobs.is_empty()
     }
 
-    /// Apply the queued reservations to their range, in order, and empty
-    /// the queue.
-    pub fn apply_to(&mut self, part: &mut ServerIndex, stats: &mut OpStats) {
+    /// Apply the queued reservations to their range, in order.
+    pub fn apply_to(self, part: &mut ServerIndex, stats: &mut OpStats) {
         let mut from = 0usize;
-        for &(job, start, end, n) in &self.jobs {
+        for (job, start, end, n) in self.jobs {
             let to = from + n as usize;
             part.commit(job, start, end, &self.servers[from..to], stats);
             from = to;
         }
-        self.jobs.clear();
-        self.servers.clear();
     }
 }
 
@@ -215,9 +213,9 @@ mod tests {
         ];
         batched.open_batch();
         let got: Vec<_> = stream.iter().map(|r| batched.decide(r).0).collect();
-        let mut commits = batched.close_batch();
+        let commits = batched.close_batch();
         let (parts, stats) = batched.parts_mut();
-        for (part, buf) in parts.iter_mut().zip(&mut commits) {
+        for (part, buf) in parts.iter_mut().zip(commits) {
             buf.apply_to(part, stats);
         }
         let want: Vec<_> = stream.iter().map(|r| direct.submit(r)).collect();
@@ -260,9 +258,9 @@ mod tests {
             let stream = [Request::on_demand(Time::ZERO, Dur(20), 1), late, late, late];
             batched.open_batch();
             let got: Vec<_> = stream.iter().map(|r| batched.decide(r).0).collect();
-            let mut commits = batched.close_batch();
+            let commits = batched.close_batch();
             let (parts, stats) = batched.parts_mut();
-            for (part, buf) in parts.iter_mut().zip(&mut commits) {
+            for (part, buf) in parts.iter_mut().zip(commits) {
                 buf.apply_to(part, stats);
             }
             let want: Vec<_> = stream.iter().map(|r| direct.submit(r)).collect();

@@ -14,9 +14,9 @@
 //!   (Section 4.2);
 //! * **range searches** ([`range_search`]) — query-then-commit resource
 //!   discovery over a time window;
-//! * the **batch overlay** ([`batch`]) — a batch of submits decided over
-//!   the ranges as they stood when it opened, its commits deferred to its
-//!   end (what `coalloc-shard`'s worker pool hands its workers);
+//! * **pooled batches** ([`scheduler::CoAllocScheduler::submit_batch`]) —
+//!   a large batch decided over the ranges as they stood when it opened,
+//!   its commits applied at its end, the ranges in parallel;
 //! * a **naive linear-scan co-allocator** ([`naive::NaiveScheduler`]) — the
 //!   sequential baseline the paper argues against, doubling as a test oracle;
 //! * the supporting substrate: time/slot arithmetic ([`time`]), idle-period
@@ -52,7 +52,7 @@
 #![forbid(unsafe_code)]
 
 pub mod attrs;
-pub mod batch;
+mod batch;
 pub mod error;
 pub mod idhash;
 pub mod idle;

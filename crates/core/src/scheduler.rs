@@ -79,7 +79,7 @@ static PHASE2_DEPTH: LazyHistogram = LazyHistogram::new("sched_phase2_depth");
 /// request `i` searched, `grants` how many of them were granted, and
 /// `delta` the [`OpStats`] they accrued together. Reported per request,
 /// or once for a whole pooled batch.
-pub fn record_requests(probed: &[u64], grants: u64, delta: &OpStats) {
+pub(crate) fn record_requests(probed: &[u64], grants: u64, delta: &OpStats) {
     let add = |counter: &LazyCounter, n: u64| {
         if n > 0 {
             counter.add(n);
@@ -117,9 +117,29 @@ pub(crate) const MAX_ABS_TIME: i64 = 1 << 42;
 /// snapshot's `origin → now` is not a move: a restore builds the scheduler
 /// at `now` and replays nothing.)
 const MAX_ADVANCE_SLOTS: i64 = 1 << 21;
-/// Most ranges a scheduler is split into (`coalloc-shard` runs a worker
-/// thread per range).
+/// Most ranges a scheduler is split into (a pooled stage runs a thread per
+/// range).
 const MAX_RANGES: u32 = 64;
+
+/// Work in a batch — members × servers in the system — from which
+/// [`CoAllocScheduler::submit_batch_into`] pools it by default instead of
+/// running it inline: 16 members at 8,192 servers, 64 at 2,048. A pooled
+/// batch pays for spawning its stage threads whatever its size, so small
+/// batches and small systems are better off inline. In a sweep of the
+/// commit-only pool against the inline path on a 2-vCPU host
+/// (EXPERIMENTS.md, "Is the commit-only pool worth waking?") the pool took
+/// less wall time at every size measured from 2^17 on, was mixed between
+/// 2^14 and 2^16, and lost nine of ten sizes at 2^13 and below; it always
+/// took more CPU ("The pool as a scoped stage" re-times 2^16 and 2^17 with
+/// scoped stages). Only reached with more than one range on a host with
+/// more than one CPU — on a single CPU the stage threads can only add
+/// context switches — and overridable per instance with
+/// [`CoAllocScheduler::set_pool_min_batch`].
+const POOL_MIN_WORK: u64 = 1 << 17;
+
+/// How work reaches the ranges: the size of every batch on a scheduler with
+/// more than one range.
+static BATCH_SIZE: LazyHistogram = LazyHistogram::new("shard_batch_size");
 
 /// Configuration of a [`CoAllocScheduler`].
 #[derive(Clone, Copy, Debug)]
@@ -290,6 +310,11 @@ pub struct CoAllocScheduler {
     linear_walk: bool,
     /// The open batch's grants, if one is open (see [`Self::open_batch`]).
     batch: BatchGrants,
+    /// Batch size from which `submit_batch_into` pools a batch.
+    pool_min_batch: usize,
+    /// Whether the most recent batch was pooled. `advance_to` follows it:
+    /// while batches are pooled the ranges advance in a pooled stage too.
+    pooled: bool,
 }
 
 impl CoAllocScheduler {
@@ -324,6 +349,12 @@ impl CoAllocScheduler {
                 part
             })
             .collect();
+        let parallel = k > 1 && std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
+        let pool_min_batch = if parallel {
+            (POOL_MIN_WORK / u64::from(num_servers)).max(1) as usize
+        } else {
+            usize::MAX
+        };
         CoAllocScheduler {
             cfg,
             now: origin,
@@ -336,6 +367,8 @@ impl CoAllocScheduler {
             feasible: Vec::new(),
             linear_walk: false,
             batch: BatchGrants::default(),
+            pool_min_batch,
+            pooled: false,
         }
     }
 
@@ -406,11 +439,8 @@ impl CoAllocScheduler {
     }
 
     /// The ranges and the counters their work is charged to, for a caller
-    /// that drives the per-range steps itself (a range search, the worker
-    /// pool of `coalloc-shard`, which lends each range to its worker for a
-    /// batch stage and puts it back before returning).
-    #[doc(hidden)]
-    pub fn parts_mut(&mut self) -> (&mut Vec<ServerIndex>, &mut OpStats) {
+    /// that drives the per-range steps itself (a range search).
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<ServerIndex>, &mut OpStats) {
         (&mut self.parts, &mut self.stats)
     }
 
@@ -435,26 +465,25 @@ impl CoAllocScheduler {
     }
 
     /// Advance the clock: discard expired slot trees, seed new edge trees,
-    /// and prune dead history. Time never moves backwards.
+    /// and prune dead history. Time never moves backwards. After a pooled
+    /// batch the ranges advance in a pooled stage, and only when the live
+    /// slot window moves (ring rotation and the prune cadence depend on the
+    /// slot index alone).
     pub fn advance_to(&mut self, now: Time) {
-        if self.advance_clock(now) {
-            for part in &mut self.parts {
-                part.advance_to(now, &mut self.stats);
-            }
-        }
-    }
-
-    /// [`Self::advance_to`] without the ranges: move the clock and the
-    /// capacity profile, and return whether they moved (the ranges must
-    /// then follow with [`ServerIndex::advance_to`]).
-    #[doc(hidden)]
-    pub fn advance_clock(&mut self, now: Time) -> bool {
         if now <= self.now {
-            return false;
+            return;
         }
         self.now = now;
         self.profile.advance_to(now);
-        true
+        if !self.pooled {
+            for part in &mut self.parts {
+                part.advance_to(now, &mut self.stats);
+            }
+        } else if self.cfg.slot_config().slot_of(now) > self.ring().first_slot() {
+            self.stage(std::iter::repeat(Some(now)), |part, now, stats| {
+                part.advance_to(now, stats)
+            });
+        }
     }
 
     /// The scheduler's persistent state as plain data (see
@@ -717,12 +746,27 @@ impl CoAllocScheduler {
 
     /// Handle a batch of requests in submission order.
     ///
-    /// This is the *reference semantics* for every batch API in the
-    /// workspace: a batch is nothing more than its members submitted
-    /// sequentially against the current clock — member `i` observes the
-    /// commits of members `0..i` and the replies come back in order. The
-    /// sharded scheduler's pooled `submit_batch` amortizes coordination over
-    /// the batch but is bit-identical to this loop (see DESIGN.md §9).
+    /// A batch is nothing more than its members submitted sequentially
+    /// against the current clock — member `i` observes the commits of
+    /// members `0..i` and the replies come back in order. From 2^17
+    /// members × servers on, with more than one range, the batch is pooled:
+    /// every member is decided on the calling thread, and one stage applies
+    /// the commits, the ranges in parallel. Replies are bit-identical either
+    /// way (see DESIGN.md §9).
+    ///
+    /// ```
+    /// use coalloc_core::prelude::*;
+    ///
+    /// let reqs: Vec<Request> = (0..6)
+    ///     .map(|i| Request::on_demand(Time::ZERO, Dur::from_mins(30 + i * 10), 2))
+    ///     .collect();
+    /// let mut pooled = CoAllocScheduler::with_ranges(8, 4, SchedulerConfig::default());
+    /// pooled.set_pool_min_batch(0);
+    /// let mut sequential = CoAllocScheduler::new(8, SchedulerConfig::default());
+    /// let a = pooled.submit_batch(&reqs);
+    /// let b: Vec<_> = reqs.iter().map(|r| sequential.submit(r)).collect();
+    /// assert_eq!(a, b);
+    /// ```
     pub fn submit_batch(&mut self, reqs: &[Request]) -> Vec<Result<Grant, ScheduleError>> {
         let mut out = Vec::new();
         self.submit_batch_into(reqs, &mut out);
@@ -739,16 +783,91 @@ impl CoAllocScheduler {
     ) {
         out.clear();
         out.reserve(reqs.len());
-        for req in reqs {
-            out.push(self.submit(req));
+        if self.parts.len() > 1 {
+            BATCH_SIZE.observe(reqs.len() as u64);
         }
+        self.pooled = self.parts.len() > 1 && reqs.len() >= self.pool_min_batch;
+        if !self.pooled {
+            for req in reqs {
+                out.push(self.submit(req));
+            }
+            return;
+        }
+        let before = self.stats;
+        // Decide in submission order, each member seeing every earlier
+        // grant through the batch overlay.
+        self.open_batch();
+        let (mut grants, mut probed) = (0, Vec::with_capacity(reqs.len()));
+        for req in reqs {
+            let (reply, searched) = self.decide(req);
+            probed.extend(searched);
+            grants += u64::from(reply.is_ok());
+            out.push(reply);
+        }
+        // The commit stage: every grant lands before control returns.
+        let commits = self.close_batch().into_iter();
+        self.stage(
+            commits.map(|c| (!c.is_empty()).then_some(c)),
+            |part, commits, stats| commits.apply_to(part, stats),
+        );
+        record_requests(&probed, grants, &self.stats.since(&before));
+    }
+
+    /// Override the batch size from which [`Self::submit_batch_into`] pools
+    /// a batch (default: `131072 / num_servers` with more than one range on
+    /// a multi-CPU host, never otherwise). `0` pools every batch of a
+    /// scheduler with more than one range; `usize::MAX` none. Decisions are
+    /// identical either way; only the execution strategy changes.
+    #[doc(hidden)]
+    pub fn set_pool_min_batch(&mut self, n: usize) {
+        self.pool_min_batch = n;
+    }
+
+    /// One stage of a pooled batch: `work` on every range `jobs` gives a
+    /// job, the ranges in parallel, inside one [`std::thread::scope`]. The
+    /// first range with a job runs on the calling thread; every other one
+    /// gets a scoped thread (`coalloc-shard-{i}`) that borrows the range
+    /// and charges its own [`OpStats`], added up after the join. Ranges
+    /// without a job are not touched, nothing outlives the stage, and a
+    /// panic on any of its threads resumes on the caller.
+    fn stage<J: Send>(
+        &mut self,
+        jobs: impl IntoIterator<Item = Option<J>>,
+        work: impl Fn(&mut ServerIndex, J, &mut OpStats) + Sync,
+    ) {
+        let work = &work;
+        let ranges = self.parts.iter_mut().zip(jobs).enumerate();
+        let mut ranges = ranges.filter_map(|(i, (part, job))| Some((i, part, job?)));
+        let own = ranges.next();
+        std::thread::scope(|scope| {
+            let others: Vec<_> = ranges
+                .map(|(i, part, job)| {
+                    std::thread::Builder::new()
+                        .name(format!("coalloc-shard-{i}"))
+                        .spawn_scoped(scope, move || {
+                            let mut stats = OpStats::new();
+                            work(part, job, &mut stats);
+                            stats
+                        })
+                        .expect("spawn a stage thread")
+                })
+                .collect();
+            if let Some((_, part, job)) = own {
+                work(part, job, &mut self.stats);
+            }
+            for thread in others {
+                let stats = thread
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                self.stats.accumulate(&stats);
+            }
+        });
     }
 
     /// Open a batch (module [`crate::batch`]): until [`Self::close_batch`],
     /// members are decided with [`Self::decide`] over the ranges as they
     /// stand now, and their commits are queued.
-    #[doc(hidden)]
-    pub fn open_batch(&mut self) {
+    pub(crate) fn open_batch(&mut self) {
         self.batch.open(self.num_servers(), self.parts.len());
     }
 
@@ -756,8 +875,7 @@ impl CoAllocScheduler {
     /// [`Self::submit`]'s decision, without its metrics. Returns the reply
     /// and the number of starts searched (`None` if the request failed
     /// validation and never reached its ladder).
-    #[doc(hidden)]
-    pub fn decide(&mut self, req: &Request) -> (Result<Grant, ScheduleError>, Option<u64>) {
+    pub(crate) fn decide(&mut self, req: &Request) -> (Result<Grant, ScheduleError>, Option<u64>) {
         match self.ladder(req, self.num_servers(), None) {
             Ok(ladder) => {
                 let (reply, probed) = self.search(req, ladder, AttrSet::NONE);
@@ -770,8 +888,7 @@ impl CoAllocScheduler {
     /// Close the open batch and hand over its commits: one queue per
     /// range, in submission order, which the caller must apply
     /// ([`CommitBuf::apply_to`]) before the scheduler serves again.
-    #[doc(hidden)]
-    pub fn close_batch(&mut self) -> Vec<CommitBuf> {
+    pub(crate) fn close_batch(&mut self) -> Vec<CommitBuf> {
         self.batch.close()
     }
 
@@ -955,18 +1072,52 @@ mod tests {
             .build()
     }
 
+    /// A pooled and an inline scheduler over `n` servers in `k` ranges.
+    fn pooled_and_inline(n: u32, k: u32) -> (CoAllocScheduler, CoAllocScheduler) {
+        let mut pooled = CoAllocScheduler::with_ranges(n, k, small_cfg());
+        pooled.set_pool_min_batch(0);
+        let mut inline = CoAllocScheduler::with_ranges(n, k, small_cfg());
+        inline.set_pool_min_batch(usize::MAX);
+        (pooled, inline)
+    }
+
+    /// Submit `batch` to both: the replies must agree, and every range of
+    /// `pooled` that no grant landed on must keep its timeline. Returns the
+    /// replies and how many ranges got no commit.
+    fn pooled_batch(
+        pooled: &mut CoAllocScheduler,
+        inline: &mut CoAllocScheduler,
+        batch: &[Request],
+    ) -> (Vec<Result<Grant, ScheduleError>>, usize) {
+        let state = |s: &CoAllocScheduler, i: usize| format!("{:?}", s.parts[i].timeline());
+        let before: Vec<_> = (0..pooled.num_ranges()).map(|i| state(pooled, i)).collect();
+        let replies = pooled.submit_batch(batch);
+        assert_eq!(replies, inline.submit_batch(batch));
+        assert!(pooled.pooled && !inline.pooled);
+        let granted: Vec<_> = replies.iter().flatten().flat_map(|g| &g.servers).collect();
+        let untouched: Vec<_> = (0..pooled.num_ranges())
+            .filter(|&i| granted.iter().all(|&&srv| pooled.range_of(srv) != i))
+            .collect();
+        for &i in &untouched {
+            assert_eq!(state(pooled, i), before[i], "range {i} got no commit");
+        }
+        (replies, untouched.len())
+    }
+
     #[test]
     fn empty_system_grants_immediately() {
-        let mut s = CoAllocScheduler::new(4, small_cfg());
-        let grant = s
-            .submit(&Request::on_demand(Time::ZERO, Dur(30), 3))
-            .unwrap();
-        assert_eq!(grant.start, Time::ZERO);
-        assert_eq!(grant.end, Time(30));
-        assert_eq!(grant.servers.len(), 3);
-        assert_eq!(grant.attempts, 1);
-        assert_eq!(grant.waiting, Dur::ZERO);
-        s.check_consistency();
+        for k in [1, 2, 4] {
+            let mut s = CoAllocScheduler::with_ranges(4, k, small_cfg());
+            let grant = s
+                .submit(&Request::on_demand(Time::ZERO, Dur(30), 3))
+                .unwrap();
+            assert_eq!(grant.start, Time::ZERO, "k={k}");
+            assert_eq!(grant.end, Time(30));
+            assert_eq!(grant.servers.len(), 3);
+            assert_eq!(grant.attempts, 1);
+            assert_eq!(grant.waiting, Dur::ZERO);
+            s.check_consistency();
+        }
     }
 
     #[test]
@@ -983,18 +1134,20 @@ mod tests {
 
     #[test]
     fn saturated_system_delays_via_delta_t() {
-        let mut s = CoAllocScheduler::new(2, small_cfg());
-        // Fill both servers for [0, 30).
-        s.submit(&Request::on_demand(Time::ZERO, Dur(30), 2))
-            .unwrap();
-        // Next job must wait until t = 30 (three Delta_t shifts).
-        let grant = s
-            .submit(&Request::on_demand(Time::ZERO, Dur(20), 1))
-            .unwrap();
-        assert_eq!(grant.start, Time(30));
-        assert_eq!(grant.attempts, 4);
-        assert_eq!(grant.waiting, Dur(30));
-        s.check_consistency();
+        for k in [1, 2] {
+            let mut s = CoAllocScheduler::with_ranges(2, k, small_cfg());
+            // Fill both servers for [0, 30).
+            s.submit(&Request::on_demand(Time::ZERO, Dur(30), 2))
+                .unwrap();
+            // Next job must wait until t = 30 (three Delta_t shifts).
+            let grant = s
+                .submit(&Request::on_demand(Time::ZERO, Dur(20), 1))
+                .unwrap();
+            assert_eq!(grant.start, Time(30), "k={k}");
+            assert_eq!(grant.attempts, 4);
+            assert_eq!(grant.waiting, Dur(30));
+            s.check_consistency();
+        }
     }
 
     #[test]
@@ -1060,27 +1213,29 @@ mod tests {
 
     #[test]
     fn release_restores_capacity() {
-        let mut s = CoAllocScheduler::new(1, small_cfg());
-        let g = s
-            .submit(&Request::on_demand(Time::ZERO, Dur(100), 1))
-            .unwrap();
-        let err = s
-            .submit(&Request::advance(Time::ZERO, Time(10), Dur(20), 1))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ScheduleError::Exhausted { .. } | ScheduleError::HorizonExceeded { .. }
-        ));
-        s.release(g.job).unwrap();
-        let g2 = s
-            .submit(&Request::advance(Time::ZERO, Time(10), Dur(20), 1))
-            .unwrap();
-        assert_eq!(g2.start, Time(10));
-        assert_eq!(
-            s.release(JobId(999)),
-            Err(ScheduleError::UnknownJob(JobId(999)))
-        );
-        s.check_consistency();
+        for (n, k) in [(1, 1), (4, 2)] {
+            let mut s = CoAllocScheduler::with_ranges(n, k, small_cfg());
+            let g = s
+                .submit(&Request::on_demand(Time::ZERO, Dur(100), n))
+                .unwrap();
+            let err = s
+                .submit(&Request::advance(Time::ZERO, Time(10), Dur(20), 1))
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                ScheduleError::Exhausted { .. } | ScheduleError::HorizonExceeded { .. }
+            ));
+            s.release(g.job).unwrap();
+            let g2 = s
+                .submit(&Request::advance(Time::ZERO, Time(10), Dur(20), n))
+                .unwrap();
+            assert_eq!(g2.start, Time(10), "k={k}");
+            assert_eq!(
+                s.release(JobId(999)),
+                Err(ScheduleError::UnknownJob(JobId(999)))
+            );
+            s.check_consistency();
+        }
     }
 
     #[test]
@@ -1224,6 +1379,91 @@ mod tests {
         );
         for k in [2, 4] {
             assert_eq!(accounting(k), one, "k={k}");
+        }
+    }
+
+    /// Jobs that are never released leave every range's job map when their
+    /// history is pruned (`check_consistency` asserts no resident job has
+    /// lost all its reservations to the prune).
+    #[test]
+    fn unreleased_jobs_are_forgotten_at_the_prune() {
+        for k in [1, 3] {
+            let mut s = CoAllocScheduler::with_ranges(6, k, small_cfg());
+            for boundary in 1..=2 {
+                for i in 0..4 {
+                    s.submit(&Request::on_demand(s.now(), Dur(20 + 10 * i), 1 + i as u32))
+                        .unwrap();
+                }
+                s.advance_to(Time(boundary * (PRUNE_EVERY_SLOTS * 10 + 10)));
+                s.check_consistency();
+            }
+            for job in (0..8).map(JobId) {
+                assert_eq!(s.release(job), Err(ScheduleError::UnknownJob(job)), "k={k}");
+            }
+        }
+    }
+
+    /// Pooled and inline `advance_to` must leave the ranges in the same
+    /// state. One-member batches keep even the visit counters equal (the
+    /// pre-batch ranges *are* the live ones), so the whole `stats()` can be
+    /// compared. Advance reservations leave finite idle gaps in front of
+    /// them; the clock then crosses slots in strides that evict those gaps,
+    /// and runs long enough to reach the history prune.
+    #[test]
+    fn pooled_and_inline_advance_leave_identical_state() {
+        for k in [2, 3, 4] {
+            let (mut pooled, mut inline) = pooled_and_inline(6, k);
+            let (mut now, mut untouched) = (10i64, 0);
+            for round in 0..60i64 {
+                let req = Request::advance(
+                    Time(now),
+                    Time(now + 15 + (round % 4) * 10),
+                    Dur(10 + (round % 3) * 15),
+                    1 + (round % 5) as u32,
+                );
+                untouched += pooled_batch(&mut pooled, &mut inline, &[req]).1;
+                now += 7 + (round % 3) * 11;
+                pooled.advance_to(Time(now));
+                inline.advance_to(Time(now));
+                assert_eq!(pooled.stats, inline.stats, "k={k} round {round}");
+                pooled.check_consistency();
+                inline.check_consistency();
+            }
+            assert!(untouched > 0, "k={k}: some range must get no commit");
+            assert!(
+                now > PRUNE_EVERY_SLOTS * 10,
+                "the run must reach a history prune"
+            );
+            assert!(pooled.stats.periods_removed > 0);
+        }
+    }
+
+    /// The pool path must agree with the inline path decision-for-decision,
+    /// including members that earlier grants leave too few servers for at
+    /// their first start; a one-server member then commits on one range
+    /// and leaves every other one as it was.
+    #[test]
+    fn pool_path_matches_inline_path_under_contention() {
+        let contended: Vec<Request> = (0..8)
+            .map(|i| Request::on_demand(Time::ZERO, Dur(10 + (i % 3) * 10), 2 + (i as u32) % 3))
+            .collect();
+        let single = [Request::on_demand(Time::ZERO, Dur(10), 1)];
+        for k in [2, 3, 4] {
+            let (mut pooled, mut inline) = pooled_and_inline(4, k);
+            let (a, b) = (pooled.stats, inline.stats);
+            let (replies, _) = pooled_batch(&mut pooled, &mut inline, &contended);
+            assert!(replies
+                .iter()
+                .any(|r| r.as_ref().is_ok_and(|g| g.attempts > 1)));
+            let (a, b) = (pooled.stats.since(&a), inline.stats.since(&b));
+            assert_eq!(a.attempts, b.attempts, "k={k}");
+            assert_eq!(a.attempts_skipped, b.attempts_skipped, "k={k}");
+            let (a, b) = (pooled.stats, inline.stats);
+            let (_, untouched) = pooled_batch(&mut pooled, &mut inline, &single);
+            assert_eq!(untouched, k as usize - 1, "k={k}");
+            assert_eq!(pooled.stats.since(&a), inline.stats.since(&b), "k={k}");
+            pooled.check_consistency();
+            inline.check_consistency();
         }
     }
 

@@ -65,9 +65,8 @@ impl OpStats {
         self.primary_visits + self.secondary_visits
     }
 
-    /// Element-wise sum `self += delta`; the coordinator-side merge used by
-    /// the sharded scheduler to charge per-request probe deltas computed by
-    /// shard workers into its own counters.
+    /// Element-wise sum `self += delta`: how the scheduler charges the
+    /// work a pooled stage's threads counted into its own counters.
     pub fn accumulate(&mut self, delta: &OpStats) {
         self.primary_visits += delta.primary_visits;
         self.secondary_visits += delta.secondary_visits;

@@ -11,7 +11,6 @@ use crate::proto;
 use crate::server::ERRORS;
 use coalloc_core::prelude::*;
 use coalloc_core::snapshot::StateImage;
-use coalloc_shard::ShardedScheduler;
 use obs::{LazyCounter, LazyHistogram};
 use std::io::{BufRead, Write};
 use std::panic::AssertUnwindSafe;
@@ -24,7 +23,7 @@ static BATCH_LINES: LazyHistogram = LazyHistogram::new("net_batch_lines");
 
 /// One protocol session: a scheduler (once `init` ran) plus the shard count
 /// the next `init` will use. The scheduler is one type at every `K` — its
-/// servers stored as `K` ranges, with a worker pool for large batches when
+/// servers stored as `K` ranges, large batches pooled over them when
 /// `K > 1` — and every command gets the same reply at every `K` (DESIGN.md
 /// §9; only the order of `query`'s detail lines may differ): `--shards K`
 /// picks how the work is executed, never what can be asked.
@@ -38,7 +37,7 @@ static BATCH_LINES: LazyHistogram = LazyHistogram::new("net_batch_lines");
 /// assert!(reply.starts_with("granted job=0 start=0 end=50"));
 /// ```
 pub struct Session {
-    sched: Option<ShardedScheduler>,
+    sched: Option<CoAllocScheduler>,
     shards: u32,
 }
 
@@ -73,7 +72,7 @@ impl Session {
         line.trim() == "exit"
     }
 
-    fn sched(&mut self) -> Result<&mut ShardedScheduler, String> {
+    fn sched(&mut self) -> Result<&mut CoAllocScheduler, String> {
         self.sched
             .as_mut()
             .ok_or_else(|| "no scheduler; run 'init N' first".to_string())
@@ -118,7 +117,7 @@ impl Session {
                 }
                 // The constructors assert and allocate from these values.
                 cfg.check_limits(n as u64, Time::ZERO, Time::ZERO)?;
-                self.sched = Some(ShardedScheduler::new(n, self.shards, cfg));
+                self.sched = Some(CoAllocScheduler::with_ranges(n, self.shards, cfg));
                 if self.shards > 1 {
                     Ok(format!("ok {n} servers over {} shards", self.shards))
                 } else {
@@ -331,7 +330,7 @@ impl Session {
     pub fn restore(&mut self, text: &str) -> Result<String, String> {
         let image = StateImage::parse(text).map_err(|e| format!("restore: {e}"))?;
         let n = image.attrs.len();
-        self.sched = Some(ShardedScheduler::from_image(image, self.shards));
+        self.sched = Some(CoAllocScheduler::from_image(image, self.shards));
         Ok(format!("ok {n} servers restored"))
     }
 

@@ -15,26 +15,36 @@
 
 use coalloc_net::{slow, stage::Stamps};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Every measured path runs on the
+    /// measuring thread, so what other threads allocate meanwhile — the
+    /// test harness's main thread, for one — stays out of the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -43,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 /// Drive one request's worth of stamping, exactly as the server does it
@@ -82,4 +92,31 @@ fn steady_state_stage_stamping_does_not_allocate() {
         "steady-state stage stamping allocated {grew} times over 10k requests \
          (accumulated {acc} µs)"
     );
+}
+
+/// The guard counts the measuring thread only: a helper thread allocating
+/// all through the measured window leaves the count at zero. With one
+/// process-wide counter the helper's allocations would land in it.
+#[test]
+fn other_threads_allocations_stay_out_of_the_count() {
+    coalloc_net::stage::register();
+    full_pipeline();
+    let (stop, made) = (AtomicBool::new(false), AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(Vec::<u8>::with_capacity(64));
+                made.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let before = allocs();
+        let seen = made.load(Ordering::Relaxed);
+        // Measure until the helper has allocated a thousand times.
+        while made.load(Ordering::Relaxed) < seen + 1000 {
+            full_pipeline();
+        }
+        let grew = allocs() - before;
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(grew, 0, "another thread's allocations were counted");
+    });
 }

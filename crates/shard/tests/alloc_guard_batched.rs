@@ -2,39 +2,47 @@
 //!
 //! Mirrors `crates/core/tests/alloc_guard.rs` for the coordinator: after
 //! warm-up, steady-state all-reject batches through
-//! `ShardedScheduler::submit_batch_into` must perform **zero** heap
-//! allocations on the inline (load-bypass) path — the coordinator scratch
-//! (count arrays, feasible/enumerate buffers, per-shard commit groups) is
-//! reused across batch members — and granted members stay within the same
-//! small per-grant budget as the single scheduler.
+//! `CoAllocScheduler::submit_batch_into` over several ranges must perform
+//! **zero** heap allocations on the inline (load-bypass) path — the
+//! coordinator scratch (count arrays, feasible/enumerate buffers, per-shard
+//! commit groups) is reused across batch members — and granted members
+//! stay within the same small per-grant budget as the single scheduler.
 //!
-//! Only the inline path is measured: the pool path hands work to other
-//! threads, whose message traffic allocates by design and is amortized by
-//! batching, not eliminated.
+//! Only the inline path is measured: a pooled batch spawns its stage
+//! threads, which allocates by design and is amortized by batching, not
+//! eliminated.
 
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Every measured path runs on the
+    /// measuring thread, so what other threads allocate meanwhile — the
+    /// test harness's main thread, for one — stays out of the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -43,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 fn cfg() -> SchedulerConfig {
@@ -54,28 +62,10 @@ fn cfg() -> SchedulerConfig {
         .build()
 }
 
-/// Rendezvous with the worker pool before measuring: a worker's first
-/// blocking recv lazily allocates its thread-parking context, so worker
-/// startup can otherwise race a handful of allocations into a measured
-/// window. One pooled batch wakes every worker (the probe stage
-/// broadcasts to all shards) and the batch-end barrier drains it;
-/// re-blocking afterwards reuses the cached per-thread context. Leaves
-/// the scheduler empty and pinned to the inline path.
-fn settle_pool(sched: &mut ShardedScheduler, width: u32) {
-    sched.set_pool_min_batch(0);
-    let warm = vec![Request::on_demand(Time::ZERO, Dur(10), width); 2];
-    for g in sched.submit_batch(&warm) {
-        sched.release(g.unwrap().job).unwrap();
-    }
-    sched.set_pool_min_batch(usize::MAX);
-}
-
-/// One test function: the counter is process-global, so the measurements
-/// must run sequentially, not on parallel test threads.
 #[test]
 fn steady_state_batched_submissions_do_not_allocate() {
-    let mut sched = ShardedScheduler::new(8, 4, cfg());
-    settle_pool(&mut sched, 8); // also pins the inline path
+    let mut sched = CoAllocScheduler::with_ranges(8, 4, cfg());
+    sched.set_pool_min_batch(usize::MAX); // the inline path
 
     // A pinned server makes 8-wide requests uncountable (phase-1 reject).
     sched
@@ -126,8 +116,8 @@ fn steady_state_batched_submissions_do_not_allocate() {
     // coordinator's capacity profile refute every Δt-aligned window for a
     // 20 s member, so the gather loop resolves each one by `next_allowed`
     // jumps alone — zero shard probes — and must stay allocation-free.
-    let mut sched2 = ShardedScheduler::new(2, 2, cfg());
-    settle_pool(&mut sched2, 2);
+    let mut sched2 = CoAllocScheduler::with_ranges(2, 2, cfg());
+    sched2.set_pool_min_batch(usize::MAX);
     for i in (0..40i64).step_by(2) {
         sched2
             .submit(&Request::advance(Time::ZERO, Time(i * 10), Dur(10), 2))

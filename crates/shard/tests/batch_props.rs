@@ -15,7 +15,6 @@
 //! skips, phase-1 searches, structural work) must match exactly.
 
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -80,10 +79,10 @@ fn assert_chunked_equivalence(
     seed: u64,
 ) {
     let ctx = format!("{policy:?} k={k} b={batch} seed={seed}");
-    let mut seq = ShardedScheduler::new(6, k, cfg(policy, seed));
-    let mut pooled = ShardedScheduler::new(6, k, cfg(policy, seed));
+    let mut seq = CoAllocScheduler::with_ranges(6, k, cfg(policy, seed));
+    let mut pooled = CoAllocScheduler::with_ranges(6, k, cfg(policy, seed));
     pooled.set_pool_min_batch(0); // force the pool path
-    let mut inline = ShardedScheduler::new(6, k, cfg(policy, seed));
+    let mut inline = CoAllocScheduler::with_ranges(6, k, cfg(policy, seed));
     inline.set_pool_min_batch(usize::MAX); // force the bypass
     let mut live: Vec<JobId> = Vec::new();
     let mut churn = 0usize;
@@ -116,8 +115,8 @@ fn assert_chunked_equivalence(
     // against the pre-batch ranges and may legitimately differ.
     assert_eq!(seq.stats(), inline.stats(), "inline stats diverge: {ctx}");
     assert_eq!(
-        comparable(seq.stats()),
-        comparable(pooled.stats()),
+        comparable(*seq.stats()),
+        comparable(*pooled.stats()),
         "pool stats diverge: {ctx}"
     );
     pooled.check_consistency();
@@ -179,15 +178,16 @@ proptest! {
             .iter()
             .map(|&(d, n)| Request::on_demand(Time::ZERO, Dur(d), n))
             .collect();
+        let c = cfg(SelectionPolicy::PaperOrder, seed);
         for k in [2u32, 3] {
-            let mut pooled = ShardedScheduler::new(3, k, cfg(SelectionPolicy::PaperOrder, seed));
+            let mut pooled = CoAllocScheduler::with_ranges(3, k, c);
             pooled.set_pool_min_batch(0);
             let got = pooled.submit_batch(&reqs);
-            let mut seq = ShardedScheduler::new(3, k, cfg(SelectionPolicy::PaperOrder, seed));
+            let mut seq = CoAllocScheduler::with_ranges(3, k, c);
             let expect: Vec<_> = reqs.iter().map(|r| seq.submit(r)).collect();
             prop_assert_eq!(&expect, &got, "k={}", k);
             prop_assert_eq!(
-                comparable(pooled.stats()), comparable(seq.stats()),
+                comparable(*pooled.stats()), comparable(*seq.stats()),
                 "stats diverge k={}", k
             );
             pooled.check_consistency();

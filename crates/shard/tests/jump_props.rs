@@ -5,7 +5,6 @@
 //! split of each search's attempt budget.
 
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [u32; 2] = [1, 4];
@@ -55,8 +54,8 @@ fn assert_jump_equals_linear(
     seed: u64,
 ) {
     let ctx = format!("{policy:?} k={k} b={batch} seed={seed}");
-    let mut jump = ShardedScheduler::new(6, k, cfg(policy, seed));
-    let mut lin = ShardedScheduler::new(6, k, cfg(policy, seed));
+    let mut jump = CoAllocScheduler::with_ranges(6, k, cfg(policy, seed));
+    let mut lin = CoAllocScheduler::with_ranges(6, k, cfg(policy, seed));
     lin.set_linear_walk(true);
     jump.set_pool_min_batch(0);
     lin.set_pool_min_batch(0);
@@ -134,7 +133,7 @@ proptest! {
     #[test]
     fn jumping_shards_match_core(reqs in request_stream(5, 30), seed in 0u64..1000) {
         let mut core = CoAllocScheduler::new(5, cfg(SelectionPolicy::ByServerId, seed));
-        let mut shard = ShardedScheduler::new(5, 4, cfg(SelectionPolicy::ByServerId, seed));
+        let mut shard = CoAllocScheduler::with_ranges(5, 4, cfg(SelectionPolicy::ByServerId, seed));
         for r in &reqs {
             core.advance_to(r.submit);
             shard.advance_to(r.submit);

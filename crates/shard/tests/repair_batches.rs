@@ -7,7 +7,6 @@
 //! against one-by-one submission.
 
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
 
 const POLICIES: [SelectionPolicy; 4] = [
     SelectionPolicy::PaperOrder,
@@ -33,9 +32,9 @@ fn pooled_vs_sequential(
     policy: SelectionPolicy,
     reqs: &[Request],
 ) -> Vec<Result<Grant, ScheduleError>> {
-    let mut pooled = ShardedScheduler::new(servers, 2, cfg(policy));
+    let mut pooled = CoAllocScheduler::with_ranges(servers, 2, cfg(policy));
     pooled.set_pool_min_batch(0);
-    let mut seq = ShardedScheduler::new(servers, 2, cfg(policy));
+    let mut seq = CoAllocScheduler::with_ranges(servers, 2, cfg(policy));
     let got = pooled.submit_batch(reqs);
     let want: Vec<_> = reqs.iter().map(|r| seq.submit(r)).collect();
     assert_eq!(got, want, "{policy:?}");

@@ -8,7 +8,6 @@
 //! before and after readings.
 
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
 
 fn readings() -> [u64; 4] {
     [
@@ -76,7 +75,7 @@ fn every_engine_reports_the_same_request_metrics() {
     for k in [1, 2, 4] {
         for pool_min_batch in [usize::MAX, 0] {
             let (replies, sharded) = measured(|| {
-                let mut s = ShardedScheduler::new(8, k, cfg);
+                let mut s = CoAllocScheduler::with_ranges(8, k, cfg);
                 s.set_pool_min_batch(pool_min_batch);
                 let mut replies = s.submit_batch(&batch);
                 replies.push(s.submit_with_deadline(&late, Time(190)));

@@ -16,7 +16,7 @@
 //!   continues at any other.
 
 use coalloc_core::prelude::*;
-use coalloc_shard::ShardedScheduler;
+use coalloc_core::snapshot::StateImage;
 use coalloc_sim::runner::{replay, RunResult};
 use proptest::prelude::*;
 
@@ -121,7 +121,7 @@ proptest! {
             let mut plain = CoAllocScheduler::new(9, cfg(policy, seed));
             let base = replay(&mut plain, &reqs, "plain");
             for k in SHARD_COUNTS {
-                let mut sharded = ShardedScheduler::new(9, k, cfg(policy, seed));
+                let mut sharded = CoAllocScheduler::with_ranges(9, k, cfg(policy, seed));
                 let run = replay(&mut sharded, &reqs, "sharded");
                 assert_same_outcomes(&base, &run, &format!("{policy:?} k={k}"));
                 sharded.check_consistency();
@@ -140,7 +140,7 @@ proptest! {
         ] {
             for (ki, k) in SHARD_COUNTS.into_iter().enumerate() {
                 let mut plain = CoAllocScheduler::new(9, cfg(policy, seed));
-                let mut sharded = ShardedScheduler::new(9, k, cfg(policy, seed));
+                let mut sharded = CoAllocScheduler::with_ranges(9, k, cfg(policy, seed));
                 let mut same_order = k == 1;
                 for (i, (r, &(kind, server, mask))) in reqs.iter().zip(&extra).enumerate() {
                     let (from, to) = (r.earliest_start, r.end());
@@ -151,7 +151,8 @@ proptest! {
                         let text = sharded.snapshot();
                         prop_assert_eq!(&text, &plain.snapshot(), "{:?} k={}", policy, k);
                         let other = SHARD_COUNTS[(ki + 1 + cut % 3) % SHARD_COUNTS.len()];
-                        sharded = ShardedScheduler::restore(&text, other).unwrap();
+                        let image = StateImage::parse(&text).unwrap();
+                        sharded = CoAllocScheduler::from_image(image, other);
                         sharded.check_consistency();
                         prop_assert_eq!(sharded.snapshot(), text, "k={} -> {}", k, other);
                         // A restored index discovers hits in its own order.
@@ -208,7 +209,7 @@ proptest! {
         for policy in [SelectionPolicy::PaperOrder, SelectionPolicy::BestFit] {
             let mut grants_by_k: Vec<Vec<GrantSummary>> = Vec::new();
             for k in SHARD_COUNTS {
-                let mut sharded = ShardedScheduler::new(8, k, cfg(policy, seed));
+                let mut sharded = CoAllocScheduler::with_ranges(8, k, cfg(policy, seed));
                 let mut grants = Vec::new();
                 for r in &reqs {
                     sharded.advance_to(r.submit);
@@ -230,9 +231,10 @@ proptest! {
     /// behaves exactly like the single scheduler's.
     #[test]
     fn release_equivalence(reqs in request_stream(6, 20), seed in 0u64..1000) {
+        let c = cfg(SelectionPolicy::ByServerId, seed);
         for k in [2u32, 4] {
-            let mut plain = CoAllocScheduler::new(6, cfg(SelectionPolicy::ByServerId, seed));
-            let mut sharded = ShardedScheduler::new(6, k, cfg(SelectionPolicy::ByServerId, seed));
+            let mut plain = CoAllocScheduler::new(6, c);
+            let mut sharded = CoAllocScheduler::with_ranges(6, k, c);
             let mut plain_jobs = Vec::new();
             let mut shard_jobs = Vec::new();
             for (i, r) in reqs.iter().enumerate() {
@@ -274,8 +276,8 @@ fn sharded_runs_are_deterministic() {
         })
         .collect();
     for k in SHARD_COUNTS {
-        let mut a = ShardedScheduler::new(8, k, cfg(SelectionPolicy::PaperOrder, 0xFEED));
-        let mut b = ShardedScheduler::new(8, k, cfg(SelectionPolicy::PaperOrder, 0xFEED));
+        let mut a = CoAllocScheduler::with_ranges(8, k, cfg(SelectionPolicy::PaperOrder, 0xFEED));
+        let mut b = CoAllocScheduler::with_ranges(8, k, cfg(SelectionPolicy::PaperOrder, 0xFEED));
         let ra = replay(&mut a, &spec_reqs, "a");
         let rb = replay(&mut b, &spec_reqs, "b");
         assert_eq!(ra.outcomes, rb.outcomes, "k={k}");
@@ -291,7 +293,7 @@ fn deadline_equivalence_smoke() {
     let c = cfg(SelectionPolicy::ByServerId, 1);
     for k in SHARD_COUNTS {
         let mut plain = CoAllocScheduler::new(4, c);
-        let mut sharded = ShardedScheduler::new(4, k, c);
+        let mut sharded = CoAllocScheduler::with_ranges(4, k, c);
         let fills = [
             Request::on_demand(Time::ZERO, Dur(40), 2),
             Request::on_demand(Time::ZERO, Dur(25), 1),

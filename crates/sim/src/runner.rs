@@ -216,9 +216,9 @@ impl RunResult {
 
 /// Anything that can play the online-scheduler role in a replay: handle
 /// requests immediately on arrival with a monotone clock. Implemented by
-/// [`CoAllocScheduler`] and [`NaiveScheduler`] here and by the sharded
-/// scheduler in `coalloc-shard`, so one driver ([`replay`]) replays the
-/// same trace through any of them.
+/// [`CoAllocScheduler`] (at every number of server ranges) and
+/// [`NaiveScheduler`], so one driver ([`replay`]) replays the same trace
+/// through any of them.
 pub trait OnlineScheduler {
     /// Advance the scheduler clock (never backwards).
     fn advance_to(&mut self, now: Time);

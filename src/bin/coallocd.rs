@@ -32,10 +32,11 @@
 //! in `docs/PROTOCOL.md`; `help` prints the live command list, generated
 //! from the same table the parser is tested against.
 //!
-//! CLI flags (both modes): `--shards K` partitions the servers over `K`
-//! parallel shard workers (`init` then builds a sharded scheduler that
-//! serves every command with the single one's replies and writes the
-//! same snapshots; only the order of `query`'s detail lines may differ).
+//! CLI flags (both modes): `--shards K` partitions the servers into `K`
+//! ranges whose large batches commit in parallel (`init` then builds a
+//! `K`-range scheduler that serves every command with the single one's
+//! replies and writes the same snapshots; only the order of `query`'s
+//! detail lines may differ).
 //! `--trace-out PATH`
 //! writes span/event traces as JSONL to `PATH`; `--metrics-dump` prints the
 //! metrics exposition on exit. The `COALLOC_OBS` environment variable (see

@@ -9,12 +9,11 @@
 //! This umbrella crate re-exports the workspace:
 //!
 //! * [`core`] — the data structure and online scheduler (the paper's
-//!   contribution);
+//!   contribution), its servers stored as `K` ranges with large batches
+//!   committed on them in parallel (DESIGN.md §9);
 //! * [`sim`] — discrete-event replay and the paper's metrics;
 //! * [`workloads`] — SWF trace parsing and CTC/KTH/HPC2N statistical twins;
 //! * [`batch`] — FCFS / EASY / conservative backfilling baselines;
-//! * [`shard`] — sharded parallel front-end making decisions bit-identical
-//!   to the single scheduler (DESIGN.md §9);
 //! * [`net`] — the TCP serving path: concurrent line-protocol server with
 //!   admission control (DESIGN.md §10, `docs/PROTOCOL.md`);
 //! * [`multisite`] — atomic cross-site co-allocation (hold/commit protocol);
@@ -59,7 +58,6 @@ pub use coalloc_core as core;
 pub use coalloc_lambda as lambda;
 pub use coalloc_multisite as multisite;
 pub use coalloc_net as net;
-pub use coalloc_shard as shard;
 pub use coalloc_sim as sim;
 pub use coalloc_workflow as workflow;
 pub use coalloc_workloads as workloads;
@@ -71,7 +69,6 @@ pub mod prelude {
     pub use coalloc_lambda::{ConnectionRequest, Network, NodeId, Pce, PceConfig, Wavelength};
     pub use coalloc_multisite::{Coordinator, CoordinatorConfig, MultiRequest, SiteHandle, SiteId};
     pub use coalloc_net::{Client, NetConfig, Server, Session};
-    pub use coalloc_shard::ShardedScheduler;
     pub use coalloc_sim::runner::{replay, Outcome, RunResult};
     pub use coalloc_workflow::{Dag, Mode, Stage, StageId, WorkflowPlan};
     pub use coalloc_workloads::{with_paper_reservations, WorkloadSpec, WorkloadStats};
