@@ -18,9 +18,10 @@
 //! subtree" invariant, so — as in classical dynamic range trees — balance is
 //! maintained by *partial rebuilds* (scapegoat / weight-balanced style):
 //! an insert or delete walks one root-to-leaf path, updating each ancestor's
-//! secondary tree in `O(log n)`, and occasionally flattens and rebuilds the
-//! highest unbalanced subtree, which is `O(k log k)` for a subtree of `k`
-//! leaves and amortizes to `O(log^2 n)` per update.
+//! secondary tree in `O(log n)`, and occasionally stops at the highest node
+//! the update leaves unbalanced and rebuilds its subtree with the update
+//! merged in, which is `O(k log k)` for a subtree of `k` leaves and
+//! amortizes to `O(log^2 n)` per update.
 //!
 //! A *batch* of updates to one tree ([`SlotTree::apply_ops`]) may instead
 //! run **deferred**: every primary-tree step happens exactly as above (same
@@ -87,6 +88,12 @@ pub(crate) fn defer_pays(k: usize, m: usize) -> bool {
     k >= DEFER_MIN_OPS && k * DEFER_OPS_WEIGHT >= m
 }
 
+/// Whether an internal node of `size` periods whose children hold `a` and
+/// `b` is weight-unbalanced: one child holds more than `ALPHA` of it.
+fn unbalanced(a: u32, b: u32, size: u32) -> bool {
+    (a.max(b) as u64) * ALPHA_DEN > (size as u64) * ALPHA_NUM
+}
+
 const DEFER_MIN_OPS: usize = 4;
 const DEFER_OPS_WEIGHT: usize = 8;
 
@@ -138,15 +145,20 @@ impl SlotTree {
     }
 
     /// Build directly from an owned list of periods (used when a slot tree
-    /// must be seeded wholesale, e.g. on snapshot restore). Takes ownership
-    /// so the periods are sorted in place — no intermediate copy. `O(k log k)`.
+    /// must be seeded wholesale, e.g. on snapshot restore), with the
+    /// partial rebuilds' builder. Takes ownership so the periods are sorted
+    /// in place. `O(k log k)`.
     pub fn from_periods(seed: u64, mut periods: Vec<IdlePeriod>, ops: &mut OpStats) -> SlotTree {
         let mut tree = SlotTree::new(seed);
         periods.sort_unstable_by_key(|p| p.start_key());
         tree.size = periods.len() as u32;
         tree.max_size_since_rebuild = tree.size;
         ops.periods_inserted += periods.len() as u64;
-        tree.root = tree.build_balanced(&periods);
+        let leaves: Vec<(StartKey, u32)> = periods
+            .into_iter()
+            .map(|period| (period.start_key(), tree.alloc(PNode::Leaf { period })))
+            .collect();
+        tree.root = tree.relink(&leaves, &mut Vec::new());
         tree.refresh_secondaries(tree.root, &mut Scratch::new(), ops);
         tree
     }
@@ -208,12 +220,17 @@ impl SlotTree {
         self.insert_impl(period, false, &mut Scratch::new(), ops);
     }
 
-    /// The insert itself, reusing `scratch` for the update path and any
-    /// rebuild staging (allocation-free once the buffers are warm). With
-    /// `defer`, secondary trees are not updated: those of the nodes on the
-    /// update path are dropped (an internal node of more than [`SCAN_MAX`]
-    /// periods with an empty secondary is *stale*) and left for
+    /// The insert itself, reusing `scratch` for any rebuild staging
+    /// (allocation-free once the buffers are warm). With `defer`, secondary
+    /// trees are not updated: those of the nodes on the update path are
+    /// dropped (an internal node of more than [`SCAN_MAX`] periods with an
+    /// empty secondary is *stale*) and left for
     /// [`SlotTree::refresh_secondaries`].
+    ///
+    /// Each node on the way down is checked for the imbalance the insert
+    /// will leave it in, from its post-update sizes; the highest unbalanced
+    /// one is rebuilt with the new leaf merged in, and the descent stops
+    /// there.
     fn insert_impl(
         &mut self,
         period: IdlePeriod,
@@ -230,42 +247,23 @@ impl SlotTree {
         }
         let key = period.start_key();
         let end_key = period.end_key();
-        // Descend to the leaf position, updating ancestors on the way. The
-        // path buffer is taken out of the scratch so the rebuild below can
-        // borrow the rest of it.
-        let mut path = std::mem::take(&mut scratch.path);
-        path.clear();
         // The node this insert grows past SCAN_MAX, if any: subtree sizes
         // strictly decrease along a root path, so at most one.
         let mut outgrown = NIL;
-        let mut cur = self.root;
+        let (mut parent, mut cur) = (NIL, self.root);
         loop {
             ops.update_visits += 1;
-            match &mut self.nodes[cur as usize] {
+            let (next, other, grown) = match &self.nodes[cur as usize] {
                 PNode::Internal {
                     left,
                     right,
                     size,
                     split,
-                    secondary,
-                } => {
-                    *size += 1;
-                    let grown = *size as usize;
-                    let (l, r, go_left) = (*left, *right, key <= *split);
-                    let mut sec = *secondary;
-                    if defer {
-                        sec.clear(&mut self.arena);
-                    } else if grown > SCAN_MAX + 1 {
-                        sec.insert(&mut self.arena, end_key, ops);
-                    } else if grown == SCAN_MAX + 1 {
-                        outgrown = cur;
-                    }
-                    if let PNode::Internal { secondary, .. } = &mut self.nodes[cur as usize] {
-                        *secondary = sec;
-                    }
-                    path.push(cur);
-                    cur = if go_left { l } else { r };
-                }
+                    ..
+                } if key <= *split => (*left, *right, *size + 1),
+                PNode::Internal {
+                    left, right, size, ..
+                } => (*right, *left, *size + 1),
                 PNode::Leaf { period: old } => {
                     let old = *old;
                     debug_assert_ne!(old.id, period.id, "duplicate period id");
@@ -284,19 +282,34 @@ impl SlotTree {
                         split,
                         secondary: Treap::new(),
                     };
-                    path.push(cur);
                     break;
                 }
                 PNode::Free => unreachable!("descended into freed node"),
+            };
+            if unbalanced(self.node_size(next) + 1, self.node_size(other), grown) {
+                self.rebuild(cur, parent, PeriodOp::Insert(period), defer, scratch, ops);
+                break;
             }
+            if let PNode::Internal {
+                size, secondary, ..
+            } = &mut self.nodes[cur as usize]
+            {
+                *size = grown;
+                if defer {
+                    secondary.clear(&mut self.arena);
+                } else if grown as usize > SCAN_MAX + 1 {
+                    secondary.insert(&mut self.arena, end_key, ops);
+                } else if grown as usize == SCAN_MAX + 1 {
+                    outgrown = cur;
+                }
+            }
+            (parent, cur) = (cur, next);
         }
         if outgrown != NIL {
             // Its first secondary tree, built once from the leaves now that
             // the new one is among them.
             self.refresh_secondaries(outgrown, scratch, ops);
         }
-        self.rebalance_path(&path, defer, scratch, ops);
-        scratch.path = path;
     }
 
     /// Remove a period (identified by its full record, so both tree keys are
@@ -306,8 +319,8 @@ impl SlotTree {
         self.remove_impl(period, false, &mut Scratch::new(), ops)
     }
 
-    /// The removal itself; `scratch` and `defer` as in
-    /// [`SlotTree::insert_impl`].
+    /// The removal itself; `scratch`, `defer` and the rebuild found on the
+    /// way down as in [`SlotTree::insert_impl`].
     fn remove_impl(
         &mut self,
         period: &IdlePeriod,
@@ -345,87 +358,75 @@ impl SlotTree {
         }
         ops.periods_removed += 1;
         self.size -= 1;
-        // Mutating descent: fix sizes and secondaries, track parent and
-        // grandparent for the structural splice.
-        let mut parent: u32 = NIL;
-        let mut grandparent: u32 = NIL;
-        let mut path = std::mem::take(&mut scratch.path);
-        path.clear();
-        let mut cur = self.root;
-        loop {
-            ops.update_visits += 1;
-            match &mut self.nodes[cur as usize] {
-                PNode::Internal {
-                    left,
-                    right,
-                    size,
-                    split,
-                    secondary,
-                } => {
-                    *size -= 1;
-                    let shrunk = *size as usize;
-                    let (l, r, go_left) = (*left, *right, key <= *split);
-                    let mut sec = *secondary;
-                    if defer || shrunk == SCAN_MAX {
-                        sec.clear(&mut self.arena);
-                    } else if shrunk > SCAN_MAX {
-                        let removed = sec.remove(&mut self.arena, end_key, ops);
-                        debug_assert!(removed, "secondary missing end key during removal");
-                    }
-                    if let PNode::Internal { secondary, .. } = &mut self.nodes[cur as usize] {
-                        *secondary = sec;
-                    }
-                    grandparent = parent;
-                    parent = cur;
-                    path.push(cur);
-                    cur = if go_left { l } else { r };
-                }
-                PNode::Leaf { .. } => break,
-                PNode::Free => unreachable!(),
-            }
-        }
-        // Structural splice: replace `parent` with the leaf's sibling.
-        if parent == NIL {
-            // The leaf was the root.
-            self.dealloc(cur);
-            self.root = NIL;
-        } else {
-            let sibling = match &self.nodes[parent as usize] {
-                PNode::Internal { left, right, .. } => {
-                    if *left == cur {
-                        *right
-                    } else {
-                        *left
-                    }
-                }
-                _ => unreachable!(),
-            };
-            self.dealloc(cur);
-            self.dealloc(parent);
-            path.pop(); // `parent` no longer exists
-            if grandparent == NIL {
-                self.root = sibling;
-            } else if let PNode::Internal { left, right, .. } =
-                &mut self.nodes[grandparent as usize]
-            {
-                if *left == parent {
-                    *left = sibling;
-                } else {
-                    debug_assert_eq!(*right, parent);
-                    *right = sibling;
-                }
-            }
-        }
         // Scapegoat deletion rule: rebuild everything once the tree has
         // shrunk below ALPHA of its high-water mark.
         if self.size > 0
             && (self.size as u64) * ALPHA_DEN < (self.max_size_since_rebuild as u64) * ALPHA_NUM
         {
-            self.rebuild_root(defer, scratch, ops);
-        } else {
-            self.rebalance_path(&path, defer, scratch, ops);
+            self.max_size_since_rebuild = self.size;
+            self.rebuild(
+                self.root,
+                NIL,
+                PeriodOp::Remove(*period),
+                defer,
+                scratch,
+                ops,
+            );
+            return true;
         }
-        scratch.path = path;
+        // Mutating descent: fix sizes and secondaries down to the leaf's
+        // parent, which the splice below removes with the leaf.
+        let (mut grandparent, mut parent, mut cur) = (NIL, NIL, self.root);
+        loop {
+            ops.update_visits += 1;
+            let (next, other, shrunk) = match &self.nodes[cur as usize] {
+                PNode::Internal {
+                    left,
+                    right,
+                    size,
+                    split,
+                    ..
+                } if key <= *split => (*left, *right, *size - 1),
+                PNode::Internal {
+                    left, right, size, ..
+                } => (*right, *left, *size - 1),
+                PNode::Leaf { .. } => break,
+                PNode::Free => unreachable!(),
+            };
+            if !matches!(self.nodes[next as usize], PNode::Leaf { .. }) {
+                if unbalanced(self.node_size(next) - 1, self.node_size(other), shrunk) {
+                    self.rebuild(cur, parent, PeriodOp::Remove(*period), defer, scratch, ops);
+                    return true;
+                }
+                if let PNode::Internal {
+                    size, secondary, ..
+                } = &mut self.nodes[cur as usize]
+                {
+                    *size = shrunk;
+                    if defer || shrunk as usize == SCAN_MAX {
+                        secondary.clear(&mut self.arena);
+                    } else if shrunk as usize > SCAN_MAX {
+                        let removed = secondary.remove(&mut self.arena, end_key, ops);
+                        debug_assert!(removed, "secondary missing end key during removal");
+                    }
+                }
+            }
+            (grandparent, parent, cur) = (parent, cur, next);
+        }
+        // Structural splice: replace `parent` with the leaf's sibling.
+        self.dealloc(cur);
+        if parent == NIL {
+            // The leaf was the root.
+            self.root = NIL;
+        } else {
+            let sibling = match &self.nodes[parent as usize] {
+                PNode::Internal { left, right, .. } if *left == cur => *right,
+                PNode::Internal { left, .. } => *left,
+                _ => unreachable!(),
+            };
+            self.dealloc(parent);
+            self.replace_child(grandparent, parent, sibling);
+        }
         true
     }
 
@@ -539,114 +540,119 @@ impl SlotTree {
         Treap::from_sorted(&mut self.arena, &ends[base..], spine, ops)
     }
 
-    /// Find the highest weight-unbalanced node on `path` and rebuild it.
-    fn rebalance_path(
-        &mut self,
-        path: &[u32],
-        defer: bool,
-        scratch: &mut Scratch,
-        ops: &mut OpStats,
-    ) {
-        for (idx, &n) in path.iter().enumerate() {
-            if let PNode::Internal {
-                left, right, size, ..
-            } = &self.nodes[n as usize]
-            {
-                let max_child = self.node_size(*left).max(self.node_size(*right)) as u64;
-                if max_child * ALPHA_DEN > (*size as u64) * ALPHA_NUM {
-                    let parent = if idx == 0 { NIL } else { path[idx - 1] };
-                    self.rebuild_at(n, parent, defer, scratch, ops);
-                    return;
-                }
+    /// Hang `new` where `old` hung: under `parent`, or as the root.
+    fn replace_child(&mut self, parent: u32, old: u32, new: u32) {
+        if parent == NIL {
+            self.root = new;
+        } else if let PNode::Internal { left, right, .. } = &mut self.nodes[parent as usize] {
+            if *left == old {
+                *left = new;
+            } else {
+                debug_assert_eq!(*right, old);
+                *right = new;
             }
         }
     }
 
-    fn rebuild_root(&mut self, defer: bool, scratch: &mut Scratch, ops: &mut OpStats) {
-        if self.root != NIL {
-            self.rebuild_at(self.root, NIL, defer, scratch, ops);
-        }
-        self.max_size_since_rebuild = self.size;
-    }
-
-    /// Flatten the subtree at `node` and rebuild it perfectly balanced,
+    /// Rebuild the subtree at `node` (a child of `parent`, or the root)
+    /// perfectly balanced with `change` merged into its leaves,
     /// reconstructing every secondary tree it needs (or, with `defer`,
-    /// leaving them all stale). The leaf staging buffer comes from
-    /// `scratch`, so repeated rebuilds reuse one allocation.
-    fn rebuild_at(
+    /// leaving them all stale). Leaves stay in their slots and the
+    /// subtree's internal slots are relinked, so nothing is copied but the
+    /// slot lists, which live in `scratch`.
+    fn rebuild(
         &mut self,
         node: u32,
         parent: u32,
+        change: PeriodOp,
         defer: bool,
         scratch: &mut Scratch,
         ops: &mut OpStats,
     ) {
+        let (mut leaves, mut inner) = (
+            std::mem::take(&mut scratch.leaves),
+            std::mem::take(&mut scratch.inner),
+        );
+        leaves.clear();
+        self.gather(node, &mut leaves, &mut inner);
+        let (PeriodOp::Insert(p) | PeriodOp::Remove(p)) = change;
+        let key = p.start_key();
+        let at = leaves.partition_point(|&(k, _)| k < key);
+        match change {
+            PeriodOp::Insert(period) => {
+                leaves.insert(at, (key, self.alloc(PNode::Leaf { period })));
+            }
+            PeriodOp::Remove(_) => {
+                debug_assert_eq!(leaves[at].0, key, "rebuild lost its leaf");
+                self.dealloc(leaves.remove(at).1);
+            }
+        }
+        let size = leaves.len() as u64;
         ops.rebuilds += 1;
         static REBUILD_SIZE: obs::LazyHistogram = obs::LazyHistogram::new("tree_rebuild_size");
-        let size = self.node_size(node);
-        REBUILD_SIZE.observe(size as u64);
-        obs::obs_event!("tree.rebuild", "size" => size as u64, "root" => parent == NIL);
-        let mut leaves = std::mem::take(&mut scratch.leaves);
-        leaves.clear();
-        self.collect_and_free(node, &mut leaves);
-        let rebuilt = self.build_balanced(&leaves);
-        scratch.leaves = leaves;
+        REBUILD_SIZE.observe(size);
+        obs::obs_event!("tree.rebuild", "size" => size, "root" => parent == NIL);
+        let rebuilt = self.relink(&leaves, &mut inner);
+        for spare in inner.drain(..) {
+            self.dealloc(spare);
+        }
+        self.replace_child(parent, node, rebuilt);
+        (scratch.leaves, scratch.inner) = (leaves, inner);
         if !defer {
             self.refresh_secondaries(rebuilt, scratch, ops);
         }
-        if parent == NIL {
-            self.root = rebuilt;
-        } else if let PNode::Internal { left, right, .. } = &mut self.nodes[parent as usize] {
-            if *left == node {
-                *left = rebuilt;
-            } else {
-                debug_assert_eq!(*right, node);
-                *right = rebuilt;
-            }
-        }
     }
 
-    /// In-order collection of leaf periods, freeing every node visited.
-    fn collect_and_free(&mut self, node: u32, out: &mut Vec<IdlePeriod>) {
-        match std::mem::replace(&mut self.nodes[node as usize], PNode::Free) {
-            PNode::Leaf { period } => {
-                out.push(period);
-                self.free.push(node);
-            }
+    /// Append the leaf slots below `node` to `leaves` in key order, with
+    /// their keys, and its internal slots to `inner`, dropping their
+    /// secondary trees.
+    fn gather(&mut self, node: u32, leaves: &mut Vec<(StartKey, u32)>, inner: &mut Vec<u32>) {
+        match &mut self.nodes[node as usize] {
+            PNode::Leaf { period } => leaves.push((period.start_key(), node)),
             PNode::Internal {
                 left,
                 right,
-                mut secondary,
+                secondary,
                 ..
             } => {
+                let (l, r) = (*left, *right);
                 secondary.clear(&mut self.arena);
-                self.free.push(node);
-                self.collect_and_free(left, out);
-                self.collect_and_free(right, out);
+                inner.push(node);
+                self.gather(l, leaves, inner);
+                self.gather(r, leaves, inner);
             }
-            PNode::Free => unreachable!("double free"),
+            PNode::Free => unreachable!("rebuild reached a freed node"),
         }
     }
 
-    /// Build a perfectly balanced leaf-oriented tree over `sorted` (ascending
-    /// in `StartKey` order, i.e. descending start time), every secondary
-    /// tree left stale for [`SlotTree::refresh_secondaries`]. Returns NIL
-    /// for an empty slice.
-    fn build_balanced(&mut self, sorted: &[IdlePeriod]) -> u32 {
-        match sorted.len() {
+    /// Link the leaf slots `leaves` (keyed, ascending in `StartKey` order,
+    /// i.e. descending start time) into a perfectly balanced leaf-oriented
+    /// tree whose internal nodes take the slots in `inner`, then fresh ones;
+    /// every secondary tree is left stale for
+    /// [`SlotTree::refresh_secondaries`]. Returns the root, NIL for no
+    /// leaves.
+    fn relink(&mut self, leaves: &[(StartKey, u32)], inner: &mut Vec<u32>) -> u32 {
+        match leaves.len() {
             0 => NIL,
-            1 => self.alloc(PNode::Leaf { period: sorted[0] }),
+            1 => leaves[0].1,
             len => {
                 let mid = len / 2; // left gets [0, mid), right [mid, len)
-                let left = self.build_balanced(&sorted[..mid]);
-                let right = self.build_balanced(&sorted[mid..]);
-                self.alloc(PNode::Internal {
+                let left = self.relink(&leaves[..mid], inner);
+                let right = self.relink(&leaves[mid..], inner);
+                let node = PNode::Internal {
                     left,
                     right,
                     size: len as u32,
-                    split: sorted[mid - 1].start_key(),
+                    split: leaves[mid - 1].0,
                     secondary: Treap::new(),
-                })
+                };
+                match inner.pop() {
+                    Some(slot) => {
+                        self.nodes[slot as usize] = node;
+                        slot
+                    }
+                    None => self.alloc(node),
+                }
             }
         }
     }

@@ -299,7 +299,7 @@ impl SlotRing {
     /// (never stored, or already evicted) are ignored, as ever.
     pub fn apply_batch(&mut self, batch: &[PeriodOp], scratch: &mut Scratch, ops: &mut OpStats) {
         debug_assert!(scratch.tree_ops.is_empty());
-        for &op in batch {
+        for (seq, &op) in batch.iter().enumerate() {
             let (first, last) = match op {
                 PeriodOp::Insert(p) => {
                     debug_assert!(!p.end.is_inf(), "trailing periods live in TrailingSet");
@@ -330,9 +330,9 @@ impl SlotRing {
                     (cov.first, cov.last)
                 }
             };
-            self.queue_tree_ops(first, last, op, scratch);
+            self.queue_tree_ops(first, last, seq, scratch);
         }
-        self.apply_tree_ops(scratch, ops);
+        self.apply_tree_ops(batch, scratch, ops);
     }
 
     /// [`SlotRing::apply_batch`] over the updates [`route_delta`] queued on
@@ -344,27 +344,30 @@ impl SlotRing {
         scratch.ring_ops = batch;
     }
 
-    /// Queue `op` for every canonical tree of the slot range.
-    fn queue_tree_ops(&self, first: SlotIdx, last: SlotIdx, op: PeriodOp, scratch: &mut Scratch) {
+    /// Queue update `seq` of the batch for every canonical tree of the
+    /// slot range.
+    fn queue_tree_ops(&self, first: SlotIdx, last: SlotIdx, seq: usize, scratch: &mut Scratch) {
         let routed = &mut scratch.tree_ops;
-        self.canonical(first, last, |n| routed.push((n, routed.len() as u32, op)));
+        self.canonical(first, last, |n| {
+            routed.push(u64::from(n) << 32 | seq as u64)
+        });
     }
 
-    /// Run the queued per-tree updates, tree by tree, choosing per tree
-    /// between the eager and the deferred path from the number of updates
-    /// it receives and its size alone.
-    fn apply_tree_ops(&mut self, scratch: &mut Scratch, ops: &mut OpStats) {
+    /// Run the queued per-tree updates of `batch`, tree by tree, choosing
+    /// per tree between the eager and the deferred path from the number of
+    /// updates it receives and its size alone.
+    fn apply_tree_ops(&mut self, batch: &[PeriodOp], scratch: &mut Scratch, ops: &mut OpStats) {
         let mut routed = std::mem::take(&mut scratch.tree_ops);
-        // (tree, position) is unique, so the unstable sort is a stable one
-        // by tree that needs no merge buffer.
-        routed.sort_unstable_by_key(|&(n, seq, _)| (n, seq));
+        // Keys are unique, so the unstable sort is a stable one by tree.
+        routed.sort_unstable();
         let mut deferred = 0u64;
-        for group in routed.chunk_by(|a, b| a.0 == b.0) {
-            let tree = &mut self.nodes[group[0].0 as usize];
+        for group in routed.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let tree = &mut self.nodes[(group[0] >> 32) as usize];
             let defer = !self.eager_only && defer_pays(group.len(), tree.len());
             BATCH_OPS.observe(group.len() as u64);
             deferred += defer as u64;
-            tree.apply_ops(group.iter().map(|&(_, _, op)| op), defer, scratch, ops);
+            let updates = group.iter().map(|&key| batch[key as u32 as usize]);
+            tree.apply_ops(updates, defer, scratch, ops);
         }
         if deferred > 0 {
             BATCHES_DEFERRED.add(deferred);
@@ -389,6 +392,9 @@ impl SlotRing {
     /// one batch, in bucket order.
     pub fn advance_to_with(&mut self, now: Time, scratch: &mut Scratch, ops: &mut OpStats) {
         let target = self.cfg.slot_of(now);
+        // The evictions are listed after anything already queued there.
+        let mut evicted = std::mem::take(&mut scratch.ring_ops);
+        let queued = evicted.len();
         while self.base < target {
             let mut bucket = self.expiry.pop_front().expect("Q expiry buckets");
             self.base = self.base.next();
@@ -397,11 +403,15 @@ impl SlotRing {
                     continue; // explicitly removed earlier; stale bucket id
                 };
                 ops.ring_evictions += 1;
-                self.queue_tree_ops(cov.first, cov.last, PeriodOp::Remove(cov.period), scratch);
+                let seq = evicted.len() - queued;
+                evicted.push(PeriodOp::Remove(cov.period));
+                self.queue_tree_ops(cov.first, cov.last, seq, scratch);
             }
             self.expiry.push_back(bucket);
-            self.apply_tree_ops(scratch, ops);
+            self.apply_tree_ops(&evicted[queued..], scratch, ops);
+            evicted.truncate(queued);
         }
+        scratch.ring_ops = evicted;
     }
 
     // ------------------------------------------------------------------

@@ -1,17 +1,17 @@
 //! Reusable hot-path buffers.
 //!
 //! Every scheduling attempt needs a handful of temporary vectors: the
-//! Phase-1 marked-node list, the Phase-2 candidate-id buffer, the
-//! root-to-leaf path of a tree update, and the leaf/end-key
-//! staging areas of a partial rebuild. Allocating them per call dominates
-//! the per-request cost once the trees are warm, so the scheduler threads a
-//! single [`Scratch`] through [`crate::primary::SlotTree`],
-//! [`crate::ring::SlotRing`] and [`crate::timeline::Timeline`] instead: each
-//! buffer is cleared (an `O(1)` length reset) and refilled in place, and in
-//! steady state — once every buffer has grown to its high-water mark — the
-//! reject path of a request performs **zero** heap allocations.
+//! Phase-1 marked-node list, the Phase-2 candidate-id buffer, and the
+//! slot lists and end-key staging areas of a partial rebuild. Allocating
+//! them per call dominates the per-request cost once the trees are warm,
+//! so the scheduler threads a single [`Scratch`] through
+//! [`crate::primary::SlotTree`], [`crate::ring::SlotRing`] and
+//! [`crate::timeline::Timeline`] instead: each buffer is cleared (an `O(1)`
+//! length reset) and refilled in place, and in steady state — once every
+//! buffer has grown to its high-water mark — the reject path of a request
+//! performs **zero** heap allocations.
 
-use crate::idle::{EndKey, IdlePeriod};
+use crate::idle::{EndKey, StartKey};
 use crate::ids::PeriodId;
 use crate::primary::{MarkedNode, PeriodOp};
 use crate::ring::StabMarks;
@@ -34,16 +34,17 @@ pub struct Scratch {
     /// [`crate::ring::route_delta`] and
     /// [`crate::ring::SlotRing::apply_queued`]).
     pub ring_ops: Vec<PeriodOp>,
-    /// The batch being applied, one entry per (canonical tree, update):
-    /// `(tree, position in the batch, update)`, sorted so that each tree's
+    /// The batch being applied, one key per (canonical tree, update):
+    /// `tree << 32 | position in the batch`, sorted so that each tree's
     /// updates are contiguous and in batch order.
-    pub tree_ops: Vec<(u32, u32, PeriodOp)>,
+    pub tree_ops: Vec<u64>,
     /// Phase-2 output: feasible period ids, retrieval order.
     pub ids: Vec<PeriodId>,
-    /// Root-to-leaf path of the current primary-tree update.
-    pub path: Vec<u32>,
-    /// Leaves collected while flattening a subtree for rebuild.
-    pub leaves: Vec<IdlePeriod>,
+    /// Leaf slots of the subtree being rebuilt, with their keys, in key
+    /// order.
+    pub leaves: Vec<(StartKey, u32)>,
+    /// Internal slots of the subtree being rebuilt, reused by the rebuild.
+    pub inner: Vec<u32>,
     /// End-key stack of the bottom-up rebuild: each recursion level leaves
     /// its subtree's sorted end keys on top.
     pub ends: Vec<EndKey>,

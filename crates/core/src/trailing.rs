@@ -109,6 +109,13 @@ impl TrailingSet {
             .collect()
     }
 
+    /// All stored keys in treap pre-order, which pins the shape (test
+    /// helper).
+    #[doc(hidden)]
+    pub fn keys_pre_order(&self) -> Vec<StartKey> {
+        self.treap.keys_pre_order(&self.arena)
+    }
+
     /// Validate treap invariants (test helper).
     #[doc(hidden)]
     pub fn check_invariants(&self) {

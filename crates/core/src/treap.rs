@@ -38,8 +38,6 @@ pub trait TreapKey: Copy + Ord + std::fmt::Debug {
     /// The smallest key with the same ordering position as `self` but the
     /// minimum id — used to form half-open key ranges.
     fn with_min_id(&self) -> Self;
-    /// The successor key of `self` in id-space (for exact-key removal).
-    fn with_next_id(&self) -> Self;
 }
 
 impl TreapKey for EndKey {
@@ -52,12 +50,6 @@ impl TreapKey for EndKey {
             id: PeriodId(0),
         }
     }
-    fn with_next_id(&self) -> Self {
-        EndKey {
-            end: self.end,
-            id: PeriodId(self.id.0 + 1),
-        }
-    }
 }
 
 impl TreapKey for StartKey {
@@ -68,12 +60,6 @@ impl TreapKey for StartKey {
         StartKey {
             start: self.start,
             id: PeriodId(0),
-        }
-    }
-    fn with_next_id(&self) -> Self {
-        StartKey {
-            start: self.start,
-            id: PeriodId(self.id.0 + 1),
         }
     }
 }
@@ -175,6 +161,35 @@ impl<K: TreapKey> TreapArena<K> {
         }
     }
 
+    /// Insert the single node `node` into the subtree at `root` and return
+    /// the subtree's new root: descend by key while the subtree root
+    /// outranks the node, then split the rest below the node.
+    fn insert_at(&mut self, root: u32, node: u32, ops: &mut OpStats) -> u32 {
+        let Node { key, prio, .. } = self.nodes[node as usize];
+        let (mut parent, mut cur) = (NIL, root);
+        while cur != NIL && self.nodes[cur as usize].prio > prio {
+            ops.update_visits += 1;
+            let n = &mut self.nodes[cur as usize];
+            n.size += 1;
+            parent = cur;
+            cur = if key < n.key { n.left } else { n.right };
+        }
+        let (a, b) = self.split(cur, key, ops);
+        let n = &mut self.nodes[node as usize];
+        (n.left, n.right) = (a, b);
+        self.pull(node);
+        if parent == NIL {
+            return node;
+        }
+        let p = &mut self.nodes[parent as usize];
+        if key < p.key {
+            p.left = node;
+        } else {
+            p.right = node;
+        }
+        root
+    }
+
     /// Merge two treaps where every key in `a` precedes every key in `b`.
     fn merge(&mut self, a: u32, b: u32, ops: &mut OpStats) -> u32 {
         if a == NIL {
@@ -228,33 +243,56 @@ impl Treap {
         self.root == NIL
     }
 
-    /// Insert a key. Keys are unique by construction (the id component is
-    /// unique); inserting a duplicate is a logic error upstream and panics in
-    /// debug builds.
+    /// Insert a key in one descent: down to where its priority puts it,
+    /// then split only the subtree below. Keys are unique by construction
+    /// (the id component is unique); inserting a duplicate is a logic error
+    /// upstream and panics in debug builds.
     pub fn insert<K: TreapKey>(&mut self, arena: &mut TreapArena<K>, key: K, ops: &mut OpStats) {
         debug_assert!(!self.contains(arena, key), "duplicate key {key:?}");
         let node = arena.alloc(key);
-        let (a, b) = arena.split(self.root, key, ops);
-        let ab = arena.merge(a, node, ops);
-        self.root = arena.merge(ab, b, ops);
+        self.root = arena.insert_at(self.root, node, ops);
     }
 
-    /// Remove a key; returns whether it was present.
+    /// Remove a key in one descent, its two subtrees merged in its place;
+    /// returns whether it was present. A miss leaves the treap as it was.
     pub fn remove<K: TreapKey>(
         &mut self,
         arena: &mut TreapArena<K>,
         key: K,
         ops: &mut OpStats,
     ) -> bool {
-        let (a, rest) = arena.split(self.root, key, ops);
-        let (hit, b) = arena.split(rest, key.with_next_id(), ops);
-        let found = hit != NIL;
-        if found {
-            debug_assert_eq!(arena.size(hit), 1, "keys are unique");
-            arena.dealloc(hit);
+        let (mut parent, mut cur) = (NIL, self.root);
+        while cur != NIL && arena.nodes[cur as usize].key != key {
+            ops.update_visits += 1;
+            let n = &mut arena.nodes[cur as usize];
+            n.size -= 1;
+            parent = cur;
+            cur = if key < n.key { n.left } else { n.right };
         }
-        self.root = arena.merge(a, b, ops);
-        found
+        if cur == NIL {
+            // A miss: give back the sizes the descent took.
+            let mut undo = self.root;
+            while undo != NIL {
+                let n = &mut arena.nodes[undo as usize];
+                n.size += 1;
+                undo = if key < n.key { n.left } else { n.right };
+            }
+            return false;
+        }
+        let Node { left, right, .. } = arena.nodes[cur as usize];
+        let merged = arena.merge(left, right, ops);
+        arena.dealloc(cur);
+        if parent == NIL {
+            self.root = merged;
+        } else {
+            let p = &mut arena.nodes[parent as usize];
+            if p.left == cur {
+                p.left = merged;
+            } else {
+                p.right = merged;
+            }
+        }
+        true
     }
 
     /// Build a treap from keys in **ascending order** in `O(k)` amortized,
@@ -420,8 +458,10 @@ impl Treap {
             rec(arena, r);
             arena.dealloc(node);
         }
-        rec(arena, self.root);
-        self.root = NIL;
+        if self.root != NIL {
+            rec(arena, self.root);
+            self.root = NIL;
+        }
     }
 
     /// Validate heap and BST invariants plus size annotations (test helper).
