@@ -216,6 +216,58 @@ fn expo_quantile(exposition: &str, family: &str, q: f64) -> Option<f64> {
     None
 }
 
+/// Latency attribution, read from the server's `metrics` once the load is
+/// over: print the per-stage p50 breakdown, and check the stage identity
+/// queue_wait + sched + wal_stall = net_request_us on the histograms'
+/// sums. Every stage of a line is computed from the same four instants as
+/// its `net_request_us`, so the stage sums may fall short of the
+/// `net_request_us` sum only by the µs truncation of three stages per line,
+/// and never exceed it; every stage also counts every answered line.
+fn check_stages(addr: std::net::SocketAddr, violations: &mut Vec<String>) {
+    let expo = Client::connect(addr)
+        .and_then(|c| c.exchange_script("metrics\nexit\n"))
+        .unwrap_or_default();
+    let families = [
+        "req_stage_queue_wait",
+        "req_stage_sched",
+        "req_stage_wal_stall",
+    ];
+    if metric_value(&expo, "net_request_us_count").is_none() {
+        violations.push("stage attribution: the metrics scrape has no net_request_us".into());
+        return;
+    }
+    let read = |name: String| metric_value(&expo, &name).unwrap_or(0);
+    let count = read("net_request_us_count".into());
+    let request_sum = read("net_request_us_sum".into());
+    let stage_sum: u64 = families.iter().map(|f| read(format!("{f}_sum"))).sum();
+    for f in families {
+        let n = read(format!("{f}_count"));
+        if n != count {
+            violations.push(format!(
+                "stage attribution: {f} counts {n} lines, net_request_us {count}"
+            ));
+        }
+    }
+    if stage_sum > request_sum || stage_sum + 3 * count < request_sum {
+        violations.push(format!(
+            "stage attribution inconsistent: queue_wait+sched+wal_stall sum to {stage_sum} µs \
+             over {count} lines, net_request_us to {request_sum} µs (allowed: up to {} µs less)",
+            3 * count
+        ));
+    }
+    let p50 = |family: &str| expo_quantile(&expo, family, 0.50).unwrap_or(0.0);
+    println!(
+        "  stage p50s: queue_wait {:.1} µs, sched {:.1} µs, wal_stall {:.1} µs, \
+         writeback {:.1} µs (e2e p50 {:.1} µs); stage sums {stage_sum} µs of \
+         net_request_us {request_sum} µs over {count} lines",
+        p50("req_stage_queue_wait"),
+        p50("req_stage_sched"),
+        p50("req_stage_wal_stall"),
+        p50("req_stage_writeback"),
+        p50("net_request_us"),
+    );
+}
+
 struct Args {
     /// `default` (closed-loop kth replay) or `churn` (connection storm).
     profile: String,
@@ -467,39 +519,10 @@ fn main() {
         Err(e) => violations.push(format!("post-release check io error: {e}")),
     }
 
-    // ---- Latency attribution: the per-stage breakdown from the server's
-    // `req_stage_*` histograms, and the stage identity
-    // queue_wait + sched + wal_stall ≈ net_request_us (at p50).
     if server.is_some() {
         // Only sound against our own server: an external one carries
         // traffic (and histogram state) we did not generate.
-        let expo = Client::connect(addr)
-            .and_then(|c| c.exchange_script("metrics\nexit\n"))
-            .unwrap_or_default();
-        let stage_p50 = |family: &str| expo_quantile(&expo, family, 0.50).unwrap_or(0.0);
-        let stage_p50_us = [
-            stage_p50("req_stage_queue_wait"),
-            stage_p50("req_stage_sched"),
-            stage_p50("req_stage_wal_stall"),
-            stage_p50("req_stage_writeback"),
-        ];
-        let stage_sum = stage_p50_us[0] + stage_p50_us[1] + stage_p50_us[2];
-        let e2e_p50 = expo_quantile(&expo, "net_request_us", 0.50).unwrap_or(0.0);
-        // Generous envelope: the histograms are log-linear (one sub-bucket
-        // of error per stage) and p50s do not add exactly; the check only
-        // catches a stage histogram that is wired to the wrong interval.
-        let slack = 100.0;
-        if stage_sum > 3.0 * e2e_p50 + slack || 3.0 * (stage_sum + slack) < e2e_p50 {
-            violations.push(format!(
-                "stage attribution inconsistent: queue_wait+sched+wal_stall p50s sum to \
-                 {stage_sum:.1} µs but net_request_us p50 is {e2e_p50:.1} µs"
-            ));
-        }
-        println!(
-            "  stage p50s: queue_wait {:.1} µs, sched {:.1} µs, wal_stall {:.1} µs, \
-             writeback {:.1} µs (e2e p50 {:.1} µs)",
-            stage_p50_us[0], stage_p50_us[1], stage_p50_us[2], stage_p50_us[3], e2e_p50
-        );
+        check_stages(addr, &mut violations);
     }
 
     let rps = n_cmds as f64 / secs.max(1e-9);
@@ -747,6 +770,10 @@ fn run_churn(args: &Args, spec: &WorkloadSpec, server: Option<Server>, addr: std
         Ok(r) if r == "ok" => {}
         Ok(r) => violations.push(format!("check failed: {r}")),
         Err(e) => violations.push(format!("check io error: {e}")),
+    }
+
+    if server.is_some() {
+        check_stages(addr, &mut violations);
     }
 
     let n_cmds = checked as usize;

@@ -77,8 +77,8 @@ static PHASE2_DEPTH: LazyHistogram = LazyHistogram::new("sched_phase2_depth");
 /// Publish the metrics of requests that reached the retry ladder (a request
 /// failing validation never does): `probed[i]` is the number of starts
 /// request `i` searched, `grants` how many of them were granted, and
-/// `delta` the [`OpStats`] they accrued together. Reported per request,
-/// or once for a whole pooled batch.
+/// `delta` the [`OpStats`] they accrued together. Reported once per
+/// `submit`, and once per batch (pooled or not) for a whole batch.
 pub(crate) fn record_requests(probed: &[u64], grants: u64, delta: &OpStats) {
     let add = |counter: &LazyCounter, n: u64| {
         if n > 0 {
@@ -100,6 +100,38 @@ pub(crate) fn record_requests(probed: &[u64], grants: u64, delta: &OpStats) {
     add(&REBUILDS, delta.rebuilds);
     add(&PHASE1_TOTAL, delta.phase1_searches);
     add(&PHASE2_TOTAL, delta.phase2_searches);
+}
+
+/// Open the `sched.submit` span of one request about to climb `ladder`.
+fn submit_span(req: &Request, ladder: &Ladder) -> obs::trace::SpanGuard {
+    obs_span!(
+        "sched.submit",
+        "servers" => req.servers,
+        "duration_s" => req.duration.secs().max(0) as u64,
+        "earliest_s" => ladder.earliest().secs()
+    )
+}
+
+/// Record a request's outcome on its `sched.submit` span and close it.
+fn close_submit_span(
+    mut span: obs::trace::SpanGuard,
+    result: &Result<Grant, ScheduleError>,
+    probed: u64,
+) {
+    if span.active() {
+        match result {
+            Ok(grant) => {
+                span.record("outcome", "granted");
+                span.record("attempts", grant.attempts);
+                span.record("start_s", grant.start.secs());
+            }
+            Err(e) => {
+                span.record("outcome", "rejected");
+                span.record("attempts", probed);
+                span.record("error", format!("{e:?}"));
+            }
+        }
+    }
 }
 
 /// Hostile-input bounds ([`SchedulerConfig::check_limits`]): protocol lines
@@ -315,6 +347,9 @@ pub struct CoAllocScheduler {
     /// Whether the most recent batch was pooled. `advance_to` follows it:
     /// while batches are pooled the ranges advance in a pooled stage too.
     pooled: bool,
+    /// Starts searched by each member of the current batch, reused across
+    /// batches.
+    probed: Vec<u64>,
 }
 
 impl CoAllocScheduler {
@@ -369,6 +404,7 @@ impl CoAllocScheduler {
             batch: BatchGrants::default(),
             pool_min_batch,
             pooled: false,
+            probed: Vec::new(),
         }
     }
 
@@ -572,28 +608,10 @@ impl CoAllocScheduler {
         required: AttrSet,
     ) -> Result<Grant, ScheduleError> {
         let before = self.stats;
-        let mut span = obs_span!(
-            "sched.submit",
-            "servers" => req.servers,
-            "duration_s" => req.duration.secs().max(0) as u64,
-            "earliest_s" => ladder.earliest().secs()
-        );
+        let span = submit_span(req, &ladder);
         let (result, probed) = self.search(req, ladder, required);
         record_requests(&[probed], result.is_ok() as u64, &self.stats.since(&before));
-        if span.active() {
-            match &result {
-                Ok(grant) => {
-                    span.record("outcome", "granted");
-                    span.record("attempts", grant.attempts);
-                    span.record("start_s", grant.start.secs());
-                }
-                Err(e) => {
-                    span.record("outcome", "rejected");
-                    span.record("attempts", probed);
-                    span.record("error", format!("{e:?}"));
-                }
-            }
-        }
+        close_submit_span(span, &result, probed);
         result
     }
 
@@ -752,7 +770,8 @@ impl CoAllocScheduler {
     /// members × servers on, with more than one range, the batch is pooled:
     /// every member is decided on the calling thread, and one stage applies
     /// the commits, the ranges in parallel. Replies are bit-identical either
-    /// way (see DESIGN.md §9).
+    /// way (see DESIGN.md §9). Each member gets its `sched.submit` span; the
+    /// request metrics are published once for the whole batch.
     ///
     /// ```
     /// use coalloc_core::prelude::*;
@@ -787,30 +806,32 @@ impl CoAllocScheduler {
             BATCH_SIZE.observe(reqs.len() as u64);
         }
         self.pooled = self.parts.len() > 1 && reqs.len() >= self.pool_min_batch;
-        if !self.pooled {
-            for req in reqs {
-                out.push(self.submit(req));
-            }
-            return;
-        }
         let before = self.stats;
         // Decide in submission order, each member seeing every earlier
-        // grant through the batch overlay.
-        self.open_batch();
-        let (mut grants, mut probed) = (0, Vec::with_capacity(reqs.len()));
+        // grant — committed at once inline, through the batch overlay when
+        // pooled.
+        if self.pooled {
+            self.open_batch();
+        }
+        let mut probed = std::mem::take(&mut self.probed);
+        probed.clear();
+        let mut grants = 0;
         for req in reqs {
             let (reply, searched) = self.decide(req);
             probed.extend(searched);
             grants += u64::from(reply.is_ok());
             out.push(reply);
         }
-        // The commit stage: every grant lands before control returns.
-        let commits = self.close_batch().into_iter();
-        self.stage(
-            commits.map(|c| (!c.is_empty()).then_some(c)),
-            |part, commits, stats| commits.apply_to(part, stats),
-        );
+        if self.pooled {
+            // The commit stage: every grant lands before control returns.
+            let commits = self.close_batch().into_iter();
+            self.stage(
+                commits.map(|c| (!c.is_empty()).then_some(c)),
+                |part, commits, stats| commits.apply_to(part, stats),
+            );
+        }
         record_requests(&probed, grants, &self.stats.since(&before));
+        self.probed = probed;
     }
 
     /// Override the batch size from which [`Self::submit_batch_into`] pools
@@ -871,14 +892,17 @@ impl CoAllocScheduler {
         self.batch.open(self.num_servers(), self.parts.len());
     }
 
-    /// Decide the next member of the open batch, in submission order:
-    /// [`Self::submit`]'s decision, without its metrics. Returns the reply
-    /// and the number of starts searched (`None` if the request failed
-    /// validation and never reached its ladder).
+    /// Decide the next member of a batch, in submission order — over the
+    /// open batch when one is open: [`Self::submit`]'s decision and span,
+    /// without its metrics. Returns the reply and the number of starts
+    /// searched (`None` if the request failed validation and never reached
+    /// its ladder).
     pub(crate) fn decide(&mut self, req: &Request) -> (Result<Grant, ScheduleError>, Option<u64>) {
         match self.ladder(req, self.num_servers(), None) {
             Ok(ladder) => {
+                let span = submit_span(req, &ladder);
                 let (reply, probed) = self.search(req, ladder, AttrSet::NONE);
+                close_submit_span(span, &reply, probed);
                 (reply, Some(probed))
             }
             Err(e) => (Err(e), None),

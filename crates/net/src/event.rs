@@ -13,7 +13,8 @@
 //!    *every complete line* out of it — a whole pipelined burst becomes one
 //!    [`Batch`] and crosses the bounded scheduler queue **once**, which is
 //!    what feeds `Session::exec_batch` real batch sizes;
-//! 3. **resequences** completions: replies can come back out of order per
+//! 3. **resequences** completions — they arrive as one message per
+//!    scheduler pass or fsync release: replies can come back out of order per
 //!    connection (the WAL withholds mutating replies for their group-commit
 //!    fsync while read-only replies release immediately), so each line
 //!    carries a per-connection sequence number and the loop buffers replies
@@ -46,7 +47,7 @@ use crate::server::{
 };
 use crate::session::Session;
 use crate::slow;
-use crate::stage::Stamps;
+use crate::stage::{Stamps, Written};
 use coalloc_poller::{poll, PollFd, POLLIN, POLLOUT};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -79,18 +80,18 @@ pub(crate) struct ConnToken {
 }
 
 /// One framed command line inside a [`Batch`], with its per-connection
-/// sequence number (reply-ordering identity) and stage stamps.
+/// sequence number (reply-ordering identity).
 pub(crate) struct LineJob {
     pub seq: u64,
     pub line: String,
-    pub stamps: Stamps,
 }
 
 /// A whole pipelined read slice from one connection: the unit that crosses
 /// the bounded scheduler queue. One queue crossing per read burst, however
-/// many lines it framed.
+/// many lines it framed, and one set of stage stamps for all of them.
 pub(crate) struct Batch {
     pub token: ConnToken,
+    pub stamps: Stamps,
     pub lines: Vec<LineJob>,
 }
 
@@ -109,15 +110,17 @@ pub(crate) struct Done {
 }
 
 /// A handle to the I/O loop: the completion channel plus the self-pipe
-/// writer that wakes the loop after a send (or to observe a drain).
+/// writer that wakes the loop after a send (or to observe a drain). One
+/// message carries every completion of a scheduler pass or fsync release,
+/// in release order.
 #[derive(Clone)]
 pub(crate) struct IoSender {
-    done_tx: Sender<Done>,
+    done_tx: Sender<Vec<Done>>,
     wake: Arc<UnixStream>,
 }
 
 impl IoSender {
-    pub(crate) fn send(&self, done: Done) {
+    pub(crate) fn send(&self, done: Vec<Done>) {
         let _ = self.done_tx.send(done);
     }
 
@@ -140,7 +143,7 @@ pub(crate) fn spawn_io_loop(
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    let (done_tx, done_rx) = mpsc::channel::<Vec<Done>>();
 
     let mut state = IoLoop {
         cfg: cfg.clone(),
@@ -251,33 +254,37 @@ impl Conn {
     }
 
     /// Accept one completion, releasing it and any unblocked successors in
-    /// sequence order. Every framed line gets exactly one completion, so
-    /// the resequencer can never deadlock on a gap.
-    fn accept_done(&mut self, done: Done) {
-        if done.seq == self.next_write_seq {
-            self.apply(done);
-            while let Some(pos) = self
-                .heldback
-                .iter()
-                .position(|h| h.seq == self.next_write_seq)
-            {
-                let next = self.heldback.swap_remove(pos);
-                self.apply(next);
-            }
-        } else {
+    /// sequence order; returns how many replies went into the write buffer.
+    /// Every framed line gets exactly one completion, so the resequencer
+    /// can never deadlock on a gap.
+    fn accept_done(&mut self, done: Done) -> u64 {
+        if done.seq != self.next_write_seq {
             self.heldback.push(done);
+            return 0;
         }
+        let mut replies = self.apply(done);
+        while let Some(pos) = self
+            .heldback
+            .iter()
+            .position(|h| h.seq == self.next_write_seq)
+        {
+            let next = self.heldback.swap_remove(pos);
+            replies += self.apply(next);
+        }
+        replies
     }
 
-    /// Append one in-order reply to the write buffer.
-    fn apply(&mut self, done: Done) {
+    /// Append one in-order reply to the write buffer; returns 1 if it put
+    /// bytes on the wire, 0 for an empty reply.
+    fn apply(&mut self, done: Done) -> u64 {
         self.next_write_seq = done.seq + 1;
-        if !done.text.is_empty() {
-            REPLIES.inc();
+        let wrote = !done.text.is_empty();
+        if wrote {
             self.wbuf.extend_from_slice(done.text.as_bytes());
             self.wbuf.push(b'\n');
         }
         self.applied.push(done);
+        u64::from(wrote)
     }
 
     /// Write as much of `wbuf` as the socket accepts right now. Many
@@ -347,7 +354,7 @@ struct IoLoop {
     job_tx: SyncSender<Batch>,
     stop: Arc<AtomicBool>,
     wake_rx: UnixStream,
-    done_rx: Receiver<Done>,
+    done_rx: Receiver<Vec<Done>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     open: usize,
@@ -419,8 +426,8 @@ impl IoLoop {
             }
 
             // Scheduler completions → resequence into reply buffers.
-            while let Ok(done) = self.done_rx.try_recv() {
-                self.deliver(done);
+            while let Ok(dones) = self.done_rx.try_recv() {
+                self.deliver(dones);
             }
 
             // Socket readiness. Writes first: freeing reply-buffer space
@@ -502,16 +509,21 @@ impl IoLoop {
         }
     }
 
-    /// Route one scheduler completion to its (still-live) connection.
-    fn deliver(&mut self, done: Done) {
-        let Some(Some(c)) = self.conns.get_mut(done.slot) else {
-            return;
-        };
-        if c.gen != done.gen {
-            return; // the slot was recycled; the original conn is gone
+    /// Route one message of scheduler completions, in order, to their
+    /// (still-live) connections.
+    fn deliver(&mut self, dones: Vec<Done>) {
+        let mut replies = 0;
+        for done in dones {
+            let Some(Some(c)) = self.conns.get_mut(done.slot) else {
+                continue;
+            };
+            if c.gen != done.gen {
+                continue; // the slot was recycled; the original conn is gone
+            }
+            c.inflight -= 1;
+            replies += c.accept_done(done);
         }
-        c.inflight -= 1;
-        c.accept_done(done);
+        REPLIES.add(replies);
     }
 
     /// Drain the socket, frame complete lines, ship them as one batch.
@@ -558,6 +570,7 @@ impl IoLoop {
             return;
         };
         let token = ConnToken { slot, gen: c.gen };
+        let accepted = Instant::now();
         let mut lines: Vec<LineJob> = Vec::new();
         let mut pos = 0usize;
         let mut too_long = false;
@@ -591,14 +604,9 @@ impl IoLoop {
                 pos = 0;
                 break;
             }
-            LINES.inc();
             let seq = c.next_seq;
             c.next_seq += 1;
-            lines.push(LineJob {
-                seq,
-                line,
-                stamps: Stamps::new(),
-            });
+            lines.push(LineJob { seq, line });
         }
         if pos > 0 {
             c.rbuf.drain(..pos);
@@ -611,15 +619,18 @@ impl IoLoop {
         }
 
         if !lines.is_empty() {
-            for l in &mut lines {
-                l.stamps.mark_enqueued();
-            }
             let n = lines.len();
+            LINES.add(n as u64);
             READ_BATCH_LINES.observe(n as u64);
             // Depth is bumped *before* the try_send so the scheduler's
             // decrement can never observe a batch it was not charged for.
             QUEUE_DEPTH.add(1);
-            match self.job_tx.try_send(Batch { token, lines }) {
+            let stamps = Stamps::new(accepted, Instant::now());
+            match self.job_tx.try_send(Batch {
+                token,
+                stamps,
+                lines,
+            }) {
                 Ok(()) => c.inflight += n,
                 Err(TrySendError::Full(batch)) => {
                     // Queue-level shed: every line of the burst is answered
@@ -627,17 +638,19 @@ impl IoLoop {
                     QUEUE_DEPTH.add(-1);
                     SHED.add(n as u64);
                     SHED_QUEUE.add(n as u64);
+                    let mut replies = 0;
                     for l in batch.lines {
-                        c.accept_done(Done {
+                        replies += c.accept_done(Done {
                             slot,
                             gen: c.gen,
                             seq: l.seq,
                             line: l.line,
                             text: BUSY_REPLY.to_string(),
-                            stamps: l.stamps,
+                            stamps,
                             shed: true,
                         });
                     }
+                    REPLIES.add(replies);
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     QUEUE_DEPTH.add(-1);
@@ -704,31 +717,36 @@ impl IoLoop {
                 c.try_flush();
             }
             // Stamp + capture the replies that reached the buffer this
-            // round (the flush attempt above is their writeback).
-            for done in c.applied.drain(..) {
-                let total_us = done.stamps.finish_writeback();
-                if done.text.is_empty() {
-                    continue; // nothing went on the wire: nothing to capture
+            // round (the flush attempt above is their writeback, one clock
+            // reading for all of them).
+            if !c.applied.is_empty() {
+                let mut written = Written::at(Instant::now());
+                for done in c.applied.drain(..) {
+                    let total_us = written.push(&done.stamps);
+                    if done.text.is_empty() {
+                        continue; // nothing went on the wire: nothing to capture
+                    }
+                    let outcome = if done.shed {
+                        Some(slow::Outcome::Shed)
+                    } else if done.text.starts_with("error") {
+                        Some(slow::Outcome::Error)
+                    } else if slow::threshold_us() > 0 && total_us > slow::threshold_us() {
+                        Some(slow::Outcome::Slow)
+                    } else {
+                        None
+                    };
+                    if let Some(outcome) = outcome {
+                        slow::capture(
+                            c.id,
+                            &done.line,
+                            &done.text,
+                            outcome,
+                            &done.stamps,
+                            total_us,
+                        );
+                    }
                 }
-                let outcome = if done.shed {
-                    Some(slow::Outcome::Shed)
-                } else if done.text.starts_with("error") {
-                    Some(slow::Outcome::Error)
-                } else if slow::threshold_us() > 0 && total_us > slow::threshold_us() {
-                    Some(slow::Outcome::Slow)
-                } else {
-                    None
-                };
-                if let Some(outcome) = outcome {
-                    slow::capture(
-                        c.id,
-                        &done.line,
-                        &done.text,
-                        outcome,
-                        &done.stamps,
-                        total_us,
-                    );
-                }
+                written.flush();
             }
             if let Some(since) = c.write_stalled_since {
                 if now.saturating_duration_since(since) > self.cfg.write_timeout {

@@ -23,9 +23,10 @@
 //!   log (DESIGN.md §13);
 //! * [`client`] — a blocking scripting client ([`Client`]) used by the
 //!   `netload` load generator and the end-to-end tests;
-//! * [`stage`] — end-to-end latency attribution: per-request [`stage::Stamps`]
-//!   feeding the `req_stage_*` histograms (queue wait, scheduler compute,
-//!   WAL stall, writeback);
+//! * [`stage`] — end-to-end latency attribution: per-burst [`stage::Stamps`]
+//!   shared by the burst's lines, feeding the `req_stage_*` histograms
+//!   (queue wait, scheduler compute, WAL stall, writeback) one run of
+//!   equal stamps at a time;
 //! * [`slow`] — tail-based request capture: a fixed ring of full stage
 //!   timelines for slow/shed/errored requests, served by `GET /debug/slow`
 //!   on the admin plane and the `slow` protocol command;

@@ -29,7 +29,7 @@ use crate::event::{self, Batch, ConnToken, Done, IoSender};
 use crate::proto;
 use crate::session::Session;
 use crate::slow;
-use crate::stage::Stamps;
+use crate::stage::{Released, Stamps};
 use coalloc_wal::{Wal, WalConfig, WalError};
 use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use std::collections::VecDeque;
@@ -50,7 +50,6 @@ pub(crate) static SHED: LazyCounter = LazyCounter::new("net_shed_total");
 pub(crate) static SHED_ACCEPT: LazyCounter = LazyCounter::new("net_shed_accept_total");
 pub(crate) static SHED_QUEUE: LazyCounter = LazyCounter::new("net_shed_queue_total");
 pub(crate) static ERRORS: LazyCounter = LazyCounter::new("net_errors_total");
-static REQUEST_US: LazyHistogram = LazyHistogram::new("net_request_us");
 pub(crate) static CONN_PANICS: LazyCounter = LazyCounter::new("net_conn_panics_total");
 static WAL_REPLAYED: LazyCounter = LazyCounter::new("wal_recovery_replayed_total");
 static WAL_FLUSH_FAILURES: LazyCounter = LazyCounter::new("wal_flush_failures_total");
@@ -257,7 +256,8 @@ impl Server {
         };
         let comps = Completions {
             io: io.clone(),
-            touched: false,
+            done: Vec::new(),
+            stages: Released::default(),
         };
         let sched_handle = match std::thread::Builder::new()
             .name("coalloc-net-sched".into())
@@ -391,22 +391,26 @@ fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
     Ok((wal, session))
 }
 
-/// The scheduler's line back to the I/O loop, waking it at most once per
-/// release point instead of once per reply.
+/// The scheduler's line back to the I/O loop: the replies released since
+/// the last wake travel as one message, sent with the wake — once per pass
+/// and once per fsync release, not once per reply.
 struct Completions {
     io: IoSender,
-    /// A completion was sent since the last wake.
-    touched: bool,
+    /// Replies released since the last wake, in release order.
+    done: Vec<Done>,
+    /// Their stage stamps, recorded a run at a time.
+    stages: Released,
 }
 
 impl Completions {
-    /// Release one reply to the I/O loop — the one place a [`Done`] is
-    /// built. A dead connection just drops the reply there; the command's
-    /// effect stands (documented at-most-once reply delivery).
-    fn release(&mut self, mut item: Item, text: String) {
-        item.stamps.mark_released();
-        REQUEST_US.observe(item.stamps.enqueued.elapsed().as_micros() as u64);
-        self.io.send(Done {
+    /// Release one reply, stamped `released`, to the I/O loop — the one
+    /// place a [`Done`] is built. A dead connection just drops the reply
+    /// there; the command's effect stands (documented at-most-once reply
+    /// delivery).
+    fn release(&mut self, mut item: Item, text: String, released: Instant) {
+        item.stamps.released = Some(released);
+        self.stages.push(&item.stamps);
+        self.done.push(Done {
             slot: item.token.slot,
             gen: item.token.gen,
             seq: item.seq,
@@ -415,14 +419,16 @@ impl Completions {
             stamps: item.stamps,
             shed: false,
         });
-        self.touched = true;
     }
 
-    /// Wake the loop if it received a completion since the last wake.
+    /// Send what was released since the last wake, and wake the loop.
     fn wake(&mut self) {
-        if std::mem::take(&mut self.touched) {
-            self.io.wake();
+        if self.done.is_empty() {
+            return;
         }
+        self.stages.flush();
+        self.io.send(std::mem::take(&mut self.done));
+        self.io.wake();
     }
 }
 
@@ -436,21 +442,21 @@ struct Item {
     stamps: Stamps,
 }
 
-/// Flatten one queue batch onto the run queue, taking over its queue
-/// accounting (the gauge counts batches; the queue-wait stage histogram
-/// counts lines).
+/// Flatten one queue batch onto the run queue, stamping its dequeue, and
+/// take over its queue accounting (the gauge counts batches).
 fn ingest(batch: Batch, q: &mut VecDeque<Item>) {
     QUEUE_DEPTH.add(-1);
     let token = batch.token;
-    for mut l in batch.lines {
-        l.stamps.mark_dequeued();
-        q.push_back(Item {
-            token,
-            seq: l.seq,
-            line: l.line,
-            stamps: l.stamps,
-        });
-    }
+    let stamps = Stamps {
+        dequeued: Some(Instant::now()),
+        ..batch.stamps
+    };
+    q.extend(batch.lines.into_iter().map(|l| Item {
+        token,
+        seq: l.seq,
+        line: l.line,
+        stamps,
+    }));
 }
 
 /// Largest fsync batch: bounds how much reply latency one flush can carry.
@@ -472,12 +478,13 @@ struct Outbox {
 impl Outbox {
     /// Answer `item` with the WAL failure that kept it from being made
     /// durable: its effect may stand in memory, but a client must never
-    /// read an `ok`/`granted` that could vanish in a crash.
-    fn refuse(&mut self, item: Item, what: &str, e: WalError) {
+    /// read an `ok`/`granted` that could vanish in a crash. The reply is
+    /// released at once, stamped `decided`.
+    fn refuse(&mut self, item: Item, decided: Instant, what: &str, e: WalError) {
         WAL_FLUSH_FAILURES.inc();
         eprintln!("coalloc-net: wal {what} failed: {e}");
         self.comps
-            .release(item, format!("error: wal {what} failed: {e}"));
+            .release(item, format!("error: wal {what} failed: {e}"), decided);
     }
 
     /// Route the outcome of a decided command. Errors changed nothing and
@@ -487,24 +494,33 @@ impl Outbox {
     /// persisted as a snapshot (which first syncs every earlier record),
     /// never as a log record. Every other mutating command is appended to
     /// the log and its reply withheld until the next [`Self::flush`].
-    fn complete(&mut self, item: Item, result: Result<String, String>, session: &Session) {
+    /// `decided` is the end of the pass that decided `item`: the release
+    /// stamp of every reply it does not withhold.
+    fn complete(
+        &mut self,
+        mut item: Item,
+        result: Result<String, String>,
+        session: &Session,
+        decided: Instant,
+    ) {
+        item.stamps.decided = Some(decided);
         let (reply, wal) = match (result, &mut self.wal) {
-            (Err(e), _) => return self.comps.release(item, format!("error: {e}")),
-            (Ok(reply), None) => return self.comps.release(item, reply),
+            (Err(e), _) => return self.comps.release(item, format!("error: {e}"), decided),
+            (Ok(reply), None) => return self.comps.release(item, reply, decided),
             (Ok(reply), Some((wal, _))) => (reply, wal),
         };
         let verb = item.line.split_whitespace().next().unwrap_or("");
         if !proto::mutating(verb) {
-            return self.comps.release(item, reply);
+            return self.comps.release(item, reply, decided);
         }
         if verb == "load" {
             let image = session.snapshot_text().expect("load installed a scheduler");
             return match wal.install_snapshot(image.as_bytes()) {
                 Ok(()) => {
                     self.flush(); // the records before it are durable; release
-                    self.comps.release(item, reply)
+                    self.comps.release(item, reply, Instant::now())
                 }
-                Err(e) => self.refuse(item, "snapshot install", e),
+                Err(e) => self.refuse(item, decided, "snapshot install", e),
             };
         }
         let mut payload = Vec::with_capacity(item.line.len() + 1 + reply.len());
@@ -521,7 +537,7 @@ impl Outbox {
                     self.flush();
                 }
             }
-            Err(e) => self.refuse(item, "append", e),
+            Err(e) => self.refuse(item, decided, "append", e),
         }
     }
 
@@ -541,8 +557,10 @@ impl Outbox {
             eprintln!("coalloc-net: wal sync failed: {e}");
             format!("error: wal sync failed: {e}")
         });
+        let released = Instant::now();
         for (item, reply) in self.pending.drain(..) {
-            self.comps.release(item, failed.clone().unwrap_or(reply));
+            self.comps
+                .release(item, failed.clone().unwrap_or(reply), released);
         }
         self.comps.wake();
     }
@@ -703,10 +721,12 @@ fn scheduler_loop(
         // with a single fsync.
         let lines: Vec<&str> = pass.iter().map(|i| i.line.as_str()).collect();
         let results = session.exec_batch(&lines);
+        // One decision stamp for the whole pass: every line's sched stage
+        // spans the pass.
+        let decided = Instant::now();
         ctx.maybe_refresh(&session, &mut last_refresh);
-        for (mut it, result) in pass.drain(..).zip(results) {
-            it.stamps.mark_decided();
-            out.complete(it, result, &session);
+        for (it, result) in pass.drain(..).zip(results) {
+            out.complete(it, result, &session, decided);
         }
         out.comps.wake();
     }

@@ -12,6 +12,7 @@ use crate::server::ERRORS;
 use coalloc_core::prelude::*;
 use coalloc_core::snapshot::StateImage;
 use obs::{LazyCounter, LazyHistogram};
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::panic::AssertUnwindSafe;
 
@@ -85,16 +86,19 @@ impl Session {
             Ok(g) => g,
             Err(e) => return format!("rejected {e}"),
         };
-        let servers: Vec<String> = g.servers.iter().map(|s| s.0.to_string()).collect();
-        format!(
-            "granted job={} start={} end={} attempts={} wait={} servers={}",
+        let mut out = format!(
+            "granted job={} start={} end={} attempts={} wait={} servers=",
             g.job.0,
             g.start.secs(),
             g.end.secs(),
             g.attempts,
             g.waiting.secs(),
-            servers.join(",")
-        )
+        );
+        for (i, s) in g.servers.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}{}", s.0);
+        }
+        out
     }
 
     /// Execute one command line; returns the reply (possibly multi-line,
@@ -277,9 +281,16 @@ impl Session {
         let mut out: Vec<Option<Result<String, String>>> = Vec::with_capacity(lines.len());
         let mut reqs: Vec<Request> = Vec::with_capacity(lines.len());
         for line in lines {
-            let f: Vec<&str> = line.split_whitespace().collect();
-            let reply = match f.as_slice() {
-                ["submit", q, s, l, n] => match Self::parse_submit_args(q, s, l, n) {
+            // Split into a fixed array: six slots tell a 5-word line from a
+            // longer one without collecting the words.
+            let mut f = [""; 6];
+            let mut words = 0;
+            for (slot, word) in f.iter_mut().zip(line.split_whitespace()) {
+                *slot = word;
+                words += 1;
+            }
+            let reply = match (words, f) {
+                (5, ["submit", q, s, l, n, _]) => match Self::parse_submit_args(q, s, l, n) {
                     Ok(req) => match self.sched() {
                         Ok(_) => {
                             reqs.push(req);

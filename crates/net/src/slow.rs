@@ -181,11 +181,22 @@ pub fn to_json(r: &SlowRecord) -> String {
 mod tests {
     use super::*;
 
+    /// The ring keeps the newest records, oldest first, and each record's
+    /// timeline is its burst's stamps: every stage it reached, in pipeline
+    /// order, between accept and the reply write.
     #[test]
     fn ring_caps_and_orders() {
+        use std::time::{Duration, Instant};
         clear();
         configure(1_000, 4);
-        let stamps = Stamps::new();
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let stamps = Stamps {
+            dequeued: Some(at(30)),
+            decided: Some(at(70)),
+            released: Some(at(100)),
+            ..Stamps::new(t0, at(10))
+        };
         for i in 0..10u64 {
             capture(
                 i,
@@ -200,6 +211,17 @@ mod tests {
         assert_eq!(snap.len(), 4, "ring caps at the configured capacity");
         assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq), "oldest first");
         assert_eq!(snap.last().unwrap().conn, 9, "newest retained");
+        assert_eq!(
+            snap.last().unwrap().timeline,
+            [
+                ("accept", 0),
+                ("enqueue", 10),
+                ("dequeue", 30),
+                ("decision", 70),
+                ("fsync_release", 100),
+                ("reply_write", 5_000)
+            ]
+        );
         assert!(captured_total() >= 10);
         clear();
         configure(DEFAULT_THRESHOLD_US, DEFAULT_CAPACITY);
@@ -207,11 +229,6 @@ mod tests {
 
     #[test]
     fn json_shape_parses_and_escapes() {
-        let mut stamps = Stamps::new();
-        stamps.mark_enqueued();
-        stamps.mark_dequeued();
-        stamps.mark_decided();
-        stamps.mark_released();
         let mut r = SlowRecord {
             seq: 7,
             conn: 3,

@@ -1,7 +1,8 @@
-//! End-to-end latency attribution: monotonic stage stamps for one command.
+//! End-to-end latency attribution: monotonic stage stamps, taken once per
+//! burst and shared by its lines.
 //!
 //! Every command travelling through the server carries a [`Stamps`] value
-//! that is stamped at the pipeline's hand-off points (DESIGN.md §8):
+//! with the pipeline's hand-off points (DESIGN.md §8):
 //!
 //! ```text
 //! accept ─► enqueue ─► dequeue ─► decision ─► fsync release ─► reply write
@@ -15,25 +16,34 @@
 //! socket write without any per-request logging. The stage identity
 //!
 //! ```text
-//! queue_wait + sched + wal_stall ≈ net_request_us   (enqueue → release)
+//! queue_wait + sched + wal_stall = net_request_us   (enqueue → release)
 //! ```
 //!
-//! is what `netload` checks before it prints the stage breakdown.
+//! holds per line up to the truncation of each stage to whole µs, because
+//! both sides are computed from the same four instants; `netload` checks it
+//! over the histograms' sums.
 //!
-//! [`Stamps`] is `Copy`, holds only `Instant`s, and every `mark_*` /
-//! [`Stamps::finish_writeback`] call is a clock read plus one relaxed-atomic
-//! histogram update: the steady-state path performs **zero heap
+//! A line's stamps are its burst's. The lines of a burst are framed in one
+//! read round and cross the queue together, are dequeued together, decided
+//! in one pass and released at one pass end or one fsync, and written in
+//! one sweep. So each hand-off takes **one clock reading** per burst, pass,
+//! fsync or sweep and hands that reading to every line it covers. The
+//! recorders [`Released`] and [`Written`] then record a run of lines with
+//! equal stamps with one [`obs::Histogram::observe_n`] per histogram.
+//!
+//! [`Stamps`] is `Copy` and holds only `Instant`s, and recording is a few
+//! relaxed atomic adds per run: the steady-state path performs **zero heap
 //! allocations** (enforced by `crates/net/tests/stage_alloc.rs`), keeping
 //! attribution inside the obs overhead budget.
 
 use obs::LazyHistogram;
 use std::time::Instant;
 
-/// Time a command spent waiting in the bounded command queue between a
-/// worker's enqueue and the scheduler thread's dequeue (µs).
+/// Time a command spent waiting in the bounded command queue between the
+/// I/O loop's enqueue and the scheduler thread's dequeue (µs).
 pub static STAGE_QUEUE_WAIT: LazyHistogram = LazyHistogram::new("req_stage_queue_wait");
-/// Time the scheduler thread spent deciding the command — parse, phase-1 /
-/// phase-2 search, retries (µs).
+/// Time the scheduler thread spent on the pass that decided the command —
+/// parse, phase-1 / phase-2 search, retries of every line in it (µs).
 pub static STAGE_SCHED: LazyHistogram = LazyHistogram::new("req_stage_sched");
 /// Time a decided reply was withheld for WAL durability — append plus the
 /// group-commit fsync it rode on. Volatile servers and non-mutating
@@ -41,87 +51,47 @@ pub static STAGE_SCHED: LazyHistogram = LazyHistogram::new("req_stage_sched");
 pub static STAGE_WAL_STALL: LazyHistogram = LazyHistogram::new("req_stage_wal_stall");
 /// Time from reply release to the socket write completing (µs).
 pub static STAGE_WRITEBACK: LazyHistogram = LazyHistogram::new("req_stage_writeback");
+/// Enqueue → release of every command the scheduler answered (µs): the sum
+/// of the first three stages.
+pub static REQUEST_US: LazyHistogram = LazyHistogram::new("net_request_us");
 
 #[inline]
 fn us_between(a: Instant, b: Instant) -> u64 {
     b.saturating_duration_since(a).as_micros() as u64
 }
 
-/// Monotonic stage timestamps for one in-flight command. Created by the
-/// worker when the line is framed, carried through the scheduler thread and
-/// back, finished by the worker after the reply write.
-#[derive(Clone, Copy, Debug)]
+/// Monotonic stage timestamps of one in-flight burst, copied to each of
+/// its lines. Created by the I/O loop when the burst is framed, completed
+/// by the scheduler thread, and read back by the I/O loop after the reply
+/// write. A stage the line never reached stays `None`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stamps {
-    /// Line fully framed from the socket (stage zero).
+    /// The burst's framing began (stage zero).
     pub accepted: Instant,
-    /// Enqueued into the bounded command queue.
+    /// Enqueued into the bounded command queue (taken immediately before
+    /// the `try_send`; a shed burst keeps this stamp but never the later
+    /// ones).
     pub enqueued: Instant,
-    /// Dequeued by the scheduler thread, if it got there.
+    /// Dequeued by the scheduler thread.
     pub dequeued: Option<Instant>,
-    /// Decision computed (reply text exists), if it got there.
+    /// The pass that decided the line ended.
     pub decided: Option<Instant>,
-    /// Reply released to the worker (after the WAL fsync covering it, when
-    /// durable), if it got there.
+    /// Reply released to the I/O loop: the decision itself, or the fsync
+    /// that covered the line's WAL record.
     pub released: Option<Instant>,
 }
 
 impl Stamps {
-    /// Stamp stage zero: the command line just came off the socket.
+    /// A burst framed from `accepted` on and enqueued at `enqueued`.
     #[inline]
-    pub fn new() -> Stamps {
-        let now = Instant::now();
+    pub fn new(accepted: Instant, enqueued: Instant) -> Stamps {
         Stamps {
-            accepted: now,
-            enqueued: now,
+            accepted,
+            enqueued,
             dequeued: None,
             decided: None,
             released: None,
         }
-    }
-
-    /// Stamp the enqueue into the command queue (immediately before the
-    /// `try_send`; a shed command keeps this stamp but never the later ones).
-    #[inline]
-    pub fn mark_enqueued(&mut self) {
-        self.enqueued = Instant::now();
-    }
-
-    /// Stamp the scheduler thread's dequeue and record the queue-wait stage.
-    #[inline]
-    pub fn mark_dequeued(&mut self) {
-        let now = Instant::now();
-        STAGE_QUEUE_WAIT.observe(us_between(self.enqueued, now));
-        self.dequeued = Some(now);
-    }
-
-    /// Stamp the computed decision and record the sched stage.
-    #[inline]
-    pub fn mark_decided(&mut self) {
-        let now = Instant::now();
-        STAGE_SCHED.observe(us_between(self.dequeued.unwrap_or(now), now));
-        self.decided = Some(now);
-    }
-
-    /// Stamp the reply release and record the WAL-stall stage (0 when the
-    /// reply was never withheld: volatile mode, non-mutating commands).
-    #[inline]
-    pub fn mark_released(&mut self) {
-        let now = Instant::now();
-        STAGE_WAL_STALL.observe(us_between(self.decided.unwrap_or(now), now));
-        self.released = Some(now);
-    }
-
-    /// Record the writeback stage (release → socket write done) and return
-    /// the end-to-end total (accept → now) in µs. Commands that never
-    /// reached the scheduler (shed at the queue) skip the stage histograms
-    /// so stage counts stay aligned with `net_request_us`.
-    #[inline]
-    pub fn finish_writeback(&self) -> u64 {
-        let now = Instant::now();
-        if let Some(released) = self.released {
-            STAGE_WRITEBACK.observe(us_between(released, now));
-        }
-        us_between(self.accepted, now)
     }
 
     /// Microseconds from accept to each later stamp, `None` where the
@@ -138,9 +108,83 @@ impl Stamps {
     }
 }
 
-impl Default for Stamps {
-    fn default() -> Stamps {
-        Stamps::new()
+/// Records the lines the scheduler thread releases: queue wait, sched,
+/// WAL stall and `net_request_us`, one `observe_n` per histogram for each
+/// run of consecutive lines with equal stamps. [`Released::flush`] records
+/// the open run; call it before the counts are read (at every wake of the
+/// I/O loop).
+#[derive(Debug, Default)]
+pub struct Released {
+    run: Option<(Stamps, u64)>,
+}
+
+impl Released {
+    /// Count one released line (`stamps.released` set).
+    #[inline]
+    pub fn push(&mut self, stamps: &Stamps) {
+        match &mut self.run {
+            Some((key, n)) if key == stamps => *n += 1,
+            _ => {
+                self.flush();
+                self.run = Some((*stamps, 1));
+            }
+        }
+    }
+
+    /// Record the open run, if any.
+    pub fn flush(&mut self) {
+        let Some((s, n)) = self.run.take() else {
+            return;
+        };
+        let (Some(dequeued), Some(decided), Some(released)) = (s.dequeued, s.decided, s.released)
+        else {
+            return; // only lines the scheduler answered are pushed
+        };
+        STAGE_QUEUE_WAIT.observe_n(us_between(s.enqueued, dequeued), n);
+        STAGE_SCHED.observe_n(us_between(dequeued, decided), n);
+        STAGE_WAL_STALL.observe_n(us_between(decided, released), n);
+        REQUEST_US.observe_n(us_between(s.enqueued, released), n);
+    }
+}
+
+/// Records the writeback stage (release → socket write done) of the lines
+/// one connection's flush put on the wire, one `observe_n` per run of
+/// equal release stamps. Lines that never reached the scheduler (shed at
+/// the queue) skip it, so stage counts stay aligned with `net_request_us`.
+#[derive(Debug)]
+pub struct Written {
+    at: Instant,
+    run: Option<(Instant, u64)>,
+}
+
+impl Written {
+    /// Lines whose write completed at `at`.
+    #[inline]
+    pub fn at(at: Instant) -> Written {
+        Written { at, run: None }
+    }
+
+    /// Count one written line and return its end-to-end total (accept →
+    /// write) in µs.
+    #[inline]
+    pub fn push(&mut self, stamps: &Stamps) -> u64 {
+        if let Some(released) = stamps.released {
+            match &mut self.run {
+                Some((key, n)) if *key == released => *n += 1,
+                _ => {
+                    self.flush();
+                    self.run = Some((released, 1));
+                }
+            }
+        }
+        us_between(stamps.accepted, self.at)
+    }
+
+    /// Record the open run, if any.
+    pub fn flush(&mut self) {
+        if let Some((released, n)) = self.run.take() {
+            STAGE_WRITEBACK.observe_n(us_between(released, self.at), n);
+        }
     }
 }
 

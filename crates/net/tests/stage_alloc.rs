@@ -1,22 +1,26 @@
 //! Allocation guard for the latency-attribution fast path.
 //!
-//! The ISSUE-7 budget: stamping a request through every stage —
-//! `Stamps::new` → `mark_enqueued` → `mark_dequeued` → `mark_decided` →
-//! `mark_released` → `finish_writeback`, plus the slow-ring threshold
-//! check — must perform **zero heap allocations** in steady state, so
-//! attribution can stay on for every request without eating into the <5%
-//! obs overhead guard. Capturing into the slow ring may allocate; that
-//! path only runs on the tail (slow/shed/errored requests).
+//! The budget: stamping a pipelined burst through every hand-off — the
+//! framing and enqueue readings, the dequeue, the pass's decision, the
+//! release (each one clock reading for the whole burst), the
+//! [`Released`] recorder, the writeback reading and the [`Written`]
+//! recorder, plus the slow-ring threshold check per line — must perform
+//! **zero heap allocations** in steady state, so attribution can stay on
+//! for every request without eating into the <5% obs overhead guard.
+//! Capturing into the slow ring may allocate; that path only runs on the
+//! tail (slow/shed/errored requests).
 //!
 //! Same technique as `crates/core/tests/alloc_guard.rs`: a counting
 //! `#[global_allocator]` (the lib crates forbid `unsafe`, so this must be
 //! an integration test), a warm-up pass to register the histograms, then a
 //! measured steady-state loop.
 
-use coalloc_net::{slow, stage::Stamps};
+use coalloc_net::slow;
+use coalloc_net::stage::{Released, Stamps, Written};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
 
 struct CountingAlloc;
 
@@ -56,20 +60,41 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Drive one request's worth of stamping, exactly as the server does it
-/// (minus the channels and the socket).
+/// Lines per burst: a full `reject-wall`-sized pipelined burst.
+const BURST: usize = 64;
+
+/// Drive one burst's worth of stamping, exactly as the server does it
+/// (minus the channels and the socket); returns the summed end-to-end
+/// totals.
 fn full_pipeline() -> u64 {
-    let mut stamps = Stamps::new();
-    stamps.mark_enqueued();
-    stamps.mark_dequeued();
-    stamps.mark_decided();
-    stamps.mark_released();
-    let total_us = stamps.finish_writeback();
-    // The fast path's entire interaction with the slow ring: one load.
-    if slow::threshold_us() > 0 && total_us > slow::threshold_us() {
-        return total_us;
+    let accepted = Instant::now();
+    let mut burst = Stamps::new(accepted, Instant::now());
+    burst.dequeued = Some(Instant::now());
+    burst.decided = Some(Instant::now());
+    let released = Instant::now();
+    let mut stages = Released::default();
+    for _ in 0..BURST {
+        stages.push(&Stamps {
+            released: Some(released),
+            ..burst
+        });
     }
-    total_us
+    stages.flush();
+    let mut written = Written::at(Instant::now());
+    let mut acc = 0u64;
+    for _ in 0..BURST {
+        let total_us = written.push(&Stamps {
+            released: Some(released),
+            ..burst
+        });
+        // The fast path's entire interaction with the slow ring: one load.
+        if slow::threshold_us() > 0 && total_us > slow::threshold_us() {
+            acc = acc.wrapping_add(1);
+        }
+        acc = acc.wrapping_add(total_us);
+    }
+    written.flush();
+    acc
 }
 
 #[test]
@@ -83,13 +108,13 @@ fn steady_state_stage_stamping_does_not_allocate() {
 
     let before = allocs();
     let mut acc = 0u64;
-    for _ in 0..10_000 {
+    for _ in 0..1_000 {
         acc = acc.wrapping_add(full_pipeline());
     }
     let grew = allocs() - before;
     assert_eq!(
         grew, 0,
-        "steady-state stage stamping allocated {grew} times over 10k requests \
+        "steady-state stage stamping allocated {grew} times over 1k bursts of {BURST} \
          (accumulated {acc} µs)"
     );
 }

@@ -129,6 +129,20 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record `n` observations of the same value `v`: the buckets, sum and
+    /// count [`Histogram::observe`] called `n` times would leave (the sum
+    /// wrapping as `n` separate adds would), in three relaxed adds whatever
+    /// `n` is. `n = 0` records nothing.
+    #[inline]
+    pub fn observe_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -608,5 +622,73 @@ impl LazyHistogram {
     #[inline]
     pub fn observe(&self, v: u64) {
         self.get().observe(v);
+    }
+
+    /// Record `n` observations of `v` ([`Histogram::observe_n`]).
+    #[inline]
+    pub fn observe_n(&self, v: u64, n: u64) {
+        self.get().observe_n(v, n);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn state(h: &Histogram) -> (Vec<(u64, u64)>, u64, u64) {
+        (h.nonzero_buckets(), h.sum(), h.count())
+    }
+
+    /// `observe_n(v, n)` leaves exactly what `n` calls to `observe(v)`
+    /// leave, for values at and around every kind of bucket edge.
+    #[test]
+    fn observe_n_equals_n_observes() {
+        let mut values = vec![0, 1, 2, 3, 4, 5, 7, 8, 9, 1000, u64::MAX - 1, u64::MAX];
+        for k in 2..64 {
+            let edge = 1u64 << k;
+            values.extend([edge - 1, edge, edge + 1]);
+        }
+        for idx in 0..BUCKETS - 1 {
+            let upper = bucket_upper(idx);
+            values.extend([upper, upper.saturating_add(1)]);
+        }
+        for &v in &values {
+            for n in [1u64, 2, 3, 17, 64, 1000] {
+                let (batched, single) = (Histogram::default(), Histogram::default());
+                batched.observe(12);
+                single.observe(12);
+                batched.observe_n(v, n);
+                for _ in 0..n {
+                    single.observe(v);
+                }
+                assert_eq!(state(&batched), state(&single), "v={v} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn observe_n_of_zero_changes_nothing() {
+        let h = Histogram::default();
+        h.observe(40);
+        let before = state(&h);
+        for v in [0, 1, 40, u64::MAX] {
+            h.observe_n(v, 0);
+        }
+        assert_eq!(state(&h), before);
+    }
+
+    /// The sum wraps modulo 2^64, exactly as `n` separate adds would.
+    #[test]
+    fn observe_n_sum_wraps_like_separate_adds() {
+        for (v, n) in [(u64::MAX, 2), (u64::MAX, 3), (1 << 63, 2), (1 << 62, 5)] {
+            let h = Histogram::default();
+            h.observe_n(v, n);
+            let mut expect = 0u64;
+            for _ in 0..n {
+                expect = expect.wrapping_add(v);
+            }
+            assert_eq!(h.sum(), expect, "v={v} n={n}");
+            assert_eq!(h.count(), n);
+        }
     }
 }
