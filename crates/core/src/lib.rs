@@ -53,6 +53,7 @@
 
 pub mod attrs;
 mod batch;
+pub mod blockset;
 pub mod error;
 pub mod idhash;
 pub mod idle;
@@ -74,7 +75,6 @@ pub mod stats;
 pub mod time;
 pub mod timeline;
 pub mod trailing;
-pub mod treap;
 
 /// Convenient re-exports of the public API surface.
 pub mod prelude {

@@ -44,7 +44,7 @@ use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::PeriodId;
 use crate::primary::{defer_pays, MarkedNode, PeriodOp, SlotTree, TreeFingerprint};
-use crate::scratch::Scratch;
+use crate::scratch::{publish, Scratch};
 use crate::stats::OpStats;
 use crate::time::{SlotConfig, SlotIdx, Time};
 use crate::timeline::{PeriodDelta, Timeline};
@@ -364,7 +364,7 @@ impl SlotRing {
         for group in routed.chunk_by(|a, b| a >> 32 == b >> 32) {
             let tree = &mut self.nodes[(group[0] >> 32) as usize];
             let defer = !self.eager_only && defer_pays(group.len(), tree.len());
-            BATCH_OPS.observe(group.len() as u64);
+            scratch.batch_sizes.push(group.len() as u64);
             deferred += defer as u64;
             let updates = group.iter().map(|&key| batch[key as u32 as usize]);
             tree.apply_ops(updates, defer, scratch, ops);
@@ -372,6 +372,7 @@ impl SlotRing {
         if deferred > 0 {
             BATCHES_DEFERRED.add(deferred);
         }
+        publish(&BATCH_OPS, &mut scratch.batch_sizes);
         routed.clear();
         scratch.tree_ops = routed;
     }

@@ -50,10 +50,28 @@ pub struct Scratch {
     pub ends: Vec<EndKey>,
     /// Merge buffer for combining two adjacent sorted runs of `ends`.
     pub ends_aux: Vec<EndKey>,
-    /// Right spine of the secondary treap being bulk-built.
-    pub spine: Vec<u32>,
     /// Reusable timeline delta (see [`crate::timeline::Timeline::reserve_into`]).
     pub delta: PeriodDelta,
+    /// Subtree sizes of the rebuilds of one slot-tree update call, for the
+    /// `tree_rebuild_size` histogram, published when the call ends.
+    pub rebuild_sizes: Vec<u64>,
+    /// Updates per tree of one ring batch, for the `ring_batch_ops`
+    /// histogram, published when the batch ends.
+    pub batch_sizes: Vec<u64>,
+}
+
+/// Record every value collected in `values` in `hist` — one
+/// [`obs::LazyHistogram::observe_n`] per distinct value, which leaves the
+/// buckets, sum and count one `observe` per value would — and clear them.
+/// The hot paths collect into [`Scratch`] and publish once per call, so
+/// the histogram's shared cache lines are written once per distinct value
+/// of a call, not once per value.
+pub(crate) fn publish(hist: &obs::LazyHistogram, values: &mut Vec<u64>) {
+    values.sort_unstable();
+    for run in values.chunk_by(|a, b| a == b) {
+        hist.observe_n(run[0], run.len() as u64);
+    }
+    values.clear();
 }
 
 impl Scratch {

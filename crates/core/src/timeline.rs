@@ -323,28 +323,24 @@ impl Timeline {
     /// Drop idle periods and reservations that ended at or before `t`.
     /// Safe with respect to the slot-tree mirror as long as `t` is at or
     /// before the start of the live slot window. Completed busy seconds are
-    /// accumulated for utilization accounting.
+    /// accumulated for utilization accounting. Each map is sorted by start
+    /// and non-overlapping, so its expired entries are a prefix: they are
+    /// popped from the front, and the first live one ends the scan.
     pub fn prune_before(&mut self, t: Time) {
         for st in &mut self.servers {
-            let dead: Vec<Time> = st
-                .idle
-                .iter()
-                .take_while(|(_, id)| self.periods[id].end <= t)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in dead {
-                let id = st.idle.remove(&s).unwrap();
-                self.periods.remove(&id);
+            while let Some(first) = st.idle.first_entry() {
+                if self.periods[first.get()].end > t {
+                    break;
+                }
+                self.periods.remove(&first.remove());
             }
-            let done: Vec<Time> = st
-                .busy
-                .iter()
-                .take_while(|(_, (end, _))| *end <= t)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in done {
-                let (end, _) = st.busy.remove(&s).unwrap();
-                self.pruned_busy_secs += (end - s).secs();
+            while let Some(first) = st.busy.first_entry() {
+                let (start, (end, _)) = (*first.key(), *first.get());
+                if end > t {
+                    break;
+                }
+                first.remove();
+                self.pruned_busy_secs += (end - start).secs();
             }
         }
     }
@@ -551,6 +547,44 @@ mod tests {
         assert_eq!(tl.busy_secs_before(Time(1000)), before);
         // The finished reservation and the dead idle fragment are gone.
         assert_eq!(tl.reservations(ServerId(0)).len(), 1);
+    }
+
+    /// Expired idle periods and reservations on every server, next to live
+    /// ones: each goes, and only they do, and the busy seconds add up as
+    /// before.
+    #[test]
+    fn prune_pops_expired_entries_on_every_server() {
+        let mut tl = Timeline::new(3, Time::ZERO);
+        for s in 0..3u32 {
+            let server = ServerId(s);
+            // [0, 10) busy, [10, 20) idle, [20, 30) busy, [30, 40) idle,
+            // [40, 60 + s) busy: the last one straddles the cut at 50.
+            let mut p = tl.trailing_period(server);
+            for (job, start, end) in [(0u64, 0i64, 10i64), (1, 20, 30), (2, 40, 60 + s as i64)] {
+                let d = tl.reserve(p.id, JobId(job * 3 + s as u64), Time(start), Time(end));
+                p = *d.added.last().unwrap();
+            }
+        }
+        tl.check_invariants();
+        let before = tl.busy_secs_before(Time(1000));
+        tl.prune_before(Time(50));
+        tl.check_invariants();
+        assert_eq!(tl.busy_secs_before(Time(1000)), before);
+        for s in 0..3u32 {
+            let server = ServerId(s);
+            let left: Vec<(i64, i64)> = tl
+                .reservations(server)
+                .iter()
+                .map(|r| (r.start.0, r.end.0))
+                .collect();
+            assert_eq!(left, vec![(40, 60 + s as i64)]);
+            let idle: Vec<i64> = tl.idle_periods(server).iter().map(|p| p.start.0).collect();
+            assert_eq!(
+                idle,
+                vec![60 + s as i64],
+                "only the trailing period is left"
+            );
+        }
     }
 
     impl Timeline {

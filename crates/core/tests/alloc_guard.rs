@@ -228,3 +228,42 @@ fn steady_state_submissions_do_not_allocate() {
         "batched grant+release allocated {per_grant} per member; expected the per-grant budget"
     );
 }
+
+/// A warm block arena allocates nothing: the same inserts, removes, bulk
+/// builds, walks and clears, run again over the arena the first run left,
+/// take every block and buffer from its free lists.
+#[test]
+fn warm_block_arena_does_not_allocate() {
+    use coalloc_core::blockset::{BlockArena, BlockSet};
+    use coalloc_core::idle::EndKey;
+    use coalloc_core::ids::PeriodId;
+    let keys: Vec<EndKey> = (0..3_000u64)
+        .map(|i| EndKey {
+            end: Time((i * 7_919 % 1_009) as i64),
+            id: PeriodId(i + 1),
+        })
+        .collect();
+    let mut sorted = keys.clone();
+    sorted.sort();
+    let mut out = Vec::with_capacity(keys.len());
+    let mut run = |arena: &mut BlockArena<EndKey>| {
+        let mut ops = OpStats::new();
+        let mut grown = BlockSet::new();
+        for &key in &keys {
+            grown.insert(arena, key, &mut ops);
+        }
+        for key in keys.iter().step_by(3) {
+            assert!(grown.remove(arena, *key, &mut ops));
+        }
+        let mut built = BlockSet::from_sorted(arena, &sorted, &mut ops);
+        out.clear();
+        built.collect_top(arena, sorted[100], usize::MAX, |_| true, &mut out, &mut ops);
+        grown.clear(arena);
+        built.clear(arena);
+    };
+    let mut arena = BlockArena::new(0xB10C);
+    run(&mut arena);
+    let before = allocs();
+    run(&mut arena);
+    assert_eq!(allocs() - before, 0, "a warm arena must not allocate");
+}

@@ -3,7 +3,7 @@
 //! byte-identical replies on a session whose scheduler batches its index
 //! updates and on one forced down the one-update-at-a-time path. `query`
 //! lists its hits in tree-discovery order, so this pins primary-tree
-//! shapes and secondary treaps, not just decisions.
+//! shapes and the key order of every secondary, not just decisions.
 
 use coalloc_net::Session;
 
