@@ -677,35 +677,12 @@ impl SlotTree {
     // Phase 1 / Phase 2 searches
     // ------------------------------------------------------------------
 
-    /// Phase 1: locate every *candidate* idle period (`st_i <= s_r`).
-    ///
-    /// Returns the total candidate count (from subtree-size annotations, no
-    /// enumeration) and the marked subtrees, in marking order. `O(log n)`.
-    ///
-    /// Convenience wrapper over [`SlotTree::phase1_candidates_into`].
-    pub fn phase1_candidates(&self, start: Time, ops: &mut OpStats) -> (usize, Vec<MarkedNode>) {
-        let mut marked = Vec::new();
-        let count = self.phase1_candidates_into(start, &mut marked, ops);
-        (count, marked)
-    }
-
-    /// Phase 1 into a caller-supplied marked-node buffer (cleared first);
-    /// returns the candidate count. Allocation-free once `marked` is warm.
-    pub fn phase1_candidates_into(
-        &self,
-        start: Time,
-        marked: &mut Vec<MarkedNode>,
-        ops: &mut OpStats,
-    ) -> usize {
-        ops.phase1_searches += 1;
-        marked.clear();
-        self.phase1_candidates_append(start, marked, ops)
-    }
-
-    /// Phase 1 that *appends* to `marked` without clearing it and without
-    /// counting as a separate search — the building block the segment-tree
-    /// ring uses to run one logical Phase 1 across every tree on a
-    /// stabbing path, accumulating marks in a single shared buffer.
+    /// Phase 1: count every *candidate* idle period (`st_i <= s_r`) from
+    /// subtree sizes, in `O(log n)`, appending the marked subtrees to
+    /// `marked` without clearing it and without counting as a separate
+    /// search — the building block the segment-tree ring uses to run one
+    /// logical Phase 1 across every tree on a stabbing path, accumulating
+    /// marks in a single shared buffer.
     pub fn phase1_candidates_append(
         &self,
         start: Time,
@@ -745,40 +722,13 @@ impl SlotTree {
         count
     }
 
-    /// Phase 2: among the Phase-1 candidates, find every *feasible* period
-    /// (`et_i >= end`), searching marked subtrees in reverse marking order
-    /// (latest-starting candidates first, as in the paper's example).
-    /// `O(log^2 n)` plus `O(1)` per period retrieved.
-    ///
-    /// Convenience wrapper over [`SlotTree::phase2_feasible_into`].
-    pub fn phase2_feasible(
-        &self,
-        marked: &[MarkedNode],
-        end: Time,
-        ops: &mut OpStats,
-    ) -> Vec<PeriodId> {
-        let mut out: Vec<PeriodId> = Vec::new();
-        self.phase2_feasible_into(marked, end, &mut out, ops);
-        out
-    }
-
-    /// Phase 2 appending into a caller-supplied buffer (after any entries
-    /// already there, e.g. trailing-set candidates collected first).
-    /// Allocation-free once `out` is warm.
-    pub fn phase2_feasible_into(
-        &self,
-        marked: &[MarkedNode],
-        end: Time,
-        out: &mut Vec<PeriodId>,
-        ops: &mut OpStats,
-    ) {
-        ops.phase2_searches += 1;
-        self.phase2_collect(marked, end, out, ops);
-    }
-
-    /// Phase 2 over one tree's slice of a shared marked buffer, without
-    /// counting as a separate search — the segment-tree ring's per-node
-    /// step of a single logical Phase 2.
+    /// Phase 2: among the candidates `marked`, append every *feasible*
+    /// period (`et_i >= end`) to `out`, searching the marked subtrees in
+    /// reverse marking order (latest-starting candidates first, as in the
+    /// paper's example), in `O(log^2 n)` plus `O(1)` per period retrieved.
+    /// `marked` is one tree's slice of a shared marked buffer, and the call
+    /// does not count as a separate search — the segment-tree ring's
+    /// per-node step of a single logical Phase 2.
     pub fn phase2_collect(
         &self,
         marked: &[MarkedNode],
@@ -855,16 +805,6 @@ impl SlotTree {
             }
         }
         count
-    }
-
-    /// Convenience composition of both phases: find every feasible period
-    /// for a job occupying `[start, end)`.
-    pub fn find_feasible(&self, start: Time, end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
-        let (count, marked) = self.phase1_candidates(start, ops);
-        if count == 0 {
-            return Vec::new();
-        }
-        self.phase2_feasible(&marked, end, ops)
     }
 
     // ------------------------------------------------------------------
@@ -1023,6 +963,26 @@ mod tests {
         }
     }
 
+    /// Phase 1 through the ring's entry: the candidate count and marks.
+    fn phase1(t: &SlotTree, start: Time, ops: &mut OpStats) -> (usize, Vec<MarkedNode>) {
+        let mut marked = Vec::new();
+        let count = t.phase1_candidates_append(start, &mut marked, ops);
+        (count, marked)
+    }
+
+    /// Phase 2 through the ring's entry, over the marks of [`phase1`].
+    fn phase2(t: &SlotTree, marked: &[MarkedNode], end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
+        let mut out = Vec::new();
+        t.phase2_collect(marked, end, &mut out, ops);
+        out
+    }
+
+    /// Both phases: every feasible period for `[start, end)`.
+    fn find(t: &SlotTree, start: Time, end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
+        let (_, marked) = phase1(t, start, ops);
+        phase2(t, &marked, end, ops)
+    }
+
     /// The four idle periods of Figure 2 (slot q = 2, interval [10, 20)).
     fn figure2_tree() -> SlotTree {
         let mut ops = OpStats::new();
@@ -1048,12 +1008,12 @@ mod tests {
         // Section 4.2 example: r = (q_r=17, s_r=17, l_r=12, n_r=2), e_r=29.
         let t = figure2_tree();
         let mut ops = OpStats::new();
-        let (count, marked) = t.phase1_candidates(Time(17), &mut ops);
+        let (count, marked) = phase1(&t, Time(17), &mut ops);
         // All four periods start at or before 17 — 4 > n_r = 2 candidates.
         assert_eq!(count, 4);
         // Phase 2 (reverse marking order → latest-starting candidates first)
         // finds Y and Z, both ending at 33 >= 29.
-        let feasible = t.phase2_feasible(&marked, Time(29), &mut ops);
+        let feasible = phase2(&t, &marked, Time(29), &mut ops);
         assert_eq!(feasible.len(), 2);
         let mut ids: Vec<u64> = feasible.iter().map(|i| i.0).collect();
         ids.sort();
@@ -1066,9 +1026,9 @@ mod tests {
         let t = figure2_tree();
         let mut ops = OpStats::new();
         // s_r = 5: only X (st=4) and V (st=1) are candidates.
-        let (count, marked) = t.phase1_candidates(Time(5), &mut ops);
+        let (count, marked) = phase1(&t, Time(5), &mut ops);
         assert_eq!(count, 2);
-        let all = t.phase2_feasible(&marked, Time(6), &mut ops);
+        let all = phase2(&t, &marked, Time(6), &mut ops);
         let mut ids: Vec<u64> = all.iter().map(|i| i.0).collect();
         ids.sort();
         assert_eq!(ids, vec![1, 4]);
@@ -1078,9 +1038,9 @@ mod tests {
     fn phase2_respects_end_condition() {
         let t = figure2_tree();
         let mut ops = OpStats::new();
-        let (_, marked) = t.phase1_candidates(Time(17), &mut ops);
+        let (_, marked) = phase1(&t, Time(17), &mut ops);
         // e_r = 34: no period ends at or after 34.
-        assert!(t.phase2_feasible(&marked, Time(34), &mut ops).is_empty());
+        assert!(phase2(&t, &marked, Time(34), &mut ops).is_empty());
         assert_eq!(t.count_feasible(&marked, Time(34), &mut ops), 0);
         // e_r = 18: all four are feasible.
         assert_eq!(t.count_feasible(&marked, Time(18), &mut ops), 4);
@@ -1090,7 +1050,7 @@ mod tests {
     fn find_feasible_composes_phases() {
         let t = figure2_tree();
         let mut ops = OpStats::new();
-        let ids = t.find_feasible(Time(17), Time(29), &mut ops);
+        let ids = find(&t, Time(17), Time(29), &mut ops);
         assert_eq!(ids.len(), 2);
     }
 
@@ -1101,7 +1061,7 @@ mod tests {
         assert!(t.remove(&p(2, 2, 16, 33), &mut ops)); // remove Y
         assert!(!t.remove(&p(2, 2, 16, 33), &mut ops));
         t.check_invariants();
-        let ids = t.find_feasible(Time(17), Time(29), &mut ops);
+        let ids = find(&t, Time(17), Time(29), &mut ops);
         assert_eq!(ids, vec![PeriodId(3)]); // only Z remains feasible
         assert_eq!(t.len(), 3);
     }
@@ -1115,7 +1075,7 @@ mod tests {
             t.check_invariants();
         }
         assert!(t.is_empty());
-        let (count, marked) = t.phase1_candidates(Time(100), &mut ops);
+        let (count, marked) = phase1(&t, Time(100), &mut ops);
         assert_eq!(count, 0);
         assert!(marked.is_empty());
     }
@@ -1127,7 +1087,7 @@ mod tests {
         for i in 0..8 {
             t.insert(p(i, i as u32, i as i64, i64::MAX), &mut ops);
         }
-        let ids = t.find_feasible(Time(100), Time(1 << 50), &mut ops);
+        let ids = find(&t, Time(100), Time(1 << 50), &mut ops);
         assert_eq!(ids.len(), 8);
     }
 
@@ -1254,7 +1214,7 @@ mod tests {
             for _ in 0..40 {
                 let start = Time(rng.random_range(0..320));
                 let end = start + crate::time::Dur(rng.random_range(1..150));
-                let (_, marked) = t.phase1_candidates(start, &mut ops);
+                let (_, marked) = phase1(&t, start, &mut ops);
                 let per_mark: Vec<Vec<EndKey>> = marked
                     .iter()
                     .rev()
@@ -1302,11 +1262,7 @@ mod tests {
                 t.check_invariants();
                 let sr = Time(rng.random_range(0..1200));
                 let er = sr + crate::time::Dur(rng.random_range(1..400));
-                let mut got: Vec<u64> = t
-                    .find_feasible(sr, er, &mut ops)
-                    .iter()
-                    .map(|x| x.0)
-                    .collect();
+                let mut got: Vec<u64> = find(&t, sr, er, &mut ops).iter().map(|x| x.0).collect();
                 got.sort();
                 let mut want: Vec<u64> = live
                     .iter()

@@ -56,14 +56,14 @@ impl Session {
         }
     }
 
-    /// Force the scheduler's slot rings down their one-update-at-a-time
-    /// path (no-op before `init`): the reference session for differential
-    /// tests of the batched write path.
+    /// The engine behind the session, once `init` or a restore built one:
+    /// where differential tests set the execution switches that change how
+    /// the engine works but not what it decides (the pool threshold, the
+    /// linear walk, eager ring updates). `init` and `load` build a new
+    /// engine, so a switch must be set again after either.
     #[doc(hidden)]
-    pub fn force_eager_ring_updates(&mut self) {
-        if let Some(s) = &mut self.sched {
-            s.force_eager_ring_updates();
-        }
+    pub fn engine(&mut self) -> Option<&mut CoAllocScheduler> {
+        self.sched.as_mut()
     }
 
     /// Whether `line` is the session terminator. The caller owns the exit
@@ -614,7 +614,7 @@ mod tests {
         // Every back-end reports the script's five laddered requests (four
         // grants, one horizon reject) to the process-global request
         // counters. Sibling tests bump them too, so these are lower bounds;
-        // `crates/shard/tests/request_metrics.rs` has the exact comparison.
+        // `crates/core/tests/request_metrics.rs` has the exact comparison.
         let counters = || {
             [
                 "sched_requests_total",
