@@ -37,8 +37,9 @@
 //! leaf-identical to the live one (see DESIGN.md §14).
 //!
 //! All queries and steady-state maintenance are allocation-free; memory is
-//! two `Vec<i64>` of `2 * Q.next_power_of_two()` nodes allocated at
-//! construction.
+//! three `Vec<i64>` of `2 * Q.next_power_of_two()` nodes allocated at
+//! construction (the subtree minima cost `8 · 2m` bytes: 8 KiB at 288
+//! slots, 64 MiB at the 2^22-slot bound).
 
 use crate::time::{Dur, SlotConfig, SlotIdx, Time};
 use obs::LazyCounter;
@@ -47,6 +48,18 @@ use obs::LazyCounter;
 // grant/release flow, and leaves zeroed by window rotation.
 static PROFILE_UPDATES: LazyCounter = LazyCounter::new("sched_profile_updates_total");
 static PROFILE_SLOTS_ROTATED: LazyCounter = LazyCounter::new("sched_profile_slots_rotated_total");
+
+#[cfg(test)]
+thread_local! {
+    /// Searches from the root made by `next_allowed` on this thread.
+    static DESCENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_descent() {
+    #[cfg(test)]
+    DESCENTS.with(|d| d.set(d.get() + 1));
+}
 
 /// Aggregate count-of-busy-servers-over-time index (see the module docs).
 ///
@@ -70,6 +83,8 @@ pub struct FreeProfile {
     /// ancestors' (non-pushing lazy scheme). Node `i` has children `2i` and
     /// `2i + 1`; leaves are `m..2m`.
     max: Vec<i64>,
+    /// Subtree minima, kept the same way as `max`.
+    min: Vec<i64>,
     /// Pending range adds, applied to the whole subtree.
     lazy: Vec<i64>,
 }
@@ -85,6 +100,7 @@ impl FreeProfile {
             m,
             base: slot_cfg.slot_of(now).0,
             max: vec![0; 2 * m],
+            min: vec![0; 2 * m],
             lazy: vec![0; 2 * m],
         }
     }
@@ -108,6 +124,7 @@ impl FreeProfile {
             // The whole window expired; nothing to carry over.
             self.base = target;
             self.max.fill(0);
+            self.min.fill(0);
             self.lazy.fill(0);
             return;
         }
@@ -177,11 +194,15 @@ impl FreeProfile {
     /// `servers` servers possibly free. Returns `None` when every remaining
     /// attempt is provably infeasible.
     ///
-    /// Every index skipped over is provably failing: the search walks from
-    /// the *rightmost* blocking slot of the current window, and any start
-    /// before that slot's end still intersects it (the window only shifts
-    /// right), so the same blocker rejects it. Each iteration moves past a
-    /// strictly later blocker, bounding the walk by the window slot count.
+    /// Every index skipped over is provably failing. The search finds the
+    /// *rightmost* blocking slot `b` of the current window and then the
+    /// first live slot `f > b` at or below the threshold: any start before
+    /// `b`'s end still intersects `b` (the window only shifts right), and
+    /// any start in `[slot_end(b), slot_start(f))` lies inside a slot above
+    /// the threshold. Without such an `f` the walk jumps past the live
+    /// window, where a window has no information. A booked band is so
+    /// crossed in two descents, and each iteration moves past a strictly
+    /// later blocker, bounding the walk by the window slot count.
     pub fn next_allowed(
         &self,
         earliest: Time,
@@ -193,6 +214,7 @@ impl FreeProfile {
     ) -> Option<u64> {
         debug_assert!(step.secs() > 0 && duration.secs() > 0);
         let thresh = self.num_servers.saturating_sub(servers) as i64;
+        let live_end = self.base + self.m as i64;
         let mut k = k_from;
         while k < k_limit {
             let start = earliest + step * (k as i64);
@@ -205,9 +227,12 @@ impl FreeProfile {
             let Some(blocker) = self.rightmost_above(lo, hi + 1, thresh) else {
                 return Some(k);
             };
-            // Jump to the first attempt starting at or after the blocking
-            // slot's end; everything before it still intersects the blocker.
-            let min_start = (blocker + 1) * self.slot_cfg.tau.secs();
+            // Jump to the first attempt starting at or after the first slot
+            // past the blocker with room (see the doc comment).
+            let free = self
+                .leftmost_at_most(blocker + 1, live_end, thresh)
+                .unwrap_or(live_end);
+            let min_start = free * self.slot_cfg.tau.secs();
             let delta = min_start - earliest.secs();
             let k_next = if delta <= 0 {
                 k + 1
@@ -226,6 +251,25 @@ impl FreeProfile {
         }
         let pos = q.0.rem_euclid(self.m as i64) as usize;
         self.point_value(pos).max(0) as u32
+    }
+
+    /// Recompute every node's subtree minimum and maximum from its children
+    /// and its own pending add (test helper).
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        for node in 1..self.m {
+            let (l, r) = (2 * node, 2 * node + 1);
+            let max = self.lazy[node] + self.max[l].max(self.max[r]);
+            let min = self.lazy[node] + self.min[l].min(self.min[r]);
+            assert!(
+                self.max[node] == max && self.min[node] == min,
+                "node {node}"
+            );
+        }
+        for leaf in self.m..2 * self.m {
+            let v = self.lazy[leaf];
+            assert!(self.max[leaf] == v && self.min[leaf] == v, "leaf {leaf}");
+        }
     }
 
     /// Cross-check every live slot's count against a brute-force recount of
@@ -274,12 +318,14 @@ impl FreeProfile {
         if l <= nl && nr <= r {
             self.lazy[node] += v;
             self.max[node] += v;
+            self.min[node] += v;
             return;
         }
         let mid = (nl + nr) / 2;
         self.add_rec(2 * node, nl, mid, l, r, v);
         self.add_rec(2 * node + 1, mid, nr, l, r, v);
         self.max[node] = self.lazy[node] + self.max[2 * node].max(self.max[2 * node + 1]);
+        self.min[node] = self.lazy[node] + self.min[2 * node].min(self.min[2 * node + 1]);
     }
 
     /// Maximum over the absolute slot range `[lo, hi)` (live slots only).
@@ -322,6 +368,7 @@ impl FreeProfile {
     /// The *largest absolute* slot in `[lo, hi)` (inclusive-exclusive, live)
     /// whose count exceeds `thresh`, or `None`.
     fn rightmost_above(&self, lo: i64, hi: i64, thresh: i64) -> Option<i64> {
+        count_descent();
         let pos = lo.rem_euclid(self.m as i64) as usize;
         let len = (hi - lo) as usize;
         if pos + len <= self.m {
@@ -361,6 +408,54 @@ impl FreeProfile {
         let acc = acc + self.lazy[node];
         self.rightmost_rec(2 * node + 1, mid, nr, l, r, thresh, acc)
             .or_else(|| self.rightmost_rec(2 * node, nl, mid, l, r, thresh, acc))
+    }
+
+    /// The *smallest absolute* slot in `[lo, hi)` (live) whose count is at
+    /// most `thresh`, or `None`.
+    fn leftmost_at_most(&self, lo: i64, hi: i64, thresh: i64) -> Option<i64> {
+        if lo >= hi {
+            return None;
+        }
+        count_descent();
+        let pos = lo.rem_euclid(self.m as i64) as usize;
+        let len = (hi - lo) as usize;
+        if pos + len <= self.m {
+            self.leftmost_rec(1, 0, self.m, pos, pos + len, thresh, 0)
+                .map(|p| lo + (p - pos) as i64)
+        } else {
+            let wrap = pos + len - self.m;
+            // The leaves from `pos` on hold the *earlier* absolute slots —
+            // search them first so the returned slot is the leftmost in time.
+            self.leftmost_rec(1, 0, self.m, pos, self.m, thresh, 0)
+                .map(|p| lo + (p - pos) as i64)
+                .or_else(|| {
+                    self.leftmost_rec(1, 0, self.m, 0, wrap, thresh, 0)
+                        .map(|p| hi - (wrap - p) as i64)
+                })
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn leftmost_rec(
+        &self,
+        node: usize,
+        nl: usize,
+        nr: usize,
+        l: usize,
+        r: usize,
+        thresh: i64,
+        acc: i64,
+    ) -> Option<usize> {
+        if r <= nl || nr <= l || self.min[node] + acc > thresh {
+            return None;
+        }
+        if nr - nl == 1 {
+            return Some(nl);
+        }
+        let mid = (nl + nr) / 2;
+        let acc = acc + self.lazy[node];
+        self.leftmost_rec(2 * node, nl, mid, l, r, thresh, acc)
+            .or_else(|| self.leftmost_rec(2 * node + 1, mid, nr, l, r, thresh, acc))
     }
 
     /// Value at leaf `pos`: the leaf's own adds plus every ancestor's lazy.
@@ -465,6 +560,7 @@ mod tests {
             for q in naive.base..naive.base + naive.num_slots as i64 {
                 assert_eq!(p.busy_in_slot(SlotIdx(q)) as i64, naive.busy(q), "slot {q}");
             }
+            p.check_invariants();
         }
     }
 
@@ -501,6 +597,23 @@ mod tests {
         assert_eq!(p.free_upper_bound(Time(39), Time(41)), 0);
     }
 
+    /// The linear oracle of `next_allowed`: the first index in
+    /// `[k_from, k_limit)` whose window `free_upper_bound` leaves room in.
+    fn linear_next_allowed(
+        p: &FreeProfile,
+        earliest: Time,
+        step: Dur,
+        dur: Dur,
+        n: u32,
+        k_from: u64,
+        k_limit: u64,
+    ) -> Option<u64> {
+        (k_from..k_limit).find(|&k| {
+            let s = earliest + step * (k as i64);
+            p.free_upper_bound(s, s + dur) >= n
+        })
+    }
+
     #[test]
     fn next_allowed_jumps_past_blockers_and_matches_linear_scan() {
         let sc = cfg(10, 200);
@@ -511,18 +624,115 @@ mod tests {
             for dur in [10i64, 30, 50] {
                 for k_from in 0u64..4 {
                     let limit = 15u64;
-                    // Linear oracle over the same bound.
-                    let mut expect = None;
-                    for k in k_from..limit {
-                        let s = Time(k as i64 * 10);
-                        if p.free_upper_bound(s, s + Dur(dur)) >= n {
-                            expect = Some(k);
-                            break;
-                        }
-                    }
+                    let expect =
+                        linear_next_allowed(&p, Time::ZERO, Dur(10), Dur(dur), n, k_from, limit);
                     let got = p.next_allowed(Time::ZERO, Dur(10), Dur(dur), n, k_from, limit);
                     assert_eq!(got, expect, "n={n} dur={dur} k_from={k_from}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn next_allowed_matches_linear_scan_under_churn() {
+        // Horizon = m (no empty tail past the horizon, so a booked band can
+        // run to the end of the live leaves) and horizon < m.
+        for horizon in [160i64, 120] {
+            let sc = cfg(10, horizon);
+            const N: u32 = 4;
+            let mut p = FreeProfile::new(sc, N, Time::ZERO);
+            let mut live: Vec<(Time, Time, u32)> = Vec::new();
+            let mut x = 0x2545F4914F6CDD1Du64 ^ horizon as u64;
+            let mut rnd = move |bound: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % bound
+            };
+            let mut now = 0i64;
+            let mut wrapped = 0;
+            for _ in 0..1500 {
+                match rnd(8) {
+                    // Mostly adds, so that bands fill up to `N`.
+                    0..=3 => {
+                        let end = (now.div_euclid(10) * 10) + horizon;
+                        let s = now + rnd((end - now) as u64) as i64;
+                        let e = s + 1 + rnd((end - s) as u64) as i64;
+                        // Half of them book every server, building walls.
+                        let n = if rnd(2) == 0 {
+                            N
+                        } else {
+                            1 + rnd(N as u64) as u32
+                        };
+                        p.add(Time(s), Time(e), n);
+                        live.push((Time(s), Time(e), n));
+                    }
+                    4 | 5 => {
+                        if !live.is_empty() {
+                            let (s, e, n) = live.swap_remove(rnd(live.len() as u64) as usize);
+                            p.remove(s, e, n);
+                        }
+                    }
+                    // Rotations of up to a whole window and then some, so the
+                    // base leaves leaf 0 and the searched leaf ranges wrap.
+                    _ => {
+                        now += rnd(200) as i64;
+                        p.advance_to(Time(now));
+                    }
+                }
+                p.check_invariants();
+                if p.base.rem_euclid(p.m as i64) != 0 {
+                    wrapped += 1;
+                }
+                for _ in 0..6 {
+                    let earliest = Time(now - 30 + rnd(horizon as u64 + 60) as i64);
+                    let step = Dur([10, 7, 25][rnd(3) as usize]);
+                    let dur = Dur(1 + rnd(60) as i64);
+                    let n = [1, N, 1 + rnd(N as u64) as u32][rnd(3) as usize];
+                    let k_from = rnd(6);
+                    // Up to 40 steps of at least 7 s: often past the window.
+                    let k_limit = k_from + rnd(40);
+                    let got = p.next_allowed(earliest, step, dur, n, k_from, k_limit);
+                    let want = linear_next_allowed(&p, earliest, step, dur, n, k_from, k_limit);
+                    assert_eq!(
+                        got, want,
+                        "base {} earliest {earliest:?} step {step:?} dur {dur:?} n {n} k {k_from}..{k_limit}",
+                        p.base
+                    );
+                }
+            }
+            assert!(wrapped > 100, "the churn must rotate the base off leaf 0");
+        }
+    }
+
+    #[test]
+    fn a_doomed_ladder_on_a_booked_wall_costs_two_descents() {
+        // 64 servers, 72 h horizon, tau = Delta_t = 15 min, every server
+        // booked over [0, 48 h) by twelve 64-wide 4 h fillers.
+        const SLOT: i64 = 900;
+        const HOUR: i64 = 3600;
+        let sched = crate::scheduler::SchedulerConfig {
+            tau: Dur(SLOT),
+            horizon: Dur(72 * HOUR),
+            delta_t: Dur(SLOT),
+            ..Default::default()
+        };
+        let mut p = FreeProfile::new(sched.slot_config(), 64, Time::ZERO);
+        for i in 0..12 {
+            p.add(Time(i * 4 * HOUR), Time((i + 1) * 4 * HOUR), 64);
+        }
+        // Every attempt of the ladder (`R_max + 1` = 145 starts from 0)
+        // ends inside the wall. A max descent per window length took
+        // ceil(145 / l_r), 5 to 19 of them.
+        let tries = sched.effective_r_max() as u64 + 1;
+        for l in 8..=32 {
+            for n in 1..=64 {
+                let dur = Dur(l * SLOT);
+                let before = DESCENTS.with(|d| d.get());
+                let got = p.next_allowed(Time::ZERO, Dur(SLOT), dur, n, 0, tries);
+                let descents = DESCENTS.with(|d| d.get()) - before;
+                assert_eq!(got, None, "l_r = {l} slots, n_r = {n}");
+                assert!(descents <= 2, "l_r = {l}, n_r = {n}: {descents} descents");
             }
         }
     }
