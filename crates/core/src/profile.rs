@@ -37,9 +37,10 @@
 //! leaf-identical to the live one (see DESIGN.md §14).
 //!
 //! All queries and steady-state maintenance are allocation-free; memory is
-//! three `Vec<i64>` of `2 * Q.next_power_of_two()` nodes allocated at
-//! construction (the subtree minima cost `8 · 2m` bytes: 8 KiB at 288
-//! slots, 64 MiB at the 2^22-slot bound).
+//! allocated at construction: with `m = Q.next_power_of_two()` leaves, one
+//! `Vec<i64>` of `2m` subtree maxima whose leaf half holds each leaf's
+//! count, and two of `m` for the internal nodes' minima and pending adds —
+//! `32m` bytes: 16 KiB at 288 slots, 128 MiB at the 2^22-slot bound.
 
 use crate::time::{Dur, SlotConfig, SlotIdx, Time};
 use obs::LazyCounter;
@@ -81,11 +82,14 @@ pub struct FreeProfile {
     base: i64,
     /// Subtree maxima, *including* the node's own pending add but excluding
     /// ancestors' (non-pushing lazy scheme). Node `i` has children `2i` and
-    /// `2i + 1`; leaves are `m..2m`.
+    /// `2i + 1`; leaves are `m..2m`, and a leaf's entry is its own count
+    /// (its minimum, and every add made to it alone).
     max: Vec<i64>,
-    /// Subtree minima, kept the same way as `max`.
+    /// Subtree minima of the internal nodes `1..m`, kept the same way as
+    /// `max` (index 0 unused); a leaf's is its `max` entry.
     min: Vec<i64>,
-    /// Pending range adds, applied to the whole subtree.
+    /// Pending range adds of the internal nodes `1..m`, applied to the
+    /// whole subtree (index 0 unused).
     lazy: Vec<i64>,
 }
 
@@ -100,8 +104,8 @@ impl FreeProfile {
             m,
             base: slot_cfg.slot_of(now).0,
             max: vec![0; 2 * m],
-            min: vec![0; 2 * m],
-            lazy: vec![0; 2 * m],
+            min: vec![0; m],
+            lazy: vec![0; m],
         }
     }
 
@@ -253,22 +257,29 @@ impl FreeProfile {
         self.point_value(pos).max(0) as u32
     }
 
-    /// Recompute every node's subtree minimum and maximum from its children
-    /// and its own pending add (test helper).
+    /// Recompute every internal node's subtree minimum and maximum from its
+    /// children and its own pending add (test helper).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         for node in 1..self.m {
             let (l, r) = (2 * node, 2 * node + 1);
             let max = self.lazy[node] + self.max[l].max(self.max[r]);
-            let min = self.lazy[node] + self.min[l].min(self.min[r]);
+            let min = self.lazy[node] + self.node_min(l).min(self.node_min(r));
             assert!(
                 self.max[node] == max && self.min[node] == min,
                 "node {node}"
             );
         }
-        for leaf in self.m..2 * self.m {
-            let v = self.lazy[leaf];
-            assert!(self.max[leaf] == v && self.min[leaf] == v, "leaf {leaf}");
+    }
+
+    /// Subtree minimum of `node`, own pending add included: a leaf's is its
+    /// count.
+    #[inline]
+    fn node_min(&self, node: usize) -> i64 {
+        if node < self.m {
+            self.min[node]
+        } else {
+            self.max[node]
         }
     }
 
@@ -316,16 +327,19 @@ impl FreeProfile {
             return;
         }
         if l <= nl && nr <= r {
-            self.lazy[node] += v;
             self.max[node] += v;
-            self.min[node] += v;
+            if node < self.m {
+                self.lazy[node] += v;
+                self.min[node] += v;
+            }
             return;
         }
         let mid = (nl + nr) / 2;
-        self.add_rec(2 * node, nl, mid, l, r, v);
-        self.add_rec(2 * node + 1, mid, nr, l, r, v);
-        self.max[node] = self.lazy[node] + self.max[2 * node].max(self.max[2 * node + 1]);
-        self.min[node] = self.lazy[node] + self.min[2 * node].min(self.min[2 * node + 1]);
+        let (lc, rc) = (2 * node, 2 * node + 1);
+        self.add_rec(lc, nl, mid, l, r, v);
+        self.add_rec(rc, mid, nr, l, r, v);
+        self.max[node] = self.lazy[node] + self.max[lc].max(self.max[rc]);
+        self.min[node] = self.lazy[node] + self.node_min(lc).min(self.node_min(rc));
     }
 
     /// Maximum over the absolute slot range `[lo, hi)` (live slots only).
@@ -446,7 +460,7 @@ impl FreeProfile {
         thresh: i64,
         acc: i64,
     ) -> Option<usize> {
-        if r <= nl || nr <= l || self.min[node] + acc > thresh {
+        if r <= nl || nr <= l || self.node_min(node) + acc > thresh {
             return None;
         }
         if nr - nl == 1 {

@@ -9,17 +9,20 @@
 //! 1. **accepts** until `WouldBlock`: a connection is registered while
 //!    fewer than `max_conns` are open, and shed at the edge with
 //!    [`BUSY_REPLY`] and a close otherwise;
-//! 2. **reads** until `WouldBlock` into a per-connection buffer and slices
-//!    *every complete line* out of it — a whole pipelined burst becomes one
-//!    [`Batch`] and crosses the bounded scheduler queue **once**, which is
-//!    what feeds `Session::exec_batch` real batch sizes;
+//! 2. **reads** into a per-connection buffer until a short read (the
+//!    socket is drained; poll re-reports anything that arrives later) and
+//!    copies *every complete line* into one burst buffer — a whole
+//!    pipelined burst becomes one [`Batch`] and crosses the bounded
+//!    scheduler queue **once**, which is what feeds `Session::exec_into`
+//!    real batch sizes;
 //! 3. **resequences** completions — they arrive as one message per
-//!    scheduler pass or fsync release: replies can come back out of order per
-//!    connection (the WAL withholds mutating replies for their group-commit
-//!    fsync while read-only replies release immediately), so each line
-//!    carries a per-connection sequence number and the loop buffers replies
-//!    until every earlier one is written — the reply stream stays
-//!    byte-identical to the same script on stdin;
+//!    scheduler pass or fsync release, each a [`Done`] *run* of lines with
+//!    consecutive sequence numbers and one reply buffer: runs can come back
+//!    out of order per connection (the WAL withholds mutating replies for
+//!    their group-commit fsync while read-only replies release
+//!    immediately), so the loop holds a run back until every earlier line
+//!    is written — the reply stream stays byte-identical to the same
+//!    script on stdin;
 //! 4. **writes** replies from a per-connection buffer, many replies per
 //!    syscall; a slow reader leaves bytes buffered, the loop switches that
 //!    fd to writable-readiness (`POLLOUT`) and stops reading from it once
@@ -79,34 +82,54 @@ pub(crate) struct ConnToken {
     pub gen: u64,
 }
 
-/// One framed command line inside a [`Batch`], with its per-connection
-/// sequence number (reply-ordering identity).
-pub(crate) struct LineJob {
-    pub seq: u64,
-    pub line: String,
-}
-
 /// A whole pipelined read slice from one connection: the unit that crosses
 /// the bounded scheduler queue. One queue crossing per read burst, however
-/// many lines it framed, and one set of stage stamps for all of them.
+/// many lines it framed, and one set of stage stamps for all of them. The
+/// lines travel as one buffer, each ended by `\n`; line `k` has the
+/// per-connection sequence number (reply-ordering identity)
+/// `first_seq + k`.
 pub(crate) struct Batch {
     pub token: ConnToken,
     pub stamps: Stamps,
-    pub lines: Vec<LineJob>,
+    pub first_seq: u64,
+    pub lines: usize,
+    pub text: Arc<String>,
 }
 
-/// A completed line travelling back from the scheduler thread to the
-/// connection's I/O loop (or synthesized loop-locally for queue sheds).
-/// `text` is final reply text; empty means "no bytes on the wire"
-/// (comments, blank lines).
+/// A *run* of completed lines travelling back from the scheduler thread to
+/// the connection's I/O loop (or synthesized loop-locally for queue sheds):
+/// consecutive lines of one burst, with consecutive sequence numbers from
+/// `first_seq` and one set of stamps. `bytes` holds their replies' wire
+/// bytes; a comment or blank line puts none there.
 pub(crate) struct Done {
     pub slot: usize,
     pub gen: u64,
-    pub seq: u64,
-    pub line: String,
-    pub text: String,
+    pub first_seq: u64,
+    /// The burst's lines; the run's first starts at byte `text_start`.
+    /// Read only for the slow ring.
+    pub text: Arc<String>,
+    pub text_start: usize,
+    pub bytes: String,
+    /// Where each line's reply ends in `bytes`.
+    pub ends: Vec<usize>,
     pub stamps: Stamps,
     pub shed: bool,
+}
+
+impl Done {
+    pub(crate) fn lines(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Each line's reply bytes, `\n` included.
+    fn replies(&self) -> impl Iterator<Item = &str> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let reply = &self.bytes[start..end];
+            start = end;
+            reply
+        })
+    }
 }
 
 /// A handle to the I/O loop: the completion channel plus the self-pipe
@@ -195,10 +218,10 @@ struct Conn {
     next_write_seq: u64,
     /// Lines handed to the scheduler whose completion has not come back.
     inflight: usize,
-    /// Completions that arrived ahead of `next_write_seq` (WAL-withheld
+    /// Runs that arrived ahead of `next_write_seq` (WAL-withheld
     /// neighbours still pending): released in order as the gap fills.
     heldback: Vec<Done>,
-    /// Replies appended to `wbuf` this round, awaiting their post-flush
+    /// Runs appended to `wbuf` this round, awaiting their post-flush
     /// stage stamp + tail capture.
     applied: Vec<Done>,
     /// A terminal error line (timeout / too-long), written only after
@@ -253,12 +276,12 @@ impl Conn {
             && !self.has_unwritten()
     }
 
-    /// Accept one completion, releasing it and any unblocked successors in
+    /// Accept one run, releasing it and any unblocked successors in
     /// sequence order; returns how many replies went into the write buffer.
-    /// Every framed line gets exactly one completion, so the resequencer
+    /// Every framed line belongs to exactly one run, so the resequencer
     /// can never deadlock on a gap.
     fn accept_done(&mut self, done: Done) -> u64 {
-        if done.seq != self.next_write_seq {
+        if done.first_seq != self.next_write_seq {
             self.heldback.push(done);
             return 0;
         }
@@ -266,7 +289,7 @@ impl Conn {
         while let Some(pos) = self
             .heldback
             .iter()
-            .position(|h| h.seq == self.next_write_seq)
+            .position(|h| h.first_seq == self.next_write_seq)
         {
             let next = self.heldback.swap_remove(pos);
             replies += self.apply(next);
@@ -274,17 +297,14 @@ impl Conn {
         replies
     }
 
-    /// Append one in-order reply to the write buffer; returns 1 if it put
-    /// bytes on the wire, 0 for an empty reply.
+    /// Append one in-order run to the write buffer; returns how many of
+    /// its replies put bytes on the wire.
     fn apply(&mut self, done: Done) -> u64 {
-        self.next_write_seq = done.seq + 1;
-        let wrote = !done.text.is_empty();
-        if wrote {
-            self.wbuf.extend_from_slice(done.text.as_bytes());
-            self.wbuf.push(b'\n');
-        }
+        self.next_write_seq = done.first_seq + done.lines() as u64;
+        self.wbuf.extend_from_slice(done.bytes.as_bytes());
+        let wrote = done.replies().filter(|r| !r.is_empty()).count() as u64;
         self.applied.push(done);
-        u64::from(wrote)
+        wrote
     }
 
     /// Write as much of `wbuf` as the socket accepts right now. Many
@@ -415,10 +435,11 @@ impl IoLoop {
             let now = Instant::now();
 
             // Self-pipe: drain the wakeup bytes (their only content is
-            // "look at your queues").
+            // "look at your queues"). A short read emptied the pipe; poll
+            // is level-triggered and re-reports a byte written after it.
             if pfds[0].readable() {
                 let mut sink = [0u8; 64];
-                while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+                while matches!(self.wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
             }
 
             if first_conn > 1 && pfds[1].readable() {
@@ -509,7 +530,7 @@ impl IoLoop {
         }
     }
 
-    /// Route one message of scheduler completions, in order, to their
+    /// Route one message of scheduler runs, in order, to their
     /// (still-live) connections.
     fn deliver(&mut self, dones: Vec<Done>) {
         let mut replies = 0;
@@ -520,13 +541,16 @@ impl IoLoop {
             if c.gen != done.gen {
                 continue; // the slot was recycled; the original conn is gone
             }
-            c.inflight -= 1;
+            c.inflight -= done.lines();
             replies += c.accept_done(done);
         }
         REPLIES.add(replies);
     }
 
-    /// Drain the socket, frame complete lines, ship them as one batch.
+    /// Read what the socket holds, frame complete lines, ship them as one
+    /// batch. A short read means the socket was drained: the loop stops
+    /// there rather than pay a read that returns `WouldBlock`, and a FIN
+    /// that arrived behind the bytes is read on the next poll round.
     fn read_conn(&mut self, slot: usize, scratch: &mut [u8], now: Instant) {
         let Some(c) = self.conns[slot].as_mut() else {
             return;
@@ -548,8 +572,8 @@ impl IoLoop {
                     c.rbuf.extend_from_slice(&scratch[..n]);
                     c.last_activity = now;
                     total += n;
-                    if total >= READ_ROUND_MAX {
-                        break; // fairness bound; poll re-reports the rest
+                    if n < scratch.len() || total >= READ_ROUND_MAX {
+                        break; // drained, or the fairness bound; poll re-reports the rest
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -563,15 +587,16 @@ impl IoLoop {
         self.frame_and_submit(slot, now);
     }
 
-    /// Slice every complete line out of the read buffer and cross the
-    /// scheduler queue once with all of them.
+    /// Copy every complete line out of the read buffer into one burst
+    /// buffer and cross the scheduler queue once with all of them.
     fn frame_and_submit(&mut self, slot: usize, now: Instant) {
         let Some(c) = self.conns[slot].as_mut() else {
             return;
         };
         let token = ConnToken { slot, gen: c.gen };
         let accepted = Instant::now();
-        let mut lines: Vec<LineJob> = Vec::new();
+        let mut text = String::new();
+        let mut lines = 0usize;
         let mut pos = 0usize;
         let mut too_long = false;
         loop {
@@ -586,16 +611,14 @@ impl IoLoop {
                 too_long = true;
                 break;
             }
-            let mut raw = &c.rbuf[pos..end];
+            let (start, mut raw) = (pos, &c.rbuf[pos..end]);
             if raw.last() == Some(&b'\r') {
                 raw = &raw[..raw.len() - 1];
             }
-            let line = match std::str::from_utf8(raw) {
-                Ok(s) => s.to_string(),
-                Err(_) => "\u{fffd}".to_string(), // hits `unknown command`
-            };
+            // An invalid line hits `unknown command`.
+            let line = std::str::from_utf8(raw).unwrap_or("\u{fffd}");
             pos = end + 1;
-            if Session::is_exit(&line) {
+            if Session::is_exit(line) {
                 // `exit` ends the session: everything after it (in this
                 // buffer or still on the wire) is discarded, like EOF on
                 // stdin after an exit line.
@@ -604,9 +627,13 @@ impl IoLoop {
                 pos = 0;
                 break;
             }
-            let seq = c.next_seq;
-            c.next_seq += 1;
-            lines.push(LineJob { seq, line });
+            if text.is_empty() {
+                // One allocation for the burst: what is left of the buffer.
+                text.reserve(c.rbuf.len() - start);
+            }
+            text.push_str(line);
+            text.push('\n');
+            lines += 1;
         }
         if pos > 0 {
             c.rbuf.drain(..pos);
@@ -618,10 +645,11 @@ impl IoLoop {
             c.line_start = None;
         }
 
-        if !lines.is_empty() {
-            let n = lines.len();
-            LINES.add(n as u64);
-            READ_BATCH_LINES.observe(n as u64);
+        if lines > 0 {
+            LINES.add(lines as u64);
+            READ_BATCH_LINES.observe(lines as u64);
+            let first_seq = c.next_seq;
+            c.next_seq += lines as u64;
             // Depth is bumped *before* the try_send so the scheduler's
             // decrement can never observe a batch it was not charged for.
             QUEUE_DEPTH.add(1);
@@ -629,27 +657,29 @@ impl IoLoop {
             match self.job_tx.try_send(Batch {
                 token,
                 stamps,
+                first_seq,
                 lines,
+                text: Arc::new(text),
             }) {
-                Ok(()) => c.inflight += n,
+                Ok(()) => c.inflight += lines,
                 Err(TrySendError::Full(batch)) => {
                     // Queue-level shed: every line of the burst is answered
                     // `busy retry-after` in order; the connection lives on.
                     QUEUE_DEPTH.add(-1);
-                    SHED.add(n as u64);
-                    SHED_QUEUE.add(n as u64);
-                    let mut replies = 0;
-                    for l in batch.lines {
-                        replies += c.accept_done(Done {
-                            slot,
-                            gen: c.gen,
-                            seq: l.seq,
-                            line: l.line,
-                            text: BUSY_REPLY.to_string(),
-                            stamps,
-                            shed: true,
-                        });
-                    }
+                    SHED.add(lines as u64);
+                    SHED_QUEUE.add(lines as u64);
+                    let busy = BUSY_REPLY.len() + 1;
+                    let replies = c.accept_done(Done {
+                        slot,
+                        gen: c.gen,
+                        first_seq,
+                        text: batch.text,
+                        text_start: 0,
+                        bytes: format!("{BUSY_REPLY}\n").repeat(lines),
+                        ends: (1..=lines).map(|k| k * busy).collect(),
+                        stamps,
+                        shed: true,
+                    });
                     REPLIES.add(replies);
                 }
                 Err(TrySendError::Disconnected(_)) => {
@@ -716,35 +746,14 @@ impl IoLoop {
             if c.has_unwritten() {
                 c.try_flush();
             }
-            // Stamp + capture the replies that reached the buffer this
-            // round (the flush attempt above is their writeback, one clock
+            // Stamp + capture the runs that reached the buffer this round
+            // (the flush attempt above is their writeback, one clock
             // reading for all of them).
             if !c.applied.is_empty() {
                 let mut written = Written::at(Instant::now());
                 for done in c.applied.drain(..) {
-                    let total_us = written.push(&done.stamps);
-                    if done.text.is_empty() {
-                        continue; // nothing went on the wire: nothing to capture
-                    }
-                    let outcome = if done.shed {
-                        Some(slow::Outcome::Shed)
-                    } else if done.text.starts_with("error") {
-                        Some(slow::Outcome::Error)
-                    } else if slow::threshold_us() > 0 && total_us > slow::threshold_us() {
-                        Some(slow::Outcome::Slow)
-                    } else {
-                        None
-                    };
-                    if let Some(outcome) = outcome {
-                        slow::capture(
-                            c.id,
-                            &done.line,
-                            &done.text,
-                            outcome,
-                            &done.stamps,
-                            total_us,
-                        );
-                    }
+                    let total_us = written.push(&done.stamps, done.lines() as u64);
+                    capture(c.id, &done, total_us);
                 }
                 written.flush();
             }
@@ -767,5 +776,31 @@ impl IoLoop {
             self.open -= 1;
             ACTIVE.add(-1);
         }
+    }
+}
+
+/// Keep the lines of a written run that the slow ring wants: every line of
+/// a shed or slow run, and any line answered with an error. Only those
+/// lines are looked at one by one.
+fn capture(conn: u64, done: &Done, total_us: u64) {
+    let slow = slow::threshold_us() > 0 && total_us > slow::threshold_us();
+    if !(done.shed || slow || done.replies().any(|r| r.starts_with("error"))) {
+        return;
+    }
+    let lines = done.text[done.text_start..].split_terminator('\n');
+    for (line, reply) in lines.zip(done.replies()) {
+        let outcome = if reply.is_empty() {
+            continue; // nothing went on the wire: nothing to capture
+        } else if done.shed {
+            slow::Outcome::Shed
+        } else if reply.starts_with("error") {
+            slow::Outcome::Error
+        } else if slow {
+            slow::Outcome::Slow
+        } else {
+            continue;
+        };
+        let reply = reply.strip_suffix('\n').unwrap_or(reply);
+        slow::capture(conn, line, reply, outcome, &done.stamps, total_us);
     }
 }

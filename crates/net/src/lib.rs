@@ -7,15 +7,17 @@
 //! * [`proto`] — the shared command table: single source of truth for the
 //!   parser surface, the generated `help` reply and the protocol docs;
 //! * [`session`] — the command interpreter ([`Session`]), shared verbatim
-//!   by the stdin loop and the TCP path;
+//!   by the stdin loop and the TCP path, writing replies as wire bytes
+//!   into a reused [`session::Replies`] buffer;
 //! * [`server`] — the event-driven front-end ([`Server`]): one `poll(2)`
 //!   event loop (listener and every connection; `event`, private) →
 //!   bounded batch queue → one scheduler thread answering one pass of
-//!   queued lines per [`Session::exec_batch`] call, with admission control
+//!   queued lines per [`Session::exec_into`] call, with admission control
 //!   (`busy retry-after` sheds past `max_conns` and on a full queue),
 //!   poll-deadline read/idle/write timeouts, a max-line bound and graceful
-//!   drain. Whole pipelined bursts cross the queue as one
-//!   batch; replies are resequenced per connection, so reply order is
+//!   drain. Whole pipelined bursts cross the queue as one buffer and come
+//!   back as runs of reply bytes, with no heap object per line; replies
+//!   are resequenced per connection, so reply order is
 //!   exactly request order even though the WAL releases read-only replies
 //!   before fsynced mutating ones. With [`WalOptions`] set, the scheduler
 //!   thread write-ahead-logs every mutating command before its reply is

@@ -3,14 +3,16 @@
 //! Threading model (DESIGN.md §10): one **I/O event-loop thread** (the
 //! private `event` module) owns the listener and multiplexes *every*
 //! connection over `poll(2)`: it admits connections, frames whole
-//! pipelined bursts of lines per readiness round and crosses the bounded
-//! scheduler queue **once per burst**, not once per line. The single
-//! **scheduler thread** owns the [`Session`], flattens incoming batches
-//! into one arrival-ordered run queue, and answers it one *pass* at a time
-//! — one [`Session::exec_batch`] call over the queued lines, in order —
-//! which is what keeps the server's decisions deterministic and every
-//! per-session reply stream byte-identical to the same script on stdin
-//! (replies are resequenced per connection on the way out; see
+//! pipelined bursts of lines per readiness round into one buffer each and
+//! crosses the bounded scheduler queue **once per burst**, not once per
+//! line. The single **scheduler thread** owns the [`Session`], queues
+//! incoming bursts in arrival order, and answers them one *pass* at a
+//! time — one [`Session::exec_into`] call over the queued lines, in order,
+//! into one reply buffer — which is what keeps the server's decisions
+//! deterministic and every per-session reply stream byte-identical to the
+//! same script on stdin. Replies travel back as runs, one per burst share
+//! of a pass, or smaller where the WAL releases lines at different
+//! instants, and are resequenced per connection on the way out (see
 //! `event.rs`).
 //!
 //! Admission control happens at both bounded edges: past `max_conns` the
@@ -27,7 +29,7 @@
 use crate::admin::{AdminPlane, AdminState};
 use crate::event::{self, Batch, ConnToken, Done, IoSender};
 use crate::proto;
-use crate::session::Session;
+use crate::session::{Replies, Session};
 use crate::slow;
 use crate::stage::{Released, Stamps};
 use coalloc_wal::{Wal, WalConfig, WalError};
@@ -35,7 +37,9 @@ use obs::{LazyCounter, LazyGauge, LazyHistogram};
 use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
+use std::ops::Range;
 use std::path::PathBuf;
+use std::str::SplitTerminator;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{mpsc, Arc};
@@ -391,34 +395,72 @@ fn recover(opts: &WalOptions, shards: u32) -> std::io::Result<(Wal, Session)> {
     Ok((wal, session))
 }
 
-/// The scheduler's line back to the I/O loop: the replies released since
-/// the last wake travel as one message, sent with the wake — once per pass
-/// and once per fsync release, not once per reply.
+/// The scheduler's line back to the I/O loop: the runs released since the
+/// last wake travel as one message, sent with the wake — once per pass and
+/// once per fsync release, not once per reply.
 struct Completions {
     io: IoSender,
-    /// Replies released since the last wake, in release order.
+    /// Runs released since the last wake, in release order; the last one
+    /// is open to the lines that continue it.
     done: Vec<Done>,
     /// Their stage stamps, recorded a run at a time.
     stages: Released,
 }
 
+/// Where lines come from: their connection, the first one's sequence
+/// number, and the burst text holding it at byte `at`.
+struct Origin {
+    token: ConnToken,
+    seq: u64,
+    text: Arc<String>,
+    at: usize,
+}
+
 impl Completions {
-    /// Release one reply, stamped `released`, to the I/O loop — the one
-    /// place a [`Done`] is built. A dead connection just drops the reply
-    /// there; the command's effect stands (documented at-most-once reply
-    /// delivery).
-    fn release(&mut self, mut item: Item, text: String, released: Instant) {
-        item.stamps.released = Some(released);
-        self.stages.push(&item.stamps);
-        self.done.push(Done {
-            slot: item.token.slot,
-            gen: item.token.gen,
-            seq: item.seq,
-            line: item.line,
-            text,
-            stamps: item.stamps,
-            shed: false,
+    /// Release consecutive lines of one burst, stamped `released`, to the
+    /// I/O loop — the one place a [`Done`] is built. `bytes` are their
+    /// replies' wire bytes and `ends` where each reply ends in `bytes`.
+    /// Lines that continue the open run with equal stamps join it. A dead
+    /// connection just drops the run there; the commands' effects stand
+    /// (documented at-most-once reply delivery).
+    fn release(
+        &mut self,
+        from: Origin,
+        mut stamps: Stamps,
+        released: Instant,
+        bytes: &str,
+        ends: impl ExactSizeIterator<Item = usize>,
+    ) {
+        stamps.released = Some(released);
+        self.stages.push(&stamps, ends.len() as u64);
+        let joins = self.done.last().is_some_and(|d| {
+            (d.slot, d.gen) == (from.token.slot, from.token.gen)
+                && d.first_seq + d.lines() as u64 == from.seq
+                && d.stamps == stamps
+                && Arc::ptr_eq(&d.text, &from.text)
         });
+        if !joins {
+            self.done.push(Done {
+                slot: from.token.slot,
+                gen: from.token.gen,
+                first_seq: from.seq,
+                text: from.text,
+                text_start: from.at,
+                bytes: String::with_capacity(bytes.len()),
+                ends: Vec::with_capacity(ends.len()),
+                stamps,
+                shed: false,
+            });
+        }
+        let run = self.done.last_mut().expect("a run is open");
+        let base = run.bytes.len();
+        run.bytes.push_str(bytes);
+        run.ends.extend(ends.map(|end| base + end));
+    }
+
+    /// Release one line whose wire reply is `reply`.
+    fn release_line(&mut self, from: Origin, stamps: Stamps, released: Instant, reply: &str) {
+        self.release(from, stamps, released, reply, std::iter::once(reply.len()));
     }
 
     /// Send what was released since the last wake, and wake the loop.
@@ -432,35 +474,90 @@ impl Completions {
     }
 }
 
-/// One command line on the scheduler's flattened run queue, with the
-/// addressing it needs to route the reply back ([`ConnToken`] + per-conn
-/// sequence number).
-struct Item {
-    token: ConnToken,
-    seq: u64,
-    line: String,
+/// A dequeued burst on the scheduler's run queue: its lines from `next`
+/// on, starting at byte `offset` of its text, have not joined a pass yet.
+struct Queued {
+    batch: Batch,
+    next: usize,
+    offset: usize,
+}
+
+/// Take one queue batch onto the run queue, stamping its dequeue, and take
+/// over its queue accounting (the gauge counts batches).
+fn ingest(mut batch: Batch, q: &mut VecDeque<Queued>) {
+    QUEUE_DEPTH.add(-1);
+    batch.stamps.dequeued = Some(Instant::now());
+    q.push_back(Queued {
+        batch,
+        next: 0,
+        offset: 0,
+    });
+}
+
+/// One burst's share of a pass: `lines` consecutive lines of its text,
+/// from `from` up to byte `end`.
+struct Part {
+    from: Origin,
+    end: usize,
+    lines: usize,
     stamps: Stamps,
 }
 
-/// Flatten one queue batch onto the run queue, stamping its dequeue, and
-/// take over its queue accounting (the gauge counts batches).
-fn ingest(batch: Batch, q: &mut VecDeque<Item>) {
-    QUEUE_DEPTH.add(-1);
-    let token = batch.token;
-    let stamps = Stamps {
-        dequeued: Some(Instant::now()),
-        ..batch.stamps
-    };
-    q.extend(batch.lines.into_iter().map(|l| Item {
-        token,
-        seq: l.seq,
-        line: l.line,
-        stamps,
-    }));
+impl Part {
+    fn lines(&self) -> SplitTerminator<'_, char> {
+        self.from.text[self.from.at..self.end].split_terminator('\n')
+    }
+}
+
+/// Move the next pass off the run queue into `pass`: up to [`PASS_MAX`]
+/// lines in arrival order, ending right after a `load` (its outcome is
+/// logged as a snapshot of the session as that `load` left it).
+fn next_pass(q: &mut VecDeque<Queued>, pass: &mut Vec<Part>) {
+    let mut room = PASS_MAX;
+    while room > 0 {
+        let Some(front) = q.front_mut() else { break };
+        let (mut lines, mut bytes, mut load) = (0, 0, false);
+        for line in front.batch.text[front.offset..].split_terminator('\n') {
+            lines += 1;
+            bytes += line.len() + 1;
+            load = line.split_whitespace().next() == Some("load");
+            if load || lines == room {
+                break;
+            }
+        }
+        pass.push(Part {
+            from: Origin {
+                token: front.batch.token,
+                seq: front.batch.first_seq + front.next as u64,
+                text: Arc::clone(&front.batch.text),
+                at: front.offset,
+            },
+            end: front.offset + bytes,
+            lines,
+            stamps: front.batch.stamps,
+        });
+        front.next += lines;
+        front.offset += bytes;
+        room -= lines;
+        if front.next == front.batch.lines {
+            q.pop_front();
+        }
+        if load {
+            break;
+        }
+    }
 }
 
 /// Largest fsync batch: bounds how much reply latency one flush can carry.
 const MAX_BATCH: usize = 512;
+
+/// A reply withheld until an fsync covers its WAL record.
+struct Withheld {
+    from: Origin,
+    stamps: Stamps,
+    /// Its wire bytes in [`Outbox::held`].
+    reply: Range<usize>,
+}
 
 /// Where decided commands go: their replies straight to the connection's
 /// I/O loop, or — a mutating command under a write-ahead log — into the log
@@ -470,74 +567,120 @@ struct Outbox {
     comps: Completions,
     wal: Option<(Wal, WalOptions)>,
     /// Replies withheld until their WAL record is fsynced.
-    pending: Vec<(Item, String)>,
+    pending: Vec<Withheld>,
+    /// Their wire bytes.
+    held: String,
+    /// One record's `line\nreply` payload, reused from record to record.
+    payload: Vec<u8>,
     /// When the oldest of them was withheld.
     oldest: Instant,
 }
 
 impl Outbox {
-    /// Answer `item` with the WAL failure that kept it from being made
+    /// Answer a line with the WAL failure that kept it from being made
     /// durable: its effect may stand in memory, but a client must never
     /// read an `ok`/`granted` that could vanish in a crash. The reply is
     /// released at once, stamped `decided`.
-    fn refuse(&mut self, item: Item, decided: Instant, what: &str, e: WalError) {
+    fn refuse(&mut self, from: Origin, stamps: Stamps, what: &str, e: WalError) {
         WAL_FLUSH_FAILURES.inc();
         eprintln!("coalloc-net: wal {what} failed: {e}");
-        self.comps
-            .release(item, format!("error: wal {what} failed: {e}"), decided);
+        let decided = stamps.decided.expect("a refused line was decided");
+        let reply = format!("error: wal {what} failed: {e}\n");
+        self.comps.release_line(from, stamps, decided, &reply);
     }
 
-    /// Route the outcome of a decided command. Errors changed nothing and
-    /// without a log nothing can be made durable, so those are released at
-    /// once, like the replies of non-mutating commands. `load` replaced the
-    /// whole state from an external file a replay could not re-read: it is
-    /// persisted as a snapshot (which first syncs every earlier record),
-    /// never as a log record. Every other mutating command is appended to
-    /// the log and its reply withheld until the next [`Self::flush`].
-    /// `decided` is the end of the pass that decided `item`: the release
-    /// stamp of every reply it does not withhold.
+    /// Route the replies of `part`, lines `first..` of `replies`, decided
+    /// by the pass that ended at `decided`. Without a log nothing can be
+    /// made durable, so the part leaves as one run, released at once;
+    /// under a log each line is routed on its own.
     fn complete(
         &mut self,
-        mut item: Item,
-        result: Result<String, String>,
+        part: Part,
+        replies: &Replies,
+        first: usize,
         session: &Session,
         decided: Instant,
     ) {
-        item.stamps.decided = Some(decided);
-        let (reply, wal) = match (result, &mut self.wal) {
-            (Err(e), _) => return self.comps.release(item, format!("error: {e}"), decided),
-            (Ok(reply), None) => return self.comps.release(item, reply, decided),
-            (Ok(reply), Some((wal, _))) => (reply, wal),
-        };
-        let verb = item.line.split_whitespace().next().unwrap_or("");
-        if !proto::mutating(verb) {
-            return self.comps.release(item, reply, decided);
+        let mut stamps = part.stamps;
+        stamps.decided = Some(decided);
+        if self.wal.is_none() {
+            let lines = first..first + part.lines;
+            let base = replies.range(first).start;
+            let bytes = &replies.text()[base..replies.range(lines.end - 1).end];
+            let ends = lines.map(|i| replies.range(i).end - base);
+            return self.comps.release(part.from, stamps, decided, bytes, ends);
         }
+        let mut at = part.from.at;
+        for (k, line) in part.lines().enumerate() {
+            let from = Origin {
+                token: part.from.token,
+                seq: part.from.seq + k as u64,
+                text: Arc::clone(&part.from.text),
+                at,
+            };
+            at += line.len() + 1;
+            let i = first + k;
+            let reply = replies.reply(i);
+            self.route(from, stamps, line, reply, replies.is_error(i), session);
+        }
+    }
+
+    /// Route one decided line under a log. Errors changed nothing and
+    /// non-mutating commands have nothing to persist, so their replies are
+    /// released at once, stamped `decided`. `load` replaced the whole
+    /// state from an external file a replay could not re-read: it is
+    /// persisted as a snapshot (which first syncs every earlier record),
+    /// never as a log record. Every other mutating command is appended to
+    /// the log, its `line\nreply` record built in one reused buffer, and
+    /// its reply withheld until the next [`Self::flush`]. A run so breaks
+    /// wherever release instants differ.
+    fn route(
+        &mut self,
+        from: Origin,
+        stamps: Stamps,
+        line: &str,
+        reply: &str,
+        error: bool,
+        session: &Session,
+    ) {
+        let decided = stamps.decided.expect("a routed line was decided");
+        let verb = line.split_whitespace().next().unwrap_or("");
+        let wal = match &mut self.wal {
+            Some((wal, _)) if !error && proto::mutating(verb) => wal,
+            _ => return self.comps.release_line(from, stamps, decided, reply),
+        };
         if verb == "load" {
             let image = session.snapshot_text().expect("load installed a scheduler");
             return match wal.install_snapshot(image.as_bytes()) {
                 Ok(()) => {
                     self.flush(); // the records before it are durable; release
-                    self.comps.release(item, reply, Instant::now())
+                    self.comps.release_line(from, stamps, Instant::now(), reply)
                 }
-                Err(e) => self.refuse(item, decided, "snapshot install", e),
+                Err(e) => self.refuse(from, stamps, "snapshot install", e),
             };
         }
-        let mut payload = Vec::with_capacity(item.line.len() + 1 + reply.len());
-        payload.extend_from_slice(item.line.as_bytes());
-        payload.push(b'\n');
-        payload.extend_from_slice(reply.as_bytes());
-        match wal.append(&payload) {
+        self.payload.clear();
+        self.payload.extend_from_slice(line.as_bytes());
+        self.payload.push(b'\n');
+        self.payload
+            .extend_from_slice(reply.strip_suffix('\n').unwrap_or(reply).as_bytes());
+        match wal.append(&self.payload) {
             Ok(()) => {
                 if self.pending.is_empty() {
                     self.oldest = Instant::now();
                 }
-                self.pending.push((item, reply));
+                let start = self.held.len();
+                self.held.push_str(reply);
+                self.pending.push(Withheld {
+                    from,
+                    stamps,
+                    reply: start..self.held.len(),
+                });
                 if self.pending.len() >= MAX_BATCH {
                     self.flush();
                 }
             }
-            Err(e) => self.refuse(item, decided, "append", e),
+            Err(e) => self.refuse(from, stamps, "append", e),
         }
     }
 
@@ -555,13 +698,14 @@ impl Outbox {
         let failed = wal.sync().err().map(|e| {
             WAL_FLUSH_FAILURES.inc();
             eprintln!("coalloc-net: wal sync failed: {e}");
-            format!("error: wal sync failed: {e}")
+            format!("error: wal sync failed: {e}\n")
         });
         let released = Instant::now();
-        for (item, reply) in self.pending.drain(..) {
-            self.comps
-                .release(item, failed.clone().unwrap_or(reply), released);
+        for w in self.pending.drain(..) {
+            let reply = failed.as_deref().unwrap_or(&self.held[w.reply.clone()]);
+            self.comps.release_line(w.from, w.stamps, released, reply);
         }
+        self.held.clear();
         self.comps.wake();
     }
 
@@ -636,7 +780,7 @@ impl SchedCtx {
 ///
 /// Each turn of the loop is one *pass*: up to [`PASS_MAX`] queued lines —
 /// within one pipelined burst or across connections — answered by one
-/// [`Session::exec_batch`] call (which decides each run of submits as one
+/// [`Session::exec_into`] call (which decides each run of submits as one
 /// scheduler batch), then one wake of the I/O loop. Under a write-ahead
 /// log the replies of mutating commands are withheld until an fsync covers
 /// them, and a flush happens when the queue goes idle (adaptive), when the
@@ -657,11 +801,14 @@ fn scheduler_loop(
         comps,
         wal,
         pending: Vec::new(),
+        held: String::new(),
+        payload: Vec::new(),
         oldest: Instant::now(),
     };
     let mut last_refresh = Instant::now() - STATUS_REFRESH;
-    let mut q: VecDeque<Item> = VecDeque::new();
-    let mut pass: Vec<Item> = Vec::new();
+    let mut q: VecDeque<Queued> = VecDeque::new();
+    let mut pass: Vec<Part> = Vec::new();
+    let mut replies = Replies::default();
     let mut connected = true;
     loop {
         if q.is_empty() {
@@ -703,30 +850,26 @@ fn scheduler_loop(
                 Err(mpsc::TryRecvError::Disconnected) => connected = false,
             }
         }
-        // A pass ends right after a `load`: its outcome is logged as a
-        // snapshot of the session as that `load` left it.
-        while pass.len() < PASS_MAX {
-            let Some(it) = q.pop_front() else { break };
-            let load = it.line.split_whitespace().next() == Some("load");
-            pass.push(it);
-            if load {
-                break;
-            }
+        next_pass(&mut q, &mut pass);
+        if !ctx.exec_delay.is_zero() {
+            pass.iter()
+                .flat_map(Part::lines)
+                .for_each(|line| ctx.maybe_stall(line));
         }
-        for it in &pass {
-            ctx.maybe_stall(&it.line);
-        }
-        // One call decides the whole pass; under a log each line then gets
-        // its own record, in order, and the adaptive flush covers them all
-        // with a single fsync.
-        let lines: Vec<&str> = pass.iter().map(|i| i.line.as_str()).collect();
-        let results = session.exec_batch(&lines);
+        // One call decides the whole pass into one reply buffer; under a
+        // log each line then gets its own record, in order, and the
+        // adaptive flush covers them all with a single fsync.
+        replies.clear();
+        session.exec_into(pass.iter().flat_map(Part::lines), &mut replies);
         // One decision stamp for the whole pass: every line's sched stage
         // spans the pass.
         let decided = Instant::now();
         ctx.maybe_refresh(&session, &mut last_refresh);
-        for (it, result) in pass.drain(..).zip(results) {
-            out.complete(it, result, &session, decided);
+        let mut first = 0;
+        for part in pass.drain(..) {
+            let lines = part.lines;
+            out.complete(part, &replies, first, &session, decided);
+            first += lines;
         }
         out.comps.wake();
     }

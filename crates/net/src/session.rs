@@ -1,4 +1,4 @@
-//! The line-protocol interpreter: one command in, one reply out.
+//! The line-protocol interpreter: command lines in, reply bytes out.
 //!
 //! [`Session`] is the single implementation of the protocol specified in
 //! `docs/PROTOCOL.md`, shared by `coallocd`'s stdin/stdout loop and by the
@@ -6,6 +6,12 @@
 //! reply stream byte-identical to the same script on stdin (enforced by
 //! `crates/net/tests/e2e.rs`). The accepted command surface is described by
 //! the table in [`crate::proto`].
+//!
+//! [`Session::exec_into`] is the one entry point that executes: it writes
+//! each reply's wire bytes into a caller-owned [`Replies`] buffer, so a
+//! warm session answers a burst of rejected submits without a heap
+//! allocation. [`Session::exec`] and [`Session::exec_batch`] are adapters
+//! over it for callers that want a `Result` per line.
 
 use crate::proto;
 use crate::server::ERRORS;
@@ -14,13 +20,17 @@ use coalloc_core::snapshot::StateImage;
 use obs::{LazyCounter, LazyHistogram};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 
 static EXEC_PANICS: LazyCounter = LazyCounter::new("net_exec_panics_total");
 /// Lines per scheduler batch: how many consecutive `submit` lines one
-/// [`Session::exec_batch`] decided with one `submit_batch` call. Mostly 1
-/// at low load; grows with pipelining depth and concurrent connections.
+/// [`Session::exec_into`] decided with one `submit_batch_into` call. Mostly
+/// 1 at low load; grows with pipelining depth and concurrent connections.
 static BATCH_LINES: LazyHistogram = LazyHistogram::new("net_batch_lines");
+
+const NO_SCHEDULER: &str = "no scheduler; run 'init N' first";
+const PANICKED: &str = "internal error: command panicked (see server log)";
 
 /// One protocol session: a scheduler (once `init` ran) plus the shard count
 /// the next `init` will use. The scheduler is one type at every `K` — its
@@ -40,10 +50,153 @@ static BATCH_LINES: LazyHistogram = LazyHistogram::new("net_batch_lines");
 pub struct Session {
     sched: Option<CoAllocScheduler>,
     shards: u32,
+    /// A submit run's requests, its decisions and each line's refusal,
+    /// reused from run to run.
+    reqs: Vec<Request>,
+    decisions: Vec<Result<Grant, ScheduleError>>,
+    refused: Vec<Option<String>>,
+}
+
+/// The replies to a sequence of command lines, as the bytes a client
+/// reads: a reply and its `\n`, an error as `error: ...\n`, nothing for a
+/// blank or comment line. Per line it keeps where the reply ends and
+/// whether it is an error. Reused from call to call, it stops allocating
+/// once its capacity covers the largest burst.
+///
+/// ```
+/// use coalloc_net::session::{Replies, Session};
+///
+/// let mut s = Session::new(1);
+/// let mut out = Replies::default();
+/// s.exec_into(["init 4 10 200 10", "# note", "bogus"], &mut out);
+/// assert_eq!(out.text(), "ok 4 servers\nerror: unknown command: 'bogus' (try 'help')\n");
+/// assert_eq!((out.len(), out.reply(1), out.is_error(2)), (3, "", true));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Replies {
+    text: String,
+    ends: Vec<(usize, bool)>,
+}
+
+impl Replies {
+    /// Forget every reply, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// Lines answered.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no line has been answered.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every reply's wire bytes, in line order.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Where line `i`'s reply bytes lie in [`Replies::text`].
+    pub fn range(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1].0 };
+        start..self.ends[i].0
+    }
+
+    /// Line `i`'s wire bytes: empty, or ending in `\n`.
+    pub fn reply(&self, i: usize) -> &str {
+        &self.text[self.range(i)]
+    }
+
+    /// Whether line `i` was answered with a protocol error.
+    pub fn is_error(&self, i: usize) -> bool {
+        self.ends[i].1
+    }
+
+    /// Line `i` as [`Session::exec`] returns it: the reply without its
+    /// `\n`, or the error without its `error: ` prefix.
+    pub fn result(&self, i: usize) -> Result<String, String> {
+        let wire = self.reply(i);
+        if self.is_error(i) {
+            Err(wire["error: ".len()..wire.len() - 1].to_string())
+        } else {
+            Ok(wire.strip_suffix('\n').unwrap_or(wire).to_string())
+        }
+    }
+
+    /// Close the line whose reply was written from `begin` on: a non-empty
+    /// reply gets its `\n`, an error replaces whatever was written.
+    fn finish(&mut self, begin: usize, outcome: Result<(), String>) {
+        match outcome {
+            Ok(()) => {
+                if self.text.len() > begin {
+                    self.text.push('\n');
+                }
+                self.ends.push((self.text.len(), false));
+            }
+            Err(e) => {
+                self.text.truncate(begin);
+                self.error(&e);
+            }
+        }
+    }
+
+    fn error(&mut self, e: &str) {
+        self.text.push_str("error: ");
+        self.text.push_str(e);
+        self.text.push('\n');
+        self.ends.push((self.text.len(), true));
+    }
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad {what}: '{s}'"))
+}
+
+fn unknown(line: &str) -> String {
+    format!("unknown command: '{line}' (try 'help')")
+}
+
+fn is_submit(line: &str) -> bool {
+    line.split_whitespace().next() == Some("submit")
+}
+
+/// Fill `f` with the first `f.len()` words of `line`; returns how many.
+fn split_words<'a>(line: &'a str, f: &mut [&'a str]) -> usize {
+    let mut words = 0;
+    for (slot, word) in f.iter_mut().zip(line.split_whitespace()) {
+        *slot = word;
+        words += 1;
+    }
+    words
+}
+
+/// The reply to a submit-shaped command: scheduling rejections are
+/// *replies* (`rejected ...`), not errors — see `docs/PROTOCOL.md`.
+fn write_decision(out: &mut String, decision: &Result<Grant, ScheduleError>) {
+    let g = match decision {
+        Ok(g) => g,
+        Err(e) => {
+            let _ = write!(out, "rejected {e}");
+            return;
+        }
+    };
+    let _ = write!(
+        out,
+        "granted job={} start={} end={} attempts={} wait={} servers=",
+        g.job.0,
+        g.start.secs(),
+        g.end.secs(),
+        g.attempts,
+        g.waiting.secs(),
+    );
+    for (i, s) in g.servers.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}{}", s.0);
+    }
 }
 
 impl Session {
@@ -53,6 +206,9 @@ impl Session {
         Session {
             sched: None,
             shards: shards.max(1),
+            reqs: Vec::new(),
+            decisions: Vec::new(),
+            refused: Vec::new(),
         }
     }
 
@@ -74,41 +230,35 @@ impl Session {
     }
 
     fn sched(&mut self) -> Result<&mut CoAllocScheduler, String> {
-        self.sched
-            .as_mut()
-            .ok_or_else(|| "no scheduler; run 'init N' first".to_string())
-    }
-
-    /// The reply to a submit-shaped command: scheduling rejections are
-    /// *replies* (`rejected ...`), not errors — see `docs/PROTOCOL.md`.
-    fn decision_line(decision: Result<Grant, ScheduleError>) -> String {
-        let g = match decision {
-            Ok(g) => g,
-            Err(e) => return format!("rejected {e}"),
-        };
-        let mut out = format!(
-            "granted job={} start={} end={} attempts={} wait={} servers=",
-            g.job.0,
-            g.start.secs(),
-            g.end.secs(),
-            g.attempts,
-            g.waiting.secs(),
-        );
-        for (i, s) in g.servers.iter().enumerate() {
-            let sep = if i > 0 { "," } else { "" };
-            let _ = write!(out, "{sep}{}", s.0);
-        }
-        out
+        self.sched.as_mut().ok_or_else(|| NO_SCHEDULER.to_string())
     }
 
     /// Execute one command line; returns the reply (possibly multi-line,
-    /// empty for blanks/comments) or a protocol error.
+    /// empty for blanks/comments) or a protocol error. An adapter over
+    /// [`Session::exec_into`]'s per-line step, without its panic guard.
     pub fn exec(&mut self, line: &str) -> Result<String, String> {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        match f.as_slice() {
-            [] | ["#", ..] => Ok(String::new()),
-            ["help"] => Ok(proto::help_text()),
-            ["version"] => Ok(proto::PROTOCOL_VERSION.to_string()),
+        let mut out = Replies::default();
+        self.answer(line, &mut out);
+        out.result(0)
+    }
+
+    /// Answer one line that is decided alone.
+    fn answer(&mut self, line: &str, out: &mut Replies) {
+        let begin = out.text.len();
+        let outcome = self.write_reply(line, &mut out.text);
+        out.finish(begin, outcome);
+    }
+
+    /// Write `line`'s reply into `out`, or return its protocol error.
+    fn write_reply(&mut self, line: &str, out: &mut String) -> Result<(), String> {
+        // Seven slots: no command takes more than six words, so a longer
+        // line is refused exactly as if all its words were split.
+        let mut f = [""; 7];
+        let words = split_words(line, &mut f);
+        match &f[..words] {
+            [] | ["#", ..] => {}
+            ["help"] => out.push_str(&proto::help_text()),
+            ["version"] => out.push_str(proto::PROTOCOL_VERSION),
             ["init", n, rest @ ..] => {
                 let n: u32 = parse(n, "server count")?;
                 let mut cfg = SchedulerConfig::default();
@@ -122,29 +272,24 @@ impl Session {
                 // The constructors assert and allocate from these values.
                 cfg.check_limits(n as u64, Time::ZERO, Time::ZERO)?;
                 self.sched = Some(CoAllocScheduler::with_ranges(n, self.shards, cfg));
+                let _ = write!(out, "ok {n} servers");
                 if self.shards > 1 {
-                    Ok(format!("ok {n} servers over {} shards", self.shards))
-                } else {
-                    Ok(format!("ok {n} servers"))
+                    let _ = write!(out, " over {} shards", self.shards);
                 }
             }
             ["submit", q, s, l, n] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
-                Ok(Self::decision_line(self.sched()?.submit(&req)))
+                write_decision(out, &self.sched()?.submit(&req));
             }
             ["deadline", q, s, l, n, d] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
                 let by = Time(parse(d, "deadline")?);
-                Ok(Self::decision_line(
-                    self.sched()?.submit_with_deadline(&req, by),
-                ))
+                write_decision(out, &self.sched()?.submit_with_deadline(&req, by));
             }
             ["constrained", q, s, l, n, mask] => {
                 let req = Self::parse_submit_args(q, s, l, n)?;
                 let mask = AttrSet(parse(mask, "mask")?);
-                Ok(Self::decision_line(
-                    self.sched()?.submit_constrained(&req, mask),
-                ))
+                write_decision(out, &self.sched()?.submit_constrained(&req, mask));
             }
             ["attrs", server, mask] => {
                 let srv = ServerId(parse(server, "server")?);
@@ -154,32 +299,34 @@ impl Session {
                     return Err(format!("no such server {}", srv.0));
                 }
                 s.set_server_attrs(srv, mask);
-                Ok("ok".into())
+                out.push_str("ok");
             }
             ["query", a, b] => {
                 let (a, b) = (Time(parse(a, "start")?), Time(parse(b, "end")?));
                 let hits = self.sched()?.range_search(a, b);
-                let mut out = format!("free {}", hits.len());
+                let _ = write!(out, "free {}", hits.len());
                 for h in hits {
-                    out.push_str(&format!(
-                        "\n  server={} idle=[{}, {}) slack={}",
+                    let _ = write!(
+                        out,
+                        "\n  server={} idle=[{}, ",
                         h.server.0,
-                        h.idle_start.secs(),
-                        if h.idle_end.is_inf() {
-                            "inf".to_string()
-                        } else {
-                            h.idle_end.secs().to_string()
-                        },
-                        h.tail_slack.secs()
-                    ));
+                        h.idle_start.secs()
+                    );
+                    if h.idle_end.is_inf() {
+                        out.push_str("inf");
+                    } else {
+                        let _ = write!(out, "{}", h.idle_end.secs());
+                    }
+                    let _ = write!(out, ") slack={}", h.tail_slack.secs());
                 }
-                Ok(out)
             }
             ["release", job] => {
                 let job = JobId(parse(job, "job id")?);
                 match self.sched()?.release(job) {
-                    Ok(()) => Ok("ok".into()),
-                    Err(e) => Ok(format!("error {e}")),
+                    Ok(()) => out.push_str("ok"),
+                    Err(e) => {
+                        let _ = write!(out, "error {e}");
+                    }
                 }
             }
             ["advance", t] => {
@@ -189,48 +336,49 @@ impl Session {
                 s.config()
                     .check_limits(s.num_servers() as u64, s.now(), t)?;
                 s.advance_to(t);
-                Ok(format!("ok now={}", t.secs()))
+                let _ = write!(out, "ok now={}", t.secs());
             }
             ["stats"] => {
                 let sched = self.sched()?;
                 let now = sched.now();
                 let util = sched.utilization(now.max(Time(1)));
                 let ops = sched.stats();
-                Ok(format!(
+                let _ = write!(
+                    out,
                     "now={} horizon_end={} util={util:.4} ops={} searches={} attempts={}",
                     now.secs(),
                     sched.horizon_end().secs(),
                     ops.total_ops(),
                     ops.phase1_searches,
                     ops.attempts
-                ))
+                );
             }
-            ["metrics"] => Ok(obs::metrics::exposition().trim_end().to_string()),
+            ["metrics"] => out.push_str(obs::metrics::exposition().trim_end()),
             ["slow"] => {
                 let records = crate::slow::snapshot();
-                let mut out = format!("slow {}", records.len());
+                let _ = write!(out, "slow {}", records.len());
                 for r in &records {
                     out.push('\n');
                     out.push_str(&crate::slow::to_json(r));
                 }
-                Ok(out)
             }
             ["check"] => {
                 self.sched()?.check_consistency();
-                Ok("ok".into())
+                out.push_str("ok");
             }
             ["snapshot", path] => {
                 let text = self.sched()?.snapshot();
                 std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-                Ok(format!("ok wrote {path}"))
+                let _ = write!(out, "ok wrote {path}");
             }
             ["load", path] => {
                 let text =
                     std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-                self.restore(&text)
+                out.push_str(&self.restore(&text)?);
             }
-            _ => Err(format!("unknown command: '{line}' (try 'help')")),
+            _ => return Err(unknown(line)),
         }
+        Ok(())
     }
 
     fn parse_submit_args(q: &str, s: &str, l: &str, n: &str) -> Result<Request, String> {
@@ -242,78 +390,117 @@ impl Session {
         ))
     }
 
-    /// Execute queued lines in order. Each entry of the result is exactly
-    /// what [`Session::exec`] would have returned for that line, and this
-    /// is the one place that decides which lines batch: a run of
-    /// consecutive `submit` lines is decided by one `submit_batch` call,
-    /// which a pool executes with one worker wake-up per range per stage
-    /// instead of per line (lines of the run that never reach the scheduler
-    /// — parse errors, wrong arity, no `init` yet — keep their individual
-    /// error replies); every other line runs alone, after the submits
-    /// queued ahead of it.
+    /// Execute `lines` in order, appending one reply per line to `out`:
+    /// each reply is exactly what [`Session::exec`] would have answered,
+    /// as wire bytes. This is the one place that decides which lines batch:
+    /// a run of consecutive `submit` lines is decided by one
+    /// `submit_batch_into` call, which a pool executes with one worker
+    /// wake-up per range per stage instead of per line (lines of the run
+    /// that never reach the scheduler — parse errors, wrong arity, no
+    /// `init` yet — keep their individual error replies); every other line
+    /// runs alone, after the submits queued ahead of it.
     ///
     /// Each run of submits, and each other line, is a *segment* with its
-    /// own panic guard: a panicking segment answers each of its lines with
-    /// an internal error (`net_exec_panics_total`), and the segments around
-    /// it keep their replies. `net_batch_lines` observes each run's length.
-    pub fn exec_batch(&mut self, lines: &[&str]) -> Vec<Result<String, String>> {
-        let mut out = Vec::with_capacity(lines.len());
-        let mut rest = lines;
-        while !rest.is_empty() {
-            let run = rest
-                .iter()
-                .take_while(|l| l.split_whitespace().next() == Some("submit"))
-                .count();
-            let (segment, tail) = rest.split_at(run.max(1));
-            rest = tail;
-            if run == 0 {
-                out.extend(guarded(segment, || vec![self.exec(segment[0])]));
-            } else {
-                BATCH_LINES.observe(run as u64);
-                out.extend(guarded(segment, || self.decide(segment)));
+    /// own panic guard: a panicking segment's partial bytes are dropped and
+    /// each of its lines is answered with an internal error
+    /// (`net_exec_panics_total`); the segments around it keep their
+    /// replies. `net_batch_lines` observes each run's length.
+    ///
+    /// The iterator is cloned to look ahead over a run, so pass one that
+    /// is cheap to clone (a slice's, or a `split_terminator('\n')` over a
+    /// buffer of lines).
+    pub fn exec_into<'a, I>(&mut self, lines: I, out: &mut Replies)
+    where
+        I: IntoIterator<Item = &'a str>,
+        I::IntoIter: Clone,
+    {
+        let mut rest = lines.into_iter();
+        loop {
+            let segment = rest.clone();
+            let Some(first) = rest.next() else {
+                break;
+            };
+            if !is_submit(first) {
+                guarded(out, first, || 1, |out| self.answer(first, out));
+                continue;
             }
+            // `decide` takes the run off `rest`; only a panic counts it apart.
+            rest = segment.clone();
+            let mut run = 0;
+            let count = || 1 + segment.clone().skip(1).take_while(|l| is_submit(l)).count();
+            if let Some(lines) = guarded(out, first, count, |out| run = self.decide(&mut rest, out))
+            {
+                run = lines;
+                rest = segment;
+                rest.nth(run - 1);
+            }
+            BATCH_LINES.observe(run as u64);
         }
-        out
     }
 
-    /// Decide a run of `submit` lines with one `submit_batch` call.
-    fn decide(&mut self, lines: &[&str]) -> Vec<Result<String, String>> {
-        let mut out: Vec<Option<Result<String, String>>> = Vec::with_capacity(lines.len());
-        let mut reqs: Vec<Request> = Vec::with_capacity(lines.len());
-        for line in lines {
-            // Split into a fixed array: six slots tell a 5-word line from a
-            // longer one without collecting the words.
+    /// [`Session::exec_into`] returning one `Result` per line, each exactly
+    /// what [`Session::exec`] would have returned for that line.
+    pub fn exec_batch(&mut self, lines: &[&str]) -> Vec<Result<String, String>> {
+        let mut out = Replies::default();
+        self.exec_into(lines.iter().copied(), &mut out);
+        (0..out.len()).map(|i| out.result(i)).collect()
+    }
+
+    /// Decide the run of `submit` lines at the front of `lines` with one
+    /// `submit_batch_into` call, taking them off `lines` in one scan;
+    /// returns how many there were.
+    fn decide<'a>(
+        &mut self,
+        lines: &mut (impl Iterator<Item = &'a str> + Clone),
+        out: &mut Replies,
+    ) -> usize {
+        self.reqs.clear();
+        self.refused.clear();
+        loop {
+            let mut after = lines.clone();
+            let Some(line) = after.next() else {
+                break;
+            };
+            // Six slots tell a 5-word line from a longer one.
             let mut f = [""; 6];
-            let mut words = 0;
-            for (slot, word) in f.iter_mut().zip(line.split_whitespace()) {
-                *slot = word;
-                words += 1;
+            let words = split_words(line, &mut f);
+            if f[0] != "submit" {
+                break;
             }
-            let reply = match (words, f) {
+            *lines = after;
+            let refused = match (words, f) {
                 (5, ["submit", q, s, l, n, _]) => match Self::parse_submit_args(q, s, l, n) {
-                    Ok(req) => match self.sched() {
-                        Ok(_) => {
-                            reqs.push(req);
-                            None
-                        }
-                        Err(e) => Some(Err(e)),
-                    },
-                    Err(e) => Some(Err(e)),
+                    Ok(_) if self.sched.is_none() => Some(NO_SCHEDULER.to_string()),
+                    Ok(req) => {
+                        self.reqs.push(req);
+                        None
+                    }
+                    Err(e) => Some(e),
                 },
                 // Wrong arity: the parser's error, whatever the state.
-                _ => Some(self.exec(line)),
+                _ => Some(unknown(line)),
             };
-            out.push(reply);
+            self.refused.push(refused);
         }
+        let run = self.refused.len();
         // Submits queue only behind a scheduler.
-        let decisions = match &mut self.sched {
-            Some(s) if !reqs.is_empty() => s.submit_batch(&reqs),
-            _ => Vec::new(),
-        };
-        let mut replies = decisions.into_iter().map(|d| Ok(Self::decision_line(d)));
-        out.into_iter()
-            .map(|o| o.unwrap_or_else(|| replies.next().expect("one decision per queued submit")))
-            .collect()
+        if let (Some(s), false) = (&mut self.sched, self.reqs.is_empty()) {
+            s.submit_batch_into(&self.reqs, &mut self.decisions);
+        }
+        let mut decisions = self.decisions.iter();
+        for refused in self.refused.drain(..) {
+            let begin = out.text.len();
+            let outcome = match refused {
+                None => {
+                    let d = decisions.next().expect("one decision per queued submit");
+                    write_decision(&mut out.text, d);
+                    Ok(())
+                }
+                Some(e) => Err(e),
+            };
+            out.finish(begin, outcome);
+        }
+        run
     }
 
     /// Capacity and utilization probe for the admin plane's `/status`:
@@ -373,28 +560,33 @@ impl Session {
     }
 }
 
-/// Run one segment of [`Session::exec_batch`] — a run of submits, or one
-/// other line — converting a panic into an internal-error reply for each of
-/// its lines instead of poisoning the caller (the server's one scheduler
+/// Run one segment of [`Session::exec_into`] — a run of submits starting
+/// with `first`, or one other line — converting a panic into an
+/// internal-error reply for each of its lines, after dropping whatever it
+/// wrote, instead of poisoning the caller (the server's one scheduler
 /// thread, and with it every connection). A segment is one scheduler call,
-/// so per-line blame is unknowable.
+/// so per-line blame is unknowable. Only a panic counts the segment's
+/// lines; it returns that count.
 fn guarded(
-    lines: &[&str],
-    run: impl FnOnce() -> Vec<Result<String, String>>,
-) -> Vec<Result<String, String>> {
-    std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-        EXEC_PANICS.inc();
-        ERRORS.add(lines.len() as u64);
-        eprintln!(
-            "coalloc-net: command panicked, shedding {} line(s) from: {}",
-            lines.len(),
-            lines[0]
-        );
-        lines
-            .iter()
-            .map(|_| Err("internal error: command panicked (see server log)".into()))
-            .collect()
-    })
+    out: &mut Replies,
+    first: &str,
+    lines: impl FnOnce() -> usize,
+    run: impl FnOnce(&mut Replies),
+) -> Option<usize> {
+    let (text, ends) = (out.text.len(), out.ends.len());
+    if std::panic::catch_unwind(AssertUnwindSafe(|| run(&mut *out))).is_ok() {
+        return None;
+    }
+    let lines = lines();
+    EXEC_PANICS.inc();
+    ERRORS.add(lines as u64);
+    eprintln!("coalloc-net: command panicked, shedding {lines} line(s) from: {first}");
+    out.text.truncate(text);
+    out.ends.truncate(ends);
+    for _ in 0..lines {
+        out.error(PANICKED);
+    }
+    Some(lines)
 }
 
 #[cfg(test)]
@@ -739,9 +931,10 @@ mod tests {
         }
     }
 
-    /// A panic costs exactly its segment: each of its lines is answered
-    /// with the internal error and counted once, and the lines before and
-    /// after it keep the replies they get without it.
+    /// A panic costs exactly its segment: the bytes it wrote before
+    /// panicking are dropped, each of its lines is answered with the
+    /// internal error and counted once, and the lines before and after it
+    /// keep the replies they get without it.
     #[test]
     fn a_panicking_segment_costs_only_its_own_lines() {
         let panics = || obs::metrics::counter("net_exec_panics_total").get();
@@ -754,14 +947,26 @@ mod tests {
         let doomed = ["submit 0 0 50 1", "submit 0 60 50 1"];
         let mut s = Session::new(1);
         let before = panics();
-        let mut out = s.exec_batch(&script[..2]);
-        out.extend(guarded(&doomed, || panic!("injected")));
-        out.extend(s.exec_batch(&script[2..]));
+        let mut out = Replies::default();
+        s.exec_into(script[..2].iter().copied(), &mut out);
+        guarded(
+            &mut out,
+            doomed[0],
+            || doomed.len(),
+            |out| {
+                out.text.push_str("granted job=");
+                panic!("injected")
+            },
+        );
+        s.exec_into(script[2..].iter().copied(), &mut out);
         assert_eq!(panics() - before, 1);
-        let internal = Err("internal error: command panicked (see server log)".to_string());
+        let internal = Err(PANICKED.to_string());
         let mut expect = Session::new(1).exec_batch(&script);
         expect.splice(2..2, doomed.map(|_| internal.clone()));
-        assert_eq!(out, expect);
+        assert_eq!(
+            (0..out.len()).map(|i| out.result(i)).collect::<Vec<_>>(),
+            expect
+        );
     }
 
     #[test]

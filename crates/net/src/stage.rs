@@ -119,14 +119,14 @@ pub struct Released {
 }
 
 impl Released {
-    /// Count one released line (`stamps.released` set).
+    /// Count `lines` released lines with these stamps (`released` set).
     #[inline]
-    pub fn push(&mut self, stamps: &Stamps) {
+    pub fn push(&mut self, stamps: &Stamps, lines: u64) {
         match &mut self.run {
-            Some((key, n)) if key == stamps => *n += 1,
+            Some((key, n)) if key == stamps => *n += lines,
             _ => {
                 self.flush();
-                self.run = Some((*stamps, 1));
+                self.run = Some((*stamps, lines));
             }
         }
     }
@@ -164,16 +164,16 @@ impl Written {
         Written { at, run: None }
     }
 
-    /// Count one written line and return its end-to-end total (accept →
-    /// write) in µs.
+    /// Count `lines` written lines with these stamps and return their
+    /// end-to-end total (accept → write) in µs.
     #[inline]
-    pub fn push(&mut self, stamps: &Stamps) -> u64 {
+    pub fn push(&mut self, stamps: &Stamps, lines: u64) -> u64 {
         if let Some(released) = stamps.released {
             match &mut self.run {
-                Some((key, n)) if *key == released => *n += 1,
+                Some((key, n)) if *key == released => *n += lines,
                 _ => {
                     self.flush();
-                    self.run = Some((released, 1));
+                    self.run = Some((released, lines));
                 }
             }
         }

@@ -229,3 +229,34 @@ fn hostile_init_and_advance_do_not_take_the_server_down() {
         server.shutdown();
     }
 }
+
+/// The framing of one pipelined write, byte for byte: a CRLF line answers
+/// as its LF twin (an unknown one echoes no CR), an invalid-UTF-8 line as
+/// an unknown command named by
+/// U+FFFD, blank, whitespace-only and `#` lines write nothing, and the
+/// lines after an `exit` in the same write are never executed.
+#[test]
+fn one_burst_frames_crlf_invalid_utf8_blanks_and_exit_exactly() {
+    let server = Server::bind(cfg(1)).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut burst = b"init 4 10 200 10\nsubmit 0 0 50 2\r\nsubmit 0 0 50 2\n".to_vec();
+    burst.extend_from_slice(b"bogus\r\n\xff\xfe submit\n\n# comment\n   \r\nversion\r\nexit\n");
+    burst.extend_from_slice(b"submit 0 0 50 1\nversion\n");
+    c.stream().write_all(&burst).unwrap();
+    let expect = format!(
+        "ok 4 servers\n\
+         granted job=0 start=0 end=50 attempts=1 wait=0 servers=0,1\n\
+         granted job=1 start=0 end=50 attempts=1 wait=0 servers=2,3\n\
+         error: unknown command: 'bogus' (try 'help')\n\
+         error: unknown command: '\u{fffd}' (try 'help')\n\
+         {PROTOCOL_VERSION}\n"
+    );
+    assert_eq!(read_to_eof(&mut c), expect);
+    // The submit behind the `exit` never ran: the next grant is job 2.
+    let next = Client::connect(server.local_addr())
+        .unwrap()
+        .exchange_script("submit 0 100 50 1\nexit\n")
+        .unwrap();
+    assert!(next.starts_with("granted job=2 "), "{next}");
+    server.shutdown();
+}

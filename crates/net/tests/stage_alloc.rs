@@ -1,4 +1,4 @@
-//! Allocation guard for the latency-attribution fast path.
+//! Allocation guards for the serving path's steady state.
 //!
 //! The budget: stamping a pipelined burst through every hand-off — the
 //! framing and enqueue readings, the dequeue, the pass's decision, the
@@ -10,13 +10,19 @@
 //! Capturing into the slow ring may allocate; that path only runs on the
 //! tail (slow/shed/errored requests).
 //!
+//! The reply path has the same budget: a warm [`Session`] answers a burst
+//! of rejected submits through [`Session::exec_into`] into a reused
+//! [`Replies`] buffer without a heap allocation.
+//!
 //! Same technique as `crates/core/tests/alloc_guard.rs`: a counting
 //! `#[global_allocator]` (the lib crates forbid `unsafe`, so this must be
 //! an integration test), a warm-up pass to register the histograms, then a
 //! measured steady-state loop.
 
+use coalloc_net::session::Replies;
 use coalloc_net::slow;
 use coalloc_net::stage::{Released, Stamps, Written};
+use coalloc_net::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -74,19 +80,25 @@ fn full_pipeline() -> u64 {
     let released = Instant::now();
     let mut stages = Released::default();
     for _ in 0..BURST {
-        stages.push(&Stamps {
-            released: Some(released),
-            ..burst
-        });
+        stages.push(
+            &Stamps {
+                released: Some(released),
+                ..burst
+            },
+            1,
+        );
     }
     stages.flush();
     let mut written = Written::at(Instant::now());
     let mut acc = 0u64;
     for _ in 0..BURST {
-        let total_us = written.push(&Stamps {
-            released: Some(released),
-            ..burst
-        });
+        let total_us = written.push(
+            &Stamps {
+                released: Some(released),
+                ..burst
+            },
+            1,
+        );
         // The fast path's entire interaction with the slow ring: one load.
         if slow::threshold_us() > 0 && total_us > slow::threshold_us() {
             acc = acc.wrapping_add(1);
@@ -144,4 +156,49 @@ fn other_threads_allocations_stay_out_of_the_count() {
         stop.store(true, Ordering::Relaxed);
         assert_eq!(grew, 0, "another thread's allocations were counted");
     });
+}
+
+/// `reject-wall`'s geometry: 64 servers, a 72 h horizon, 15 min slots and
+/// `Delta_t`, every server booked over [0, 48 h) by twelve 64-wide 4 h
+/// fillers. A submit from 0 of 2 to 8 h ends inside the wall at every
+/// attempt of its ladder, so it is rejected.
+#[test]
+fn steady_state_reject_bursts_do_not_allocate() {
+    const SLOT: i64 = 900;
+    const HOUR: i64 = 3600;
+    let mut s = Session::new(1);
+    s.exec(&format!("init 64 {SLOT} {} {SLOT}", 72 * HOUR))
+        .unwrap();
+    for i in 0..12 {
+        let filler = s.exec(&format!("submit 0 {} {} 64", i * 4 * HOUR, 4 * HOUR));
+        assert!(filler.unwrap().starts_with("granted"));
+    }
+    let burst: String = (0..BURST as i64)
+        .map(|i| format!("submit 0 0 {} {}\n", (8 + i % 25) * SLOT, 1 + i))
+        .collect();
+    let mut out = Replies::default();
+    let answer = |s: &mut Session, out: &mut Replies| {
+        out.clear();
+        s.exec_into(burst.split_terminator('\n'), out);
+    };
+    // Warm-up: the histograms register and the buffers reach capacity.
+    for _ in 0..100 {
+        answer(&mut s, &mut out);
+    }
+    assert_eq!(out.len(), BURST);
+    assert!(
+        (0..BURST).all(|i| out.reply(i).starts_with("rejected ")),
+        "{}",
+        out.text()
+    );
+
+    let before = allocs();
+    for _ in 0..1_000 {
+        answer(&mut s, &mut out);
+    }
+    let grew = allocs() - before;
+    assert_eq!(
+        grew, 0,
+        "answering 1k warm bursts of {BURST} rejected submits allocated {grew} times"
+    );
 }
