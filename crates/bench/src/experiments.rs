@@ -752,7 +752,9 @@ pub fn fairness(cfg: &ExpConfig) -> io::Result<()> {
 /// Sweeps the server count with proportional offered load and reports
 /// scheduling throughput and per-request op counts: the total, its split
 /// into primary (Phase 1), secondary (Phase 2) and update visits, and the
-/// subtree rebuilds. Every count includes building the scheduler.
+/// subtree rebuilds. Every count includes building the scheduler. The last
+/// two columns size the index: the slot-tree store's node slots and the
+/// most entries its trees held at once (slots stay within twice that).
 pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -771,6 +773,8 @@ pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
             "update_per_request",
             "rebuilds_per_request",
             "acceptance",
+            "store_node_slots",
+            "peak_tree_entries",
         ],
     );
     for exp in [10u32, 12, 14, 16] {
@@ -806,6 +810,7 @@ pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
         }
         let secs = t0.elapsed().as_secs_f64();
         let ops = sched.stats();
+        let store = sched.ring().store();
         let per_request = |count: u64| r3(count as f64 / requests as f64);
         csv.rowf(&[
             &n,
@@ -817,6 +822,8 @@ pub fn scalability(cfg: &ExpConfig) -> io::Result<()> {
             &per_request(ops.update_visits),
             &per_request(ops.rebuilds),
             &r3(accepted as f64 / requests as f64),
+            &store.node_slots(),
+            &store.peak_entries(),
         ]);
     }
     csv.finish()?;

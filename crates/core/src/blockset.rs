@@ -26,7 +26,8 @@
 //! power-of-two capacity classes: a block that fills up trades its buffer
 //! for a spare of the next class, and a freed block's buffers go back to
 //! the spares. So a block holds at most twice its entries, and a warm
-//! arena allocates nothing.
+//! arena allocates nothing. The sets of one arena may each have their own
+//! seed, which travels with every operation that lays blocks out.
 //!
 //! Visits are counted one per block touched.
 
@@ -48,34 +49,55 @@ const MAX_LEVELS: usize = MAX_RANK + 1;
 /// Capacity class `c` holds buffers of `MIN_CAP << c` entries.
 const MIN_CAP: usize = 4;
 
-/// Spare buffers, by capacity class.
-type Spares<T> = Vec<Vec<Vec<T>>>;
-
-/// Make room in `v` for `extra` more entries: a buffer too small is
-/// traded for a spare of the smallest class that fits.
-fn room<T: Copy>(v: &mut Vec<T>, extra: usize, spares: &mut Spares<T>) {
-    let need = v.len() + extra;
-    if need <= v.capacity() {
-        return;
-    }
-    let class = (need.max(MIN_CAP).next_power_of_two() / MIN_CAP).trailing_zeros() as usize;
-    let mut buf = spares
-        .get_mut(class)
-        .and_then(Vec::pop)
-        .unwrap_or_else(|| Vec::with_capacity(MIN_CAP << class));
-    buf.extend_from_slice(v);
-    spare(std::mem::replace(v, buf), spares);
+/// The buffers of one kind a [`BlockArena`] owns: the spares, by capacity
+/// class, and the bytes of every buffer it ever made. No buffer is given
+/// back to the allocator, so `bytes` is what its buffers hold.
+#[derive(Clone, Debug)]
+struct Pool<T> {
+    spares: Vec<Vec<Vec<T>>>,
+    bytes: usize,
 }
 
-/// Keep a buffer for later, with its class.
-fn spare<T>(mut v: Vec<T>, spares: &mut Spares<T>) {
-    if v.capacity() >= MIN_CAP {
-        let class = (v.capacity() / MIN_CAP).ilog2() as usize;
-        if spares.len() <= class {
-            spares.resize_with(class + 1, Vec::new);
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool {
+            spares: Vec::new(),
+            bytes: 0,
         }
-        v.clear();
-        spares[class].push(v);
+    }
+}
+
+impl<T: Copy> Pool<T> {
+    /// Make room in `v` for `extra` more entries: a buffer too small is
+    /// traded for a spare of the smallest class that fits.
+    fn room(&mut self, v: &mut Vec<T>, extra: usize) {
+        let need = v.len() + extra;
+        if need <= v.capacity() {
+            return;
+        }
+        let class = (need.max(MIN_CAP).next_power_of_two() / MIN_CAP).trailing_zeros() as usize;
+        let mut buf = self
+            .spares
+            .get_mut(class)
+            .and_then(Vec::pop)
+            .unwrap_or_else(|| {
+                self.bytes += (MIN_CAP << class) * std::mem::size_of::<T>();
+                Vec::with_capacity(MIN_CAP << class)
+            });
+        buf.extend_from_slice(v);
+        self.keep(std::mem::replace(v, buf));
+    }
+
+    /// Keep a buffer for later, with its class.
+    fn keep(&mut self, mut v: Vec<T>) {
+        if v.capacity() >= MIN_CAP {
+            let class = (v.capacity() / MIN_CAP).ilog2() as usize;
+            if self.spares.len() <= class {
+                self.spares.resize_with(class + 1, Vec::new);
+            }
+            v.clear();
+            self.spares[class].push(v);
+        }
     }
 }
 
@@ -171,50 +193,59 @@ fn seek(keys: &[u128], place: u128) -> usize {
     keys.iter().map(|&k| usize::from(k < place)).sum()
 }
 
-/// What an arena keeps for reuse: freed blocks and spare buffers.
-#[derive(Clone, Debug, Default)]
-struct Pools {
-    free: Vec<u32>,
-    keys: Spares<u128>,
-    kids: Spares<Kid>,
+/// The number of levels whose block the key at `place` ends, in a set
+/// laid out with `seed`.
+#[inline]
+fn rank(place: u128, seed: u64) -> usize {
+    ((splitmix64(place as u64 ^ seed).trailing_zeros() / 4) as usize).min(MAX_RANK)
 }
 
 /// Arena of blocks with a free list, and the spare buffers of its blocks.
-/// The pools are boxed on the arena's first use, so that an owner whose
-/// sets stay empty — a slot tree with no secondary — stays small.
+/// The sets sharing an arena may each have their own seed: it comes with
+/// every operation that lays blocks out.
 #[derive(Clone, Debug)]
 pub struct BlockArena<K> {
     blocks: Vec<Block>,
-    pools: Option<Box<Pools>>,
-    seed: u64,
+    free: Vec<u32>,
+    keys: Pool<u128>,
+    kids: Pool<Kid>,
     key: PhantomData<fn() -> K>,
 }
 
+impl<K: SetKey> Default for BlockArena<K> {
+    fn default() -> Self {
+        BlockArena::new()
+    }
+}
+
 impl<K: SetKey> BlockArena<K> {
-    /// Create an arena; `seed` perturbs every rank derived from it.
-    pub fn new(seed: u64) -> BlockArena<K> {
+    /// An empty arena.
+    pub fn new() -> BlockArena<K> {
         BlockArena {
             blocks: Vec::new(),
-            pools: None,
-            seed,
+            free: Vec::new(),
+            keys: Pool::default(),
+            kids: Pool::default(),
             key: PhantomData,
         }
     }
 
     /// Number of live (allocated, not freed) blocks — for leak tests.
     pub fn live_blocks(&self) -> usize {
-        self.blocks.len() - self.pools.as_ref().map_or(0, |p| p.free.len())
+        self.blocks.len() - self.free.len()
     }
 
-    /// The number of levels whose block the key at `place` ends.
-    #[inline]
-    fn rank(&self, place: u128) -> usize {
-        ((splitmix64(place as u64 ^ self.seed).trailing_zeros() / 4) as usize).min(MAX_RANK)
+    /// Heap bytes the arena holds: its block table, free list and every
+    /// key and child buffer, in use or spare. `O(1)`.
+    pub(crate) fn bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<Block>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.keys.bytes
+            + self.kids.bytes
     }
 
     fn alloc(&mut self) -> u32 {
-        let pools = self.pools.get_or_insert_with(Box::default);
-        pools.free.pop().unwrap_or_else(|| {
+        self.free.pop().unwrap_or_else(|| {
             self.blocks.push(Block::default());
             (self.blocks.len() - 1) as u32
         })
@@ -223,10 +254,9 @@ impl<K: SetKey> BlockArena<K> {
     /// Free a block, keeping its buffers.
     fn release(&mut self, b: u32) {
         let blk = std::mem::take(&mut self.blocks[b as usize]);
-        let pools = self.pools.get_or_insert_with(Box::default);
-        spare(blk.keys, &mut pools.keys);
-        spare(blk.kids, &mut pools.kids);
-        pools.free.push(b);
+        self.keys.keep(blk.keys);
+        self.kids.keep(blk.kids);
+        self.free.push(b);
     }
 
     /// Free every block of the subtree at `b`.
@@ -240,12 +270,11 @@ impl<K: SetKey> BlockArena<K> {
     /// Insert an entry at `at` of block `b`: a place, and in an internal
     /// block its child.
     fn insert_entry(&mut self, b: u32, at: usize, place: u128, kid: Option<Kid>) {
-        let pools = self.pools.get_or_insert_with(Box::default);
         let blk = &mut self.blocks[b as usize];
-        room(&mut blk.keys, 1, &mut pools.keys);
+        self.keys.room(&mut blk.keys, 1);
         blk.keys.insert(at, place);
         if let Some(kid) = kid {
-            room(&mut blk.kids, 1, &mut pools.kids);
+            self.kids.room(&mut blk.kids, 1);
             blk.kids.insert(at, kid);
         }
     }
@@ -297,11 +326,10 @@ impl<K: SetKey> BlockArena<K> {
     fn split(&mut self, b: u32, i: usize, (parent, at): (u32, usize)) {
         let right = self.alloc();
         let mut moved = std::mem::take(&mut self.blocks[right as usize]);
-        let pools = self.pools.get_or_insert_with(Box::default);
         let left = &mut self.blocks[b as usize];
         let kids = left.kids.get(i + 1..).unwrap_or_default();
-        room(&mut moved.keys, left.keys.len() - i - 1, &mut pools.keys);
-        room(&mut moved.kids, kids.len(), &mut pools.kids);
+        self.keys.room(&mut moved.keys, left.keys.len() - i - 1);
+        self.kids.room(&mut moved.kids, kids.len());
         moved.keys.extend_from_slice(&left.keys[i + 1..]);
         moved.kids.extend_from_slice(kids);
         left.keys.truncate(i + 1);
@@ -331,10 +359,9 @@ impl<K: SetKey> BlockArena<K> {
         p.keys.remove(at);
         let left = p.kids[at].block;
         let moved = std::mem::take(&mut self.blocks[right as usize]);
-        let pools = self.pools.get_or_insert_with(Box::default);
         let blk = &mut self.blocks[left as usize];
-        room(&mut blk.keys, moved.keys.len(), &mut pools.keys);
-        room(&mut blk.kids, moved.kids.len(), &mut pools.kids);
+        self.keys.room(&mut blk.keys, moved.keys.len());
+        self.kids.room(&mut blk.kids, moved.kids.len());
         blk.keys.extend_from_slice(&moved.keys);
         blk.kids.extend_from_slice(&moved.kids);
         self.blocks[right as usize] = moved;
@@ -404,8 +431,15 @@ impl BlockSet {
     /// after it, bottom-up (a new root above the old one where the key's
     /// rank reaches past it). Keys are unique by construction (the id
     /// component is unique); inserting a duplicate is a logic error
-    /// upstream and panics in debug builds.
-    pub fn insert<K: SetKey>(&mut self, arena: &mut BlockArena<K>, key: K, ops: &mut OpStats) {
+    /// upstream and panics in debug builds. `seed` is the set's own: the
+    /// one every update and bulk build of this set uses.
+    pub fn insert<K: SetKey>(
+        &mut self,
+        arena: &mut BlockArena<K>,
+        seed: u64,
+        key: K,
+        ops: &mut OpStats,
+    ) {
         let place = key.place();
         if self.root == NIL {
             self.root = arena.alloc();
@@ -435,7 +469,7 @@ impl BlockSet {
             }
         }
         path[0].1 = i;
-        for j in 0..arena.rank(ender) {
+        for j in 0..rank(ender, seed) {
             if j + 1 == levels {
                 let root = arena.alloc();
                 let kid = Kid {
@@ -461,6 +495,7 @@ impl BlockSet {
     pub fn remove<K: SetKey>(
         &mut self,
         arena: &mut BlockArena<K>,
+        seed: u64,
         key: K,
         ops: &mut OpStats,
     ) -> bool {
@@ -482,8 +517,8 @@ impl BlockSet {
             succ |= i + 1 < keys.len();
         }
         let none = usize::MAX;
-        let rp = pred.map_or(none, |p| arena.rank(p));
-        let rk = if succ { arena.rank(place) } else { none };
+        let rp = pred.map_or(none, |p| rank(p, seed));
+        let rk = if succ { rank(place, seed) } else { none };
         let alone = rp.min(rk);
         if alone == none {
             arena.release(self.root);
@@ -526,6 +561,7 @@ impl BlockSet {
     /// below its rank, each into the open block above.
     pub fn from_sorted<K: SetKey>(
         arena: &mut BlockArena<K>,
+        seed: u64,
         sorted: &[K],
         ops: &mut OpStats,
     ) -> BlockSet {
@@ -538,19 +574,18 @@ impl BlockSet {
         while !rest.is_empty() {
             let run = rest
                 .iter()
-                .position(|k| arena.rank(k.place()) > 0)
+                .position(|k| rank(k.place(), seed) > 0)
                 .map_or(rest.len(), |i| i + 1);
             let (leaf, tail) = rest.split_at(run);
             open[0] = arena.alloc();
             ops.update_visits += 1;
-            let pools = arena.pools.get_or_insert_with(Box::default);
             let keys = &mut arena.blocks[open[0] as usize].keys;
-            room(keys, run, &mut pools.keys);
+            arena.keys.room(keys, run);
             keys.extend(leaf.iter().map(K::place));
             let ends = if tail.is_empty() {
                 0
             } else {
-                arena.rank(leaf[run - 1].place())
+                rank(leaf[run - 1].place(), seed)
             };
             for level in 0..ends {
                 arena.close(&mut open, level, ops);
@@ -711,18 +746,24 @@ impl BlockSet {
     /// a block ending exactly where its last key's rank says (the largest
     /// key aside), and no root with a single child.
     #[doc(hidden)]
-    pub fn check_invariants<K: SetKey>(&self, arena: &BlockArena<K>) {
-        fn rec<K: SetKey>(arena: &BlockArena<K>, b: u32, level: usize, max: u128) -> u32 {
+    pub fn check_invariants<K: SetKey>(&self, arena: &BlockArena<K>, seed: u64) {
+        fn rec<K: SetKey>(
+            arena: &BlockArena<K>,
+            seed: u64,
+            b: u32,
+            level: usize,
+            max: u128,
+        ) -> u32 {
             let blk = &arena.blocks[b as usize];
             let (&last, inner) = blk.keys.split_last().expect("empty block");
             for &k in inner {
                 assert!(
-                    arena.rank(k) <= level,
+                    rank(k, seed) <= level,
                     "{k:#x} should end its level-{level} block"
                 );
             }
             assert!(
-                last == max || arena.rank(last) > level,
+                last == max || rank(last, seed) > level,
                 "{last:#x} should not end its level-{level} block"
             );
             if level == 0 {
@@ -734,7 +775,7 @@ impl BlockSet {
             for (kid, &k) in blk.kids.iter().zip(&blk.keys) {
                 assert_eq!(arena.last(kid.block), k, "entry key");
                 assert_eq!(
-                    rec(arena, kid.block, level - 1, max),
+                    rec(arena, seed, kid.block, level - 1, max),
                     kid.count,
                     "entry count"
                 );
@@ -752,7 +793,71 @@ impl BlockSet {
             1,
             "one-child root"
         );
-        let n = rec(arena, self.root, self.height(arena), keys[keys.len() - 1]);
+        let n = rec(
+            arena,
+            seed,
+            self.root,
+            self.height(arena),
+            keys[keys.len() - 1],
+        );
         assert_eq!(n as usize, keys.len(), "root count");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The heap bytes an arena holds, counted from its buffers one by one.
+    fn counted(arena: &BlockArena<EndKey>) -> usize {
+        use std::mem::size_of;
+        let (key, kid) = (size_of::<u128>(), size_of::<Kid>());
+        let in_blocks: usize = (arena.blocks.iter())
+            .map(|blk| blk.keys.capacity() * key + blk.kids.capacity() * kid)
+            .sum();
+        let spare_keys: usize = (arena.keys.spares.iter().flatten())
+            .map(|v| v.capacity() * key)
+            .sum();
+        let spare_kids: usize = (arena.kids.spares.iter().flatten())
+            .map(|v| v.capacity() * kid)
+            .sum();
+        arena.blocks.capacity() * size_of::<Block>()
+            + arena.free.capacity() * size_of::<u32>()
+            + in_blocks
+            + spare_keys
+            + spare_kids
+    }
+
+    /// `bytes` is kept as buffers are made, so it must equal a count of
+    /// every buffer the arena holds, in a block or spare, after any mix
+    /// of inserts, removes, bulk builds and clears over sets of two seeds.
+    #[test]
+    fn bytes_count_every_buffer() {
+        let key = |i: u64| EndKey {
+            end: Time((i * 7_919 % 1_009) as i64),
+            id: PeriodId(i + 1),
+        };
+        let (mut arena, mut ops) = (BlockArena::new(), OpStats::new());
+        let mut sets = [BlockSet::new(), BlockSet::new()];
+        assert_eq!(arena.bytes(), 0);
+        for round in 0..3u64 {
+            for i in 0..2_000 {
+                let t = (i % 2) as usize;
+                sets[t].insert(&mut arena, t as u64, key(i + round * 10_000), &mut ops);
+            }
+            for i in (0..2_000).step_by(3) {
+                let t = (i % 2) as usize;
+                assert!(sets[t].remove(&mut arena, t as u64, key(i + round * 10_000), &mut ops));
+            }
+            assert_eq!(arena.bytes(), counted(&arena), "round {round}");
+            let mut sorted: Vec<EndKey> = (0..500).map(|i| key(i + 50_000)).collect();
+            sorted.sort();
+            let mut built = BlockSet::from_sorted(&mut arena, 7, &sorted, &mut ops);
+            assert_eq!(arena.bytes(), counted(&arena), "round {round}");
+            built.clear(&mut arena);
+            sets[round as usize % 2].clear(&mut arena);
+            assert_eq!(arena.bytes(), counted(&arena), "round {round}");
+        }
+        assert!(arena.bytes() > 0);
     }
 }

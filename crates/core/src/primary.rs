@@ -7,10 +7,15 @@
 //! ascending ending-time order (Section 4.1).
 //!
 //! A secondary tree is a [`BlockSet`]: an order-statistic set stored in
-//! blocks, all the secondaries of one slot tree sharing one
-//! [`BlockArena`]. Its layout is a function of its keys, so any sequence of
-//! updates leaves the set [`BlockSet::from_sorted`] builds over the same
-//! keys.
+//! blocks. Its layout is a function of its keys and its tree's seed, so any
+//! sequence of updates leaves the set [`BlockSet::from_sorted`] builds over
+//! the same keys.
+//!
+//! The trees of one ring keep their nodes in one [`TreeStore`]: one node
+//! `Vec` with one free list, and one [`BlockArena`] for every secondary. A
+//! [`SlotTree`] is a handle into it (root, size and the scapegoat rule's
+//! high-water mark), so the store's size follows the entries the trees
+//! hold at their peak, and a tree that empties keeps nothing.
 //!
 //! Here a node keeps that secondary tree only while its subtree holds more
 //! than [`SCAN_MAX`] periods. At or below that size Phase 2 reads the
@@ -126,65 +131,51 @@ pub type TreeFingerprint = Vec<(u32, StartKey, Vec<EndKey>)>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MarkedNode(u32);
 
-/// The 2-dimensional tree for one slot.
-#[derive(Clone, Debug)]
-pub struct SlotTree {
+/// The node store the slot trees of one ring share: every primary node in
+/// one `Vec` with one free list, and the blocks of every secondary set in
+/// one [`BlockArena`]. A tree of `k` periods holds `2k - 1` nodes, so the
+/// store's node slots never exceed twice the most entries its trees held
+/// at once, whatever each tree's own history (DESIGN.md §12, "Storage").
+/// Once warm, the store allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct TreeStore {
     nodes: Vec<PNode>,
     free: Vec<u32>,
-    root: u32,
     arena: BlockArena<EndKey>,
-    size: u32,
-    /// High-water mark since the last full rebuild, for the scapegoat
-    /// deletion rule.
-    max_size_since_rebuild: u32,
+    /// Periods the trees hold, each tree's copy counted.
+    entries: usize,
+    /// The most `entries` has been.
+    peak_entries: usize,
 }
 
-impl SlotTree {
-    /// An empty tree; `seed` determines the (deterministic) secondary-set
-    /// layouts.
-    pub fn new(seed: u64) -> SlotTree {
-        SlotTree {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            arena: BlockArena::new(seed),
-            size: 0,
-            max_size_since_rebuild: 0,
-        }
+impl TreeStore {
+    /// An empty store.
+    pub fn new() -> TreeStore {
+        TreeStore::default()
     }
 
-    /// Build directly from an owned list of periods (used when a slot tree
-    /// must be seeded wholesale, e.g. on snapshot restore), with the
-    /// partial rebuilds' builder. Takes ownership so the periods are sorted
-    /// in place. `O(k log k)`.
-    pub fn from_periods(seed: u64, mut periods: Vec<IdlePeriod>, ops: &mut OpStats) -> SlotTree {
-        let mut tree = SlotTree::new(seed);
-        periods.sort_unstable_by_key(|p| p.start_key());
-        tree.size = periods.len() as u32;
-        tree.max_size_since_rebuild = tree.size;
-        ops.periods_inserted += periods.len() as u64;
-        let leaves: Vec<(StartKey, u32)> = periods
-            .into_iter()
-            .map(|period| (period.start_key(), tree.alloc(PNode::Leaf { period })))
-            .collect();
-        tree.root = tree.relink(&leaves, &mut Vec::new());
-        tree.refresh_secondaries(tree.root, &mut Scratch::new(), ops);
-        tree
+    /// Periods the store's trees hold, summed over the trees. `O(1)`.
+    pub fn entries(&self) -> usize {
+        self.entries
     }
 
-    /// Number of idle periods stored.
-    pub fn len(&self) -> usize {
-        self.size as usize
+    /// The most periods the store's trees have held at once. `O(1)`.
+    pub fn peak_entries(&self) -> usize {
+        self.peak_entries
     }
 
-    /// Whether the tree stores no periods.
-    pub fn is_empty(&self) -> bool {
-        self.size == 0
+    /// Node slots, live or free.
+    pub fn node_slots(&self) -> usize {
+        self.nodes.len()
     }
 
-    // ------------------------------------------------------------------
-    // Allocation helpers
-    // ------------------------------------------------------------------
+    /// Heap bytes the store holds: node slots, free list and secondary
+    /// blocks, in use or spare. `O(1)`.
+    pub fn bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<PNode>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.arena.bytes()
+    }
 
     fn alloc(&mut self, node: PNode) -> u32 {
         match self.free.pop() {
@@ -216,6 +207,162 @@ impl SlotTree {
         }
     }
 
+    /// Count a period into or out of the trees.
+    fn count_entry(&mut self, added: bool) {
+        if added {
+            self.entries += 1;
+            self.peak_entries = self.peak_entries.max(self.entries);
+        } else {
+            self.entries -= 1;
+        }
+    }
+
+    /// Feed the periods below `node` to `sink` in leaf order.
+    fn for_each_leaf(&self, node: u32, sink: &mut impl FnMut(&IdlePeriod)) {
+        match &self.nodes[node as usize] {
+            PNode::Leaf { period } => sink(period),
+            PNode::Internal { left, right, .. } => {
+                self.for_each_leaf(*left, sink);
+                self.for_each_leaf(*right, sink);
+            }
+            PNode::Free => unreachable!("freed node reachable"),
+        }
+    }
+
+    /// Check the store against `trees`, which must be every tree in it:
+    /// the free list names exactly the free slots, the live nodes are
+    /// exactly the `2k - 1` of each tree of `k` periods, the live blocks
+    /// exactly its secondaries', and the entry count their sizes' sum.
+    /// So nothing leaks. Test helper; panics on violation.
+    #[doc(hidden)]
+    pub fn check<'a>(&self, trees: impl IntoIterator<Item = &'a SlotTree>) {
+        let mut free = self.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), self.free.len(), "a slot freed twice");
+        for &i in &free {
+            assert!(
+                matches!(self.nodes[i as usize], PNode::Free),
+                "free list names live slot {i}"
+            );
+        }
+        let live = self
+            .nodes
+            .iter()
+            .filter(|n| !matches!(n, PNode::Free))
+            .count();
+        assert_eq!(
+            live + free.len(),
+            self.nodes.len(),
+            "a freed slot off the free list"
+        );
+        let (mut nodes, mut entries) = (0, 0);
+        for tree in trees {
+            entries += tree.len();
+            nodes += (2 * tree.len()).saturating_sub(1);
+        }
+        assert_eq!(live, nodes, "live nodes against 2k - 1 per tree");
+        assert_eq!(self.entries, entries, "entry count");
+        let blocks: usize = self
+            .nodes
+            .iter()
+            .map(|n| match n {
+                PNode::Internal { secondary, .. } => secondary.layout(&self.arena).len(),
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(self.arena.live_blocks(), blocks, "live secondary blocks");
+    }
+}
+
+/// The 2-dimensional tree for one slot: a handle to its nodes in a
+/// [`TreeStore`], which every method takes. Methods that lay secondary
+/// blocks out take the tree's `seed` too, always the same one for a tree.
+#[derive(Clone, Debug)]
+pub struct SlotTree {
+    root: u32,
+    size: u32,
+    /// High-water mark since the last full rebuild, for the scapegoat
+    /// deletion rule. It survives the tree emptying.
+    max_size_since_rebuild: u32,
+}
+
+// A ring holds 2M handles, whatever it stores.
+const _: () = assert!(std::mem::size_of::<SlotTree>() <= 16);
+
+impl Default for SlotTree {
+    fn default() -> Self {
+        SlotTree::new()
+    }
+}
+
+/// A tree and its store, for the length of one update.
+struct TreeMut<'a> {
+    tree: &'a mut SlotTree,
+    store: &'a mut TreeStore,
+    seed: u64,
+}
+
+impl SlotTree {
+    /// An empty tree.
+    pub fn new() -> SlotTree {
+        SlotTree {
+            root: NIL,
+            size: 0,
+            max_size_since_rebuild: 0,
+        }
+    }
+
+    /// Build directly from an owned list of periods (used when a slot tree
+    /// must be seeded wholesale), with the partial rebuilds' builder; `seed`
+    /// determines the (deterministic) secondary-set layouts. Takes
+    /// ownership so the periods are sorted in place. `O(k log k)`.
+    pub fn from_periods(
+        store: &mut TreeStore,
+        seed: u64,
+        mut periods: Vec<IdlePeriod>,
+        ops: &mut OpStats,
+    ) -> SlotTree {
+        let mut tree = SlotTree::new();
+        periods.sort_unstable_by_key(|p| p.start_key());
+        tree.size = periods.len() as u32;
+        tree.max_size_since_rebuild = tree.size;
+        ops.periods_inserted += periods.len() as u64;
+        let leaves: Vec<(StartKey, u32)> = periods
+            .into_iter()
+            .map(|period| {
+                store.count_entry(true);
+                (period.start_key(), store.alloc(PNode::Leaf { period }))
+            })
+            .collect();
+        let mut t = TreeMut {
+            tree: &mut tree,
+            store,
+            seed,
+        };
+        t.tree.root = t.relink(&leaves, &mut Vec::new());
+        t.refresh_secondaries(t.tree.root, &mut Scratch::new(), ops);
+        tree
+    }
+
+    /// Number of idle periods stored.
+    pub fn len(&self) -> usize {
+        self.size as usize
+    }
+
+    /// Whether the tree stores no periods.
+    pub fn is_empty(&self) -> bool {
+        self.size == 0
+    }
+
+    fn edit<'a>(&'a mut self, store: &'a mut TreeStore, seed: u64) -> TreeMut<'a> {
+        TreeMut {
+            tree: self,
+            store,
+            seed,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Insert / remove
     // ------------------------------------------------------------------
@@ -225,24 +372,80 @@ impl SlotTree {
     /// Convenience entry that allocates its own temporaries; the scheduler
     /// hot path goes through [`SlotTree::apply_ops`] with a shared
     /// [`Scratch`] instead.
-    pub fn insert(&mut self, period: IdlePeriod, ops: &mut OpStats) {
+    pub fn insert(
+        &mut self,
+        store: &mut TreeStore,
+        seed: u64,
+        period: IdlePeriod,
+        ops: &mut OpStats,
+    ) {
         let mut scratch = Scratch::new();
-        self.insert_impl(period, false, &mut scratch, ops);
+        self.edit(store, seed)
+            .insert(period, false, &mut scratch, ops);
         publish(&REBUILD_SIZE, &mut scratch.rebuild_sizes);
     }
 
+    /// Remove a period (identified by its full record, so both tree keys are
+    /// known). Returns whether it was present. Amortized `O(log^2 n)`.
+    /// Convenience entry, like [`SlotTree::insert`].
+    pub fn remove(
+        &mut self,
+        store: &mut TreeStore,
+        seed: u64,
+        period: &IdlePeriod,
+        ops: &mut OpStats,
+    ) -> bool {
+        let mut scratch = Scratch::new();
+        let removed = self
+            .edit(store, seed)
+            .remove(period, false, &mut scratch, ops);
+        publish(&REBUILD_SIZE, &mut scratch.rebuild_sizes);
+        removed
+    }
+
+    /// Apply a batch of updates in order. With `defer` the primary tree
+    /// goes through exactly the states the one-at-a-time calls produce
+    /// while the secondary trees are brought up to date once, at the end;
+    /// the resulting tree is identical either way (module docs).
+    pub fn apply_ops(
+        &mut self,
+        store: &mut TreeStore,
+        seed: u64,
+        batch: impl IntoIterator<Item = PeriodOp>,
+        defer: bool,
+        scratch: &mut Scratch,
+        ops: &mut OpStats,
+    ) {
+        let mut t = self.edit(store, seed);
+        for op in batch {
+            match op {
+                PeriodOp::Remove(p) => {
+                    let removed = t.remove(&p, defer, scratch, ops);
+                    debug_assert!(removed, "period {p:?} missing from its slot tree");
+                }
+                PeriodOp::Insert(p) => t.insert(p, defer, scratch, ops),
+            }
+        }
+        if defer {
+            t.refresh_secondaries(t.tree.root, scratch, ops);
+        }
+        publish(&REBUILD_SIZE, &mut scratch.rebuild_sizes);
+    }
+}
+
+impl TreeMut<'_> {
     /// The insert itself, reusing `scratch` for any rebuild staging
     /// (allocation-free once the buffers are warm). With `defer`, secondary
     /// trees are not updated: those of the nodes on the update path are
     /// dropped (an internal node of more than [`SCAN_MAX`] periods with an
     /// empty secondary is *stale*) and left for
-    /// [`SlotTree::refresh_secondaries`].
+    /// [`TreeMut::refresh_secondaries`].
     ///
     /// Each node on the way down is checked for the imbalance the insert
     /// will leave it in, from its post-update sizes; the highest unbalanced
     /// one is rebuilt with the new leaf merged in, and the descent stops
     /// there.
-    fn insert_impl(
+    fn insert(
         &mut self,
         period: IdlePeriod,
         defer: bool,
@@ -250,10 +453,12 @@ impl SlotTree {
         ops: &mut OpStats,
     ) {
         ops.periods_inserted += 1;
-        self.size += 1;
-        self.max_size_since_rebuild = self.max_size_since_rebuild.max(self.size);
-        if self.root == NIL {
-            self.root = self.alloc(PNode::Leaf { period });
+        self.store.count_entry(true);
+        let tree = &mut *self.tree;
+        tree.size += 1;
+        tree.max_size_since_rebuild = tree.max_size_since_rebuild.max(tree.size);
+        if tree.root == NIL {
+            tree.root = self.store.alloc(PNode::Leaf { period });
             return;
         }
         let key = period.start_key();
@@ -261,11 +466,11 @@ impl SlotTree {
         // The node this insert grows past SCAN_MAX, if any: subtree sizes
         // strictly decrease along a root path, so at most one.
         let mut outgrown = NIL;
-        let (mut parent, mut cur) = (NIL, self.root);
+        let (mut parent, mut cur) = (NIL, self.tree.root);
         loop {
             ops.update_visits += 1;
             ops.update_path_visits += 1;
-            let (next, other, grown) = match &self.nodes[cur as usize] {
+            let (next, other, grown) = match &self.store.nodes[cur as usize] {
                 PNode::Internal {
                     left,
                     right,
@@ -280,14 +485,14 @@ impl SlotTree {
                     let old = *old;
                     debug_assert_ne!(old.id, period.id, "duplicate period id");
                     // Replace this leaf by an internal node over {old, new}.
-                    let new_leaf = self.alloc(PNode::Leaf { period });
-                    let old_leaf = self.alloc(PNode::Leaf { period: old });
+                    let new_leaf = self.store.alloc(PNode::Leaf { period });
+                    let old_leaf = self.store.alloc(PNode::Leaf { period: old });
                     let (l, r, split) = if key <= old.start_key() {
                         (new_leaf, old_leaf, key)
                     } else {
                         (old_leaf, new_leaf, old.start_key())
                     };
-                    self.nodes[cur as usize] = PNode::Internal {
+                    self.store.nodes[cur as usize] = PNode::Internal {
                         left: l,
                         right: r,
                         size: 2,
@@ -298,19 +503,24 @@ impl SlotTree {
                 }
                 PNode::Free => unreachable!("descended into freed node"),
             };
-            if unbalanced(self.node_size(next) + 1, self.node_size(other), grown) {
+            if unbalanced(
+                self.store.node_size(next) + 1,
+                self.store.node_size(other),
+                grown,
+            ) {
                 self.rebuild(cur, parent, PeriodOp::Insert(period), defer, scratch, ops);
                 break;
             }
+            let store = &mut *self.store;
             if let PNode::Internal {
                 size, secondary, ..
-            } = &mut self.nodes[cur as usize]
+            } = &mut store.nodes[cur as usize]
             {
                 *size = grown;
                 if defer {
-                    secondary.clear(&mut self.arena);
+                    secondary.clear(&mut store.arena);
                 } else if grown as usize > SCAN_MAX + 1 {
-                    secondary.insert(&mut self.arena, end_key, ops);
+                    secondary.insert(&mut store.arena, self.seed, end_key, ops);
                 } else if grown as usize == SCAN_MAX + 1 {
                     outgrown = cur;
                 }
@@ -324,26 +534,16 @@ impl SlotTree {
         }
     }
 
-    /// Remove a period (identified by its full record, so both tree keys are
-    /// known). Returns whether it was present. Amortized `O(log^2 n)`.
-    /// Convenience entry, like [`SlotTree::insert`].
-    pub fn remove(&mut self, period: &IdlePeriod, ops: &mut OpStats) -> bool {
-        let mut scratch = Scratch::new();
-        let removed = self.remove_impl(period, false, &mut scratch, ops);
-        publish(&REBUILD_SIZE, &mut scratch.rebuild_sizes);
-        removed
-    }
-
     /// The removal itself; `scratch`, `defer` and the rebuild found on the
-    /// way down as in [`SlotTree::insert_impl`].
-    fn remove_impl(
+    /// way down as in [`TreeMut::insert`].
+    fn remove(
         &mut self,
         period: &IdlePeriod,
         defer: bool,
         scratch: &mut Scratch,
         ops: &mut OpStats,
     ) -> bool {
-        if self.root == NIL {
+        if self.tree.root == NIL {
             return false;
         }
         let key = period.start_key();
@@ -351,9 +551,9 @@ impl SlotTree {
         // First verify presence (cheap read-only descent) so that a miss
         // leaves the tree untouched.
         {
-            let mut cur = self.root;
+            let mut cur = self.tree.root;
             loop {
-                match &self.nodes[cur as usize] {
+                match &self.store.nodes[cur as usize] {
                     PNode::Internal {
                         left, right, split, ..
                     } => {
@@ -372,30 +572,26 @@ impl SlotTree {
             }
         }
         ops.periods_removed += 1;
-        self.size -= 1;
+        self.store.count_entry(false);
+        let tree = &mut *self.tree;
+        tree.size -= 1;
         // Scapegoat deletion rule: rebuild everything once the tree has
         // shrunk below ALPHA of its high-water mark.
-        if self.size > 0
-            && (self.size as u64) * ALPHA_DEN < (self.max_size_since_rebuild as u64) * ALPHA_NUM
+        if tree.size > 0
+            && (tree.size as u64) * ALPHA_DEN < (tree.max_size_since_rebuild as u64) * ALPHA_NUM
         {
-            self.max_size_since_rebuild = self.size;
-            self.rebuild(
-                self.root,
-                NIL,
-                PeriodOp::Remove(*period),
-                defer,
-                scratch,
-                ops,
-            );
+            tree.max_size_since_rebuild = tree.size;
+            let root = tree.root;
+            self.rebuild(root, NIL, PeriodOp::Remove(*period), defer, scratch, ops);
             return true;
         }
         // Mutating descent: fix sizes and secondaries down to the leaf's
         // parent, which the splice below removes with the leaf.
-        let (mut grandparent, mut parent, mut cur) = (NIL, NIL, self.root);
+        let (mut grandparent, mut parent, mut cur) = (NIL, NIL, self.tree.root);
         loop {
             ops.update_visits += 1;
             ops.update_path_visits += 1;
-            let (next, other, shrunk) = match &self.nodes[cur as usize] {
+            let (next, other, shrunk) = match &self.store.nodes[cur as usize] {
                 PNode::Internal {
                     left,
                     right,
@@ -409,20 +605,25 @@ impl SlotTree {
                 PNode::Leaf { .. } => break,
                 PNode::Free => unreachable!(),
             };
-            if !matches!(self.nodes[next as usize], PNode::Leaf { .. }) {
-                if unbalanced(self.node_size(next) - 1, self.node_size(other), shrunk) {
+            if !matches!(self.store.nodes[next as usize], PNode::Leaf { .. }) {
+                if unbalanced(
+                    self.store.node_size(next) - 1,
+                    self.store.node_size(other),
+                    shrunk,
+                ) {
                     self.rebuild(cur, parent, PeriodOp::Remove(*period), defer, scratch, ops);
                     return true;
                 }
+                let store = &mut *self.store;
                 if let PNode::Internal {
                     size, secondary, ..
-                } = &mut self.nodes[cur as usize]
+                } = &mut store.nodes[cur as usize]
                 {
                     *size = shrunk;
                     if defer || shrunk as usize == SCAN_MAX {
-                        secondary.clear(&mut self.arena);
+                        secondary.clear(&mut store.arena);
                     } else if shrunk as usize > SCAN_MAX {
-                        let removed = secondary.remove(&mut self.arena, end_key, ops);
+                        let removed = secondary.remove(&mut store.arena, self.seed, end_key, ops);
                         debug_assert!(removed, "secondary missing end key during removal");
                     }
                 }
@@ -430,46 +631,20 @@ impl SlotTree {
             (grandparent, parent, cur) = (parent, cur, next);
         }
         // Structural splice: replace `parent` with the leaf's sibling.
-        self.dealloc(cur);
+        self.store.dealloc(cur);
         if parent == NIL {
             // The leaf was the root.
-            self.root = NIL;
+            self.tree.root = NIL;
         } else {
-            let sibling = match &self.nodes[parent as usize] {
+            let sibling = match &self.store.nodes[parent as usize] {
                 PNode::Internal { left, right, .. } if *left == cur => *right,
                 PNode::Internal { left, .. } => *left,
                 _ => unreachable!(),
             };
-            self.dealloc(parent);
+            self.store.dealloc(parent);
             self.replace_child(grandparent, parent, sibling);
         }
         true
-    }
-
-    /// Apply a batch of updates in order. With `defer` the primary tree
-    /// goes through exactly the states the one-at-a-time calls produce
-    /// while the secondary trees are brought up to date once, at the end;
-    /// the resulting tree is identical either way (module docs).
-    pub fn apply_ops(
-        &mut self,
-        batch: impl IntoIterator<Item = PeriodOp>,
-        defer: bool,
-        scratch: &mut Scratch,
-        ops: &mut OpStats,
-    ) {
-        for op in batch {
-            match op {
-                PeriodOp::Remove(p) => {
-                    let removed = self.remove_impl(&p, defer, scratch, ops);
-                    debug_assert!(removed, "period {p:?} missing from its slot tree");
-                }
-                PeriodOp::Insert(p) => self.insert_impl(p, defer, scratch, ops),
-            }
-        }
-        if defer {
-            self.refresh_secondaries(self.root, scratch, ops);
-        }
-        publish(&REBUILD_SIZE, &mut scratch.rebuild_sizes);
     }
 
     /// Rebuild the stale secondary trees at and below `node`, bottom-up in
@@ -482,13 +657,13 @@ impl SlotTree {
     /// periods, which has no secondary trees and whose end keys are read
     /// off its leaves. All runs share one stack (`scratch.ends`), adjacent
     /// runs merge through `scratch.ends_aux`, and the sets take their
-    /// blocks from the tree's arena: nothing is allocated once the buffers
+    /// blocks from the store's arena: nothing is allocated once the buffers
     /// are warm. Like a secondary's insert or remove, the refresh counts an
     /// update visit per block it reads or builds, and one per leaf of a
     /// scanned subtree.
     fn refresh_secondaries(&mut self, node: u32, scratch: &mut Scratch, ops: &mut OpStats) {
         scratch.ends.clear();
-        if node != NIL && self.node_size(node) as usize > SCAN_MAX {
+        if node != NIL && self.store.node_size(node) as usize > SCAN_MAX {
             self.refresh_rec(node, scratch, ops);
         }
     }
@@ -496,17 +671,18 @@ impl SlotTree {
     /// On return the subtree's end keys are the top entries of
     /// `scratch.ends`, ascending.
     fn refresh_rec(&mut self, node: u32, scratch: &mut Scratch, ops: &mut OpStats) {
-        let (left, right) = match &self.nodes[node as usize] {
+        let store = &*self.store;
+        let (left, right) = match &store.nodes[node as usize] {
             PNode::Leaf { period } => return scratch.ends.push(period.end_key()),
             PNode::Internal { size, .. } if *size as usize <= SCAN_MAX => {
                 ops.update_visits += *size as u64;
                 let base = scratch.ends.len();
-                self.for_each_leaf(node, &mut |p| scratch.ends.push(p.end_key()));
+                store.for_each_leaf(node, &mut |p| scratch.ends.push(p.end_key()));
                 return scratch.ends[base..].sort_unstable();
             }
             PNode::Internal { secondary, .. } if !secondary.is_empty() => {
                 let visits = &mut ops.update_visits;
-                return secondary.append_keys(&self.arena, &mut scratch.ends, visits);
+                return secondary.append_keys(&store.arena, &mut scratch.ends, visits);
             }
             PNode::Internal { left, right, .. } => (*left, *right),
             PNode::Free => unreachable!("refresh reached a freed node"),
@@ -516,7 +692,7 @@ impl SlotTree {
         let mid = scratch.ends.len() - base;
         self.refresh_rec(right, scratch, ops);
         let rebuilt = self.merged_secondary(base, mid, scratch, ops);
-        if let PNode::Internal { secondary, .. } = &mut self.nodes[node as usize] {
+        if let PNode::Internal { secondary, .. } = &mut self.store.nodes[node as usize] {
             *secondary = rebuilt;
         }
     }
@@ -554,14 +730,14 @@ impl SlotTree {
         }
         ends.truncate(base);
         ends.extend_from_slice(aux);
-        BlockSet::from_sorted(&mut self.arena, &ends[base..], ops)
+        BlockSet::from_sorted(&mut self.store.arena, self.seed, &ends[base..], ops)
     }
 
     /// Hang `new` where `old` hung: under `parent`, or as the root.
     fn replace_child(&mut self, parent: u32, old: u32, new: u32) {
         if parent == NIL {
-            self.root = new;
-        } else if let PNode::Internal { left, right, .. } = &mut self.nodes[parent as usize] {
+            self.tree.root = new;
+        } else if let PNode::Internal { left, right, .. } = &mut self.store.nodes[parent as usize] {
             if *left == old {
                 *left = new;
             } else {
@@ -597,11 +773,11 @@ impl SlotTree {
         let at = leaves.partition_point(|&(k, _)| k < key);
         match change {
             PeriodOp::Insert(period) => {
-                leaves.insert(at, (key, self.alloc(PNode::Leaf { period })));
+                leaves.insert(at, (key, self.store.alloc(PNode::Leaf { period })));
             }
             PeriodOp::Remove(_) => {
                 debug_assert_eq!(leaves[at].0, key, "rebuild lost its leaf");
-                self.dealloc(leaves.remove(at).1);
+                self.store.dealloc(leaves.remove(at).1);
             }
         }
         let size = leaves.len() as u64;
@@ -610,7 +786,7 @@ impl SlotTree {
         obs::obs_event!("tree.rebuild", "size" => size, "root" => parent == NIL);
         let rebuilt = self.relink(&leaves, &mut inner);
         for spare in inner.drain(..) {
-            self.dealloc(spare);
+            self.store.dealloc(spare);
         }
         self.replace_child(parent, node, rebuilt);
         (scratch.leaves, scratch.inner) = (leaves, inner);
@@ -623,7 +799,8 @@ impl SlotTree {
     /// their keys, and its internal slots to `inner`, dropping their
     /// secondary trees.
     fn gather(&mut self, node: u32, leaves: &mut Vec<(StartKey, u32)>, inner: &mut Vec<u32>) {
-        match &mut self.nodes[node as usize] {
+        let store = &mut *self.store;
+        match &mut store.nodes[node as usize] {
             PNode::Leaf { period } => leaves.push((period.start_key(), node)),
             PNode::Internal {
                 left,
@@ -632,7 +809,7 @@ impl SlotTree {
                 ..
             } => {
                 let (l, r) = (*left, *right);
-                secondary.clear(&mut self.arena);
+                secondary.clear(&mut store.arena);
                 inner.push(node);
                 self.gather(l, leaves, inner);
                 self.gather(r, leaves, inner);
@@ -645,7 +822,7 @@ impl SlotTree {
     /// i.e. descending start time) into a perfectly balanced leaf-oriented
     /// tree whose internal nodes take the slots in `inner`, then fresh ones;
     /// every secondary tree is left stale for
-    /// [`SlotTree::refresh_secondaries`]. Returns the root, NIL for no
+    /// [`TreeMut::refresh_secondaries`]. Returns the root, NIL for no
     /// leaves.
     fn relink(&mut self, leaves: &[(StartKey, u32)], inner: &mut Vec<u32>) -> u32 {
         match leaves.len() {
@@ -664,15 +841,17 @@ impl SlotTree {
                 };
                 match inner.pop() {
                     Some(slot) => {
-                        self.nodes[slot as usize] = node;
+                        self.store.nodes[slot as usize] = node;
                         slot
                     }
-                    None => self.alloc(node),
+                    None => self.store.alloc(node),
                 }
             }
         }
     }
+}
 
+impl SlotTree {
     // ------------------------------------------------------------------
     // Phase 1 / Phase 2 searches
     // ------------------------------------------------------------------
@@ -685,6 +864,7 @@ impl SlotTree {
     /// marks in a single shared buffer.
     pub fn phase1_candidates_append(
         &self,
+        store: &TreeStore,
         start: Time,
         marked: &mut Vec<MarkedNode>,
         ops: &mut OpStats,
@@ -693,14 +873,14 @@ impl SlotTree {
         let mut cur = self.root;
         while cur != NIL {
             ops.primary_visits += 1;
-            match &self.nodes[cur as usize] {
+            match &store.nodes[cur as usize] {
                 PNode::Internal {
                     left, right, split, ..
                 } => {
                     if split.start <= start {
                         // Everything right of the split starts no later than
                         // the split: all candidates. Mark and go left.
-                        count += self.node_size(*right) as usize;
+                        count += store.node_size(*right) as usize;
                         marked.push(MarkedNode(*right));
                         cur = *left;
                     } else {
@@ -730,7 +910,7 @@ impl SlotTree {
     /// does not count as a separate search — the segment-tree ring's
     /// per-node step of a single logical Phase 2.
     pub fn phase2_collect(
-        &self,
+        store: &TreeStore,
         marked: &[MarkedNode],
         end: Time,
         out: &mut Vec<PeriodId>,
@@ -739,7 +919,7 @@ impl SlotTree {
         // Scan buffer for the subtrees that keep no secondary tree.
         let mut keys = [EndKey::range_floor(end); SCAN_MAX];
         for &MarkedNode(n) in marked.iter().rev() {
-            match &self.nodes[n as usize] {
+            match &store.nodes[n as usize] {
                 PNode::Leaf { period } => {
                     ops.secondary_visits += 1;
                     if period.end >= end {
@@ -751,7 +931,7 @@ impl SlotTree {
                     // feasible ones in the order its walk would have.
                     ops.secondary_visits += *size as u64;
                     let mut found = 0;
-                    self.for_each_leaf(n, &mut |p| {
+                    store.for_each_leaf(n, &mut |p| {
                         if p.end >= end {
                             keys[found] = p.end_key();
                             found += 1;
@@ -762,7 +942,7 @@ impl SlotTree {
                 }
                 PNode::Internal { secondary, .. } => {
                     secondary.collect_top(
-                        &self.arena,
+                        &store.arena,
                         EndKey::range_floor(end),
                         usize::MAX,
                         |_| true,
@@ -777,10 +957,15 @@ impl SlotTree {
 
     /// Count (without retrieving) the feasible periods among the marked
     /// candidates — used by the range-search counting API.
-    pub fn count_feasible(&self, marked: &[MarkedNode], end: Time, ops: &mut OpStats) -> usize {
+    pub fn count_feasible(
+        store: &TreeStore,
+        marked: &[MarkedNode],
+        end: Time,
+        ops: &mut OpStats,
+    ) -> usize {
         let mut count = 0usize;
         for &MarkedNode(n) in marked {
-            match &self.nodes[n as usize] {
+            match &store.nodes[n as usize] {
                 PNode::Leaf { period } => {
                     ops.secondary_visits += 1;
                     if period.end >= end {
@@ -789,11 +974,11 @@ impl SlotTree {
                 }
                 PNode::Internal { size, .. } if *size as usize <= SCAN_MAX => {
                     ops.secondary_visits += *size as u64;
-                    self.for_each_leaf(n, &mut |p| count += (p.end >= end) as usize);
+                    store.for_each_leaf(n, &mut |p| count += (p.end >= end) as usize);
                 }
                 PNode::Internal { secondary, .. } => {
                     count += secondary.count_ge(
-                        &self.arena,
+                        &store.arena,
                         EndKey {
                             end,
                             id: PeriodId(0),
@@ -811,41 +996,30 @@ impl SlotTree {
     // Introspection / validation
     // ------------------------------------------------------------------
 
-    /// Feed the periods below `node` to `sink` in leaf order.
-    fn for_each_leaf(&self, node: u32, sink: &mut impl FnMut(&IdlePeriod)) {
-        match &self.nodes[node as usize] {
-            PNode::Leaf { period } => sink(period),
-            PNode::Internal { left, right, .. } => {
-                self.for_each_leaf(*left, sink);
-                self.for_each_leaf(*right, sink);
-            }
-            PNode::Free => unreachable!("freed node reachable"),
-        }
-    }
-
     /// All periods in leaf order (descending start). Test/debug helper.
-    pub fn periods_in_order(&self) -> Vec<IdlePeriod> {
+    pub fn periods_in_order(&self, store: &TreeStore) -> Vec<IdlePeriod> {
         let mut out = Vec::with_capacity(self.len());
         if self.root != NIL {
-            self.for_each_leaf(self.root, &mut |p| out.push(*p));
+            store.for_each_leaf(self.root, &mut |p| out.push(*p));
         }
         out
     }
 
-    /// Exhaustively check every structural invariant. Test helper; panics on
+    /// Exhaustively check every structural invariant, the secondary
+    /// layouts against the tree's `seed` included. Test helper; panics on
     /// violation.
     #[doc(hidden)]
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self, store: &TreeStore, seed: u64) {
         struct Info {
             size: u32,
             min: StartKey,
             max: StartKey,
         }
-        fn rec(tree: &SlotTree, node: u32) -> Option<Info> {
+        fn rec(store: &TreeStore, seed: u64, node: u32) -> Option<Info> {
             if node == NIL {
                 return None;
             }
-            match &tree.nodes[node as usize] {
+            match &store.nodes[node as usize] {
                 PNode::Leaf { period } => Some(Info {
                     size: 1,
                     min: period.start_key(),
@@ -858,8 +1032,9 @@ impl SlotTree {
                     split,
                     secondary,
                 } => {
-                    let l = rec(tree, *left).expect("internal node with empty left subtree");
-                    let r = rec(tree, *right).expect("internal node with empty right subtree");
+                    let l = rec(store, seed, *left).expect("internal node with empty left subtree");
+                    let r =
+                        rec(store, seed, *right).expect("internal node with empty right subtree");
                     assert_eq!(*size, l.size + r.size, "size annotation");
                     assert!(l.max <= *split, "left subtree exceeds split");
                     assert!(r.min > *split, "right subtree at or below split");
@@ -868,15 +1043,15 @@ impl SlotTree {
                     // order; at or below it there must be none.
                     let mut expected: Vec<EndKey> = Vec::new();
                     if *size as usize > SCAN_MAX {
-                        tree.for_each_leaf(node, &mut |p| expected.push(p.end_key()));
+                        store.for_each_leaf(node, &mut |p| expected.push(p.end_key()));
                         expected.sort();
                     }
                     assert_eq!(
-                        secondary.keys_in_order(&tree.arena),
+                        secondary.keys_in_order(&store.arena),
                         expected,
                         "secondary contents mismatch at size {size}"
                     );
-                    secondary.check_invariants(&tree.arena);
+                    secondary.check_invariants(&store.arena, seed);
                     Some(Info {
                         size: *size,
                         min: l.min,
@@ -886,14 +1061,15 @@ impl SlotTree {
                 PNode::Free => panic!("freed node reachable"),
             }
         }
-        let info = rec(self, self.root);
+        let info = rec(store, seed, self.root);
         assert_eq!(
             info.map(|i| i.size).unwrap_or(0),
             self.size,
             "tree size annotation"
         );
+        assert!(self.size <= self.max_size_since_rebuild, "high-water mark");
         // Leaf order must be sorted by key.
-        let leaves = self.periods_in_order();
+        let leaves = self.periods_in_order(store);
         for w in leaves.windows(2) {
             assert!(w[0].start_key() < w[1].start_key(), "leaf order");
         }
@@ -903,10 +1079,10 @@ impl SlotTree {
     /// order)` per internal node. Two trees with equal leaf order and equal
     /// fingerprints answer every search with the same hits in the same order
     /// at the same visit counts, as a secondary's layout is a function of
-    /// its keys (test helper).
+    /// its keys and seed (test helper).
     #[doc(hidden)]
-    pub fn fingerprint(&self) -> TreeFingerprint {
-        fn rec(tree: &SlotTree, node: u32, out: &mut TreeFingerprint) {
+    pub fn fingerprint(&self, store: &TreeStore) -> TreeFingerprint {
+        fn rec(store: &TreeStore, node: u32, out: &mut TreeFingerprint) {
             if node == NIL {
                 return;
             }
@@ -916,32 +1092,34 @@ impl SlotTree {
                 size,
                 split,
                 secondary,
-            } = &tree.nodes[node as usize]
+            } = &store.nodes[node as usize]
             {
-                out.push((*size, *split, secondary.keys_in_order(&tree.arena)));
-                rec(tree, *left, out);
-                rec(tree, *right, out);
+                out.push((*size, *split, secondary.keys_in_order(&store.arena)));
+                rec(store, *left, out);
+                rec(store, *right, out);
             }
         }
         let mut out = Vec::new();
-        rec(self, self.root, &mut out);
+        rec(store, self.root, &mut out);
         out
     }
 
     /// Height of the tree (edges on the longest root-leaf path); used to
     /// check the weight-balance guarantee in tests.
-    pub fn height(&self) -> usize {
-        fn rec(tree: &SlotTree, node: u32) -> usize {
+    pub fn height(&self, store: &TreeStore) -> usize {
+        fn rec(store: &TreeStore, node: u32) -> usize {
             if node == NIL {
                 return 0;
             }
-            match &tree.nodes[node as usize] {
+            match &store.nodes[node as usize] {
                 PNode::Leaf { .. } => 0,
-                PNode::Internal { left, right, .. } => 1 + rec(tree, *left).max(rec(tree, *right)),
+                PNode::Internal { left, right, .. } => {
+                    1 + rec(store, *left).max(rec(store, *right))
+                }
                 PNode::Free => unreachable!(),
             }
         }
-        rec(self, self.root)
+        rec(store, self.root)
     }
 }
 
@@ -963,30 +1141,121 @@ mod tests {
         }
     }
 
+    /// One tree alone in its store, under its own seed.
+    struct Solo {
+        tree: SlotTree,
+        store: TreeStore,
+        seed: u64,
+    }
+
+    impl Solo {
+        fn new(seed: u64) -> Solo {
+            Solo {
+                tree: SlotTree::new(),
+                store: TreeStore::new(),
+                seed,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.tree.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.tree.is_empty()
+        }
+
+        fn insert(&mut self, period: IdlePeriod, ops: &mut OpStats) {
+            self.tree.insert(&mut self.store, self.seed, period, ops);
+        }
+
+        fn remove(&mut self, period: &IdlePeriod, ops: &mut OpStats) -> bool {
+            self.tree.remove(&mut self.store, self.seed, period, ops)
+        }
+
+        fn apply_ops(
+            &mut self,
+            batch: impl IntoIterator<Item = PeriodOp>,
+            defer: bool,
+            scratch: &mut Scratch,
+            ops: &mut OpStats,
+        ) {
+            let store = &mut self.store;
+            self.tree
+                .apply_ops(store, self.seed, batch, defer, scratch, ops);
+        }
+
+        /// The tree's invariants and the store's leak check.
+        fn check_invariants(&self) {
+            self.tree.check_invariants(&self.store, self.seed);
+            self.store.check([&self.tree]);
+        }
+
+        fn periods_in_order(&self) -> Vec<IdlePeriod> {
+            self.tree.periods_in_order(&self.store)
+        }
+
+        fn fingerprint(&self) -> TreeFingerprint {
+            self.tree.fingerprint(&self.store)
+        }
+
+        fn height(&self) -> usize {
+            self.tree.height(&self.store)
+        }
+
+        fn phase1_candidates_append(
+            &self,
+            start: Time,
+            marked: &mut Vec<MarkedNode>,
+            ops: &mut OpStats,
+        ) -> usize {
+            self.tree
+                .phase1_candidates_append(&self.store, start, marked, ops)
+        }
+
+        fn phase2_collect(
+            &self,
+            marked: &[MarkedNode],
+            end: Time,
+            out: &mut Vec<PeriodId>,
+            ops: &mut OpStats,
+        ) {
+            SlotTree::phase2_collect(&self.store, marked, end, out, ops);
+        }
+
+        fn count_feasible(&self, marked: &[MarkedNode], end: Time, ops: &mut OpStats) -> usize {
+            SlotTree::count_feasible(&self.store, marked, end, ops)
+        }
+
+        fn for_each_leaf(&self, node: u32, sink: &mut impl FnMut(&IdlePeriod)) {
+            self.store.for_each_leaf(node, sink);
+        }
+    }
+
     /// Phase 1 through the ring's entry: the candidate count and marks.
-    fn phase1(t: &SlotTree, start: Time, ops: &mut OpStats) -> (usize, Vec<MarkedNode>) {
+    fn phase1(t: &Solo, start: Time, ops: &mut OpStats) -> (usize, Vec<MarkedNode>) {
         let mut marked = Vec::new();
         let count = t.phase1_candidates_append(start, &mut marked, ops);
         (count, marked)
     }
 
     /// Phase 2 through the ring's entry, over the marks of [`phase1`].
-    fn phase2(t: &SlotTree, marked: &[MarkedNode], end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
+    fn phase2(t: &Solo, marked: &[MarkedNode], end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
         let mut out = Vec::new();
         t.phase2_collect(marked, end, &mut out, ops);
         out
     }
 
     /// Both phases: every feasible period for `[start, end)`.
-    fn find(t: &SlotTree, start: Time, end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
+    fn find(t: &Solo, start: Time, end: Time, ops: &mut OpStats) -> Vec<PeriodId> {
         let (_, marked) = phase1(t, start, ops);
         phase2(t, &marked, end, ops)
     }
 
     /// The four idle periods of Figure 2 (slot q = 2, interval [10, 20)).
-    fn figure2_tree() -> SlotTree {
+    fn figure2_tree() -> Solo {
         let mut ops = OpStats::new();
-        let mut t = SlotTree::new(0xF16);
+        let mut t = Solo::new(0xF16);
         // X = (4, 25, server 1), Y = (16, 33, 2), Z = (7, 33, 3), V = (1, 18, 4)
         t.insert(p(1, 1, 4, 25), &mut ops);
         t.insert(p(2, 2, 16, 33), &mut ops);
@@ -1082,7 +1351,7 @@ mod tests {
 
     #[test]
     fn open_ended_periods_always_feasible() {
-        let mut t = SlotTree::new(1);
+        let mut t = Solo::new(1);
         let mut ops = OpStats::new();
         for i in 0..8 {
             t.insert(p(i, i as u32, i as i64, i64::MAX), &mut ops);
@@ -1104,9 +1373,10 @@ mod tests {
                 )
             })
             .collect();
-        let bulk = SlotTree::from_periods(9, periods.clone(), &mut ops);
+        let mut bulk = Solo::new(9);
+        bulk.tree = SlotTree::from_periods(&mut bulk.store, 9, periods.clone(), &mut ops);
         bulk.check_invariants();
-        let mut inc = SlotTree::new(9);
+        let mut inc = Solo::new(9);
         for q in &periods {
             inc.insert(*q, &mut ops);
         }
@@ -1116,7 +1386,7 @@ mod tests {
 
     #[test]
     fn height_stays_logarithmic_under_adversarial_inserts() {
-        let mut t = SlotTree::new(3);
+        let mut t = Solo::new(3);
         let mut ops = OpStats::new();
         // Strictly increasing starts: worst case for an unbalanced BST.
         for i in 0..1024i64 {
@@ -1130,7 +1400,7 @@ mod tests {
 
     #[test]
     fn deletion_heavy_shrink_triggers_global_rebuild() {
-        let mut t = SlotTree::new(4);
+        let mut t = Solo::new(4);
         let mut ops = OpStats::new();
         let periods: Vec<IdlePeriod> = (0..512)
             .map(|i| p(i, 0, i as i64, 10_000 + i as i64))
@@ -1154,8 +1424,8 @@ mod tests {
     fn secondaries_come_and_go_at_the_threshold() {
         let s = SCAN_MAX as u64;
         let period = |i: u64| p(i, 0, (i * 37 % 101) as i64, 200 + (i * 13 % 97) as i64);
-        let mut eager = SlotTree::new(7);
-        let mut deferred = SlotTree::new(7);
+        let mut eager = Solo::new(7);
+        let mut deferred = Solo::new(7);
         let (mut ops, mut scratch) = (OpStats::new(), Scratch::new());
         let grow = (0..2 * s).map(|i| PeriodOp::Insert(period(i)));
         // Removal order unrelated to insertion order.
@@ -1180,7 +1450,7 @@ mod tests {
         }
         assert_eq!(eager.len(), SCAN_MAX - 1);
         assert_eq!(
-            eager.arena.live_blocks(),
+            eager.store.arena.live_blocks(),
             0,
             "no secondary tree survives below the threshold"
         );
@@ -1198,7 +1468,7 @@ mod tests {
         let around = |m: usize| [m - 3, m - 1, m, m + 1, m + 3];
         for target in around(SCAN_MAX).into_iter().chain(around(4 * SCAN_MAX)) {
             // Overshoot, then remove back down: an irregular shape.
-            let mut t = SlotTree::new(target as u64);
+            let mut t = Solo::new(target as u64);
             let mut live: Vec<IdlePeriod> = Vec::new();
             for i in 0..(target + target / 2) as u64 {
                 let start = rng.random_range(0..300);
@@ -1243,7 +1513,7 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut t = SlotTree::new(5);
+        let mut t = Solo::new(5);
         let mut ops = OpStats::new();
         let mut live: Vec<IdlePeriod> = Vec::new();
         for i in 0..3000u64 {

@@ -12,7 +12,9 @@
 //! and `O(N * W/tau)` resident copies. This implementation deviates: the
 //! `Q` live slots are the leaves of a **static segment tree** (padded to a
 //! power of two `M >= Q`), each of whose `2M` canonical nodes owns one 2-D
-//! [`SlotTree`]. A finite period covering slots `[first, last]` is stored
+//! [`SlotTree`], a handle into the one [`TreeStore`] of the ring (so the
+//! ring's memory follows its live entries, not the history of each of
+//! its `2M` trees). A finite period covering slots `[first, last]` is stored
 //! once in each of the `O(log Q)` canonical nodes whose leaf interval its
 //! slot range decomposes into, and a Phase-1/Phase-2 query at slot `q`
 //! walks the leaf-to-root *stabbing path* of `q`, running the usual
@@ -43,7 +45,7 @@
 use crate::idhash::IdMap;
 use crate::idle::IdlePeriod;
 use crate::ids::PeriodId;
-use crate::primary::{defer_pays, MarkedNode, PeriodOp, SlotTree, TreeFingerprint};
+use crate::primary::{defer_pays, MarkedNode, PeriodOp, SlotTree, TreeFingerprint, TreeStore};
 use crate::scratch::{publish, Scratch};
 use crate::stats::OpStats;
 use crate::time::{SlotConfig, SlotIdx, Time};
@@ -98,14 +100,14 @@ struct Coverage {
 
 /// The marks of one logical Phase 1 run across a stabbing path: each
 /// visited non-empty canonical tree contributes a contiguous segment of the
-/// shared `marked` buffer. Phase 2 and feasibility counting replay the
-/// segments tree by tree. Plain reusable data, like every [`Scratch`]
-/// buffer: cleared and refilled per query, allocation-free once warm.
+/// shared `marked` buffer. Phase 2 replays the segments tree by tree (all
+/// the marks are nodes of the one store). Plain reusable data, like every
+/// [`Scratch`] buffer: cleared and refilled per query, allocation-free
+/// once warm.
 #[derive(Clone, Debug, Default)]
 pub struct StabMarks {
-    /// Canonical node indices visited, non-empty trees only.
-    trees: Vec<u32>,
-    /// `bounds[i]` = end of `trees[i]`'s segment within `marked`.
+    /// `bounds[i]` = end of the `i`-th visited tree's segment within
+    /// `marked`.
     bounds: Vec<u32>,
     /// Concatenated per-tree marked subtrees, in marking order.
     marked: Vec<MarkedNode>,
@@ -113,7 +115,6 @@ pub struct StabMarks {
 
 impl StabMarks {
     fn clear(&mut self) {
-        self.trees.clear();
         self.bounds.clear();
         self.marked.clear();
     }
@@ -130,8 +131,13 @@ pub struct SlotRing {
     span: usize,
     /// `2 * span` canonical nodes, 1-indexed heap layout (`nodes[0]` is
     /// unused); node `i`'s children are `2i` and `2i + 1`, leaf for
-    /// position `p` is `span + p`.
+    /// position `p` is `span + p`. Each is a handle into `store`.
     nodes: Vec<SlotTree>,
+    /// The nodes and secondary blocks of every canonical tree.
+    store: TreeStore,
+    /// Node `i`'s tree lays its secondary blocks out with
+    /// `node_seed(seed, i)`.
+    seed: u64,
     /// Periods currently stored, keyed by id, with their insert-time slot
     /// range (`O(N)` — the one copy-independent record of each period).
     cover: IdMap<u64, Coverage>,
@@ -149,15 +155,14 @@ impl SlotRing {
     pub fn new(cfg: SlotConfig, origin: Time, seed: u64) -> SlotRing {
         let base = cfg.slot_of(origin);
         let span = cfg.num_slots.next_power_of_two();
-        let nodes = (0..2 * span)
-            .map(|i| SlotTree::new(Self::node_seed(seed, i)))
-            .collect();
         let expiry = (0..cfg.num_slots).map(|_| Vec::new()).collect();
         SlotRing {
             cfg,
             base,
             span,
-            nodes,
+            nodes: vec![SlotTree::new(); 2 * span],
+            store: TreeStore::new(),
+            seed,
             cover: IdMap::default(),
             expiry,
             eager_only: false,
@@ -227,9 +232,16 @@ impl SlotRing {
     }
 
     /// Total per-tree period entries across all canonical nodes (each
-    /// period appears in `O(log Q)` of them).
+    /// period appears in `O(log Q)` of them). `O(1)`: the store counts
+    /// them.
     pub fn resident_entries(&self) -> usize {
-        self.nodes.iter().map(|t| t.len()).sum()
+        self.store.entries()
+    }
+
+    /// The store the canonical trees share: its entries, peak entries,
+    /// node slots and bytes.
+    pub fn store(&self) -> &TreeStore {
+        &self.store
     }
 
     /// Number of canonical segment-tree nodes backing the ring.
@@ -292,7 +304,8 @@ impl SlotRing {
     /// takes it out of exactly those. The cover map and expiry buckets are
     /// updated update by update; the tree work is regrouped per canonical
     /// tree, each tree receiving its updates in batch order. Trees share
-    /// nothing, so the ring ends in exactly the state the same updates
+    /// only the store, and which slots of it a tree's nodes take changes
+    /// no tree, so the ring ends in exactly the state the same updates
     /// applied one call at a time leave behind.
     ///
     /// Insertions outside the live window and removals of unknown periods
@@ -362,12 +375,14 @@ impl SlotRing {
         routed.sort_unstable();
         let mut deferred = 0u64;
         for group in routed.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let tree = &mut self.nodes[(group[0] >> 32) as usize];
+            let i = (group[0] >> 32) as usize;
+            let tree = &mut self.nodes[i];
             let defer = !self.eager_only && defer_pays(group.len(), tree.len());
             scratch.batch_sizes.push(group.len() as u64);
             deferred += defer as u64;
             let updates = group.iter().map(|&key| batch[key as u32 as usize]);
-            tree.apply_ops(updates, defer, scratch, ops);
+            let seed = Self::node_seed(self.seed, i);
+            tree.apply_ops(&mut self.store, seed, updates, defer, scratch, ops);
         }
         if deferred > 0 {
             BATCHES_DEFERRED.add(deferred);
@@ -390,16 +405,17 @@ impl SlotRing {
     /// the paper's discard-and-initialize step (each period is evicted at
     /// most once in its lifetime, and the freshly exposed horizon-edge slot
     /// needs no initialization at all). Each expired slot's evictions are
-    /// one batch, in bucket order.
+    /// one batch, in bucket order. A drained bucket starts its next slot
+    /// empty, so no bucket keeps the capacity of its busiest slot.
     pub fn advance_to_with(&mut self, now: Time, scratch: &mut Scratch, ops: &mut OpStats) {
         let target = self.cfg.slot_of(now);
         // The evictions are listed after anything already queued there.
         let mut evicted = std::mem::take(&mut scratch.ring_ops);
         let queued = evicted.len();
         while self.base < target {
-            let mut bucket = self.expiry.pop_front().expect("Q expiry buckets");
+            let bucket = self.expiry.pop_front().expect("Q expiry buckets");
             self.base = self.base.next();
-            for id in bucket.drain(..) {
+            for id in bucket {
                 let Some(cov) = self.cover.remove(&id) else {
                     continue; // explicitly removed earlier; stale bucket id
                 };
@@ -408,7 +424,7 @@ impl SlotRing {
                 evicted.push(PeriodOp::Remove(cov.period));
                 self.queue_tree_ops(cov.first, cov.last, seq, scratch);
             }
-            self.expiry.push_back(bucket);
+            self.expiry.push_back(Vec::new());
             self.apply_tree_ops(&evicted[queued..], scratch, ops);
             evicted.truncate(queued);
         }
@@ -444,8 +460,7 @@ impl SlotRing {
         loop {
             let tree = &self.nodes[i];
             if !tree.is_empty() {
-                count += tree.phase1_candidates_append(start, &mut stab.marked, ops);
-                stab.trees.push(i as u32);
+                count += tree.phase1_candidates_append(&self.store, start, &mut stab.marked, ops);
                 stab.bounds.push(stab.marked.len() as u32);
             }
             if i == 1 {
@@ -469,9 +484,9 @@ impl SlotRing {
     ) {
         ops.phase2_searches += 1;
         let mut lo = 0usize;
-        for (k, &t) in stab.trees.iter().enumerate() {
-            let hi = stab.bounds[k] as usize;
-            self.nodes[t as usize].phase2_collect(&stab.marked[lo..hi], end, out, ops);
+        for &hi in &stab.bounds {
+            let hi = hi as usize;
+            SlotTree::phase2_collect(&self.store, &stab.marked[lo..hi], end, out, ops);
             lo = hi;
         }
     }
@@ -479,14 +494,7 @@ impl SlotRing {
     /// Count (without retrieving) the feasible periods among the Phase-1
     /// marks — the counting twin of [`SlotRing::phase2_feasible_into`].
     pub fn count_feasible(&self, end: Time, stab: &StabMarks, ops: &mut OpStats) -> usize {
-        let mut count = 0usize;
-        let mut lo = 0usize;
-        for (k, &t) in stab.trees.iter().enumerate() {
-            let hi = stab.bounds[k] as usize;
-            count += self.nodes[t as usize].count_feasible(&stab.marked[lo..hi], end, ops);
-            lo = hi;
-        }
-        count
+        SlotTree::count_feasible(&self.store, &stab.marked, end, ops)
     }
 
     /// Convenience composition of both phases: append every feasible period
@@ -514,7 +522,13 @@ impl SlotRing {
             .iter()
             .enumerate()
             .filter(|(_, t)| !t.is_empty())
-            .map(|(i, t)| (i, t.periods_in_order(), t.fingerprint()))
+            .map(|(i, t)| {
+                (
+                    i,
+                    t.periods_in_order(&self.store),
+                    t.fingerprint(&self.store),
+                )
+            })
             .collect()
     }
 
@@ -530,6 +544,8 @@ impl SlotRing {
     ///    periods overlapping that slot, plus only *benign* aliases (last
     ///    covered slot strictly in the past, hence never Phase-2 feasible).
     /// 4. Expiry buckets cover every stored period at its last slot.
+    /// 5. The store holds exactly the trees' nodes and blocks: nothing
+    ///    leaks (see [`TreeStore::check`]).
     #[doc(hidden)]
     pub fn check_mirror(&self, timeline: &Timeline) {
         use std::collections::{BTreeMap, BTreeSet};
@@ -566,8 +582,8 @@ impl SlotRing {
         // node -> ids recomputed from the cover map.
         let mut stored: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
         for (n, tree) in self.nodes.iter().enumerate() {
-            tree.check_invariants();
-            for p in tree.periods_in_order() {
+            tree.check_invariants(&self.store, Self::node_seed(self.seed, n));
+            for p in tree.periods_in_order(&self.store) {
                 assert!(
                     stored.entry(n as u32).or_default().insert(p.id.0),
                     "duplicate period {p:?} in node {n}"
@@ -606,7 +622,12 @@ impl SlotRing {
             let mut stab = BTreeSet::new();
             let mut n = self.span + self.pos(q);
             loop {
-                stab.extend(self.nodes[n].periods_in_order().iter().map(|p| p.id.0));
+                stab.extend(
+                    self.nodes[n]
+                        .periods_in_order(&self.store)
+                        .iter()
+                        .map(|p| p.id.0),
+                );
                 if n == 1 {
                     break;
                 }
@@ -634,6 +655,8 @@ impl SlotRing {
                 cov.period
             );
         }
+        // 5. No leak in the store.
+        self.store.check(&self.nodes);
     }
 }
 
@@ -938,5 +961,68 @@ mod tests {
         // Removing the spanning hole touched O(log Q) trees, far fewer than
         // the 62 per-slot copies the mirrored design would pay.
         assert!(ops.update_visits - before < 62 * 2);
+    }
+
+    /// The store's node slots never exceed twice the most entries the
+    /// trees have held at once, however the periods move between trees: a
+    /// seeded churn of reservations and releases over 20 wraps of the
+    /// ring, checked after every batch, with the leak check on the way.
+    /// The store counts its peak itself: a batch regroups its updates per
+    /// tree, so one tree's inserts can come before another's removes, and
+    /// the peak inside a batch can pass any count seen between batches.
+    #[test]
+    fn store_follows_the_peak_entries_across_wraps() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (slots, tau) = (16, 10);
+        let window = tau * slots as i64;
+        let (mut tl, mut ring, mut ops) = setup(12, tau, slots);
+        let mut rng = SmallRng::seed_from_u64(0x5709E);
+        let mut scratch = Scratch::new();
+        let mut held: Vec<(ServerId, JobId, Time, Time)> = Vec::new();
+        let (mut seen, mut now, mut jobs, mut batches) = (0, 0i64, 0u64, 0u64);
+        let mut after_batch = |ring: &SlotRing, seen: &mut usize| {
+            *seen = (*seen).max(ring.resident_entries());
+            let store = ring.store();
+            assert!(store.peak_entries() >= *seen, "peak entries");
+            assert!(
+                store.node_slots() <= 2 * store.peak_entries(),
+                "{} node slots for a peak of {} entries",
+                store.node_slots(),
+                store.peak_entries()
+            );
+            batches += 1;
+            batches
+        };
+        while now < 20 * window {
+            now += rng.random_range(0..2 * tau);
+            ring.advance_to_with(Time(now), &mut scratch, &mut ops);
+            tl.prune_before(ring.window_start());
+            after_batch(&ring, &mut seen);
+            held.retain(|&(.., start, _)| start >= ring.window_start());
+            for _ in 0..rng.random_range(1..10) {
+                let delta = if !held.is_empty() && rng.random_bool(0.45) {
+                    let (server, job, start, end) =
+                        held.swap_remove(rng.random_range(0..held.len()));
+                    tl.release(server, job, start, end)
+                } else {
+                    let server = ServerId(rng.random_range(0..12));
+                    let start = Time(now + rng.random_range(0..window - 5));
+                    let end = start + Dur(rng.random_range(1..=(now + window - start.0).min(60)));
+                    let Some(p) = tl.covering_idle(server, start, end) else {
+                        continue;
+                    };
+                    jobs += 1;
+                    held.push((server, JobId(jobs), start, end));
+                    tl.reserve(p.id, JobId(jobs), start, end)
+                };
+                apply_finite(&mut ring, &delta, &mut ops);
+                if after_batch(&ring, &mut seen) % 101 == 0 {
+                    ring.check_mirror(&tl);
+                }
+            }
+        }
+        assert!(ops.ring_evictions > 0 && seen > 0);
+        ring.check_mirror(&tl);
     }
 }

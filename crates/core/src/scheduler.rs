@@ -474,6 +474,15 @@ impl CoAllocScheduler {
         self.parts[0].ring()
     }
 
+    /// What the index holds, summed over the ranges' rings: slot-tree
+    /// entries and the bytes of the stores they live in. `O(K)`.
+    pub fn index_size(&self) -> (usize, usize) {
+        self.parts.iter().fold((0, 0), |(entries, bytes), part| {
+            let store = part.ring().store();
+            (entries + store.entries(), bytes + store.bytes())
+        })
+    }
+
     /// The ranges and the counters their work is charged to, for a caller
     /// that drives the per-range steps itself (a range search).
     pub(crate) fn parts_mut(&mut self) -> (&mut Vec<ServerIndex>, &mut OpStats) {

@@ -28,6 +28,8 @@ use crate::time::Time;
 #[derive(Clone, Debug)]
 pub struct TrailingSet {
     arena: BlockArena<StartKey>,
+    /// The set's block-layout seed.
+    seed: u64,
     set: BlockSet,
 }
 
@@ -35,7 +37,8 @@ impl TrailingSet {
     /// An empty set; `seed` fixes the block layout.
     pub fn new(seed: u64) -> TrailingSet {
         TrailingSet {
-            arena: BlockArena::new(seed ^ 0x7A11),
+            arena: BlockArena::new(),
+            seed: seed ^ 0x7A11,
             set: BlockSet::new(),
         }
     }
@@ -50,7 +53,7 @@ impl TrailingSet {
         keys.sort_unstable();
         ops.periods_inserted += keys.len() as u64;
         let mut ts = TrailingSet::new(seed);
-        ts.set = BlockSet::from_sorted(&mut ts.arena, &keys, ops);
+        ts.set = BlockSet::from_sorted(&mut ts.arena, ts.seed, &keys, ops);
         ts
     }
 
@@ -69,13 +72,16 @@ impl TrailingSet {
     pub fn insert(&mut self, p: &IdlePeriod, ops: &mut OpStats) {
         debug_assert!(p.end.is_inf(), "trailing set only holds open periods");
         ops.periods_inserted += 1;
-        self.set.insert(&mut self.arena, p.start_key(), ops);
+        self.set
+            .insert(&mut self.arena, self.seed, p.start_key(), ops);
     }
 
     /// Remove a trailing period; returns whether it was present.
     pub fn remove(&mut self, p: &IdlePeriod, ops: &mut OpStats) -> bool {
         debug_assert!(p.end.is_inf(), "trailing set only holds open periods");
-        let removed = self.set.remove(&mut self.arena, p.start_key(), ops);
+        let removed = self
+            .set
+            .remove(&mut self.arena, self.seed, p.start_key(), ops);
         if removed {
             ops.periods_removed += 1;
         }
@@ -123,7 +129,7 @@ impl TrailingSet {
     /// Validate the set's layout (test helper).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        self.set.check_invariants(&self.arena);
+        self.set.check_invariants(&self.arena, self.seed);
     }
 }
 

@@ -355,6 +355,7 @@ fn warm_block_arena_does_not_allocate() {
     use coalloc_core::blockset::{BlockArena, BlockSet};
     use coalloc_core::idle::EndKey;
     use coalloc_core::ids::PeriodId;
+    const SEED: u64 = 0xB10C;
     let keys: Vec<EndKey> = (0..3_000u64)
         .map(|i| EndKey {
             end: Time((i * 7_919 % 1_009) as i64),
@@ -368,18 +369,18 @@ fn warm_block_arena_does_not_allocate() {
         let mut ops = OpStats::new();
         let mut grown = BlockSet::new();
         for &key in &keys {
-            grown.insert(arena, key, &mut ops);
+            grown.insert(arena, SEED, key, &mut ops);
         }
         for key in keys.iter().step_by(3) {
-            assert!(grown.remove(arena, *key, &mut ops));
+            assert!(grown.remove(arena, SEED, *key, &mut ops));
         }
-        let mut built = BlockSet::from_sorted(arena, &sorted, &mut ops);
+        let mut built = BlockSet::from_sorted(arena, SEED, &sorted, &mut ops);
         out.clear();
         built.collect_top(arena, sorted[100], usize::MAX, |_| true, &mut out, &mut ops);
         grown.clear(arena);
         built.clear(arena);
     };
-    let mut arena = BlockArena::new(0xB10C);
+    let mut arena = BlockArena::new();
     run(&mut arena);
     let before = allocs();
     run(&mut arena);

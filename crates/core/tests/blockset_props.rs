@@ -92,12 +92,12 @@ fn check_against<K: ModelKey>(
     rng: &mut SmallRng,
 ) {
     let mut ops = OpStats::new();
-    set.check_invariants(arena);
+    set.check_invariants(arena, seed);
     let keys: Vec<K> = model.iter().copied().collect();
     assert_eq!(set.len(arena), keys.len());
     assert_eq!(set.keys_in_order(arena), keys);
-    let mut bulk_arena = BlockArena::new(seed);
-    let bulk = BlockSet::from_sorted(&mut bulk_arena, &keys, &mut ops);
+    let mut bulk_arena = BlockArena::new();
+    let bulk = BlockSet::from_sorted(&mut bulk_arena, seed, &keys, &mut ops);
     assert_eq!(set.layout(arena), bulk.layout(&bulk_arena), "layout");
     for _ in 0..20 {
         let floor = probe(rng);
@@ -121,12 +121,13 @@ fn check_against<K: ModelKey>(
     }
 }
 
-/// Two end-key sets in one arena walk through the sizes in `targets`;
-/// `ends` ends share a tie group.
+/// Two end-key sets in one arena, each with its own seed, walk through
+/// the sizes in `targets`; `ends` ends share a tie group.
 fn run_stream(seed: u64, ends: i64, targets: &[usize]) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut arena = BlockArena::new(seed);
+    let mut arena = BlockArena::new();
     let mut sets = [BlockSet::new(), BlockSet::new()];
+    let seeds = [seed, seed ^ 0x5EED];
     let mut models = [BTreeSet::new(), BTreeSet::new()];
     let mut live: [Vec<EndKey>; 2] = [Vec::new(), Vec::new()];
     let (mut ops, mut next_id, mut tallest, mut largest) = (OpStats::new(), 1u64, 0, 0);
@@ -137,26 +138,40 @@ fn run_stream(seed: u64, ends: i64, targets: &[usize]) {
             if live[t].len() < target {
                 let key = ekey(rng.random_range(0..ends), next_id);
                 next_id += 1;
-                sets[t].insert(&mut arena, key, &mut ops);
+                sets[t].insert(&mut arena, seeds[t], key, &mut ops);
                 models[t].insert(key);
                 live[t].push(key);
             } else {
                 let key = live[t].swap_remove(rng.random_range(0..live[t].len()));
-                assert!(sets[t].remove(&mut arena, key, &mut ops));
+                assert!(sets[t].remove(&mut arena, seeds[t], key, &mut ops));
                 assert!(models[t].remove(&key));
                 // A second remove of the same key, or of one never there,
                 // changes nothing.
-                assert!(!sets[t].remove(&mut arena, key, &mut ops));
-                assert!(!sets[t].remove(&mut arena, ekey(key.end.0, 0), &mut ops));
+                assert!(!sets[t].remove(&mut arena, seeds[t], key, &mut ops));
+                assert!(!sets[t].remove(&mut arena, seeds[t], ekey(key.end.0, 0), &mut ops));
             }
             step += 1;
             largest = largest.max(live[t].len());
             tallest = tallest.max(sets[t].height(&arena));
             if step % 701 == 0 {
-                check_against(&arena, &sets[t], &models[t], seed, probe(ends), &mut rng);
+                check_against(
+                    &arena,
+                    &sets[t],
+                    &models[t],
+                    seeds[t],
+                    probe(ends),
+                    &mut rng,
+                );
             }
         }
-        check_against(&arena, &sets[t], &models[t], seed, probe(ends), &mut rng);
+        check_against(
+            &arena,
+            &sets[t],
+            &models[t],
+            seeds[t],
+            probe(ends),
+            &mut rng,
+        );
     }
     assert!(largest >= 5_000, "the stream reaches 5,000 keys");
     assert!(
@@ -186,18 +201,18 @@ fn end_key_sets_match_the_model() {
 #[test]
 fn start_key_set_matches_the_model() {
     let mut rng = SmallRng::seed_from_u64(9);
-    let mut arena = BlockArena::new(9);
+    let mut arena = BlockArena::new();
     let mut set = BlockSet::new();
     let mut model = BTreeSet::new();
     let mut ops = OpStats::new();
     for i in 0..6_000u64 {
         if model.is_empty() || rng.random_bool(0.6) {
             let key = skey(rng.random_range(0..3_000), i + 1);
-            set.insert(&mut arena, key, &mut ops);
+            set.insert(&mut arena, 9, key, &mut ops);
             model.insert(key);
         } else {
             let key = *model.iter().nth(rng.random_range(0..model.len())).unwrap();
-            assert!(set.remove(&mut arena, key, &mut ops));
+            assert!(set.remove(&mut arena, 9, key, &mut ops));
             model.remove(&key);
         }
     }
@@ -210,10 +225,10 @@ fn start_key_set_matches_the_model() {
 /// are feasible.
 #[test]
 fn count_ge_matches_paper_example() {
-    let mut arena = BlockArena::new(42);
+    let mut arena = BlockArena::new();
     let (mut set, mut ops) = (BlockSet::new(), OpStats::new());
     for (end, id) in [(25, 1), (33, 2), (33, 3), (18, 4)] {
-        set.insert(&mut arena, ekey(end, id), &mut ops);
+        set.insert(&mut arena, 42, ekey(end, id), &mut ops);
     }
     let ends: Vec<i64> = set.keys_in_order(&arena).iter().map(|k| k.end.0).collect();
     assert_eq!(ends, vec![18, 25, 33, 33]);
@@ -228,12 +243,12 @@ fn count_ge_matches_paper_example() {
 /// for visit.
 #[test]
 fn collect_top_stops_after_need_and_the_tie_group() {
-    let mut arena: BlockArena<StartKey> = BlockArena::new(3);
+    let mut arena: BlockArena<StartKey> = BlockArena::new();
     let (mut set, mut ops) = (BlockSet::new(), OpStats::new());
     // Starts 9, 7, 7, 7, 5, 3 (ids 1..=6), walked from 8 down; 7's group
     // holds ids 2, 3, 4.
     for (s, i) in [(7, 3), (9, 1), (3, 6), (7, 2), (5, 5), (7, 4)] {
-        set.insert(&mut arena, skey(s, i), &mut ops);
+        set.insert(&mut arena, 3, skey(s, i), &mut ops);
     }
     let top = |need: usize, counts: &dyn Fn(PeriodId) -> bool| {
         let (mut out, mut ops) = (Vec::new(), OpStats::new());
@@ -290,7 +305,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         steps in prop::collection::vec((0u8..3, 0u64..400, 0i64..40), 1..600),
     ) {
-        let mut arena = BlockArena::new(seed);
+        let mut arena = BlockArena::new();
         let mut set = BlockSet::new();
         let mut ops = OpStats::new();
         let mut live: Vec<EndKey> = Vec::new();
@@ -298,24 +313,24 @@ proptest! {
             let key = ekey(end, id);
             match (live.iter().position(|k| k.id.0 == id), insert > 0) {
                 (None, true) => {
-                    set.insert(&mut arena, key, &mut ops);
+                    set.insert(&mut arena, seed, key, &mut ops);
                     live.push(key);
                 }
                 (Some(i), false) => {
                     let key = live.swap_remove(i);
-                    prop_assert!(set.remove(&mut arena, key, &mut ops));
+                    prop_assert!(set.remove(&mut arena, seed, key, &mut ops));
                 }
                 // A miss (same id, maybe another end) leaves it alone.
                 (hit, _) => {
                     if hit.is_none_or(|i| live[i] != key) {
-                        prop_assert!(!set.remove(&mut arena, key, &mut ops));
+                        prop_assert!(!set.remove(&mut arena, seed, key, &mut ops));
                     }
                 }
             }
-            set.check_invariants(&arena);
+            set.check_invariants(&arena, seed);
             live.sort();
-            let mut bulk_arena = BlockArena::new(seed);
-            let bulk = BlockSet::from_sorted(&mut bulk_arena, &live, &mut ops);
+            let mut bulk_arena = BlockArena::new();
+            let bulk = BlockSet::from_sorted(&mut bulk_arena, seed, &live, &mut ops);
             prop_assert_eq!(set.layout(&arena), bulk.layout(&bulk_arena));
             prop_assert_eq!(arena.live_blocks(), bulk_arena.live_blocks());
         }

@@ -7,15 +7,16 @@
 //! trailing set. How an ordered set lays its keys out in blocks does not
 //! reach the wire (it is a function of the key set alone, which
 //! `blockset_props.rs` checks). A seeded stream drives several
-//! [`SlotTree`]s (eager and deferred groups, across [`SCAN_MAX`] both ways,
-//! through the scapegoat root rule) and a [`TrailingSet`], and hashes every
-//! primary shape and key order it passes through; the constants were
-//! computed before the update paths were rewritten. The
+//! [`SlotTree`]s sharing one [`TreeStore`] (eager and deferred groups,
+//! across [`SCAN_MAX`] both ways, through the scapegoat root rule) and a
+//! [`TrailingSet`], and hashes every primary shape and key order it passes
+//! through; the constants were computed before the update paths were
+//! rewritten, when each tree had a store of its own. The
 //! `tree_rebuild_size` histogram is pinned on the same stream.
 
 use coalloc_core::idle::{EndKey, IdlePeriod};
 use coalloc_core::ids::{PeriodId, ServerId};
-use coalloc_core::primary::{PeriodOp, SlotTree, SCAN_MAX};
+use coalloc_core::primary::{PeriodOp, SlotTree, TreeStore, SCAN_MAX};
 use coalloc_core::scratch::Scratch;
 use coalloc_core::stats::OpStats;
 use coalloc_core::time::Time;
@@ -60,7 +61,9 @@ fn run_stream() -> StreamOutcome {
     let hist = obs::metrics::histogram("tree_rebuild_size");
     let (count0, sum0) = (hist.count(), hist.sum());
     let mut rng = SmallRng::seed_from_u64(0x5A_9E5);
-    let mut trees: Vec<SlotTree> = (0..4).map(|i| SlotTree::new(0x7EE5 ^ i)).collect();
+    let mut trees = vec![SlotTree::new(); 4];
+    let seeds: Vec<u64> = (0..4).map(|i| 0x7EE5 ^ i).collect();
+    let mut store = TreeStore::new();
     let mut live: Vec<Vec<IdlePeriod>> = vec![Vec::new(); trees.len()];
     let mut phase = vec![0usize; trees.len()];
     let mut trailing = TrailingSet::new(0x7A1);
@@ -109,6 +112,8 @@ fn run_stream() -> StreamOutcome {
         }
         let before = trees[t].len();
         trees[t].apply_ops(
+            &mut store,
+            seeds[t],
             batch.iter().copied(),
             rng.random_bool(0.5),
             &mut scratch,
@@ -139,7 +144,7 @@ fn run_stream() -> StreamOutcome {
         if updates % 16 < 2 {
             for tree in &trees {
                 hash.word(tree.len() as u64);
-                for (size, split, secondary) in tree.fingerprint() {
+                for (size, split, secondary) in tree.fingerprint(&store) {
                     hash.word(size as u64);
                     hash.word(split.start.0 as u64);
                     hash.word(split.id.0);
@@ -148,7 +153,7 @@ fn run_stream() -> StreamOutcome {
                         hash.word(id.0);
                     }
                 }
-                for p in tree.periods_in_order() {
+                for p in tree.periods_in_order(&store) {
                     hash.period(&p);
                 }
             }
@@ -163,9 +168,10 @@ fn run_stream() -> StreamOutcome {
         [true, true],
         "the stream crosses SCAN_MAX both ways"
     );
-    for tree in &trees {
-        tree.check_invariants();
+    for (tree, &seed) in trees.iter().zip(&seeds) {
+        tree.check_invariants(&store, seed);
     }
+    store.check(&trees);
     trailing.check_invariants();
     hash.word(ops.rebuilds);
     StreamOutcome {

@@ -9,7 +9,7 @@
 //! | `/metrics`    | Prometheus text exposition of every obs metric |
 //! | `/healthz`    | `200 ok` while the process serves at all |
 //! | `/readyz`     | `200 ready`, or `503` while draining / queue saturated |
-//! | `/status`     | JSON snapshot: uptime, capacity, utilization, queues, WAL, totals |
+//! | `/status`     | JSON snapshot: uptime, capacity, utilization, index, queues, WAL, totals |
 //! | `/debug/slow` | JSON dump of the tail-captured slow/shed/errored requests |
 //!
 //! The plane is deliberately **non-normative**: the line protocol on the
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use crate::slow;
 
 /// Shared snapshot state between the serving threads and the admin plane.
-/// The scheduler thread refreshes the capacity/utilization cells
+/// The scheduler thread refreshes the capacity/utilization/index cells
 /// periodically (they require `&mut` scheduler access); everything else is
 /// read straight from the obs registry at scrape time.
 pub(crate) struct AdminState {
@@ -52,6 +52,10 @@ pub(crate) struct AdminState {
     pub util_ppm: AtomicU64,
     /// The scheduler clock, whole seconds.
     pub now_secs: AtomicU64,
+    /// Slot-tree entries the index holds, summed over the ranges.
+    pub tree_entries: AtomicU64,
+    /// Bytes of the slot-tree stores, summed over the ranges.
+    pub store_bytes: AtomicU64,
     /// Whether any `init`/restore installed a scheduler yet.
     pub initialized: AtomicBool,
 }
@@ -74,6 +78,8 @@ impl AdminState {
             servers: AtomicU64::new(0),
             util_ppm: AtomicU64::new(0),
             now_secs: AtomicU64::new(0),
+            tree_entries: AtomicU64::new(0),
+            store_bytes: AtomicU64::new(0),
             initialized: AtomicBool::new(false),
         }
     }
@@ -276,6 +282,11 @@ fn status_json(state: &AdminState) -> String {
         state.now_secs.load(Ordering::Relaxed),
     ));
     out.push_str(&format!(
+        "\"index\":{{\"tree_entries\":{},\"store_bytes\":{}}},",
+        state.tree_entries.load(Ordering::Relaxed),
+        state.store_bytes.load(Ordering::Relaxed),
+    ));
+    out.push_str(&format!(
         "\"queue\":{{\"depth\":{depth},\"capacity\":{}}},",
         state.queue_capacity
     ));
@@ -351,6 +362,8 @@ mod tests {
         state.servers.store(16, Ordering::Relaxed);
         state.util_ppm.store(421_337, Ordering::Relaxed);
         state.initialized.store(true, Ordering::Relaxed);
+        state.tree_entries.store(645, Ordering::Relaxed);
+        state.store_bytes.store(1 << 20, Ordering::Relaxed);
         let json = status_json(&state);
         let v = obs::json::parse(&json).expect("valid JSON");
         assert_eq!(v.get("shards").unwrap().as_num(), Some(2.0));
@@ -359,6 +372,9 @@ mod tests {
         assert_eq!(sched.get("servers").unwrap().as_num(), Some(16.0));
         let util = sched.get("utilization").unwrap().as_num().unwrap();
         assert!((util - 0.421337).abs() < 1e-9);
+        let index = v.get("index").unwrap();
+        assert_eq!(index.get("tree_entries").unwrap().as_num(), Some(645.0));
+        assert_eq!(index.get("store_bytes").unwrap().as_num(), Some(1048576.0));
         let json = obs::json::parse(&slow_json()).expect("valid slow JSON");
         assert!(json.get("records").is_some());
     }

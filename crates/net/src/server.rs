@@ -737,7 +737,7 @@ struct SchedCtx {
 }
 
 /// How often the scheduler thread refreshes the admin plane's
-/// capacity/utilization cells (they need `&mut` session access, so only
+/// capacity/utilization/index cells (they need `&mut` session access, so only
 /// this thread can compute them).
 const STATUS_REFRESH: Duration = Duration::from_millis(100);
 
@@ -753,7 +753,7 @@ impl SchedCtx {
         }
     }
 
-    /// Push the session's capacity/utilization into the admin snapshot if
+    /// Push the session's capacity/utilization/index into the admin snapshot if
     /// one exists and the last refresh is stale.
     fn maybe_refresh(&self, session: &Session, last: &mut Instant) {
         let Some(admin) = &self.admin else { return };
@@ -761,15 +761,21 @@ impl SchedCtx {
             return;
         }
         *last = Instant::now();
-        if let Some((servers, now_secs, util)) = session.probe_status() {
-            admin.servers.store(servers as u64, Ordering::Relaxed);
+        if let Some(probe) = session.probe_status() {
+            admin.servers.store(probe.servers as u64, Ordering::Relaxed);
             admin
                 .now_secs
-                .store(now_secs.max(0) as u64, Ordering::Relaxed);
+                .store(probe.now_secs.max(0) as u64, Ordering::Relaxed);
             admin.util_ppm.store(
-                (util.clamp(0.0, 1.0) * 1_000_000.0) as u64,
+                (probe.utilization.clamp(0.0, 1.0) * 1_000_000.0) as u64,
                 Ordering::Relaxed,
             );
+            admin
+                .tree_entries
+                .store(probe.tree_entries as u64, Ordering::Relaxed);
+            admin
+                .store_bytes
+                .store(probe.store_bytes as u64, Ordering::Relaxed);
             admin.initialized.store(true, Ordering::Relaxed);
         }
     }

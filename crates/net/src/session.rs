@@ -57,6 +57,21 @@ pub struct Session {
     refused: Vec<Option<String>>,
 }
 
+/// What [`Session::probe_status`] reads off the scheduler.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StatusProbe {
+    /// Servers scheduled.
+    pub servers: u32,
+    /// The scheduler clock, whole seconds.
+    pub now_secs: i64,
+    /// Utilization at the clock.
+    pub utilization: f64,
+    /// Slot-tree entries held, summed over the ranges.
+    pub tree_entries: usize,
+    /// Bytes of the slot-tree stores, summed over the ranges.
+    pub store_bytes: usize,
+}
+
 /// The replies to a sequence of command lines, as the bytes a client
 /// reads: a reply and its `\n`, an error as `error: ...\n`, nothing for a
 /// blank or comment line. Per line it keeps where the reply ends and
@@ -503,13 +518,20 @@ impl Session {
         run
     }
 
-    /// Capacity and utilization probe for the admin plane's `/status`:
-    /// `(servers, scheduler clock secs, utilization at the clock)`, or
-    /// `None` before any `init`/restore installed a scheduler.
-    pub fn probe_status(&self) -> Option<(u32, i64, f64)> {
+    /// Capacity, utilization and index probe for the admin plane's
+    /// `/status`, or `None` before any `init`/restore installed a
+    /// scheduler.
+    pub fn probe_status(&self) -> Option<StatusProbe> {
         let s = self.sched.as_ref()?;
         let now = s.now();
-        Some((s.num_servers(), now.secs(), s.utilization(now.max(Time(1)))))
+        let (tree_entries, store_bytes) = s.index_size();
+        Some(StatusProbe {
+            servers: s.num_servers(),
+            now_secs: now.secs(),
+            utilization: s.utilization(now.max(Time(1))),
+            tree_entries,
+            store_bytes,
+        })
     }
 
     /// The canonical persistent form of the current scheduler state — the
